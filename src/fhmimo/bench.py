@@ -229,28 +229,32 @@ def _associate(dets, scene: radarrx.TargetScene, cfg: RadarConfig,
                gate_doppler_bins: int = 2, gate_angle_deg: float = 2.0):
     """Greedy nearest association of detections to truth targets.
 
-    Returns per-target (matched, range_err, velocity_err, angle_err).
+    Targets are taken in scene order. Each takes the gated detection with
+    the highest statistic (the lowest index on ties) that no earlier target
+    took. Returns per-target (matched, range_err, velocity_err, angle_err).
     """
+    det_list = dets.detections
+    range_bin = np.array([d.range_bin for d in det_list], dtype=int)
+    doppler_bin = np.array([d.doppler_bin for d in det_list], dtype=int)
+    azimuth = np.array([d.azimuth_deg for d in det_list], dtype=float)
+    statistic = np.array([d.statistic for d in det_list], dtype=float)
+    free = np.ones(len(det_list), dtype=bool)
     out = []
-    used = set()
     for t in scene.targets:
         rb_t = round(t.delay() * cfg.sample_rate) - range_offset
         db_t = round(t.doppler(cfg.wavelength)
                      / cfg.doppler_bin) + n_dop // 2
-        best = None
-        for j, d in enumerate(dets):
-            if j in used:
-                continue
-            if (abs(d.range_bin - rb_t) <= gate_range_bins
-                    and abs(d.doppler_bin - db_t) <= gate_doppler_bins
-                    and abs(d.azimuth_deg - t.azimuth_deg) <= gate_angle_deg):
-                if best is None or d.statistic > dets.detections[best].statistic:
-                    best = j
-        if best is None:
+        cand = np.flatnonzero(
+            free
+            & (np.abs(range_bin - rb_t) <= gate_range_bins)
+            & (np.abs(doppler_bin - db_t) <= gate_doppler_bins)
+            & (np.abs(azimuth - t.azimuth_deg) <= gate_angle_deg))
+        if not cand.size:
             out.append((False, 0.0, 0.0, 0.0))
             continue
-        used.add(best)
-        d = dets.detections[best]
+        best = int(cand[np.argmax(statistic[cand])])
+        free[best] = False
+        d = det_list[best]
         out.append((True, d.range_m - t.range_m, d.velocity - t.velocity,
                     d.azimuth_deg - t.azimuth_deg))
     return out

@@ -399,30 +399,47 @@ def angle_grid(fov_deg: float = 30.0, n_points: int = 1024) -> np.ndarray:
 
 
 def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
-                   cal: np.ndarray | None = None) -> float:
+                   cal: np.ndarray | None = None):
     """Azimuth maximizing |a(theta)^H z|^2 over the grid.
 
+    ``z`` is one channel vector of shape (P,), giving a float, or D of them
+    stacked as (D, P), giving a (D,) array. The (L, P) steering matrix is
+    built once per call and the (D, L) spectrum comes from one product.
     Without a calibration vector the ideal steering is used (correct for
     error-free arrays); with one, per-channel gains are folded in.
     """
     A = array.virtual_steering(grid, include_errors=False)   # (L, P)
     if cal is not None:
         A = A * cal
-    spectrum = np.abs(A.conj() @ np.asarray(z)) ** 2
-    return float(grid[int(np.argmax(spectrum))])
+    z = np.asarray(z)
+    spectrum = np.abs(np.atleast_2d(z) @ A.conj().T) ** 2     # (D, L)
+    theta = np.asarray(grid)[np.argmax(spectrum, axis=1)]
+    return float(theta[0]) if z.ndim == 1 else theta
 
 
-def estimate_params(det: Detection, rdm: RangeDopplerMap, array: ArrayModel,
-                    grid: np.ndarray, cal: np.ndarray | None = None
-                    ) -> Detection:
-    """Fill the physical (range, velocity, azimuth) of a detection."""
+def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
+                    array: ArrayModel, grid: np.ndarray,
+                    cal: np.ndarray | None = None) -> DetectionList:
+    """Fill the physical (range, velocity, azimuth) of every detection.
+
+    All D detections of a CPI are handled in one call: range and velocity
+    are computed as arrays and the azimuths come from one (D, P)
+    ``estimate_angle`` call on the stacked channel vectors.
+    """
+    if not len(dets):
+        return dets
     cfg = rdm.cfg
-    t_star = (rdm.range_offset + det.range_bin) / cfg.sample_rate
-    det.range_m = SPEED_OF_LIGHT * t_star / 2.0
-    f_star = rdm.doppler_freqs()[det.doppler_bin]
-    det.velocity = cfg.wavelength * f_star / 2.0
-    det.azimuth_deg = estimate_angle(det.channel_vector, array, grid, cal)
-    return det
+    f_bin = np.array([d.doppler_bin for d in dets])
+    t_bin = np.array([d.range_bin for d in dets])
+    z = np.array([d.channel_vector for d in dets])            # (D, P)
+    t_star = (rdm.range_offset + t_bin) / cfg.sample_rate
+    range_m = SPEED_OF_LIGHT * t_star / 2.0
+    velocity = cfg.wavelength * rdm.doppler_freqs()[f_bin] / 2.0
+    azimuth = estimate_angle(z, array, grid, cal)
+    for d, r, v, a in zip(dets, range_m.tolist(), velocity.tolist(),
+                          azimuth.tolist()):
+        d.range_m, d.velocity, d.azimuth_deg = r, v, a
+    return dets
 
 
 def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
@@ -431,12 +448,15 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
                 grid: np.ndarray | None = None,
                 cal: np.ndarray | None = None
                 ) -> tuple[RangeDopplerMap, DetectionList]:
-    """Full chain for one CPI: matched filter, MTD, CFAR, parameters."""
+    """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
+
+    rx: (N, n_prt, samples_per_prt). Every detection's range, velocity and
+    azimuth are filled by one ``estimate_params`` call on the whole list.
+    """
     profiles = matched_filter(rx, plan, psk, cfg)
     rdm = mtd(profiles, cfg)
     dets = cfar_detect(rdm, guard_cells, training_cells, p_fa)
     if grid is None:
         grid = angle_grid()
-    for d in dets:
-        estimate_params(d, rdm, array, grid, cal)
+    estimate_params(dets, rdm, array, grid, cal)
     return rdm, dets

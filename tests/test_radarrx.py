@@ -313,12 +313,27 @@ def test_angle_quantization_floor(cfg, rng):
     grid = rrx.angle_grid(30, 4096)
     step = 60 / 4096
     thetas = rng.uniform(-25, 25, size=4000)
-    errs = []
-    for theta in thetas:
-        z = arr.virtual_steering(theta)
-        errs.append(rrx.estimate_angle(z, arr, grid) - theta)
-    rmse = np.sqrt(np.mean(np.array(errs) ** 2))
+    errs = rrx.estimate_angle(arr.virtual_steering(thetas), arr, grid) - thetas
+    rmse = np.sqrt(np.mean(errs ** 2))
     assert rmse == pytest.approx(step / np.sqrt(12), rel=0.1)
+
+
+@pytest.mark.parametrize("with_cal", [False, True])
+def test_angle_batch_equals_row_by_row(rng, with_cal):
+    # a (D, P) call returns exactly what D calls on (P,) rows return
+    arr = rrx.ArrayModel.with_random_errors(rng=rng)
+    cal = (rrx.calibrate(arr.virtual_steering(0.0), arr, 0.0)
+           if with_cal else None)
+    grid = rrx.angle_grid(30, 256)
+    thetas = rng.uniform(-25, 25, size=100)
+    z = arr.virtual_steering(thetas) + 0.3 * (
+        rng.standard_normal((100, 24)) + 1j * rng.standard_normal((100, 24)))
+    batch = rrx.estimate_angle(z, arr, grid, cal=cal)
+    rows = [rrx.estimate_angle(zi, arr, grid, cal=cal) for zi in z]
+    assert batch.shape == (100,)
+    assert all(type(r) is float for r in rows)
+    assert np.array_equal(batch, rows)
+    assert rrx.estimate_angle(z[:0], arr, grid, cal=cal).shape == (0,)
 
 
 def test_estimate_params_mapping(cfg):
