@@ -87,8 +87,7 @@ class FrontEndProfile:
         """Smooth random ripple: low-order polynomials over the band, scaled
         so the log-magnitude peaks at +/-mag_ripple_db and the phase at
         +/-phase_ripple_rad."""
-        rng = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         x = np.linspace(-1.0, 1.0, cfg.n_subbands)
         gains = np.empty((cfg.n_tx, cfg.n_subbands), dtype=complex)
         for m in range(cfg.n_tx):
@@ -232,8 +231,7 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
     out[:, :H * n_hop] = mixed.reshape(n_prt, H * n_hop)
     out = out.reshape(1, n_prt * n_p)
     if spec.noise_var > 0:
-        rng = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         scale = np.sqrt(spec.noise_var / 2.0)
         noise = rng.standard_normal((2, out.size)) * scale
         out = out + (noise[0] + 1j * noise[1])

@@ -92,6 +92,9 @@ def read_iq(path) -> IqFrame:
             spp = int(fields["samples_per_prt"])
         except (KeyError, ValueError) as exc:
             raise IqFormatError(f"incomplete header: {exc}") from exc
+        if spp <= 0 or samples % spp:
+            raise IqFormatError(f"{samples} samples is not a whole number "
+                                f"of {spp}-sample PRTs")
         payload = f.read()
         if len(payload) != channels * samples * 8:
             raise IqFormatError("payload size does not match header")

@@ -43,8 +43,7 @@ class TargetScene:
     def random(cls, cfg: RadarConfig, n_targets: int, rng=None,
                range_span=(750.0, 4185.0), velocity_span=(-170.0, 170.0),
                azimuth_span=(-4.0, 4.0)) -> "TargetScene":
-        rng = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         lo_r = max(range_span[0], cfg.blind_range)
         hi_r = min(range_span[1], cfg.unambiguous_range)
         targets = []
@@ -92,8 +91,7 @@ class ArrayModel:
     def with_random_errors(cls, rng=None, n_tx: int = 2, n_rx: int = 12,
                            tx_spacing: float = 6.0, rx_spacing: float = 0.5,
                            phase_scale: float = 1.0) -> "ArrayModel":
-        rng = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         e_t = np.exp(1j * phase_scale * rng.uniform(-np.pi, np.pi, n_tx))
         e_r = np.exp(1j * phase_scale * rng.uniform(-np.pi, np.pi, n_rx))
         return cls(n_tx, n_rx, tx_spacing, rx_spacing, e_t, e_r)
@@ -151,8 +149,7 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     n_p = cfg.samples_per_prt
     n_pulse = cfg.samples_per_pulse
     N = array.n_rx
-    rng = np.random.default_rng(rng) if not isinstance(
-        rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
 
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)

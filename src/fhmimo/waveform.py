@@ -306,8 +306,7 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
     if n_prt is None:
         n_prt = cfg.prts_per_cpi
-    rng = np.random.default_rng(rng) if not isinstance(
-        rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
 
     if mode == "traditional":
         # uniform M-subset per hop, then a random antenna permutation
@@ -446,8 +445,7 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
     Bits are consumed ``order_bits`` per slot in (PRT, hop, antenna) order
     and Gray-mapped onto the constellation.
     """
-    rng = np.random.default_rng(rng) if not isinstance(
-        rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     free = ~plan.pinned
     n_slots = int(free.sum())
     if bits is None:

@@ -121,6 +121,20 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
     assert len(lines) == 2 + 20 * 6 + 2
 
 
+def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
+    # 1000 samples is not a whole number of 1600-sample PRTs
+    path = tmp_path / "partial.iq"
+    write_iq(path, IqFrame(np.ones(1000, dtype=complex), 40e6, 1600))
+    with pytest.raises(IqFormatError):
+        read_iq(path)
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"]["iq_file"] = str(path)
+    p = tmp_path / "cfg5.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == cli.EXIT_IO == 3
+
+
 def test_radar_command(cfg_file, tmp_path):
     out = tmp_path / "radar"
     assert run_cli("--config", str(cfg_file), "--out", str(out), "radar",
