@@ -268,17 +268,18 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
                 trial_seed, waveform_mode: str):
     """One scene through the full chain; returns association results."""
     seq = np.random.SeedSequence(trial_seed)
-    scene_rng, plan_rng, noise_seed = seq.spawn(3)
+    # the FHCS (plan) and PSK bits each get their own child stream
+    scene_seed, plan_seed, noise_seed, psk_seed = seq.spawn(4)
     scene = radarrx.TargetScene.random(
-        cfg, sweep.n_targets, rng=np.random.default_rng(scene_rng),
+        cfg, sweep.n_targets, rng=np.random.default_rng(scene_seed),
         range_span=sweep.range_span, velocity_span=sweep.velocity_span,
         azimuth_span=sweep.azimuth_span)
     array = radarrx.ArrayModel(n_tx=cfg.n_tx)
     plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi,
-                     rng=np.random.default_rng(plan_rng),
+                     rng=np.random.default_rng(plan_seed),
                      mode=waveform_mode)
     psk = (make_psk_grid(cfg, plan, 3,
-                         rng=np.random.default_rng(plan_rng))
+                         rng=np.random.default_rng(psk_seed))
            if waveform_mode == "dfrc" else None)
     noise_var = 10.0 ** (-snr_db / 10.0)
     rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,26 @@ def test_associate_matches_loop_reference(cfg):
     out = bench._associate(dets, scene, cfg, cfg.samples_per_pulse, 128)
     assert out == loop(dets, scene)
     assert 0 < sum(r[0] for r in out) < len(out)
+
+
+def test_radar_trial_plan_and_psk_streams_differ(cfg, monkeypatch):
+    # the FHCS bits (plan_hops) and PSK bits (make_psk_grid) of a pilot
+    # trial must not be drawn from one stream seeded twice
+    states = {}
+
+    def spy(name, fn):
+        def wrapped(*args, rng, **kwargs):
+            states[name] = rng.bit_generator.state
+            return fn(*args, rng=rng, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bench, "plan_hops", spy("plan", bench.plan_hops))
+    monkeypatch.setattr(bench, "make_psk_grid",
+                        spy("psk", bench.make_psk_grid))
+    small = dataclasses.replace(cfg, prts_per_cpi=20)
+    bench.radar_trial(small, bench.SweepSpec(n_targets=2), -10.0, [1, 2],
+                      "dfrc")
+    assert states["plan"]["state"] != states["psk"]["state"]
 
 
 def test_radar_sweep_small(cfg):
