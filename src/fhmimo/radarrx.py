@@ -396,7 +396,7 @@ def angle_grid(fov_deg: float = 30.0, n_points: int = 1024) -> np.ndarray:
 
 
 def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
-                   cal: np.ndarray | None = None):
+                   cal: np.ndarray | None = None) -> float | np.ndarray:
     """Azimuth maximizing |a(theta)^H z|^2 over the grid.
 
     ``z`` is one channel vector of shape (P,), giving a float, or D of them
@@ -409,7 +409,8 @@ def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
     if cal is not None:
         A = A * cal
     z = np.asarray(z)
-    spectrum = np.abs(np.atleast_2d(z) @ A.conj().T) ** 2     # (D, L)
+    spectrum = np.abs(np.atleast_2d(z) @ A.conj().T)          # (D, L)
+    spectrum **= 2      # in place: no second (D, L) array
     theta = np.asarray(grid)[np.argmax(spectrum, axis=1)]
     return float(theta[0]) if z.ndim == 1 else theta
 
