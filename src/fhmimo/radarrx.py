@@ -421,8 +421,8 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
     """Fill the physical (range, velocity, azimuth) of every detection.
 
     All D detections of a CPI are handled in one call: range and velocity
-    are computed as arrays and the azimuths come from one (D, P)
-    ``estimate_angle`` call on the stacked channel vectors.
+    are computed as arrays, and the detections' (P,) channel vectors are
+    stacked to (D, P) for one ``estimate_angle`` call.
     """
     if not len(dets):
         return dets
@@ -448,8 +448,10 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
                 ) -> tuple[RangeDopplerMap, DetectionList]:
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
-    rx: (N, n_prt, samples_per_prt). Every detection's range, velocity and
-    azimuth are filled by one ``estimate_params`` call on the whole list.
+    rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
+    CPI's D detections, each with its (P,) channel vector; their range,
+    velocity and azimuth are filled by one ``estimate_params`` call on the
+    whole list.
     """
     profiles = matched_filter(rx, plan, psk, cfg)
     rdm = mtd(profiles, cfg)

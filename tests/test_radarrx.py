@@ -352,6 +352,13 @@ def test_estimate_params_mapping(cfg):
     assert cfg.range_bin == pytest.approx(3.75)
 
 
+def test_process_cpi_without_detections(cfg):
+    plan, psk = _plan_psk(cfg, 16)
+    rx = np.zeros((12, 16, cfg.samples_per_prt), dtype=complex)
+    _, dets = rrx.process_cpi(rx, plan, psk, cfg, rrx.ArrayModel())
+    assert len(dets) == 0
+
+
 def test_waveform_equivalence_quick(cfg):
     """Pilot-carrying and fully random waveforms give matching range and
     velocity errors on identical scenes and noise."""
