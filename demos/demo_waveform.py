@@ -22,7 +22,7 @@ print(f"  {cfg.hops_per_pulse} hops x {cfg.hop_duration * 1e6:.1f} us,"
       f" PRT {cfg.prt_duration * 1e6:.0f} us,"
       f" {cfg.samples_per_prt} samples per PRT")
 
-cb = wf.build_fhcs_codebook(cfg)
+cb = wf.FhcsCodebook(cfg.n_subbands, cfg.n_tx)
 print(f"\nFHCS codebook: C({cfg.n_subbands},{cfg.n_tx}) = {cb.n_total} "
       f"combinations, {cb.n_usable} usable -> {cb.bits} bits per hop")
 print(f"  codeword 0 = sub-bands {cb.unrank(0)}")

@@ -3,14 +3,12 @@
 from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
 from .iqfile import IqFormatError, IqFrame, read_iq, write_iq
 from .waveform import (FhcsCodebook, HopPlan, PayloadLengthError, PskGrid,
-                       build_fhcs_codebook, make_psk_grid, plan_hops,
-                       sub_band_frequency, synthesize)
+                       make_psk_grid, plan_hops, synthesize)
 from .impairments import (FrontEndProfile, ImpairmentSpec, accumulated_sto,
                           apply, rho_from_sto, sto_from_rho, window_gain)
 from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
                      assign_peaks, build_pilot_ratios, correction_factor,
-                     demodulate, estimate_cfo, estimate_clock, hop_spectrum,
-                     score_report)
+                     demodulate, estimate_cfo, estimate_clock, score_report)
 from .radarrx import (ArrayModel, Detection, DetectionList, RangeDopplerMap,
                       Target, TargetScene, calibrate, cfar_detect,
                       estimate_angle, estimate_params, matched_filter, mtd,
@@ -22,13 +20,12 @@ __all__ = [
     "SPEED_OF_LIGHT", "ConfigError", "RadarConfig",
     "IqFormatError", "IqFrame", "read_iq", "write_iq",
     "FhcsCodebook", "HopPlan", "PayloadLengthError", "PskGrid",
-    "build_fhcs_codebook", "make_psk_grid", "plan_hops",
-    "sub_band_frequency", "synthesize",
+    "make_psk_grid", "plan_hops", "synthesize",
     "FrontEndProfile", "ImpairmentSpec", "accumulated_sto", "apply",
     "rho_from_sto", "sto_from_rho", "window_gain",
     "DemodReport", "ErrorCounts", "PilotRatioTable", "SyncEstimate",
     "assign_peaks", "build_pilot_ratios", "correction_factor", "demodulate",
-    "estimate_cfo", "estimate_clock", "hop_spectrum", "score_report",
+    "estimate_cfo", "estimate_clock", "score_report",
     "ArrayModel", "Detection", "DetectionList", "RangeDopplerMap", "Target",
     "TargetScene", "calibrate", "cfar_detect", "estimate_angle",
     "estimate_params", "matched_filter", "mtd", "process_cpi",

@@ -67,33 +67,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     sweep_fields = {f.name for f in dataclasses.fields(bench.SweepSpec)}
     _check_keys("sweep", raw["sweep"], sweep_fields | {"kind"})
     _check_keys("run", raw["run"],
-                {"seed", "out", "order_bits", "n_prt", "mode", "group_len",
-                 "payload_file", "iq_file"})
+                {"seed", "out", "order_bits", "n_prt", "mode", "payload_file",
+                 "iq_file"})
     return raw
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration: module sections plus run options,
-    defaulting to the experiment parameters, unknown keys rejected."""
-
-    sections: dict
-
-    @classmethod
-    def load(cls, path=None, overrides: dict | None = None) -> "RunConfig":
-        return cls(load_config(path, overrides))
-
-    def radar(self) -> RadarConfig:
-        return build_radar_config(self.sections)
-
-    def impairments(self, rng) -> ImpairmentSpec:
-        return build_impairments(self.sections, self.radar(), rng)
-
-    def sweep(self) -> "bench.SweepSpec":
-        return build_sweep_spec(self.sections)
-
-    def hash(self) -> str:
-        return config_hash(self.sections)
 
 
 def build_radar_config(raw: dict) -> RadarConfig:
@@ -206,8 +182,6 @@ def cmd_comm(raw: dict, out_dir: Path) -> None:
     n_prt = int(run.get("n_prt", cfg.prts_per_cpi))
     order_bits = int(run.get("order_bits", 3))
     mode = run.get("mode", "estimated")
-    group_len = run.get("group_len")
-    group_len = int(group_len) if group_len else None
     seq = np.random.SeedSequence([seed, 2])
     rng = np.random.default_rng(seq)
     spec = build_impairments(raw, cfg, rng)
@@ -222,8 +196,7 @@ def cmd_comm(raw: dict, out_dir: Path) -> None:
         frame = synthesize(plan, psk, cfg)
         rx = apply(frame, plan, psk, spec, cfg, rng=rng)
     report = commrx.demodulate(rx, cfg, order_bits, mode=mode,
-                               spec=spec if mode == "known" else None,
-                               group_len=group_len)
+                               spec=spec if mode == "known" else None)
     report.to_csv(out_dir / "demod.csv", cfg_hash)
     summary = report.summary()
     if plan is not None:

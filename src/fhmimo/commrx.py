@@ -26,28 +26,11 @@ import numpy as np
 from .config import RadarConfig
 from .iqfile import IqFrame, write_csv
 from .impairments import ImpairmentSpec, expected_hop_peak, sto_from_rho
-from .waveform import (HopPlan, PskGrid, _subbands_to_positions,
-                       gray_encode, hop_groups, int_to_bits,
-                       payload_codewords, rank_subsets)
+from .waveform import (HopGroup, HopPlan, PskGrid, _subbands_to_positions,
+                       gray_encode, hop_groups, payload_codewords,
+                       rank_subsets)
 
 PEAK_FLOOR_FACTOR = 3.0  # peak must exceed this multiple of the median bin
-
-
-@dataclass
-class HopSpectrum:
-    """DFT view of one hop: full spectrum plus the sub-band coefficients."""
-
-    spectrum: np.ndarray        # (N_h,) complex
-    subband_values: np.ndarray  # (K,) complex at the sub-band bins
-    median_mag: float
-
-
-def hop_spectrum(frame: IqFrame, i: int, h: int, cfg: RadarConfig) -> HopSpectrum:
-    """Hop-length DFT of one hop of a single-channel frame."""
-    seg = frame.hop_samples(i, h, cfg.samples_per_hop)[0]
-    spec = np.fft.fft(seg)
-    bins = cfg.subband_bin(np.arange(cfg.n_subbands))
-    return HopSpectrum(spec, spec[bins], float(np.median(np.abs(spec))))
 
 
 def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
@@ -60,31 +43,42 @@ def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
     return spectra, spectra[..., bins]
 
 
-def assign_peaks(spectrum: HopSpectrum, pinned: dict, cfg: RadarConfig):
-    """Map spectral peaks to antennas for one hop.
+def assign_peaks(sub_vals: np.ndarray, median_mag: np.ndarray,
+                 groups: list[HopGroup], cfg: RadarConfig):
+    """Map spectral peaks to antennas for every hop of a batch.
 
-    Pinned antennas take their known sub-bands; the remaining peaks are
-    sorted by frequency and assigned to the remaining antennas in ascending
-    antenna order. Returns (subband_per_antenna, erased) where ``erased``
-    flags any peak buried below the noise floor.
+    ``sub_vals``: (n_prt, H, K) sub-band coefficients; ``median_mag``:
+    (n_prt, H) median DFT magnitude per hop; ``groups``: the batch's
+    :func:`hop_groups`. Pinned antennas take their known sub-bands; the
+    strongest remaining peaks are sorted by frequency and assigned to the
+    free antennas in ascending antenna order. Returns
+    (subband_det (n_prt, H, M), hop_erased (n_prt, H)) where ``hop_erased``
+    flags a hop with any assigned peak below the noise floor.
     """
-    M = cfg.n_tx
-    out = np.full(M, -1, dtype=np.int64)
-    floor = PEAK_FLOOR_FACTOR * spectrum.median_mag
-    erased = False
-    for m, k in pinned.items():
-        out[m] = k
-        if np.abs(spectrum.subband_values[k]) < floor:
-            erased = True
-    free_ants = [m for m in range(M) if m not in pinned]
-    if free_ants:
-        mags = np.abs(spectrum.subband_values).copy()
-        mags[list(set(pinned.values()))] = -1.0
-        top = np.sort(np.argsort(mags)[::-1][:len(free_ants)])
-        out[free_ants] = top  # ascending frequency -> ascending antenna
-        if np.any(np.abs(spectrum.subband_values[top]) < floor):
-            erased = True
-    return out, erased
+    n_prt, H, K = sub_vals.shape
+    subband_det = np.zeros((n_prt, H, cfg.n_tx), dtype=np.int64)
+    hop_erased = np.zeros((n_prt, H), dtype=bool)
+    for g in groups:
+        mags = np.abs(sub_vals[g.rows, g.hop, :])         # (R, K)
+        floor = PEAK_FLOOR_FACTOR * median_mag[g.rows, g.hop]
+        erased = np.zeros(g.rows.size, dtype=bool)
+        if g.pin_ants:
+            for ant, ks in zip(g.pin_ants, np.moveaxis(g.pin_ks, 1, 0)):
+                subband_det[g.rows, g.hop, ant] = ks
+                erased |= mags[np.arange(g.rows.size), ks] < floor
+        if g.free_ants:
+            masked = mags.copy()
+            if g.pin_ks.shape[1]:
+                masked[np.arange(g.rows.size)[:, None], g.pin_ks] = -1.0
+            F = len(g.free_ants)
+            top = np.argpartition(masked, K - F, axis=1)[:, K - F:]
+            ks_det = np.sort(top, axis=1)                 # ascending freq
+            subband_det[g.rows[:, None], g.hop,
+                        np.array(g.free_ants)] = ks_det
+            erased |= (mags[np.arange(g.rows.size)[:, None], ks_det]
+                       < floor[:, None]).any(axis=1)
+        hop_erased[g.rows, g.hop] = erased
+    return subband_det, hop_erased
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +161,17 @@ def correction_factor(i1, h1, i2, h2, k, sync: SyncEstimate,
 
 @dataclass
 class PilotRatioTable:
-    """Per-(antenna, sub-band offset) complex pilot ratios.
+    """Per-(group, antenna, sub-band offset) complex pilot ratios.
 
-    ``source_prt`` records the PRT each entry was measured in (the i1 the
-    correction factor must reference); ``measured`` distinguishes measured
-    entries from the analytic zero-offset entry; missing entries have
-    source_prt = -1.
+    Group g covers batch rows g*K .. g*K+K-1. ``source_prt`` records the
+    PRT each entry was measured in (the i1 the correction factor must
+    reference); ``measured`` distinguishes measured entries from the
+    analytic zero-offset entry; missing entries have source_prt = -1.
     """
 
-    values: np.ndarray       # (M, K) complex
-    source_prt: np.ndarray   # (M, K) int
-    measured: np.ndarray     # (M, K) bool
+    values: np.ndarray       # (G, M, K) complex
+    source_prt: np.ndarray   # (G, M, K) int
+    measured: np.ndarray     # (G, M, K) bool
 
     def complete(self) -> bool:
         return bool(np.all(self.source_prt >= 0))
@@ -186,75 +180,85 @@ class PilotRatioTable:
 def build_pilot_ratios(subband_values: np.ndarray, prt_indices: np.ndarray,
                        sync: SyncEstimate, cfg: RadarConfig,
                        valid: np.ndarray | None = None) -> PilotRatioTable:
-    """Fill a pilot table from one group of PRTs.
+    """Fill the pilot tables of every group of K consecutive rows.
 
     ``subband_values``: (n_prt, H, K) hop-DFT coefficients at sub-band bins;
     ``prt_indices``: absolute PRT index per row (the pilot offset cycles
-    with it). The ratio of the cycled pilot (hop m+1) to the zero pilot
-    (hop m) is stored at the PRT's offset. The zero-offset entry carries no
-    information (both pilots would sit on the same sub-band, so the cycled
-    one is not transmitted) and is synthesized from the sync estimates.
+    with it); ``valid``: rows whose pilots may be used. The ratio of the
+    cycled pilot (hop m+1) to the zero pilot (hop m) is stored at the PRT's
+    offset; a zero pilot of magnitude zero gives no entry, and where rows
+    of a group repeat an offset the last one wins. The zero-offset entry
+    carries no information (both pilots would sit on the same sub-band, so
+    the cycled one is not transmitted) and is synthesized from the sync
+    estimates. Entries a group lacks are carried over from the previous
+    group.
     """
     M, K = cfg.n_tx, cfg.n_subbands
-    values = np.zeros((M, K), dtype=complex)
-    source = np.full((M, K), -1, dtype=np.int64)
-    measured = np.zeros((M, K), dtype=bool)
     k0 = cfg.zero_subband
+    prt_indices = np.asarray(prt_indices)
+    G = max(1, -(-prt_indices.size // K))
+    kappa = cfg.pilot_offset(prt_indices)
+    ok = (np.ones(prt_indices.size, dtype=bool) if valid is None
+          else np.asarray(valid, dtype=bool))
+    den = subband_values[:, :M, k0]                       # zero pilots
+    row, ant = np.nonzero(ok[:, None] & ((kappa == 0)[:, None] | (den != 0)))
+    kap = kappa[row]
     hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
-    for row, i_abs in enumerate(prt_indices):
-        if valid is not None and not valid[row]:
-            continue
-        kappa = int(cfg.pilot_offset(i_abs))
-        if kappa == 0:
-            values[:, 0] = np.exp(1j * sync.cfo * hop_term)
-            source[:, 0] = i_abs
-            continue
-        pilot_k = (k0 + kappa) % K
-        for m in range(M):
-            den = subband_values[row, m, k0]
-            if den == 0:
-                continue
-            values[m, kappa] = subband_values[row, m + 1, pilot_k] / den
-            source[m, kappa] = i_abs
-            measured[m, kappa] = True
-    return PilotRatioTable(values, source, measured)
+    ratio = np.full(row.size, np.exp(1j * sync.cfo * hop_term))
+    cyc = kap != 0
+    ratio[cyc] = (subband_values[row[cyc], ant[cyc] + 1, (k0 + kap[cyc]) % K]
+                  / den[row[cyc], ant[cyc]])
+
+    # one entry per (group, antenna, offset): the last row that fills it
+    cell = ((row // K) * M + ant) * K + kap
+    cell, rev = np.unique(cell[::-1], return_index=True)
+    last = row.size - 1 - rev
+    values = np.zeros(G * M * K, dtype=complex)
+    source = np.full(G * M * K, -1, dtype=np.int64)
+    measured = np.zeros(G * M * K, dtype=bool)
+    values[cell] = ratio[last]
+    source[cell] = prt_indices[row[last]]
+    measured[cell] = cyc[last]
+    source = source.reshape(G, M, K)
+
+    # holes take the entry of the latest earlier group that has one
+    src_group = np.where(source >= 0, np.arange(G)[:, None, None], 0)
+    np.maximum.accumulate(src_group, axis=0, out=src_group)
+    return PilotRatioTable(
+        *(np.take_along_axis(a.reshape(G, M, K), src_group, axis=0)
+          for a in (values, source, measured)))
 
 
-def _averaged_table(tables: list[PilotRatioTable], sync: SyncEstimate,
+def _averaged_table(table: PilotRatioTable, sync: SyncEstimate,
                     cfg: RadarConfig) -> PilotRatioTable:
     """Average measured ratios of equal offset across groups after removing
     each entry's timing/CFO progression relative to the earliest source PRT
-    (the refinement that further averages the correction factor over a CPI).
+    (the refinement that further averages the correction factor over a
+    CPI); every group then uses the average.
     """
-    M, K = cfg.n_tx, cfg.n_subbands
-    k0 = cfg.zero_subband
-    values = np.zeros((M, K), dtype=complex)
-    source = np.full((M, K), -1, dtype=np.int64)
-    measured = np.zeros((M, K), dtype=bool)
-    for m in range(M):
-        for kappa in range(K):
-            entries = [(int(t.source_prt[m, kappa]), t.values[m, kappa],
-                        bool(t.measured[m, kappa]))
-                       for t in tables if t.source_prt[m, kappa] >= 0]
-            if not entries:
-                continue
-            ref_i = entries[0][0]
-            meas_entries = [e for e in entries if e[2]]
-            if kappa == 0 or not meas_entries:
-                values[m, kappa] = entries[0][1]
-                source[m, kappa] = ref_i
-                measured[m, kappa] = entries[0][2]
-                continue
-            k = (k0 + kappa) % K
-            acc = 0.0 + 0.0j
-            for i_src, val, _ in meas_entries:
-                rot = correction_factor(ref_i, m + 1, i_src, m + 1, k,
-                                        sync, cfg)
-                acc += val * np.conj(rot)
-            values[m, kappa] = acc / len(meas_entries)
-            source[m, kappa] = ref_i
-            measured[m, kappa] = True
-    return PilotRatioTable(values, source, measured)
+    G, M, K = table.values.shape
+    src, vals = table.source_prt, table.values
+    first = np.argmax(src >= 0, axis=0)[None]             # earliest group
+    ref = np.take_along_axis(src, first, axis=0)
+    ant = np.arange(M)[:, None]
+    ks = (cfg.zero_subband + np.arange(K)) % K
+    rot = np.conj(correction_factor(ref, ant + 1, src, ant + 1, ks, sync,
+                                    cfg))
+    # the product in real arithmetic rounds as a scalar product does
+    terms = np.empty_like(vals)
+    terms.real = vals.real * rot.real - vals.imag * rot.imag
+    terms.imag = vals.real * rot.imag + vals.imag * rot.real
+    use = table.measured
+    acc = np.zeros((M, K), dtype=complex)
+    for g in range(G):                                    # group order
+        acc = np.where(use[g], acc + terms[g], acc)
+    n_used = use.sum(axis=0)
+    values = np.take_along_axis(vals, first, axis=0)[0]
+    np.divide(acc, n_used, out=values, where=n_used > 0)
+    measured = (n_used > 0) | np.take_along_axis(table.measured, first,
+                                                 axis=0)[0]
+    return PilotRatioTable(*(np.broadcast_to(a, (G, M, K))
+                             for a in (values, ref[0], measured)))
 
 
 def _flat_gain_table(table: PilotRatioTable, sync: SyncEstimate,
@@ -262,23 +266,17 @@ def _flat_gain_table(table: PilotRatioTable, sync: SyncEstimate,
     """Disable the measured pilot-ratio correction: entries keep only the
     analytic timing/CFO progression, as if the front-end gain were flat and
     the initial-timing phase zero."""
-    M, K = cfg.n_tx, cfg.n_subbands
-    k0 = cfg.zero_subband
+    g, m, kappa = np.nonzero(table.measured)
+    omegas = 2 * np.pi * cfg.subband_frequency(
+        (cfg.zero_subband + kappa) % cfg.n_subbands)
+    samples_elapsed = (table.source_prt[g, m, kappa] * cfg.samples_per_prt
+                       + (m + 1) * cfg.samples_per_hop)
     hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
     values = table.values.copy()
-    for m in range(M):
-        kappas = np.flatnonzero(table.measured[m])
-        if kappas.size == 0:
-            continue
-        ks = (k0 + kappas) % K
-        omegas = 2 * np.pi * cfg.subband_frequency(ks)
-        samples_elapsed = (table.source_prt[m, kappas] * cfg.samples_per_prt
-                           + (m + 1) * cfg.samples_per_hop)
-        values[m, kappas] = np.exp(
-            1j * (omegas * samples_elapsed * sync.sample_time_offset
-                  + sync.cfo * hop_term))
-    return PilotRatioTable(values, table.source_prt.copy(),
-                           table.measured.copy())
+    values[g, m, kappa] = np.exp(
+        1j * (omegas * samples_elapsed * sync.sample_time_offset
+              + sync.cfo * hop_term))
+    return PilotRatioTable(values, table.source_prt, table.measured)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +288,23 @@ class DemodReport:
     """Recovered payload with per-symbol diagnostics.
 
     ``slots`` columns: prt, hop, antenna, detected sub-band, offset, erased.
-    FHCS rows: (prt, hop, n_bits, codeword) with codeword -1 when erased or
-    outside the usable range.
+    ``fhcs_rows`` columns: prt, hop, n_bits, codeword, with codeword -1
+    when erased or outside the usable range.
     """
 
     order_bits: int
     sync: SyncEstimate | None
-    slots: np.ndarray
+    slots: np.ndarray            # (n_slots, 6) int64
     psk_phase: np.ndarray        # raw corrected phase per slot
     psk_symbol: np.ndarray       # snapped constellation position
     psk_residual: np.ndarray     # phase residual after snapping
-    fhcs_rows: list
+    fhcs_rows: np.ndarray        # (n_codewords, 4) int64
     n_erased_slots: int = 0
     n_erased_hops: int = 0
 
     @property
     def psk_erased(self) -> np.ndarray:
         return self.slots[:, 5].astype(bool)
-
-    def psk_bits(self) -> np.ndarray:
-        """Gray-coded payload bits in slot order (erased slots emit zeros;
-        use ``psk_erased`` for accounting)."""
-        return int_to_bits(gray_encode(self.psk_symbol),
-                           self.order_bits).reshape(-1)
-
-    def fhcs_bits(self) -> np.ndarray:
-        parts = [int_to_bits(max(cw, 0), nb).ravel()
-                 for (_, _, nb, cw) in self.fhcs_rows if nb > 0]
-        if not parts:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(parts)
 
     def to_csv(self, path, cfg_hash=None) -> None:
         rows = [(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]),
@@ -342,93 +327,24 @@ class DemodReport:
         }
 
 
-def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
-               mode: str = "estimated", spec: ImpairmentSpec | None = None,
-               first_prt: int = 0, group_len: int | None = None) -> DemodReport:
-    """Recover FHCS and PSK payloads from a receive stream.
+def _blind_sync(sub_vals: np.ndarray, hop_erased: np.ndarray,
+                cfg: RadarConfig) -> SyncEstimate:
+    """CFO and clock estimates from the zero pilots (hop m, antenna m) of
+    the hops whose peaks stand above the noise floor."""
+    M = cfg.n_tx
+    cfo_hat, raw = estimate_cfo(sub_vals[:, :M, cfg.zero_subband], cfg,
+                                ~hop_erased[:, :M])
+    rho_hat, dts_hat = estimate_clock(cfo_hat, cfg)
+    return SyncEstimate(cfo_hat, rho_hat, dts_hat, raw)
 
-    mode:
-      "estimated"  full blind pipeline (per-group pilot tables);
-      "averaged"   estimated + pilot ratios averaged across groups;
-      "flat"       estimated, but measured pilot ratios are replaced by
-                   their analytic clock progression - i.e. the per-sub-band
-                   gain/timing correction is disabled (comparison baseline);
-      "known"      corrections from the true ``spec`` (lower bound).
-    """
-    if mode not in ("estimated", "averaged", "flat", "known"):
-        raise ValueError(f"unknown demodulation mode {mode!r}")
-    if mode == "known" and spec is None:
-        raise ValueError("known-channel mode needs the impairment spec")
 
-    M, K, H = cfg.n_tx, cfg.n_subbands, cfg.hops_per_pulse
-    k0 = cfg.zero_subband
-    n_prt = frame.n_prt
-    prt_abs = first_prt + np.arange(n_prt)
-    if group_len is None:
-        group_len = K
-
-    spectra, sub_vals = _batch_spectra(frame, cfg)
-    median_mag = np.median(np.abs(spectra), axis=-1)      # (n_prt, H)
-    groups = hop_groups(cfg, prt_abs)
-
-    # --- peak assignment / erasures per hop (vectorized per group) ---------
-    subband_det = np.zeros((n_prt, H, M), dtype=np.int64)
-    hop_erased = np.zeros((n_prt, H), dtype=bool)
-    for g in groups:
-        mags = np.abs(sub_vals[g.rows, g.hop, :])         # (R, K)
-        floor = PEAK_FLOOR_FACTOR * median_mag[g.rows, g.hop]
-        erased = np.zeros(g.rows.size, dtype=bool)
-        if g.pin_ants:
-            for ant, ks in zip(g.pin_ants, np.moveaxis(g.pin_ks, 1, 0)):
-                subband_det[g.rows, g.hop, ant] = ks
-                erased |= mags[np.arange(g.rows.size), ks] < floor
-        if g.free_ants:
-            masked = mags.copy()
-            if g.pin_ks.shape[1]:
-                masked[np.arange(g.rows.size)[:, None], g.pin_ks] = -1.0
-            F = len(g.free_ants)
-            top = np.argpartition(masked, K - F, axis=1)[:, K - F:]
-            ks_det = np.sort(top, axis=1)                 # ascending freq
-            subband_det[g.rows[:, None], g.hop,
-                        np.array(g.free_ants)] = ks_det
-            erased |= (mags[np.arange(g.rows.size)[:, None], ks_det]
-                       < floor[:, None]).any(axis=1)
-        hop_erased[g.rows, g.hop] = erased
-
-    # --- synchronization ----------------------------------------------------
-    pilot_zero = sub_vals[:, np.arange(M), k0]            # (n_prt, M)
-    pilot_ok = ~hop_erased[:, np.arange(M)]
-    if mode == "known":
-        sync = SyncEstimate.from_spec(spec, cfg)
-    else:
-        cfo_hat, raw = estimate_cfo(pilot_zero, cfg, pilot_ok)
-        rho_hat, dts_hat = estimate_clock(cfo_hat, cfg)
-        sync = SyncEstimate(cfo_hat, rho_hat, dts_hat, raw)
-
-    # --- pilot tables (per group of group_len PRTs) -------------------------
-    n_groups = max(1, (n_prt + group_len - 1) // group_len)
-    tables: list[PilotRatioTable] = []
-    if mode != "known":
-        pilot_hops_ok = ~hop_erased[:, :min(M + 1, H)].any(axis=1)
-        for g in range(n_groups):
-            rows = slice(g * group_len, min((g + 1) * group_len, n_prt))
-            tables.append(build_pilot_ratios(
-                sub_vals[rows], prt_abs[rows], sync, cfg,
-                pilot_hops_ok[rows]))
-        for g in range(1, n_groups):  # carry earlier measurements into holes
-            hole = tables[g].source_prt < 0
-            tables[g].values[hole] = tables[g - 1].values[hole]
-            tables[g].source_prt[hole] = tables[g - 1].source_prt[hole]
-            tables[g].measured[hole] = tables[g - 1].measured[hole]
-        if mode == "averaged":
-            avg = _averaged_table(tables, sync, cfg)
-            tables = [avg] * n_groups
-        elif mode == "flat":
-            tables = [_flat_gain_table(t, sync, cfg) for t in tables]
-
-    # --- payload slot enumeration (vectorized per group) --------------------
-    slot_parts = []
-    fhcs_parts = []
+def _payload_slots(groups: list[HopGroup], subband_det: np.ndarray,
+                   hop_erased: np.ndarray, prt_abs: np.ndarray,
+                   cfg: RadarConfig):
+    """(slots, fhcs_rows) of a batch in (PRT, hop, antenna) order, with the
+    columns of :class:`DemodReport`."""
+    slot_parts = [np.zeros((0, 6), dtype=np.int64)]
+    fhcs_parts = [np.zeros((0, 4), dtype=np.int64)]
     for g in groups:
         if not g.free_ants:
             continue
@@ -450,40 +366,76 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         block[:, 4] = cfg.subband_offset(block[:, 3])
         block[:, 5] = np.repeat(erased.astype(np.int64), F)
         slot_parts.append(block)
+    slots = np.concatenate(slot_parts)
+    fhcs = np.concatenate(fhcs_parts)
+    return (slots[np.lexsort((slots[:, 2], slots[:, 1], slots[:, 0]))],
+            fhcs[np.lexsort((fhcs[:, 1], fhcs[:, 0]))])
 
-    slots = (np.concatenate(slot_parts) if slot_parts
-             else np.zeros((0, 6), dtype=np.int64))
-    order = np.lexsort((slots[:, 2], slots[:, 1], slots[:, 0]))
-    slots = slots[order]
-    if fhcs_parts:
-        fr = np.concatenate(fhcs_parts)
-        fr = fr[np.lexsort((fr[:, 1], fr[:, 0]))]
-        fhcs_rows = [tuple(int(v) for v in row) for row in fr]
-    else:
-        fhcs_rows = []
 
-    # --- PSK recovery ---------------------------------------------------------
-    i_arr, h_arr, m_arr, k_arr, kap_arr = (slots[:, c] for c in range(5))
-    row_arr = i_arr - first_prt
-    meas = sub_vals[row_arr, h_arr, k_arr]
+def _pilot_phases(slots: np.ndarray, sub_vals: np.ndarray,
+                  table: PilotRatioTable, sync: SyncEstimate,
+                  first_prt: int, cfg: RadarConfig):
+    """Blind PSK phase of every slot: its peak divided by the same-PRT zero
+    pilot, the matching pilot-table entry and the correction factor that
+    advances the entry to the slot. Returns (phase, missing) where
+    ``missing`` flags slots whose table entry was never measured."""
+    i, h, m, k, kappa = (slots[:, c] for c in range(5))
+    row = i - first_prt
+    group = row // cfg.n_subbands
+    d_vals = table.values[group, m, kappa]
+    d_src = table.source_prt[group, m, kappa]
+    missing = d_src < 0
+    d_vals[missing] = 1.0
+    d_src[missing] = i[missing]
+    corr = correction_factor(d_src, m + 1, i, h, k, sync, cfg)
+    pilot = sub_vals[row, m, cfg.zero_subband]
+    return np.angle(sub_vals[row, h, k] * np.conj(d_vals * corr * pilot)), \
+        missing
+
+
+def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
+               mode: str = "estimated", spec: ImpairmentSpec | None = None,
+               first_prt: int = 0) -> DemodReport:
+    """Recover FHCS and PSK payloads from a receive stream.
+
+    mode:
+      "estimated"  full blind pipeline (pilot tables per group of K PRTs);
+      "averaged"   estimated + pilot ratios averaged across groups;
+      "flat"       estimated, but measured pilot ratios are replaced by
+                   their analytic clock progression - i.e. the per-sub-band
+                   gain/timing correction is disabled (comparison baseline);
+      "known"      corrections from the true ``spec`` (lower bound).
+    """
+    if mode not in ("estimated", "averaged", "flat", "known"):
+        raise ValueError(f"unknown demodulation mode {mode!r}")
+    if mode == "known" and spec is None:
+        raise ValueError("known-channel mode needs the impairment spec")
+
+    prt_abs = first_prt + np.arange(frame.n_prt)
+    spectra, sub_vals = _batch_spectra(frame, cfg)
+    groups = hop_groups(cfg, prt_abs)
+    subband_det, hop_erased = assign_peaks(
+        sub_vals, np.median(np.abs(spectra), axis=-1), groups, cfg)
+    sync = (SyncEstimate.from_spec(spec, cfg) if mode == "known"
+            else _blind_sync(sub_vals, hop_erased, cfg))
+    slots, fhcs_rows = _payload_slots(groups, subband_det, hop_erased,
+                                      prt_abs, cfg)
+
     if mode == "known":
-        ref = expected_hop_peak(i_arr, h_arr, m_arr, k_arr, 0.0, spec, cfg)
-        raw_phase = np.angle(meas * np.conj(ref))
+        i, h, m, k = (slots[:, c] for c in range(4))
+        ref = expected_hop_peak(i, h, m, k, 0.0, spec, cfg)
+        raw_phase = np.angle(sub_vals[i - first_prt, h, k] * np.conj(ref))
     else:
-        g_arr = np.minimum(row_arr // group_len, n_groups - 1)
-        tab_vals = np.stack([t.values for t in tables])
-        tab_src = np.stack([t.source_prt for t in tables])
-        d_vals = tab_vals[g_arr, m_arr, kap_arr]
-        d_src = tab_src[g_arr, m_arr, kap_arr]
-        missing = d_src < 0
-        if np.any(missing):
-            d_vals[missing] = 1.0
-            d_src[missing] = i_arr[missing]
-            slots[missing, 5] = 1
-        corr = correction_factor(d_src, m_arr + 1, i_arr, h_arr, k_arr,
-                                 sync, cfg)
-        pilot = sub_vals[row_arr, m_arr, k0]
-        raw_phase = np.angle(meas * np.conj(d_vals * corr * pilot))
+        pilot_hops_ok = ~hop_erased[:, :cfg.n_tx + 1].any(axis=1)
+        table = build_pilot_ratios(sub_vals, prt_abs, sync, cfg,
+                                   pilot_hops_ok)
+        if mode == "averaged":
+            table = _averaged_table(table, sync, cfg)
+        elif mode == "flat":
+            table = _flat_gain_table(table, sync, cfg)
+        raw_phase, missing = _pilot_phases(slots, sub_vals, table, sync,
+                                           first_prt, cfg)
+        slots[missing, 5] = 1
 
     size = 1 << order_bits
     sym = np.mod(np.rint(raw_phase * size / (2 * np.pi)), size).astype(
@@ -556,8 +508,8 @@ def score_report(report: DemodReport, plan: HopPlan, psk: PskGrid | None,
         counts.psk_symbol_errors = float(np.where(
             erased, 1.0, (truth_sym != report.psk_symbol)).sum())
 
-    if report.fhcs_rows:
-        est = np.asarray(report.fhcs_rows, dtype=np.int64)
+    if len(report.fhcs_rows):
+        est = report.fhcs_rows
         prt_t, hop_t, bits_t, cw_t = payload_codewords(plan)
         if not (np.array_equal(est[:, 0], prt_t)
                 and np.array_equal(est[:, 1], hop_t)

@@ -30,11 +30,6 @@ class PayloadLengthError(ValueError):
     """Payload bitstream exhausted before the requested frame was filled."""
 
 
-def sub_band_frequency(k, cfg: RadarConfig):
-    """Baseband frequency (Hz) of sub-band ``k`` ((floor(-K/2)+k)*B/K)."""
-    return cfg.subband_frequency(k)
-
-
 # ---------------------------------------------------------------------------
 # Lexicographic combination ranking (vectorized over rows)
 # ---------------------------------------------------------------------------
@@ -125,31 +120,9 @@ class FhcsCodebook:
         return [self.unrank(i) for i in range(self.n_total)]
 
 
-def build_fhcs_codebook(cfg: RadarConfig) -> FhcsCodebook:
-    """Codebook over the full band: M-subsets of the K sub-bands."""
-    return FhcsCodebook(cfg.n_subbands, cfg.n_tx)
-
-
 # ---------------------------------------------------------------------------
 # Pilot layout
 # ---------------------------------------------------------------------------
-
-def pinned_assignments(cfg: RadarConfig, prt_index: int) -> list[dict]:
-    """Pilot-pinned (antenna -> sub-band) map for every hop of one PRT.
-
-    Hop m pins antenna m to the zero sub-band; hop m+1 pins antenna m to the
-    cycled pilot sub-band unless the cycle offset is zero for this PRT (the
-    pin would duplicate a zero-frequency pilot within the hop).
-    """
-    pins = [dict() for _ in range(cfg.hops_per_pulse)]
-    for m in range(cfg.n_tx):
-        pins[m][m] = cfg.zero_subband
-    if cfg.pilot_offset(prt_index) != 0:
-        pilot_k = cfg.pilot_subband(prt_index)
-        for m in range(cfg.n_tx):
-            pins[m + 1][m] = pilot_k
-    return pins
-
 
 @dataclass(frozen=True)
 class HopGroup:
@@ -221,18 +194,6 @@ def _subbands_to_positions(ks: np.ndarray, pin_ks: np.ndarray) -> np.ndarray:
         for j in range(pin_ks.shape[1]):
             pos = pos - (pin_ks[:, j:j + 1] < ks)
     return pos
-
-
-def hop_payload_capacity(cfg: RadarConfig, prt_index: int) -> list[int]:
-    """FHCS bits each hop of a PRT can carry given its pinned slots."""
-    caps = []
-    for pins in pinned_assignments(cfg, prt_index):
-        n_free = cfg.n_tx - len(pins)
-        pool = cfg.n_subbands - len(set(pins.values()))
-        if pool < n_free:
-            raise ConfigError("not enough free sub-bands for payload antennas")
-        caps.append(FhcsCodebook(pool, n_free).bits if n_free else 0)
-    return caps
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +344,13 @@ def payload_codewords(plan: HopPlan):
 
 def extract_payload_bits(plan: HopPlan) -> np.ndarray:
     """Recover the FHCS payload bits from a plan (round-trip of plan_hops)."""
-    cfg = plan.cfg
-    groups = hop_groups(cfg, plan.prt_indices())
-    widths, offsets = _bit_layout(cfg, groups, plan.n_prt)
-    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
-    for g in groups:
-        if not g.bits:
-            continue
-        ks = plan.subband[g.rows[:, None], g.hop, np.array(g.free_ants)]
-        pos = _subbands_to_positions(np.sort(ks, axis=1), g.pin_ks)
-        cw = rank_subsets(pos, g.pool)
-        starts = offsets[g.rows * cfg.hops_per_pulse + g.hop]
-        bits = int_to_bits(cw, g.bits)
-        for b in range(g.bits):
-            out[starts + b] = bits[:, b]
-    return out
+    _, _, widths, cw = payload_codewords(plan)
+    if not cw.size:
+        return np.zeros(0, dtype=np.uint8)
+    # MSB-first at the widest width; each codeword keeps its low bits
+    top = int(widths.max())
+    bits = int_to_bits(cw, top)
+    return bits[np.arange(top) >= top - widths[:, None]]
 
 
 # ---------------------------------------------------------------------------

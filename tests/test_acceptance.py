@@ -310,18 +310,19 @@ def test_criterion_8_property_suite():
                                    cfg)
         _, vb = crx._batch_spectra(imp.apply(frame3, plan3, None, sb, cfg),
                                    cfg)
-        ta = crx.build_pilot_ratios(va[:20], np.arange(20), sync, cfg)
-        tb = crx.build_pilot_ratios(vb[20:], np.arange(20, 40), sync, cfg)
+        # group 0: first pilot cycle through a; group 1: second through b
+        t = crx.build_pilot_ratios(np.concatenate([va[:20], vb[20:]]),
+                                   np.arange(40), sync, cfg)
         dev = []
         for m in range(2):
             for kappa in range(1, 20):
                 k = (cfg.zero_subband + kappa) % 20
                 corr = crx.correction_factor(
-                    int(ta.source_prt[m, kappa]), m + 1,
-                    int(tb.source_prt[m, kappa]), m + 1, k, sync, cfg)
-                dev.append(abs(tb.values[m, kappa]
-                               - ta.values[m, kappa] * corr)
-                           / abs(ta.values[m, kappa]))
+                    int(t.source_prt[0, m, kappa]), m + 1,
+                    int(t.source_prt[1, m, kappa]), m + 1, k, sync, cfg)
+                dev.append(abs(t.values[1, m, kappa]
+                               - t.values[0, m, kappa] * corr)
+                           / abs(t.values[0, m, kappa]))
         return np.array(dev)
 
     same = table_pair(fe1, fe1)

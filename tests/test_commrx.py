@@ -26,28 +26,38 @@ def test_single_tone_bin_and_magnitude(cfg):
     cfg1 = RadarConfig(n_tx=1)
     frame = wf.synthesize(plan, None, cfg1)
     rx = imp.apply(frame, plan, None, imp.ImpairmentSpec(), cfg1)
+    spectra, sub_vals = crx._batch_spectra(rx, cfg1)
     for h in range(cfg1.hops_per_pulse):
-        entry = crx.hop_spectrum(rx, 0, h, cfg1)
         k = int(plan.subband[0, h, 0])
         b = cfg1.subband_bin(k)
-        assert np.argmax(np.abs(entry.spectrum)) == b
-        assert np.abs(entry.spectrum[b]) == pytest.approx(40.0)
+        assert np.argmax(np.abs(spectra[0, h])) == b
+        assert np.abs(spectra[0, h, b]) == pytest.approx(40.0)
+        assert sub_vals[0, h, k] == spectra[0, h, b]
 
 
 def test_zero_subband_maps_to_bin_zero(cfg):
     assert cfg.subband_bin(cfg.zero_subband) == 0
 
 
+def _peaks_of_one_hop(cfg, prt, hop, spectrum, median):
+    """assign_peaks on one PRT whose hop ``hop`` holds ``spectrum``."""
+    bins = cfg.subband_bin(np.arange(cfg.n_subbands))
+    sub_vals = np.zeros((1, cfg.hops_per_pulse, cfg.n_subbands), complex)
+    sub_vals[0, hop] = spectrum[bins]
+    median_mag = np.full((1, cfg.hops_per_pulse), median)
+    det, erased = crx.assign_peaks(sub_vals, median_mag,
+                                   wf.hop_groups(cfg, np.array([prt])), cfg)
+    return det[0, hop], erased[0, hop]
+
+
 def test_assign_peaks_orders_by_frequency(cfg):
     # peaks at bins {6, 30}: bin 30 holds a negative-frequency tone
     # (-10 MHz), so it belongs to the lower-frequency antenna 0 even though
-    # the other peak is stronger
+    # the other peak is stronger; hop 3 pins no antenna
     spectrum = np.zeros(40, dtype=complex)
     spectrum[6] = 10.0
     spectrum[30] = 9.0
-    bins = cfg.subband_bin(np.arange(20))
-    entry = crx.HopSpectrum(spectrum, spectrum[bins], 0.01)
-    out, erased = crx.assign_peaks(entry, {}, cfg)
+    out, erased = _peaks_of_one_hop(cfg, 1, 3, spectrum, 0.01)
     assert not erased
     freqs = cfg.subband_frequency(out)
     assert freqs[0] == pytest.approx(-10e6)  # bin 30
@@ -56,23 +66,21 @@ def test_assign_peaks_orders_by_frequency(cfg):
 
 
 def test_assign_peaks_pinned_override(cfg):
+    # hop 1 of a zero-offset PRT pins only antenna 1, to the zero sub-band
     spectrum = np.zeros(40, dtype=complex)
     spectrum[0] = 0.5          # weak zero pilot still wins by pinning
     spectrum[2] = 10.0
     spectrum[4] = 8.0
-    bins = cfg.subband_bin(np.arange(20))
-    entry = crx.HopSpectrum(spectrum, spectrum[bins], 0.001)
-    out, erased = crx.assign_peaks(entry, {1: cfg.zero_subband}, cfg)
+    out, erased = _peaks_of_one_hop(cfg, 0, 1, spectrum, 0.001)
     assert out[1] == cfg.zero_subband
     assert out[0] in (11, 12)  # strongest remaining bins are positive freqs
     assert not erased
 
 
 def test_assign_peaks_erasure_flag(cfg):
+    # hop 0 pins antenna 0 to the zero sub-band
     spectrum = np.full(40, 1.0 + 0j)    # flat: nothing exceeds 3x median
-    bins = cfg.subband_bin(np.arange(20))
-    entry = crx.HopSpectrum(spectrum, spectrum[bins], 1.0)
-    _, erased = crx.assign_peaks(entry, {0: cfg.zero_subband}, cfg)
+    _, erased = _peaks_of_one_hop(cfg, 1, 0, spectrum, 1.0)
     assert erased
 
 
@@ -175,7 +183,7 @@ def test_pilot_ratio_phase_from_initial_offset(cfg, rng):
         k = (cfg.zero_subband + kappa) % 20
         want = 2 * np.pi * cfg.subband_frequency(k) * dt0
         for m in range(2):
-            got = np.angle(table.values[m, kappa])
+            got = np.angle(table.values[0, m, kappa])
             assert abs((got - want + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
 
@@ -189,7 +197,7 @@ def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(spec.cfo, 1e-6, spec.sample_time_offset)
     table = crx.build_pilot_ratios(sub_vals, np.arange(20), sync, cfg)
-    phases = np.angle(table.values[0, 1:10])  # positive-frequency pilots
+    phases = np.angle(table.values[0, 0, 1:10])  # positive-frequency pilots
     assert np.all(np.diff(phases) > 0)
 
 
@@ -285,38 +293,39 @@ def test_front_end_stability_of_pilot_ratios(cfg):
     frame = wf.synthesize(plan, None, cfg)
 
     def ratio_tables(spec_a, spec_b):
-        # first pilot cycle through profile a, second through profile b
+        # first pilot cycle (group 0) through profile a, second (group 1)
+        # through profile b
         rx_a = imp.apply(frame, plan, None, spec_a, cfg)
         rx_b = imp.apply(frame, plan, None, spec_b, cfg)
         _, sv_a = crx._batch_spectra(rx_a, cfg)
         _, sv_b = crx._batch_spectra(rx_b, cfg)
-        t_a = crx.build_pilot_ratios(sv_a[:20], np.arange(20), sync, cfg)
-        t_b = crx.build_pilot_ratios(sv_b[20:], np.arange(20, 40), sync, cfg)
-        return t_a, t_b
+        t = crx.build_pilot_ratios(np.concatenate([sv_a[:20], sv_b[20:]]),
+                                   np.arange(40), sync, cfg)
+        return t
 
     # same profile: entries agree after unwinding the clock progression
-    t1, t2 = ratio_tables(spec1, spec1)
+    t = ratio_tables(spec1, spec1)
     for m in range(2):
         for kappa in range(1, 20):
             k = (cfg.zero_subband + kappa) % 20
             corr = crx.correction_factor(
-                int(t1.source_prt[m, kappa]), m + 1,
-                int(t2.source_prt[m, kappa]), m + 1, k, sync, cfg)
-            lhs = t2.values[m, kappa]
-            rhs = t1.values[m, kappa] * corr
+                int(t.source_prt[0, m, kappa]), m + 1,
+                int(t.source_prt[1, m, kappa]), m + 1, k, sync, cfg)
+            lhs = t.values[1, m, kappa]
+            rhs = t.values[0, m, kappa] * corr
             assert abs(lhs - rhs) / abs(rhs) < 1e-6
 
     # profile switch: equality must break for most entries
-    t1, t2 = ratio_tables(spec1, spec2)
+    t = ratio_tables(spec1, spec2)
     diffs = []
     for m in range(2):
         for kappa in range(1, 20):
             k = (cfg.zero_subband + kappa) % 20
             corr = crx.correction_factor(
-                int(t1.source_prt[m, kappa]), m + 1,
-                int(t2.source_prt[m, kappa]), m + 1, k, sync, cfg)
-            diffs.append(abs(t2.values[m, kappa]
-                             - t1.values[m, kappa] * corr))
+                int(t.source_prt[0, m, kappa]), m + 1,
+                int(t.source_prt[1, m, kappa]), m + 1, k, sync, cfg)
+            diffs.append(abs(t.values[1, m, kappa]
+                             - t.values[0, m, kappa] * corr))
     assert np.median(diffs) > 1e-3
 
 
@@ -353,7 +362,7 @@ def test_fhcs_invariant_to_psk_content(cfg):
                        rng=np.random.default_rng(55))
         rep = crx.demodulate(rx, cfg, 4, mode="known", spec=spec)
         rows.append(rep.fhcs_rows)
-    assert rows[0] == rows[1]
+    assert np.array_equal(rows[0], rows[1])
 
 
 def test_scatter_concentration_at_20db(cfg):

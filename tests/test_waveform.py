@@ -12,7 +12,7 @@ from fhmimo import waveform as wf
 # ---------------------------------------------------------------------------
 
 def test_codebook_experiment_size(cfg):
-    cb = wf.build_fhcs_codebook(cfg)
+    cb = wf.FhcsCodebook(cfg.n_subbands, cfg.n_tx)
     assert cb.n_total == 190
     assert cb.n_usable == 128
     assert cb.bits == 7
@@ -56,10 +56,21 @@ def test_codebook_rejects_overfull():
 # Pilot layout and plans
 # ---------------------------------------------------------------------------
 
+def _hop_layout(cfg, prt_index):
+    """Per hop of one PRT: the pinned (antenna -> sub-band) map and the
+    FHCS bit width, read from ``hop_groups``."""
+    pins = [None] * cfg.hops_per_pulse
+    bits = [None] * cfg.hops_per_pulse
+    for g in wf.hop_groups(cfg, np.array([prt_index])):
+        pins[g.hop] = {a: int(k) for a, k in zip(g.pin_ants, g.pin_ks[0])}
+        bits[g.hop] = g.bits
+    return pins, bits
+
+
 def test_pinned_unrolling_two_antennas(cfg):
     # direct unrolling for M=2, H=5 on a PRT with nonzero pilot offset:
     # hop0: ant0@zero; hop1: ant1@zero + ant0@pilot; hop2: ant1@pilot
-    pins = wf.pinned_assignments(cfg, prt_index=23)
+    pins, _ = _hop_layout(cfg, 23)
     k0, kp = 10, 13
     assert pins[0] == {0: k0}
     assert pins[1] == {1: k0, 0: kp}
@@ -69,7 +80,7 @@ def test_pinned_unrolling_two_antennas(cfg):
 
 def test_pinned_unrolling_zero_offset_prt(cfg):
     # cycled pilot would collide with the zero pilots; it is skipped
-    pins = wf.pinned_assignments(cfg, prt_index=20)
+    pins, _ = _hop_layout(cfg, 20)
     assert pins[0] == {0: 10}
     assert pins[1] == {1: 10}
     assert pins[2] == {}
@@ -126,8 +137,8 @@ def test_plan_bits_exhausted(cfg):
 def test_per_prt_capacity(cfg):
     # M=2, K=20: hops carry floor(log2(C(19,1)))=4, 0, 4, 7, 7 bits on a
     # regular PRT; the zero-offset PRT frees the cycled-pilot slots
-    assert wf.hop_payload_capacity(cfg, 1) == [4, 0, 4, 7, 7]
-    assert wf.hop_payload_capacity(cfg, 0) == [4, 4, 7, 7, 7]
+    assert _hop_layout(cfg, 1)[1] == [4, 0, 4, 7, 7]
+    assert _hop_layout(cfg, 0)[1] == [4, 4, 7, 7, 7]
 
 
 def test_traditional_plan(cfg, rng):
