@@ -234,7 +234,8 @@ def _averaged_table(table: PilotRatioTable, sync: SyncEstimate,
     """Average measured ratios of equal offset across groups after removing
     each entry's timing/CFO progression relative to the earliest source PRT
     (the refinement that further averages the correction factor over a
-    CPI); every group then uses the average.
+    CPI); every group then uses the average. An entry carried over from an
+    earlier group is the same measurement and is counted once.
     """
     G, M, K = table.values.shape
     src, vals = table.source_prt, table.values
@@ -242,19 +243,14 @@ def _averaged_table(table: PilotRatioTable, sync: SyncEstimate,
     ref = np.take_along_axis(src, first, axis=0)
     ant = np.arange(M)[:, None]
     ks = (cfg.zero_subband + np.arange(K)) % K
-    rot = np.conj(correction_factor(ref, ant + 1, src, ant + 1, ks, sync,
-                                    cfg))
-    # the product in real arithmetic rounds as a scalar product does
-    terms = np.empty_like(vals)
-    terms.real = vals.real * rot.real - vals.imag * rot.imag
-    terms.imag = vals.real * rot.imag + vals.imag * rot.real
-    use = table.measured
-    acc = np.zeros((M, K), dtype=complex)
-    for g in range(G):                                    # group order
-        acc = np.where(use[g], acc + terms[g], acc)
+    terms = vals * np.conj(correction_factor(ref, ant + 1, src, ant + 1, ks,
+                                             sync, cfg))
+    use = table.measured.copy()
+    use[1:] &= src[1:] != src[:-1]                        # not carried
     n_used = use.sum(axis=0)
     values = np.take_along_axis(vals, first, axis=0)[0]
-    np.divide(acc, n_used, out=values, where=n_used > 0)
+    np.divide(np.where(use, terms, 0).sum(axis=0), n_used, out=values,
+              where=n_used > 0)
     measured = (n_used > 0) | np.take_along_axis(table.measured, first,
                                                  axis=0)[0]
     return PilotRatioTable(*(np.broadcast_to(a, (G, M, K))

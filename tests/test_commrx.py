@@ -201,6 +201,28 @@ def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
     assert np.all(np.diff(phases) > 0)
 
 
+def test_averaged_table_counts_each_measurement_once(cfg):
+    # the pilots of group 1 are unusable, so its table carries group 0's
+    # entries; averaging over the CPI must count each measurement once:
+    # ratios 1 (group 0) and 2 (group 2) average to 1.5, not 4/3
+    n, M, K = 60, cfg.n_tx, cfg.n_subbands
+    rows = np.arange(n)
+    sub_vals = np.zeros((n, cfg.hops_per_pulse, K), dtype=complex)
+    sub_vals[:, :M, cfg.zero_subband] = 1.0
+    cycled = (cfg.zero_subband + rows) % K
+    sub_vals[rows[:, None], np.arange(1, M + 1), cycled[:, None]] = \
+        np.where(rows < 20, 1.0, 2.0)[:, None]
+    sync = crx.SyncEstimate(0.0, 0.0, 0.0)
+    table = crx.build_pilot_ratios(sub_vals, rows, sync, cfg,
+                                   rows // K != 1)
+    assert np.array_equal(table.source_prt[1], table.source_prt[0])
+    assert np.allclose(table.values[2, :, 1:], 2.0)
+    avg = crx._averaged_table(table, sync, cfg)
+    assert np.allclose(avg.values[:, :, 1:], 1.5)
+    assert np.array_equal(avg.source_prt, np.broadcast_to(
+        table.source_prt[0], avg.source_prt.shape))
+
+
 def test_correction_factor_trivial_cases(cfg):
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
     assert crx.correction_factor(3, 1, 9, 4, 5, sync, cfg) == 1.0
