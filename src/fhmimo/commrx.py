@@ -285,7 +285,9 @@ class DemodReport:
 
     ``slots`` columns: prt, hop, antenna, detected sub-band, offset, erased.
     ``fhcs_rows`` columns: prt, hop, n_bits, codeword, with codeword -1
-    when erased or outside the usable range.
+    when erased or outside the usable range. ``sync`` is None when the
+    blind receiver found no pair of consecutive PRTs with pilots above the
+    noise floor; every hop, slot and codeword is then erased.
     """
 
     order_bits: int
@@ -324,12 +326,16 @@ class DemodReport:
 
 
 def _blind_sync(sub_vals: np.ndarray, hop_erased: np.ndarray,
-                cfg: RadarConfig) -> SyncEstimate:
+                cfg: RadarConfig) -> SyncEstimate | None:
     """CFO and clock estimates from the zero pilots (hop m, antenna m) of
-    the hops whose peaks stand above the noise floor."""
+    the hops whose peaks stand above the noise floor; None when no pair of
+    consecutive PRTs has such pilots."""
     M = cfg.n_tx
-    cfo_hat, raw = estimate_cfo(sub_vals[:, :M, cfg.zero_subband], cfg,
-                                ~hop_erased[:, :M])
+    try:
+        cfo_hat, raw = estimate_cfo(sub_vals[:, :M, cfg.zero_subband], cfg,
+                                    ~hop_erased[:, :M])
+    except ValueError:
+        return None
     rho_hat, dts_hat = estimate_clock(cfo_hat, cfg)
     return SyncEstimate(cfo_hat, rho_hat, dts_hat, raw)
 
@@ -412,8 +418,12 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     groups = hop_groups(cfg, prt_abs)
     subband_det, hop_erased = assign_peaks(
         sub_vals, np.median(np.abs(spectra), axis=-1), groups, cfg)
-    sync = (SyncEstimate.from_spec(spec, cfg) if mode == "known"
-            else _blind_sync(sub_vals, hop_erased, cfg))
+    if mode == "known":
+        sync = SyncEstimate.from_spec(spec, cfg)
+    else:
+        sync = _blind_sync(sub_vals, hop_erased, cfg)
+        if sync is None:                    # nothing to correct with
+            hop_erased[:] = True
     slots, fhcs_rows = _payload_slots(groups, subband_det, hop_erased,
                                       prt_abs, cfg)
 
@@ -421,6 +431,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         i, h, m, k = (slots[:, c] for c in range(4))
         ref = expected_hop_peak(i, h, m, k, 0.0, spec, cfg)
         raw_phase = np.angle(sub_vals[i - first_prt, h, k] * np.conj(ref))
+    elif sync is None:
+        raw_phase = np.zeros(len(slots))
     else:
         pilot_hops_ok = ~hop_erased[:, :cfg.n_tx + 1].any(axis=1)
         table = build_pilot_ratios(sub_vals, prt_abs, sync, cfg,

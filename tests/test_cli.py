@@ -100,6 +100,21 @@ def test_comm_known_mode_identity(cfg_file, tmp_path):
     assert summary["psk_ber"] == 0.0 and summary["fhcs_ber"] == 0.0
 
 
+def test_comm_without_pilot_pairs_erases_everything(cfg_file, tmp_path):
+    cfg = json.loads(cfg_file.read_text())
+    cfg["impairment"]["snr_db"] = -20
+    p = tmp_path / "cfg_low.json"
+    p.write_text(json.dumps(cfg))
+    for mode in ("estimated", "averaged", "flat"):
+        out = tmp_path / f"low_{mode}"
+        assert run_cli("--config", str(p), "--out", str(out), "comm",
+                       "--mode", mode) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["cfo_hat"] == 0.0
+        assert summary["n_erased_slots"] == summary["n_psk_symbols"] > 0
+        assert summary["psk_ber"] == 0.5 and summary["fhcs_ber"] == 0.5
+
+
 def test_comm_from_iq_file(cfg_file, tmp_path):
     out_tx = tmp_path / "tx"
     run_cli("--config", str(cfg_file), "--out", str(out_tx), "txgen")

@@ -412,6 +412,28 @@ def test_partial_trailing_group_borrows_entries(cfg):
     assert sc.psk_bit_errors == 0
 
 
+def test_blind_modes_erase_everything_without_pilot_pairs(cfg):
+    # a -20 dB frame leaves no pair of consecutive PRTs with both zero
+    # pilots above the floor, and a one-PRT frame has no pair at all: the
+    # blind modes report no sync and erase every slot and codeword
+    spec = imp.ImpairmentSpec.from_clock(1e-6, cfg,
+                                         noise_var=10 ** (20 / 10))
+    for n_prt in (40, 1):
+        plan, psk, rx = _chain(cfg, n_prt, np.random.default_rng(31),
+                               spec=spec, noise_rng=np.random.default_rng(32))
+        for mode in ("estimated", "averaged", "flat"):
+            rep = crx.demodulate(rx, cfg, 3, mode=mode)
+            assert rep.sync is None
+            assert rep.summary()["cfo_hat"] == 0.0
+            assert rep.psk_erased.all()
+            assert rep.n_erased_slots == (~plan.pinned).sum()
+            assert rep.n_erased_hops == n_prt * cfg.hops_per_pulse
+            assert np.all(rep.fhcs_rows[:, 3] == -1)
+            sc = crx.score_report(rep, plan, psk, cfg)
+            assert sc.psk_ber == 0.5 and sc.fhcs_ber == 0.5
+            assert sc.psk_symbol_errors == sc.psk_symbols > 0
+
+
 def test_demodulate_rejects_unknown_mode(cfg, rng):
     plan, psk, rx = _chain(cfg, 4, rng)
     with pytest.raises(ValueError):
