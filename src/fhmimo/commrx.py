@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RadarConfig
+from .config import ConfigError, RadarConfig
 from .iqfile import IqFrame, write_csv
 from .impairments import ImpairmentSpec, expected_hop_peak, sto_from_rho
 from .waveform import (HopGroup, HopPlan, PskGrid, _subbands_to_positions,
@@ -400,6 +400,9 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
                first_prt: int = 0) -> DemodReport:
     """Recover FHCS and PSK payloads from a receive stream.
 
+    The frame must be sampled as ``cfg`` says (sample rate and samples per
+    PRT); otherwise :class:`ConfigError` is raised.
+
     mode:
       "estimated"  full blind pipeline (pilot tables per group of K PRTs);
       "averaged"   estimated + pilot ratios averaged across groups;
@@ -412,6 +415,12 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         raise ValueError(f"unknown demodulation mode {mode!r}")
     if mode == "known" and spec is None:
         raise ValueError("known-channel mode needs the impairment spec")
+    if (frame.sample_rate != cfg.sample_rate
+            or frame.samples_per_prt != cfg.samples_per_prt):
+        raise ConfigError(
+            f"frame of {frame.samples_per_prt}-sample PRTs at "
+            f"{frame.sample_rate:g} Hz does not match the radar config "
+            f"({cfg.samples_per_prt} at {cfg.sample_rate:g} Hz)")
 
     prt_abs = first_prt + np.arange(frame.n_prt)
     spectra, sub_vals = _batch_spectra(frame, cfg)

@@ -18,12 +18,13 @@ _MAGIC = "FHIQ1"
 
 
 class IqFormatError(ValueError):
-    """Malformed IQ file header or truncated payload."""
+    """Malformed IQ file header, truncated payload, or samples that do not
+    fill a whole number of PRTs."""
 
 
 @dataclass
 class IqFrame:
-    """Complex baseband samples, one row per channel."""
+    """Complex baseband samples, one row per channel, of whole PRTs."""
 
     data: np.ndarray          # (n_channels, n_samples) complex
     sample_rate: float
@@ -31,6 +32,9 @@ class IqFrame:
 
     def __post_init__(self):
         self.data = np.atleast_2d(np.asarray(self.data))
+        if self.samples_per_prt <= 0 or self.n_samples % self.samples_per_prt:
+            raise IqFormatError(f"{self.n_samples} samples is not a whole "
+                                f"number of {self.samples_per_prt}-sample PRTs")
 
     @property
     def n_channels(self) -> int:
@@ -92,9 +96,6 @@ def read_iq(path) -> IqFrame:
             spp = int(fields["samples_per_prt"])
         except (KeyError, ValueError) as exc:
             raise IqFormatError(f"incomplete header: {exc}") from exc
-        if spp <= 0 or samples % spp:
-            raise IqFormatError(f"{samples} samples is not a whole number "
-                                f"of {spp}-sample PRTs")
         payload = f.read()
         if len(payload) != channels * samples * 8:
             raise IqFormatError("payload size does not match header")

@@ -136,10 +136,21 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
     assert len(lines) == 2 + 20 * 6 + 2
 
 
-def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
+def test_iq_frame_rejects_partial_prt():
     # 1000 samples is not a whole number of 1600-sample PRTs
+    with pytest.raises(IqFormatError):
+        IqFrame(np.ones(1000, dtype=complex), 40e6, 1600)
+    with pytest.raises(IqFormatError):
+        IqFrame(np.ones(1000, dtype=complex), 40e6, 0)
+
+
+def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
+    # 1000 samples is not a whole number of 1600-sample PRTs; IqFrame
+    # refuses such a frame, so the file is written by hand
     path = tmp_path / "partial.iq"
-    write_iq(path, IqFrame(np.ones(1000, dtype=complex), 40e6, 1600))
+    path.write_bytes(b"FHIQ1\nsample_rate=40000000\nchannels=1\n"
+                     b"samples=1000\nsamples_per_prt=1600\ndata\n"
+                     + np.zeros((1000, 2), dtype=np.float32).tobytes())
     with pytest.raises(IqFormatError):
         read_iq(path)
     cfg = json.loads(cfg_file.read_text())
@@ -148,6 +159,18 @@ def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    "comm") == cli.EXIT_IO == 3
+
+
+def test_comm_rejects_iq_file_of_another_config(cfg_file, tmp_path):
+    # 800-sample PRTs at 20 MHz: not the configured 1600 at 40 MHz
+    path = tmp_path / "other.iq"
+    write_iq(path, IqFrame(np.ones(3200, dtype=complex), 20e6, 800))
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"]["iq_file"] = str(path)
+    p = tmp_path / "cfg6.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == cli.EXIT_CONFIG == 2
 
 
 def test_radar_command(cfg_file, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fhmimo.config import RadarConfig
+from fhmimo.config import ConfigError, RadarConfig
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
@@ -440,3 +440,11 @@ def test_demodulate_rejects_unknown_mode(cfg, rng):
         crx.demodulate(rx, cfg, 3, mode="bogus")
     with pytest.raises(ValueError):
         crx.demodulate(rx, cfg, 3, mode="known")  # needs the true spec
+
+
+def test_demodulate_rejects_frame_of_another_config(cfg, rng):
+    plan, psk, rx = _chain(cfg, 4, rng)
+    for other in (RadarConfig(sample_rate=80e6),
+                  RadarConfig(prt_duration=20e-6)):
+        with pytest.raises(ConfigError):
+            crx.demodulate(rx, other, 3)

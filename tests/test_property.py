@@ -1,0 +1,56 @@
+"""Property tests over valid configurations beyond the experiment default:
+odd sub-band counts, one to four antennas, extra hops, two hop lengths and
+frames that start mid pilot cycle."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from fhmimo import commrx as crx
+from fhmimo import impairments as imp
+from fhmimo import waveform as wf
+from fhmimo.config import RadarConfig
+
+
+@st.composite
+def frames(draw):
+    M = draw(st.integers(1, 4))
+    # K >= 2M+1 keeps the M tones of a hop below half of its 2K DFT bins,
+    # so the median bin (the peak floor) stays at zero without noise
+    K = draw(st.sampled_from(range(2 * M + 1, 24, 2)))
+    H = draw(st.integers(M + 1, M + 3))
+    hop = draw(st.sampled_from((1e-6, 0.5e-6)))
+    bandwidth = K * round(1 / hop)          # one tone cycle per sub-band
+    cfg = RadarConfig(n_subbands=K, n_tx=M, hops_per_pulse=H,
+                      hop_duration=hop, prt_duration=(H + 2) * hop,
+                      bandwidth=bandwidth, sample_rate=2 * bandwidth)
+    # at least one full pilot cycle, usually with a partial trailing group
+    n_prt = draw(st.integers(K, 3 * K))
+    first_prt = draw(st.integers(1, 10_000))
+    order_bits = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cfg, n_prt, first_prt, order_bits, seed
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(frames())
+def test_identity_channel_error_free_in_every_mode(case):
+    cfg, n_prt, first_prt, order_bits, seed = case
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=n_prt * cfg.hops_per_pulse
+                        * cfg.n_subbands, dtype=np.uint8)
+    plan = wf.plan_hops(cfg, fhcs_bits=bits, n_prt=n_prt,
+                        first_prt=first_prt)
+    back = wf.extract_payload_bits(plan)
+    assert back.size == plan.fhcs_bits_used
+    assert np.array_equal(back, bits[:back.size])
+
+    psk = wf.make_psk_grid(cfg, plan, order_bits, rng=rng)
+    ident = imp.ImpairmentSpec()
+    rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, ident, cfg)
+    for mode in ("known", "estimated", "averaged", "flat"):
+        rep = crx.demodulate(rx, cfg, order_bits, mode=mode, spec=ident,
+                             first_prt=first_prt)
+        sc = crx.score_report(rep, plan, psk, cfg)
+        assert rep.n_erased_slots == 0 and rep.n_erased_hops == 0, mode
+        assert sc.psk_bit_errors == 0 and sc.fhcs_bit_errors == 0, mode
+        assert sc.psk_bits == (~plan.pinned).sum() * order_bits
