@@ -12,6 +12,7 @@ calibration. Run:
 
 import numpy as np
 
+from fhmimo import bench
 from fhmimo.config import RadarConfig
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
@@ -39,23 +40,19 @@ def run(array, cal=None, label=""):
     print(f"{label}: {len(dets)} detections for {len(scene.targets)} targets"
           " (plain-DFT Doppler sidelobes of strong echoes also cross CFAR;"
           " association gates sort them out)")
-    hits = 0
-    for t in sorted(scene.targets, key=lambda t: t.range_m):
-        rb = round(t.delay() * cfg.sample_rate) - cfg.samples_per_pulse
-        db = round(t.doppler(cfg.wavelength) / cfg.doppler_bin) \
-            + rdm.n_doppler // 2
-        cand = [d for d in dets if abs(d.range_bin - rb) <= 3
-                and abs(d.doppler_bin - db) <= 2
-                and abs(d.azimuth_deg - t.azimuth_deg) <= 2]
-        if cand:
-            hits += 1
-            d = max(cand, key=lambda d: d.statistic)
-            print(f"  truth ({t.range_m:7.1f} m, {t.velocity:+7.1f} m/s, "
-                  f"{t.azimuth_deg:+5.2f} deg) -> est ({d.range_m:7.1f}, "
-                  f"{d.velocity:+7.1f}, {d.azimuth_deg:+5.2f})")
+    # the sweep's gate: +-3 range bins, +-2 Doppler bins, +-2 deg
+    results = bench._associate(dets, scene, cfg, cfg.samples_per_pulse,
+                               rdm.n_doppler)
+    for t, (hit, dr, dv, da) in sorted(zip(scene.targets, results),
+                                       key=lambda p: p[0].range_m):
+        truth = (f"truth ({t.range_m:7.1f} m, {t.velocity:+7.1f} m/s, "
+                 f"{t.azimuth_deg:+5.2f} deg)")
+        if hit:
+            print(f"  {truth} -> est ({t.range_m + dr:7.1f}, "
+                  f"{t.velocity + dv:+7.1f}, {t.azimuth_deg + da:+5.2f})")
         else:
-            print(f"  truth ({t.range_m:7.1f} m, {t.velocity:+7.1f} m/s, "
-                  f"{t.azimuth_deg:+5.2f} deg) -> MISS")
+            print(f"  {truth} -> MISS")
+    hits = sum(r[0] for r in results)
     print(f"  matched {hits}/{len(scene.targets)}\n")
 
 

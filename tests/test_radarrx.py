@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fhmimo import bench
 from fhmimo.config import SPEED_OF_LIGHT
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
@@ -247,15 +248,8 @@ def test_cfar_fifty_target_scene_detection_rate(cfg):
                              noise_var=10 ** (30 / 10), rng=9)
     grid = rrx.angle_grid(30, 512)
     rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
-    hits = 0
-    for t in scene.targets:
-        rb = round(t.delay() * cfg.sample_rate) - cfg.samples_per_pulse
-        db = round(t.doppler(cfg.wavelength) / cfg.doppler_bin) + 64
-        for d in dets:
-            if (abs(d.range_bin - rb) <= 3 and abs(d.doppler_bin - db) <= 2
-                    and abs(d.azimuth_deg - t.azimuth_deg) <= 2.0):
-                hits += 1
-                break
+    hits = sum(r[0] for r in bench._associate(
+        dets, scene, cfg, cfg.samples_per_pulse, rdm.n_doppler))
     assert hits >= 45  # >= 90% of 50
 
 
@@ -371,19 +365,11 @@ def test_waveform_equivalence_quick(cfg):
         rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                                  noise_var=10 ** (24 / 10), rng=13)
         grid = rrx.angle_grid(30, 512)
-        _, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
-        per = []
-        for t in scene.targets:
-            rb = round(t.delay() * cfg.sample_rate) - cfg.samples_per_pulse
-            db = round(t.doppler(cfg.wavelength) / cfg.doppler_bin) + 64
-            cand = [d for d in dets
-                    if abs(d.range_bin - rb) <= 3
-                    and abs(d.doppler_bin - db) <= 2
-                    and abs(d.azimuth_deg - t.azimuth_deg) <= 2]
-            if cand:
-                d = max(cand, key=lambda d: d.statistic)
-                per.append((d.range_m - t.range_m, d.velocity - t.velocity))
-        errs[mode] = np.array(per)
+        rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
+        errs[mode] = np.array([
+            (dr, dv) for hit, dr, dv, _ in bench._associate(
+                dets, scene, cfg, cfg.samples_per_pulse, rdm.n_doppler)
+            if hit])
     assert len(errs["dfrc"]) == len(errs["traditional"]) == 8
     rmse = {m: np.sqrt((e ** 2).mean(axis=0)) for m, e in errs.items()}
     assert np.allclose(rmse["dfrc"], rmse["traditional"], rtol=0.35)
