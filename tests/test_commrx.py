@@ -201,6 +201,60 @@ def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
     assert np.all(np.diff(phases) > 0)
 
 
+def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
+    """Reference: row-by-row, antenna-by-antenna fill of each group of K
+    rows, then a group-by-group carry of earlier entries into holes."""
+    M, K, k0 = cfg.n_tx, cfg.n_subbands, cfg.zero_subband
+    hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
+    G = max(1, -(-len(prt_indices) // K))
+    values = np.zeros((G, M, K), dtype=complex)
+    source = np.full((G, M, K), -1, dtype=np.int64)
+    measured = np.zeros((G, M, K), dtype=bool)
+    for row, i_abs in enumerate(prt_indices):
+        g = row // K
+        if not valid[row]:
+            continue
+        kappa = int(cfg.pilot_offset(i_abs))
+        if kappa == 0:
+            values[g, :, 0] = np.exp(1j * sync.cfo * hop_term)
+            source[g, :, 0] = i_abs
+            continue
+        for m in range(M):
+            den = sub_vals[row, m, k0]
+            if den == 0:
+                continue
+            values[g, m, kappa] = sub_vals[row, m + 1, (k0 + kappa) % K] / den
+            source[g, m, kappa] = i_abs
+            measured[g, m, kappa] = True
+    for g in range(1, G):
+        hole = source[g] < 0
+        values[g][hole] = values[g - 1][hole]
+        source[g][hole] = source[g - 1][hole]
+        measured[g][hole] = measured[g - 1][hole]
+    return values, source, measured
+
+
+def test_pilot_tables_match_row_by_row_fill(cfg):
+    # random pilots with unusable rows, zero pilots and PRT indices that
+    # repeat offsets within a group (the last usable row must win)
+    rng = np.random.default_rng(41)
+    n = 70
+    sub_vals = (rng.standard_normal((n, cfg.hops_per_pulse, cfg.n_subbands))
+                + 1j * rng.standard_normal(
+                    (n, cfg.hops_per_pulse, cfg.n_subbands)))
+    sub_vals[rng.random(n) < 0.2, 0, cfg.zero_subband] = 0.0
+    prt_indices = rng.integers(0, 60, size=n)
+    valid = rng.random(n) > 0.3
+    sync = crx.SyncEstimate(2e3, 5e-8, -3e-13)
+    table = crx.build_pilot_ratios(sub_vals, prt_indices, sync, cfg, valid)
+    values, source, measured = _pilot_tables_by_loop(
+        sub_vals, prt_indices, sync, cfg, valid)
+    assert np.array_equal(table.source_prt, source)
+    assert np.array_equal(table.measured, measured)
+    assert np.array_equal(table.values, values)
+    assert (source < 0).any() and measured.any()
+
+
 def test_averaged_table_counts_each_measurement_once(cfg):
     # the pilots of group 1 are unusable, so its table carries group 0's
     # entries; averaging over the CPI must count each measurement once:
