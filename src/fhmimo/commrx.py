@@ -173,9 +173,6 @@ class PilotRatioTable:
     source_prt: np.ndarray   # (G, M, K) int
     measured: np.ndarray     # (G, M, K) bool
 
-    def complete(self) -> bool:
-        return bool(np.all(self.source_prt >= 0))
-
 
 def build_pilot_ratios(subband_values: np.ndarray, prt_indices: np.ndarray,
                        sync: SyncEstimate, cfg: RadarConfig,

@@ -166,7 +166,7 @@ def test_pilot_ratios_unity_for_clean_channel(cfg, rng):
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
     table = crx.build_pilot_ratios(sub_vals, np.arange(20), sync, cfg)
-    assert table.complete()
+    assert np.all(table.source_prt >= 0)
     assert np.allclose(table.values, 1.0, atol=1e-9)
 
 
