@@ -388,8 +388,8 @@ def _pilot_phases(slots: np.ndarray, sub_vals: np.ndarray,
     d_src[missing] = i[missing]
     corr = correction_factor(d_src, m + 1, i, h, k, sync, cfg)
     pilot = sub_vals[row, m, cfg.zero_subband]
-    return np.angle(sub_vals[row, h, k] * np.conj(d_vals * corr * pilot)), \
-        missing
+    phase = np.angle(sub_vals[row, h, k] * np.conj(d_vals * corr * pilot))
+    return phase, missing
 
 
 def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
