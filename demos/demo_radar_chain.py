@@ -64,7 +64,7 @@ anchor = rrx.TargetScene([rrx.Target(2250.0, 0.0, 0.0)])
 rx = rrx.synthesize_echo(plan, psk, anchor, err_array, cfg,
                          noise_var=10.0, rng=np.random.default_rng(5))
 rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, err_array, grid=grid)
-z = max(dets, key=lambda d: d.statistic).channel_vector
+z = dets.channel[np.argmax(dets.statistic)]
 cal = rrx.calibrate(z, err_array, anchor_azimuth_deg=0.0)
 print("Array with random element errors, anchor-calibrated at 0 deg:")
 run(err_array, cal=cal, label="Calibrated array")

@@ -9,10 +9,10 @@ from .impairments import (FrontEndProfile, ImpairmentSpec, accumulated_sto,
 from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
                      assign_peaks, build_pilot_ratios, correction_factor,
                      demodulate, estimate_cfo, estimate_clock, score_report)
-from .radarrx import (ArrayModel, Detection, DetectionList, RangeDopplerMap,
-                      Target, TargetScene, calibrate, cfar_detect,
-                      estimate_angle, estimate_params, matched_filter, mtd,
-                      process_cpi, synthesize_echo)
+from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
+                      TargetScene, calibrate, cfar_detect, estimate_angle,
+                      estimate_params, matched_filter, mtd, process_cpi,
+                      synthesize_echo)
 from .bench import (SweepReport, SweepSpec, data_rate, run_ber_sweep,
                     run_method_comparison, run_radar_sweep, wilson_interval)
 
@@ -26,10 +26,9 @@ __all__ = [
     "DemodReport", "ErrorCounts", "PilotRatioTable", "SyncEstimate",
     "assign_peaks", "build_pilot_ratios", "correction_factor", "demodulate",
     "estimate_cfo", "estimate_clock", "score_report",
-    "ArrayModel", "Detection", "DetectionList", "RangeDopplerMap", "Target",
-    "TargetScene", "calibrate", "cfar_detect", "estimate_angle",
-    "estimate_params", "matched_filter", "mtd", "process_cpi",
-    "synthesize_echo",
+    "ArrayModel", "DetectionList", "RangeDopplerMap", "Target", "TargetScene",
+    "calibrate", "cfar_detect", "estimate_angle", "estimate_params",
+    "matched_filter", "mtd", "process_cpi", "synthesize_echo",
     "SweepReport", "SweepSpec", "data_rate", "run_ber_sweep",
     "run_method_comparison", "run_radar_sweep", "wilson_interval",
 ]

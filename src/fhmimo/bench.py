@@ -224,21 +224,17 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec,
 # Radar sweep
 # ---------------------------------------------------------------------------
 
-def _associate(dets, scene: radarrx.TargetScene, cfg: RadarConfig,
-               range_offset: int, n_dop: int, gate_range_bins: int = 3,
-               gate_doppler_bins: int = 2, gate_angle_deg: float = 2.0):
+def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
+               cfg: RadarConfig, range_offset: int, n_dop: int,
+               gate_range_bins: int = 3, gate_doppler_bins: int = 2,
+               gate_angle_deg: float = 2.0):
     """Greedy nearest association of detections to truth targets.
 
     Targets are taken in scene order. Each takes the gated detection with
     the highest statistic (the lowest index on ties) that no earlier target
     took. Returns per-target (matched, range_err, velocity_err, angle_err).
     """
-    det_list = dets.detections
-    range_bin = np.array([d.range_bin for d in det_list], dtype=int)
-    doppler_bin = np.array([d.doppler_bin for d in det_list], dtype=int)
-    azimuth = np.array([d.azimuth_deg for d in det_list], dtype=float)
-    statistic = np.array([d.statistic for d in det_list], dtype=float)
-    free = np.ones(len(det_list), dtype=bool)
+    free = np.ones(len(dets), dtype=bool)
     out = []
     for t in scene.targets:
         rb_t = round(t.delay() * cfg.sample_rate) - range_offset
@@ -246,17 +242,17 @@ def _associate(dets, scene: radarrx.TargetScene, cfg: RadarConfig,
                      / cfg.doppler_bin) + n_dop // 2
         cand = np.flatnonzero(
             free
-            & (np.abs(range_bin - rb_t) <= gate_range_bins)
-            & (np.abs(doppler_bin - db_t) <= gate_doppler_bins)
-            & (np.abs(azimuth - t.azimuth_deg) <= gate_angle_deg))
+            & (np.abs(dets.range_bin - rb_t) <= gate_range_bins)
+            & (np.abs(dets.doppler_bin - db_t) <= gate_doppler_bins)
+            & (np.abs(dets.azimuth_deg - t.azimuth_deg) <= gate_angle_deg))
         if not cand.size:
             out.append((False, 0.0, 0.0, 0.0))
             continue
-        best = int(cand[np.argmax(statistic[cand])])
+        best = int(cand[np.argmax(dets.statistic[cand])])
         free[best] = False
-        d = det_list[best]
-        out.append((True, d.range_m - t.range_m, d.velocity - t.velocity,
-                    d.azimuth_deg - t.azimuth_deg))
+        out.append((True, float(dets.range_m[best]) - t.range_m,
+                    float(dets.velocity[best]) - t.velocity,
+                    float(dets.azimuth_deg[best]) - t.azimuth_deg))
     return out
 
 

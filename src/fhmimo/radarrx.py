@@ -9,7 +9,7 @@ matched filters, giving P = M*N spatial channels ordered p = n*M + m.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,16 +226,9 @@ class RangeDopplerMap:
         return (np.arange(self.n_doppler) - self.n_doppler // 2) \
             / (self.n_doppler * self.cfg.prt_duration)
 
-    def range_axis(self) -> np.ndarray:
-        t = (self.range_offset + np.arange(self.n_range)) / self.cfg.sample_rate
-        return SPEED_OF_LIGHT * t / 2.0
-
     def detection_statistic(self) -> np.ndarray:
         """Incoherent accumulation over spatial channels: sum_p |Y_fp(t)|."""
         return np.abs(self.cube).sum(axis=1)
-
-    def channel_vector(self, f_bin: int, t_bin: int) -> np.ndarray:
-        return self.cube[f_bin, :, t_bin]
 
 
 def mtd(profiles: np.ndarray, cfg: RadarConfig,
@@ -256,9 +249,12 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig,
 # CFAR detection
 # ---------------------------------------------------------------------------
 
-def _rayleigh_sum_quantile(n_channels: int, prob: float) -> float:
-    """Quantile (in units of the mean) of a sum of n iid unit-scale Rayleigh
-    magnitudes, via numeric convolution of the density."""
+def cfar_threshold_scale(n_channels: int, p_fa: float) -> float:
+    """Cell-averaging CFAR multiplier for the magnitude-sum statistic.
+
+    The (1 - p_fa) quantile, in units of the mean, of a sum of n iid
+    unit-scale Rayleigh magnitudes, via numeric convolution of the density.
+    """
     # grid generous enough for the upper tail
     mean1 = np.sqrt(np.pi / 2)
     hi = n_channels * mean1 + 12 * np.sqrt(n_channels * (2 - np.pi / 2))
@@ -271,45 +267,37 @@ def _rayleigh_sum_quantile(n_channels: int, prob: float) -> float:
     conv = np.maximum(conv, 0.0)
     cdf = np.cumsum(conv)
     cdf /= cdf[-1]
-    idx = int(np.searchsorted(cdf, 1.0 - prob))
+    idx = int(np.searchsorted(cdf, 1.0 - p_fa))
     q = (idx + 0.5) * dx
     return q / (n_channels * mean1)
 
 
-def cfar_threshold_scale(n_channels: int, p_fa: float) -> float:
-    """Cell-averaging CFAR multiplier for the magnitude-sum statistic."""
-    return _rayleigh_sum_quantile(n_channels, p_fa)
-
-
-@dataclass
-class Detection:
-    doppler_bin: int
-    range_bin: int
-    statistic: float
-    threshold: float
-    channel_vector: np.ndarray
-    range_m: float = 0.0
-    velocity: float = 0.0
-    azimuth_deg: float = 0.0
-
-
 @dataclass
 class DetectionList:
-    detections: list = field(default_factory=list)
+    """The D detections of one CPI as columns, each an array over D.
+
+    ``cfar_detect`` fills the bins, the CFAR statistic and threshold and the
+    (D, P) channel vectors; ``estimate_params`` fills ``range_m``,
+    ``velocity`` and ``azimuth_deg``, which are zero until then.
+    """
+
+    doppler_bin: np.ndarray   # (D,) int
+    range_bin: np.ndarray     # (D,) int
+    statistic: np.ndarray     # (D,)
+    threshold: np.ndarray     # (D,)
+    channel: np.ndarray       # (D, P) complex
+    range_m: np.ndarray       # (D,)
+    velocity: np.ndarray      # (D,)
+    azimuth_deg: np.ndarray   # (D,)
 
     def __len__(self):
-        return len(self.detections)
-
-    def __iter__(self):
-        return iter(self.detections)
+        return len(self.statistic)
 
     def to_csv(self, path, cfg_hash=None) -> None:
-        rows = [(d.doppler_bin, d.range_bin, d.range_m, d.velocity,
-                 d.azimuth_deg, d.statistic, d.threshold)
-                for d in self.detections]
-        write_csv(path, ["doppler_bin", "range_bin", "range_m", "velocity",
-                         "azimuth_deg", "statistic", "threshold"],
-                  rows, cfg_hash)
+        cols = ["doppler_bin", "range_bin", "range_m", "velocity",
+                "azimuth_deg", "statistic", "threshold"]
+        write_csv(path, cols, zip(*(getattr(self, c).tolist() for c in cols)),
+                  cfg_hash)
 
 
 def _box_mean(stat: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,23 +334,19 @@ def cfar_detect(rdm: RangeDopplerMap, guard_cells: int = 2,
     threshold = alpha * train_mean
 
     above = stat > threshold
-    # 8-neighborhood local maxima (strictly greater than any neighbor that
-    # is itself above threshold keeps plateaus from double-counting)
+    # 8-neighborhood local maxima: at least as large as all 8 neighbours,
+    # above threshold or not (cells beyond the map edge count as -inf); on
+    # a plateau every cell of the maximum is kept
     pad = np.pad(stat, 1, constant_values=-np.inf)
     neigh = np.stack([pad[1 + df:1 + df + stat.shape[0],
                           1 + dr:1 + dr + stat.shape[1]]
                       for df in (-1, 0, 1) for dr in (-1, 0, 1)
                       if not (df == 0 and dr == 0)])
     is_max = stat >= neigh.max(axis=0)
-    hits = np.argwhere(above & is_max)
-
-    out = DetectionList()
-    for f_bin, t_bin in hits:
-        out.detections.append(Detection(
-            int(f_bin), int(t_bin), float(stat[f_bin, t_bin]),
-            float(threshold[f_bin, t_bin]),
-            rdm.channel_vector(int(f_bin), int(t_bin))))
-    return out
+    f_bin, t_bin = np.nonzero(above & is_max)
+    return DetectionList(f_bin, t_bin, stat[f_bin, t_bin],
+                         threshold[f_bin, t_bin], rdm.cube[f_bin, :, t_bin],
+                         *np.zeros((3, f_bin.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +402,17 @@ def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
                     array: ArrayModel, grid: np.ndarray,
                     cal: np.ndarray | None = None) -> DetectionList:
-    """Fill the physical (range, velocity, azimuth) of every detection.
+    """Fill the range, velocity and azimuth columns of a CPI's detections.
 
-    All D detections of a CPI are handled in one call: range and velocity
-    are computed as arrays, and the detections' (P,) channel vectors are
-    stacked to (D, P) for one ``estimate_angle`` call.
+    Range and velocity come from the bin columns; the (D, P) channel
+    vectors go to one ``estimate_angle`` call.
     """
-    if not len(dets):
-        return dets
     cfg = rdm.cfg
-    f_bin = np.array([d.doppler_bin for d in dets])
-    t_bin = np.array([d.range_bin for d in dets])
-    z = np.array([d.channel_vector for d in dets])            # (D, P)
-    t_star = (rdm.range_offset + t_bin) / cfg.sample_rate
-    range_m = SPEED_OF_LIGHT * t_star / 2.0
-    velocity = cfg.wavelength * rdm.doppler_freqs()[f_bin] / 2.0
-    azimuth = estimate_angle(z, array, grid, cal)
-    for d, r, v, a in zip(dets, range_m.tolist(), velocity.tolist(),
-                          azimuth.tolist()):
-        d.range_m, d.velocity, d.azimuth_deg = r, v, a
+    t_star = (rdm.range_offset + dets.range_bin) / cfg.sample_rate
+    dets.range_m = SPEED_OF_LIGHT * t_star / 2.0
+    f_star = rdm.doppler_freqs()[dets.doppler_bin]
+    dets.velocity = cfg.wavelength * f_star / 2.0
+    dets.azimuth_deg = estimate_angle(dets.channel, array, grid, cal)
     return dets
 
 
@@ -449,9 +425,7 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
     rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
-    CPI's D detections, each with its (P,) channel vector; their range,
-    velocity and azimuth are filled by one ``estimate_params`` call on the
-    whole list.
+    CPI's detections with every column filled.
     """
     profiles = matched_filter(rx, plan, psk, cfg)
     rdm = mtd(profiles, cfg)

@@ -128,21 +128,26 @@ def test_method_comparison_deterministic(cfg):
 # Radar sweep
 # ---------------------------------------------------------------------------
 
-def _det(range_bin, doppler_bin, azimuth_deg, statistic, range_m=0.0):
-    return rrx.Detection(doppler_bin, range_bin, statistic, 0.0,
-                         np.zeros(24, dtype=complex), range_m=range_m,
-                         azimuth_deg=azimuth_deg)
+def _dets(rows):
+    """DetectionList from (range_bin, doppler_bin, azimuth_deg, statistic,
+    range_m) rows; velocity and threshold are zero."""
+    range_bin, doppler_bin, azimuth_deg, statistic, range_m = (
+        np.array(c) for c in zip(*rows))
+    zeros = np.zeros(len(rows))
+    return rrx.DetectionList(doppler_bin, range_bin, statistic, zeros,
+                             np.zeros((len(rows), 24), dtype=complex),
+                             range_m, zeros, azimuth_deg)
 
 
 def test_associate_tie_break_and_no_reuse(cfg):
     # a target at 1500 m and 0 m/s sits in range bin 200, Doppler bin 64;
     # range_m tags each detection with its index
-    dets = rrx.DetectionList([
-        _det(200, 64, 0.0, 5.0, range_m=0.0),
-        _det(201, 64, 0.5, 7.0, range_m=1.0),
-        _det(199, 65, -0.5, 7.0, range_m=2.0),    # ties with 1
-        _det(250, 64, 0.0, 99.0, range_m=3.0),    # outside range gate
-        _det(200, 64, 3.0, 99.0, range_m=4.0),    # outside angle gate
+    dets = _dets([
+        (200, 64, 0.0, 5.0, 0.0),
+        (201, 64, 0.5, 7.0, 1.0),
+        (199, 65, -0.5, 7.0, 2.0),    # ties with 1
+        (250, 64, 0.0, 99.0, 3.0),    # outside range gate
+        (200, 64, 3.0, 99.0, 4.0),    # outside angle gate
     ])
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)] * 4)
     out = bench._associate(dets, scene, cfg, cfg.samples_per_pulse, 128)
@@ -159,21 +164,21 @@ def test_associate_matches_loop_reference(cfg):
             rb_t = round(t.delay() * cfg.sample_rate) - cfg.samples_per_pulse
             db_t = round(t.doppler(cfg.wavelength) / cfg.doppler_bin) + 64
             best = None
-            for j, d in enumerate(dets):
-                if (j not in used and abs(d.range_bin - rb_t) <= 3
-                        and abs(d.doppler_bin - db_t) <= 2
-                        and abs(d.azimuth_deg - t.azimuth_deg) <= 2.0
-                        and (best is None or d.statistic
-                             > dets.detections[best].statistic)):
+            for j in range(len(dets)):
+                if (j not in used
+                        and abs(dets.range_bin[j] - rb_t) <= 3
+                        and abs(dets.doppler_bin[j] - db_t) <= 2
+                        and abs(dets.azimuth_deg[j] - t.azimuth_deg) <= 2.0
+                        and (best is None or dets.statistic[j]
+                             > dets.statistic[best])):
                     best = j
             if best is None:
                 out.append((False, 0.0, 0.0, 0.0))
                 continue
             used.add(best)
-            d = dets.detections[best]
-            out.append((True, d.range_m - t.range_m,
-                        d.velocity - t.velocity,
-                        d.azimuth_deg - t.azimuth_deg))
+            out.append((True, float(dets.range_m[best]) - t.range_m,
+                        float(dets.velocity[best]) - t.velocity,
+                        float(dets.azimuth_deg[best]) - t.azimuth_deg))
         return out
 
     rng = np.random.default_rng(4)
@@ -181,10 +186,10 @@ def test_associate_matches_loop_reference(cfg):
                                         0.0, rng.uniform(-2, 2))
                              for _ in range(40)])
     # few distinct statistics so ties are common
-    dets = rrx.DetectionList([
-        _det(200 + int(rng.integers(-6, 7)), 64 + int(rng.integers(-3, 4)),
-             rng.uniform(-4, 4), float(rng.integers(0, 3)),
-             range_m=rng.uniform(1400, 1600)) for _ in range(60)])
+    dets = _dets([
+        (200 + int(rng.integers(-6, 7)), 64 + int(rng.integers(-3, 4)),
+         rng.uniform(-4, 4), float(rng.integers(0, 3)),
+         rng.uniform(1400, 1600)) for _ in range(60)])
     out = bench._associate(dets, scene, cfg, cfg.samples_per_pulse, 128)
     assert out == loop(dets, scene)
     assert 0 < sum(r[0] for r in out) < len(out)

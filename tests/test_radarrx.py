@@ -231,11 +231,11 @@ def test_cfar_single_target_single_cluster(cfg):
     # the target, so test it at a false-alarm rate where E[FA] << 1
     dets = rrx.cfar_detect(rdm, p_fa=1e-7)
     assert len(dets) == 1
-    d = dets.detections[0]
-    assert d.range_bin == round(2 * 2000.0 / SPEED_OF_LIGHT
-                                * cfg.sample_rate) - cfg.samples_per_pulse
+    delay_samples = round(2 * 2000.0 / SPEED_OF_LIGHT * cfg.sample_rate)
+    assert dets.range_bin[0] == delay_samples - cfg.samples_per_pulse
     f_d = 2 * 50.0 / cfg.wavelength
-    assert d.doppler_bin == round(f_d / cfg.doppler_bin) + rdm.n_doppler // 2
+    assert dets.doppler_bin[0] == (round(f_d / cfg.doppler_bin)
+                                   + rdm.n_doppler // 2)
 
 
 def test_cfar_fifty_target_scene_detection_rate(cfg):
@@ -339,10 +339,10 @@ def test_estimate_params_mapping(cfg):
                              noise_var=10.0 ** 3, rng=4)
     grid = rrx.angle_grid(30, 4096)
     rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
-    best = max(dets, key=lambda d: d.statistic)
-    assert best.range_m == pytest.approx(1500.0, abs=cfg.range_bin)
-    assert best.velocity == 0.0
-    assert best.azimuth_deg == pytest.approx(7.5, abs=0.1)
+    best = np.argmax(dets.statistic)
+    assert dets.range_m[best] == pytest.approx(1500.0, abs=cfg.range_bin)
+    assert dets.velocity[best] == 0.0
+    assert dets.azimuth_deg[best] == pytest.approx(7.5, abs=0.1)
     assert cfg.range_bin == pytest.approx(3.75)
 
 
