@@ -181,7 +181,8 @@ def build_pilot_ratios(subband_values: np.ndarray, prt_indices: np.ndarray,
 
     ``subband_values``: (n_prt, H, K) hop-DFT coefficients at sub-band bins;
     ``prt_indices``: absolute PRT index per row (the pilot offset cycles
-    with it); ``valid``: rows whose pilots may be used. The ratio of the
+    with it); ``valid``: (n_prt, M) rows and antennas whose pilots may be
+    used. The ratio of the
     cycled pilot (hop m+1) to the zero pilot (hop m) is stored at the PRT's
     offset; a zero pilot of magnitude zero gives no entry, and where rows
     of a group repeat an offset the last one wins. The zero-offset entry
@@ -195,10 +196,10 @@ def build_pilot_ratios(subband_values: np.ndarray, prt_indices: np.ndarray,
     prt_indices = np.asarray(prt_indices)
     G = max(1, -(-prt_indices.size // K))
     kappa = cfg.pilot_offset(prt_indices)
-    ok = (np.ones(prt_indices.size, dtype=bool) if valid is None
+    ok = (np.ones((prt_indices.size, M), dtype=bool) if valid is None
           else np.asarray(valid, dtype=bool))
     den = subband_values[:, :M, k0]                       # zero pilots
-    row, ant = np.nonzero(ok[:, None] & ((kappa == 0)[:, None] | (den != 0)))
+    row, ant = np.nonzero(ok & ((kappa == 0)[:, None] | (den != 0)))
     kap = kappa[row]
     hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
     ratio = np.full(row.size, np.exp(1j * sync.cfo * hop_term))
@@ -322,15 +323,32 @@ class DemodReport:
         }
 
 
-def _blind_sync(sub_vals: np.ndarray, hop_erased: np.ndarray,
+def _pilots_above_floor(sub_vals: np.ndarray, median_mag: np.ndarray,
+                        prt_abs: np.ndarray, cfg: RadarConfig):
+    """(zero_ok, cycled_ok), each (n_prt, M): antenna m's zero pilot (hop m,
+    zero sub-band) and cycled pilot (hop m+1, pilot sub-band) stand above
+    ``PEAK_FLOOR_FACTOR`` times their hop's median DFT magnitude. A
+    zero-offset PRT sends no cycled pilot; its ``cycled_ok`` is True."""
+    M = cfg.n_tx
+    floor = PEAK_FLOOR_FACTOR * median_mag
+    zero_ok = np.abs(sub_vals[:, :M, cfg.zero_subband]) >= floor[:, :M]
+    rows = np.arange(prt_abs.size)[:, None]
+    cycled = np.abs(sub_vals[rows, np.arange(1, M + 1),
+                             cfg.pilot_subband(prt_abs)[:, None]])
+    cycled_ok = ((cfg.pilot_offset(prt_abs) == 0)[:, None]
+                 | (cycled >= floor[:, 1:M + 1]))
+    return zero_ok, cycled_ok
+
+
+def _blind_sync(sub_vals: np.ndarray, zero_ok: np.ndarray,
                 cfg: RadarConfig) -> SyncEstimate | None:
-    """CFO and clock estimates from the zero pilots (hop m, antenna m) of
-    the hops whose peaks stand above the noise floor; None when no pair of
-    consecutive PRTs has such pilots."""
+    """CFO and clock estimates from the zero pilots (hop m, antenna m) that
+    stand above the noise floor; None when no pair of consecutive PRTs has
+    such pilots."""
     M = cfg.n_tx
     try:
         cfo_hat, raw = estimate_cfo(sub_vals[:, :M, cfg.zero_subband], cfg,
-                                    ~hop_erased[:, :M])
+                                    zero_ok)
     except ValueError:
         return None
     rho_hat, dts_hat = estimate_clock(cfo_hat, cfg)
@@ -422,12 +440,14 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     prt_abs = first_prt + np.arange(frame.n_prt)
     spectra, sub_vals = _batch_spectra(frame, cfg)
     groups = hop_groups(cfg, prt_abs)
-    subband_det, hop_erased = assign_peaks(
-        sub_vals, np.median(np.abs(spectra), axis=-1), groups, cfg)
+    median_mag = np.median(np.abs(spectra), axis=-1)
+    subband_det, hop_erased = assign_peaks(sub_vals, median_mag, groups, cfg)
+    zero_ok, cycled_ok = _pilots_above_floor(sub_vals, median_mag, prt_abs,
+                                             cfg)
     if mode == "known":
         sync = SyncEstimate.from_spec(spec, cfg)
     else:
-        sync = _blind_sync(sub_vals, hop_erased, cfg)
+        sync = _blind_sync(sub_vals, zero_ok, cfg)
         if sync is None:                    # nothing to correct with
             hop_erased[:] = True
     slots, fhcs_rows = _payload_slots(groups, subband_det, hop_erased,
@@ -440,9 +460,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     elif sync is None:
         raw_phase = np.zeros(len(slots))
     else:
-        pilot_hops_ok = ~hop_erased[:, :cfg.n_tx + 1].any(axis=1)
         table = build_pilot_ratios(sub_vals, prt_abs, sync, cfg,
-                                   pilot_hops_ok)
+                                   zero_ok & cycled_ok)
         if mode == "averaged":
             table = _averaged_table(table, sync, cfg)
         elif mode == "flat":

@@ -212,14 +212,14 @@ def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
     measured = np.zeros((G, M, K), dtype=bool)
     for row, i_abs in enumerate(prt_indices):
         g = row // K
-        if not valid[row]:
-            continue
         kappa = int(cfg.pilot_offset(i_abs))
-        if kappa == 0:
-            values[g, :, 0] = np.exp(1j * sync.cfo * hop_term)
-            source[g, :, 0] = i_abs
-            continue
         for m in range(M):
+            if not valid[row, m]:
+                continue
+            if kappa == 0:
+                values[g, m, 0] = np.exp(1j * sync.cfo * hop_term)
+                source[g, m, 0] = i_abs
+                continue
             den = sub_vals[row, m, k0]
             if den == 0:
                 continue
@@ -235,8 +235,9 @@ def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
 
 
 def test_pilot_tables_match_row_by_row_fill(cfg):
-    # random pilots with unusable rows, zero pilots and PRT indices that
-    # repeat offsets within a group (the last usable row must win)
+    # random pilots with unusable (row, antenna) pairs, zero pilots and
+    # PRT indices that repeat offsets within a group (the last usable row
+    # must win)
     rng = np.random.default_rng(41)
     n = 70
     sub_vals = (rng.standard_normal((n, cfg.hops_per_pulse, cfg.n_subbands))
@@ -244,7 +245,7 @@ def test_pilot_tables_match_row_by_row_fill(cfg):
                     (n, cfg.hops_per_pulse, cfg.n_subbands)))
     sub_vals[rng.random(n) < 0.2, 0, cfg.zero_subband] = 0.0
     prt_indices = rng.integers(0, 60, size=n)
-    valid = rng.random(n) > 0.3
+    valid = rng.random((n, cfg.n_tx)) > 0.3
     sync = crx.SyncEstimate(2e3, 5e-8, -3e-13)
     table = crx.build_pilot_ratios(sub_vals, prt_indices, sync, cfg, valid)
     values, source, measured = _pilot_tables_by_loop(
@@ -267,8 +268,8 @@ def test_averaged_table_counts_each_measurement_once(cfg):
     sub_vals[rows[:, None], np.arange(1, M + 1), cycled[:, None]] = \
         np.where(rows < 20, 1.0, 2.0)[:, None]
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
-    table = crx.build_pilot_ratios(sub_vals, rows, sync, cfg,
-                                   rows // K != 1)
+    valid = np.broadcast_to((rows // K != 1)[:, None], (n, M))
+    table = crx.build_pilot_ratios(sub_vals, rows, sync, cfg, valid)
     assert np.array_equal(table.source_prt[1], table.source_prt[0])
     assert np.allclose(table.values[2, :, 1:], 2.0)
     avg = crx._averaged_table(table, sync, cfg)
@@ -464,6 +465,31 @@ def test_partial_trailing_group_borrows_entries(cfg):
     sc = crx.score_report(rep, plan, psk, cfg)
     assert rep.n_erased_slots == 0
     assert sc.psk_bit_errors == 0
+
+
+def test_free_antenna_fade_keeps_the_prt_pilots(cfg):
+    # antenna 1 sends payload in hop 0 of PRT 5 (antenna 0 sends the zero
+    # pilot); without that tone the hop is erased, but PRT 5's pilots all
+    # clear the floor, so its table entries (offset 5) must still be
+    # measured: only the faded slot is erased and every other slot decodes
+    spec = imp.ImpairmentSpec(noise_var=1e-4)
+    plan = wf.plan_hops(cfg, n_prt=20, rng=np.random.default_rng(51))
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=np.random.default_rng(52))
+    frame = wf.synthesize(plan, psk, cfg)
+    tx = frame.prt_view()
+    assert not plan.pinned[5, 0, 1]
+    tx[1, 5, :cfg.samples_per_hop] = 0.0
+    rx = imp.apply(frame, plan, psk, spec, cfg,
+                   rng=np.random.default_rng(55))
+    for mode in ("estimated", "averaged", "flat"):
+        rep = crx.demodulate(rx, cfg, 3, mode=mode)
+        erased = rep.slots[rep.psk_erased]
+        assert erased[:, :3].tolist() == [[5, 0, 1]]
+        uses_prt5 = (rep.slots[:, 4] == 5) & ~rep.psk_erased
+        assert uses_prt5.any()
+        ok = ~rep.psk_erased
+        truth = psk.symbol_index[~plan.pinned]
+        assert np.array_equal(rep.psk_symbol[ok], truth[ok])
 
 
 def test_blind_modes_erase_everything_without_pilot_pairs(cfg):
