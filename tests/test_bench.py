@@ -228,3 +228,17 @@ def test_radar_sweep_small(cfg):
         assert row[idx["rmse_range"]] < 4.0
     # paired trials: pilot and random rows at one SNR share scenes/noise
     assert ("paired_mse" in rep.meta)
+
+
+def test_radar_sweep_worker_pool_matches_serial(cfg):
+    # trials run in a process pool are merged in trial order, so the
+    # report equals the serial one exactly (NaN rows included)
+    small = dataclasses.replace(cfg, prts_per_cpi=16)
+    sweep = bench.SweepSpec(trials=2, n_targets=3, radar_snr_grid_db=(-10,),
+                            angle_grid_points=64, seed=9)
+    serial = bench.run_radar_sweep(small, sweep)
+    pooled = bench.run_radar_sweep(small,
+                                   dataclasses.replace(sweep, n_workers=2))
+    np.testing.assert_equal(pooled.rows, serial.rows)
+    np.testing.assert_equal(pooled.meta["paired_mse"],
+                            serial.meta["paired_mse"])
