@@ -182,14 +182,13 @@ def build_pilot_ratios(subband_values: np.ndarray, prt_indices: np.ndarray,
     ``subband_values``: (n_prt, H, K) hop-DFT coefficients at sub-band bins;
     ``prt_indices``: absolute PRT index per row (the pilot offset cycles
     with it); ``valid``: (n_prt, M) rows and antennas whose pilots may be
-    used. The ratio of the
-    cycled pilot (hop m+1) to the zero pilot (hop m) is stored at the PRT's
-    offset; a zero pilot of magnitude zero gives no entry, and where rows
-    of a group repeat an offset the last one wins. The zero-offset entry
-    carries no information (both pilots would sit on the same sub-band, so
-    the cycled one is not transmitted) and is synthesized from the sync
-    estimates. Entries a group lacks are carried over from the previous
-    group.
+    used. The ratio of the cycled pilot (hop m+1) to the zero pilot (hop m)
+    is stored at the PRT's offset; a zero pilot of magnitude zero gives no
+    entry, and where rows of a group repeat an offset the last one wins.
+    The zero-offset entry carries no information (both pilots would sit on
+    the same sub-band, so the cycled one is not transmitted) and is
+    synthesized from the sync estimates. Entries a group lacks are carried
+    over from the previous group.
     """
     M, K = cfg.n_tx, cfg.n_subbands
     k0 = cfg.zero_subband
@@ -442,11 +441,11 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     groups = hop_groups(cfg, prt_abs)
     median_mag = np.median(np.abs(spectra), axis=-1)
     subband_det, hop_erased = assign_peaks(sub_vals, median_mag, groups, cfg)
-    zero_ok, cycled_ok = _pilots_above_floor(sub_vals, median_mag, prt_abs,
-                                             cfg)
     if mode == "known":
         sync = SyncEstimate.from_spec(spec, cfg)
     else:
+        zero_ok, cycled_ok = _pilots_above_floor(sub_vals, median_mag,
+                                                 prt_abs, cfg)
         sync = _blind_sync(sub_vals, zero_ok, cfg)
         if sync is None:                    # nothing to correct with
             hop_erased[:] = True
