@@ -232,7 +232,7 @@ def test_radar_sweep_small(cfg):
 
 def test_radar_sweep_worker_pool_matches_serial(cfg):
     # trials run in a process pool are merged in trial order, so the
-    # report equals the serial one exactly (NaN rows included)
+    # report equals the serial one exactly
     small = dataclasses.replace(cfg, prts_per_cpi=16)
     sweep = bench.SweepSpec(trials=2, n_targets=3, radar_snr_grid_db=(-10,),
                             angle_grid_points=64, seed=9)
