@@ -152,10 +152,15 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     rng = np.random.default_rng(rng)
 
     if noise_var > 0:
+        # real block, then imaginary block, each drawn into one float
+        # buffer and scaled straight into rx: no complex temporaries
         scale = np.sqrt(noise_var / 2.0)
-        rx = (rng.standard_normal((N, n_prt, n_p))
-              + 1j * rng.standard_normal((N, n_prt, n_p))) * scale
-        rx = rx.astype(np.complex128)
+        rx = np.empty((N, n_prt, n_p), dtype=np.complex128)
+        buf = rng.standard_normal((N, n_prt, n_p))
+        np.multiply(buf, scale, out=rx.real)
+        rng.standard_normal(out=buf)
+        np.multiply(buf, scale, out=rx.imag)
+        del buf
     else:
         rx = np.zeros((N, n_prt, n_p), dtype=np.complex128)
 
@@ -188,22 +193,25 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
     rx: (N, n_prt, samples_per_prt). Returns (P, n_prt, n_range) range
     profiles with P = N*M channels (p = n*M + m) and range bins covering
     the listening window [pulse end, PRT end).
+
+    Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
+    so only the R = n_p - E listening samples enter; their linear
+    correlation with the pulse spans R + E - 1 < n_p lags and fits an
+    n_p-point FFT without wrap. Receive antennas are transformed one at a
+    time, so the temporaries are (n_prt, n_p).
     """
     N, n_prt, n_p = rx.shape
     M = cfg.n_tx
     E = cfg.samples_per_pulse
+    R = n_p - E
     refs = synthesize(plan, psk, cfg).prt_view()[:, :, :E]    # (M, n_prt, E)
-    n_fft = 1
-    while n_fft < n_p + E:
-        n_fft *= 2
-    RX = np.fft.fft(rx, n_fft, axis=-1)                       # (N,n_prt,F)
-    S = np.fft.fft(refs, n_fft, axis=-1)                      # (M,n_prt,F)
-    # circular correlation y[t] = sum_u rx[t+u] conj(s[u])
-    prod = RX[:, None] * np.conj(S)[None]                     # (N,M,n_prt,F)
-    corr = np.fft.ifft(prod, axis=-1)
-    start, stop = E, n_p
-    profiles = corr[..., start:stop]                          # (N,M,n_prt,R)
-    return profiles.reshape(N * M, n_prt, stop - start)
+    S_conj = np.conj(np.fft.fft(refs, n_p, axis=-1))          # (M,n_prt,n_p)
+    profiles = np.empty((N, M, n_prt, R), dtype=np.complex128)
+    for n in range(N):
+        X = np.fft.fft(rx[n, :, E:], n_p, axis=-1)            # (n_prt, n_p)
+        for m in range(M):
+            profiles[n, m] = np.fft.ifft(X * S_conj[m], axis=-1)[:, :R]
+    return profiles.reshape(N * M, n_prt, R)
 
 
 @dataclass
@@ -236,10 +244,17 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig,
     """Slow-time DFT across PRTs: the range-Doppler map.
 
     profiles: (P, n_prt, n_range). Doppler axis is shifted so bin
-    n_doppler//2 is zero Doppler.
+    n_doppler//2 is zero Doppler. The cube is C-contiguous
+    (n_doppler, P, n_range), one FFT per channel.
     """
-    cube = np.fft.fftshift(np.fft.fft(profiles, axis=1), axes=1)
-    cube = np.transpose(cube, (1, 0, 2))
+    P, F, R = profiles.shape
+    s = F // 2
+    cube = np.empty((F, P, R), dtype=np.complex128)
+    for p in range(P):
+        # the two halves land shifted and transposed: out[k] = X[(k-s) % F]
+        X = np.fft.fft(profiles[p], axis=0)                   # (F, R)
+        cube[:s, p] = X[F - s:]
+        cube[s:, p] = X[:F - s]
     if range_offset is None:
         range_offset = cfg.samples_per_pulse
     return RangeDopplerMap(cube, cfg, range_offset)

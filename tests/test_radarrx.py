@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fhmimo import bench
-from fhmimo.config import SPEED_OF_LIGHT
+from fhmimo.config import SPEED_OF_LIGHT, RadarConfig
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -96,6 +96,23 @@ def test_echo_noise_depends_only_on_seed(cfg):
     assert np.array_equal(rx_a, rx_b)
 
 
+def test_echo_noise_seed_contract(cfg):
+    # the contract in synthesize_echo's docstring: real block, then
+    # imaginary block, scaled by sqrt(noise_var / 2), transmit window zeroed
+    plan, psk = _plan_psk(cfg, 3)
+    arr = rrx.ArrayModel(n_rx=4)
+    noise_var = 2.5
+    rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg,
+                             noise_var=noise_var, rng=31)
+    g = np.random.default_rng(31)
+    s = (arr.n_rx, 3, cfg.samples_per_prt)
+    expect = ((g.standard_normal(s) + 1j * g.standard_normal(s))
+              * np.sqrt(noise_var / 2))
+    expect[:, :, :cfg.samples_per_pulse] = 0.0
+    assert rx.dtype == np.complex128
+    assert np.array_equal(rx, expect)
+
+
 # ---------------------------------------------------------------------------
 # Matched filter / MTD
 # ---------------------------------------------------------------------------
@@ -132,6 +149,55 @@ def test_matched_filter_cross_channel_leakage_bound(cfg):
     # which is exactly zero at the aligned lag (hop orthogonality)
     assert np.abs(prof[1, 0, d]) <= cross + 1e-6
     assert cross < 1e-9
+
+
+def _full_prt_correlation(rx, plan, psk, cfg):
+    """Reference matched filter: the whole PRT zero-padded to a power of two
+    >= n_p + E, one (N, M, n_prt, n_fft) product and inverse FFT, and the
+    listening window [E, n_p) sliced out."""
+    N, n_prt, n_p = rx.shape
+    E = cfg.samples_per_pulse
+    refs = wf.synthesize(plan, psk, cfg).prt_view()[:, :, :E]
+    n_fft = 1
+    while n_fft < n_p + E:
+        n_fft *= 2
+    RX = np.fft.fft(rx, n_fft, axis=-1)
+    S = np.fft.fft(refs, n_fft, axis=-1)
+    corr = np.fft.ifft(RX[:, None] * np.conj(S)[None], axis=-1)
+    return corr[..., E:n_p].reshape(N * cfg.n_tx, n_prt, n_p - E)
+
+
+@pytest.mark.parametrize("prt_duration", [40e-6, 30e-6])
+def test_matched_filter_matches_full_prt_correlation(prt_duration):
+    cfg = RadarConfig(prt_duration=prt_duration)
+    plan, psk = _plan_psk(cfg, 4, seed=3)
+    arr = rrx.ArrayModel(n_rx=3)
+    scene = rrx.TargetScene([rrx.Target(1500.0, 30.0, 1.0)])
+    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=0.1,
+                             rng=4)
+    # samples inside the transmit window must not reach any range bin
+    E = cfg.samples_per_pulse
+    g = np.random.default_rng(5)
+    rx[:, :, :E] = g.standard_normal((3, 4, E)) + 1j * g.standard_normal(
+        (3, 4, E))
+    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    ref = _full_prt_correlation(rx, plan, psk, cfg)
+    assert prof.shape == ref.shape == (6, 4, cfg.samples_per_prt - E)
+    assert np.abs(prof - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_prt", [8, 7])
+def test_mtd_equals_shifted_fft_exactly(cfg, n_prt):
+    # odd slow-time lengths shift by (n_prt - 1) / 2, not n_prt / 2
+    rng = np.random.default_rng(n_prt)
+    prof = (rng.standard_normal((6, n_prt, 50))
+            + 1j * rng.standard_normal((6, n_prt, 50)))
+    rdm = rrx.mtd(prof, cfg)
+    expect = np.fft.fftshift(np.fft.fft(prof, axis=1),
+                             axes=1).transpose(1, 0, 2)
+    assert rdm.cube.shape == (n_prt, 6, 50)
+    assert rdm.cube.flags.c_contiguous
+    assert np.array_equal(rdm.cube, expect)
 
 
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
