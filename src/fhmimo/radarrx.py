@@ -135,7 +135,9 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     steering and its scattering coefficient, with a per-PRT Doppler phase.
     Delays are rounded to the sample grid; samples inside the transmit
     window are zeroed (pulsed-radar blind zone). Noise is drawn before the
-    echoes so equal seeds give equal noise regardless of the scene/plan.
+    echoes so equal seeds give equal noise regardless of the scene/plan:
+    with g = default_rng(rng) it is (g.standard_normal(shape) + 1j *
+    g.standard_normal(shape)) * sqrt(noise_var / 2), real block first.
     """
     scene_ok = []
     for t in scene.targets:
@@ -152,8 +154,8 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     rng = np.random.default_rng(rng)
 
     if noise_var > 0:
-        # real block, then imaginary block, each drawn into one float
-        # buffer and scaled straight into rx: no complex temporaries
+        # both blocks pass through one float buffer, scaled straight into
+        # rx: no complex temporaries
         scale = np.sqrt(noise_var / 2.0)
         rx = np.empty((N, n_prt, n_p), dtype=np.complex128)
         buf = rng.standard_normal((N, n_prt, n_p))
@@ -235,8 +237,15 @@ class RangeDopplerMap:
             / (self.n_doppler * self.cfg.prt_duration)
 
     def detection_statistic(self) -> np.ndarray:
-        """Incoherent accumulation over spatial channels: sum_p |Y_fp(t)|."""
-        return np.abs(self.cube).sum(axis=1)
+        """Incoherent accumulation over spatial channels: sum_p |Y_fp(t)|.
+
+        One Doppler plane at a time, so no (n_doppler, P, n_range)
+        magnitude array is built.
+        """
+        stat = np.empty((self.n_doppler, self.n_range))
+        for f, plane in enumerate(self.cube):
+            np.abs(plane).sum(axis=0, out=stat[f])
+        return stat
 
 
 def mtd(profiles: np.ndarray, cfg: RadarConfig,

@@ -198,6 +198,8 @@ def test_mtd_equals_shifted_fft_exactly(cfg, n_prt):
     assert rdm.cube.shape == (n_prt, 6, 50)
     assert rdm.cube.flags.c_contiguous
     assert np.array_equal(rdm.cube, expect)
+    assert np.array_equal(rdm.detection_statistic(),
+                          np.abs(expect).sum(axis=1))
 
 
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
