@@ -451,8 +451,8 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
     rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
     CPI's detections with every column filled.
     """
-    profiles = matched_filter(rx, plan, psk, cfg)
-    rdm = mtd(profiles, cfg)
+    # the profiles are freed once the cube exists, before CFAR's arrays
+    rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
     dets = cfar_detect(rdm, guard_cells, training_cells, p_fa)
     if grid is None:
         grid = angle_grid()
