@@ -8,7 +8,8 @@ from .impairments import (FrontEndProfile, ImpairmentSpec, accumulated_sto,
                           apply, rho_from_sto, sto_from_rho, window_gain)
 from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
                      assign_peaks, build_pilot_ratios, correction_factor,
-                     demodulate, estimate_cfo, estimate_clock, score_report)
+                     demodulate, estimate_cfo, estimate_clock, score_report,
+                     slot_peaks)
 from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
                       TargetScene, calibrate, cfar_detect, estimate_angle,
                       estimate_params, matched_filter, mtd, process_cpi,
@@ -25,7 +26,7 @@ __all__ = [
     "rho_from_sto", "sto_from_rho", "window_gain",
     "DemodReport", "ErrorCounts", "PilotRatioTable", "SyncEstimate",
     "assign_peaks", "build_pilot_ratios", "correction_factor", "demodulate",
-    "estimate_cfo", "estimate_clock", "score_report",
+    "estimate_cfo", "estimate_clock", "score_report", "slot_peaks",
     "ArrayModel", "DetectionList", "RangeDopplerMap", "Target", "TargetScene",
     "calibrate", "cfar_detect", "estimate_angle", "estimate_params",
     "matched_filter", "mtd", "process_cpi", "synthesize_echo",

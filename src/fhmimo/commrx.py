@@ -2,16 +2,22 @@
 
 Processing of a CPI-aligned single-channel receive stream:
 
-1. Per-hop DFTs; peaks are read at the known sub-band bins.
-2. Zero-frequency pilots (hop m, antenna m) of consecutive PRTs give the
-   CFO via their pairwise phase ratio; clock stability and the sampling-time
-   offset follow from the CFO and the carrier/sampling frequencies.
-3. The cycled pilot (hop m+1) and the zero pilot of the same PRT give one
-   pilot ratio per PRT; over a group of K consecutive PRTs these fill a
+1. Per-hop DFTs; coefficients are read at the K sub-band bins.
+2. :func:`assign_peaks` detects the hopping plan: pinned antennas sit at
+   their pilot-layout sub-bands, the strongest other peaks go to the free
+   antennas by ascending frequency. :func:`slot_peaks` reads the slot
+   grid from it, the peak of every (PRT, hop, antenna) slot and whether
+   it clears the noise floor; every later stage reads these two arrays.
+   Antenna m's zero pilot is slot (hop m, antenna m), its cycled pilot
+   slot (hop m+1, antenna m); the unpinned slots carry the payload.
+3. Zero pilots of consecutive PRTs give the CFO via their pairwise phase
+   ratio; clock stability and the sampling-time offset follow from the CFO
+   and the carrier/sampling frequencies.
+4. The cycled pilot and the zero pilot of the same PRT give one pilot
+   ratio per PRT; over a group of K consecutive PRTs these fill a
    per-antenna table indexed by sub-band offset, jointly capturing the
    frequency-dependent front-end gain and the initial-timing phase.
-4. Payload peaks are mapped back to FHCS codewords (pinned antennas by
-   known position, the rest by ascending frequency), and PSK phases are
+5. FHCS codewords are ranked from the detected plan, and PSK phases are
    recovered by dividing each payload peak by its same-PRT zero pilot, the
    matching pilot-table entry, and a correction factor that advances the
    table entry's timing/CFO phases to the payload slot.
@@ -26,9 +32,8 @@ import numpy as np
 from .config import ConfigError, RadarConfig
 from .iqfile import IqFrame, write_csv
 from .impairments import ImpairmentSpec, expected_hop_peak, sto_from_rho
-from .waveform import (HopGroup, HopPlan, PskGrid, _subbands_to_positions,
-                       gray_encode, hop_groups, payload_codewords,
-                       rank_subsets)
+from .waveform import (HopPlan, PskGrid, gray_encode, hop_groups,
+                       payload_codewords)
 
 PEAK_FLOOR_FACTOR = 3.0  # peak must exceed this multiple of the median bin
 
@@ -43,42 +48,44 @@ def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
     return spectra, spectra[..., bins]
 
 
-def assign_peaks(sub_vals: np.ndarray, median_mag: np.ndarray,
-                 groups: list[HopGroup], cfg: RadarConfig):
-    """Map spectral peaks to antennas for every hop of a batch.
+def assign_peaks(sub_vals: np.ndarray, cfg: RadarConfig,
+                 first_prt: int = 0) -> HopPlan:
+    """Detected hopping plan of a batch: map spectral peaks to antennas.
 
-    ``sub_vals``: (n_prt, H, K) sub-band coefficients; ``median_mag``:
-    (n_prt, H) median DFT magnitude per hop; ``groups``: the batch's
-    :func:`hop_groups`. Pinned antennas take their known sub-bands; the
-    strongest remaining peaks are sorted by frequency and assigned to the
-    free antennas in ascending antenna order. Returns
-    (subband_det (n_prt, H, M), hop_erased (n_prt, H)) where ``hop_erased``
-    flags a hop with any assigned peak below the noise floor.
+    ``sub_vals``: (n_prt, H, K) sub-band coefficients of PRTs ``first_prt``
+    onwards. Pinned antennas take their known sub-bands (the pilot layout
+    of :func:`hop_groups`); the strongest remaining peaks are sorted by
+    frequency and assigned to the free antennas in ascending antenna order.
     """
     n_prt, H, K = sub_vals.shape
-    subband_det = np.zeros((n_prt, H, cfg.n_tx), dtype=np.int64)
-    hop_erased = np.zeros((n_prt, H), dtype=bool)
-    for g in groups:
-        mags = np.abs(sub_vals[g.rows, g.hop, :])         # (R, K)
-        floor = PEAK_FLOOR_FACTOR * median_mag[g.rows, g.hop]
-        erased = np.zeros(g.rows.size, dtype=bool)
-        if g.pin_ants:
-            for ant, ks in zip(g.pin_ants, np.moveaxis(g.pin_ks, 1, 0)):
-                subband_det[g.rows, g.hop, ant] = ks
-                erased |= mags[np.arange(g.rows.size), ks] < floor
+    subband = np.zeros((n_prt, H, cfg.n_tx), dtype=np.int64)
+    pinned = np.zeros((n_prt, H, cfg.n_tx), dtype=bool)
+    for g in hop_groups(cfg, first_prt + np.arange(n_prt)):
+        for ant, ks in zip(g.pin_ants, np.moveaxis(g.pin_ks, 1, 0)):
+            subband[g.rows, g.hop, ant] = ks
+            pinned[g.rows, g.hop, ant] = True
         if g.free_ants:
-            masked = mags.copy()
+            masked = np.abs(sub_vals[g.rows, g.hop, :])   # (R, K)
             if g.pin_ks.shape[1]:
                 masked[np.arange(g.rows.size)[:, None], g.pin_ks] = -1.0
             F = len(g.free_ants)
             top = np.argpartition(masked, K - F, axis=1)[:, K - F:]
-            ks_det = np.sort(top, axis=1)                 # ascending freq
-            subband_det[g.rows[:, None], g.hop,
-                        np.array(g.free_ants)] = ks_det
-            erased |= (mags[np.arange(g.rows.size)[:, None], ks_det]
-                       < floor[:, None]).any(axis=1)
-        hop_erased[g.rows, g.hop] = erased
-    return subband_det, hop_erased
+            subband[g.rows[:, None], g.hop,
+                    np.array(g.free_ants)] = np.sort(top, axis=1)
+    return HopPlan(cfg, subband, pinned, first_prt)
+
+
+def slot_peaks(sub_vals: np.ndarray, median_mag: np.ndarray, det: HopPlan):
+    """The slot grid of a batch: (peaks, peak_ok), each (n_prt, H, M).
+
+    ``peaks`` holds the coefficient of every (PRT, hop, antenna) slot at
+    its detected sub-band; ``peak_ok`` says whether that peak clears
+    ``PEAK_FLOOR_FACTOR`` times its hop's median DFT magnitude
+    ``median_mag`` (n_prt, H).
+    """
+    peaks = np.take_along_axis(sub_vals, det.subband, axis=2)
+    floor = PEAK_FLOOR_FACTOR * median_mag
+    return peaks, np.abs(peaks) >= floor[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +181,36 @@ class PilotRatioTable:
     measured: np.ndarray     # (G, M, K) bool
 
 
-def build_pilot_ratios(subband_values: np.ndarray, prt_indices: np.ndarray,
-                       sync: SyncEstimate, cfg: RadarConfig,
+def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray,
+                       prt_indices: np.ndarray, sync: SyncEstimate,
+                       cfg: RadarConfig,
                        valid: np.ndarray | None = None) -> PilotRatioTable:
     """Fill the pilot tables of every group of K consecutive rows.
 
-    ``subband_values``: (n_prt, H, K) hop-DFT coefficients at sub-band bins;
-    ``prt_indices``: absolute PRT index per row (the pilot offset cycles
-    with it); ``valid``: (n_prt, M) rows and antennas whose pilots may be
-    used. The ratio of the cycled pilot (hop m+1) to the zero pilot (hop m)
-    is stored at the PRT's offset; a zero pilot of magnitude zero gives no
-    entry, and where rows of a group repeat an offset the last one wins.
-    The zero-offset entry carries no information (both pilots would sit on
-    the same sub-band, so the cycled one is not transmitted) and is
-    synthesized from the sync estimates. Entries a group lacks are carried
-    over from the previous group.
+    ``zero``, ``cycled``: (n_prt, M) peaks of antenna m's zero pilot (hop
+    m) and cycled pilot (hop m+1); ``prt_indices``: absolute PRT index per
+    row (the pilot offset cycles with it); ``valid``: (n_prt, M) rows and
+    antennas whose pilots may be used. The ratio of the cycled pilot to the
+    zero pilot is stored at the PRT's offset; a zero pilot of magnitude
+    zero gives no entry, and where rows of a group repeat an offset the
+    last one wins. The zero-offset entry carries no information (both
+    pilots would sit on the same sub-band, so the cycled one is not
+    transmitted and ``cycled`` is not read) and is synthesized from the
+    sync estimates. Entries a group lacks are carried over from the
+    previous group.
     """
     M, K = cfg.n_tx, cfg.n_subbands
-    k0 = cfg.zero_subband
     prt_indices = np.asarray(prt_indices)
     G = max(1, -(-prt_indices.size // K))
     kappa = cfg.pilot_offset(prt_indices)
     ok = (np.ones((prt_indices.size, M), dtype=bool) if valid is None
           else np.asarray(valid, dtype=bool))
-    den = subband_values[:, :M, k0]                       # zero pilots
-    row, ant = np.nonzero(ok & ((kappa == 0)[:, None] | (den != 0)))
+    row, ant = np.nonzero(ok & ((kappa == 0)[:, None] | (zero != 0)))
     kap = kappa[row]
     hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
     ratio = np.full(row.size, np.exp(1j * sync.cfo * hop_term))
     cyc = kap != 0
-    ratio[cyc] = (subband_values[row[cyc], ant[cyc] + 1, (k0 + kap[cyc]) % K]
-                  / den[row[cyc], ant[cyc]])
+    ratio[cyc] = cycled[row[cyc], ant[cyc]] / zero[row[cyc], ant[cyc]]
 
     # one entry per (group, antenna, offset): the last row that fills it
     cell = ((row // K) * M + ant) * K + kap
@@ -322,90 +328,22 @@ class DemodReport:
         }
 
 
-def _pilots_above_floor(sub_vals: np.ndarray, median_mag: np.ndarray,
-                        prt_abs: np.ndarray, cfg: RadarConfig):
-    """(zero_ok, cycled_ok), each (n_prt, M): antenna m's zero pilot (hop m,
-    zero sub-band) and cycled pilot (hop m+1, pilot sub-band) stand above
-    ``PEAK_FLOOR_FACTOR`` times their hop's median DFT magnitude. A
-    zero-offset PRT sends no cycled pilot; its ``cycled_ok`` is True."""
-    M = cfg.n_tx
-    floor = PEAK_FLOOR_FACTOR * median_mag
-    zero_ok = np.abs(sub_vals[:, :M, cfg.zero_subband]) >= floor[:, :M]
-    rows = np.arange(prt_abs.size)[:, None]
-    cycled = np.abs(sub_vals[rows, np.arange(1, M + 1),
-                             cfg.pilot_subband(prt_abs)[:, None]])
-    cycled_ok = ((cfg.pilot_offset(prt_abs) == 0)[:, None]
-                 | (cycled >= floor[:, 1:M + 1]))
-    return zero_ok, cycled_ok
-
-
-def _blind_sync(sub_vals: np.ndarray, zero_ok: np.ndarray,
-                cfg: RadarConfig) -> SyncEstimate | None:
-    """CFO and clock estimates from the zero pilots (hop m, antenna m) that
-    stand above the noise floor; None when no pair of consecutive PRTs has
-    such pilots."""
-    M = cfg.n_tx
-    try:
-        cfo_hat, raw = estimate_cfo(sub_vals[:, :M, cfg.zero_subband], cfg,
-                                    zero_ok)
-    except ValueError:
-        return None
-    rho_hat, dts_hat = estimate_clock(cfo_hat, cfg)
-    return SyncEstimate(cfo_hat, rho_hat, dts_hat, raw)
-
-
-def _payload_slots(groups: list[HopGroup], subband_det: np.ndarray,
-                   hop_erased: np.ndarray, prt_abs: np.ndarray,
-                   cfg: RadarConfig):
-    """(slots, fhcs_rows) of a batch in (PRT, hop, antenna) order, with the
-    columns of :class:`DemodReport`."""
-    slot_parts = [np.zeros((0, 6), dtype=np.int64)]
-    fhcs_parts = [np.zeros((0, 4), dtype=np.int64)]
-    for g in groups:
-        if not g.free_ants:
-            continue
-        F = len(g.free_ants)
-        ks = subband_det[g.rows[:, None], g.hop, np.array(g.free_ants)]
-        erased = hop_erased[g.rows, g.hop]
-        if g.bits:
-            pos = _subbands_to_positions(ks, g.pin_ks)
-            cw = rank_subsets(pos, g.pool)
-            cw = np.where(erased | (cw >= (1 << g.bits)), -1, cw)
-            fhcs_parts.append(np.stack(
-                [prt_abs[g.rows], np.full(g.rows.size, g.hop),
-                 np.full(g.rows.size, g.bits), cw], axis=1))
-        block = np.empty((g.rows.size * F, 6), dtype=np.int64)
-        block[:, 0] = np.repeat(prt_abs[g.rows], F)
-        block[:, 1] = g.hop
-        block[:, 2] = np.tile(np.array(g.free_ants), g.rows.size)
-        block[:, 3] = ks.reshape(-1)
-        block[:, 4] = cfg.subband_offset(block[:, 3])
-        block[:, 5] = np.repeat(erased.astype(np.int64), F)
-        slot_parts.append(block)
-    slots = np.concatenate(slot_parts)
-    fhcs = np.concatenate(fhcs_parts)
-    return (slots[np.lexsort((slots[:, 2], slots[:, 1], slots[:, 0]))],
-            fhcs[np.lexsort((fhcs[:, 1], fhcs[:, 0]))])
-
-
-def _pilot_phases(slots: np.ndarray, sub_vals: np.ndarray,
+def _pilot_phases(slots: np.ndarray, peak: np.ndarray, pilot: np.ndarray,
                   table: PilotRatioTable, sync: SyncEstimate,
                   first_prt: int, cfg: RadarConfig):
-    """Blind PSK phase of every slot: its peak divided by the same-PRT zero
-    pilot, the matching pilot-table entry and the correction factor that
-    advances the entry to the slot. Returns (phase, missing) where
-    ``missing`` flags slots whose table entry was never measured."""
-    i, h, m, k, kappa = (slots[:, c] for c in range(5))
-    row = i - first_prt
-    group = row // cfg.n_subbands
+    """Blind PSK phase of every slot: its ``peak`` divided by its same-PRT
+    zero ``pilot``, the matching pilot-table entry and the correction
+    factor that advances the entry to the slot. Returns (phase, missing)
+    where ``missing`` flags slots whose table entry was never measured."""
+    i, h, m, k, kappa = slots[:, :5].T
+    group = (i - first_prt) // cfg.n_subbands
     d_vals = table.values[group, m, kappa]
     d_src = table.source_prt[group, m, kappa]
     missing = d_src < 0
     d_vals[missing] = 1.0
     d_src[missing] = i[missing]
     corr = correction_factor(d_src, m + 1, i, h, k, sync, cfg)
-    pilot = sub_vals[row, m, cfg.zero_subband]
-    phase = np.angle(sub_vals[row, h, k] * np.conj(d_vals * corr * pilot))
+    phase = np.angle(peak * np.conj(d_vals * corr * pilot))
     return phase, missing
 
 
@@ -438,35 +376,47 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
 
     prt_abs = first_prt + np.arange(frame.n_prt)
     spectra, sub_vals = _batch_spectra(frame, cfg)
-    groups = hop_groups(cfg, prt_abs)
-    median_mag = np.median(np.abs(spectra), axis=-1)
-    subband_det, hop_erased = assign_peaks(sub_vals, median_mag, groups, cfg)
+    det = assign_peaks(sub_vals, cfg, first_prt)
+    peaks, peak_ok = slot_peaks(
+        sub_vals, np.median(np.abs(spectra), axis=-1), det)
+    hop_erased = ~peak_ok.all(axis=-1)
+    ants = np.arange(cfg.n_tx)
+    zero, zero_ok = peaks[:, ants, ants], peak_ok[:, ants, ants]
     if mode == "known":
         sync = SyncEstimate.from_spec(spec, cfg)
     else:
-        zero_ok, cycled_ok = _pilots_above_floor(sub_vals, median_mag,
-                                                 prt_abs, cfg)
-        sync = _blind_sync(sub_vals, zero_ok, cfg)
-        if sync is None:                    # nothing to correct with
+        try:
+            cfo_hat, raw = estimate_cfo(zero, cfg, zero_ok)
+            sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg), raw)
+        except ValueError:                  # no pilot pair: nothing to
+            sync = None                     # correct with
             hop_erased[:] = True
-    slots, fhcs_rows = _payload_slots(groups, subband_det, hop_erased,
-                                      prt_abs, cfg)
+
+    row, h, m = np.nonzero(~det.pinned)     # (PRT, hop, antenna) order
+    k, payload = det.subband[row, h, m], peaks[row, h, m]
+    slots = np.stack([prt_abs[row], h, m, k, cfg.subband_offset(k),
+                      hop_erased[row, h]], axis=1)
+    prt, hop, bits, cw = payload_codewords(det)
+    cw[hop_erased[prt - first_prt, hop] | (cw >= (1 << bits))] = -1
+    fhcs_rows = np.stack([prt, hop, bits, cw], axis=1)
 
     if mode == "known":
-        i, h, m, k = (slots[:, c] for c in range(4))
-        ref = expected_hop_peak(i, h, m, k, 0.0, spec, cfg)
-        raw_phase = np.angle(sub_vals[i - first_prt, h, k] * np.conj(ref))
+        ref = expected_hop_peak(*slots[:, :4].T, 0.0, spec, cfg)
+        raw_phase = np.angle(payload * np.conj(ref))
     elif sync is None:
         raw_phase = np.zeros(len(slots))
     else:
-        table = build_pilot_ratios(sub_vals, prt_abs, sync, cfg,
+        cycled = peaks[:, ants + 1, ants]
+        cycled_ok = (peak_ok[:, ants + 1, ants]
+                     | (cfg.pilot_offset(prt_abs) == 0)[:, None])
+        table = build_pilot_ratios(zero, cycled, prt_abs, sync, cfg,
                                    zero_ok & cycled_ok)
         if mode == "averaged":
             table = _averaged_table(table, sync, cfg)
         elif mode == "flat":
             table = _flat_gain_table(table, sync, cfg)
-        raw_phase, missing = _pilot_phases(slots, sub_vals, table, sync,
-                                           first_prt, cfg)
+        raw_phase, missing = _pilot_phases(slots, payload, zero[row, m],
+                                           table, sync, first_prt, cfg)
         slots[missing, 5] = 1
 
     size = 1 << order_bits

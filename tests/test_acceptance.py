@@ -310,9 +310,14 @@ def test_criterion_8_property_suite():
                                    cfg)
         _, vb = crx._batch_spectra(imp.apply(frame3, plan3, None, sb, cfg),
                                    cfg)
-        # group 0: first pilot cycle through a; group 1: second through b
-        t = crx.build_pilot_ratios(np.concatenate([va[:20], vb[20:]]),
-                                   np.arange(40), sync, cfg)
+        # group 0: first pilot cycle through a; group 1: second through b;
+        # antenna m's pilots: hop m at the zero sub-band, hop m+1 cycled
+        sv = np.concatenate([va[:20], vb[20:]])
+        ants, rows = np.arange(cfg.n_tx), np.arange(40)
+        zero = sv[:, ants, cfg.zero_subband]
+        cycled = sv[rows[:, None], ants + 1,
+                    cfg.pilot_subband(rows)[:, None]]
+        t = crx.build_pilot_ratios(zero, cycled, rows, sync, cfg)
         dev = []
         for m in range(2):
             for kappa in range(1, 20):

@@ -40,14 +40,15 @@ def test_zero_subband_maps_to_bin_zero(cfg):
 
 
 def _peaks_of_one_hop(cfg, prt, hop, spectrum, median):
-    """assign_peaks on one PRT whose hop ``hop`` holds ``spectrum``."""
+    """Detected sub-bands and erasure of hop ``hop`` of one PRT that holds
+    ``spectrum``: assign_peaks, then the floor test of slot_peaks."""
     bins = cfg.subband_bin(np.arange(cfg.n_subbands))
     sub_vals = np.zeros((1, cfg.hops_per_pulse, cfg.n_subbands), complex)
     sub_vals[0, hop] = spectrum[bins]
     median_mag = np.full((1, cfg.hops_per_pulse), median)
-    det, erased = crx.assign_peaks(sub_vals, median_mag,
-                                   wf.hop_groups(cfg, np.array([prt])), cfg)
-    return det[0, hop], erased[0, hop]
+    det = crx.assign_peaks(sub_vals, cfg, first_prt=prt)
+    _, peak_ok = crx.slot_peaks(sub_vals, median_mag, det)
+    return det.subband[0, hop], not peak_ok[0, hop].all()
 
 
 def test_assign_peaks_orders_by_frequency(cfg):
@@ -161,11 +162,24 @@ def test_cfo_averaging_variance_monotone(cfg):
 # Pilot ratios and the correction factor
 # ---------------------------------------------------------------------------
 
+def _pilots(sub_vals, prt_indices, cfg):
+    """(zero, cycled), each (n_prt, M): antenna m's pilot peaks read at the
+    layout's sub-bands, hop m on the zero sub-band and hop m+1 on the
+    PRT's cycled sub-band."""
+    ants = np.arange(cfg.n_tx)
+    rows = np.arange(len(prt_indices))[:, None]
+    zero = sub_vals[:, ants, cfg.zero_subband]
+    cycled = sub_vals[rows, ants + 1,
+                      cfg.pilot_subband(np.asarray(prt_indices))[:, None]]
+    return zero, cycled
+
+
 def test_pilot_ratios_unity_for_clean_channel(cfg, rng):
     plan, psk, rx = _chain(cfg, 20, rng)
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
-    table = crx.build_pilot_ratios(sub_vals, np.arange(20), sync, cfg)
+    table = crx.build_pilot_ratios(*_pilots(sub_vals, np.arange(20), cfg),
+                                   np.arange(20), sync, cfg)
     assert np.all(table.source_prt >= 0)
     assert np.allclose(table.values, 1.0, atol=1e-9)
 
@@ -178,7 +192,8 @@ def test_pilot_ratio_phase_from_initial_offset(cfg, rng):
     plan, psk, rx = _chain(cfg, 20, rng, spec=spec)
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
-    table = crx.build_pilot_ratios(sub_vals, np.arange(20), sync, cfg)
+    table = crx.build_pilot_ratios(*_pilots(sub_vals, np.arange(20), cfg),
+                                   np.arange(20), sync, cfg)
     for kappa in range(1, 20):
         k = (cfg.zero_subband + kappa) % 20
         want = 2 * np.pi * cfg.subband_frequency(k) * dt0
@@ -196,7 +211,8 @@ def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
     plan, psk, rx = _chain(cfg, 20, rng, spec=spec)
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(spec.cfo, 1e-6, spec.sample_time_offset)
-    table = crx.build_pilot_ratios(sub_vals, np.arange(20), sync, cfg)
+    table = crx.build_pilot_ratios(*_pilots(sub_vals, np.arange(20), cfg),
+                                   np.arange(20), sync, cfg)
     phases = np.angle(table.values[0, 0, 1:10])  # positive-frequency pilots
     assert np.all(np.diff(phases) > 0)
 
@@ -247,7 +263,8 @@ def test_pilot_tables_match_row_by_row_fill(cfg):
     prt_indices = rng.integers(0, 60, size=n)
     valid = rng.random((n, cfg.n_tx)) > 0.3
     sync = crx.SyncEstimate(2e3, 5e-8, -3e-13)
-    table = crx.build_pilot_ratios(sub_vals, prt_indices, sync, cfg, valid)
+    table = crx.build_pilot_ratios(*_pilots(sub_vals, prt_indices, cfg),
+                                   prt_indices, sync, cfg, valid)
     values, source, measured = _pilot_tables_by_loop(
         sub_vals, prt_indices, sync, cfg, valid)
     assert np.array_equal(table.source_prt, source)
@@ -269,7 +286,8 @@ def test_averaged_table_counts_each_measurement_once(cfg):
         np.where(rows < 20, 1.0, 2.0)[:, None]
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
     valid = np.broadcast_to((rows // K != 1)[:, None], (n, M))
-    table = crx.build_pilot_ratios(sub_vals, rows, sync, cfg, valid)
+    table = crx.build_pilot_ratios(*_pilots(sub_vals, rows, cfg), rows, sync,
+                                   cfg, valid)
     assert np.array_equal(table.source_prt[1], table.source_prt[0])
     assert np.allclose(table.values[2, :, 1:], 2.0)
     avg = crx._averaged_table(table, sync, cfg)
@@ -376,7 +394,8 @@ def test_front_end_stability_of_pilot_ratios(cfg):
         rx_b = imp.apply(frame, plan, None, spec_b, cfg)
         _, sv_a = crx._batch_spectra(rx_a, cfg)
         _, sv_b = crx._batch_spectra(rx_b, cfg)
-        t = crx.build_pilot_ratios(np.concatenate([sv_a[:20], sv_b[20:]]),
+        sv = np.concatenate([sv_a[:20], sv_b[20:]])
+        t = crx.build_pilot_ratios(*_pilots(sv, np.arange(40), cfg),
                                    np.arange(40), sync, cfg)
         return t
 
