@@ -91,9 +91,6 @@ class SweepSpec:
     n_workers: int = 1                   # radar trials per worker pool
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class SweepReport:

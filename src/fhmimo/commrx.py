@@ -25,7 +25,7 @@ Processing of a CPI-aligned single-channel receive stream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -461,12 +461,8 @@ class ErrorCounts:
                 if self.fhcs_bits else 0.0)
 
     def merge(self, other: "ErrorCounts") -> "ErrorCounts":
-        return ErrorCounts(*(getattr(self, f) + getattr(other, f)
-                             for f in ("psk_bits", "psk_bit_errors",
-                                       "psk_symbols", "psk_symbol_errors",
-                                       "fhcs_bits", "fhcs_bit_errors",
-                                       "fhcs_codewords",
-                                       "fhcs_codeword_errors")))
+        return ErrorCounts(*(getattr(self, f.name) + getattr(other, f.name)
+                             for f in fields(self)))
 
 
 def score_report(report: DemodReport, plan: HopPlan, psk: PskGrid | None,

@@ -53,11 +53,6 @@ class IqFrame:
         return self.data.reshape(self.n_channels, self.n_prt,
                                  self.samples_per_prt)
 
-    def hop_samples(self, i: int, h: int, samples_per_hop: int) -> np.ndarray:
-        """(n_channels, samples_per_hop) slice of hop h in PRT i."""
-        start = i * self.samples_per_prt + h * samples_per_hop
-        return self.data[:, start:start + samples_per_hop]
-
 
 def write_iq(path, frame: IqFrame) -> None:
     with open(path, "wb") as f:

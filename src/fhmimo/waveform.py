@@ -381,10 +381,6 @@ class PskGrid:
     phases: np.ndarray       # (n_prt, H, M) float radians
     symbol_index: np.ndarray  # (n_prt, H, M) int, -1 on pinned slots
 
-    @property
-    def constellation_size(self) -> int:
-        return 1 << self.order_bits
-
     def payload_bits(self) -> np.ndarray:
         """Gray-coded bits of the payload symbols in slot order."""
         idx = self.symbol_index[self.symbol_index >= 0]

@@ -139,7 +139,8 @@ def test_hop_peak_closed_form_exact_single_antenna(rng):
     out = imp.apply(frame, plan, psk, spec, cfg1, rng=None)
     for i in (0, 3, 7):
         for h in range(cfg1.hops_per_pulse):
-            seg = out.hop_samples(i, h, cfg1.samples_per_hop)[0]
+            n = cfg1.samples_per_hop
+            seg = out.prt_view()[0, i, h * n:(h + 1) * n]
             S = np.fft.fft(seg)
             k = int(plan.subband[i, h, 0])
             got = S[cfg1.subband_bin(k)]
@@ -157,7 +158,8 @@ def test_cfo_window_loss_matches_continuous_form(rng):
     cfo = 2 * np.pi * 11e3
     spec = imp.ImpairmentSpec(cfo=cfo)
     out = imp.apply(frame, plan, psk, spec, cfg1)
-    seg = out.hop_samples(1, 2, cfg1.samples_per_hop)[0]
+    n = cfg1.samples_per_hop
+    seg = out.prt_view()[0, 1, 2 * n:3 * n]
     S = np.fft.fft(seg)
     k = int(plan.subband[1, 2, 0])
     measured_loss = np.abs(S[cfg1.subband_bin(k)]) / cfg1.samples_per_hop
@@ -180,7 +182,7 @@ def test_pilot_phase_accumulation_against_eq_forms(rng):
                                   sample_time_offset=-2.5e-13)
         out = imp.apply(frame, plan, psk, spec, cfg1)
         for i in (0, 5):
-            seg = out.hop_samples(i, 0, cfg1.samples_per_hop)[0]
+            seg = out.prt_view()[0, i, :cfg1.samples_per_hop]
             measured = np.fft.fft(seg)[0]
             exact = imp.expected_hop_peak(i, 0, 0, cfg1.zero_subband,
                                           0.0, spec, cfg1)

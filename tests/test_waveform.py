@@ -198,7 +198,7 @@ def test_synthesize_zero_subband_is_constant(cfg, rng):
     plan = wf.plan_hops(cfg, n_prt=5, rng=rng)
     frame = wf.synthesize(plan, None, cfg)
     # hop 0 pins antenna 0 to the zero sub-band: constant-one samples
-    seg = frame.hop_samples(0, 0, cfg.samples_per_hop)[0]
+    seg = frame.prt_view()[0, 0, :cfg.samples_per_hop]
     assert np.allclose(seg, 1.0)
 
 
@@ -230,7 +230,7 @@ def test_synthesize_tone_frequencies(cfg, rng):
     frame = wf.synthesize(plan, psk, cfg)
     for i in (0, 3):
         for h in range(5):
-            seg = frame.hop_samples(i, h, 40)
+            seg = frame.prt_view()[:, i, h * 40:(h + 1) * 40]
             spec = np.fft.fft(seg, axis=1)
             for m in range(2):
                 b = np.argmax(np.abs(spec[m]))
