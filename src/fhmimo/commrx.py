@@ -20,7 +20,9 @@ Processing of a CPI-aligned single-channel receive stream:
 5. FHCS codewords are ranked from the detected plan, and PSK phases are
    recovered by dividing each payload peak by its same-PRT zero pilot, the
    matching pilot-table entry, and a correction factor that advances the
-   table entry's timing/CFO phases to the payload slot.
+   table entry's timing/CFO phases to the payload slot. The blind modes
+   erase a slot whose zero pilot is below the floor or whose table entry
+   was never measured.
 """
 
 from __future__ import annotations
@@ -417,7 +419,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
             table = _flat_gain_table(table, sync, cfg)
         raw_phase, missing = _pilot_phases(slots, payload, zero[row, m],
                                            table, sync, first_prt, cfg)
-        slots[missing, 5] = 1
+        slots[missing | ~zero_ok[row, m], 5] = 1   # no usable reference
 
     size = 1 << order_bits
     sym = np.mod(np.rint(raw_phase * size / (2 * np.pi)), size).astype(

@@ -511,6 +511,41 @@ def test_free_antenna_fade_keeps_the_prt_pilots(cfg):
         assert np.array_equal(rep.psk_symbol[ok], truth[ok])
 
 
+def test_blind_modes_erase_slots_whose_zero_pilot_is_lost(cfg):
+    # antenna 0's zero pilot (hop 0) is removed in PRT 25 of a 40 dB frame;
+    # the blind modes divide each payload peak by its same-PRT zero pilot,
+    # so antenna 0's payload slots in PRT 25 must be erased (hop 0 is erased
+    # too, taking antenna 1's slot there); antenna 1's other slots in PRT
+    # 25 and every other slot must still decode. PRT 25 lies in the second
+    # pilot group, which carries the first group's offset-5 entry, so no
+    # slot is erased for a missing table entry. Known mode needs no pilot.
+    spec = imp.ImpairmentSpec(noise_var=1e-4)
+    plan = wf.plan_hops(cfg, n_prt=40, rng=np.random.default_rng(61))
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=np.random.default_rng(62))
+    frame = wf.synthesize(plan, psk, cfg)
+    assert plan.pinned[25, 0, 0]
+    frame.prt_view()[0, 25, :cfg.samples_per_hop] = 0.0
+    rx = imp.apply(frame, plan, psk, spec, cfg,
+                   rng=np.random.default_rng(63))
+    hop0 = [[25, 0, 1]]
+    ant0 = [[25, h, 0] for h in range(cfg.hops_per_pulse)
+            if not plan.pinned[25, h, 0]]
+    ant1 = [[25, h, 1] for h in range(1, cfg.hops_per_pulse)
+            if not plan.pinned[25, h, 1]]
+    assert ant0 and ant1
+    truth = psk.symbol_index[~plan.pinned]
+    for mode, want in (("known", hop0), ("estimated", hop0 + ant0),
+                       ("averaged", hop0 + ant0), ("flat", hop0 + ant0)):
+        rep = crx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+        erased = rep.slots[rep.psk_erased, :3].tolist()
+        assert sorted(erased) == sorted(want), mode
+        ok = ~rep.psk_erased
+        kept = rep.slots[ok, :3].tolist()
+        assert all(s in kept for s in ant1), mode
+        if mode != "flat":
+            assert np.array_equal(rep.psk_symbol[ok], truth[ok]), mode
+
+
 def test_blind_modes_erase_everything_without_pilot_pairs(cfg):
     # a -20 dB frame leaves no pair of consecutive PRTs with both zero
     # pilots above the floor, and a one-PRT frame has no pair at all: the
