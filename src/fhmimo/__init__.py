@@ -8,8 +8,7 @@ from .impairments import (FrontEndProfile, ImpairmentSpec, accumulated_sto,
                           apply, rho_from_sto, sto_from_rho, window_gain)
 from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
                      assign_peaks, build_pilot_ratios, correction_factor,
-                     demodulate, estimate_cfo, estimate_clock, score_report,
-                     slot_peaks)
+                     demodulate, estimate_cfo, estimate_clock, score_report)
 from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
                       TargetScene, calibrate, cfar_detect, estimate_angle,
                       estimate_params, matched_filter, mtd, process_cpi,
@@ -26,7 +25,7 @@ __all__ = [
     "rho_from_sto", "sto_from_rho", "window_gain",
     "DemodReport", "ErrorCounts", "PilotRatioTable", "SyncEstimate",
     "assign_peaks", "build_pilot_ratios", "correction_factor", "demodulate",
-    "estimate_cfo", "estimate_clock", "score_report", "slot_peaks",
+    "estimate_cfo", "estimate_clock", "score_report",
     "ArrayModel", "DetectionList", "RangeDopplerMap", "Target", "TargetScene",
     "calibrate", "cfar_detect", "estimate_angle", "estimate_params",
     "matched_filter", "mtd", "process_cpi", "synthesize_echo",

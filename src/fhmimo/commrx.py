@@ -389,10 +389,11 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     else:
         try:
             cfo_hat, raw = estimate_cfo(zero, cfg, zero_ok)
-            sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg), raw)
         except ValueError:                  # no pilot pair: nothing to
             sync = None                     # correct with
             hop_erased[:] = True
+        else:
+            sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg), raw)
 
     row, h, m = np.nonzero(~det.pinned)     # (PRT, hop, antenna) order
     k, payload = det.subband[row, h, m], peaks[row, h, m]
