@@ -137,9 +137,9 @@ def test_hop_peak_closed_form_exact_single_antenna(rng):
     spec = imp.ImpairmentSpec.from_clock(1.8e-6, cfg1, sto_initial=9e-9,
                                          front_end=fe)
     out = imp.apply(frame, plan, psk, spec, cfg1, rng=None)
+    n = cfg1.samples_per_hop
     for i in (0, 3, 7):
         for h in range(cfg1.hops_per_pulse):
-            n = cfg1.samples_per_hop
             seg = out.prt_view()[0, i, h * n:(h + 1) * n]
             S = np.fft.fft(seg)
             k = int(plan.subband[i, h, 0])
