@@ -130,8 +130,8 @@ class ImpairmentSpec:
         if abs(self.cfo) * cfg.prt_duration >= np.pi:
             raise ConfigError(
                 "CFO outside the unambiguous range |cfo|*prt_duration < pi")
-        if self.noise_var < 0:
-            raise ConfigError("noise_var must be >= 0")
+        if not 0.0 <= self.noise_var < np.inf:      # NaN fails too
+            raise ConfigError("noise_var must be finite and >= 0")
         if self.front_end is not None and (
                 self.front_end.gains.shape != (cfg.n_tx, cfg.n_subbands)):
             raise ConfigError("front-end profile shape mismatch")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, RadarConfig
+from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
 
@@ -138,7 +138,11 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     echoes so equal seeds give equal noise regardless of the scene/plan:
     with g = default_rng(rng) it is (g.standard_normal(shape) + 1j *
     g.standard_normal(shape)) * sqrt(noise_var / 2), real block first.
+    A ``noise_var`` that is negative, infinite or NaN raises
+    :class:`ConfigError`.
     """
+    if not 0.0 <= noise_var < np.inf:               # NaN fails too
+        raise ConfigError("noise_var must be finite and >= 0")
     scene_ok = []
     for t in scene.targets:
         if t.delay() < cfg.hops_per_pulse * cfg.hop_duration:

@@ -183,6 +183,31 @@ def test_radar_command(cfg_file, tmp_path):
     assert (out / "scene.csv").exists()
 
 
+def _with_noise(cfg_file, tmp_path, noise):
+    """Config file whose impairment section sets only ``noise`` (a dict
+    with ``noise_var`` or ``snr_db``) next to the fixture's other keys."""
+    cfg = json.loads(cfg_file.read_text())
+    cfg["impairment"].pop("snr_db")
+    cfg["impairment"].update(noise)
+    p = tmp_path / "noise.json"
+    p.write_text(json.dumps(cfg))   # NaN is written as the literal NaN
+    return p
+
+
+@pytest.mark.parametrize("command, noise", [
+    ("radar", {"noise_var": -1.0}),
+    ("radar", {"noise_var": float("nan")}),
+    ("radar", {"snr_db": float("nan")}),
+    ("comm", {"noise_var": float("nan")}),
+    ("comm", {"snr_db": float("nan")})])
+def test_invalid_noise_variance_rejected(cfg_file, tmp_path, command, noise):
+    # a negative or NaN noise variance is a config error, not "no noise"
+    # (a negative one already fails ImpairmentSpec.validate for comm)
+    p = _with_noise(cfg_file, tmp_path, noise)
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   command) == cli.EXIT_CONFIG == 2
+
+
 def test_sweep_command_and_determinism(cfg_file, tmp_path):
     outs = []
     for name in ("s1", "s2"):
