@@ -221,10 +221,13 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec,
 # Radar sweep
 # ---------------------------------------------------------------------------
 
+GATE_RANGE_BINS = 3       # association gate around a target's true cell
+GATE_DOPPLER_BINS = 2
+GATE_ANGLE_DEG = 2.0
+
+
 def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
-               cfg: RadarConfig, range_offset: int, n_dop: int,
-               gate_range_bins: int = 3, gate_doppler_bins: int = 2,
-               gate_angle_deg: float = 2.0):
+               cfg: RadarConfig, range_offset: int, n_dop: int):
     """Greedy nearest association of detections to truth targets.
 
     Targets are taken in scene order. Each takes the gated detection with
@@ -239,9 +242,9 @@ def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
                      / cfg.doppler_bin) + n_dop // 2
         cand = np.flatnonzero(
             free
-            & (np.abs(dets.range_bin - rb_t) <= gate_range_bins)
-            & (np.abs(dets.doppler_bin - db_t) <= gate_doppler_bins)
-            & (np.abs(dets.azimuth_deg - t.azimuth_deg) <= gate_angle_deg))
+            & (np.abs(dets.range_bin - rb_t) <= GATE_RANGE_BINS)
+            & (np.abs(dets.doppler_bin - db_t) <= GATE_DOPPLER_BINS)
+            & (np.abs(dets.azimuth_deg - t.azimuth_deg) <= GATE_ANGLE_DEG))
         if not cand.size:
             out.append((False, 0.0, 0.0, 0.0))
             continue

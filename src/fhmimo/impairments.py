@@ -24,6 +24,8 @@ from .config import ConfigError, RadarConfig
 from .iqfile import IqFrame
 from .waveform import HopPlan, PskGrid
 
+RIPPLE_ORDER = 3   # polynomial order of the front-end ripple curves
+
 
 def sto_from_rho(rho: float, sample_rate: float) -> float:
     """Sampling-time difference implied by clock stability rho."""
@@ -82,7 +84,7 @@ class FrontEndProfile:
 
     @classmethod
     def rippled(cls, cfg: RadarConfig, rng=None, mag_ripple_db: float = 1.0,
-                phase_ripple_rad: float = 0.2, poly_order: int = 3,
+                phase_ripple_rad: float = 0.2,
                 channel: np.ndarray | None = None) -> "FrontEndProfile":
         """Smooth random ripple: low-order polynomials over the band, scaled
         so the log-magnitude peaks at +/-mag_ripple_db and the phase at
@@ -91,8 +93,8 @@ class FrontEndProfile:
         x = np.linspace(-1.0, 1.0, cfg.n_subbands)
         gains = np.empty((cfg.n_tx, cfg.n_subbands), dtype=complex)
         for m in range(cfg.n_tx):
-            mag_curve = np.polyval(rng.standard_normal(poly_order + 1), x)
-            ph_curve = np.polyval(rng.standard_normal(poly_order + 1), x)
+            mag_curve = np.polyval(rng.standard_normal(RIPPLE_ORDER + 1), x)
+            ph_curve = np.polyval(rng.standard_normal(RIPPLE_ORDER + 1), x)
             mag_db = mag_ripple_db * mag_curve / max(
                 np.max(np.abs(mag_curve)), 1e-12)
             ph = phase_ripple_rad * ph_curve / max(

@@ -17,6 +17,10 @@ from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
 
+CFAR_GUARD_CELLS = 2      # guard ring around the cell under test
+CFAR_TRAINING_CELLS = 8   # width of the training ring beyond the guard ring
+CAL_MIN_LEVEL = 1e-9      # smallest anchor channel magnitude to calibrate on
+
 
 @dataclass(frozen=True)
 class Target:
@@ -89,11 +93,11 @@ class ArrayModel:
 
     @classmethod
     def with_random_errors(cls, rng=None, n_tx: int = 2, n_rx: int = 12,
-                           tx_spacing: float = 6.0, rx_spacing: float = 0.5,
-                           phase_scale: float = 1.0) -> "ArrayModel":
+                           tx_spacing: float = 6.0, rx_spacing: float = 0.5
+                           ) -> "ArrayModel":
         rng = np.random.default_rng(rng)
-        e_t = np.exp(1j * phase_scale * rng.uniform(-np.pi, np.pi, n_tx))
-        e_r = np.exp(1j * phase_scale * rng.uniform(-np.pi, np.pi, n_rx))
+        e_t = np.exp(1j * rng.uniform(-np.pi, np.pi, n_tx))
+        e_r = np.exp(1j * rng.uniform(-np.pi, np.pi, n_rx))
         return cls(n_tx, n_rx, tx_spacing, rx_spacing, e_t, e_r)
 
     def steering_tx(self, theta_deg) -> np.ndarray:
@@ -344,19 +348,17 @@ def _box_mean(stat: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, counts
 
 
-def cfar_detect(rdm: RangeDopplerMap, guard_cells: int = 2,
-                training_cells: int = 8, p_fa: float = 1e-4) -> DetectionList:
+def cfar_detect(rdm: RangeDopplerMap, p_fa: float = 1e-4) -> DetectionList:
     """2D cell-averaging CFAR on the incoherent channel sum.
 
     The noise level per cell is the mean of the training ring (a square
-    annulus ``training_cells`` wide beyond ``guard_cells``); windows truncate
-    at the map edges. Cells above threshold are clustered by keeping local
-    maxima of the statistic over their 8-neighborhood.
+    annulus ``CFAR_TRAINING_CELLS`` wide beyond ``CFAR_GUARD_CELLS``);
+    windows truncate at the map edges. Cells above threshold are clustered
+    by keeping local maxima of the statistic over their 8-neighborhood.
     """
     stat = rdm.detection_statistic()
-    outer = guard_cells + training_cells
-    sum_out, cnt_out = _box_mean(stat, outer)
-    sum_in, cnt_in = _box_mean(stat, guard_cells)
+    sum_out, cnt_out = _box_mean(stat, CFAR_GUARD_CELLS + CFAR_TRAINING_CELLS)
+    sum_in, cnt_in = _box_mean(stat, CFAR_GUARD_CELLS)
     train_mean = (sum_out - sum_in) / np.maximum(cnt_out - cnt_in, 1)
     alpha = cfar_threshold_scale(rdm.cube.shape[1], p_fa)
     threshold = alpha * train_mean
@@ -386,15 +388,14 @@ class CalibrationError(RuntimeError):
 
 
 def calibrate(anchor_vector: np.ndarray, array: ArrayModel,
-              anchor_azimuth_deg: float = 0.0,
-              min_level: float = 1e-9) -> np.ndarray:
+              anchor_azimuth_deg: float = 0.0) -> np.ndarray:
     """Array calibration vector from an anchor target of known direction.
 
     Channels are normalized to the first so that the calibrated steering
     a(theta)*cal sums the anchor's channel vector coherently.
     """
     z = np.asarray(anchor_vector)
-    if np.any(np.abs(z) < min_level):
+    if np.any(np.abs(z) < CAL_MIN_LEVEL):
         raise CalibrationError("anchor channel level too low to calibrate")
     a_ideal = array.virtual_steering(anchor_azimuth_deg, include_errors=False)
     cal = (z / z[0]) / (a_ideal / a_ideal[0])
@@ -445,8 +446,7 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
 
 
 def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
-                cfg: RadarConfig, array: ArrayModel, guard_cells: int = 2,
-                training_cells: int = 8, p_fa: float = 1e-4,
+                cfg: RadarConfig, array: ArrayModel, p_fa: float = 1e-4,
                 grid: np.ndarray | None = None,
                 cal: np.ndarray | None = None
                 ) -> tuple[RangeDopplerMap, DetectionList]:
@@ -457,7 +457,7 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
     """
     # the profiles are freed once the cube exists, before CFAR's arrays
     rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
-    dets = cfar_detect(rdm, guard_cells, training_cells, p_fa)
+    dets = cfar_detect(rdm, p_fa)
     if grid is None:
         grid = angle_grid()
     estimate_params(dets, rdm, array, grid, cal)
