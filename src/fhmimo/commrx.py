@@ -14,15 +14,16 @@ Processing of a CPI-aligned single-channel receive stream:
    ratio; clock stability and the sampling-time offset follow from the CFO
    and the carrier/sampling frequencies.
 4. The cycled pilot and the zero pilot of the same PRT give one pilot
-   ratio per PRT; over a group of K consecutive PRTs these fill a
-   per-antenna table indexed by sub-band offset, jointly capturing the
-   frequency-dependent front-end gain and the initial-timing phase.
+   ratio per PRT. With the phase the sync estimates predict for it (the
+   correction factor) removed, what is left is the frequency-dependent
+   front-end gain and the initial-timing phase; over a group of K
+   consecutive PRTs these residuals fill a per-antenna table indexed by
+   sub-band offset.
 5. FHCS codewords are ranked from the detected plan, and PSK phases are
    recovered by dividing each payload peak by its same-PRT zero pilot, the
-   matching pilot-table entry, and a correction factor that advances the
-   table entry's timing/CFO phases to the payload slot. The blind modes
-   erase a slot whose zero pilot is below the floor or whose table entry
-   was never measured.
+   matching pilot-table residual, and the slot's own correction factor.
+   The blind modes erase a slot whose zero pilot is below the floor or
+   whose table entry was never measured.
 """
 
 from __future__ import annotations
@@ -143,22 +144,20 @@ def estimate_clock(cfo_hat: float, cfg: RadarConfig) -> tuple[float, float]:
     return rho_hat, sto_from_rho(rho_hat, cfg.sample_rate)
 
 
-def correction_factor(i1, h1, i2, h2, k, sync: SyncEstimate,
-                      cfg: RadarConfig):
-    """Phase progression between a pilot-table entry at (i1, h1) and a
-    payload slot at (i2, h2) on sub-band k.
+def correction_factor(i, h, m, k, sync: SyncEstimate, cfg: RadarConfig):
+    """Phase the sync estimate predicts for a tone on sub-band k in hop h of
+    PRT i, relative to antenna m's zero pilot (hop m) in the same PRT.
 
-    Composes the sampling-clock drift of the tone phase across the
-    separating samples with the CFO advance across the separating hops, so
-    that (payload ratio) / (table entry * correction) isolates the PSK phase.
+    The sampling-clock drift turns the tone by w_k (i n_p + h n_h) delta
+    and the CFO advances it by cfo (h - m)(T_h + n_h delta) over the hops
+    from the zero pilot, so (peak / zero pilot) / correction leaves the
+    front-end gain, the initial-timing phase and the PSK phase.
     """
-    i1, h1 = np.asarray(i1), np.asarray(h1)
-    i2, h2 = np.asarray(i2), np.asarray(h2)
+    i, h, m = np.asarray(i), np.asarray(h), np.asarray(m)
     omega = 2 * np.pi * cfg.subband_frequency(k)
-    n_elapsed = ((i2 - i1) * cfg.samples_per_prt
-                 + (h2 - h1) * cfg.samples_per_hop)
-    hop_term = (h2 - h1) * (cfg.hop_duration
-                            + cfg.samples_per_hop * sync.sample_time_offset)
+    n_elapsed = i * cfg.samples_per_prt + h * cfg.samples_per_hop
+    hop_term = (h - m) * (cfg.hop_duration
+                          + cfg.samples_per_hop * sync.sample_time_offset)
     out = np.exp(1j * (omega * n_elapsed * sync.sample_time_offset
                        + sync.cfo * hop_term))
     return out if out.ndim else complex(out)
@@ -170,17 +169,18 @@ def correction_factor(i1, h1, i2, h2, k, sync: SyncEstimate,
 
 @dataclass
 class PilotRatioTable:
-    """Per-(group, antenna, sub-band offset) complex pilot ratios.
+    """Per-(group, antenna, sub-band offset) pilot-ratio residuals.
 
-    Group g covers batch rows g*K .. g*K+K-1. ``source_prt`` records the
-    PRT each entry was measured in (the i1 the correction factor must
-    reference); ``measured`` distinguishes measured entries from the
-    analytic zero-offset entry; missing entries have source_prt = -1.
+    Group g covers batch rows g*K .. g*K+K-1. Each entry is a measured
+    pilot ratio with its correction factor removed, so it holds only what
+    the sync estimate cannot predict: the front-end gain ratio and the
+    initial-timing phase. The zero-offset entry is exactly 1.
+    ``source_prt`` records the PRT each entry was measured in; missing
+    entries have source_prt = -1 and value 1.
     """
 
     values: np.ndarray       # (G, M, K) complex
     source_prt: np.ndarray   # (G, M, K) int
-    measured: np.ndarray     # (G, M, K) bool
 
 
 def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray,
@@ -193,12 +193,12 @@ def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray,
     m) and cycled pilot (hop m+1); ``prt_indices``: absolute PRT index per
     row (the pilot offset cycles with it); ``valid``: (n_prt, M) rows and
     antennas whose pilots may be used. The ratio of the cycled pilot to the
-    zero pilot is stored at the PRT's offset; a zero pilot of magnitude
-    zero gives no entry, and where rows of a group repeat an offset the
-    last one wins. The zero-offset entry carries no information (both
-    pilots would sit on the same sub-band, so the cycled one is not
-    transmitted and ``cycled`` is not read) and is synthesized from the
-    sync estimates. Entries a group lacks are carried over from the
+    zero pilot, times the conjugate of its correction factor, is stored at
+    the PRT's offset; a zero pilot of magnitude zero gives no entry, and
+    where rows of a group repeat an offset the last one wins. The
+    zero-offset entry carries no information (both pilots would sit on the
+    same sub-band, so the cycled one is not transmitted and ``cycled`` is
+    not read) and is 1. Entries a group lacks are carried over from the
     previous group.
     """
     M, K = cfg.n_tx, cfg.n_subbands
@@ -209,21 +209,21 @@ def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray,
           else np.asarray(valid, dtype=bool))
     row, ant = np.nonzero(ok & ((kappa == 0)[:, None] | (zero != 0)))
     kap = kappa[row]
-    hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
-    ratio = np.full(row.size, np.exp(1j * sync.cfo * hop_term))
     cyc = kap != 0
-    ratio[cyc] = cycled[row[cyc], ant[cyc]] / zero[row[cyc], ant[cyc]]
+    r, m = row[cyc], ant[cyc]
+    ratio = np.ones(row.size, dtype=complex)
+    ratio[cyc] = cycled[r, m] / zero[r, m] * np.conj(correction_factor(
+        prt_indices[r], m + 1, m, cfg.pilot_subband(prt_indices[r]), sync,
+        cfg))
 
     # one entry per (group, antenna, offset): the last row that fills it
     cell = ((row // K) * M + ant) * K + kap
     cell, rev = np.unique(cell[::-1], return_index=True)
     last = row.size - 1 - rev
-    values = np.zeros(G * M * K, dtype=complex)
+    values = np.ones(G * M * K, dtype=complex)
     source = np.full(G * M * K, -1, dtype=np.int64)
-    measured = np.zeros(G * M * K, dtype=bool)
     values[cell] = ratio[last]
     source[cell] = prt_indices[row[last]]
-    measured[cell] = cyc[last]
     source = source.reshape(G, M, K)
 
     # holes take the entry of the latest earlier group that has one
@@ -231,53 +231,25 @@ def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray,
     np.maximum.accumulate(src_group, axis=0, out=src_group)
     return PilotRatioTable(
         *(np.take_along_axis(a.reshape(G, M, K), src_group, axis=0)
-          for a in (values, source, measured)))
+          for a in (values, source)))
 
 
-def _averaged_table(table: PilotRatioTable, sync: SyncEstimate,
-                    cfg: RadarConfig) -> PilotRatioTable:
-    """Average measured ratios of equal offset across groups after removing
-    each entry's timing/CFO progression relative to the earliest source PRT
-    (the refinement that further averages the correction factor over a
-    CPI); every group then uses the average. An entry carried over from an
-    earlier group is the same measurement and is counted once.
+def _averaged_table(table: PilotRatioTable) -> PilotRatioTable:
+    """Every group uses the mean of its offset's entries over the groups
+    (the refinement that averages the pilot ratios over a CPI). An entry
+    carried over from an earlier group is the same measurement and is
+    counted once; the source PRT kept is the earliest one.
     """
-    G, M, K = table.values.shape
-    src, vals = table.source_prt, table.values
-    first = np.argmax(src >= 0, axis=0)[None]             # earliest group
-    ref = np.take_along_axis(src, first, axis=0)
-    ant = np.arange(M)[:, None]
-    ks = (cfg.zero_subband + np.arange(K)) % K
-    terms = vals * np.conj(correction_factor(ref, ant + 1, src, ant + 1, ks,
-                                             sync, cfg))
-    use = table.measured.copy()
+    src = table.source_prt
+    use = src >= 0
     use[1:] &= src[1:] != src[:-1]                        # not carried
     n_used = use.sum(axis=0)
-    values = np.take_along_axis(vals, first, axis=0)[0]
-    np.divide(np.where(use, terms, 0).sum(axis=0), n_used, out=values,
-              where=n_used > 0)
-    measured = (n_used > 0) | np.take_along_axis(table.measured, first,
-                                                 axis=0)[0]
-    return PilotRatioTable(*(np.broadcast_to(a, (G, M, K))
-                             for a in (values, ref[0], measured)))
-
-
-def _flat_gain_table(table: PilotRatioTable, sync: SyncEstimate,
-                     cfg: RadarConfig) -> PilotRatioTable:
-    """Disable the measured pilot-ratio correction: entries keep only the
-    analytic timing/CFO progression, as if the front-end gain were flat and
-    the initial-timing phase zero."""
-    g, m, kappa = np.nonzero(table.measured)
-    omegas = 2 * np.pi * cfg.subband_frequency(
-        (cfg.zero_subband + kappa) % cfg.n_subbands)
-    samples_elapsed = (table.source_prt[g, m, kappa] * cfg.samples_per_prt
-                       + (m + 1) * cfg.samples_per_hop)
-    hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
-    values = table.values.copy()
-    values[g, m, kappa] = np.exp(
-        1j * (omegas * samples_elapsed * sync.sample_time_offset
-              + sync.cfo * hop_term))
-    return PilotRatioTable(values, table.source_prt, table.measured)
+    values = np.ones(n_used.shape, dtype=complex)
+    np.divide(np.where(use, table.values, 0).sum(axis=0), n_used,
+              out=values, where=n_used > 0)
+    first = np.take_along_axis(src, np.argmax(use, axis=0)[None], axis=0)
+    return PilotRatioTable(*(np.broadcast_to(a, src.shape)
+                             for a in (values, first[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +306,14 @@ def _pilot_phases(slots: np.ndarray, peak: np.ndarray, pilot: np.ndarray,
                   table: PilotRatioTable, sync: SyncEstimate,
                   first_prt: int, cfg: RadarConfig):
     """Blind PSK phase of every slot: its ``peak`` divided by its same-PRT
-    zero ``pilot``, the matching pilot-table entry and the correction
-    factor that advances the entry to the slot. Returns (phase, missing)
-    where ``missing`` flags slots whose table entry was never measured."""
+    zero ``pilot``, the matching pilot-table residual and the slot's
+    correction factor. Returns (phase, missing) where ``missing`` flags
+    slots whose table entry was never measured."""
     i, h, m, k, kappa = slots[:, :5].T
     group = (i - first_prt) // cfg.n_subbands
-    d_vals = table.values[group, m, kappa]
-    d_src = table.source_prt[group, m, kappa]
-    missing = d_src < 0
-    d_vals[missing] = 1.0
-    d_src[missing] = i[missing]
-    corr = correction_factor(d_src, m + 1, i, h, k, sync, cfg)
-    phase = np.angle(peak * np.conj(d_vals * corr * pilot))
-    return phase, missing
+    ref = (table.values[group, m, kappa]
+           * correction_factor(i, h, m, k, sync, cfg) * pilot)
+    return np.angle(peak * np.conj(ref)), table.source_prt[group, m, kappa] < 0
 
 
 def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
@@ -360,9 +327,9 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     mode:
       "estimated"  full blind pipeline (pilot tables per group of K PRTs);
       "averaged"   estimated + pilot ratios averaged across groups;
-      "flat"       estimated, but measured pilot ratios are replaced by
-                   their analytic clock progression - i.e. the per-sub-band
-                   gain/timing correction is disabled (comparison baseline);
+      "flat"       estimated, but every pilot-table residual is 1 - i.e.
+                   the per-sub-band gain/timing correction is disabled
+                   (comparison baseline);
       "known"      corrections from the true ``spec`` (lower bound).
     """
     if mode not in ("estimated", "averaged", "flat", "known"):
@@ -415,9 +382,9 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         table = build_pilot_ratios(zero, cycled, prt_abs, sync, cfg,
                                    zero_ok & cycled_ok)
         if mode == "averaged":
-            table = _averaged_table(table, sync, cfg)
+            table = _averaged_table(table)
         elif mode == "flat":
-            table = _flat_gain_table(table, sync, cfg)
+            table.values[:] = 1.0
         raw_phase, missing = _pilot_phases(slots, payload, zero[row, m],
                                            table, sync, first_prt, cfg)
         slots[missing | ~zero_ok[row, m], 5] = 1   # no usable reference

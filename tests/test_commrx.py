@@ -201,6 +201,31 @@ def test_pilot_ratio_phase_from_initial_offset(cfg, rng):
             got = np.angle(table.values[0, m, kappa])
             assert abs((got - want + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
+    # every impairment (rippled front end, clock drift and CFO, initial
+    # offset), pilot cycles from PRT 13, true sync: each entry is the
+    # front-end gain ratio times the initial-timing phase and nothing else;
+    # one antenna, so no other tone leaks into the pilots through the CFO
+    for cfg1 in (RadarConfig(n_tx=1),
+                 RadarConfig(n_subbands=7, n_tx=1, bandwidth=14e6,
+                             sample_rate=28e6)):
+        K, k0 = cfg1.n_subbands, cfg1.zero_subband
+        fe = imp.FrontEndProfile.rippled(cfg1, rng=rng)
+        spec = imp.ImpairmentSpec.from_clock(1.8e-6, cfg1, sto_initial=dt0,
+                                             front_end=fe)
+        prts = 13 + np.arange(2 * K)
+        plan = wf.plan_hops(cfg1, n_prt=prts.size, rng=rng, first_prt=13)
+        rx = imp.apply(wf.synthesize(plan, None, cfg1), plan, None, spec,
+                       cfg1)
+        _, sub_vals = crx._batch_spectra(rx, cfg1)
+        table = crx.build_pilot_ratios(
+            *_pilots(sub_vals, prts, cfg1), prts,
+            crx.SyncEstimate.from_spec(spec, cfg1), cfg1)
+        ks = (k0 + np.arange(K)) % K
+        want = (fe.gains[0, ks] / fe.gains[0, k0]
+                * np.exp(2j * np.pi * cfg1.subband_frequency(ks) * dt0))
+        assert np.all(table.source_prt >= 0)
+        assert np.max(np.abs(table.values - want)) < 1e-12
+
 
 def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
     # a positive sub-sample timing offset makes the ratio phase advance
@@ -219,11 +244,12 @@ def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
 
 def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
     """Reference: row-by-row, antenna-by-antenna fill of each group of K
-    rows, then a group-by-group carry of earlier entries into holes."""
+    rows with raw pilot ratios, then a group-by-group carry of earlier
+    entries into holes, then one correction-factor call that turns every
+    measured ratio into its residual."""
     M, K, k0 = cfg.n_tx, cfg.n_subbands, cfg.zero_subband
-    hop_term = cfg.hop_duration + cfg.samples_per_hop * sync.sample_time_offset
     G = max(1, -(-len(prt_indices) // K))
-    values = np.zeros((G, M, K), dtype=complex)
+    values = np.ones((G, M, K), dtype=complex)
     source = np.full((G, M, K), -1, dtype=np.int64)
     measured = np.zeros((G, M, K), dtype=bool)
     for row, i_abs in enumerate(prt_indices):
@@ -233,7 +259,6 @@ def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
             if not valid[row, m]:
                 continue
             if kappa == 0:
-                values[g, m, 0] = np.exp(1j * sync.cfo * hop_term)
                 source[g, m, 0] = i_abs
                 continue
             den = sub_vals[row, m, k0]
@@ -247,6 +272,9 @@ def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
         values[g][hole] = values[g - 1][hole]
         source[g][hole] = source[g - 1][hole]
         measured[g][hole] = measured[g - 1][hole]
+    g, m, kappa = np.nonzero(measured)
+    values[g, m, kappa] *= np.conj(crx.correction_factor(
+        source[g, m, kappa], m + 1, m, (k0 + kappa) % K, sync, cfg))
     return values, source, measured
 
 
@@ -268,7 +296,9 @@ def test_pilot_tables_match_row_by_row_fill(cfg):
     values, source, measured = _pilot_tables_by_loop(
         sub_vals, prt_indices, sync, cfg, valid)
     assert np.array_equal(table.source_prt, source)
-    assert np.array_equal(table.measured, measured)
+    # measured entries are exactly the nonzero offsets that have a source
+    assert np.array_equal((source >= 0) & (np.arange(cfg.n_subbands) > 0),
+                          measured)
     assert np.array_equal(table.values, values)
     assert (source < 0).any() and measured.any()
 
@@ -290,23 +320,27 @@ def test_averaged_table_counts_each_measurement_once(cfg):
                                    cfg, valid)
     assert np.array_equal(table.source_prt[1], table.source_prt[0])
     assert np.allclose(table.values[2, :, 1:], 2.0)
-    avg = crx._averaged_table(table, sync, cfg)
+    avg = crx._averaged_table(table)
     assert np.allclose(avg.values[:, :, 1:], 1.5)
     assert np.array_equal(avg.source_prt, np.broadcast_to(
         table.source_prt[0], avg.source_prt.shape))
 
 
 def test_correction_factor_trivial_cases(cfg):
+    # no sync error: nothing to predict
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
-    assert crx.correction_factor(3, 1, 9, 4, 5, sync, cfg) == 1.0
+    assert crx.correction_factor(9, 4, 1, 5, sync, cfg) == 1.0
+    # antenna m's own zero pilot is the reference: 0 Hz, no hops between
     sync = crx.SyncEstimate(1e4, 1e-6, -2.5e-13)
-    assert crx.correction_factor(7, 2, 7, 2, 11, sync, cfg) == 1.0
+    assert crx.correction_factor(7, 2, 2, cfg.zero_subband, sync, cfg) == 1.0
 
 
 def test_correction_factor_against_bruteforce_pilots(cfg):
     """Oracle: synthesize two pilots of the same sub-band at different
-    (PRT, hop) slots through the impaired channel, take their measured
-    ratio of ratios; the correction factor must reproduce it exactly."""
+    (PRT, hop) slots through the impaired channel and measure each one's
+    ratio to its PRT's zero pilot (hop 0); the correction factors must
+    reproduce the ratio of ratios, and each ratio with its correction
+    factor removed must leave the initial-timing phase only."""
     spec = imp.ImpairmentSpec.from_clock(1.7e-6, cfg, sto_initial=6e-9)
     sync = crx.SyncEstimate(spec.cfo, 1.7e-6, spec.sample_time_offset)
     k = 14
@@ -324,8 +358,12 @@ def test_correction_factor_against_bruteforce_pilots(cfg):
     _, sv = crx._batch_spectra(rx, cfg1)
     r1 = sv[i1, h1, k] / sv[i1, 0, cfg1.zero_subband]
     r2 = sv[i2, h2, k] / sv[i2, 0, cfg1.zero_subband]
-    got = crx.correction_factor(i1, h1, i2, h2, k, sync, cfg1)
-    assert r2 / r1 == pytest.approx(got, rel=1e-9)
+    c1 = crx.correction_factor(i1, h1, 0, k, sync, cfg1)
+    c2 = crx.correction_factor(i2, h2, 0, k, sync, cfg1)
+    assert r2 / r1 == pytest.approx(c2 / c1, rel=1e-9)
+    want = np.exp(2j * np.pi * cfg1.subband_frequency(k) * spec.sto_initial)
+    for r, c in ((r1, c1), (r2, c2)):
+        assert r * np.conj(c) == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +408,8 @@ def test_cfo_estimator_accuracy_across_range(cfg):
 
 
 def test_front_end_stability_of_pilot_ratios(cfg):
-    """With the front-end profile held fixed, the pilot ratio extracted
-    from a payload slot (correction factor removed) equals the table entry
+    """With the front-end profile held fixed, the pilot-ratio residual
+    (correction factor removed) measured in one PRT equals the one
     measured in another PRT; changing the profile mid-run breaks it."""
     rng = np.random.default_rng(21)
     fe1 = imp.FrontEndProfile.rippled(cfg, rng=rng)
@@ -399,29 +437,15 @@ def test_front_end_stability_of_pilot_ratios(cfg):
                                    np.arange(40), sync, cfg)
         return t
 
-    # same profile: entries agree after unwinding the clock progression
+    # same profile: the two groups' residuals agree
     t = ratio_tables(spec1, spec1)
-    for m in range(2):
-        for kappa in range(1, 20):
-            k = (cfg.zero_subband + kappa) % 20
-            corr = crx.correction_factor(
-                int(t.source_prt[0, m, kappa]), m + 1,
-                int(t.source_prt[1, m, kappa]), m + 1, k, sync, cfg)
-            lhs = t.values[1, m, kappa]
-            rhs = t.values[0, m, kappa] * corr
-            assert abs(lhs - rhs) / abs(rhs) < 1e-6
+    assert np.all(t.source_prt[1] != t.source_prt[0])
+    lhs, rhs = t.values[1, :, 1:], t.values[0, :, 1:]
+    assert np.all(np.abs(lhs - rhs) / np.abs(rhs) < 1e-6)
 
     # profile switch: equality must break for most entries
     t = ratio_tables(spec1, spec2)
-    diffs = []
-    for m in range(2):
-        for kappa in range(1, 20):
-            k = (cfg.zero_subband + kappa) % 20
-            corr = crx.correction_factor(
-                int(t.source_prt[0, m, kappa]), m + 1,
-                int(t.source_prt[1, m, kappa]), m + 1, k, sync, cfg)
-            diffs.append(abs(t.values[1, m, kappa]
-                             - t.values[0, m, kappa] * corr))
+    diffs = np.abs(t.values[1, :, 1:] - t.values[0, :, 1:])
     assert np.median(diffs) > 1e-3
 
 
