@@ -41,8 +41,7 @@ def run(array, cal=None, label=""):
           " (plain-DFT Doppler sidelobes of strong echoes also cross CFAR;"
           " association gates sort them out)")
     # the sweep's gate: +-3 range bins, +-2 Doppler bins, +-2 deg
-    results = bench._associate(dets, scene, cfg, cfg.samples_per_pulse,
-                               rdm.n_doppler)
+    results = bench._associate(dets, scene, rdm)
     for t, (hit, dr, dv, da) in sorted(zip(scene.targets, results),
                                        key=lambda p: p[0].range_m):
         truth = (f"truth ({t.range_m:7.1f} m, {t.velocity:+7.1f} m/s, "

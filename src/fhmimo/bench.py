@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RadarConfig
+from .config import ConfigError, RadarConfig
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
@@ -90,6 +90,13 @@ class SweepSpec:
     chunk_prt: int = 2000
     n_workers: int = 1                   # radar trials per worker pool
     seed: int = 0
+
+    def __post_init__(self):
+        # a zero chunk would loop forever, zero trials or symbols give
+        # empty rows
+        for name in ("chunk_prt", "trials", "min_symbols"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"sweep.{name} must be >= 1")
 
 
 @dataclass
@@ -227,19 +234,23 @@ GATE_ANGLE_DEG = 2.0
 
 
 def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
-               cfg: RadarConfig, range_offset: int, n_dop: int):
+               rdm: radarrx.RangeDopplerMap):
     """Greedy nearest association of detections to truth targets.
+
+    The truth cells are placed on the grid of ``rdm``, the map the
+    detections came from.
 
     Targets are taken in scene order. Each takes the gated detection with
     the highest statistic (the lowest index on ties) that no earlier target
     took. Returns per-target (matched, range_err, velocity_err, angle_err).
     """
+    cfg = rdm.cfg
     free = np.ones(len(dets), dtype=bool)
     out = []
     for t in scene.targets:
-        rb_t = round(t.delay() * cfg.sample_rate) - range_offset
+        rb_t = round(t.delay() * cfg.sample_rate) - rdm.range_offset
         db_t = round(t.doppler(cfg.wavelength)
-                     / cfg.doppler_bin) + n_dop // 2
+                     / cfg.doppler_bin) + rdm.n_doppler // 2
         cand = np.flatnonzero(
             free
             & (np.abs(dets.range_bin - rb_t) <= GATE_RANGE_BINS)
@@ -282,10 +293,9 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
                                  noise_var=noise_var,
                                  rng=np.random.default_rng(noise_seed))
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
-    _, dets = radarrx.process_cpi(rx, plan, psk, cfg, array,
-                                  p_fa=sweep.p_fa, grid=grid)
-    return _associate(dets, scene, cfg, cfg.samples_per_pulse,
-                      cfg.prts_per_cpi)
+    rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, array,
+                                    p_fa=sweep.p_fa, grid=grid)
+    return _associate(dets, scene, rdm)
 
 
 def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:

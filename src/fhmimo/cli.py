@@ -38,6 +38,16 @@ def _check_keys(section: str, given: dict, allowed) -> None:
         raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
 
 
+def _num(value, key: str, kind=float):
+    """``kind(value)`` for config key ``key``; a value that does not convert
+    is a :class:`ConfigError`, not an internal error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}"
+                          ) from None
+
+
 def load_config(path=None, overrides: dict | None = None) -> dict:
     """Parse and validate the JSON run configuration."""
     raw = {}
@@ -67,7 +77,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     sweep_fields = {f.name for f in dataclasses.fields(bench.SweepSpec)}
     _check_keys("sweep", raw["sweep"], sweep_fields | {"kind"})
     _check_keys("run", raw["run"],
-                {"seed", "out", "order_bits", "n_prt", "mode", "payload_file",
+                {"seed", "order_bits", "n_prt", "mode", "payload_file",
                  "iq_file"})
     return raw
 
@@ -78,12 +88,12 @@ def build_radar_config(raw: dict) -> RadarConfig:
 
 def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
     sec = dict(raw["impairment"])
-    noise_var = sec.pop("noise_var", 0.0)
+    noise_var = _num(sec.pop("noise_var", 0.0), "noise_var")
     if "snr_db" in sec:
-        noise_var = 10.0 ** (-float(sec.pop("snr_db")) / 10.0)
+        noise_var = 10.0 ** (-_num(sec.pop("snr_db"), "snr_db") / 10.0)
     fe_kind = sec.pop("front_end", "flat")
-    ripple_db = float(sec.pop("ripple_db", 1.0))
-    ripple_rad = float(sec.pop("ripple_rad", 0.2))
+    ripple_db = _num(sec.pop("ripple_db", 1.0), "ripple_db")
+    ripple_rad = _num(sec.pop("ripple_rad", 0.2), "ripple_rad")
     if fe_kind == "rippled":
         fe = FrontEndProfile.rippled(cfg, rng=rng, mag_ripple_db=ripple_db,
                                      phase_ripple_rad=ripple_rad)
@@ -92,16 +102,18 @@ def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
     else:
         raise ConfigError(f"unknown front_end kind {fe_kind!r}")
     if "rho" in sec:
-        rho = float(sec.pop("rho"))
+        rho = _num(sec.pop("rho"), "rho")
         spec = ImpairmentSpec.from_clock(
-            rho, cfg, sto_initial=float(sec.pop("sto_initial", 0.0)),
+            rho, cfg,
+            sto_initial=_num(sec.pop("sto_initial", 0.0), "sto_initial"),
             noise_var=noise_var, front_end=fe)
         _check_keys("impairment", sec, {})
         return spec
     spec = ImpairmentSpec(
-        cfo=float(sec.pop("cfo", 0.0)),
-        sto_initial=float(sec.pop("sto_initial", 0.0)),
-        sample_time_offset=float(sec.pop("sample_time_offset", 0.0)),
+        cfo=_num(sec.pop("cfo", 0.0), "cfo"),
+        sto_initial=_num(sec.pop("sto_initial", 0.0), "sto_initial"),
+        sample_time_offset=_num(sec.pop("sample_time_offset", 0.0),
+                                "sample_time_offset"),
         noise_var=noise_var, front_end=fe)
     spec.validate(cfg)
     return spec
@@ -110,14 +122,18 @@ def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
 def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
     sec = raw["scene"]
     if sec.get("targets"):
-        targets = [radarrx.Target(t["range_m"], t.get("velocity", 0.0),
-                                  t.get("azimuth_deg", 0.0),
-                                  complex(t.get("coeff", 1.0)))
+        if not all(isinstance(t, dict) for t in sec["targets"]):
+            raise ConfigError("scene targets must be JSON objects")
+        targets = [radarrx.Target(_num(t.get("range_m"), "range_m"),
+                                  _num(t.get("velocity", 0.0), "velocity"),
+                                  _num(t.get("azimuth_deg", 0.0),
+                                       "azimuth_deg"),
+                                  _num(t.get("coeff", 1.0), "coeff", complex))
                    for t in sec["targets"]]
         scene = radarrx.TargetScene(targets)
     else:
         scene = radarrx.TargetScene.random(
-            cfg, int(sec.get("n_targets", 50)), rng=rng,
+            cfg, _num(sec.get("n_targets", 50), "n_targets", int), rng=rng,
             range_span=tuple(sec.get("range_span", (750.0, 4185.0))),
             velocity_span=tuple(sec.get("velocity_span", (-170.0, 170.0))),
             azimuth_span=tuple(sec.get("azimuth_span", (-4.0, 4.0))))
@@ -127,9 +143,9 @@ def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
 
 def build_array(raw: dict, cfg: RadarConfig, rng) -> radarrx.ArrayModel:
     sec = raw["array"]
-    kw = dict(n_tx=cfg.n_tx, n_rx=int(sec.get("n_rx", 12)),
-              tx_spacing=float(sec.get("tx_spacing", 6.0)),
-              rx_spacing=float(sec.get("rx_spacing", 0.5)))
+    kw = dict(n_tx=cfg.n_tx, n_rx=_num(sec.get("n_rx", 12), "n_rx", int),
+              tx_spacing=_num(sec.get("tx_spacing", 6.0), "tx_spacing"),
+              rx_spacing=_num(sec.get("rx_spacing", 0.5), "rx_spacing"))
     if sec.get("random_errors"):
         return radarrx.ArrayModel.with_random_errors(rng=rng, **kw)
     return radarrx.ArrayModel(**kw)
@@ -157,9 +173,9 @@ def cmd_txgen(raw: dict, out_dir: Path) -> None:
     """Write transmit IQ frames and the ground-truth plan/PSK records."""
     cfg = build_radar_config(raw)
     run = raw["run"]
-    seed = int(run.get("seed", 0))
-    n_prt = int(run.get("n_prt", cfg.prts_per_cpi))
-    order_bits = int(run.get("order_bits", 3))
+    seed = _num(run.get("seed", 0), "seed", int)
+    n_prt = _num(run.get("n_prt", cfg.prts_per_cpi), "n_prt", int)
+    order_bits = _num(run.get("order_bits", 3), "order_bits", int)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     payload = (_read_payload_bits(run["payload_file"])
                if run.get("payload_file") else None)
@@ -178,9 +194,9 @@ def cmd_comm(raw: dict, out_dir: Path) -> None:
     """End-to-end communication pipeline; reports BER when truth is local."""
     cfg = build_radar_config(raw)
     run = raw["run"]
-    seed = int(run.get("seed", 0))
-    n_prt = int(run.get("n_prt", cfg.prts_per_cpi))
-    order_bits = int(run.get("order_bits", 3))
+    seed = _num(run.get("seed", 0), "seed", int)
+    n_prt = _num(run.get("n_prt", cfg.prts_per_cpi), "n_prt", int)
+    order_bits = _num(run.get("order_bits", 3), "order_bits", int)
     mode = run.get("mode", "estimated")
     seq = np.random.SeedSequence([seed, 2])
     rng = np.random.default_rng(seq)
@@ -233,7 +249,7 @@ def cmd_radar(raw: dict, out_dir: Path) -> None:
     """Synthesize a scene, run the radar chain, export detections + RDM."""
     cfg = build_radar_config(raw)
     run = raw["run"]
-    seed = int(run.get("seed", 0))
+    seed = _num(run.get("seed", 0), "seed", int)
     seq = np.random.SeedSequence([seed, 3])
     scene_rng, noise_rng, plan_rng, arr_rng = (
         np.random.default_rng(s) for s in seq.spawn(4))
@@ -241,10 +257,11 @@ def cmd_radar(raw: dict, out_dir: Path) -> None:
     array = build_array(raw, cfg, arr_rng)
     sweep = build_sweep_spec(raw)
     spec = raw["impairment"]
-    noise_var = 10.0 ** (-float(spec.get("snr_db", 0.0)) / 10.0) \
-        if "snr_db" in spec else float(spec.get("noise_var", 1.0))
+    noise_var = 10.0 ** (-_num(spec["snr_db"], "snr_db") / 10.0) \
+        if "snr_db" in spec else _num(spec.get("noise_var", 1.0), "noise_var")
     plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi, rng=plan_rng)
-    psk = make_psk_grid(cfg, plan, int(run.get("order_bits", 3)),
+    psk = make_psk_grid(cfg, plan,
+                        _num(run.get("order_bits", 3), "order_bits", int),
                         rng=plan_rng)
     rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
                                  noise_var=noise_var, rng=noise_rng)
@@ -269,7 +286,7 @@ def build_sweep_spec(raw: dict) -> bench.SweepSpec:
         if key in sec:
             sec[key] = tuple(sec[key])
     if "seed" not in sec:
-        sec["seed"] = int(raw["run"].get("seed", 0))
+        sec["seed"] = _num(raw["run"].get("seed", 0), "seed", int)
     return bench.SweepSpec(**sec)
 
 

@@ -84,11 +84,10 @@ class FrontEndProfile:
 
     @classmethod
     def rippled(cls, cfg: RadarConfig, rng=None, mag_ripple_db: float = 1.0,
-                phase_ripple_rad: float = 0.2,
-                channel: np.ndarray | None = None) -> "FrontEndProfile":
+                phase_ripple_rad: float = 0.2) -> "FrontEndProfile":
         """Smooth random ripple: low-order polynomials over the band, scaled
         so the log-magnitude peaks at +/-mag_ripple_db and the phase at
-        +/-phase_ripple_rad."""
+        +/-phase_ripple_rad; the flat channel gain has a random phase."""
         rng = np.random.default_rng(rng)
         x = np.linspace(-1.0, 1.0, cfg.n_subbands)
         gains = np.empty((cfg.n_tx, cfg.n_subbands), dtype=complex)
@@ -100,9 +99,7 @@ class FrontEndProfile:
             ph = phase_ripple_rad * ph_curve / max(
                 np.max(np.abs(ph_curve)), 1e-12)
             gains[m] = 10.0 ** (mag_db / 20.0) * np.exp(1j * ph)
-        if channel is None:
-            channel = np.exp(2j * np.pi * rng.random(cfg.n_tx))
-        return cls(gains, np.asarray(channel, dtype=complex))
+        return cls(gains, np.exp(2j * np.pi * rng.random(cfg.n_tx)))
 
     def response(self):
         """(M, K) combined complex gain channel*front-end."""
@@ -129,6 +126,10 @@ class ImpairmentSpec:
     front_end: FrontEndProfile | None = None
 
     def validate(self, cfg: RadarConfig) -> None:
+        if not np.all(np.isfinite(
+                [self.cfo, self.sto_initial, self.sample_time_offset])):
+            raise ConfigError(
+                "cfo, sto_initial and sample_time_offset must be finite")
         if abs(self.cfo) * cfg.prt_duration >= np.pi:
             raise ConfigError(
                 "CFO outside the unambiguous range |cfo|*prt_duration < pi")
@@ -137,10 +138,6 @@ class ImpairmentSpec:
         if self.front_end is not None and (
                 self.front_end.gains.shape != (cfg.n_tx, cfg.n_subbands)):
             raise ConfigError("front-end profile shape mismatch")
-
-    def rho(self, cfg: RadarConfig) -> float:
-        """Clock stability implied by the sample-time offset."""
-        return rho_from_sto(self.sample_time_offset, cfg.sample_rate)
 
     @classmethod
     def from_clock(cls, rho: float, cfg: RadarConfig, sto_initial: float = 0.0,
@@ -168,22 +165,20 @@ def accumulated_sto(i, h, spec: ImpairmentSpec, cfg: RadarConfig):
     return out if out.ndim else float(out)
 
 
-def slot_gain(plan: HopPlan, spec: ImpairmentSpec, cfg: RadarConfig):
-    """Per-slot complex factor applied to each antenna's hop segment.
+def slot_gain(i, h, m, k, spec: ImpairmentSpec, cfg: RadarConfig):
+    """Complex factor of the tone of antenna m on sub-band k in hop h of PRT
+    i: front-end gain, accumulated-STO phase and the CFO rotation of the
+    hop start. Broadcasts over index arrays.
 
-    Shape (n_prt, H, M); excludes the common within-hop CFO ramp
-    exp(j*cfo*n/fs), which is identical for every slot.
+    Excludes the common within-hop CFO ramp exp(j*cfo*n/fs), which is
+    identical for every slot.
     """
     beta = (spec.front_end or FrontEndProfile.flat(cfg)).response()  # (M, K)
-    i_idx = plan.prt_indices()[:, None, None]
-    h_idx = np.arange(cfg.hops_per_pulse)[None, :, None]
-    dt = accumulated_sto(i_idx, h_idx, spec, cfg)                    # (n_prt,H,1)
-    omega = 2 * np.pi * plan.frequencies()                           # (n_prt,H,M)
-    gains = beta.T[plan.subband % cfg.n_subbands,
-                   np.arange(cfg.n_tx)[None, None, :]]               # (n_prt,H,M)
-    hop_start = (i_idx * cfg.prt_duration + h_idx * cfg.hop_duration)
-    return gains * np.exp(1j * ((omega + spec.cfo) * dt
-                                + spec.cfo * hop_start))
+    dt = accumulated_sto(i, h, spec, cfg)
+    omega = 2 * np.pi * cfg.subband_frequency(k)
+    hop_start = i * cfg.prt_duration + h * cfg.hop_duration
+    return beta[m, k] * np.exp(1j * ((omega + spec.cfo) * dt
+                                     + spec.cfo * hop_start))
 
 
 def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
@@ -193,15 +188,31 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
     This is the exact discrete transform of the impaired tone and the
     reference model for receiver-side corrections and oracle tests.
     """
-    beta = (spec.front_end or FrontEndProfile.flat(cfg)).response()
-    omega = 2 * np.pi * cfg.subband_frequency(subband)
-    dt = accumulated_sto(i, h, spec, cfg)
-    hop_start = np.asarray(i) * cfg.prt_duration + np.asarray(h) * cfg.hop_duration
-    gain = beta[np.asarray(m), np.asarray(subband)]
     return (dft_window_gain(spec.cfo, cfg.samples_per_hop, cfg.sample_rate)
-            * gain * np.exp(1j * (np.asarray(psk_phase)
-                                  + (omega + spec.cfo) * dt
-                                  + spec.cfo * hop_start)))
+            * slot_gain(i, h, m, subband, spec, cfg)
+            * np.exp(1j * np.asarray(psk_phase)))
+
+
+def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
+    """Circular complex AWGN of per-sample variance ``noise_var``.
+
+    Seed contract: with g = default_rng(rng) the result is
+    (g.standard_normal(shape) + 1j * g.standard_normal(shape))
+    * sqrt(noise_var / 2), real block first; both blocks pass through one
+    float buffer. A variance of 0 gives zeros and draws nothing; a
+    negative, infinite or NaN one raises :class:`ConfigError`.
+    """
+    if not 0.0 <= noise_var < np.inf:               # NaN fails too
+        raise ConfigError("noise_var must be finite and >= 0")
+    if noise_var == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    rng = np.random.default_rng(rng)
+    out = np.empty(shape, dtype=np.complex128)
+    buf = np.empty(shape)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=buf)
+        np.multiply(buf, np.sqrt(noise_var / 2.0), out=part)
+    return out
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
@@ -225,16 +236,12 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
 
     tx = frame.prt_view()                                  # (M, n_prt, n_p)
     active = tx[:, :, :H * n_hop].reshape(M, n_prt, H, n_hop)
-    gains = slot_gain(plan, spec, cfg)                     # (n_prt, H, M)
+    gains = slot_gain(plan.prt_indices()[:, None, None],
+                      np.arange(H)[:, None], np.arange(M), plan.subband,
+                      spec, cfg)                           # (n_prt, H, M)
     ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
     mixed = np.einsum("mihn,ihm->ihn", active, gains) * ramp
 
-    out = np.zeros((n_prt, n_p), dtype=np.complex128)
-    out[:, :H * n_hop] = mixed.reshape(n_prt, H * n_hop)
-    out = out.reshape(1, n_prt * n_p)
-    if spec.noise_var > 0:
-        rng = np.random.default_rng(rng)
-        scale = np.sqrt(spec.noise_var / 2.0)
-        noise = rng.standard_normal((2, out.size)) * scale
-        out = out + (noise[0] + 1j * noise[1])
-    return IqFrame(out, cfg.sample_rate, n_p)
+    out = complex_noise((n_prt, n_p), spec.noise_var, rng)
+    out[:, :H * n_hop] += mixed.reshape(n_prt, H * n_hop)
+    return IqFrame(out.reshape(1, n_prt * n_p), cfg.sample_rate, n_p)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
+from .impairments import complex_noise
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
 
@@ -63,10 +64,11 @@ class TargetScene:
     def validate(self, cfg: RadarConfig) -> None:
         for t in self.targets:
             if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
-                raise ValueError(f"target range {t.range_m} outside "
-                                 f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
+                raise ConfigError(
+                    f"target range {t.range_m} outside "
+                    f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
             if abs(t.velocity) >= cfg.unambiguous_velocity:
-                raise ValueError("target velocity outside unambiguous span")
+                raise ConfigError("target velocity outside unambiguous span")
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,16 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     delayed superposition of the transmit pulses weighted by the two-way
     steering and its scattering coefficient, with a per-PRT Doppler phase.
     Delays are rounded to the sample grid; samples inside the transmit
-    window are zeroed (pulsed-radar blind zone). Noise is drawn before the
-    echoes so equal seeds give equal noise regardless of the scene/plan:
-    with g = default_rng(rng) it is (g.standard_normal(shape) + 1j *
-    g.standard_normal(shape)) * sqrt(noise_var / 2), real block first.
-    A ``noise_var`` that is negative, infinite or NaN raises
-    :class:`ConfigError`.
+    window are zeroed (pulsed-radar blind zone). The noise is one
+    :func:`complex_noise` draw of shape (N, n_prt, samples_per_prt), made
+    before the echoes, so equal seeds give equal noise regardless of the
+    scene/plan and a bad ``noise_var`` raises its :class:`ConfigError`.
     """
-    if not 0.0 <= noise_var < np.inf:               # NaN fails too
-        raise ConfigError("noise_var must be finite and >= 0")
+    N = array.n_rx
+    n_prt = plan.n_prt
+    n_p = cfg.samples_per_prt
+    n_pulse = cfg.samples_per_pulse
+    rx = complex_noise((N, n_prt, n_p), noise_var, rng)
     scene_ok = []
     for t in scene.targets:
         if t.delay() < cfg.hops_per_pulse * cfg.hop_duration:
@@ -154,25 +157,6 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
                           "excluded")
             continue
         scene_ok.append(t)
-
-    n_prt = plan.n_prt
-    n_p = cfg.samples_per_prt
-    n_pulse = cfg.samples_per_pulse
-    N = array.n_rx
-    rng = np.random.default_rng(rng)
-
-    if noise_var > 0:
-        # both blocks pass through one float buffer, scaled straight into
-        # rx: no complex temporaries
-        scale = np.sqrt(noise_var / 2.0)
-        rx = np.empty((N, n_prt, n_p), dtype=np.complex128)
-        buf = rng.standard_normal((N, n_prt, n_p))
-        np.multiply(buf, scale, out=rx.real)
-        rng.standard_normal(out=buf)
-        np.multiply(buf, scale, out=rx.imag)
-        del buf
-    else:
-        rx = np.zeros((N, n_prt, n_p), dtype=np.complex128)
 
     pulses = synthesize(plan, psk, cfg).prt_view()[:, :, :n_pulse]  # (M,n_prt,E)
     e_t, e_r = array._errs()
@@ -230,7 +214,11 @@ class RangeDopplerMap:
 
     cube: np.ndarray         # (n_doppler, P, n_range) complex
     cfg: RadarConfig
-    range_offset: int        # fast-time sample index of range bin 0
+
+    @property
+    def range_offset(self) -> int:
+        """Fast-time sample index of range bin 0: the pulse end."""
+        return self.cfg.samples_per_pulse
 
     @property
     def n_doppler(self) -> int:
@@ -256,8 +244,7 @@ class RangeDopplerMap:
         return stat
 
 
-def mtd(profiles: np.ndarray, cfg: RadarConfig,
-        range_offset: int | None = None) -> RangeDopplerMap:
+def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
     """Slow-time DFT across PRTs: the range-Doppler map.
 
     profiles: (P, n_prt, n_range). Doppler axis is shifted so bin
@@ -272,9 +259,7 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig,
         X = np.fft.fft(profiles[p], axis=0)                   # (F, R)
         cube[:s, p] = X[F - s:]
         cube[s:, p] = X[:F - s]
-    if range_offset is None:
-        range_offset = cfg.samples_per_pulse
-    return RangeDopplerMap(cube, cfg, range_offset)
+    return RangeDopplerMap(cube, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,8 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
     if n_prt is None:
         n_prt = cfg.prts_per_cpi
+    if n_prt < 1:
+        raise ConfigError("n_prt must be >= 1")
     rng = np.random.default_rng(rng)
 
     if mode == "traditional":

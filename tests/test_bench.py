@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhmimo import bench
+from fhmimo.config import ConfigError
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -63,6 +64,16 @@ def test_config_for_hop_duration(cfg):
 # ---------------------------------------------------------------------------
 # BER sweep
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", ["chunk_prt", "trials", "min_symbols"])
+def test_sweep_spec_rejects_empty_counts(field):
+    # chunk_prt = 0 made ber_point loop forever; zero trials or symbols
+    # wrote NaN or empty rows
+    for value in (0, -1):
+        with pytest.raises(ConfigError):
+            bench.SweepSpec(**{field: value})
+    assert getattr(bench.SweepSpec(**{field: 1}), field) == 1
+
 
 def test_ber_point_random_guess_baseline(cfg):
     # deep noise: PSK bits are coin flips (BER ~ 0.5 within CI)
@@ -139,6 +150,12 @@ def _dets(rows):
                              range_m, zeros, azimuth_deg)
 
 
+def _rdm(cfg):
+    """Empty range-Doppler map with 128 Doppler bins: the grid the
+    detections of ``_dets`` lie on."""
+    return rrx.RangeDopplerMap(np.zeros((128, 0, 0), dtype=complex), cfg)
+
+
 def test_associate_tie_break_and_no_reuse(cfg):
     # a target at 1500 m and 0 m/s sits in range bin 200, Doppler bin 64;
     # range_m tags each detection with its index
@@ -150,7 +167,7 @@ def test_associate_tie_break_and_no_reuse(cfg):
         (200, 64, 3.0, 99.0, 4.0),    # outside angle gate
     ])
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)] * 4)
-    out = bench._associate(dets, scene, cfg, cfg.samples_per_pulse, 128)
+    out = bench._associate(dets, scene, _rdm(cfg))
     # highest statistic first, lowest index on ties, never reused
     assert [r[0] for r in out] == [True, True, True, False]
     assert [r[1] + 1500.0 for r in out[:3]] == [1.0, 2.0, 0.0]
@@ -190,7 +207,7 @@ def test_associate_matches_loop_reference(cfg):
         (200 + int(rng.integers(-6, 7)), 64 + int(rng.integers(-3, 4)),
          rng.uniform(-4, 4), float(rng.integers(0, 3)),
          rng.uniform(1400, 1600)) for _ in range(60)])
-    out = bench._associate(dets, scene, cfg, cfg.samples_per_pulse, 128)
+    out = bench._associate(dets, scene, _rdm(cfg))
     assert out == loop(dets, scene)
     assert 0 < sum(r[0] for r in out) < len(out)
 

@@ -183,11 +183,13 @@ def test_radar_command(cfg_file, tmp_path):
     assert (out / "scene.csv").exists()
 
 
-def _with_noise(cfg_file, tmp_path, noise):
+def _with_noise(cfg_file, tmp_path, noise, drop=()):
     """Config file whose impairment section sets only ``noise`` (a dict
-    with ``noise_var`` or ``snr_db``) next to the fixture's other keys."""
+    with ``noise_var`` or ``snr_db``) next to the fixture's other keys,
+    less those named in ``drop``."""
     cfg = json.loads(cfg_file.read_text())
-    cfg["impairment"].pop("snr_db")
+    for key in ("snr_db", *drop):
+        cfg["impairment"].pop(key)
     cfg["impairment"].update(noise)
     p = tmp_path / "noise.json"
     p.write_text(json.dumps(cfg))   # NaN is written as the literal NaN
@@ -208,6 +210,45 @@ def test_invalid_noise_variance_rejected(cfg_file, tmp_path, command, noise):
                    command) == cli.EXIT_CONFIG == 2
 
 
+@pytest.mark.parametrize("keys, drop", [
+    ({"cfo": float("nan")}, ("rho",)),
+    ({"sto_initial": float("inf")}, ("rho",)),
+    ({"sample_time_offset": float("nan")}, ("rho",)),
+    ({"rho": float("nan")}, ())],
+    ids=["cfo-nan", "sto_initial-inf", "sample_time_offset-nan", "rho-nan"])
+def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
+    # a NaN or infinite CFO, STO or clock stability used to give an all-NaN
+    # frame and exit 0; without rho, cfo and sample_time_offset are known
+    # keys, so the exit code is the value check's
+    p = _with_noise(cfg_file, tmp_path, {"snr_db": 25, **keys}, drop)
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, section, values", [
+    ("radar", "array", {"n_rx": "abc"}),
+    ("comm", "run", {"n_prt": "x"}),
+    ("comm", "run", {"n_prt": -5}),
+    ("comm", "impairment", {"ripple_db": "x"}),
+    ("radar", "scene", {"targets": [{"range_m": 100.0}]}),
+    ("radar", "scene", {"targets": [{"velocity": 10.0}]}),
+    ("radar", "scene", {"targets": [5]})],
+    ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
+         "target-in-blind-zone", "target-without-range",
+         "target-not-object"])
+def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
+                                                    command, section,
+                                                    values):
+    # all but the last used to escape as a bare ValueError or KeyError
+    # and exit 5 ("internal")
+    cfg = json.loads(cfg_file.read_text())
+    cfg.setdefault(section, {}).update(values)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   command) == cli.EXIT_CONFIG
+
+
 def test_sweep_command_and_determinism(cfg_file, tmp_path):
     outs = []
     for name in ("s1", "s2"):
@@ -225,6 +266,10 @@ def test_unknown_config_keys_rejected(tmp_path):
     assert run_cli("--config", str(p), "--out", str(tmp_path / "x"),
                    "txgen") == cli.EXIT_CONFIG
     p.write_text(json.dumps({"bogus_section": {}}))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "x"),
+                   "txgen") == cli.EXIT_CONFIG
+    # --out sets the output directory; run.out was never read
+    p.write_text(json.dumps({"run": {"out": "elsewhere"}}))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "x"),
                    "txgen") == cli.EXIT_CONFIG
 

@@ -104,6 +104,27 @@ def test_noise_calibration(cfg):
     assert np.var(out.data) == pytest.approx(2.0, rel=0.01)
 
 
+def test_channel_noise_seed_contract(cfg):
+    # the contract in complex_noise's docstring, through apply: real block,
+    # then imaginary block, scaled by sqrt(noise_var / 2)
+    plan = wf.plan_hops(cfg, n_prt=3, rng=0)
+    frame = wf.synthesize(plan, None, cfg)
+    frame.data[:] = 0
+    noise_var = 2.5
+    spec = imp.ImpairmentSpec(noise_var=noise_var)
+    out = imp.apply(frame, plan, None, spec, cfg, rng=31)
+    g = np.random.default_rng(31)
+    s = (3, cfg.samples_per_prt)
+    expect = ((g.standard_normal(s) + 1j * g.standard_normal(s))
+              * np.sqrt(noise_var / 2))
+    assert out.data.dtype == np.complex128
+    assert np.array_equal(out.prt_view()[0], expect)
+    # no noise: zeros, and the generator is left untouched
+    state = g.bit_generator.state
+    assert not imp.complex_noise(s, 0.0, g).any()
+    assert g.bit_generator.state == state
+
+
 def test_silence_untouched_without_noise(cfg, rng):
     plan, psk, frame = _frame(cfg, 4, rng)
     spec = imp.ImpairmentSpec.from_clock(2e-6, cfg, sto_initial=5e-9)

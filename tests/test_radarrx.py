@@ -316,8 +316,7 @@ def test_cfar_fifty_target_scene_detection_rate(cfg):
                              noise_var=10 ** (30 / 10), rng=9)
     grid = rrx.angle_grid(30, 512)
     rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
-    hits = sum(r[0] for r in bench._associate(
-        dets, scene, cfg, cfg.samples_per_pulse, rdm.n_doppler))
+    hits = sum(r[0] for r in bench._associate(dets, scene, rdm))
     assert hits >= 45  # >= 90% of 50
 
 
@@ -435,8 +434,7 @@ def test_waveform_equivalence_quick(cfg):
         grid = rrx.angle_grid(30, 512)
         rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
         errs[mode] = np.array([
-            (dr, dv) for hit, dr, dv, _ in bench._associate(
-                dets, scene, cfg, cfg.samples_per_pulse, rdm.n_doppler)
+            (dr, dv) for hit, dr, dv, _ in bench._associate(dets, scene, rdm)
             if hit])
     assert len(errs["dfrc"]) == len(errs["traditional"]) == 8
     rmse = {m: np.sqrt((e ** 2).mean(axis=0)) for m, e in errs.items()}
