@@ -58,7 +58,7 @@ def run(array, cal=None, label=""):
 run(rrx.ArrayModel(), label="Ideal array")
 
 # unknown per-element gains: calibrate against an anchor at boresight
-err_array = rrx.ArrayModel.with_random_errors(rng=rng)
+err_array = rrx.ArrayModel().with_random_errors(rng)
 anchor = rrx.TargetScene([rrx.Target(2250.0, 0.0, 0.0)])
 rx = rrx.synthesize_echo(plan, psk, anchor, err_array, cfg,
                          noise_var=10.0, rng=np.random.default_rng(5))

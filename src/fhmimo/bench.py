@@ -46,7 +46,7 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
     pilot cycle of K PRTs.
     """
     if order_bits < 0:
-        raise ValueError("order_bits must be >= 0")
+        raise ConfigError("order_bits must be >= 0")
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
     full_bits = FhcsCodebook(K, M).bits
     nominal = (H * full_bits + order_bits * M * H) / cfg.prt_duration
@@ -93,10 +93,13 @@ class SweepSpec:
 
     def __post_init__(self):
         # a zero chunk would loop forever, zero trials or symbols give
-        # empty rows
-        for name in ("chunk_prt", "trials", "min_symbols"):
+        # empty rows, an empty angle grid has no step
+        for name in ("chunk_prt", "trials", "min_symbols",
+                     "angle_grid_points"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"sweep.{name} must be >= 1")
+        if not 0.0 < self.p_fa < 1.0:
+            raise ConfigError("sweep.p_fa must be in (0, 1)")
 
 
 @dataclass
@@ -151,8 +154,8 @@ def _draw_impairments(cfg: RadarConfig, spec: SweepSpec, rng,
     """Clock-consistent random impairment draw inside the estimator range."""
     rho = rng.uniform(*spec.rho_span) * rng.choice((-1.0, 1.0))
     sto0 = rng.uniform(0.0, 1.0) / cfg.sample_rate  # sub-sample initial STO
-    fe = FrontEndProfile.rippled(cfg, rng=rng, mag_ripple_db=spec.ripple_db,
-                                 phase_ripple_rad=spec.ripple_rad)
+    fe = FrontEndProfile.rippled(cfg, rng=rng, ripple_db=spec.ripple_db,
+                                 ripple_rad=spec.ripple_rad)
     return ImpairmentSpec.from_clock(rho, cfg, sto_initial=sto0,
                                      noise_var=noise_var, front_end=fe)
 

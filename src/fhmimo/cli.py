@@ -20,7 +20,8 @@ import numpy as np
 from . import bench, commrx, radarrx
 from .config import ConfigError, RadarConfig
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
-from .iqfile import IqFormatError, config_hash, read_iq, write_csv, write_iq
+from .iqfile import (IqFormatError, config_hash, read_iq, write_csv,
+                     write_iq, write_rdm)
 from .waveform import PayloadLengthError, make_psk_grid, plan_hops, synthesize
 
 EXIT_OK = 0
@@ -82,39 +83,51 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return raw
 
 
-def build_radar_config(raw: dict) -> RadarConfig:
-    return RadarConfig(**raw["radar"])
+def _given(sec: dict, kinds: dict) -> dict:
+    """The keys of ``kinds`` that ``sec`` gives, each converted to its kind,
+    so a library default applies to every key the config leaves out."""
+    return {key: _num(sec[key], key, kind) for key, kind in kinds.items()
+            if key in sec}
+
+
+def _run(raw: dict) -> dict:
+    """The run section with ``seed``, ``order_bits`` and ``n_prt`` converted;
+    without ``n_prt``, ``run.get("n_prt")`` is None and :func:`plan_hops`
+    plans one CPI."""
+    run = {"seed": 0, "order_bits": 3, **raw["run"]}
+    return {**run, **_given(run, {"seed": int, "order_bits": int,
+                                  "n_prt": int})}
+
+
+def _noise_var(sec: dict, default: float) -> float:
+    """Per-sample noise variance: ``snr_db`` if given overrides
+    ``noise_var``, which falls back to ``default``."""
+    noise_var = _num(sec.get("noise_var", default), "noise_var")
+    if "snr_db" in sec:
+        noise_var = 10.0 ** (-_num(sec["snr_db"], "snr_db") / 10.0)
+    return noise_var
 
 
 def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
-    sec = dict(raw["impairment"])
-    noise_var = _num(sec.pop("noise_var", 0.0), "noise_var")
-    if "snr_db" in sec:
-        noise_var = 10.0 ** (-_num(sec.pop("snr_db"), "snr_db") / 10.0)
-    fe_kind = sec.pop("front_end", "flat")
-    ripple_db = _num(sec.pop("ripple_db", 1.0), "ripple_db")
-    ripple_rad = _num(sec.pop("ripple_rad", 0.2), "ripple_rad")
+    sec = raw["impairment"]
+    noise_var = _noise_var(sec, 0.0)
+    ripple = _given(sec, {"ripple_db": float, "ripple_rad": float})
+    fe_kind = sec.get("front_end", "flat")
     if fe_kind == "rippled":
-        fe = FrontEndProfile.rippled(cfg, rng=rng, mag_ripple_db=ripple_db,
-                                     phase_ripple_rad=ripple_rad)
+        fe = FrontEndProfile.rippled(cfg, rng, **ripple)
     elif fe_kind == "flat":
         fe = None
     else:
         raise ConfigError(f"unknown front_end kind {fe_kind!r}")
-    if "rho" in sec:
-        rho = _num(sec.pop("rho"), "rho")
-        spec = ImpairmentSpec.from_clock(
-            rho, cfg,
-            sto_initial=_num(sec.pop("sto_initial", 0.0), "sto_initial"),
-            noise_var=noise_var, front_end=fe)
-        _check_keys("impairment", sec, {})
-        return spec
-    spec = ImpairmentSpec(
-        cfo=_num(sec.pop("cfo", 0.0), "cfo"),
-        sto_initial=_num(sec.pop("sto_initial", 0.0), "sto_initial"),
-        sample_time_offset=_num(sec.pop("sample_time_offset", 0.0),
-                                "sample_time_offset"),
-        noise_var=noise_var, front_end=fe)
+    clock = _given(sec, {"rho": float, "cfo": float, "sto_initial": float,
+                         "sample_time_offset": float})
+    if "rho" in clock:
+        # the CFO and the sample-clock mismatch derive from rho
+        rho = clock.pop("rho")
+        _check_keys("impairment", clock, {"sto_initial"})
+        return ImpairmentSpec.from_clock(rho, cfg, noise_var=noise_var,
+                                         front_end=fe, **clock)
+    spec = ImpairmentSpec(noise_var=noise_var, front_end=fe, **clock)
     spec.validate(cfg)
     return spec
 
@@ -124,31 +137,25 @@ def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
     if sec.get("targets"):
         if not all(isinstance(t, dict) for t in sec["targets"]):
             raise ConfigError("scene targets must be JSON objects")
-        targets = [radarrx.Target(_num(t.get("range_m"), "range_m"),
-                                  _num(t.get("velocity", 0.0), "velocity"),
-                                  _num(t.get("azimuth_deg", 0.0),
-                                       "azimuth_deg"),
-                                  _num(t.get("coeff", 1.0), "coeff", complex))
-                   for t in sec["targets"]]
-        scene = radarrx.TargetScene(targets)
+        kinds = {"range_m": float, "velocity": float, "azimuth_deg": float,
+                 "coeff": complex}
+        scene = radarrx.TargetScene(
+            [radarrx.Target(**_given(t, kinds)) for t in sec["targets"]])
     else:
         scene = radarrx.TargetScene.random(
-            cfg, _num(sec.get("n_targets", 50), "n_targets", int), rng=rng,
-            range_span=tuple(sec.get("range_span", (750.0, 4185.0))),
-            velocity_span=tuple(sec.get("velocity_span", (-170.0, 170.0))),
-            azimuth_span=tuple(sec.get("azimuth_span", (-4.0, 4.0))))
+            cfg, rng=rng, **_given(sec, {
+                "n_targets": int, "range_span": tuple,
+                "velocity_span": tuple, "azimuth_span": tuple}))
     scene.validate(cfg)
     return scene
 
 
 def build_array(raw: dict, cfg: RadarConfig, rng) -> radarrx.ArrayModel:
     sec = raw["array"]
-    kw = dict(n_tx=cfg.n_tx, n_rx=_num(sec.get("n_rx", 12), "n_rx", int),
-              tx_spacing=_num(sec.get("tx_spacing", 6.0), "tx_spacing"),
-              rx_spacing=_num(sec.get("rx_spacing", 0.5), "rx_spacing"))
-    if sec.get("random_errors"):
-        return radarrx.ArrayModel.with_random_errors(rng=rng, **kw)
-    return radarrx.ArrayModel(**kw)
+    array = radarrx.ArrayModel(n_tx=cfg.n_tx, **_given(sec, {
+        "n_rx": int, "tx_spacing": float, "rx_spacing": float}))
+    return (array.with_random_errors(rng) if sec.get("random_errors")
+            else array)
 
 
 def _echo_config(raw: dict, out_dir: Path) -> str:
@@ -169,18 +176,14 @@ def _read_payload_bits(path) -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_txgen(raw: dict, out_dir: Path) -> None:
+def cmd_txgen(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     """Write transmit IQ frames and the ground-truth plan/PSK records."""
-    cfg = build_radar_config(raw)
-    run = raw["run"]
-    seed = _num(run.get("seed", 0), "seed", int)
-    n_prt = _num(run.get("n_prt", cfg.prts_per_cpi), "n_prt", int)
-    order_bits = _num(run.get("order_bits", 3), "order_bits", int)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    run = _run(raw)
+    rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 1]))
     payload = (_read_payload_bits(run["payload_file"])
                if run.get("payload_file") else None)
-    plan = plan_hops(cfg, fhcs_bits=payload, n_prt=n_prt, rng=rng)
-    psk = make_psk_grid(cfg, plan, order_bits, rng=rng)
+    plan = plan_hops(cfg, fhcs_bits=payload, n_prt=run.get("n_prt"), rng=rng)
+    psk = make_psk_grid(cfg, plan, run["order_bits"], rng=rng)
     frame = synthesize(plan, psk, cfg)
     cfg_hash = _echo_config(raw, out_dir)
     write_iq(out_dir / "tx.iq", frame)
@@ -190,16 +193,10 @@ def cmd_txgen(raw: dict, out_dir: Path) -> None:
           f"{frame.n_samples} samples) and plan.txt")
 
 
-def cmd_comm(raw: dict, out_dir: Path) -> None:
+def cmd_comm(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     """End-to-end communication pipeline; reports BER when truth is local."""
-    cfg = build_radar_config(raw)
-    run = raw["run"]
-    seed = _num(run.get("seed", 0), "seed", int)
-    n_prt = _num(run.get("n_prt", cfg.prts_per_cpi), "n_prt", int)
-    order_bits = _num(run.get("order_bits", 3), "order_bits", int)
-    mode = run.get("mode", "estimated")
-    seq = np.random.SeedSequence([seed, 2])
-    rng = np.random.default_rng(seq)
+    run = _run(raw)
+    rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 2]))
     spec = build_impairments(raw, cfg, rng)
     cfg_hash = _echo_config(raw, out_dir)
 
@@ -207,12 +204,13 @@ def cmd_comm(raw: dict, out_dir: Path) -> None:
     if run.get("iq_file"):
         rx = read_iq(run["iq_file"])
     else:
-        plan = plan_hops(cfg, n_prt=n_prt, rng=rng)
-        psk = make_psk_grid(cfg, plan, order_bits, rng=rng)
+        plan = plan_hops(cfg, n_prt=run.get("n_prt"), rng=rng)
+        psk = make_psk_grid(cfg, plan, run["order_bits"], rng=rng)
         frame = synthesize(plan, psk, cfg)
         rx = apply(frame, plan, psk, spec, cfg, rng=rng)
-    report = commrx.demodulate(rx, cfg, order_bits, mode=mode,
-                               spec=spec if mode == "known" else None)
+    # only the known mode reads the spec
+    report = commrx.demodulate(rx, cfg, run["order_bits"], spec=spec,
+                               **_given(run, {"mode": str}))
     report.to_csv(out_dir / "demod.csv", cfg_hash)
     summary = report.summary()
     if plan is not None:
@@ -229,42 +227,20 @@ def cmd_comm(raw: dict, out_dir: Path) -> None:
              else "no local truth"))
 
 
-def write_rdm(path, rdm: radarrx.RangeDopplerMap) -> None:
-    """Binary range-Doppler cube: text header then float32 re/im pairs."""
-    with open(path, "wb") as f:
-        f.write((f"FHRDM1\ndoppler={rdm.n_doppler}\n"
-                 f"channels={rdm.cube.shape[1]}\n"
-                 f"range={rdm.n_range}\n"
-                 f"range_offset={rdm.range_offset}\n"
-                 f"prt_duration={rdm.cfg.prt_duration:.17g}\n"
-                 f"sample_rate={rdm.cfg.sample_rate:.17g}\ndata\n"
-                 ).encode("ascii"))
-        inter = np.empty(rdm.cube.shape + (2,), dtype=np.float32)
-        inter[..., 0] = rdm.cube.real
-        inter[..., 1] = rdm.cube.imag
-        f.write(inter.tobytes())
-
-
-def cmd_radar(raw: dict, out_dir: Path) -> None:
+def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     """Synthesize a scene, run the radar chain, export detections + RDM."""
-    cfg = build_radar_config(raw)
-    run = raw["run"]
-    seed = _num(run.get("seed", 0), "seed", int)
-    seq = np.random.SeedSequence([seed, 3])
+    run = _run(raw)
+    seq = np.random.SeedSequence([run["seed"], 3])
     scene_rng, noise_rng, plan_rng, arr_rng = (
         np.random.default_rng(s) for s in seq.spawn(4))
     scene = build_scene(raw, cfg, scene_rng)
     array = build_array(raw, cfg, arr_rng)
-    sweep = build_sweep_spec(raw)
-    spec = raw["impairment"]
-    noise_var = 10.0 ** (-_num(spec["snr_db"], "snr_db") / 10.0) \
-        if "snr_db" in spec else _num(spec.get("noise_var", 1.0), "noise_var")
-    plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi, rng=plan_rng)
-    psk = make_psk_grid(cfg, plan,
-                        _num(run.get("order_bits", 3), "order_bits", int),
-                        rng=plan_rng)
+    sweep = build_sweep_spec(raw, run["seed"])
+    plan = plan_hops(cfg, rng=plan_rng)
+    psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
     rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
-                                 noise_var=noise_var, rng=noise_rng)
+                                 noise_var=_noise_var(raw["impairment"], 1.0),
+                                 rng=noise_rng)
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
     rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, array,
                                     p_fa=sweep.p_fa, grid=grid)
@@ -278,22 +254,16 @@ def cmd_radar(raw: dict, out_dir: Path) -> None:
     print(f"wrote {len(dets)} detections for {len(scene.targets)} targets")
 
 
-def build_sweep_spec(raw: dict) -> bench.SweepSpec:
+def build_sweep_spec(raw: dict, seed: int) -> bench.SweepSpec:
+    """The sweep section as a :class:`bench.SweepSpec`; ``seed`` (the run
+    seed) applies unless the section gives its own."""
     sec = {k: v for k, v in raw["sweep"].items() if k != "kind"}
-    for key in ("snr_grid_db", "modulations", "hop_durations",
-                "radar_snr_grid_db", "rho_span", "range_span",
-                "velocity_span", "azimuth_span"):
-        if key in sec:
-            sec[key] = tuple(sec[key])
-    if "seed" not in sec:
-        sec["seed"] = _num(raw["run"].get("seed", 0), "seed", int)
-    return bench.SweepSpec(**sec)
+    return bench.SweepSpec(**{"seed": seed, **sec})
 
 
-def cmd_sweep(raw: dict, out_dir: Path) -> None:
+def cmd_sweep(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     """Run the configured Monte-Carlo study and export report files."""
-    cfg = build_radar_config(raw)
-    sweep = build_sweep_spec(raw)
+    sweep = build_sweep_spec(raw, _run(raw)["seed"])
     kind = raw["sweep"].get("kind", "ber")
     cfg_hash = _echo_config(raw, out_dir)
     if kind == "ber":
@@ -375,7 +345,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {"txgen": cmd_txgen, "comm": cmd_comm,
                    "radar": cmd_radar, "sweep": cmd_sweep}[args.command]
-        handler(raw, out_dir)
+        handler(raw, RadarConfig(**raw["radar"]), out_dir)
         return EXIT_OK
     except (ConfigError, json.JSONDecodeError, TypeError) as exc:
         _fail("config", exc)

@@ -333,7 +333,9 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
       "known"      corrections from the true ``spec`` (lower bound).
     """
     if mode not in ("estimated", "averaged", "flat", "known"):
-        raise ValueError(f"unknown demodulation mode {mode!r}")
+        raise ConfigError(f"unknown demodulation mode {mode!r}")
+    if order_bits < 0:
+        raise ConfigError("order_bits must be >= 0")
     if mode == "known" and spec is None:
         raise ValueError("known-channel mode needs the impairment spec")
     if (frame.sample_rate != cfg.sample_rate

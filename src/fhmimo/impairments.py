@@ -83,20 +83,20 @@ class FrontEndProfile:
                    np.ones(cfg.n_tx, dtype=complex))
 
     @classmethod
-    def rippled(cls, cfg: RadarConfig, rng=None, mag_ripple_db: float = 1.0,
-                phase_ripple_rad: float = 0.2) -> "FrontEndProfile":
+    def rippled(cls, cfg: RadarConfig, rng=None, ripple_db: float = 1.0,
+                ripple_rad: float = 0.2) -> "FrontEndProfile":
         """Smooth random ripple: low-order polynomials over the band, scaled
-        so the log-magnitude peaks at +/-mag_ripple_db and the phase at
-        +/-phase_ripple_rad; the flat channel gain has a random phase."""
+        so the log-magnitude peaks at +/-ripple_db and the phase at
+        +/-ripple_rad; the flat channel gain has a random phase."""
         rng = np.random.default_rng(rng)
         x = np.linspace(-1.0, 1.0, cfg.n_subbands)
         gains = np.empty((cfg.n_tx, cfg.n_subbands), dtype=complex)
         for m in range(cfg.n_tx):
             mag_curve = np.polyval(rng.standard_normal(RIPPLE_ORDER + 1), x)
             ph_curve = np.polyval(rng.standard_normal(RIPPLE_ORDER + 1), x)
-            mag_db = mag_ripple_db * mag_curve / max(
+            mag_db = ripple_db * mag_curve / max(
                 np.max(np.abs(mag_curve)), 1e-12)
-            ph = phase_ripple_rad * ph_curve / max(
+            ph = ripple_rad * ph_curve / max(
                 np.max(np.abs(ph_curve)), 1e-12)
             gains[m] = 10.0 ** (mag_db / 20.0) * np.exp(1j * ph)
         return cls(gains, np.exp(2j * np.pi * rng.random(cfg.n_tx)))
@@ -144,7 +144,10 @@ class ImpairmentSpec:
                    noise_var: float = 0.0,
                    front_end: FrontEndProfile | None = None) -> "ImpairmentSpec":
         """Consistent draw from one clock-stability value: the CFO and the
-        sample-clock mismatch both derive from rho."""
+        sample-clock mismatch both derive from rho, which must be finite with
+        |rho| < 1."""
+        if not abs(rho) < 1.0:                      # NaN fails too
+            raise ConfigError("rho must be finite with |rho| < 1")
         spec = cls(cfo=2 * np.pi * cfg.carrier_freq * rho,
                    sto_initial=sto_initial,
                    sample_time_offset=sto_from_rho(rho, cfg.sample_rate),

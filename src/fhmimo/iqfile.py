@@ -1,9 +1,11 @@
 """IQ sample container and file formats.
 
-Binary IQ files carry a small text header (terminated by a ``data`` line)
-followed by interleaved float32 real/imag pairs, channel-major. CSV helpers
-stamp a configuration hash comment so every artifact can be traced back to
-the exact run settings.
+Binary IQ files and range-Doppler dumps each carry a small text header
+(terminated by a ``data`` line) followed by interleaved float32 real/imag
+pairs in the array's C order: channel-major for IQ files, (Doppler,
+channel, range) for the range-Doppler cube. CSV helpers stamp a
+configuration hash comment so every artifact can be traced back to the
+exact run settings.
 """
 
 from __future__ import annotations
@@ -54,20 +56,34 @@ class IqFrame:
                                  self.samples_per_prt)
 
 
-def write_iq(path, frame: IqFrame) -> None:
+def _write_interleaved(path, header: str, data: np.ndarray) -> None:
+    """``header`` in ASCII, then ``data`` as float32 real/imag pairs."""
     with open(path, "wb") as f:
-        header = (f"{_MAGIC}\n"
-                  f"sample_rate={frame.sample_rate:.17g}\n"
-                  f"channels={frame.n_channels}\n"
-                  f"samples={frame.n_samples}\n"
-                  f"samples_per_prt={frame.samples_per_prt}\n"
-                  f"data\n")
         f.write(header.encode("ascii"))
-        interleaved = np.empty((frame.n_channels, frame.n_samples, 2),
-                               dtype=np.float32)
-        interleaved[..., 0] = frame.data.real
-        interleaved[..., 1] = frame.data.imag
+        interleaved = np.empty(data.shape + (2,), dtype=np.float32)
+        interleaved[..., 0] = data.real
+        interleaved[..., 1] = data.imag
         f.write(interleaved.tobytes())
+
+
+def write_iq(path, frame: IqFrame) -> None:
+    _write_interleaved(path, f"{_MAGIC}\n"
+                             f"sample_rate={frame.sample_rate:.17g}\n"
+                             f"channels={frame.n_channels}\n"
+                             f"samples={frame.n_samples}\n"
+                             f"samples_per_prt={frame.samples_per_prt}\n"
+                             f"data\n", frame.data)
+
+
+def write_rdm(path, rdm) -> None:
+    """Range-Doppler dump of a :class:`radarrx.RangeDopplerMap`."""
+    _write_interleaved(path, f"FHRDM1\ndoppler={rdm.n_doppler}\n"
+                             f"channels={rdm.cube.shape[1]}\n"
+                             f"range={rdm.n_range}\n"
+                             f"range_offset={rdm.range_offset}\n"
+                             f"prt_duration={rdm.cfg.prt_duration:.17g}\n"
+                             f"sample_rate={rdm.cfg.sample_rate:.17g}\n"
+                             f"data\n", rdm.cube)
 
 
 def read_iq(path) -> IqFrame:

@@ -9,7 +9,7 @@ matched filters, giving P = M*N spatial channels ordered p = n*M + m.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,8 @@ CAL_MIN_LEVEL = 1e-9      # smallest anchor channel magnitude to calibrate on
 @dataclass(frozen=True)
 class Target:
     range_m: float
-    velocity: float          # radial, m/s (positive = approaching bins > 0)
-    azimuth_deg: float
+    velocity: float = 0.0    # radial, m/s (positive = approaching bins > 0)
+    azimuth_deg: float = 0.0
     coeff: complex = 1.0 + 0.0j
 
     def delay(self) -> float:
@@ -45,12 +45,22 @@ class TargetScene:
         self.targets = list(self.targets)
 
     @classmethod
-    def random(cls, cfg: RadarConfig, n_targets: int, rng=None,
+    def random(cls, cfg: RadarConfig, n_targets: int = 50, rng=None,
                range_span=(750.0, 4185.0), velocity_span=(-170.0, 170.0),
                azimuth_span=(-4.0, 4.0)) -> "TargetScene":
-        rng = np.random.default_rng(rng)
+        """``n_targets`` targets drawn uniformly over the spans; the range
+        span is first clamped to the observable window. A negative count or
+        an empty span is a :class:`ConfigError`."""
         lo_r = max(range_span[0], cfg.blind_range)
         hi_r = min(range_span[1], cfg.unambiguous_range)
+        if not n_targets >= 0:
+            raise ConfigError("n_targets must be >= 0")
+        for name, (lo, hi) in (("range_span", (lo_r, hi_r)),
+                               ("velocity_span", velocity_span),
+                               ("azimuth_span", azimuth_span)):
+            if not lo <= hi:                        # NaN fails too
+                raise ConfigError(f"{name} [{lo}, {hi}] is empty")
+        rng = np.random.default_rng(rng)
         targets = []
         for _ in range(n_targets):
             targets.append(Target(
@@ -82,6 +92,12 @@ class ArrayModel:
     tx_errors: np.ndarray | None = None
     rx_errors: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not (self.n_tx >= 1 and self.n_rx >= 1):
+            raise ConfigError("n_tx and n_rx must be >= 1")
+        if not np.isfinite([self.tx_spacing, self.rx_spacing]).all():
+            raise ConfigError("tx_spacing and rx_spacing must be finite")
+
     @property
     def n_virtual(self) -> int:
         return self.n_tx * self.n_rx
@@ -93,14 +109,13 @@ class ArrayModel:
                else np.asarray(self.rx_errors, dtype=complex))
         return e_t, e_r
 
-    @classmethod
-    def with_random_errors(cls, rng=None, n_tx: int = 2, n_rx: int = 12,
-                           tx_spacing: float = 6.0, rx_spacing: float = 0.5
-                           ) -> "ArrayModel":
+    def with_random_errors(self, rng=None) -> "ArrayModel":
+        """This geometry with uniform random phase errors, n_tx transmit
+        phases drawn first, then n_rx receive phases."""
         rng = np.random.default_rng(rng)
-        e_t = np.exp(1j * rng.uniform(-np.pi, np.pi, n_tx))
-        e_r = np.exp(1j * rng.uniform(-np.pi, np.pi, n_rx))
-        return cls(n_tx, n_rx, tx_spacing, rx_spacing, e_t, e_r)
+        return replace(
+            self, tx_errors=np.exp(1j * rng.uniform(-np.pi, np.pi, self.n_tx)),
+            rx_errors=np.exp(1j * rng.uniform(-np.pi, np.pi, self.n_rx)))
 
     def steering_tx(self, theta_deg) -> np.ndarray:
         s = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))

@@ -394,8 +394,11 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
     """Fill every non-pinned slot with a PSK symbol from the bit stream.
 
     Bits are consumed ``order_bits`` per slot in (PRT, hop, antenna) order
-    and Gray-mapped onto the constellation.
+    and Gray-mapped onto the constellation. A negative ``order_bits`` is a
+    :class:`ConfigError`.
     """
+    if order_bits < 0:
+        raise ConfigError("order_bits must be >= 0")
     rng = np.random.default_rng(rng)
     free = ~plan.pinned
     n_slots = int(free.sum())

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from fhmimo import cli
+from fhmimo import impairments as imp
+from fhmimo import radarrx as rrx
+from fhmimo.config import RadarConfig
 from fhmimo.iqfile import IqFrame, IqFormatError, read_iq, write_iq
 
 
@@ -134,6 +137,11 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
     lines = (out / "demod.csv").read_text().splitlines()
     assert lines[1].startswith("prt,hop,antenna")
     assert len(lines) == 2 + 20 * 6 + 2
+    # a capture skips make_psk_grid; demodulate checks order_bits itself
+    cfg["run"]["order_bits"] = -1
+    p.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(p), "--out", str(out), "comm") == \
+        cli.EXIT_CONFIG
 
 
 def test_iq_frame_rejects_partial_prt():
@@ -232,21 +240,49 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("comm", "impairment", {"ripple_db": "x"}),
     ("radar", "scene", {"targets": [{"range_m": 100.0}]}),
     ("radar", "scene", {"targets": [{"velocity": 10.0}]}),
-    ("radar", "scene", {"targets": [5]})],
+    ("radar", "scene", {"targets": [5]}),
+    ("radar", "array", {"n_rx": -3}),
+    ("radar", "array", {"n_rx": 0}),
+    ("radar", "array", {"rx_spacing": "nan"}),
+    ("radar", "scene", {"range_span": [5000, 100]}),
+    ("radar", "scene", {"n_targets": -2}),
+    ("radar", "sweep", {"angle_grid_points": 0}),
+    ("radar", "sweep", {"p_fa": 2.0}),
+    ("txgen", "run", {"order_bits": -1}),
+    ("comm", "run", {"order_bits": -1}),
+    ("comm", "run", {"mode": "bogus"}),
+    ("comm", "impairment", {"rho": 1.0})],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
-         "target-not-object"])
+         "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
+         "range_span-empty", "n_targets-negative", "angle_grid_points-zero",
+         "p_fa-above-one", "order_bits-negative-txgen",
+         "order_bits-negative-comm", "mode-unknown", "rho-one"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     command, section,
                                                     values):
-    # all but the last used to escape as a bare ValueError or KeyError
-    # and exit 5 ("internal")
+    # each used to exit 5 ("internal") on an uncaught error, or 0 with
+    # meaningless output (n_rx 0, rx_spacing NaN, n_targets < 0, p_fa > 1)
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    command) == cli.EXIT_CONFIG
+
+
+def test_empty_sections_give_library_defaults():
+    # build_array, build_scene and build_impairments pass on only the keys
+    # a config gives, so an empty section means the library's defaults
+    cfg = RadarConfig(prts_per_cpi=20)
+    raw = cli.load_config()
+    assert cli.build_array(raw, cfg, 0) == rrx.ArrayModel(n_tx=cfg.n_tx)
+    assert cli.build_scene(raw, cfg, 5) == rrx.TargetScene.random(cfg, rng=5)
+    raw["impairment"]["front_end"] = "rippled"
+    fe = cli.build_impairments(raw, cfg, 7).front_end
+    ref = imp.FrontEndProfile.rippled(cfg, rng=7)
+    np.testing.assert_array_equal(fe.gains, ref.gains)
+    np.testing.assert_array_equal(fe.channel, ref.channel)
 
 
 def test_sweep_command_and_determinism(cfg_file, tmp_path):

@@ -138,8 +138,8 @@ def test_cfo_range_enforced(cfg):
 
 
 def test_front_end_ripple_bounds(cfg, rng):
-    fe = imp.FrontEndProfile.rippled(cfg, rng=rng, mag_ripple_db=1.0,
-                                     phase_ripple_rad=0.2)
+    fe = imp.FrontEndProfile.rippled(cfg, rng=rng, ripple_db=1.0,
+                                     ripple_rad=0.2)
     mag_db = 20 * np.log10(np.abs(fe.gains))
     assert np.max(np.abs(mag_db)) == pytest.approx(1.0)
     assert np.max(np.abs(np.angle(fe.gains))) == pytest.approx(0.2)

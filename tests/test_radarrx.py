@@ -332,7 +332,7 @@ def test_calibration_identity_for_clean_array(cfg):
 
 
 def test_calibration_restores_coherence(cfg, rng):
-    arr = rrx.ArrayModel.with_random_errors(rng=rng)
+    arr = rrx.ArrayModel().with_random_errors(rng)
     gain = 1.4 * np.exp(0.3j)
     z = gain * arr.virtual_steering(0.0)      # anchor at boresight
     cal = rrx.calibrate(z, arr, 0.0)
@@ -347,7 +347,7 @@ def test_calibration_restores_coherence(cfg, rng):
 def test_calibration_transfers_to_new_scene(cfg, rng):
     # calibration from one anchor fixes angle estimates of later scenes
     # observed through the same error vectors
-    arr = rrx.ArrayModel.with_random_errors(rng=rng)
+    arr = rrx.ArrayModel().with_random_errors(rng)
     cal = rrx.calibrate(arr.virtual_steering(0.0), arr, 0.0)
     grid = rrx.angle_grid(30, 4096)
     for theta in (-21.0, -4.2, 3.3, 14.8):
@@ -382,7 +382,7 @@ def test_angle_quantization_floor(cfg, rng):
 @pytest.mark.parametrize("with_cal", [False, True])
 def test_angle_batch_equals_row_by_row(rng, with_cal):
     # a (D, P) call returns exactly what D calls on (P,) rows return
-    arr = rrx.ArrayModel.with_random_errors(rng=rng)
+    arr = rrx.ArrayModel().with_random_errors(rng)
     cal = (rrx.calibrate(arr.virtual_steering(0.0), arr, 0.0)
            if with_cal else None)
     grid = rrx.angle_grid(30, 256)
