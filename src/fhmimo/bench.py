@@ -45,8 +45,8 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
     partially pinned hops and no PSK on pinned slots, averaged over one
     pilot cycle of K PRTs.
     """
-    if order_bits < 0:
-        raise ConfigError("order_bits must be >= 0")
+    if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
+        raise ConfigError("order_bits must be in [0, 63]")
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
     full_bits = FhcsCodebook(K, M).bits
     nominal = (H * full_bits + order_bits * M * H) / cfg.prt_duration
@@ -100,6 +100,8 @@ class SweepSpec:
                 raise ConfigError(f"sweep.{name} must be >= 1")
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError("sweep.p_fa must be in (0, 1)")
+        if not 0.0 < self.angle_fov_deg < np.inf:
+            raise ConfigError("sweep.angle_fov_deg must be finite and > 0")
 
 
 @dataclass

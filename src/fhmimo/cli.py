@@ -40,13 +40,17 @@ def _check_keys(section: str, given: dict, allowed) -> None:
 
 
 def _num(value, key: str, kind=float):
-    """``kind(value)`` for config key ``key``; a value that does not convert
-    is a :class:`ConfigError`, not an internal error."""
+    """``kind(value)`` for config key ``key``; a value that does not convert,
+    or a non-integral number for an ``int``, is a :class:`ConfigError`, not
+    an internal error or a silent truncation."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):   # int(inf) overflows
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}"
                           ) from None
+    return out
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:

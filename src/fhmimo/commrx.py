@@ -91,6 +91,16 @@ def slot_peaks(sub_vals: np.ndarray, median_mag: np.ndarray, det: HopPlan):
     return peaks, np.abs(peaks) >= floor[..., None]
 
 
+def _lane_median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` of magnitudes bit for bit, from one SIMD
+    sort, not a selection per lane; NaN sorts last, so a NaN lane is NaN."""
+    s = np.sort(a, axis=-1)
+    n = s.shape[-1]
+    lo, hi = s[..., (n - 1) // 2], s[..., n // 2]
+    return np.where(np.isnan(s[..., -1]), s[..., -1],
+                    hi if n % 2 else (lo + hi) / 2)
+
+
 # ---------------------------------------------------------------------------
 # Synchronization estimators
 # ---------------------------------------------------------------------------
@@ -334,8 +344,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     """
     if mode not in ("estimated", "averaged", "flat", "known"):
         raise ConfigError(f"unknown demodulation mode {mode!r}")
-    if order_bits < 0:
-        raise ConfigError("order_bits must be >= 0")
+    if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
+        raise ConfigError("order_bits must be in [0, 63]")
     if mode == "known" and spec is None:
         raise ValueError("known-channel mode needs the impairment spec")
     if (frame.sample_rate != cfg.sample_rate
@@ -348,8 +358,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     prt_abs = first_prt + np.arange(frame.n_prt)
     spectra, sub_vals = _batch_spectra(frame, cfg)
     det = assign_peaks(sub_vals, cfg, first_prt)
-    peaks, peak_ok = slot_peaks(
-        sub_vals, np.median(np.abs(spectra), axis=-1), det)
+    peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
     hop_erased = ~peak_ok.all(axis=-1)
     ants = np.arange(cfg.n_tx)
     zero, zero_ok = peaks[:, ants, ants], peak_ok[:, ants, ants]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,7 @@ def write_rdm(path, rdm) -> None:
 
 
 def read_iq(path) -> IqFrame:
+    """The frame of an FHIQ file, complex64 as stored."""
     with open(path, "rb") as f:
         first = f.readline().decode("ascii", "replace").strip()
         if first != _MAGIC:
@@ -107,12 +109,14 @@ def read_iq(path) -> IqFrame:
             spp = int(fields["samples_per_prt"])
         except (KeyError, ValueError) as exc:
             raise IqFormatError(f"incomplete header: {exc}") from exc
-        payload = f.read()
-        if len(payload) != channels * samples * 8:
+        # checked before allocating: a header may claim any size
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if min(channels, samples) < 0 or channels * samples * 8 != left:
             raise IqFormatError("payload size does not match header")
-        raw = np.frombuffer(payload, dtype=np.float32)
-        ri = raw.reshape(channels, samples, 2)
-        return IqFrame(ri[..., 0] + 1j * ri[..., 1], sample_rate, spp)
+        data = np.empty((channels, samples), np.complex64)
+        if f.readinto(data) != left:
+            raise IqFormatError("payload size does not match header")
+        return IqFrame(data, sample_rate, spp)
 
 
 def config_hash(config_dict: dict) -> str:

@@ -50,7 +50,12 @@ class TargetScene:
                azimuth_span=(-4.0, 4.0)) -> "TargetScene":
         """``n_targets`` targets drawn uniformly over the spans; the range
         span is first clamped to the observable window. A negative count or
-        an empty span is a :class:`ConfigError`."""
+        a span that is empty or not two entries is a :class:`ConfigError`."""
+        for name, span in (("range_span", range_span),
+                           ("velocity_span", velocity_span),
+                           ("azimuth_span", azimuth_span)):
+            if len(span) != 2:
+                raise ConfigError(f"{name} must be [low, high], got {span}")
         lo_r = max(range_span[0], cfg.blind_range)
         hi_r = min(range_span[1], cfg.unambiguous_range)
         if not n_targets >= 0:

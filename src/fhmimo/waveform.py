@@ -394,11 +394,11 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
     """Fill every non-pinned slot with a PSK symbol from the bit stream.
 
     Bits are consumed ``order_bits`` per slot in (PRT, hop, antenna) order
-    and Gray-mapped onto the constellation. A negative ``order_bits`` is a
-    :class:`ConfigError`.
+    and Gray-mapped onto the constellation. An ``order_bits`` outside
+    [0, 63] is a :class:`ConfigError`.
     """
-    if order_bits < 0:
-        raise ConfigError("order_bits must be >= 0")
+    if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
+        raise ConfigError("order_bits must be in [0, 63]")
     rng = np.random.default_rng(rng)
     free = ~plan.pinned
     n_slots = int(free.sum())

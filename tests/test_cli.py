@@ -33,13 +33,18 @@ def cfg_file(tmp_path):
 
 
 def test_iq_file_roundtrip(tmp_path, rng):
+    # exact at float32 storage, -0.0 and infinities included; the frame
+    # comes back complex64 and writable
     data = rng.standard_normal((3, 640)) + 1j * rng.standard_normal((3, 640))
+    data[0, :4] = [complex(-0.0, 1), complex(1, -0.0), complex(1, np.inf),
+                   complex(-np.inf, np.nan)]
     frame = IqFrame(data, 40e6, 320)
     write_iq(tmp_path / "x.iq", frame)
     back = read_iq(tmp_path / "x.iq")
     assert back.sample_rate == 40e6
     assert back.samples_per_prt == 320
-    assert np.allclose(back.data, data, atol=1e-6)  # float32 storage
+    assert back.data.dtype == np.complex64 and back.data.flags.writeable
+    assert back.data.tobytes() == data.astype(np.complex64).tobytes()
 
 
 def test_iq_file_rejects_garbage(tmp_path):
@@ -47,10 +52,17 @@ def test_iq_file_rejects_garbage(tmp_path):
     p.write_bytes(b"NOTIQ\nx=1\ndata\n")
     with pytest.raises(IqFormatError):
         read_iq(p)
-    p.write_bytes(b"FHIQ1\nsample_rate=1\nchannels=2\nsamples=10\n"
-                  b"samples_per_prt=5\ndata\n\x00\x00")
-    with pytest.raises(IqFormatError):
-        read_iq(p)
+    head = b"FHIQ1\nsample_rate=1\nchannels=%d\nsamples=%d\n" \
+           b"samples_per_prt=5\ndata\n"
+    # short payload, one trailing byte, a header claiming 1e12 samples
+    # (checked before allocating) and negative counts whose product fits
+    for bad in (head % (2, 10) + b"\x00\x00",
+                head % (2, 10) + bytes(161),
+                head % (1, 10 ** 12) + bytes(80),
+                head % (-2, -10) + bytes(160)):
+        p.write_bytes(bad)
+        with pytest.raises(IqFormatError):
+            read_iq(p)
 
 
 def test_txgen_writes_outputs(cfg_file, tmp_path):
@@ -251,24 +263,48 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("txgen", "run", {"order_bits": -1}),
     ("comm", "run", {"order_bits": -1}),
     ("comm", "run", {"mode": "bogus"}),
-    ("comm", "impairment", {"rho": 1.0})],
+    ("comm", "impairment", {"rho": 1.0}),
+    ("txgen", "run", {"n_prt": 20.5}),
+    ("radar", "array", {"n_rx": 2.7}),
+    ("comm", "run", {"order_bits": 64}),
+    ("comm", "run", {"order_bits": 70}),
+    ("radar", "scene", {"range_span": [1000]}),
+    ("radar", "scene", {"velocity_span": [-5, 0, 5]}),
+    ("radar", "sweep", {"angle_fov_deg": float("nan")})],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
          "range_span-empty", "n_targets-negative", "angle_grid_points-zero",
          "p_fa-above-one", "order_bits-negative-txgen",
-         "order_bits-negative-comm", "mode-unknown", "rho-one"])
+         "order_bits-negative-comm", "mode-unknown", "rho-one",
+         "n_prt-fraction", "n_rx-fraction", "order_bits-64", "order_bits-70",
+         "range_span-one-entry", "velocity_span-three-entries",
+         "angle_fov_deg-nan"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     command, section,
                                                     values):
     # each used to exit 5 ("internal") on an uncaught error, or 0 with
-    # meaningless output (n_rx 0, rx_spacing NaN, n_targets < 0, p_fa > 1)
+    # meaningless output (n_rx 0, rx_spacing NaN, n_targets < 0, p_fa > 1,
+    # a count truncated to an int, order_bits 64 overflowing int64 symbol
+    # arithmetic, a NaN angle grid)
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    command) == cli.EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_comm_with_63_bit_symbols_runs_cleanly(cfg_file, tmp_path):
+    # the widest symbol the int64 arithmetic holds; an integral float count
+    # is still accepted
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"].update(order_bits=63, n_prt=20.0)
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == 0
 
 
 def test_empty_sections_give_library_defaults():

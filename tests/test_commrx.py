@@ -85,6 +85,25 @@ def test_assign_peaks_erasure_flag(cfg):
     assert erased
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [40, 20, 7])
+def test_lane_median_equals_numpy_median_bit_for_bit(dtype, n):
+    # the noise floor's one-sort median, on hop magnitudes: every lane is
+    # np.median's, also with NaN (the lane gives NaN) and +-inf in it
+    a = np.abs(np.random.default_rng(n).standard_normal((200, n)))
+    a = a.astype(dtype)
+    a[0, 3], a[1, :2], a[2, 1] = np.nan, np.nan, np.inf
+    a[3, ::2], a[4, :] = np.inf, np.inf
+    a[5, 0], a[5, -1] = -np.inf, np.nan
+    a[6, 2] = -np.inf
+    ref = np.median(a, axis=-1)
+    got = crx._lane_median(a)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    grid = a[:196].reshape(7, 4, 7, n)
+    assert crx._lane_median(grid).tobytes() == \
+        np.median(grid, axis=-1).tobytes()
+
+
 def test_peak_assignment_inverts_generator(cfg, rng):
     # noiseless round trip over 1e4 random hops: detected sub-bands per
     # antenna equal the planned ones
