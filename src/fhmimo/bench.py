@@ -69,21 +69,21 @@ class SweepSpec:
     configuration (50 targets uniform in [-170,170] m/s, [750,4185] m,
     [-4,4] deg; 100 radar trials)."""
 
-    snr_grid_db: tuple = (-10, -8, -6, -4, -2, 0, 2, 4, 6, 8, 10, 12, 14,
-                          16, 18, 20)
-    modulations: tuple = (3, 4)          # PSK bits per symbol
-    hop_durations: tuple = (0.5e-6, 1e-6)
+    snr_grid_db: tuple[float, ...] = (-10, -8, -6, -4, -2, 0, 2, 4, 6, 8,
+                                      10, 12, 14, 16, 18, 20)
+    modulations: tuple[int, ...] = (3, 4)     # PSK bits per symbol
+    hop_durations: tuple[float, ...] = (0.5e-6, 1e-6)
     min_symbols: int = 10000             # per point, PSK symbols and FHCS bits
     comm_mode: str = "known"             # "known" or "estimated"
-    rho_span: tuple = (1e-6, 2.2e-6)     # |clock stability| draw range
+    rho_span: tuple[float, ...] = (1e-6, 2.2e-6)  # |clock stability| range
     ripple_db: float = 1.0
     ripple_rad: float = 0.2
     trials: int = 100                    # radar trials per SNR point
     n_targets: int = 50
-    range_span: tuple = (750.0, 4185.0)
-    velocity_span: tuple = (-170.0, 170.0)
-    azimuth_span: tuple = (-4.0, 4.0)
-    radar_snr_grid_db: tuple = (-40, -32, -24, -16, -8)
+    range_span: tuple[float, ...] = (750.0, 4185.0)
+    velocity_span: tuple[float, ...] = (-170.0, 170.0)
+    azimuth_span: tuple[float, ...] = (-4.0, 4.0)
+    radar_snr_grid_db: tuple[float, ...] = (-40, -32, -24, -16, -8)
     angle_grid_points: int = 256
     angle_fov_deg: float = 30.0
     p_fa: float = 1e-4

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -30,136 +31,143 @@ EXIT_IO = 3
 EXIT_PAYLOAD = 4
 EXIT_INTERNAL = 5
 
-_SECTIONS = ("radar", "impairment", "scene", "array", "sweep", "run")
+
+# The keys each section may give and the kind each converts to, read by both
+# the key check and the conversion. The radar and sweep kinds are their
+# dataclasses' field annotations; a scene target is a radarrx.Target.
+SCHEMA = {
+    "radar": typing.get_type_hints(RadarConfig),
+    "impairment": {"rho": float, "cfo": float, "sto_initial": float,
+                   "sample_time_offset": float, "noise_var": float,
+                   "snr_db": float, "front_end": str, "ripple_db": float,
+                   "ripple_rad": float},
+    "scene": {"targets": tuple[radarrx.Target, ...], "n_targets": int,
+              "range_span": tuple[float, ...],
+              "velocity_span": tuple[float, ...],
+              "azimuth_span": tuple[float, ...]},
+    "array": {"n_rx": int, "tx_spacing": float, "rx_spacing": float,
+              "random_errors": bool},
+    "sweep": {"kind": str, **typing.get_type_hints(bench.SweepSpec)},
+    "run": {"seed": int, "order_bits": int, "n_prt": int, "mode": str,
+            "payload_file": str, "iq_file": str},
+}
 
 
-def _check_keys(section: str, given: dict, allowed) -> None:
+def _check_keys(where: str, given, allowed) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"[{where}] must be a JSON object, got {given!r}")
     unknown = set(given) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in [{where}]: {sorted(unknown)}")
 
 
-def _num(value, key: str, kind=float):
-    """``kind(value)`` for config key ``key``; a value that does not convert,
-    or a non-integral number for an ``int``, is a :class:`ConfigError`, not
-    an internal error or a silent truncation."""
-    try:
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):   # int(inf) overflows
-        raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}"
-                          ) from None
-    return out
+def _convert(value, kind, key: str):
+    """``value`` of config key ``key`` as ``kind``, else a ConfigError that
+    names the key. Numbers are JSON numbers, not booleans or strings (but a
+    complex may be a string, JSON having no complex literal); a tuple kind
+    is a list; a dict kind, or a dataclass kind, a JSON object of its keys."""
+    if isinstance(kind, dict):
+        _check_keys(key, value, kind)
+        return {k: _convert(v, kind[k], f"{key}.{k}")
+                for k, v in value.items()}
+    if dataclasses.is_dataclass(kind):
+        given = _convert(value, typing.get_type_hints(kind), key)
+        missing = [f.name for f in dataclasses.fields(kind)
+                   if f.default is dataclasses.MISSING and f.name not in given]
+        if missing:
+            raise ConfigError(f"{key} needs {missing}")
+        return kind(**given)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        return tuple(_convert(v, typing.get_args(kind)[0], f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+    elif type(value) in (int, float) or (kind, type(value)) == (complex, str):
+        try:
+            out = kind(value)
+            if kind is not int or out == value:     # 2.5 is no int
+                return out
+        except (ValueError, OverflowError):         # int(inf) overflows
+            pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+
+
+def _given(raw: dict, section: str) -> dict:
+    """The keys ``section`` gives, each converted to its kind, so a library
+    default applies to every key the config leaves out."""
+    return _convert(raw[section], SCHEMA[section], section)
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Parse and validate the JSON run configuration."""
+    """Parse the JSON run configuration and check its keys; a command
+    converts the values of the sections it reads (:func:`_given`)."""
     raw = {}
     if path is not None:
         with open(path) as f:
             raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys("<root>", raw, _SECTIONS)
-    for sec in _SECTIONS:
-        raw.setdefault(sec, {})
+    _check_keys("<root>", raw, SCHEMA)
+    for sec, kinds in SCHEMA.items():
+        _check_keys(sec, raw.setdefault(sec, {}), kinds)
     for key, val in (overrides or {}).items():
         sec, name = key.split(".", 1)
         raw[sec][name] = val
-
-    fields = {f.name for f in dataclasses.fields(RadarConfig)}
-    _check_keys("radar", raw["radar"], fields)
-    _check_keys("impairment", raw["impairment"],
-                {"rho", "cfo", "sto_initial", "sample_time_offset",
-                 "noise_var", "snr_db", "front_end", "ripple_db",
-                 "ripple_rad"})
-    _check_keys("scene", raw["scene"],
-                {"targets", "n_targets", "range_span", "velocity_span",
-                 "azimuth_span"})
-    _check_keys("array", raw["array"],
-                {"n_rx", "tx_spacing", "rx_spacing", "random_errors"})
-    sweep_fields = {f.name for f in dataclasses.fields(bench.SweepSpec)}
-    _check_keys("sweep", raw["sweep"], sweep_fields | {"kind"})
-    _check_keys("run", raw["run"],
-                {"seed", "order_bits", "n_prt", "mode", "payload_file",
-                 "iq_file"})
     return raw
 
 
-def _given(sec: dict, kinds: dict) -> dict:
-    """The keys of ``kinds`` that ``sec`` gives, each converted to its kind,
-    so a library default applies to every key the config leaves out."""
-    return {key: _num(sec[key], key, kind) for key, kind in kinds.items()
-            if key in sec}
-
-
 def _run(raw: dict) -> dict:
-    """The run section with ``seed``, ``order_bits`` and ``n_prt`` converted;
-    without ``n_prt``, ``run.get("n_prt")`` is None and :func:`plan_hops`
-    plans one CPI."""
-    run = {"seed": 0, "order_bits": 3, **raw["run"]}
-    return {**run, **_given(run, {"seed": int, "order_bits": int,
-                                  "n_prt": int})}
+    """The converted run section with the CLI's seed and PSK order defaults;
+    without ``n_prt``, :func:`plan_hops` plans one CPI."""
+    return {"seed": 0, "order_bits": 3, **_given(raw, "run")}
 
 
 def _noise_var(sec: dict, default: float) -> float:
-    """Per-sample noise variance: ``snr_db`` if given overrides
-    ``noise_var``, which falls back to ``default``."""
-    noise_var = _num(sec.get("noise_var", default), "noise_var")
+    """Per-sample noise variance, popped from a converted impairment section:
+    ``snr_db`` if given, else ``noise_var``, else ``default``."""
+    noise_var = sec.pop("noise_var", default)
     if "snr_db" in sec:
-        noise_var = 10.0 ** (-_num(sec["snr_db"], "snr_db") / 10.0)
+        noise_var = 10.0 ** (-sec.pop("snr_db") / 10.0)
     return noise_var
 
 
 def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
-    sec = raw["impairment"]
+    sec = _given(raw, "impairment")
     noise_var = _noise_var(sec, 0.0)
-    ripple = _given(sec, {"ripple_db": float, "ripple_rad": float})
-    fe_kind = sec.get("front_end", "flat")
+    ripple = {k: sec.pop(k) for k in ("ripple_db", "ripple_rad") if k in sec}
+    fe_kind = sec.pop("front_end", "flat")
     if fe_kind == "rippled":
         fe = FrontEndProfile.rippled(cfg, rng, **ripple)
     elif fe_kind == "flat":
         fe = None
     else:
         raise ConfigError(f"unknown front_end kind {fe_kind!r}")
-    clock = _given(sec, {"rho": float, "cfo": float, "sto_initial": float,
-                         "sample_time_offset": float})
-    if "rho" in clock:
-        # the CFO and the sample-clock mismatch derive from rho
-        rho = clock.pop("rho")
-        _check_keys("impairment", clock, {"sto_initial"})
+    # the clock keys are left; with rho, the CFO and clock mismatch follow
+    if "rho" in sec:
+        rho = sec.pop("rho")
+        _check_keys("impairment", sec, {"sto_initial"})
         return ImpairmentSpec.from_clock(rho, cfg, noise_var=noise_var,
-                                         front_end=fe, **clock)
-    spec = ImpairmentSpec(noise_var=noise_var, front_end=fe, **clock)
+                                         front_end=fe, **sec)
+    spec = ImpairmentSpec(noise_var=noise_var, front_end=fe, **sec)
     spec.validate(cfg)
     return spec
 
 
 def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
-    sec = raw["scene"]
-    if sec.get("targets"):
-        if not all(isinstance(t, dict) for t in sec["targets"]):
-            raise ConfigError("scene targets must be JSON objects")
-        kinds = {"range_m": float, "velocity": float, "azimuth_deg": float,
-                 "coeff": complex}
-        scene = radarrx.TargetScene(
-            [radarrx.Target(**_given(t, kinds)) for t in sec["targets"]])
-    else:
-        scene = radarrx.TargetScene.random(
-            cfg, rng=rng, **_given(sec, {
-                "n_targets": int, "range_span": tuple,
-                "velocity_span": tuple, "azimuth_span": tuple}))
+    sec = _given(raw, "scene")
+    targets = sec.pop("targets", ())
+    scene = (radarrx.TargetScene(targets) if targets
+             else radarrx.TargetScene.random(cfg, rng=rng, **sec))
     scene.validate(cfg)
     return scene
 
 
 def build_array(raw: dict, cfg: RadarConfig, rng) -> radarrx.ArrayModel:
-    sec = raw["array"]
-    array = radarrx.ArrayModel(n_tx=cfg.n_tx, **_given(sec, {
-        "n_rx": int, "tx_spacing": float, "rx_spacing": float}))
-    return (array.with_random_errors(rng) if sec.get("random_errors")
-            else array)
+    sec = _given(raw, "array")
+    random_errors = sec.pop("random_errors", False)
+    array = radarrx.ArrayModel(n_tx=cfg.n_tx, **sec)
+    return array.with_random_errors(rng) if random_errors else array
 
 
 def _echo_config(raw: dict, out_dir: Path) -> str:
@@ -214,7 +222,7 @@ def cmd_comm(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
         rx = apply(frame, plan, psk, spec, cfg, rng=rng)
     # only the known mode reads the spec
     report = commrx.demodulate(rx, cfg, run["order_bits"], spec=spec,
-                               **_given(run, {"mode": str}))
+                               **{k: run[k] for k in ("mode",) if k in run})
     report.to_csv(out_dir / "demod.csv", cfg_hash)
     summary = report.summary()
     if plan is not None:
@@ -242,9 +250,9 @@ def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     sweep = build_sweep_spec(raw, run["seed"])
     plan = plan_hops(cfg, rng=plan_rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
+    noise_var = _noise_var(_given(raw, "impairment"), 1.0)
     rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
-                                 noise_var=_noise_var(raw["impairment"], 1.0),
-                                 rng=noise_rng)
+                                 noise_var=noise_var, rng=noise_rng)
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
     rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, array,
                                     p_fa=sweep.p_fa, grid=grid)
@@ -261,14 +269,15 @@ def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
 def build_sweep_spec(raw: dict, seed: int) -> bench.SweepSpec:
     """The sweep section as a :class:`bench.SweepSpec`; ``seed`` (the run
     seed) applies unless the section gives its own."""
-    sec = {k: v for k, v in raw["sweep"].items() if k != "kind"}
+    sec = _given(raw, "sweep")
+    sec.pop("kind", None)
     return bench.SweepSpec(**{"seed": seed, **sec})
 
 
 def cmd_sweep(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     """Run the configured Monte-Carlo study and export report files."""
     sweep = build_sweep_spec(raw, _run(raw)["seed"])
-    kind = raw["sweep"].get("kind", "ber")
+    kind = _given(raw, "sweep").get("kind", "ber")
     cfg_hash = _echo_config(raw, out_dir)
     if kind == "ber":
         rep = bench.run_ber_sweep(cfg, sweep)
@@ -300,48 +309,38 @@ def make_parser() -> argparse.ArgumentParser:
         description="Frequency-hopping MIMO dual-function "
                     "radar-communications simulator")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="master seed (overrides config)")
+    # a flag whose dest is "section.key" overrides that config key
+    p.add_argument("--seed", type=int, dest="run.seed", metavar="SEED",
+                   help="master seed (overrides config)")
     p.add_argument("--out", default="out", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("txgen", help="generate transmit IQ + plan files")
     c = sub.add_parser("comm", help="run the communication receive chain")
     c.add_argument("--modulation", type=int, choices=(1, 2, 3, 4),
-                   help="PSK bits per symbol")
-    c.add_argument("--mode",
+                   dest="run.order_bits", help="PSK bits per symbol")
+    c.add_argument("--mode", dest="run.mode",
                    choices=("estimated", "averaged", "flat", "known"))
     r = sub.add_parser("radar", help="run the radar receive chain")
-    r.add_argument("--snr", type=float, help="per-sample SNR in dB")
+    r.add_argument("--snr", type=float, dest="impairment.snr_db",
+                   metavar="SNR", help="per-sample SNR in dB")
     s = sub.add_parser("sweep", help="run a Monte-Carlo study")
-    s.add_argument("--kind", choices=("ber", "radar", "methods"))
-    s.add_argument("--snr", type=float, nargs="+", help="SNR grid override")
+    s.add_argument("--kind", choices=("ber", "radar", "methods"),
+                   dest="sweep.kind")
+    s.add_argument("--snr", type=float, nargs="+", dest="sweep.snr_grid_db",
+                   metavar="SNR", help="SNR grid override")
     s.add_argument("--modulation", type=int, nargs="+",
+                   dest="sweep.modulations", metavar="MODULATION",
                    help="PSK orders (bits) override")
-    s.add_argument("--trials", type=int)
+    s.add_argument("--trials", type=int, dest="sweep.trials", metavar="TRIALS")
     return p
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    if getattr(args, "modulation", None) is not None:
-        if args.command == "comm":
-            overrides["run.order_bits"] = args.modulation
-        else:
-            overrides["sweep.modulations"] = list(args.modulation)
-    if getattr(args, "mode", None):
-        overrides["run.mode"] = args.mode
-    if getattr(args, "snr", None) is not None:
-        if args.command == "radar":
-            overrides["impairment.snr_db"] = args.snr
-        else:
-            overrides["sweep.snr_grid_db"] = list(args.snr)
-            overrides["sweep.radar_snr_grid_db"] = list(args.snr)
-    if getattr(args, "kind", None):
-        overrides["sweep.kind"] = args.kind
-    if getattr(args, "trials", None) is not None:
-        overrides["sweep.trials"] = args.trials
+    overrides = {key: val for key, val in vars(args).items()
+                 if "." in key and val is not None}
+    if "sweep.snr_grid_db" in overrides:    # --snr sets both SNR grids
+        overrides["sweep.radar_snr_grid_db"] = overrides["sweep.snr_grid_db"]
 
     try:
         raw = load_config(args.config, overrides)
@@ -349,9 +348,9 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {"txgen": cmd_txgen, "comm": cmd_comm,
                    "radar": cmd_radar, "sweep": cmd_sweep}[args.command]
-        handler(raw, RadarConfig(**raw["radar"]), out_dir)
+        handler(raw, RadarConfig(**_given(raw, "radar")), out_dir)
         return EXIT_OK
-    except (ConfigError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         _fail("config", exc)
         return EXIT_CONFIG
     except PayloadLengthError as exc:

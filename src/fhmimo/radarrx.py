@@ -80,7 +80,7 @@ class TargetScene:
         for t in self.targets:
             if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
                 raise ConfigError(
-                    f"target range {t.range_m} outside "
+                    f"target range_m {t.range_m} outside "
                     f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
             if abs(t.velocity) >= cfg.unambiguous_velocity:
                 raise ConfigError("target velocity outside unambiguous span")

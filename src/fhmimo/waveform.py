@@ -111,14 +111,6 @@ class FhcsCodebook:
         return tuple(int(v) for v in unrank_subsets(
             np.array([index]), self.pool_size, self.subset_size)[0])
 
-    def rank(self, subset) -> int:
-        return int(rank_subsets(np.array([sorted(subset)]),
-                                self.pool_size)[0])
-
-    def entries(self) -> list:
-        """Materialized ordered list of all subsets (small pools only)."""
-        return [self.unrank(i) for i in range(self.n_total)]
-
 
 # ---------------------------------------------------------------------------
 # Pilot layout

@@ -1,9 +1,12 @@
 import json
+import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fhmimo import cli
+from fhmimo import bench, cli
 from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
 from fhmimo.config import RadarConfig
@@ -245,32 +248,49 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
                    "comm") == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("command, section, values", [
-    ("radar", "array", {"n_rx": "abc"}),
-    ("comm", "run", {"n_prt": "x"}),
-    ("comm", "run", {"n_prt": -5}),
-    ("comm", "impairment", {"ripple_db": "x"}),
-    ("radar", "scene", {"targets": [{"range_m": 100.0}]}),
-    ("radar", "scene", {"targets": [{"velocity": 10.0}]}),
-    ("radar", "scene", {"targets": [5]}),
-    ("radar", "array", {"n_rx": -3}),
-    ("radar", "array", {"n_rx": 0}),
-    ("radar", "array", {"rx_spacing": "nan"}),
-    ("radar", "scene", {"range_span": [5000, 100]}),
-    ("radar", "scene", {"n_targets": -2}),
-    ("radar", "sweep", {"angle_grid_points": 0}),
-    ("radar", "sweep", {"p_fa": 2.0}),
-    ("txgen", "run", {"order_bits": -1}),
-    ("comm", "run", {"order_bits": -1}),
-    ("comm", "run", {"mode": "bogus"}),
-    ("comm", "impairment", {"rho": 1.0}),
-    ("txgen", "run", {"n_prt": 20.5}),
-    ("radar", "array", {"n_rx": 2.7}),
-    ("comm", "run", {"order_bits": 64}),
-    ("comm", "run", {"order_bits": 70}),
-    ("radar", "scene", {"range_span": [1000]}),
-    ("radar", "scene", {"velocity_span": [-5, 0, 5]}),
-    ("radar", "sweep", {"angle_fov_deg": float("nan")})],
+@pytest.mark.parametrize("command, section, values, key", [
+    ("radar", "array", {"n_rx": "abc"}, "n_rx"),
+    ("comm", "run", {"n_prt": "x"}, "n_prt"),
+    ("comm", "run", {"n_prt": -5}, "n_prt"),
+    ("comm", "impairment", {"ripple_db": "x"}, "ripple_db"),
+    ("radar", "scene", {"targets": [{"range_m": 100.0}]}, "range_m"),
+    ("radar", "scene", {"targets": [{"velocity": 10.0}]}, "range_m"),
+    ("radar", "scene", {"targets": [5]}, "targets"),
+    ("radar", "array", {"n_rx": -3}, "n_rx"),
+    ("radar", "array", {"n_rx": 0}, "n_rx"),
+    ("radar", "array", {"rx_spacing": "nan"}, "rx_spacing"),
+    ("radar", "scene", {"range_span": [5000, 100]}, "range_span"),
+    ("radar", "scene", {"n_targets": -2}, "n_targets"),
+    ("radar", "sweep", {"angle_grid_points": 0}, "angle_grid_points"),
+    ("radar", "sweep", {"p_fa": 2.0}, "p_fa"),
+    ("txgen", "run", {"order_bits": -1}, "order_bits"),
+    ("comm", "run", {"order_bits": -1}, "order_bits"),
+    ("comm", "run", {"mode": "bogus"}, "mode"),
+    ("comm", "impairment", {"rho": 1.0}, "rho"),
+    ("txgen", "run", {"n_prt": 20.5}, "n_prt"),
+    ("radar", "array", {"n_rx": 2.7}, "n_rx"),
+    ("comm", "run", {"order_bits": 64}, "order_bits"),
+    ("comm", "run", {"order_bits": 70}, "order_bits"),
+    ("radar", "scene", {"range_span": [1000]}, "range_span"),
+    ("radar", "scene", {"velocity_span": [-5, 0, 5]}, "velocity_span"),
+    ("radar", "sweep", {"angle_fov_deg": float("nan")}, "angle_fov_deg"),
+    ("radar", "sweep", {"angle_grid_points": 2.5}, "angle_grid_points"),
+    ("radar", "sweep", {"seed": "x"}, "seed"),
+    ("radar", "radar", {"n_subbands": "20"}, "n_subbands"),
+    ("radar", "radar", {"hop_duration": "1e-6"}, "hop_duration"),
+    ("radar", "sweep", {"p_fa": "0.01"}, "p_fa"),
+    ("radar", "scene", {"targets": 5}, "targets"),
+    ("sweep", "sweep", {"snr_grid_db": 5}, "snr_grid_db"),
+    ("comm", "run", {"n_prt": True}, "n_prt"),
+    ("comm", "impairment", {"snr_db": False}, "snr_db"),
+    ("radar", "array", {"n_rx": True}, "n_rx"),
+    ("radar", "scene", {"n_targets": True}, "n_targets"),
+    ("radar", "array", {"random_errors": "no"}, "random_errors"),
+    ("radar", "array", {"random_errors": 1}, "random_errors"),
+    ("radar", "array", {"random_errors": 0}, "random_errors"),
+    ("radar", "scene", {"targets": [{"range_m": 1000, "foo": 1}]}, "foo"),
+    ("comm", "run", {"iq_file": 0}, "iq_file"),
+    ("txgen", "run", {"payload_file": 7}, "payload_file")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -279,20 +299,30 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "order_bits-negative-comm", "mode-unknown", "rho-one",
          "n_prt-fraction", "n_rx-fraction", "order_bits-64", "order_bits-70",
          "range_span-one-entry", "velocity_span-three-entries",
-         "angle_fov_deg-nan"])
+         "angle_fov_deg-nan", "angle_grid_points-fraction", "sweep-seed-text",
+         "n_subbands-text", "hop_duration-text", "p_fa-text",
+         "targets-not-list", "snr_grid_db-not-list", "n_prt-true",
+         "snr_db-false", "n_rx-true", "n_targets-true",
+         "random_errors-text", "random_errors-one", "random_errors-zero",
+         "target-unknown-key", "iq_file-number", "payload_file-number"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
-                                                    command, section,
-                                                    values):
-    # each used to exit 5 ("internal") on an uncaught error, or 0 with
-    # meaningless output (n_rx 0, rx_spacing NaN, n_targets < 0, p_fa > 1,
-    # a count truncated to an int, order_bits 64 overflowing int64 symbol
-    # arithmetic, a NaN angle grid)
+                                                    capsys, command, section,
+                                                    values, key):
+    # each used to exit 5 ("internal") on an uncaught error, 2 with a bare
+    # TypeError message, or 0 with meaningless output (n_rx 0, rx_spacing
+    # NaN, n_targets < 0, p_fa > 1, a count truncated to an int, a JSON
+    # boolean read as 0 or 1, random_errors "no" read as true, a target key
+    # dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
+    # angle grid); the error message names the offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
+    capsys.readouterr()
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    command) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and key in error["message"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -319,6 +349,71 @@ def test_empty_sections_give_library_defaults():
     ref = imp.FrontEndProfile.rippled(cfg, rng=7)
     np.testing.assert_array_equal(fe.gains, ref.gains)
     np.testing.assert_array_equal(fe.channel, ref.channel)
+
+
+def test_integral_float_counts_run_as_ints(cfg_file, tmp_path):
+    # 20.0 is accepted for every integer key, radar and sweep included, and
+    # gives the outputs of 20; only the echoed config and its hash differ
+    outs = []
+    for num in (int, float):
+        cfg = json.loads(cfg_file.read_text())
+        cfg["radar"].update(n_subbands=num(20), prts_per_cpi=num(20))
+        cfg["array"] = {"n_rx": num(8)}
+        cfg["sweep"].update(angle_grid_points=num(128), trials=num(2),
+                            seed=num(4))
+        p = tmp_path / f"{num.__name__}.json"
+        p.write_text(json.dumps(cfg))
+        files = {}
+        for command in ("radar", "sweep"):
+            out = tmp_path / num.__name__ / command
+            assert run_cli("--config", str(p), "--out", str(out), command,
+                           *(["--kind", "radar"] if command == "sweep"
+                             else [])) == 0
+            for f in out.iterdir():
+                if f.name != "effective_config.json":
+                    files[command, f.name] = re.sub(
+                        rb"config_hash=\w+", b"", f.read_bytes())
+        outs.append(files)
+    assert outs[0] == outs[1]
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_CLI_DOCS = _README[_README.index("## CLI"):]
+
+
+def _kind_text(kind) -> str:
+    if typing.get_origin(kind) is tuple:
+        return f"[{_kind_text(typing.get_args(kind)[0])}]"
+    return "target" if kind is rrx.Target else kind.__name__
+
+
+def test_readme_key_list_matches_schema():
+    block = re.search(r"```text\n(.*?)```", _CLI_DOCS, re.S).group(1)
+    listed = {}
+    for sec, body in re.findall(r"^(\w+):(.*(?:\n +.*)*)", block, re.M):
+        listed[sec] = dict(entry.split() for entry in body.split(","))
+    expected = {sec: {key: _kind_text(kind) for key, kind in kinds.items()}
+                for sec, kinds in cli.SCHEMA.items()}
+    expected["target"] = {key: _kind_text(kind) for key, kind in
+                          typing.get_type_hints(rrx.Target).items()}
+    assert listed == expected
+
+
+def test_readme_example_config_loads(tmp_path):
+    example = re.search(r"```json\n(.*?)```", _CLI_DOCS, re.S).group(1)
+    p = tmp_path / "example.json"
+    p.write_text(example)
+    raw = cli.load_config(p)
+    cfg = RadarConfig(**cli._given(raw, "radar"))
+    assert cfg == RadarConfig()
+    assert cli.build_impairments(raw, cfg, 0).noise_var == 0.01
+    assert len(cli.build_scene(raw, cfg, 0).targets) == 50
+    assert cli.build_array(raw, cfg, 0).n_rx == 12
+    sweep = cli.build_sweep_spec(raw, 1)
+    assert sweep.snr_grid_db == (-10.0, 0.0, 10.0)
+    assert sweep.modulations == (3, 4) and sweep.seed == 1
+    assert isinstance(sweep.modulations[0], int)
+    assert raw == cli.load_config(p)    # the builders leave raw as it is
 
 
 def test_sweep_command_and_determinism(cfg_file, tmp_path):

@@ -32,10 +32,9 @@ def test_codebook_small_against_bruteforce():
     assert cb.n_total == 6
     assert cb.n_usable == 4
     assert cb.bits == 2
-    assert cb.entries() == brute
-    assert cb.unrank(0) == (0, 1)
-    for i, subset in enumerate(brute):
-        assert cb.rank(subset) == i
+    assert [cb.unrank(i) for i in range(cb.n_total)] == brute
+    assert np.array_equal(wf.rank_subsets(np.array(brute), 4),
+                          np.arange(len(brute)))
 
 
 def test_rank_unrank_roundtrip_bulk(rng):
