@@ -9,13 +9,15 @@ a seed sequence so results do not depend on execution order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product, repeat
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig
+from .config import ConfigError, RadarConfig, check_span
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
@@ -102,6 +104,9 @@ class SweepSpec:
             raise ConfigError("sweep.p_fa must be in (0, 1)")
         if not 0.0 < self.angle_fov_deg < np.inf:
             raise ConfigError("sweep.angle_fov_deg must be finite and > 0")
+        for name in ("rho_span", "range_span", "velocity_span",
+                     "azimuth_span"):
+            check_span(f"sweep.{name}", getattr(self, name))
 
 
 @dataclass
@@ -272,10 +277,6 @@ def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
     return out
 
 
-def _radar_trial_star(args):
-    return radar_trial(*args)
-
-
 def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
                 trial_seed, waveform_mode: str):
     """One scene through the full chain; returns association results."""
@@ -309,30 +310,29 @@ def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
 
     Trials are independent; with ``sweep.n_workers > 1`` they run in a
     process pool and are merged in trial order, so parallel and serial
-    runs produce identical reports.
+    runs produce identical reports. An RMSE is NaN where no trial matched
+    a target, and the standard error of its MSE where fewer than two did.
     """
     cols = ["snr_db", "waveform", "rmse_range", "rmse_velocity",
             "rmse_angle", "detection_rate", "n_matched", "n_targets",
             "se_mse_range", "se_mse_velocity", "se_mse_angle"]
     rows = []
     paired = {}
-    pool = (ProcessPoolExecutor(max_workers=sweep.n_workers)
-            if sweep.n_workers > 1 else None)
-    for snr_db in sweep.radar_snr_grid_db:
-        for mode, label in (("dfrc", "pilot"), ("traditional", "random")):
+    waveforms = (("dfrc", "pilot"), ("traditional", "random"))
+    with (ProcessPoolExecutor(max_workers=sweep.n_workers)
+          if sweep.n_workers > 1 else contextlib.nullcontext()) as pool:
+        trial_map = map if pool is None else pool.map
+        for snr_db, (mode, label) in product(sweep.radar_snr_grid_db,
+                                             waveforms):
             # one MSE row per trial (NaN when nothing matched) so the two
             # waveforms stay aligned for the paired comparison
             per_trial_mse = {"r": [], "v": [], "a": []}
             matched = 0
             total = 0
-            args = [(cfg, sweep, snr_db,
-                     [sweep.seed, trial, round(snr_db * 100) & 0xffff],
-                     mode) for trial in range(sweep.trials)]
-            if pool is not None:
-                trial_results = list(pool.map(_radar_trial_star, args))
-            else:
-                trial_results = [radar_trial(*a) for a in args]
-            for res in trial_results:
+            seeds = [[sweep.seed, trial, round(snr_db * 100) & 0xffff]
+                     for trial in range(sweep.trials)]
+            for res in trial_map(radar_trial, repeat(cfg), repeat(sweep),
+                                 repeat(snr_db), seeds, repeat(mode)):
                 errs = [(dr, dv, da) for ok, dr, dv, da in res if ok]
                 matched += len(errs)
                 total += len(res)
@@ -342,16 +342,15 @@ def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
                 per_trial_mse["v"].append(np.mean(e[:, 1] ** 2))
                 per_trial_mse["a"].append(np.mean(e[:, 2] ** 2))
             mses = {k: np.array(v) for k, v in per_trial_mse.items()}
-            rmse = {k: float(np.sqrt(np.nanmean(v))) for k, v in mses.items()}
-            se = {k: float(np.nanstd(v, ddof=1)
-                           / np.sqrt(np.sum(~np.isnan(v))))
-                  for k, v in mses.items()}
+            n = {k: int(np.sum(~np.isnan(v))) for k, v in mses.items()}
+            rmse = {k: float(np.sqrt(np.nansum(v) / n[k])) if n[k]
+                    else np.nan for k, v in mses.items()}
+            se = {k: float(np.nanstd(v, ddof=1) / np.sqrt(n[k]))
+                  if n[k] >= 2 else np.nan for k, v in mses.items()}
             rows.append([float(snr_db), label, rmse["r"], rmse["v"],
                          rmse["a"], matched / max(total, 1), matched, total,
                          se["r"], se["v"], se["a"]])
             paired[(snr_db, label)] = mses
-    if pool is not None:
-        pool.shutdown()
     meta = {"seed": sweep.seed, "paired_mse": paired}
     return SweepReport("radar", cols, rows, meta)
 

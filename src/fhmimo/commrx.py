@@ -64,17 +64,14 @@ def assign_peaks(sub_vals: np.ndarray, cfg: RadarConfig,
     subband = np.zeros((n_prt, H, cfg.n_tx), dtype=np.int64)
     pinned = np.zeros((n_prt, H, cfg.n_tx), dtype=bool)
     for g in hop_groups(cfg, first_prt + np.arange(n_prt)):
-        for ant, ks in zip(g.pin_ants, np.moveaxis(g.pin_ks, 1, 0)):
-            subband[g.rows, g.hop, ant] = ks
-            pinned[g.rows, g.hop, ant] = True
-        if g.free_ants:
+        subband[g.rows[:, None], g.hop, g.pin_ants] = g.pin_ks
+        pinned[g.rows[:, None], g.hop, g.pin_ants] = True
+        if g.free_ants:                     # argpartition needs kth < K
             masked = np.abs(sub_vals[g.rows, g.hop, :])   # (R, K)
-            if g.pin_ks.shape[1]:
-                masked[np.arange(g.rows.size)[:, None], g.pin_ks] = -1.0
+            masked[np.arange(g.rows.size)[:, None], g.pin_ks] = -1.0
             F = len(g.free_ants)
             top = np.argpartition(masked, K - F, axis=1)[:, K - F:]
-            subband[g.rows[:, None], g.hop,
-                    np.array(g.free_ants)] = np.sort(top, axis=1)
+            subband[g.rows[:, None], g.hop, g.free_ants] = np.sort(top, 1)
     return HopPlan(cfg, subband, pinned, first_prt)
 
 
@@ -388,8 +385,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         raw_phase = np.zeros(len(slots))
     else:
         cycled = peaks[:, ants + 1, ants]
-        cycled_ok = (peak_ok[:, ants + 1, ants]
-                     | (cfg.pilot_offset(prt_abs) == 0)[:, None])
+        # a PRT at offset 0 sends no cycled pilot, so there is none to check
+        cycled_ok = peak_ok[:, ants + 1, ants] | ~det.pinned[:, ants + 1, ants]
         table = build_pilot_ratios(zero, cycled, prt_abs, sync, cfg,
                                    zero_ok & cycled_ok)
         if mode == "averaged":

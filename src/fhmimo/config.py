@@ -23,6 +23,13 @@ def _as_exact_int(value: float, name: str) -> int:
     return n
 
 
+def check_span(name: str, span) -> None:
+    """Raise :class:`ConfigError` unless ``span`` is ``[low, high]`` with
+    ``low <= high``; a NaN bound fails."""
+    if not (len(span) == 2 and span[0] <= span[1]):
+        raise ConfigError(f"{name} must be [low, high], got {list(span)}")
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """Pulsed FH-MIMO radar parameters.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
+from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig, check_span
 from .impairments import complex_noise
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
@@ -54,17 +54,13 @@ class TargetScene:
         for name, span in (("range_span", range_span),
                            ("velocity_span", velocity_span),
                            ("azimuth_span", azimuth_span)):
-            if len(span) != 2:
-                raise ConfigError(f"{name} must be [low, high], got {span}")
-        lo_r = max(range_span[0], cfg.blind_range)
-        hi_r = min(range_span[1], cfg.unambiguous_range)
+            check_span(name, span)
         if not n_targets >= 0:
             raise ConfigError("n_targets must be >= 0")
-        for name, (lo, hi) in (("range_span", (lo_r, hi_r)),
-                               ("velocity_span", velocity_span),
-                               ("azimuth_span", azimuth_span)):
-            if not lo <= hi:                        # NaN fails too
-                raise ConfigError(f"{name} [{lo}, {hi}] is empty")
+        lo_r = max(range_span[0], cfg.blind_range)
+        hi_r = min(range_span[1], cfg.unambiguous_range)
+        check_span("range_span (clamped to the observable window)",
+                   (lo_r, hi_r))
         rng = np.random.default_rng(rng)
         targets = []
         for _ in range(n_targets):

@@ -130,13 +130,17 @@ class HopGroup:
 
 
 def hop_groups(cfg: RadarConfig, prt_abs: np.ndarray) -> list[HopGroup]:
-    """Partition (PRT, hop) cells of a batch by shared pilot structure."""
+    """Partition (PRT, hop) cells of a batch by shared pilot structure.
+
+    This is the one pilot layout: :func:`plan_hops` places it and the
+    receiver reads it back. The cycled pilot's offset and sub-band come
+    from ``RadarConfig.pilot_offset`` and ``pilot_subband``.
+    """
     prt_abs = np.asarray(prt_abs)
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
     k0 = cfg.zero_subband
-    kappa = np.mod(prt_abs, K)
-    zero = kappa == 0
-    pilot_k = (k0 + kappa) % K
+    zero = cfg.pilot_offset(prt_abs) == 0
+    pilot_k = cfg.pilot_subband(prt_abs)
     every = np.arange(prt_abs.size)
     out = []
     for h in range(H):
@@ -160,10 +164,7 @@ def hop_groups(cfg: RadarConfig, prt_abs: np.ndarray) -> list[HopGroup]:
                       else np.zeros((rows.size, 0), dtype=np.int64))
             free = tuple(m for m in range(M) if m not in pin_ants)
             pool = K - len(pins)
-            if pool < len(free):
-                raise ConfigError(
-                    "not enough free sub-bands for payload antennas")
-            bits = FhcsCodebook(pool, len(free)).bits if free else 0
+            bits = FhcsCodebook(pool, len(free)).bits
             out.append(HopGroup(h, rows, pin_ants, pin_ks, free, pool, bits))
     return out
 
@@ -171,20 +172,17 @@ def hop_groups(cfg: RadarConfig, prt_abs: np.ndarray) -> list[HopGroup]:
 def _positions_to_subbands(pos: np.ndarray, pin_ks: np.ndarray) -> np.ndarray:
     """Map positions in the available-sub-band list to sub-band indices by
     skipping over the pinned ones."""
-    ks = pos.copy()
-    if pin_ks.shape[1]:
-        pin_sorted = np.sort(pin_ks, axis=1)
-        for j in range(pin_sorted.shape[1]):
-            ks = ks + (ks >= pin_sorted[:, j:j + 1])
+    ks = pos
+    for pin in np.sort(pin_ks, axis=1).T:
+        ks = ks + (ks >= pin[:, None])
     return ks
 
 
 def _subbands_to_positions(ks: np.ndarray, pin_ks: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_positions_to_subbands`."""
-    pos = ks.copy()
-    if pin_ks.shape[1]:
-        for j in range(pin_ks.shape[1]):
-            pos = pos - (pin_ks[:, j:j + 1] < ks)
+    pos = ks
+    for pin in pin_ks.T:
+        pos = pos - (pin[:, None] < ks)
     return pos
 
 
@@ -230,14 +228,11 @@ class HopPlan:
 
 
 def _bit_layout(cfg: RadarConfig, groups: list[HopGroup], n_prt: int):
-    """Per-(PRT, hop) FHCS bit widths and running offsets, in (i, h) order."""
+    """(n_prt, H) FHCS bit widths; payload bits run in its (i, h) order."""
     widths = np.zeros((n_prt, cfg.hops_per_pulse), dtype=np.int64)
     for g in groups:
-        if g.bits:
-            widths[g.rows, g.hop] = g.bits
-    offsets = np.zeros(widths.size + 1, dtype=np.int64)
-    np.cumsum(widths.ravel(), out=offsets[1:])
-    return widths, offsets
+        widths[g.rows, g.hop] = g.bits
+    return widths
 
 
 def int_to_bits(values, width: int) -> np.ndarray:
@@ -274,8 +269,9 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
 
     prt_abs = first_prt + np.arange(n_prt)
     groups = hop_groups(cfg, prt_abs)
-    widths, offsets = _bit_layout(cfg, groups, n_prt)
-    total = int(offsets[-1])
+    widths = _bit_layout(cfg, groups, n_prt).ravel()
+    offsets = np.cumsum(widths) - widths        # bits before each (i, h)
+    total = int(widths.sum())
     if fhcs_bits is None:
         fhcs_bits = rng.integers(0, 2, size=total, dtype=np.uint8)
     else:
@@ -287,53 +283,37 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
     subband = np.zeros((n_prt, H, M), dtype=np.int64)
     pinned = np.zeros((n_prt, H, M), dtype=bool)
     for g in groups:
-        for (ant, ks) in zip(g.pin_ants,
-                             np.moveaxis(g.pin_ks, 1, 0)):
-            subband[g.rows, g.hop, ant] = ks
-            pinned[g.rows, g.hop, ant] = True
+        subband[g.rows[:, None], g.hop, g.pin_ants] = g.pin_ks
+        pinned[g.rows[:, None], g.hop, g.pin_ants] = True
         if not g.free_ants:
             continue
-        if g.bits:
-            starts = offsets[g.rows * H + g.hop]
-            idx = np.zeros(g.rows.size, dtype=np.int64)
-            for b in range(g.bits):
-                idx = (idx << 1) | fhcs_bits[starts + b]
-        else:
-            idx = np.zeros(g.rows.size, dtype=np.int64)
+        starts = offsets[g.rows * H + g.hop]
+        idx = np.zeros(g.rows.size, dtype=np.int64)
+        for b in range(g.bits):
+            idx = (idx << 1) | fhcs_bits[starts + b]
         pos = unrank_subsets(idx, g.pool, len(g.free_ants))
         ks = _positions_to_subbands(pos, g.pin_ks)
-        subband[g.rows[:, None], g.hop, np.array(g.free_ants)] = ks
+        subband[g.rows[:, None], g.hop, g.free_ants] = ks
     return HopPlan(cfg, subband, pinned, first_prt, fhcs_bits_used=total)
 
 
 def payload_codewords(plan: HopPlan):
     """Ground-truth FHCS codewords of a plan.
 
-    Returns (prt, hop, n_bits, codeword) arrays sorted by (prt, hop),
-    covering every hop with nonzero capacity.
+    Returns (prt, hop, n_bits, codeword) int64 arrays in (prt, hop) order,
+    the order :func:`plan_hops` reads bits in, covering every hop with
+    nonzero capacity.
     """
-    cfg = plan.cfg
-    groups = hop_groups(cfg, plan.prt_indices())
-    prt_l, hop_l, bits_l, cw_l = [], [], [], []
+    groups = hop_groups(plan.cfg, plan.prt_indices())
+    widths = _bit_layout(plan.cfg, groups, plan.n_prt)
+    cw = np.zeros_like(widths)
     for g in groups:
-        if not g.bits:
-            continue
-        ks = plan.subband[g.rows[:, None], g.hop, np.array(g.free_ants)]
+        ks = plan.subband[g.rows[:, None], g.hop, g.free_ants]
         pos = _subbands_to_positions(np.sort(ks, axis=1), g.pin_ks)
-        cw = rank_subsets(pos, g.pool)
-        prt_l.append(plan.first_prt + g.rows)
-        hop_l.append(np.full(g.rows.size, g.hop))
-        bits_l.append(np.full(g.rows.size, g.bits))
-        cw_l.append(cw)
-    if not prt_l:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, z, z
-    prt = np.concatenate(prt_l)
-    hop = np.concatenate(hop_l)
-    bits = np.concatenate(bits_l)
-    cw = np.concatenate(cw_l)
-    order = np.lexsort((hop, prt))
-    return prt[order], hop[order], bits[order], cw[order]
+        cw[g.rows, g.hop] = rank_subsets(pos, g.pool)
+    used = widths > 0
+    row, hop = np.nonzero(used)
+    return plan.first_prt + row, hop, widths[used], cw[used]
 
 
 def extract_payload_bits(plan: HopPlan) -> np.ndarray:
@@ -374,11 +354,6 @@ class PskGrid:
     order_bits: int          # bits per symbol (J); constellation size 2^J
     phases: np.ndarray       # (n_prt, H, M) float radians
     symbol_index: np.ndarray  # (n_prt, H, M) int, -1 on pinned slots
-
-    def payload_bits(self) -> np.ndarray:
-        """Gray-coded bits of the payload symbols in slot order."""
-        idx = self.symbol_index[self.symbol_index >= 0]
-        return int_to_bits(gray_encode(idx), self.order_bits).ravel()
 
 
 def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,

@@ -247,11 +247,21 @@ def test_radar_sweep_small(cfg):
     assert ("paired_mse" in rep.meta)
 
 
-def test_radar_sweep_worker_pool_matches_serial(cfg):
+@pytest.mark.parametrize("trials, snr_db, nan_cols", [
+    (2, -10.0, ()),
+    (1, -10.0, ("se_mse_range", "se_mse_velocity", "se_mse_angle")),
+    (2, -90.0, ("rmse_range", "rmse_velocity", "rmse_angle",
+                "se_mse_range", "se_mse_velocity", "se_mse_angle"))],
+    ids=["two-trials", "one-trial", "nothing-matched"])
+def test_radar_sweep_worker_pool_matches_serial(cfg, trials, snr_db,
+                                                nan_cols):
     # trials run in a process pool are merged in trial order, so the
-    # report equals the serial one exactly
+    # report equals the serial one exactly; a standard error needs two
+    # matched trials and an RMSE one, and with fewer the column is NaN
+    # without a RuntimeWarning (an error in the tests)
     small = dataclasses.replace(cfg, prts_per_cpi=16)
-    sweep = bench.SweepSpec(trials=2, n_targets=3, radar_snr_grid_db=(-10,),
+    sweep = bench.SweepSpec(trials=trials, n_targets=3,
+                            radar_snr_grid_db=(snr_db,),
                             angle_grid_points=64, seed=9)
     serial = bench.run_radar_sweep(small, sweep)
     pooled = bench.run_radar_sweep(small,
@@ -259,3 +269,8 @@ def test_radar_sweep_worker_pool_matches_serial(cfg):
     np.testing.assert_equal(pooled.rows, serial.rows)
     np.testing.assert_equal(pooled.meta["paired_mse"],
                             serial.meta["paired_mse"])
+    idx = {c: i for i, c in enumerate(serial.columns)}
+    for row in serial.rows:
+        for col in idx:
+            if col.startswith(("rmse_", "se_mse_")):
+                assert np.isnan(row[idx[col]]) == (col in nan_cols), col

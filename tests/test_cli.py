@@ -290,7 +290,9 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("radar", "array", {"random_errors": 0}, "random_errors"),
     ("radar", "scene", {"targets": [{"range_m": 1000, "foo": 1}]}, "foo"),
     ("comm", "run", {"iq_file": 0}, "iq_file"),
-    ("txgen", "run", {"payload_file": 7}, "payload_file")],
+    ("txgen", "run", {"payload_file": 7}, "payload_file"),
+    ("sweep", "sweep", {"rho_span": [1e-6]}, "rho_span"),
+    ("sweep", "sweep", {"rho_span": [1e-6, 2e-6, 3]}, "rho_span")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -304,7 +306,8 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "targets-not-list", "snr_grid_db-not-list", "n_prt-true",
          "snr_db-false", "n_rx-true", "n_targets-true",
          "random_errors-text", "random_errors-one", "random_errors-zero",
-         "target-unknown-key", "iq_file-number", "payload_file-number"])
+         "target-unknown-key", "iq_file-number", "payload_file-number",
+         "rho_span-one-entry", "rho_span-three-entries"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -313,7 +316,8 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # NaN, n_targets < 0, p_fa > 1, a count truncated to an int, a JSON
     # boolean read as 0 or 1, random_errors "no" read as true, a target key
     # dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
-    # angle grid); the error message names the offending key
+    # angle grid, a rho_span that is not two entries); the error message
+    # names the offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to completion against ``src``."""
+"""Every script in ``demos/`` runs to completion against ``src``, under
+the tests' warning policy: a RuntimeWarning is an error."""
 
 import os
 import subprocess
@@ -14,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr

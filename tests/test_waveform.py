@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fhmimo.config import ConfigError
+from fhmimo.config import ConfigError, RadarConfig
 from fhmimo import waveform as wf
 
 
@@ -128,6 +128,38 @@ def test_fhcs_roundtrip_identity(cfg, rng):
     assert np.array_equal(back, bits[:back.size])
 
 
+@pytest.mark.parametrize("kw, first_prt", [
+    ({}, 0),
+    (dict(n_subbands=7, n_tx=3, hops_per_pulse=6, bandwidth=7e6,
+          sample_rate=14e6, prt_duration=8e-6), 5)],
+    ids=["default", "K7-M3-H6"])
+def test_payload_codewords_against_bruteforce(kw, first_prt, rng):
+    # oracle: walk (PRT, hop) in order; a hop's codeword is the rank of its
+    # free antennas' sorted sub-bands among the combinations of the
+    # sub-bands no pilot takes, and only hops whose codebook carries bits
+    # have a row
+    cfg = RadarConfig(**kw)
+    plan = wf.plan_hops(cfg, n_prt=2 * cfg.n_subbands + 3, rng=rng,
+                        first_prt=first_prt)
+    rows = []
+    for i in range(plan.n_prt):
+        for h in range(cfg.hops_per_pulse):
+            pin = plan.pinned[i, h]
+            pool = [k for k in range(cfg.n_subbands)
+                    if k not in plan.subband[i, h, pin]]
+            free = tuple(sorted(plan.subband[i, h, ~pin]))
+            n_bits = wf.FhcsCodebook(len(pool), len(free)).bits
+            if n_bits:
+                codebook = list(itertools.combinations(pool, len(free)))
+                rows.append((first_prt + i, h, n_bits,
+                             codebook.index(free)))
+    want = np.array(rows, dtype=np.int64).T
+    got = wf.payload_codewords(plan)
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_plan_bits_exhausted(cfg):
     with pytest.raises(wf.PayloadLengthError):
         wf.plan_hops(cfg, fhcs_bits=np.ones(10, dtype=np.uint8), n_prt=40)
@@ -180,7 +212,10 @@ def test_psk_bits_roundtrip(cfg, rng):
     n_slots = int((~plan.pinned).sum())
     bits = rng.integers(0, 2, size=n_slots * 4, dtype=np.uint8)
     psk = wf.make_psk_grid(cfg, plan, 4, bits=bits)
-    assert np.array_equal(psk.payload_bits(), bits)
+    # each payload slot carries the next 4 bits, MSB first, Gray-coded
+    patterns = bits.reshape(-1, 4) @ (1 << np.arange(3, -1, -1))
+    assert np.array_equal(wf.gray_encode(psk.symbol_index[~plan.pinned]),
+                          patterns)
 
 
 def test_psk_bits_exhausted(cfg, rng):
