@@ -49,8 +49,7 @@ print(f"\nPayload round trip: {back.size} bits consumed, "
       f"identity = {np.array_equal(back, bits[:back.size])}")
 
 frame = wf.synthesize(plan, psk, cfg)
-hops = frame.prt_view()[:, :, :cfg.samples_per_pulse].reshape(
-    cfg.n_tx, 3, cfg.hops_per_pulse, cfg.samples_per_hop)
+hops = frame.hops(cfg, cfg.n_tx)
 inner = np.einsum("ihn,ihn->ih", hops[0], hops[1].conj())
 print(f"Max |inner product| between antennas over any hop: "
       f"{np.abs(inner).max():.2e} (exactly orthogonal)")

@@ -43,10 +43,7 @@ PEAK_FLOOR_FACTOR = 3.0  # peak must exceed this multiple of the median bin
 
 def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
     """(n_prt, H, N_h) hop DFTs and (n_prt, H, K) sub-band coefficients."""
-    n_hop = cfg.samples_per_hop
-    active = frame.prt_view()[0, :, :cfg.hops_per_pulse * n_hop]
-    hops = active.reshape(frame.n_prt, cfg.hops_per_pulse, n_hop)
-    spectra = np.fft.fft(hops, axis=-1)
+    spectra = np.fft.fft(frame.hops(cfg, 1)[0], axis=-1)
     bins = cfg.subband_bin(np.arange(cfg.n_subbands))
     return spectra, spectra[..., bins]
 
@@ -160,14 +157,12 @@ def correction_factor(i, h, m, k, sync: SyncEstimate, cfg: RadarConfig):
     from the zero pilot, so (peak / zero pilot) / correction leaves the
     front-end gain, the initial-timing phase and the PSK phase.
     """
-    i, h, m = np.asarray(i), np.asarray(h), np.asarray(m)
     omega = 2 * np.pi * cfg.subband_frequency(k)
     n_elapsed = i * cfg.samples_per_prt + h * cfg.samples_per_hop
     hop_term = (h - m) * (cfg.hop_duration
                           + cfg.samples_per_hop * sync.sample_time_offset)
-    out = np.exp(1j * (omega * n_elapsed * sync.sample_time_offset
-                       + sync.cfo * hop_term))
-    return out if out.ndim else complex(out)
+    return np.exp(1j * (omega * n_elapsed * sync.sample_time_offset
+                        + sync.cfo * hop_term))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +319,12 @@ def _pilot_phases(slots: np.ndarray, peak: np.ndarray, pilot: np.ndarray,
 
 
 def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
-               mode: str = "estimated", spec: ImpairmentSpec | None = None,
-               first_prt: int = 0) -> DemodReport:
+               mode: str = "estimated", spec: ImpairmentSpec | None = None
+               ) -> DemodReport:
     """Recover FHCS and PSK payloads from a receive stream.
 
-    The frame must be sampled as ``cfg`` says (sample rate and samples per
-    PRT); otherwise :class:`ConfigError` is raised.
+    The frame must be one stream sampled as ``cfg`` says
+    (:meth:`IqFrame.hops`); its ``first_prt`` sets the pilot-cycle phase.
 
     mode:
       "estimated"  full blind pipeline (pilot tables per group of K PRTs);
@@ -345,15 +340,10 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         raise ConfigError("order_bits must be in [0, 63]")
     if mode == "known" and spec is None:
         raise ValueError("known-channel mode needs the impairment spec")
-    if (frame.sample_rate != cfg.sample_rate
-            or frame.samples_per_prt != cfg.samples_per_prt):
-        raise ConfigError(
-            f"frame of {frame.samples_per_prt}-sample PRTs at "
-            f"{frame.sample_rate:g} Hz does not match the radar config "
-            f"({cfg.samples_per_prt} at {cfg.sample_rate:g} Hz)")
 
-    prt_abs = first_prt + np.arange(frame.n_prt)
     spectra, sub_vals = _batch_spectra(frame, cfg)
+    first_prt = frame.first_prt
+    prt_abs = first_prt + np.arange(frame.n_prt)
     det = assign_peaks(sub_vals, cfg, first_prt)
     peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
     hop_erased = ~peak_ok.all(axis=-1)

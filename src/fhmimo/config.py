@@ -146,7 +146,7 @@ class RadarConfig:
 
     # -- sub-band helpers --------------------------------------------------
 
-    def subband_frequency(self, k) -> float:
+    def subband_frequency(self, k):
         """Baseband frequency (Hz) of sub-band ``k``.
 
         Sub-bands span the band symmetrically: k=0 is the most negative
@@ -156,28 +156,22 @@ class RadarConfig:
         if np.any((k < 0) | (k >= self.n_subbands)):
             raise ValueError(f"sub-band index out of range 0..{self.n_subbands - 1}")
         lo = -((self.n_subbands + 1) // 2)  # floor(-K/2)
-        out = (lo + k) * self.bandwidth / self.n_subbands
-        return out if out.ndim else float(out)
+        return (lo + k) * self.bandwidth / self.n_subbands
 
     def subband_bin(self, k):
         """DFT bin (hop-length transform) occupied by sub-band ``k``."""
-        k = np.asarray(k)
-        cycles = np.rint(self.subband_frequency(k) * self.hop_duration).astype(int)
-        out = np.mod(cycles, self.samples_per_hop)
-        return out if out.ndim else int(out)
+        cycles = np.rint(self.subband_frequency(k) * self.hop_duration)
+        return np.mod(cycles.astype(int), self.samples_per_hop)
 
-    def pilot_offset(self, prt_index) -> int:
+    def pilot_offset(self, prt_index):
         """Frequency-cycled pilot offset for a PRT: kappa = prt mod K."""
-        out = np.mod(np.asarray(prt_index), self.n_subbands)
-        return out if out.ndim else int(out)
+        return np.mod(prt_index, self.n_subbands)
 
-    def pilot_subband(self, prt_index) -> int:
+    def pilot_subband(self, prt_index):
         """Sub-band index the cycled pilot occupies in a PRT."""
-        out = np.mod(self.zero_subband + self.pilot_offset(prt_index),
-                     self.n_subbands)
-        return out if out.ndim else int(out)
+        return np.mod(self.zero_subband + self.pilot_offset(prt_index),
+                      self.n_subbands)
 
     def subband_offset(self, k):
         """Offset kappa of sub-band k from the zero-frequency sub-band."""
-        out = np.mod(np.asarray(k) - self.zero_subband, self.n_subbands)
-        return out if out.ndim else int(out)
+        return np.mod(np.subtract(k, self.zero_subband), self.n_subbands)

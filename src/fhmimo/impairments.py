@@ -52,13 +52,12 @@ def dft_window_gain(cfo, n_samples: int, sample_rate: float):
 
     sum_{n<N} exp(j*cfo*n/fs): Dirichlet kernel, equals N at cfo=0.
     """
-    phi = np.asarray(cfo, dtype=float) / sample_rate
+    phi = np.divide(cfo, sample_rate)
     num = np.sin(n_samples * phi / 2.0)
     den = np.sin(phi / 2.0)
     mag = np.where(np.abs(den) < 1e-300, float(n_samples), num / np.where(
         np.abs(den) < 1e-300, 1.0, den))
-    out = mag * np.exp(1j * (n_samples - 1) * phi / 2.0)
-    return out if out.ndim else complex(out)
+    return mag * np.exp(1j * (n_samples - 1) * phi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,12 @@ class ImpairmentSpec:
 
 def accumulated_sto(i, h, spec: ImpairmentSpec, cfg: RadarConfig):
     """Accumulated sampling-timing offset at hop h of PRT i (seconds)."""
-    i = np.asarray(i)
-    h = np.asarray(h)
+    i, h = np.asarray(i), np.asarray(h)
     if np.any(i < 0) or np.any((h < 0) | (h >= cfg.hops_per_pulse)):
         raise ValueError("PRT/hop index out of range")
-    out = spec.sto_initial + (
+    return spec.sto_initial + (
         i * cfg.samples_per_prt + h * cfg.samples_per_hop
     ) * spec.sample_time_offset
-    return out if out.ndim else float(out)
 
 
 def slot_gain(i, h, m, k, spec: ImpairmentSpec, cfg: RadarConfig):
@@ -228,23 +225,20 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
     silence receives noise only).
     """
     spec.validate(cfg)
-    M, H = cfg.n_tx, cfg.hops_per_pulse
-    n_hop, n_p = cfg.samples_per_hop, cfg.samples_per_prt
-    if frame.data.shape[0] != M:
-        raise ValueError("frame channel count does not match antennas")
+    M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
     n_prt = frame.n_prt
-    if plan.n_prt != n_prt or (psk is not None
-                               and psk.phases.shape[0] != n_prt):
-        raise ValueError("plan/psk PRT count does not match frame")
+    active = frame.hops(cfg, M)                      # (M, n_prt, H, n_hop)
+    if (plan.n_prt != n_prt or plan.first_prt != frame.first_prt
+            or (psk is not None and psk.phases.shape[0] != n_prt)):
+        raise ValueError("plan/psk PRTs do not match frame")
 
-    tx = frame.prt_view()                                  # (M, n_prt, n_p)
-    active = tx[:, :, :H * n_hop].reshape(M, n_prt, H, n_hop)
     gains = slot_gain(plan.prt_indices()[:, None, None],
                       np.arange(H)[:, None], np.arange(M), plan.subband,
                       spec, cfg)                           # (n_prt, H, M)
     ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
     mixed = np.einsum("mihn,ihm->ihn", active, gains) * ramp
 
-    out = complex_noise((n_prt, n_p), spec.noise_var, rng)
-    out[:, :H * n_hop] += mixed.reshape(n_prt, H * n_hop)
-    return IqFrame(out.reshape(1, n_prt * n_p), cfg.sample_rate, n_p)
+    noise = complex_noise((1, n_prt, cfg.samples_per_prt), spec.noise_var, rng)
+    out = IqFrame(noise, cfg.sample_rate, plan.first_prt)
+    out.hops(cfg, 1)[0] += mixed
+    return out

@@ -2,8 +2,8 @@
 
 Binary IQ files and range-Doppler dumps each carry a small text header
 (terminated by a ``data`` line) followed by interleaved float32 real/imag
-pairs in the array's C order: channel-major for IQ files, (Doppler,
-channel, range) for the range-Doppler cube. CSV helpers stamp a
+pairs in the array's C order: (channel, PRT, sample) for IQ files,
+(Doppler, channel, range) for the range-Doppler cube. CSV helpers stamp a
 configuration hash comment so every artifact can be traced back to the
 exact run settings.
 """
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, RadarConfig
+
 _MAGIC = "FHIQ1"
 
 
@@ -27,34 +29,45 @@ class IqFormatError(ValueError):
 
 @dataclass
 class IqFrame:
-    """Complex baseband samples, one row per channel, of whole PRTs."""
+    """Complex baseband samples of whole PRTs, starting at absolute PRT
+    ``first_prt`` (the pilot-cycle phase of a capture)."""
 
-    data: np.ndarray          # (n_channels, n_samples) complex
+    data: np.ndarray          # (n_channels, n_prt, samples_per_prt) complex
     sample_rate: float
-    samples_per_prt: int
-
-    def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data))
-        if self.samples_per_prt <= 0 or self.n_samples % self.samples_per_prt:
-            raise IqFormatError(f"{self.n_samples} samples is not a whole "
-                                f"number of {self.samples_per_prt}-sample PRTs")
+    first_prt: int = 0
 
     @property
     def n_channels(self) -> int:
         return self.data.shape[0]
 
     @property
-    def n_samples(self) -> int:
+    def n_prt(self) -> int:
         return self.data.shape[1]
 
     @property
-    def n_prt(self) -> int:
-        return self.n_samples // self.samples_per_prt
+    def samples_per_prt(self) -> int:
+        return self.data.shape[2]
 
-    def prt_view(self) -> np.ndarray:
-        """Samples reshaped to (n_channels, n_prt, samples_per_prt)."""
-        return self.data.reshape(self.n_channels, self.n_prt,
-                                 self.samples_per_prt)
+    @property
+    def n_samples(self) -> int:
+        return self.n_prt * self.samples_per_prt
+
+    def hops(self, cfg: RadarConfig, n_channels: int) -> np.ndarray:
+        """Writable (n_channels, n_prt, H, n_hop) view of each PRT's pulse,
+        its first ``cfg.samples_per_pulse`` samples; hop h is samples
+        [h*n_hop, (h+1)*n_hop). :class:`ConfigError` unless the frame is
+        sampled as ``cfg`` says and has ``n_channels`` channels."""
+        if (self.sample_rate != cfg.sample_rate
+                or self.samples_per_prt != cfg.samples_per_prt
+                or self.n_channels != n_channels):
+            raise ConfigError(
+                f"frame of {self.n_channels} channels of "
+                f"{self.samples_per_prt}-sample PRTs at {self.sample_rate:g} "
+                f"Hz does not match the radar config ({n_channels} of "
+                f"{cfg.samples_per_prt} at {cfg.sample_rate:g} Hz)")
+        # splitting the last axis never copies
+        return self.data[:, :, :cfg.samples_per_pulse].reshape(
+            n_channels, self.n_prt, cfg.hops_per_pulse, cfg.samples_per_hop)
 
 
 def _write_interleaved(path, header: str, data: np.ndarray) -> None:
@@ -68,12 +81,14 @@ def _write_interleaved(path, header: str, data: np.ndarray) -> None:
 
 
 def write_iq(path, frame: IqFrame) -> None:
+    """FHIQ file of ``frame``; ``first_prt`` is written only when nonzero."""
+    first = f"first_prt={frame.first_prt}\n" if frame.first_prt else ""
     _write_interleaved(path, f"{_MAGIC}\n"
                              f"sample_rate={frame.sample_rate:.17g}\n"
                              f"channels={frame.n_channels}\n"
                              f"samples={frame.n_samples}\n"
                              f"samples_per_prt={frame.samples_per_prt}\n"
-                             f"data\n", frame.data)
+                             f"{first}data\n", frame.data)
 
 
 def write_rdm(path, rdm) -> None:
@@ -88,7 +103,8 @@ def write_rdm(path, rdm) -> None:
 
 
 def read_iq(path) -> IqFrame:
-    """The frame of an FHIQ file, complex64 as stored."""
+    """The frame of an FHIQ file, complex64 as stored; a missing
+    ``first_prt`` key reads as 0."""
     with open(path, "rb") as f:
         first = f.readline().decode("ascii", "replace").strip()
         if first != _MAGIC:
@@ -107,16 +123,25 @@ def read_iq(path) -> IqFrame:
             channels = int(fields["channels"])
             samples = int(fields["samples"])
             spp = int(fields["samples_per_prt"])
+            first_prt = int(fields.get("first_prt", 0))
         except (KeyError, ValueError) as exc:
             raise IqFormatError(f"incomplete header: {exc}") from exc
+        if not (0 < sample_rate < np.inf and channels >= 1
+                and first_prt >= 0):                # NaN fails too
+            raise IqFormatError(
+                f"bad header: sample_rate={sample_rate:g}, "
+                f"channels={channels}, first_prt={first_prt}")
+        if spp <= 0 or samples % spp:
+            raise IqFormatError(f"{samples} samples is not a whole "
+                                f"number of {spp}-sample PRTs")
         # checked before allocating: a header may claim any size
         left = os.fstat(f.fileno()).st_size - f.tell()
-        if min(channels, samples) < 0 or channels * samples * 8 != left:
+        if samples < 0 or channels * samples * 8 != left:
             raise IqFormatError("payload size does not match header")
-        data = np.empty((channels, samples), np.complex64)
+        data = np.empty((channels, samples // spp, spp), np.complex64)
         if f.readinto(data) != left:
             raise IqFormatError("payload size does not match header")
-        return IqFrame(data, sample_rate, spp)
+        return IqFrame(data, sample_rate, first_prt)
 
 
 def config_hash(config_dict: dict) -> str:

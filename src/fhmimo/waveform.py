@@ -399,18 +399,14 @@ def synthesize(plan: HopPlan, psk: PskGrid | None, cfg: RadarConfig) -> IqFrame:
     """
     if psk is not None and psk.phases.shape != plan.subband.shape:
         raise ValueError("psk grid does not match plan dimensions")
-    n_prt = plan.n_prt
-    H, M = cfg.hops_per_pulse, cfg.n_tx
-    n_hop, n_p = cfg.samples_per_hop, cfg.samples_per_prt
-
-    t = np.arange(n_hop) / cfg.sample_rate
+    t = np.arange(cfg.samples_per_hop) / cfg.sample_rate
     freqs = plan.frequencies()                      # (n_prt, H, M)
     ph = (2 * np.pi * freqs)[..., None] * t
     if psk is not None:
         ph = ph + psk.phases[..., None]
     active = np.exp(1j * ph)                        # (n_prt, H, M, n_hop)
 
-    data = np.zeros((M, n_prt, n_p), dtype=np.complex128)
-    data[:, :, :H * n_hop] = np.transpose(active, (2, 0, 1, 3)).reshape(
-        M, n_prt, H * n_hop)
-    return IqFrame(data.reshape(M, n_prt * n_p), cfg.sample_rate, n_p)
+    frame = IqFrame(np.zeros((cfg.n_tx, plan.n_prt, cfg.samples_per_prt),
+                             complex), cfg.sample_rate, plan.first_prt)
+    frame.hops(cfg, cfg.n_tx)[:] = np.moveaxis(active, 2, 0)
+    return frame

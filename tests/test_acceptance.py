@@ -278,7 +278,7 @@ def test_criterion_8_property_suite():
     plan = wf.plan_hops(cfg, n_prt=2000, rng=np.random.default_rng([SEED, 81]))
     psk = wf.make_psk_grid(cfg, plan, 4, rng=np.random.default_rng([SEED, 82]))
     frame = wf.synthesize(plan, psk, cfg)
-    hops = frame.prt_view()[:, :, :200].reshape(2, 2000, 5, 40)
+    hops = frame.hops(cfg, 2)
     inner = np.einsum("ihn,ihn->ih", hops[0], hops[1].conj())
     checks.append((np.max(np.abs(inner)) < 1e-9,
                    "hop cross-correlation not zero"))

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhmimo import bench, cli
+from fhmimo import bench, cli, commrx
 from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
+from fhmimo import waveform as wf
 from fhmimo.config import RadarConfig
 from fhmimo.iqfile import IqFrame, IqFormatError, read_iq, write_iq
 
@@ -38,14 +39,17 @@ def cfg_file(tmp_path):
 def test_iq_file_roundtrip(tmp_path, rng):
     # exact at float32 storage, -0.0 and infinities included; the frame
     # comes back complex64 and writable
-    data = rng.standard_normal((3, 640)) + 1j * rng.standard_normal((3, 640))
-    data[0, :4] = [complex(-0.0, 1), complex(1, -0.0), complex(1, np.inf),
-                   complex(-np.inf, np.nan)]
-    frame = IqFrame(data, 40e6, 320)
+    shape = (3, 2, 320)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    data[0, 0, :4] = [complex(-0.0, 1), complex(1, -0.0), complex(1, np.inf),
+                      complex(-np.inf, np.nan)]
+    frame = IqFrame(data, 40e6)
     write_iq(tmp_path / "x.iq", frame)
+    # a capture from PRT 0 writes no first_prt key, and reads back as 0
+    assert b"first_prt" not in (tmp_path / "x.iq").read_bytes()[:200]
     back = read_iq(tmp_path / "x.iq")
     assert back.sample_rate == 40e6
-    assert back.samples_per_prt == 320
+    assert back.samples_per_prt == 320 and back.first_prt == 0
     assert back.data.dtype == np.complex64 and back.data.flags.writeable
     assert back.data.tobytes() == data.astype(np.complex64).tobytes()
 
@@ -57,12 +61,18 @@ def test_iq_file_rejects_garbage(tmp_path):
         read_iq(p)
     head = b"FHIQ1\nsample_rate=1\nchannels=%d\nsamples=%d\n" \
            b"samples_per_prt=5\ndata\n"
+    rate = b"FHIQ1\nsample_rate=%s\nchannels=1\nsamples=10\n" \
+           b"samples_per_prt=5\ndata\n"
     # short payload, one trailing byte, a header claiming 1e12 samples
-    # (checked before allocating) and negative counts whose product fits
+    # (checked before allocating), negative counts whose product fits, no
+    # channels, and a NaN or negative sample rate
     for bad in (head % (2, 10) + b"\x00\x00",
                 head % (2, 10) + bytes(161),
                 head % (1, 10 ** 12) + bytes(80),
-                head % (-2, -10) + bytes(160)):
+                head % (-2, -10) + bytes(160),
+                head % (0, 10),
+                rate % b"nan" + bytes(80),
+                rate % b"-4e7" + bytes(80)):
         p.write_bytes(bad)
         with pytest.raises(IqFormatError):
             read_iq(p)
@@ -141,8 +151,8 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
     # transmit frames are multi-channel; the comm receiver wants one stream.
     # Build a single-stream capture by summing antennas (identity channel).
     frame = read_iq(out_tx / "tx.iq")
-    merged = IqFrame(frame.data.sum(axis=0), frame.sample_rate,
-                     frame.samples_per_prt)
+    merged = IqFrame(frame.data.sum(axis=0, keepdims=True),
+                     frame.sample_rate)
     write_iq(out_tx / "rx.iq", merged)
     cfg["run"]["iq_file"] = str(out_tx / "rx.iq")
     p = tmp_path / "cfg4.json"
@@ -159,17 +169,22 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
         cli.EXIT_CONFIG
 
 
-def test_iq_frame_rejects_partial_prt():
-    # 1000 samples is not a whole number of 1600-sample PRTs
-    with pytest.raises(IqFormatError):
-        IqFrame(np.ones(1000, dtype=complex), 40e6, 1600)
-    with pytest.raises(IqFormatError):
-        IqFrame(np.ones(1000, dtype=complex), 40e6, 0)
+def test_iq_frame_rejects_partial_prt(tmp_path):
+    # an IqFrame holds whole PRTs only, so a file whose samples do not fill
+    # them (1000 samples of 1600-sample PRTs, or 0-sample PRTs) is rejected
+    # where it is read
+    path = tmp_path / "partial.iq"
+    for spp in (1600, 0):
+        path.write_bytes(b"FHIQ1\nsample_rate=40000000\nchannels=1\n"
+                         b"samples=1000\nsamples_per_prt=%d\ndata\n" % spp
+                         + bytes(8000))
+        with pytest.raises(IqFormatError, match="whole number"):
+            read_iq(path)
 
 
 def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
     # 1000 samples is not a whole number of 1600-sample PRTs; IqFrame
-    # refuses such a frame, so the file is written by hand
+    # cannot hold such a frame, so the file is written by hand
     path = tmp_path / "partial.iq"
     path.write_bytes(b"FHIQ1\nsample_rate=40000000\nchannels=1\n"
                      b"samples=1000\nsamples_per_prt=1600\ndata\n"
@@ -187,13 +202,51 @@ def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
 def test_comm_rejects_iq_file_of_another_config(cfg_file, tmp_path):
     # 800-sample PRTs at 20 MHz: not the configured 1600 at 40 MHz
     path = tmp_path / "other.iq"
-    write_iq(path, IqFrame(np.ones(3200, dtype=complex), 20e6, 800))
+    write_iq(path, IqFrame(np.ones((1, 4, 800), dtype=complex), 20e6))
     cfg = json.loads(cfg_file.read_text())
     cfg["run"]["iq_file"] = str(path)
     p = tmp_path / "cfg6.json"
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    "comm") == cli.EXIT_CONFIG == 2
+
+
+def test_comm_rejects_iq_file_that_is_not_one_stream(cfg_file, tmp_path):
+    # txgen's two transmit streams used to demodulate as antenna 0 alone,
+    # and a file of no channels to exit 5 on an index error
+    out_tx = tmp_path / "tx"
+    assert run_cli("--config", str(cfg_file), "--out", str(out_tx),
+                   "txgen") == 0
+    empty = tmp_path / "empty.iq"
+    empty.write_bytes(b"FHIQ1\nsample_rate=40000000\nchannels=0\n"
+                      b"samples=1600\nsamples_per_prt=1600\ndata\n")
+    cfg = json.loads(cfg_file.read_text())
+    p = tmp_path / "cfg7.json"
+    for path, code in ((out_tx / "tx.iq", cli.EXIT_CONFIG),
+                       (empty, cli.EXIT_IO)):
+        cfg["run"]["iq_file"] = str(path)
+        p.write_text(json.dumps(cfg))
+        assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                       "comm") == code
+
+
+def test_iq_file_carries_first_prt(tmp_path):
+    # a capture that starts at PRT 7 keeps its pilot-cycle phase through
+    # the file and demodulates error-free in every mode
+    cfg = RadarConfig()
+    rng = np.random.default_rng(5)
+    plan = wf.plan_hops(cfg, n_prt=60, rng=rng, first_prt=7)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+    ident = imp.ImpairmentSpec()
+    rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, ident, cfg)
+    write_iq(tmp_path / "rx.iq", rx)
+    back = read_iq(tmp_path / "rx.iq")
+    assert back.first_prt == 7
+    for mode in ("estimated", "averaged", "flat", "known"):
+        rep = commrx.demodulate(back, cfg, 3, mode=mode, spec=ident)
+        counts = commrx.score_report(rep, plan, psk, cfg)
+        assert counts.psk_bit_errors == counts.fhcs_bit_errors == 0
+        assert rep.n_erased_slots == rep.n_erased_hops == 0
 
 
 def test_radar_command(cfg_file, tmp_path):

@@ -538,7 +538,7 @@ def test_free_antenna_fade_keeps_the_prt_pilots(cfg):
     plan = wf.plan_hops(cfg, n_prt=20, rng=np.random.default_rng(51))
     psk = wf.make_psk_grid(cfg, plan, 3, rng=np.random.default_rng(52))
     frame = wf.synthesize(plan, psk, cfg)
-    tx = frame.prt_view()
+    tx = frame.data
     assert not plan.pinned[5, 0, 1]
     tx[1, 5, :cfg.samples_per_hop] = 0.0
     rx = imp.apply(frame, plan, psk, spec, cfg,
@@ -567,7 +567,7 @@ def test_blind_modes_erase_slots_whose_zero_pilot_is_lost(cfg):
     psk = wf.make_psk_grid(cfg, plan, 3, rng=np.random.default_rng(62))
     frame = wf.synthesize(plan, psk, cfg)
     assert plan.pinned[25, 0, 0]
-    frame.prt_view()[0, 25, :cfg.samples_per_hop] = 0.0
+    frame.data[0, 25, :cfg.samples_per_hop] = 0.0
     rx = imp.apply(frame, plan, psk, spec, cfg,
                    rng=np.random.default_rng(63))
     hop0 = [[25, 0, 1]]

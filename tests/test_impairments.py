@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,12 +86,25 @@ def test_identity_channel_exact(cfg, rng):
     assert np.array_equal(out.data[0], frame.data.sum(axis=0))
 
 
+def test_apply_checks_frame_geometry(cfg, rng):
+    # a 40 MHz frame under an 80 MHz config used to come back relabelled
+    # as 80 MHz with 3200-sample PRTs; a frame of another channel count or
+    # first PRT than the plan's is refused too
+    plan, psk, frame = _frame(cfg, 4, rng)
+    fast = dataclasses.replace(cfg, sample_rate=80e6)
+    with pytest.raises(ConfigError):
+        imp.apply(frame, plan, psk, imp.ImpairmentSpec(), fast)
+    for bad in (wf.IqFrame(frame.data[:1], frame.sample_rate),
+                wf.IqFrame(frame.data, frame.sample_rate, first_prt=3)):
+        with pytest.raises(ValueError):
+            imp.apply(bad, plan, psk, imp.ImpairmentSpec(), cfg)
+
+
 def test_linearity_in_frame(cfg, rng):
     plan, psk, frame = _frame(cfg, 6, rng)
     spec = imp.ImpairmentSpec.from_clock(1e-6, cfg, sto_initial=3e-9)
     base = imp.apply(frame, plan, psk, spec, cfg).data
-    scaled_frame = wf.IqFrame(2.5j * frame.data, frame.sample_rate,
-                              frame.samples_per_prt)
+    scaled_frame = wf.IqFrame(2.5j * frame.data, frame.sample_rate)
     scaled = imp.apply(scaled_frame, plan, psk, spec, cfg).data
     assert np.allclose(scaled, 2.5j * base, rtol=1e-12)
 
@@ -118,7 +133,7 @@ def test_channel_noise_seed_contract(cfg):
     expect = ((g.standard_normal(s) + 1j * g.standard_normal(s))
               * np.sqrt(noise_var / 2))
     assert out.data.dtype == np.complex128
-    assert np.array_equal(out.prt_view()[0], expect)
+    assert np.array_equal(out.data[0], expect)
     # no noise: zeros, and the generator is left untouched
     state = g.bit_generator.state
     assert not imp.complex_noise(s, 0.0, g).any()
@@ -129,7 +144,7 @@ def test_silence_untouched_without_noise(cfg, rng):
     plan, psk, frame = _frame(cfg, 4, rng)
     spec = imp.ImpairmentSpec.from_clock(2e-6, cfg, sto_initial=5e-9)
     out = imp.apply(frame, plan, psk, spec, cfg)
-    assert np.all(out.prt_view()[0, :, cfg.samples_per_pulse:] == 0)
+    assert np.all(out.data[0, :, cfg.samples_per_pulse:] == 0)
 
 
 def test_cfo_range_enforced(cfg):
@@ -161,7 +176,7 @@ def test_hop_peak_closed_form_exact_single_antenna(rng):
     n = cfg1.samples_per_hop
     for i in (0, 3, 7):
         for h in range(cfg1.hops_per_pulse):
-            seg = out.prt_view()[0, i, h * n:(h + 1) * n]
+            seg = out.data[0, i, h * n:(h + 1) * n]
             S = np.fft.fft(seg)
             k = int(plan.subband[i, h, 0])
             got = S[cfg1.subband_bin(k)]
@@ -180,7 +195,7 @@ def test_cfo_window_loss_matches_continuous_form(rng):
     spec = imp.ImpairmentSpec(cfo=cfo)
     out = imp.apply(frame, plan, psk, spec, cfg1)
     n = cfg1.samples_per_hop
-    seg = out.prt_view()[0, 1, 2 * n:3 * n]
+    seg = out.data[0, 1, 2 * n:3 * n]
     S = np.fft.fft(seg)
     k = int(plan.subband[1, 2, 0])
     measured_loss = np.abs(S[cfg1.subband_bin(k)]) / cfg1.samples_per_hop
@@ -203,7 +218,7 @@ def test_pilot_phase_accumulation_against_eq_forms(rng):
                                   sample_time_offset=-2.5e-13)
         out = imp.apply(frame, plan, psk, spec, cfg1)
         for i in (0, 5):
-            seg = out.prt_view()[0, i, :cfg1.samples_per_hop]
+            seg = out.data[0, i, :cfg1.samples_per_hop]
             measured = np.fft.fft(seg)[0]
             exact = imp.expected_hop_peak(i, 0, 0, cfg1.zero_subband,
                                           0.0, spec, cfg1)

@@ -49,8 +49,7 @@ def test_identity_channel_error_free_in_every_mode(case):
     ident = imp.ImpairmentSpec()
     rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, ident, cfg)
     for mode in ("known", "estimated", "averaged", "flat"):
-        rep = crx.demodulate(rx, cfg, order_bits, mode=mode, spec=ident,
-                             first_prt=first_prt)
+        rep = crx.demodulate(rx, cfg, order_bits, mode=mode, spec=ident)
         sc = crx.score_report(rep, plan, psk, cfg)
         assert rep.n_erased_slots == 0 and rep.n_erased_hops == 0, mode
         assert sc.psk_bit_errors == 0 and sc.fhcs_bit_errors == 0, mode
@@ -88,8 +87,7 @@ def test_high_snr_impaired_channel_in_every_mode(case):
     rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, spec, cfg,
                    rng=rng)
     for mode in ("known", "estimated", "averaged", "flat"):
-        rep = crx.demodulate(rx, cfg, order_bits, mode=mode, spec=spec,
-                             first_prt=first_prt)
+        rep = crx.demodulate(rx, cfg, order_bits, mode=mode, spec=spec)
         sc = crx.score_report(rep, plan, psk, cfg)
         assert rep.n_erased_slots == 0 and rep.n_erased_hops == 0, mode
         assert sc.fhcs_bit_errors == 0, mode

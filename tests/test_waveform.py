@@ -232,7 +232,7 @@ def test_synthesize_zero_subband_is_constant(cfg, rng):
     plan = wf.plan_hops(cfg, n_prt=5, rng=rng)
     frame = wf.synthesize(plan, None, cfg)
     # hop 0 pins antenna 0 to the zero sub-band: constant-one samples
-    seg = frame.prt_view()[0, 0, :cfg.samples_per_hop]
+    seg = frame.data[0, 0, :cfg.samples_per_hop]
     assert np.allclose(seg, 1.0)
 
 
@@ -240,11 +240,25 @@ def test_synthesize_frame_layout(cfg, rng):
     plan = wf.plan_hops(cfg, n_prt=3, rng=rng)
     psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
     frame = wf.synthesize(plan, psk, cfg)
-    assert frame.data.shape == (2, 3 * 1600)
-    view = frame.prt_view()
+    assert frame.data.shape == (2, 3, 1600)
     # first 200 samples of each PRT active, remainder silent
-    assert np.all(np.abs(view[:, :, :200]) > 0.99)
-    assert np.all(view[:, :, 200:] == 0)
+    assert np.all(np.abs(frame.data[:, :, :200]) > 0.99)
+    assert np.all(frame.data[:, :, 200:] == 0)
+
+
+def test_frame_hops_is_a_writable_view(cfg, rng):
+    # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, and a
+    # write through the hop view lands in the frame's samples
+    plan = wf.plan_hops(cfg, n_prt=3, rng=rng, first_prt=4)
+    frame = wf.synthesize(plan, None, cfg)
+    assert frame.first_prt == 4
+    hops = frame.hops(cfg, 2)
+    assert hops.shape == (2, 3, 5, 40)
+    assert np.array_equal(hops[1, 2, 3], frame.data[1, 2, 120:160])
+    hops[1, 2, 3] = 7.0
+    assert np.all(frame.data[1, 2, 120:160] == 7.0)
+    with pytest.raises(ConfigError):
+        frame.hops(cfg, 1)
 
 
 def test_synthesize_hop_orthogonality_exact(cfg, rng):
@@ -253,7 +267,7 @@ def test_synthesize_hop_orthogonality_exact(cfg, rng):
     plan = wf.plan_hops(cfg, n_prt=2000, rng=rng)
     psk = wf.make_psk_grid(cfg, plan, 4, rng=rng)
     frame = wf.synthesize(plan, psk, cfg)
-    hops = frame.prt_view()[:, :, :200].reshape(2, 2000, 5, 40)
+    hops = frame.hops(cfg, 2)
     inner = np.einsum("ihn,ihn->ih", hops[0], hops[1].conj())
     assert np.max(np.abs(inner)) < 1e-9
 
@@ -264,7 +278,7 @@ def test_synthesize_tone_frequencies(cfg, rng):
     frame = wf.synthesize(plan, psk, cfg)
     for i in (0, 3):
         for h in range(5):
-            seg = frame.prt_view()[:, i, h * 40:(h + 1) * 40]
+            seg = frame.hops(cfg, 2)[:, i, h]
             spec = np.fft.fft(seg, axis=1)
             for m in range(2):
                 b = np.argmax(np.abs(spec[m]))
