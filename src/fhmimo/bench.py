@@ -76,7 +76,7 @@ class SweepSpec:
     modulations: tuple[int, ...] = (3, 4)     # PSK bits per symbol
     hop_durations: tuple[float, ...] = (0.5e-6, 1e-6)
     min_symbols: int = 10000             # per point, PSK symbols and FHCS bits
-    comm_mode: str = "known"             # "known" or "estimated"
+    comm_mode: str = "known"             # one of commrx.MODES
     rho_span: tuple[float, ...] = (1e-6, 2.2e-6)  # |clock stability| range
     ripple_db: float = 1.0
     ripple_rad: float = 0.2
@@ -104,6 +104,9 @@ class SweepSpec:
             raise ConfigError("sweep.p_fa must be in (0, 1)")
         if not 0.0 < self.angle_fov_deg < np.inf:
             raise ConfigError("sweep.angle_fov_deg must be finite and > 0")
+        if self.comm_mode not in commrx.MODES:
+            raise ConfigError(f"sweep.comm_mode must be one of "
+                              f"{commrx.MODES}, not {self.comm_mode!r}")
         for name in ("rho_span", "range_span", "velocity_span",
                      "azimuth_span"):
             check_span(f"sweep.{name}", getattr(self, name))
@@ -111,7 +114,6 @@ class SweepSpec:
 
 @dataclass
 class SweepReport:
-    kind: str
     columns: list
     rows: list
     meta: dict = field(default_factory=dict)
@@ -199,13 +201,9 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     return acc
 
 
-def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec,
-                  min_symbols_low_snr: int | None = None) -> SweepReport:
+def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
     """BER of FHCS and PSK across the SNR grid, per modulation order and
     hop duration (known-channel mode reproduces the simulation lower bound).
-
-    ``min_symbols_low_snr`` optionally raises the symbol budget for points
-    at snr <= -4 dB where BER curves run close and need tighter intervals.
     """
     cols = ["hop_duration", "order_bits", "snr_db", "mode",
             "psk_ber", "psk_ber_lo", "psk_ber_hi", "psk_bits",
@@ -217,11 +215,8 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec,
         for order_bits in sweep.modulations:
             rate_nom, rate_eff = data_rate(order_bits, cfg_t)
             for snr_db in sweep.snr_grid_db:
-                budget = sweep.min_symbols
-                if min_symbols_low_snr and snr_db <= -4:
-                    budget = max(budget, min_symbols_low_snr)
                 acc = ber_point(cfg_t, order_bits, snr_db, sweep,
-                                sweep.seed, budget)
+                                sweep.seed)
                 p_lo, p_hi = wilson_interval(acc.psk_bit_errors,
                                              acc.psk_bits)
                 f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors,
@@ -231,7 +226,7 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec,
                              acc.psk_ber, p_lo, p_hi, acc.psk_bits,
                              acc.psk_ser, acc.fhcs_ber, f_lo, f_hi,
                              acc.fhcs_bits, rate_nom, rate_eff])
-    return SweepReport("ber", cols, rows, {"seed": sweep.seed})
+    return SweepReport(cols, rows, {"seed": sweep.seed})
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +319,35 @@ def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
         trial_map = map if pool is None else pool.map
         for snr_db, (mode, label) in product(sweep.radar_snr_grid_db,
                                              waveforms):
-            # one MSE row per trial (NaN when nothing matched) so the two
-            # waveforms stay aligned for the paired comparison
-            per_trial_mse = {"r": [], "v": [], "a": []}
+            # one (range, velocity, angle) MSE column per trial (NaN when
+            # nothing matched) so the two waveforms stay aligned for the
+            # paired comparison; every reduction below runs on a contiguous
+            # 1-D array, which keeps its summation order
+            mse = np.empty((3, sweep.trials))
             matched = 0
             total = 0
             seeds = [[sweep.seed, trial, round(snr_db * 100) & 0xffff]
                      for trial in range(sweep.trials)]
-            for res in trial_map(radar_trial, repeat(cfg), repeat(sweep),
-                                 repeat(snr_db), seeds, repeat(mode)):
+            for trial, res in enumerate(trial_map(
+                    radar_trial, repeat(cfg), repeat(sweep), repeat(snr_db),
+                    seeds, repeat(mode))):
                 errs = [(dr, dv, da) for ok, dr, dv, da in res if ok]
                 matched += len(errs)
                 total += len(res)
                 e = (np.array(errs) if errs
                      else np.full((1, 3), np.nan))
-                per_trial_mse["r"].append(np.mean(e[:, 0] ** 2))
-                per_trial_mse["v"].append(np.mean(e[:, 1] ** 2))
-                per_trial_mse["a"].append(np.mean(e[:, 2] ** 2))
-            mses = {k: np.array(v) for k, v in per_trial_mse.items()}
-            n = {k: int(np.sum(~np.isnan(v))) for k, v in mses.items()}
-            rmse = {k: float(np.sqrt(np.nansum(v) / n[k])) if n[k]
-                    else np.nan for k, v in mses.items()}
-            se = {k: float(np.nanstd(v, ddof=1) / np.sqrt(n[k]))
-                  if n[k] >= 2 else np.nan for k, v in mses.items()}
-            rows.append([float(snr_db), label, rmse["r"], rmse["v"],
-                         rmse["a"], matched / max(total, 1), matched, total,
-                         se["r"], se["v"], se["a"]])
-            paired[(snr_db, label)] = mses
+                mse[:, trial] = [np.mean(c ** 2) for c in e.T]
+            # a trial's three MSEs are NaN together: one count serves all
+            n = int(np.sum(~np.isnan(mse[0])))
+            rmse = [float(np.sqrt(np.nansum(v) / n)) if n else np.nan
+                    for v in mse]
+            se = [float(np.nanstd(v, ddof=1) / np.sqrt(n)) if n >= 2
+                  else np.nan for v in mse]
+            rows.append([float(snr_db), label, *rmse,
+                         matched / max(total, 1), matched, total, *se])
+            paired[(snr_db, label)] = dict(zip("rva", mse))
     meta = {"seed": sweep.seed, "paired_mse": paired}
-    return SweepReport("radar", cols, rows, meta)
+    return SweepReport(cols, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -383,4 +378,4 @@ def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
                      sc.psk_ber,
                      float(np.abs(rep.psk_residual).mean()),
                      sc.psk_symbols])
-    return SweepReport("methods", cols, rows, {"seed": sweep.seed})
+    return SweepReport(cols, rows, {"seed": sweep.seed})

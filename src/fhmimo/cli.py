@@ -318,8 +318,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("comm", help="run the communication receive chain")
     c.add_argument("--modulation", type=int, choices=(1, 2, 3, 4),
                    dest="run.order_bits", help="PSK bits per symbol")
-    c.add_argument("--mode", dest="run.mode",
-                   choices=("estimated", "averaged", "flat", "known"))
+    c.add_argument("--mode", dest="run.mode", choices=commrx.MODES)
     r = sub.add_parser("radar", help="run the radar receive chain")
     r.add_argument("--snr", type=float, dest="impairment.snr_db",
                    metavar="SNR", help="per-sample SNR in dB")

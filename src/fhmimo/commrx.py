@@ -39,6 +39,7 @@ from .waveform import (HopPlan, PskGrid, gray_encode, hop_groups,
                        payload_codewords)
 
 PEAK_FLOOR_FACTOR = 3.0  # peak must exceed this multiple of the median bin
+MODES = ("estimated", "averaged", "flat", "known")   # see demodulate
 
 
 def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
@@ -123,9 +124,6 @@ def estimate_cfo(pilot_zero: np.ndarray, cfg: RadarConfig,
     Returns (cfo_hat, per-pair raw estimates in rad/s). The final value is
     the circular mean of the pairwise phases over all PRT pairs and antennas.
     """
-    n_prt = pilot_zero.shape[0]
-    if n_prt < 2:
-        raise ValueError("need at least two PRTs with pilots")
     ratios = pilot_zero[1:] * np.conj(pilot_zero[:-1])    # (n_prt-1, M)
     if valid is not None:
         ratios = np.where(valid[1:] & valid[:-1], ratios, 0.0)
@@ -334,7 +332,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
                    (comparison baseline);
       "known"      corrections from the true ``spec`` (lower bound).
     """
-    if mode not in ("estimated", "averaged", "flat", "known"):
+    if mode not in MODES:
         raise ConfigError(f"unknown demodulation mode {mode!r}")
     if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
         raise ConfigError("order_bits must be in [0, 63]")
@@ -433,42 +431,37 @@ class ErrorCounts:
                              for f in fields(self)))
 
 
-def score_report(report: DemodReport, plan: HopPlan, psk: PskGrid | None,
+def score_report(report: DemodReport, plan: HopPlan, psk: PskGrid,
                  cfg: RadarConfig) -> ErrorCounts:
     """Compare a demodulation report against the transmitted ground truth."""
-    counts = ErrorCounts()
     J = report.order_bits
+    truth_sym = psk.symbol_index[~plan.pinned]
+    if truth_sym.size != report.psk_symbol.size:
+        raise ValueError("slot count mismatch between report and truth")
+    xor = (gray_encode(truth_sym)
+           ^ gray_encode(report.psk_symbol)).astype(np.uint64)
+    erased = report.psk_erased
+    diff = np.bitwise_count(xor).astype(float)
+    diff[erased] = J / 2.0
 
-    if psk is not None:
-        truth_sym = psk.symbol_index[~plan.pinned]
-        if truth_sym.size != report.psk_symbol.size:
-            raise ValueError("slot count mismatch between report and truth")
-        xor = (gray_encode(truth_sym)
-               ^ gray_encode(report.psk_symbol)).astype(np.uint64)
-        erased = report.psk_erased
-        diff = np.bitwise_count(xor).astype(float)
-        diff[erased] = J / 2.0
-        counts.psk_bits = truth_sym.size * J
-        counts.psk_bit_errors = float(diff.sum())
-        counts.psk_symbols = truth_sym.size
-        counts.psk_symbol_errors = float(np.where(
-            erased, 1.0, (truth_sym != report.psk_symbol)).sum())
-
-    if len(report.fhcs_rows):
-        est = report.fhcs_rows
-        prt_t, hop_t, bits_t, cw_t = payload_codewords(plan)
-        if not (np.array_equal(est[:, 0], prt_t)
-                and np.array_equal(est[:, 1], hop_t)
-                and np.array_equal(est[:, 2], bits_t)):
-            raise ValueError("FHCS row layout mismatch against truth")
-        cw_e = est[:, 3]
-        bad = cw_e < 0
-        bit_err = np.bitwise_count(
-            (np.maximum(cw_e, 0) ^ cw_t).astype(np.uint64)).astype(float)
-        bit_err[bad] = bits_t[bad] / 2.0
-        counts.fhcs_bits = int(bits_t.sum())
-        counts.fhcs_bit_errors = float(bit_err.sum())
-        counts.fhcs_codewords = int(est.shape[0])
-        counts.fhcs_codeword_errors = float(
-            (bad | (cw_e != cw_t)).sum())
-    return counts
+    est = report.fhcs_rows
+    prt_t, hop_t, bits_t, cw_t = payload_codewords(plan)
+    if not (np.array_equal(est[:, 0], prt_t)
+            and np.array_equal(est[:, 1], hop_t)
+            and np.array_equal(est[:, 2], bits_t)):
+        raise ValueError("FHCS row layout mismatch against truth")
+    cw_e = est[:, 3]
+    bad = cw_e < 0
+    bit_err = np.bitwise_count(
+        (np.maximum(cw_e, 0) ^ cw_t).astype(np.uint64)).astype(float)
+    bit_err[bad] = bits_t[bad] / 2.0
+    return ErrorCounts(
+        psk_bits=truth_sym.size * J,
+        psk_bit_errors=float(diff.sum()),
+        psk_symbols=truth_sym.size,
+        psk_symbol_errors=float(np.where(
+            erased, 1.0, (truth_sym != report.psk_symbol)).sum()),
+        fhcs_bits=int(bits_t.sum()),
+        fhcs_bit_errors=float(bit_err.sum()),
+        fhcs_codewords=int(est.shape[0]),
+        fhcs_codeword_errors=float((bad | (cw_e != cw_t)).sum()))

@@ -49,12 +49,19 @@ class TargetScene:
                range_span=(750.0, 4185.0), velocity_span=(-170.0, 170.0),
                azimuth_span=(-4.0, 4.0)) -> "TargetScene":
         """``n_targets`` targets drawn uniformly over the spans; the range
-        span is first clamped to the observable window. A negative count or
-        a span that is empty or not two entries is a :class:`ConfigError`."""
+        span is first clamped to the observable window. A negative count, a
+        span that is empty or not two entries, or a velocity span reaching
+        +/-``cfg.unambiguous_velocity`` (its targets would alias) is a
+        :class:`ConfigError`."""
         for name, span in (("range_span", range_span),
                            ("velocity_span", velocity_span),
                            ("azimuth_span", azimuth_span)):
             check_span(name, span)
+        v_max = cfg.unambiguous_velocity
+        if not (-v_max < velocity_span[0] and velocity_span[1] < v_max):
+            raise ConfigError(
+                f"velocity_span must lie inside +/-{v_max:.6g} m/s (the "
+                f"unambiguous velocity), got {list(velocity_span)}")
         if not n_targets >= 0:
             raise ConfigError("n_targets must be >= 0")
         lo_r = max(range_span[0], cfg.blind_range)
@@ -80,6 +87,13 @@ class TargetScene:
                     f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
             if abs(t.velocity) >= cfg.unambiguous_velocity:
                 raise ConfigError("target velocity outside unambiguous span")
+
+
+def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:
+    """(..., n) steering of an n-element uniform line array with the given
+    element spacing in wavelengths."""
+    s = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))
+    return np.exp(2j * np.pi * spacing * np.multiply.outer(s, np.arange(n)))
 
 
 @dataclass(frozen=True)
@@ -118,23 +132,11 @@ class ArrayModel:
             self, tx_errors=np.exp(1j * rng.uniform(-np.pi, np.pi, self.n_tx)),
             rx_errors=np.exp(1j * rng.uniform(-np.pi, np.pi, self.n_rx)))
 
-    def steering_tx(self, theta_deg) -> np.ndarray:
-        s = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))
-        m = np.arange(self.n_tx)
-        return np.exp(2j * np.pi * self.tx_spacing
-                      * np.multiply.outer(s, m))
-
-    def steering_rx(self, theta_deg) -> np.ndarray:
-        s = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))
-        n = np.arange(self.n_rx)
-        return np.exp(2j * np.pi * self.rx_spacing
-                      * np.multiply.outer(s, n))
-
     def virtual_steering(self, theta_deg, include_errors: bool = True
                          ) -> np.ndarray:
         """(..., P) steering of the virtual array, p = n*M + m."""
-        a_t = self.steering_tx(theta_deg)
-        a_r = self.steering_rx(theta_deg)
+        a_t = _ula(theta_deg, self.tx_spacing, self.n_tx)
+        a_r = _ula(theta_deg, self.rx_spacing, self.n_rx)
         out = (a_r[..., :, None] * a_t[..., None, :]).reshape(
             *a_t.shape[:-1], self.n_virtual)
         if include_errors:
@@ -179,8 +181,8 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     i_idx = np.arange(n_prt)
     for t in scene_ok:
         d = int(round(t.delay() * cfg.sample_rate))
-        a_t = array.steering_tx(t.azimuth_deg) * e_t          # (M,)
-        a_r = array.steering_rx(t.azimuth_deg) * e_r          # (N,)
+        a_t = _ula(t.azimuth_deg, array.tx_spacing, array.n_tx) * e_t  # (M,)
+        a_r = _ula(t.azimuth_deg, array.rx_spacing, N) * e_r           # (N,)
         dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
                       * i_idx * cfg.prt_duration)             # (n_prt,)
         tx_sum = np.einsum("m,min->in", a_t, pulses)          # (n_prt, E)
@@ -410,23 +412,21 @@ def angle_grid(fov_deg: float = 30.0, n_points: int = 1024) -> np.ndarray:
 
 
 def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
-                   cal: np.ndarray | None = None) -> float | np.ndarray:
-    """Azimuth maximizing |a(theta)^H z|^2 over the grid.
+                   cal: np.ndarray | None = None) -> np.ndarray:
+    """Azimuths maximizing |a(theta)^H z|^2 over the grid.
 
-    ``z`` is one channel vector of shape (P,), giving a float, or D of them
-    stacked as (D, P), giving a (D,) array. The (L, P) steering matrix is
-    built once per call and the (D, L) spectrum comes from one product.
-    Without a calibration vector the ideal steering is used (correct for
-    error-free arrays); with one, per-channel gains are folded in.
+    ``z`` holds D channel vectors stacked as (D, P); returns the (D,)
+    azimuths. The (L, P) steering matrix is built once per call and the
+    (D, L) spectrum comes from one product. Without a calibration vector
+    the ideal steering is used (correct for error-free arrays); with one,
+    per-channel gains are folded in.
     """
     A = array.virtual_steering(grid, include_errors=False)   # (L, P)
     if cal is not None:
         A = A * cal
-    z = np.asarray(z)
-    spectrum = np.abs(np.atleast_2d(z) @ A.conj().T)          # (D, L)
+    spectrum = np.abs(z @ A.conj().T)                         # (D, L)
     spectrum **= 2      # in place: no second (D, L) array
-    theta = np.asarray(grid)[np.argmax(spectrum, axis=1)]
-    return float(theta[0]) if z.ndim == 1 else theta
+    return np.asarray(grid)[np.argmax(spectrum, axis=1)]
 
 
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
@@ -447,9 +447,8 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
 
 
 def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
-                cfg: RadarConfig, array: ArrayModel, p_fa: float = 1e-4,
-                grid: np.ndarray | None = None,
-                cal: np.ndarray | None = None
+                cfg: RadarConfig, array: ArrayModel, grid: np.ndarray,
+                p_fa: float = 1e-4, cal: np.ndarray | None = None
                 ) -> tuple[RangeDopplerMap, DetectionList]:
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
@@ -459,7 +458,5 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
     # the profiles are freed once the cube exists, before CFAR's arrays
     rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
     dets = cfar_detect(rdm, p_fa)
-    if grid is None:
-        grid = angle_grid()
     estimate_params(dets, rdm, array, grid, cal)
     return rdm, dets

@@ -52,8 +52,6 @@ def rank_subsets(subsets: np.ndarray, n: int) -> np.ndarray:
     range(n). Rows must be strictly increasing."""
     subsets = np.atleast_2d(np.asarray(subsets, dtype=np.int64))
     m = subsets.shape[1]
-    if m == 0:
-        return np.zeros(subsets.shape[0], dtype=np.int64)
     table = _comb_cumsum(n, m)
     rank = np.zeros(subsets.shape[0], dtype=np.int64)
     prev = np.full(subsets.shape[0], -1, dtype=np.int64)
@@ -68,8 +66,6 @@ def unrank_subsets(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
     """Inverse of :func:`rank_subsets`: rows of m-subsets of range(n)."""
     ranks = np.asarray(ranks, dtype=np.int64)
     out = np.zeros((ranks.size, m), dtype=np.int64)
-    if m == 0:
-        return out
     table = _comb_cumsum(n, m)
     rem = ranks.copy()
     prev = np.full(ranks.size, -1, dtype=np.int64)
@@ -211,11 +207,9 @@ class HopPlan:
     def prt_indices(self) -> np.ndarray:
         return self.first_prt + np.arange(self.n_prt)
 
-    def to_records(self, psk: "PskGrid | None" = None) -> list[str]:
+    def to_records(self, psk: "PskGrid") -> list[str]:
         """One text record per slot: i,h,m,subband,pinned,phase."""
         lines = ["prt,hop,antenna,subband,pinned,phase"]
-        phases = psk.phases if psk is not None else np.zeros_like(
-            self.subband, dtype=float)
         for i in range(self.n_prt):
             for h in range(self.cfg.hops_per_pulse):
                 for m in range(self.cfg.n_tx):
@@ -223,7 +217,7 @@ class HopPlan:
                         f"{self.first_prt + i},{h},{m},"
                         f"{self.subband[i, h, m]},"
                         f"{int(self.pinned[i, h, m])},"
-                        f"{phases[i, h, m]:.17g}")
+                        f"{psk.phases[i, h, m]:.17g}")
         return lines
 
 
@@ -285,8 +279,6 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
     for g in groups:
         subband[g.rows[:, None], g.hop, g.pin_ants] = g.pin_ks
         pinned[g.rows[:, None], g.hop, g.pin_ants] = True
-        if not g.free_ants:
-            continue
         starts = offsets[g.rows * H + g.hop]
         idx = np.zeros(g.rows.size, dtype=np.int64)
         for b in range(g.bits):

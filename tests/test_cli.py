@@ -345,7 +345,11 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("comm", "run", {"iq_file": 0}, "iq_file"),
     ("txgen", "run", {"payload_file": 7}, "payload_file"),
     ("sweep", "sweep", {"rho_span": [1e-6]}, "rho_span"),
-    ("sweep", "sweep", {"rho_span": [1e-6, 2e-6, 3]}, "rho_span")],
+    ("sweep", "sweep", {"rho_span": [1e-6, 2e-6, 3]}, "rho_span"),
+    ("sweep", "sweep", {"kind": "radar", "comm_mode": "bogus"}, "comm_mode"),
+    ("sweep", "sweep", {"kind": "radar", "velocity_span": [-2000, 2000]},
+     "velocity_span"),
+    ("radar", "scene", {"velocity_span": [-2000, 2000]}, "velocity_span")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -360,7 +364,9 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "snr_db-false", "n_rx-true", "n_targets-true",
          "random_errors-text", "random_errors-one", "random_errors-zero",
          "target-unknown-key", "iq_file-number", "payload_file-number",
-         "rho_span-one-entry", "rho_span-three-entries"])
+         "rho_span-one-entry", "rho_span-three-entries",
+         "comm_mode-unknown", "sweep-velocity_span-aliased",
+         "scene-velocity_span-aliased"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -369,8 +375,10 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # NaN, n_targets < 0, p_fa > 1, a count truncated to an int, a JSON
     # boolean read as 0 or 1, random_errors "no" read as true, a target key
     # dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
-    # angle grid, a rho_span that is not two entries); the error message
-    # names the offending key
+    # angle grid, a rho_span that is not two entries, a radar sweep with an
+    # unknown comm_mode, a sweep velocity span beyond the unambiguous
+    # velocity running aliased trials); the error message names the
+    # offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"

@@ -218,6 +218,7 @@ def test_mtd_bin_scalings(cfg):
     assert cfg.doppler_bin == pytest.approx(195.3125)
     assert cfg.velocity_bin == pytest.approx(5.3267, abs=1e-3)
     assert cfg.unambiguous_velocity == pytest.approx(340.9, abs=0.1)
+    assert cfg.range_bin == pytest.approx(3.75)
 
 
 def test_moving_target_doppler_bin(cfg):
@@ -352,8 +353,8 @@ def test_calibration_transfers_to_new_scene(cfg, rng):
     grid = rrx.angle_grid(30, 4096)
     for theta in (-21.0, -4.2, 3.3, 14.8):
         z = arr.virtual_steering(theta) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        naive = rrx.estimate_angle(z, arr, grid)
-        fixed = rrx.estimate_angle(z, arr, grid, cal=cal)
+        naive = rrx.estimate_angle(z[None], arr, grid)[0]
+        fixed = rrx.estimate_angle(z[None], arr, grid, cal=cal)[0]
         assert abs(fixed - theta) < 0.02
         assert abs(fixed - theta) <= abs(naive - theta)
     with pytest.raises(rrx.CalibrationError):
@@ -365,7 +366,7 @@ def test_angle_exact_on_grid_point(cfg):
     grid = rrx.angle_grid(30, 1024)
     theta = grid[700]
     z = arr.virtual_steering(theta)
-    assert rrx.estimate_angle(z, arr, grid) == theta
+    assert rrx.estimate_angle(z[None], arr, grid)[0] == theta
 
 
 def test_angle_quantization_floor(cfg, rng):
@@ -381,7 +382,7 @@ def test_angle_quantization_floor(cfg, rng):
 
 @pytest.mark.parametrize("with_cal", [False, True])
 def test_angle_batch_equals_row_by_row(rng, with_cal):
-    # a (D, P) call returns exactly what D calls on (P,) rows return
+    # a (D, P) call returns exactly what D calls on (1, P) rows return
     arr = rrx.ArrayModel().with_random_errors(rng)
     cal = (rrx.calibrate(arr.virtual_steering(0.0), arr, 0.0)
            if with_cal else None)
@@ -390,18 +391,24 @@ def test_angle_batch_equals_row_by_row(rng, with_cal):
     z = arr.virtual_steering(thetas) + 0.3 * (
         rng.standard_normal((100, 24)) + 1j * rng.standard_normal((100, 24)))
     batch = rrx.estimate_angle(z, arr, grid, cal=cal)
-    rows = [rrx.estimate_angle(zi, arr, grid, cal=cal) for zi in z]
+    rows = [rrx.estimate_angle(zi[None], arr, grid, cal=cal)[0] for zi in z]
     assert batch.shape == (100,)
-    assert all(type(r) is float for r in rows)
     assert np.array_equal(batch, rows)
     assert rrx.estimate_angle(z[:0], arr, grid, cal=cal).shape == (0,)
 
 
-def test_estimate_params_mapping(cfg):
-    # t* = 10 us -> 1500 m; f* = 0 -> v = 0; range bin width 3.75 m
+@pytest.mark.parametrize("make_cfg", [
+    RadarConfig,
+    lambda: RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4,
+                        bandwidth=14e6, sample_rate=28e6),
+    lambda: bench.config_for_hop_duration(RadarConfig(), 0.5e-6)],
+    ids=["default", "K7-M3-H4", "hop-0.5us"])
+def test_estimate_params_mapping(make_cfg):
+    # t* = 10 us -> 1500 m; f* = 0 -> v = 0; beyond the default config too
+    cfg = make_cfg()
     plan, psk = _plan_psk(cfg, 128)
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 7.5)])
-    arr = rrx.ArrayModel()
+    arr = rrx.ArrayModel(n_tx=cfg.n_tx)
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                              noise_var=10.0 ** 3, rng=4)
     grid = rrx.angle_grid(30, 4096)
@@ -410,13 +417,13 @@ def test_estimate_params_mapping(cfg):
     assert dets.range_m[best] == pytest.approx(1500.0, abs=cfg.range_bin)
     assert dets.velocity[best] == 0.0
     assert dets.azimuth_deg[best] == pytest.approx(7.5, abs=0.1)
-    assert cfg.range_bin == pytest.approx(3.75)
 
 
 def test_process_cpi_without_detections(cfg):
     plan, psk = _plan_psk(cfg, 16)
     rx = np.zeros((12, 16, cfg.samples_per_prt), dtype=complex)
-    _, dets = rrx.process_cpi(rx, plan, psk, cfg, rrx.ArrayModel())
+    _, dets = rrx.process_cpi(rx, plan, psk, cfg, rrx.ArrayModel(),
+                              grid=rrx.angle_grid(30, 256))
     assert len(dets) == 0
 
 
