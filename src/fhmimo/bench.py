@@ -21,7 +21,8 @@ from .config import ConfigError, RadarConfig, check_span
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
-from .waveform import (FhcsCodebook, make_psk_grid, plan_hops, synthesize)
+from .waveform import (FhcsCodebook, make_psk_grid, payload_codewords,
+                       plan_hops, synthesize)
 
 
 def wilson_interval(errors: float, n: int, z: float = 1.96):
@@ -54,7 +55,7 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
     nominal = (H * full_bits + order_bits * M * H) / cfg.prt_duration
 
     plan = plan_hops(cfg, n_prt=K, rng=0)
-    fhcs_cycle = plan.fhcs_bits_used
+    fhcs_cycle = int(payload_codewords(plan)[2].sum())
     psk_slots_cycle = int((~plan.pinned).sum())
     effective = (fhcs_cycle + order_bits * psk_slots_cycle) \
         / (K * cfg.prt_duration)
@@ -174,6 +175,11 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
               ) -> commrx.ErrorCounts:
     """Accumulate demodulation errors at one SNR until the symbol budget.
 
+    Chunks run until ``min_symbols`` PSK symbols and, if a chunk carries
+    FHCS payload at all, ``min_symbols`` FHCS codewords are scored. Every
+    chunk has the same capacity; with ``n_subbands == n_tx`` it holds no
+    codeword, since every hop's free antennas take the whole pool.
+
     The channel draw (impairments, hopping plan, noise) is seeded
     independently of the PSK order, so runs that differ only in modulation
     share the channel; this is what makes the FHCS curves of different PSK
@@ -185,7 +191,8 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     snr_code = round(snr_db * 10) & 0xffff
     acc = commrx.ErrorCounts()
     chunk_idx = 0
-    while acc.psk_symbols < min_symbols or acc.fhcs_codewords < min_symbols:
+    while (acc.psk_symbols < min_symbols
+           or 0 < acc.fhcs_codewords < min_symbols):
         chan_rng = np.random.default_rng([seed, snr_code, chunk_idx])
         psk_rng = np.random.default_rng([seed, snr_code, chunk_idx,
                                          order_bits])

@@ -117,16 +117,16 @@ class SyncEstimate:
 
 
 def estimate_cfo(pilot_zero: np.ndarray, cfg: RadarConfig,
-                 valid: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                 valid: np.ndarray) -> tuple[float, np.ndarray]:
     """CFO from zero-frequency pilots of consecutive PRTs.
 
-    ``pilot_zero``: (n_prt, M) complex pilot coefficients (hop m, antenna m).
-    Returns (cfo_hat, per-pair raw estimates in rad/s). The final value is
-    the circular mean of the pairwise phases over all PRT pairs and antennas.
+    ``pilot_zero``: (n_prt, M) complex pilot coefficients (hop m, antenna
+    m); ``valid``: (n_prt, M) pilots that may be used. Returns (cfo_hat,
+    per-pair raw estimates in rad/s). The final value is the circular mean
+    of the pairwise phases over all PRT pairs and antennas.
     """
-    ratios = pilot_zero[1:] * np.conj(pilot_zero[:-1])    # (n_prt-1, M)
-    if valid is not None:
-        ratios = np.where(valid[1:] & valid[:-1], ratios, 0.0)
+    ratios = np.where(valid[1:] & valid[:-1],
+                      pilot_zero[1:] * np.conj(pilot_zero[:-1]), 0.0)
     mags = np.abs(ratios)
     units = np.divide(ratios, mags, out=np.zeros_like(ratios),
                       where=mags > 0)
@@ -171,85 +171,69 @@ def correction_factor(i, h, m, k, sync: SyncEstimate, cfg: RadarConfig):
 class PilotRatioTable:
     """Per-(group, antenna, sub-band offset) pilot-ratio residuals.
 
-    Group g covers batch rows g*K .. g*K+K-1. Each entry is a measured
-    pilot ratio with its correction factor removed, so it holds only what
-    the sync estimate cannot predict: the front-end gain ratio and the
-    initial-timing phase. The zero-offset entry is exactly 1.
-    ``source_prt`` records the PRT each entry was measured in; missing
-    entries have source_prt = -1 and value 1.
+    Group g covers batch rows g*K .. g*K+K-1, one pilot cycle. A measured
+    entry is the pilot ratio of the group's PRT at that offset with its
+    correction factor removed, so it holds only what the sync estimate
+    cannot predict: the front-end gain ratio and the initial-timing phase.
+    The zero-offset entry is exactly 1. ``measured`` flags the entries the
+    group's own usable pilots filled; every other entry is 1.
     """
 
     values: np.ndarray       # (G, M, K) complex
-    source_prt: np.ndarray   # (G, M, K) int
+    measured: np.ndarray     # (G, M, K) bool
 
 
-def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray,
-                       prt_indices: np.ndarray, sync: SyncEstimate,
-                       cfg: RadarConfig,
-                       valid: np.ndarray | None = None) -> PilotRatioTable:
-    """Fill the pilot tables of every group of K consecutive rows.
+def build_pilot_ratios(zero: np.ndarray, cycled: np.ndarray, first_prt: int,
+                       sync: SyncEstimate, cfg: RadarConfig,
+                       valid: np.ndarray) -> PilotRatioTable:
+    """Measure the pilot table of every group of K consecutive PRTs.
 
     ``zero``, ``cycled``: (n_prt, M) peaks of antenna m's zero pilot (hop
-    m) and cycled pilot (hop m+1); ``prt_indices``: absolute PRT index per
-    row (the pilot offset cycles with it); ``valid``: (n_prt, M) rows and
-    antennas whose pilots may be used. The ratio of the cycled pilot to the
-    zero pilot, times the conjugate of its correction factor, is stored at
-    the PRT's offset; a zero pilot of magnitude zero gives no entry, and
-    where rows of a group repeat an offset the last one wins. The
+    m) and cycled pilot (hop m+1) in PRTs ``first_prt`` onwards;
+    ``valid``: (n_prt, M) pilots that may be used. K consecutive PRTs hold
+    each offset once, so each usable pilot pair fills its own entry: the
+    ratio of the cycled pilot to the zero pilot times the conjugate of its
+    correction factor. A zero pilot of magnitude zero gives no entry. The
     zero-offset entry carries no information (both pilots would sit on the
     same sub-band, so the cycled one is not transmitted and ``cycled`` is
-    not read) and is 1. Entries a group lacks are carried over from the
-    previous group.
+    not read) and is 1, measured when the PRT's pilots are usable.
     """
-    M, K = cfg.n_tx, cfg.n_subbands
-    prt_indices = np.asarray(prt_indices)
-    G = max(1, -(-prt_indices.size // K))
-    kappa = cfg.pilot_offset(prt_indices)
-    ok = (np.ones((prt_indices.size, M), dtype=bool) if valid is None
-          else np.asarray(valid, dtype=bool))
-    row, ant = np.nonzero(ok & ((kappa == 0)[:, None] | (zero != 0)))
-    kap = kappa[row]
-    cyc = kap != 0
-    r, m = row[cyc], ant[cyc]
-    ratio = np.ones(row.size, dtype=complex)
-    ratio[cyc] = cycled[r, m] / zero[r, m] * np.conj(correction_factor(
-        prt_indices[r], m + 1, m, cfg.pilot_subband(prt_indices[r]), sync,
-        cfg))
+    K = cfg.n_subbands
+    n_prt = zero.shape[0]
+    prt = first_prt + np.arange(n_prt)
+    kappa = cfg.pilot_offset(prt)
+    shape = (-(-n_prt // K), cfg.n_tx, K)
+    values = np.ones(shape, dtype=complex)
+    measured = np.zeros(shape, dtype=bool)
+    row, m = np.nonzero(valid & ((kappa == 0)[:, None] | (zero != 0)))
+    measured[row // K, m, kappa[row]] = True
+    cyc = kappa[row] != 0
+    r, m = row[cyc], m[cyc]
+    values[r // K, m, kappa[r]] = cycled[r, m] / zero[r, m] * np.conj(
+        correction_factor(prt[r], m + 1, m, cfg.pilot_subband(prt[r]), sync,
+                          cfg))
+    return PilotRatioTable(values, measured)
 
-    # one entry per (group, antenna, offset): the last row that fills it
-    cell = ((row // K) * M + ant) * K + kap
-    cell, rev = np.unique(cell[::-1], return_index=True)
-    last = row.size - 1 - rev
-    values = np.ones(G * M * K, dtype=complex)
-    source = np.full(G * M * K, -1, dtype=np.int64)
-    values[cell] = ratio[last]
-    source[cell] = prt_indices[row[last]]
-    source = source.reshape(G, M, K)
 
-    # holes take the entry of the latest earlier group that has one
-    src_group = np.where(source >= 0, np.arange(G)[:, None, None], 0)
-    np.maximum.accumulate(src_group, axis=0, out=src_group)
-    return PilotRatioTable(
-        *(np.take_along_axis(a.reshape(G, M, K), src_group, axis=0)
-          for a in (values, source)))
+def _carried_table(table: PilotRatioTable) -> PilotRatioTable:
+    """The table the estimated and flat modes read: a hole takes the
+    entry of the latest earlier group that measured it."""
+    G = table.values.shape[0]
+    src = np.where(table.measured, np.arange(G)[:, None, None], 0)
+    np.maximum.accumulate(src, axis=0, out=src)
+    return PilotRatioTable(*(np.take_along_axis(a, src, axis=0)
+                             for a in (table.values, table.measured)))
 
 
 def _averaged_table(table: PilotRatioTable) -> PilotRatioTable:
-    """Every group uses the mean of its offset's entries over the groups
-    (the refinement that averages the pilot ratios over a CPI). An entry
-    carried over from an earlier group is the same measurement and is
-    counted once; the source PRT kept is the earliest one.
-    """
-    src = table.source_prt
-    use = src >= 0
-    use[1:] &= src[1:] != src[:-1]                        # not carried
-    n_used = use.sum(axis=0)
-    values = np.ones(n_used.shape, dtype=complex)
-    np.divide(np.where(use, table.values, 0).sum(axis=0), n_used,
-              out=values, where=n_used > 0)
-    first = np.take_along_axis(src, np.argmax(use, axis=0)[None], axis=0)
-    return PilotRatioTable(*(np.broadcast_to(a, src.shape)
-                             for a in (values, first[0])))
+    """Every group uses the mean of its offset's measured entries over the
+    groups (the refinement that averages the pilot ratios over a CPI)."""
+    n = table.measured.sum(axis=0)
+    values = np.ones(n.shape, dtype=complex)
+    np.divide(np.where(table.measured, table.values, 0).sum(axis=0), n,
+              out=values, where=n > 0)
+    return PilotRatioTable(*(np.broadcast_to(a, table.values.shape)
+                             for a in (values, n > 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +297,7 @@ def _pilot_phases(slots: np.ndarray, peak: np.ndarray, pilot: np.ndarray,
     group = (i - first_prt) // cfg.n_subbands
     ref = (table.values[group, m, kappa]
            * correction_factor(i, h, m, k, sync, cfg) * pilot)
-    return np.angle(peak * np.conj(ref)), table.source_prt[group, m, kappa] < 0
+    return np.angle(peak * np.conj(ref)), ~table.measured[group, m, kappa]
 
 
 def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
@@ -375,11 +359,11 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         cycled = peaks[:, ants + 1, ants]
         # a PRT at offset 0 sends no cycled pilot, so there is none to check
         cycled_ok = peak_ok[:, ants + 1, ants] | ~det.pinned[:, ants + 1, ants]
-        table = build_pilot_ratios(zero, cycled, prt_abs, sync, cfg,
+        table = build_pilot_ratios(zero, cycled, first_prt, sync, cfg,
                                    zero_ok & cycled_ok)
-        if mode == "averaged":
-            table = _averaged_table(table)
-        elif mode == "flat":
+        table = (_averaged_table if mode == "averaged"
+                 else _carried_table)(table)
+        if mode == "flat":
             table.values[:] = 1.0
         raw_phase, missing = _pilot_phases(slots, payload, zero[row, m],
                                            table, sync, first_prt, cfg)

@@ -405,7 +405,7 @@ def calibrate(anchor_vector: np.ndarray, array: ArrayModel,
     return cal
 
 
-def angle_grid(fov_deg: float = 30.0, n_points: int = 1024) -> np.ndarray:
+def angle_grid(fov_deg: float, n_points: int) -> np.ndarray:
     """Uniform azimuth grid over [-fov, fov) degrees."""
     step = 2 * fov_deg / n_points
     return -fov_deg + step * np.arange(n_points)

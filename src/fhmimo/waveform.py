@@ -194,7 +194,6 @@ class HopPlan:
     subband: np.ndarray      # (n_prt, H, M) int
     pinned: np.ndarray       # (n_prt, H, M) bool
     first_prt: int = 0       # absolute index of row 0 (pilot cycle phase)
-    fhcs_bits_used: int = 0
 
     @property
     def n_prt(self) -> int:
@@ -286,7 +285,7 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
         pos = unrank_subsets(idx, g.pool, len(g.free_ants))
         ks = _positions_to_subbands(pos, g.pin_ks)
         subband[g.rows[:, None], g.hop, g.free_ants] = ks
-    return HopPlan(cfg, subband, pinned, first_prt, fhcs_bits_used=total)
+    return HopPlan(cfg, subband, pinned, first_prt)
 
 
 def payload_codewords(plan: HopPlan):

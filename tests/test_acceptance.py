@@ -106,7 +106,8 @@ def test_criterion_4_estimator_accuracy():
         rx = imp.apply(frame, plan, psk, spec, cfg)
         _, sub_vals = crx._batch_spectra(rx, cfg)
         pilots = sub_vals[:, np.arange(cfg.n_tx), cfg.zero_subband]
-        cfo_hat, _ = crx.estimate_cfo(pilots, cfg)
+        cfo_hat, _ = crx.estimate_cfo(pilots, cfg,
+                                      np.ones(pilots.shape, dtype=bool))
         rho_hat, dts_hat = crx.estimate_clock(cfo_hat, cfg)
         worst["cfo"] = max(worst["cfo"], abs(cfo_hat - spec.cfo)
                            / abs(spec.cfo))
@@ -326,7 +327,8 @@ def test_criterion_8_property_suite():
         cycled = sv[rows[:, None], ants + 1,
                     cfg.pilot_subband(rows)[:, None]]
         # residuals (correction factor removed) of the two groups
-        t = crx.build_pilot_ratios(zero, cycled, rows, sync, cfg)
+        t = crx.build_pilot_ratios(zero, cycled, 0, sync, cfg,
+                                   np.ones(zero.shape, dtype=bool))
         a, b = t.values[0, :, 1:], t.values[1, :, 1:]
         return np.abs(b - a) / np.abs(a)
 
@@ -349,9 +351,10 @@ def test_criterion_8_property_suite():
         rx4 = imp.apply(fr4, plan4, psk4, spec_t, cfg, rng=rng)
         _, sv = crx._batch_spectra(rx4, cfg)
         pilots = sv[:, np.arange(2), cfg.zero_subband]
+        valid = np.ones(pilots.shape, dtype=bool)
         for n_pairs in est:
-            est[n_pairs].append(crx.estimate_cfo(pilots[:n_pairs + 1],
-                                                 cfg)[0])
+            est[n_pairs].append(crx.estimate_cfo(
+                pilots[:n_pairs + 1], cfg, valid[:n_pairs + 1])[0])
     v = {n: np.var(est[n]) for n in est}
     checks.append((v[1] > v[16] > v[127],
                    f"CFO variance not monotone: {v}"))

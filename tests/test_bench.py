@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from fhmimo import bench
 from fhmimo.config import ConfigError
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,30 @@ def test_ber_point_random_guess_baseline(cfg):
     acc = bench.ber_point(cfg, 3, -40.0, sweep, seed=5)
     lo, hi = bench.wilson_interval(acc.psk_bit_errors, acc.psk_bits, z=3.3)
     assert lo <= 0.5 <= hi
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_ber_point_ends_without_fhcs_payload(K):
+    # with K = M every hop's free antennas take the whole pool, so no chunk
+    # carries an FHCS codeword and a codeword budget is never met; run in a
+    # child process so that a loop that never ends fails instead of hanging
+    code = (
+        "from fhmimo import bench\n"
+        "from fhmimo.config import RadarConfig\n"
+        f"cfg = RadarConfig(n_subbands={K}, n_tx={K}, hops_per_pulse={K + 1},"
+        f" bandwidth={K}e6)\n"
+        "sweep = bench.SweepSpec(chunk_prt=20, min_symbols=10)\n"
+        "acc = bench.ber_point(cfg, 2, 10.0, sweep, 0)\n"
+        "print(acc.psk_symbols, acc.fhcs_codewords, acc.fhcs_bits)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("ber_point did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    n_psk, n_cw, n_bits = map(int, proc.stdout.split())
+    assert n_psk >= 10 and n_cw == 0 and n_bits == 0
 
 
 def test_ber_sweep_report_shape_and_orderings(cfg):

@@ -125,7 +125,8 @@ def test_cfo_estimate_closed_form(cfg, rng):
     cfg1 = RadarConfig(n_tx=1)
     _, sub_vals = crx._batch_spectra(rx, cfg1)
     pilots = sub_vals[:, np.arange(1), cfg1.zero_subband]
-    cfo_hat, raw = crx.estimate_cfo(pilots, cfg1)
+    cfo_hat, raw = crx.estimate_cfo(pilots, cfg1,
+                                    np.ones(pilots.shape, dtype=bool))
     assert np.mean(raw) * cfg1.prt_duration == pytest.approx(0.0251327,
                                                              abs=1e-6)
     assert cfo_hat == pytest.approx(cfo, rel=1e-6)
@@ -170,8 +171,10 @@ def test_cfo_averaging_variance_monotone(cfg):
         plan, psk, rx = _chain(cfg, 128, rng, spec=spec_t, noise_rng=rng)
         _, sub_vals = crx._batch_spectra(rx, cfg)
         pilots = sub_vals[:, np.arange(cfg.n_tx), cfg.zero_subband]
+        valid = np.ones(pilots.shape, dtype=bool)
         for n_pairs in estimates:
-            cfo_hat, _ = crx.estimate_cfo(pilots[:n_pairs + 1], cfg)
+            cfo_hat, _ = crx.estimate_cfo(pilots[:n_pairs + 1], cfg,
+                                          valid[:n_pairs + 1])
             estimates[n_pairs].append(cfo_hat)
     v1, v16, v127 = (np.var(estimates[n]) for n in (1, 16, 127))
     assert v1 > v16 > v127
@@ -181,25 +184,26 @@ def test_cfo_averaging_variance_monotone(cfg):
 # Pilot ratios and the correction factor
 # ---------------------------------------------------------------------------
 
-def _pilots(sub_vals, prt_indices, cfg):
-    """(zero, cycled), each (n_prt, M): antenna m's pilot peaks read at the
-    layout's sub-bands, hop m on the zero sub-band and hop m+1 on the
-    PRT's cycled sub-band."""
-    ants = np.arange(cfg.n_tx)
-    rows = np.arange(len(prt_indices))[:, None]
+def _table(sub_vals, first_prt, sync, cfg, valid=None):
+    """Pilot table of a batch of PRTs ``first_prt`` onwards: antenna m's
+    pilot peaks read at the layout's sub-bands, hop m on the zero sub-band
+    and hop m+1 on the PRT's cycled sub-band; all of them usable unless
+    ``valid`` (n_prt, M) says otherwise."""
+    n, ants = sub_vals.shape[0], np.arange(cfg.n_tx)
     zero = sub_vals[:, ants, cfg.zero_subband]
-    cycled = sub_vals[rows, ants + 1,
-                      cfg.pilot_subband(np.asarray(prt_indices))[:, None]]
-    return zero, cycled
+    cycled = sub_vals[np.arange(n)[:, None], ants + 1,
+                      cfg.pilot_subband(first_prt + np.arange(n))[:, None]]
+    if valid is None:
+        valid = np.ones((n, cfg.n_tx), dtype=bool)
+    return crx.build_pilot_ratios(zero, cycled, first_prt, sync, cfg, valid)
 
 
 def test_pilot_ratios_unity_for_clean_channel(cfg, rng):
     plan, psk, rx = _chain(cfg, 20, rng)
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
-    table = crx.build_pilot_ratios(*_pilots(sub_vals, np.arange(20), cfg),
-                                   np.arange(20), sync, cfg)
-    assert np.all(table.source_prt >= 0)
+    table = _table(sub_vals, 0, sync, cfg)
+    assert table.measured.all()
     assert np.allclose(table.values, 1.0, atol=1e-9)
 
 
@@ -211,8 +215,7 @@ def test_pilot_ratio_phase_from_initial_offset(cfg, rng):
     plan, psk, rx = _chain(cfg, 20, rng, spec=spec)
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
-    table = crx.build_pilot_ratios(*_pilots(sub_vals, np.arange(20), cfg),
-                                   np.arange(20), sync, cfg)
+    table = _table(sub_vals, 0, sync, cfg)
     for kappa in range(1, 20):
         k = (cfg.zero_subband + kappa) % 20
         want = 2 * np.pi * cfg.subband_frequency(k) * dt0
@@ -231,18 +234,16 @@ def test_pilot_ratio_phase_from_initial_offset(cfg, rng):
         fe = imp.FrontEndProfile.rippled(cfg1, rng=rng)
         spec = imp.ImpairmentSpec.from_clock(1.8e-6, cfg1, sto_initial=dt0,
                                              front_end=fe)
-        prts = 13 + np.arange(2 * K)
-        plan = wf.plan_hops(cfg1, n_prt=prts.size, rng=rng, first_prt=13)
+        plan = wf.plan_hops(cfg1, n_prt=2 * K, rng=rng, first_prt=13)
         rx = imp.apply(wf.synthesize(plan, None, cfg1), plan, None, spec,
                        cfg1)
         _, sub_vals = crx._batch_spectra(rx, cfg1)
-        table = crx.build_pilot_ratios(
-            *_pilots(sub_vals, prts, cfg1), prts,
-            crx.SyncEstimate.from_spec(spec, cfg1), cfg1)
+        table = _table(sub_vals, 13, crx.SyncEstimate.from_spec(spec, cfg1),
+                       cfg1)
         ks = (k0 + np.arange(K)) % K
         want = (fe.gains[0, ks] / fe.gains[0, k0]
                 * np.exp(2j * np.pi * cfg1.subband_frequency(ks) * dt0))
-        assert np.all(table.source_prt >= 0)
+        assert table.measured.all()
         assert np.max(np.abs(table.values - want)) < 1e-12
 
 
@@ -255,77 +256,106 @@ def test_pilot_ratio_phase_increases_with_prt(cfg, rng):
     plan, psk, rx = _chain(cfg, 20, rng, spec=spec)
     _, sub_vals = crx._batch_spectra(rx, cfg)
     sync = crx.SyncEstimate(spec.cfo, 1e-6, spec.sample_time_offset)
-    table = crx.build_pilot_ratios(*_pilots(sub_vals, np.arange(20), cfg),
-                                   np.arange(20), sync, cfg)
+    table = _table(sub_vals, 0, sync, cfg)
     phases = np.angle(table.values[0, 0, 1:10])  # positive-frequency pilots
     assert np.all(np.diff(phases) > 0)
 
 
-def _pilot_tables_by_loop(sub_vals, prt_indices, sync, cfg, valid):
+def _pilot_tables_by_loop(sub_vals, first_prt, sync, cfg, valid):
     """Reference: row-by-row, antenna-by-antenna fill of each group of K
-    rows with raw pilot ratios, then a group-by-group carry of earlier
-    entries into holes, then one correction-factor call that turns every
-    measured ratio into its residual."""
+    rows with raw pilot ratios, then one correction-factor call that turns
+    every measured ratio into its residual. Returns (values, measured)."""
     M, K, k0 = cfg.n_tx, cfg.n_subbands, cfg.zero_subband
-    G = max(1, -(-len(prt_indices) // K))
+    G = -(-len(sub_vals) // K)
     values = np.ones((G, M, K), dtype=complex)
-    source = np.full((G, M, K), -1, dtype=np.int64)
+    source = np.zeros((G, M, K), dtype=np.int64)
     measured = np.zeros((G, M, K), dtype=bool)
-    for row, i_abs in enumerate(prt_indices):
-        g = row // K
+    for row in range(len(sub_vals)):
+        g, i_abs = row // K, first_prt + row
         kappa = int(cfg.pilot_offset(i_abs))
         for m in range(M):
-            if not valid[row, m]:
-                continue
-            if kappa == 0:
-                source[g, m, 0] = i_abs
-                continue
             den = sub_vals[row, m, k0]
-            if den == 0:
+            if not valid[row, m] or (kappa != 0 and den == 0):
                 continue
-            values[g, m, kappa] = sub_vals[row, m + 1, (k0 + kappa) % K] / den
-            source[g, m, kappa] = i_abs
             measured[g, m, kappa] = True
-    for g in range(1, G):
-        hole = source[g] < 0
+            if kappa != 0:
+                values[g, m, kappa] = (sub_vals[row, m + 1, (k0 + kappa) % K]
+                                       / den)
+                source[g, m, kappa] = i_abs
+    g, m, kappa = np.nonzero(measured[..., 1:])
+    values[g, m, kappa + 1] *= np.conj(crx.correction_factor(
+        source[g, m, kappa + 1], m + 1, m, (k0 + kappa + 1) % K, sync, cfg))
+    return values, measured
+
+
+def _carry_by_loop(values, measured):
+    """Reference carry: group by group, a hole takes the entry of the
+    group before it (which may itself be carried)."""
+    values, measured = values.copy(), measured.copy()
+    for g in range(1, len(values)):
+        hole = ~measured[g]
         values[g][hole] = values[g - 1][hole]
-        source[g][hole] = source[g - 1][hole]
         measured[g][hole] = measured[g - 1][hole]
-    g, m, kappa = np.nonzero(measured)
-    values[g, m, kappa] *= np.conj(crx.correction_factor(
-        source[g, m, kappa], m + 1, m, (k0 + kappa) % K, sync, cfg))
-    return values, source, measured
+    return values, measured
+
+
+def _average_by_loop(values, measured):
+    """Reference CPI average: per (antenna, offset), the running sum of the
+    measured entries over the groups divided by their count; 1 when none
+    was measured."""
+    G, M, K = values.shape
+    avg, seen = np.ones((M, K), dtype=complex), np.zeros((M, K), dtype=bool)
+    for m in range(M):
+        for kappa in range(K):
+            total, n = 0j, 0
+            for g in range(G):
+                if measured[g, m, kappa]:
+                    total, n = total + values[g, m, kappa], n + 1
+            if n:
+                avg[m, kappa], seen[m, kappa] = total / n, True
+    return (np.broadcast_to(avg, values.shape),
+            np.broadcast_to(seen, values.shape))
+
+
+def _check_tables_against_loop(cfg, n, first_prt, rng):
+    """Random pilots from PRT ``first_prt`` on, with unusable (row,
+    antenna) pairs and zero pilots: the measured table, the carried table
+    and the CPI average all match the reference loops exactly."""
+    shape = (n, cfg.hops_per_pulse, cfg.n_subbands)
+    sub_vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sub_vals[rng.random(n) < 0.2, 0, cfg.zero_subband] = 0.0
+    valid = rng.random((n, cfg.n_tx)) > 0.3
+    sync = crx.SyncEstimate(2e3, 5e-8, -3e-13)
+    table = _table(sub_vals, first_prt, sync, cfg, valid)
+    values, measured = _pilot_tables_by_loop(sub_vals, first_prt, sync, cfg,
+                                             valid)
+    assert np.array_equal(table.measured, measured)
+    assert np.array_equal(table.values, values)
+    assert (~measured).any() and measured[..., 1:].any()
+    for got, want in ((crx._carried_table(table),
+                       _carry_by_loop(values, measured)),
+                      (crx._averaged_table(table),
+                       _average_by_loop(values, measured))):
+        assert np.array_equal(got.measured, want[1])
+        assert np.array_equal(got.values, want[0])
 
 
 def test_pilot_tables_match_row_by_row_fill(cfg):
-    # random pilots with unusable (row, antenna) pairs, zero pilots and
-    # PRT indices that repeat offsets within a group (the last usable row
-    # must win)
     rng = np.random.default_rng(41)
-    n = 70
-    sub_vals = (rng.standard_normal((n, cfg.hops_per_pulse, cfg.n_subbands))
-                + 1j * rng.standard_normal(
-                    (n, cfg.hops_per_pulse, cfg.n_subbands)))
-    sub_vals[rng.random(n) < 0.2, 0, cfg.zero_subband] = 0.0
-    prt_indices = rng.integers(0, 60, size=n)
-    valid = rng.random((n, cfg.n_tx)) > 0.3
-    sync = crx.SyncEstimate(2e3, 5e-8, -3e-13)
-    table = crx.build_pilot_ratios(*_pilots(sub_vals, prt_indices, cfg),
-                                   prt_indices, sync, cfg, valid)
-    values, source, measured = _pilot_tables_by_loop(
-        sub_vals, prt_indices, sync, cfg, valid)
-    assert np.array_equal(table.source_prt, source)
-    # measured entries are exactly the nonzero offsets that have a source
-    assert np.array_equal((source >= 0) & (np.arange(cfg.n_subbands) > 0),
-                          measured)
-    assert np.array_equal(table.values, values)
-    assert (source < 0).any() and measured.any()
+    _check_tables_against_loop(cfg, 70, int(rng.integers(0, 1000)), rng)
+
+
+def test_pilot_tables_match_loops_beyond_default_config():
+    # M = 3, K = 7, H = 4 from PRT 5; 40 rows leave a partial last group
+    cfg = RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4,
+                      bandwidth=7e6, sample_rate=14e6, prt_duration=8e-6)
+    _check_tables_against_loop(cfg, 40, 5, np.random.default_rng(43))
 
 
 def test_averaged_table_counts_each_measurement_once(cfg):
-    # the pilots of group 1 are unusable, so its table carries group 0's
-    # entries; averaging over the CPI must count each measurement once:
-    # ratios 1 (group 0) and 2 (group 2) average to 1.5, not 4/3
+    # the pilots of group 1 are unusable, so the carried table repeats
+    # group 0's entries there; the CPI average counts each measurement
+    # once: ratios 1 (group 0) and 2 (group 2) average to 1.5, not 4/3
     n, M, K = 60, cfg.n_tx, cfg.n_subbands
     rows = np.arange(n)
     sub_vals = np.zeros((n, cfg.hops_per_pulse, K), dtype=complex)
@@ -335,14 +365,15 @@ def test_averaged_table_counts_each_measurement_once(cfg):
         np.where(rows < 20, 1.0, 2.0)[:, None]
     sync = crx.SyncEstimate(0.0, 0.0, 0.0)
     valid = np.broadcast_to((rows // K != 1)[:, None], (n, M))
-    table = crx.build_pilot_ratios(*_pilots(sub_vals, rows, cfg), rows, sync,
-                                   cfg, valid)
-    assert np.array_equal(table.source_prt[1], table.source_prt[0])
+    table = _table(sub_vals, 0, sync, cfg, valid)
+    assert not table.measured[1].any() and table.measured[[0, 2]].all()
     assert np.allclose(table.values[2, :, 1:], 2.0)
+    carried = crx._carried_table(table)
+    assert carried.measured.all()
+    assert np.array_equal(carried.values[1], table.values[0])
     avg = crx._averaged_table(table)
+    assert avg.measured.all()
     assert np.allclose(avg.values[:, :, 1:], 1.5)
-    assert np.array_equal(avg.source_prt, np.broadcast_to(
-        table.source_prt[0], avg.source_prt.shape))
 
 
 def test_correction_factor_trivial_cases(cfg):
@@ -451,14 +482,11 @@ def test_front_end_stability_of_pilot_ratios(cfg):
         rx_b = imp.apply(frame, plan, None, spec_b, cfg)
         _, sv_a = crx._batch_spectra(rx_a, cfg)
         _, sv_b = crx._batch_spectra(rx_b, cfg)
-        sv = np.concatenate([sv_a[:20], sv_b[20:]])
-        t = crx.build_pilot_ratios(*_pilots(sv, np.arange(40), cfg),
-                                   np.arange(40), sync, cfg)
-        return t
+        return _table(np.concatenate([sv_a[:20], sv_b[20:]]), 0, sync, cfg)
 
     # same profile: the two groups' residuals agree
     t = ratio_tables(spec1, spec1)
-    assert np.all(t.source_prt[1] != t.source_prt[0])
+    assert t.measured.all()
     lhs, rhs = t.values[1, :, 1:], t.values[0, :, 1:]
     assert np.all(np.abs(lhs - rhs) / np.abs(rhs) < 1e-6)
 

@@ -4,6 +4,7 @@ lengths and frames that start mid pilot cycle, through an identity channel
 and through a noisy, impaired one."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhmimo import bench, commrx as crx
@@ -42,8 +43,14 @@ def test_identity_channel_error_free_in_every_mode(case):
     plan = wf.plan_hops(cfg, fhcs_bits=bits, n_prt=n_prt,
                         first_prt=first_prt)
     back = wf.extract_payload_bits(plan)
-    assert back.size == plan.fhcs_bits_used
     assert np.array_equal(back, bits[:back.size])
+    # the plan read exactly these bits: they rebuild it, one fewer is short
+    again = wf.plan_hops(cfg, fhcs_bits=back, n_prt=n_prt,
+                         first_prt=first_prt)
+    assert np.array_equal(again.subband, plan.subband)
+    with pytest.raises(wf.PayloadLengthError):
+        wf.plan_hops(cfg, fhcs_bits=back[:-1], n_prt=n_prt,
+                     first_prt=first_prt)
 
     psk = wf.make_psk_grid(cfg, plan, order_bits, rng=rng)
     ident = imp.ImpairmentSpec()

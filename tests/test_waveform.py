@@ -124,8 +124,12 @@ def test_fhcs_roundtrip_identity(cfg, rng):
     bits = rng.integers(0, 2, size=60000, dtype=np.uint8)
     plan = wf.plan_hops(cfg, fhcs_bits=bits, n_prt=2000)
     back = wf.extract_payload_bits(plan)
-    assert back.size == plan.fhcs_bits_used
     assert np.array_equal(back, bits[:back.size])
+    # the plan read exactly these bits: they rebuild it, one fewer is short
+    again = wf.plan_hops(cfg, fhcs_bits=back, n_prt=2000)
+    assert np.array_equal(again.subband, plan.subband)
+    with pytest.raises(wf.PayloadLengthError):
+        wf.plan_hops(cfg, fhcs_bits=back[:-1], n_prt=2000)
 
 
 @pytest.mark.parametrize("kw, first_prt", [

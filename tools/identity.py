@@ -1,0 +1,191 @@
+"""Check that two source trees give byte-identical seeded outputs.
+
+    python tools/identity.py PARENT_TREE CHANGE_TREE
+
+Each tree runs the same matrix in its own interpreter, with the tree's
+``src`` as ``PYTHONPATH``:
+
+* the CLI on small configs: ``txgen``, ``comm`` in all four modes,
+  ``radar``, and ``sweep --kind ber|radar|methods``;
+  every file each run writes and its exit code are kept;
+* ``commrx.demodulate`` in all four modes, in process, on seeded frames of
+  the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
+  and 13, partial last pilot cycles, -20 to 20 dB (erased slots included),
+  1- and 40-PRT frames and frames without a usable pilot pair. Every
+  ``DemodReport`` field and every ``score_report`` count is hashed.
+
+Every output that differs between the two trees is named, and the exit
+status is 1 on any difference, 0 when all are identical. A refactor that
+claims identical outputs runs this against its parent commit, e.g. a
+``git archive`` of it unpacked elsewhere. It needs two trees, so the test
+suite does not run it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+DEMOD_JSON = "demod.json"
+
+BASE = {"radar": {"n_subbands": 20, "n_tx": 2, "hops_per_pulse": 5,
+                  "prts_per_cpi": 32},
+        "impairment": {"rho": 1.5e-6, "sto_initial": 7.5e-9, "snr_db": 2,
+                       "front_end": "rippled"},
+        "run": {"seed": 3, "n_prt": 90, "order_bits": 3}}
+SMALL = {"n_subbands": 7, "n_tx": 3, "hops_per_pulse": 4, "bandwidth": 7e6,
+         "sample_rate": 14e6, "prt_duration": 8e-6, "prts_per_cpi": 32}
+SWEEP = {"snr_grid_db": [-8, 6], "modulations": [2, 3],
+         "hop_durations": [1e-6], "min_symbols": 400, "chunk_prt": 120,
+         "trials": 2, "n_targets": 3, "radar_snr_grid_db": [-16],
+         "angle_grid_points": 64}
+MODES = ("estimated", "averaged", "flat", "known")
+
+
+def _cli_runs():
+    """(name, config, argv) of every CLI run."""
+    small = {**BASE, "radar": SMALL}
+    runs = [("txgen", BASE, ["txgen"])]
+    runs += [(f"comm-{m}", BASE, ["comm", "--mode", m]) for m in MODES]
+    runs += [(f"comm-small-{m}", small, ["comm", "--mode", m])
+             for m in MODES]
+    runs.append(("radar", {**BASE, "scene": {"n_targets": 3}},
+                 ["radar", "--snr", "-16"]))
+    for kind in ("ber", "radar", "methods"):
+        modes = ("estimated", "averaged") if kind == "ber" else ("known",)
+        for m in modes:
+            sweep = {**SWEEP, "kind": kind, "comm_mode": m}
+            runs.append((f"sweep-{kind}-{m}", {**BASE, "sweep": sweep},
+                         ["sweep"]))
+    return runs
+
+
+def _frames():
+    """(name, cfg kwargs, n_prt, first_prt, snr_db) of every demod frame."""
+    out = []
+    for tag, kw in (("default", {}), ("small", SMALL)):
+        for n_prt, first_prt, snrs in ((1, 0, (20,)), (40, 0, (-20, 20)),
+                                       (45, 5, (-8, 4)), (333, 13, (-4, 10)),
+                                       (160, 0, (0,))):
+            out += [(f"{tag}-n{n_prt}-p{first_prt}-{snr}dB", kw, n_prt,
+                     first_prt, snr) for snr in snrs]
+    return out
+
+
+def _digest(value) -> str:
+    """Hash of a value's exact bytes: arrays by dtype, shape and data,
+    dataclasses field by field, everything else by ``repr``."""
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif dataclasses.is_dataclass(v):
+            for f in dataclasses.fields(v):
+                h.update(f.name.encode())
+                feed(getattr(v, f.name))
+        else:
+            h.update(repr(v).encode())
+
+    feed(value)
+    return h.hexdigest()
+
+
+def collect(out: Path) -> None:
+    """Run the matrix with the ``fhmimo`` on the path; write under ``out``."""
+    from fhmimo import cli, commrx, impairments as imp, waveform as wf
+    from fhmimo.config import RadarConfig
+
+    codes = {}
+    for name, config, argv in _cli_runs():
+        run_dir = out / "cli" / name
+        run_dir.mkdir(parents=True)
+        cfg_path = out / "cli" / f"{name}.json"
+        cfg_path.write_text(json.dumps(config))
+        codes[name] = cli.main(["--config", str(cfg_path.relative_to(out)),
+                                "--out", str(run_dir.relative_to(out))]
+                               + argv)
+    (out / "cli" / "exit_codes.json").write_text(
+        json.dumps(codes, indent=1, sort_keys=True))
+
+    digests = {}
+    for name, kw, n_prt, first_prt, snr_db in _frames():
+        cfg = RadarConfig(**kw)
+        rng = np.random.default_rng([n_prt, first_prt, snr_db + 100])
+        spec = imp.ImpairmentSpec.from_clock(
+            1.5e-6, cfg, sto_initial=0.4 / cfg.sample_rate,
+            noise_var=10.0 ** (-snr_db / 10.0),
+            front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
+        plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, first_prt=first_prt)
+        psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+        rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, spec, cfg,
+                       rng=rng)
+        for mode in MODES:
+            rep = commrx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+            key = f"{name}/{mode}"
+            for f in dataclasses.fields(rep):
+                digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
+            digests[f"{key}/score_report"] = _digest(
+                commrx.score_report(rep, plan, psk, cfg))
+    (out / DEMOD_JSON).write_text(json.dumps(digests, indent=1))
+
+
+def _run_tree(tree: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                           "--collect"], cwd=out, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: the matrix failed\n{proc.stderr}")
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """Names of the outputs that differ between the result dirs a and b."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diffs = [f"{p}: only in one tree" for p in sorted(files_a ^ files_b)]
+    for p in sorted(files_a & files_b):
+        if p.name == DEMOD_JSON:
+            da = json.loads((a / p).read_text())
+            db = json.loads((b / p).read_text())
+            diffs += [f"demodulate {k}" for k in sorted(set(da) | set(db))
+                      if da.get(k) != db.get(k)]
+        elif (a / p).read_bytes() != (b / p).read_bytes():
+            diffs.append(str(p))
+    return diffs
+
+
+def main(argv) -> int:
+    if argv == ["--collect"]:
+        collect(Path.cwd())
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / name for name in ("parent", "change")]
+        for tree, out in zip(trees, outs):
+            out.mkdir()
+            _run_tree(tree, out)
+        diffs = compare(*outs)
+        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+        n_demod = len(json.loads((outs[0] / DEMOD_JSON).read_text()))
+    for d in diffs:
+        print(f"DIFFERS {d}")
+    print(f"{len(diffs)} differences over {n_files} files and "
+          f"{n_demod} demodulate outputs")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
