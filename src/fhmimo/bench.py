@@ -226,12 +226,18 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
                                 sweep.seed)
                 p_lo, p_hi = wilson_interval(acc.psk_bit_errors,
                                              acc.psk_bits)
-                f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors,
-                                             acc.fhcs_bits)
+                if acc.fhcs_bits:
+                    f_ber = acc.fhcs_ber
+                    f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors,
+                                                 acc.fhcs_bits)
+                else:
+                    # no FHCS payload (n_subbands == n_tx): nothing was
+                    # measured, so the FHCS curve gets no point
+                    f_ber = f_lo = f_hi = float("nan")
                 rows.append([hop_t, order_bits, float(snr_db),
                              sweep.comm_mode,
                              acc.psk_ber, p_lo, p_hi, acc.psk_bits,
-                             acc.psk_ser, acc.fhcs_ber, f_lo, f_hi,
+                             acc.psk_ser, f_ber, f_lo, f_hi,
                              acc.fhcs_bits, rate_nom, rate_eff])
     return SweepReport(cols, rows, {"seed": sweep.seed})
 

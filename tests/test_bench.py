@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -93,15 +94,21 @@ def test_ber_point_random_guess_baseline(cfg):
 def test_ber_point_ends_without_fhcs_payload(K):
     # with K = M every hop's free antennas take the whole pool, so no chunk
     # carries an FHCS codeword and a codeword budget is never met; run in a
-    # child process so that a loop that never ends fails instead of hanging
+    # child process so that a loop that never ends fails instead of hanging.
+    # The sweep row then has no FHCS measurement to plot: NaN, not 0.
     code = (
+        "import json\n"
         "from fhmimo import bench\n"
         "from fhmimo.config import RadarConfig\n"
         f"cfg = RadarConfig(n_subbands={K}, n_tx={K}, hops_per_pulse={K + 1},"
         f" bandwidth={K}e6)\n"
-        "sweep = bench.SweepSpec(chunk_prt=20, min_symbols=10)\n"
+        "sweep = bench.SweepSpec(chunk_prt=20, min_symbols=10,"
+        " snr_grid_db=(10.0,), modulations=(2,),"
+        " hop_durations=(cfg.hop_duration,))\n"
         "acc = bench.ber_point(cfg, 2, 10.0, sweep, 0)\n"
-        "print(acc.psk_symbols, acc.fhcs_codewords, acc.fhcs_bits)\n")
+        "print(acc.psk_symbols, acc.fhcs_codewords, acc.fhcs_bits)\n"
+        "rep = bench.run_ber_sweep(cfg, sweep)\n"
+        "print(json.dumps(dict(zip(rep.columns, rep.rows[0]))))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     try:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -109,8 +116,13 @@ def test_ber_point_ends_without_fhcs_payload(K):
     except subprocess.TimeoutExpired:
         pytest.fail("ber_point did not return within 60 s")
     assert proc.returncode == 0, proc.stderr
-    n_psk, n_cw, n_bits = map(int, proc.stdout.split())
+    counts, row = proc.stdout.splitlines()
+    n_psk, n_cw, n_bits = map(int, counts.split())
     assert n_psk >= 10 and n_cw == 0 and n_bits == 0
+    row = json.loads(row)
+    assert row["psk_bits"] >= 20 and row["fhcs_bits"] == 0
+    assert all(np.isnan(row[c])
+               for c in ("fhcs_ber", "fhcs_ber_lo", "fhcs_ber_hi"))
 
 
 def test_ber_sweep_report_shape_and_orderings(cfg):
