@@ -26,9 +26,10 @@ from .waveform import (FhcsCodebook, make_psk_grid, payload_codewords,
 
 
 def wilson_interval(errors: float, n: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion; (NaN, NaN) when
+    ``n == 0``, like the rate itself (:func:`commrx.rate`)."""
     if n == 0:
-        return 0.0, 1.0
+        return float("nan"), float("nan")
     p = errors / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -183,7 +184,9 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     The channel draw (impairments, hopping plan, noise) is seeded
     independently of the PSK order, so runs that differ only in modulation
     share the channel; this is what makes the FHCS curves of different PSK
-    runs directly comparable.
+    runs directly comparable. A chunk's impairments and plan come from
+    ``SeedSequence([seed, snr_code, chunk])``, its noise from that
+    sequence's first spawned child.
     """
     if min_symbols is None:
         min_symbols = sweep.min_symbols
@@ -193,7 +196,9 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     chunk_idx = 0
     while (acc.psk_symbols < min_symbols
            or 0 < acc.fhcs_codewords < min_symbols):
-        chan_rng = np.random.default_rng([seed, snr_code, chunk_idx])
+        chan_seq = np.random.SeedSequence([seed, snr_code, chunk_idx])
+        chan_rng = np.random.default_rng(chan_seq)
+        noise_rng = np.random.default_rng(chan_seq.spawn(1)[0])
         psk_rng = np.random.default_rng([seed, snr_code, chunk_idx,
                                          order_bits])
         chunk_idx += 1
@@ -201,7 +206,7 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
         plan = plan_hops(cfg, n_prt=sweep.chunk_prt, rng=chan_rng)
         psk = make_psk_grid(cfg, plan, order_bits, rng=psk_rng)
         frame = synthesize(plan, psk, cfg)
-        rx = apply(frame, plan, psk, imp, cfg, rng=chan_rng)
+        rx = apply(frame, plan, psk, imp, cfg, rng=noise_rng)
         rep = commrx.demodulate(rx, cfg, order_bits, mode=sweep.comm_mode,
                                 spec=imp)
         acc = acc.merge(commrx.score_report(rep, plan, psk, cfg))
@@ -226,18 +231,12 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
                                 sweep.seed)
                 p_lo, p_hi = wilson_interval(acc.psk_bit_errors,
                                              acc.psk_bits)
-                if acc.fhcs_bits:
-                    f_ber = acc.fhcs_ber
-                    f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors,
-                                                 acc.fhcs_bits)
-                else:
-                    # no FHCS payload (n_subbands == n_tx): nothing was
-                    # measured, so the FHCS curve gets no point
-                    f_ber = f_lo = f_hi = float("nan")
+                f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors,
+                                             acc.fhcs_bits)
                 rows.append([hop_t, order_bits, float(snr_db),
                              sweep.comm_mode,
                              acc.psk_ber, p_lo, p_hi, acc.psk_bits,
-                             acc.psk_ser, f_ber, f_lo, f_hi,
+                             acc.psk_ser, acc.fhcs_ber, f_lo, f_hi,
                              acc.fhcs_bits, rate_nom, rate_eff])
     return SweepReport(cols, rows, {"seed": sweep.seed})
 

@@ -227,15 +227,17 @@ def cmd_comm(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     summary = report.summary()
     if plan is not None:
         counts = commrx.score_report(report, plan, psk, cfg)
-        summary.update(psk_ber=counts.psk_ber, psk_ser=counts.psk_ser,
-                       fhcs_ber=counts.fhcs_ber,
-                       psk_bits=counts.psk_bits,
-                       fhcs_bits=counts.fhcs_bits)
+        rates = {"psk_ber": counts.psk_ber, "psk_ser": counts.psk_ser,
+                 "fhcs_ber": counts.fhcs_ber}
+        # a rate over an empty count is NaN, written as null
+        summary.update({k: None if np.isnan(v) else v
+                        for k, v in rates.items()},
+                       psk_bits=counts.psk_bits, fhcs_bits=counts.fhcs_bits)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_dir / 'demod.csv'}; "
-          + (f"psk_ber={summary['psk_ber']:.3g} "
-             f"fhcs_ber={summary['fhcs_ber']:.3g}" if plan is not None
+          + (f"psk_ber={counts.psk_ber:.3g} "
+             f"fhcs_ber={counts.fhcs_ber:.3g}" if plan is not None
              else "no local truth"))
 
 

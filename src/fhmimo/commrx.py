@@ -274,11 +274,13 @@ class DemodReport:
                          "phase_est", "residual", "erased"], rows, cfg_hash)
 
     def summary(self) -> dict:
+        """JSON-ready counts and estimates; the estimates are None when
+        there is no sync estimate."""
         return {
-            "cfo_hat": self.sync.cfo if self.sync else 0.0,
-            "rho_hat": self.sync.rho if self.sync else 0.0,
+            "cfo_hat": self.sync.cfo if self.sync else None,
+            "rho_hat": self.sync.rho if self.sync else None,
             "sample_time_offset_hat":
-                self.sync.sample_time_offset if self.sync else 0.0,
+                self.sync.sample_time_offset if self.sync else None,
             "n_psk_symbols": int(self.slots.shape[0]),
             "n_fhcs_codewords": len(self.fhcs_rows),
             "n_erased_slots": int(self.n_erased_slots),
@@ -307,6 +309,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
 
     The frame must be one stream sampled as ``cfg`` says
     (:meth:`IqFrame.hops`); its ``first_prt`` sets the pilot-cycle phase.
+    ``cfg`` must have 2*n_tx < samples_per_hop, so that the median of a
+    hop's DFT bins, from which the peak floor is taken, is not a tone.
 
     mode:
       "estimated"  full blind pipeline (pilot tables per group of K PRTs);
@@ -320,6 +324,12 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         raise ConfigError(f"unknown demodulation mode {mode!r}")
     if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
         raise ConfigError("order_bits must be in [0, 63]")
+    if 2 * cfg.n_tx >= cfg.samples_per_hop:
+        raise ConfigError(
+            f"the comm receiver needs 2*n_tx < samples_per_hop, got "
+            f"2*{cfg.n_tx} >= {cfg.samples_per_hop}: its peak floor is "
+            f"{PEAK_FLOOR_FACTOR:g}x the median of a hop's DFT bins, which "
+            f"is a tone, not noise, once the tones fill half of them")
     if mode == "known" and spec is None:
         raise ValueError("known-channel mode needs the impairment spec")
 
@@ -383,9 +393,16 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
 # Scoring against ground truth
 # ---------------------------------------------------------------------------
 
+def rate(errors: float, n: int) -> float:
+    """``errors / n``, NaN when nothing was counted (``n == 0``): an empty
+    count measured no rate, so it must not read as a perfect one."""
+    return errors / n if n else float("nan")
+
+
 @dataclass
 class ErrorCounts:
-    """Bit/symbol error tallies; erased symbols count half their bits wrong."""
+    """Bit/symbol error tallies; erased symbols count half their bits wrong.
+    A rate over an empty count is NaN (:func:`rate`)."""
 
     psk_bits: int = 0
     psk_bit_errors: float = 0.0
@@ -398,17 +415,15 @@ class ErrorCounts:
 
     @property
     def psk_ber(self) -> float:
-        return self.psk_bit_errors / self.psk_bits if self.psk_bits else 0.0
+        return rate(self.psk_bit_errors, self.psk_bits)
 
     @property
     def psk_ser(self) -> float:
-        return (self.psk_symbol_errors / self.psk_symbols
-                if self.psk_symbols else 0.0)
+        return rate(self.psk_symbol_errors, self.psk_symbols)
 
     @property
     def fhcs_ber(self) -> float:
-        return (self.fhcs_bit_errors / self.fhcs_bits
-                if self.fhcs_bits else 0.0)
+        return rate(self.fhcs_bit_errors, self.fhcs_bits)
 
     def merge(self, other: "ErrorCounts") -> "ErrorCounts":
         return ErrorCounts(*(getattr(self, f.name) + getattr(other, f.name)

@@ -8,7 +8,6 @@ matched filters, giving P = M*N spatial channels ordered p = n*M + m.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,28 +157,24 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     delayed superposition of the transmit pulses weighted by the two-way
     steering and its scattering coefficient, with a per-PRT Doppler phase.
     Delays are rounded to the sample grid; samples inside the transmit
-    window are zeroed (pulsed-radar blind zone). The noise is one
+    window are zeroed (pulsed-radar blind zone). A scene outside the
+    observable window (:meth:`TargetScene.validate`) raises
+    :class:`ConfigError` before anything is drawn. The noise is one
     :func:`complex_noise` draw of shape (N, n_prt, samples_per_prt), made
     before the echoes, so equal seeds give equal noise regardless of the
     scene/plan and a bad ``noise_var`` raises its :class:`ConfigError`.
     """
+    scene.validate(cfg)
     N = array.n_rx
     n_prt = plan.n_prt
     n_p = cfg.samples_per_prt
     n_pulse = cfg.samples_per_pulse
     rx = complex_noise((N, n_prt, n_p), noise_var, rng)
-    scene_ok = []
-    for t in scene.targets:
-        if t.delay() < cfg.hops_per_pulse * cfg.hop_duration:
-            warnings.warn(f"target at {t.range_m:.0f} m inside blind zone; "
-                          "excluded")
-            continue
-        scene_ok.append(t)
 
     pulses = synthesize(plan, psk, cfg).data[:, :, :n_pulse]  # (M, n_prt, E)
     e_t, e_r = array._errs()
     i_idx = np.arange(n_prt)
-    for t in scene_ok:
+    for t in scene.targets:
         d = int(round(t.delay() * cfg.sample_rate))
         a_t = _ula(t.azimuth_deg, array.tx_spacing, array.n_tx) * e_t  # (M,)
         a_r = _ula(t.azimuth_deg, array.rx_spacing, N) * e_r           # (N,)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhmimo import bench
+from fhmimo import bench, commrx
 from fhmimo.config import ConfigError
+from fhmimo.impairments import apply
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -50,7 +51,8 @@ def test_wilson_interval_basics():
     assert lo == 0.0 and hi < 0.005
     lo, hi = bench.wilson_interval(500, 1000)
     assert lo < 0.5 < hi and (hi - lo) < 0.07
-    assert bench.wilson_interval(0, 0) == (0.0, 1.0)
+    # nothing counted, nothing measured: no interval either
+    assert np.isnan(bench.wilson_interval(0, 0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,42 @@ def test_ber_point_random_guess_baseline(cfg):
     acc = bench.ber_point(cfg, 3, -40.0, sweep, seed=5)
     lo, hi = bench.wilson_interval(acc.psk_bit_errors, acc.psk_bits, z=3.3)
     assert lo <= 0.5 <= hi
+
+
+def test_ber_point_noise_stream_is_its_own(cfg, monkeypatch):
+    # a chunk's noise comes from the first spawned child of its seed
+    # sequence [seed, snr_code, chunk]: the same stream for every PSK
+    # order, and apart from the impairment and plan draws
+    seen = []
+
+    def spy(frame, plan, psk, spec, cfg_, rng=None):
+        seen.append(rng.bit_generator.state)
+        return apply(frame, plan, psk, spec, cfg_, rng=rng)
+
+    monkeypatch.setattr(bench, "apply", spy)
+    sweep = bench.SweepSpec(chunk_prt=40)
+    for order_bits in (1, 3, 4):
+        bench.ber_point(cfg, order_bits, 6.0, sweep, 5, min_symbols=1)
+    child = np.random.SeedSequence([5, 60, 0]).spawn(1)[0]   # 6 dB: code 60
+    assert seen == [np.random.default_rng(child).bit_generator.state] * 3
+
+
+def test_ber_sweep_without_psk_bits_reports_nan(cfg):
+    # with modulations [0] the slots carry no PSK bit: psk_ber and its
+    # interval measured nothing, so they are NaN, not a perfect 0 in
+    # [0, 1]; the FHCS columns are measured as usual
+    empty = commrx.ErrorCounts()
+    assert np.isnan([empty.psk_ber, empty.psk_ser, empty.fhcs_ber]).all()
+    sweep = bench.SweepSpec(chunk_prt=40, min_symbols=200,
+                            snr_grid_db=(10.0,), modulations=(0,),
+                            hop_durations=(cfg.hop_duration,))
+    rep = bench.run_ber_sweep(cfg, sweep)
+    row = dict(zip(rep.columns, rep.rows[0]))
+    assert row["psk_bits"] == 0
+    assert np.isnan([row["psk_ber"], row["psk_ber_lo"],
+                     row["psk_ber_hi"]]).all()
+    assert row["fhcs_bits"] > 0
+    assert row["fhcs_ber_lo"] <= row["fhcs_ber"] <= row["fhcs_ber_hi"]
 
 
 @pytest.mark.parametrize("K", [2, 3])

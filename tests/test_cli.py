@@ -138,7 +138,9 @@ def test_comm_without_pilot_pairs_erases_everything(cfg_file, tmp_path):
         assert run_cli("--config", str(p), "--out", str(out), "comm",
                        "--mode", mode) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["cfo_hat"] == 0.0
+        # no sync estimate: null, not a 0.0 that reads like one
+        assert summary["cfo_hat"] is summary["rho_hat"] is None
+        assert summary["sample_time_offset_hat"] is None
         assert summary["n_erased_slots"] == summary["n_psk_symbols"] > 0
         assert summary["psk_ber"] == 0.5 and summary["fhcs_ber"] == 0.5
 
@@ -388,6 +390,38 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                    command) == cli.EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config" and key in error["message"]
+
+
+@pytest.mark.parametrize("command", [["comm"], ["sweep", "--kind", "ber"],
+                                     ["sweep", "--kind", "methods"]])
+def test_hops_too_short_for_the_receiver_floor_exit_2(cfg_file, tmp_path,
+                                                       command):
+    # K=4, M=2 sampled at the bandwidth gives 4-sample hops, whose median
+    # bin is a tone: the receiver refuses the config by name; `comm` used
+    # to exit 0 with every hop erased and psk_ber 0.5
+    cfg = json.loads(cfg_file.read_text())
+    cfg["radar"].update(n_subbands=4, n_tx=2, hops_per_pulse=3,
+                        bandwidth=4e6, sample_rate=4e6)
+    cfg["sweep"].update(hop_durations=[1e-6], min_symbols=10)
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   *command) == cli.EXIT_CONFIG == 2
+
+
+def test_comm_summary_writes_null_for_rates_over_nothing(cfg_file,
+                                                         tmp_path):
+    # order_bits 0 carries no PSK bit: psk_ber is null, the other rates
+    # were measured and keep their values
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"]["order_bits"] = 0
+    p = tmp_path / "m0.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("--config", str(p), "--out", str(out), "comm") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["psk_bits"] == 0 and summary["psk_ber"] is None
+    assert summary["psk_ser"] == 0.0 and summary["fhcs_ber"] == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -629,7 +629,9 @@ def test_blind_modes_erase_everything_without_pilot_pairs(cfg):
         for mode in ("estimated", "averaged", "flat"):
             rep = crx.demodulate(rx, cfg, 3, mode=mode)
             assert rep.sync is None
-            assert rep.summary()["cfo_hat"] == 0.0
+            summary = rep.summary()
+            assert summary["cfo_hat"] is summary["rho_hat"] is None
+            assert summary["sample_time_offset_hat"] is None
             assert rep.psk_erased.all()
             assert rep.n_erased_slots == (~plan.pinned).sum()
             assert rep.n_erased_hops == n_prt * cfg.hops_per_pulse
@@ -653,3 +655,29 @@ def test_demodulate_rejects_frame_of_another_config(cfg, rng):
                   RadarConfig(prt_duration=20e-6)):
         with pytest.raises(ConfigError):
             crx.demodulate(rx, other, 3)
+
+
+@pytest.mark.parametrize("K, M", [(4, 2), (6, 3), (5, 2), (7, 3)])
+def test_receiver_refuses_hops_too_short_for_the_floor(K, M):
+    # the peak floor is PEAK_FLOOR_FACTOR times the median of a hop's N_h
+    # DFT bins; with 2M >= N_h that median is a tone, so every hop was
+    # erased on a noiseless identity channel (36 of 36 at K=4, M=2) and the
+    # run reported BER 0.5. RadarConfig accepts such a config (the radar
+    # chain has no such floor); the receiver refuses it by name, and one bin
+    # more (2M = N_h - 1) decodes error-free in every mode
+    cfg = RadarConfig(n_subbands=K, n_tx=M, hops_per_pulse=M + 1,
+                      bandwidth=K * 1e6, sample_rate=K * 1e6)
+    assert cfg.samples_per_hop == K
+    plan, psk, rx = _chain(cfg, 3 * K, np.random.default_rng(5))
+    spec = imp.ImpairmentSpec()
+    for mode in crx.MODES:
+        if 2 * M >= K:
+            with pytest.raises(ConfigError,
+                               match=r"2\*n_tx < samples_per_hop"):
+                crx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+            continue
+        rep = crx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+        sc = crx.score_report(rep, plan, psk, cfg)
+        assert rep.n_erased_hops == rep.n_erased_slots == 0, mode
+        assert sc.psk_symbol_errors == sc.fhcs_bit_errors == 0, mode
+        assert sc.psk_symbols > 0 and sc.fhcs_bits > 0, mode

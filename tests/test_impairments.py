@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhmimo.config import ConfigError, RadarConfig
+from fhmimo import commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
 
@@ -110,18 +111,23 @@ def test_linearity_in_frame(cfg, rng):
 
 
 def test_noise_calibration(cfg):
-    plan = wf.plan_hops(cfg, n_prt=650, rng=0)
-    frame = wf.synthesize(plan, None, cfg)
-    frame.data[:] = 0
+    # the variance is measured where the noise is drawn: on the hop samples
+    # (a 10 us PRT keeps the silent tail, and the memory, small)
+    cfg = dataclasses.replace(cfg, prt_duration=10e-6)
+    plan = wf.plan_hops(cfg, n_prt=5000, rng=0)
+    frame = wf.IqFrame(np.zeros((cfg.n_tx, 5000, cfg.samples_per_prt)),
+                       cfg.sample_rate)
     spec = imp.ImpairmentSpec(noise_var=2.0)
-    out = imp.apply(frame, plan, None, spec, cfg, rng=7)
-    assert out.n_samples >= 1_000_000
-    assert np.var(out.data) == pytest.approx(2.0, rel=0.01)
+    hops = imp.apply(frame, plan, None, spec, cfg, rng=7).hops(cfg, 1)[0]
+    assert hops.size >= 1_000_000
+    assert np.var(hops) == pytest.approx(2.0, rel=0.01)
 
 
 def test_channel_noise_seed_contract(cfg):
-    # the contract in complex_noise's docstring, through apply: real block,
-    # then imaginary block, scaled by sqrt(noise_var / 2)
+    # the contract in complex_noise's docstring, through apply: one
+    # (n_prt, H, n_hop) draw on the hop view, real block, then imaginary
+    # block, scaled by sqrt(noise_var / 2); the silent tail of every PRT,
+    # which the receiver never reads, stays exactly 0
     plan = wf.plan_hops(cfg, n_prt=3, rng=0)
     frame = wf.synthesize(plan, None, cfg)
     frame.data[:] = 0
@@ -129,15 +135,76 @@ def test_channel_noise_seed_contract(cfg):
     spec = imp.ImpairmentSpec(noise_var=noise_var)
     out = imp.apply(frame, plan, None, spec, cfg, rng=31)
     g = np.random.default_rng(31)
-    s = (3, cfg.samples_per_prt)
+    s = (3, cfg.hops_per_pulse, cfg.samples_per_hop)
     expect = ((g.standard_normal(s) + 1j * g.standard_normal(s))
               * np.sqrt(noise_var / 2))
     assert out.data.dtype == np.complex128
-    assert np.array_equal(out.data[0], expect)
+    assert out.data.shape == (1, 3, cfg.samples_per_prt)
+    assert np.array_equal(out.hops(cfg, 1)[0], expect)
+    assert np.all(out.data[0, :, cfg.samples_per_pulse:] == 0)
     # no noise: zeros, and the generator is left untouched
     state = g.bit_generator.state
     assert not imp.complex_noise(s, 0.0, g).any()
     assert g.bit_generator.state == state
+
+
+def _time_domain_mix(plan, psk, spec, cfg):
+    """Noiseless received frame from the closed form in the module
+    docstring, each tone evaluated at its hop's sample instants:
+    sum_m beta_m e^{j phi} e^{j (w + dw)(n/fs + dt_ih)} e^{j dw (i Tp + h T)}.
+    """
+    M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
+    i = plan.prt_indices()[:, None, None]
+    h = np.arange(H)[:, None]
+    beta = (spec.front_end or imp.FrontEndProfile.flat(cfg)).response()
+    w = 2 * np.pi * cfg.subband_frequency(plan.subband)     # (n_prt, H, M)
+    dt = imp.accumulated_sto(i, h, spec, cfg)[..., None]   # (n_prt, H, 1, 1)
+    t = np.arange(n_hop) / cfg.sample_rate
+    tone = (beta[np.arange(M), plan.subband]
+            * np.exp(1j * psk.phases))[..., None] \
+        * np.exp(1j * (w + spec.cfo)[..., None] * (t + dt)) \
+        * np.exp(1j * spec.cfo * (i * cfg.prt_duration
+                                  + h * cfg.hop_duration))[..., None]
+    out = wf.IqFrame(np.zeros((1, plan.n_prt, cfg.samples_per_prt),
+                              np.complex128), cfg.sample_rate, plan.first_prt)
+    out.hops(cfg, 1)[0] = tone.sum(axis=2)
+    return out
+
+
+@pytest.mark.parametrize("kw", [{}, {"n_subbands": 7, "n_tx": 3,
+                                     "hops_per_pulse": 4, "bandwidth": 7e6,
+                                     "sample_rate": 14e6,
+                                     "prt_duration": 8e-6}])
+def test_noiseless_apply_matches_time_domain_oracle(kw):
+    # apply scales the synthesized tones by closed-form factors; the oracle
+    # evaluates every impaired tone at its sample instants instead. Without
+    # noise the two agree to float rounding, the receiver decides
+    # identically on either frame in all four modes, and a generator passed
+    # with noise_var = 0 changes no byte
+    cfg = RadarConfig(**kw)
+    rng = np.random.default_rng(17)
+    plan = wf.plan_hops(cfg, n_prt=3 * cfg.n_subbands + 2, rng=rng,
+                        first_prt=5)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+    spec = imp.ImpairmentSpec.from_clock(
+        -1.7e-6, cfg, sto_initial=0.3 / cfg.sample_rate,
+        front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
+    frame = wf.synthesize(plan, psk, cfg)
+    out = imp.apply(frame, plan, psk, spec, cfg)
+    assert imp.apply(frame, plan, psk, spec, cfg, rng=9).data.tobytes() \
+        == out.data.tobytes()
+    oracle = _time_domain_mix(plan, psk, spec, cfg)
+    assert np.allclose(out.data, oracle.data, rtol=0, atol=1e-12)
+    for mode in crx.MODES:
+        a = crx.demodulate(out, cfg, 3, mode=mode, spec=spec)
+        b = crx.demodulate(oracle, cfg, 3, mode=mode, spec=spec)
+        for name in ("slots", "psk_symbol", "fhcs_rows"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), mode
+        assert a.n_erased_hops == b.n_erased_hops == 0, mode
+        assert np.allclose(a.psk_phase, b.psk_phase, rtol=0, atol=1e-9)
+        if mode != "flat":
+            truth = psk.symbol_index[~plan.pinned]
+            assert np.array_equal(a.psk_symbol, truth), mode
 
 
 def test_silence_untouched_without_noise(cfg, rng):

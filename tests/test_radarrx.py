@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fhmimo import bench
-from fhmimo.config import SPEED_OF_LIGHT, RadarConfig
+from fhmimo.config import SPEED_OF_LIGHT, ConfigError, RadarConfig
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -68,11 +68,17 @@ def test_echo_delay_sample(cfg):
 
 
 def test_echo_blind_zone_exclusion(cfg):
+    # a target inside the blind zone is outside the observable window that
+    # TargetScene.validate enforces: refused, not warned about and dropped,
+    # and refused before the noise draw touches the generator
     plan, psk = _plan_psk(cfg, 2)
     scene = rrx.TargetScene([rrx.Target(600.0, 0.0, 0.0)])
-    with pytest.warns(UserWarning, match="blind zone"):
-        rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg)
-    assert np.all(rx == 0)
+    g = np.random.default_rng(3)
+    state = g.bit_generator.state
+    with pytest.raises(ConfigError, match="range_m"):
+        rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg,
+                            noise_var=1.0, rng=g)
+    assert g.bit_generator.state == state
 
 
 def test_zero_coefficient_scene_is_noise_only(cfg):

@@ -11,8 +11,11 @@ Each tree runs the same matrix in its own interpreter, with the tree's
 * ``commrx.demodulate`` in all four modes, in process, on seeded frames of
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
   and 13, partial last pilot cycles, -20 to 20 dB (erased slots included),
-  1- and 40-PRT frames and frames without a usable pilot pair. Every
-  ``DemodReport`` field and every ``score_report`` count is hashed.
+  noiseless frames (``noise_var`` 0), 1- and 40-PRT frames and frames
+  without a usable pilot pair. Every ``DemodReport`` field and every
+  ``score_report`` count is hashed. The noiseless rows let a change to the
+  channel's noise draw show that everything but the noise still matches:
+  its noisy rows differ by name, its noiseless ones must not.
 
 Every output that differs between the two trees is named, and the exit
 status is 1 on any difference, 0 when all are identical. A refactor that
@@ -69,14 +72,18 @@ def _cli_runs():
 
 
 def _frames():
-    """(name, cfg kwargs, n_prt, first_prt, snr_db) of every demod frame."""
+    """(name, cfg kwargs, n_prt, first_prt, snr_db) of every demod frame;
+    an SNR of None is a noiseless frame."""
     out = []
     for tag, kw in (("default", {}), ("small", SMALL)):
-        for n_prt, first_prt, snrs in ((1, 0, (20,)), (40, 0, (-20, 20)),
-                                       (45, 5, (-8, 4)), (333, 13, (-4, 10)),
+        for n_prt, first_prt, snrs in ((1, 0, (20,)),
+                                       (40, 0, (-20, 20, None)),
+                                       (45, 5, (-8, 4, None)),
+                                       (333, 13, (-4, 10, None)),
                                        (160, 0, (0,))):
-            out += [(f"{tag}-n{n_prt}-p{first_prt}-{snr}dB", kw, n_prt,
-                     first_prt, snr) for snr in snrs]
+            out += [(f"{tag}-n{n_prt}-p{first_prt}-"
+                     + ("noiseless" if snr is None else f"{snr}dB"), kw,
+                     n_prt, first_prt, snr) for snr in snrs]
     return out
 
 
@@ -120,10 +127,11 @@ def collect(out: Path) -> None:
     digests = {}
     for name, kw, n_prt, first_prt, snr_db in _frames():
         cfg = RadarConfig(**kw)
-        rng = np.random.default_rng([n_prt, first_prt, snr_db + 100])
+        rng = np.random.default_rng(
+            [n_prt, first_prt, 0 if snr_db is None else snr_db + 100])
         spec = imp.ImpairmentSpec.from_clock(
             1.5e-6, cfg, sto_initial=0.4 / cfg.sample_rate,
-            noise_var=10.0 ** (-snr_db / 10.0),
+            noise_var=0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0),
             front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
         plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, first_prt=first_prt)
         psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
