@@ -12,24 +12,31 @@ curves. Run:
 from fhmimo.config import RadarConfig
 from fhmimo import bench
 
-cfg = RadarConfig()
-sweep = bench.SweepSpec(snr_grid_db=tuple(range(-10, 14, 4)),
-                        modulations=(3,), hop_durations=(0.5e-6, 1e-6),
-                        min_symbols=5000, seed=1)
 
-rep = bench.run_ber_sweep(cfg, sweep)
-idx = {c: i for i, c in enumerate(rep.columns)}
-print("hop     SNR(dB)   FHCS BER     8PSK BER")
-for row in rep.rows:
-    print(f"{row[idx['hop_duration']] * 1e6:.1f}us  {row[idx['snr_db']]:+6.0f}"
-          f"   {row[idx['fhcs_ber']]:.6f}   {row[idx['psk_ber']]:.6f}")
-print("\nDoubling the hop duration doubles the per-hop integration gain;"
-      "\nFHCS rides the peak detector and stays below PSK everywhere.")
+def main():
+    cfg = RadarConfig()
+    sweep = bench.SweepSpec(snr_grid_db=tuple(range(-10, 14, 4)),
+                            modulations=(3,), hop_durations=(0.5e-6, 1e-6),
+                            min_symbols=5000, seed=1)
 
-rep2 = bench.run_method_comparison(cfg, sweep, snr_db=20.0, n_prt=1500,
-                                   order_bits=4)
-idx2 = {c: i for i, c in enumerate(rep2.columns)}
-print("\n16PSK at 20 dB under +/-1 dB, +/-0.2 rad front-end ripple:")
-for row in rep2.rows:
-    print(f"  {row[0]:10s} SER = {row[idx2['ser']]:.4f}  "
-          f"mean |residual| = {row[idx2['mean_abs_residual']]:.4f} rad")
+    rep = bench.run_ber_sweep(cfg, sweep)
+    idx = {c: i for i, c in enumerate(rep.columns)}
+    print("hop     SNR(dB)   FHCS BER     8PSK BER")
+    for row in rep.rows:
+        print(f"{row[idx['hop_duration']] * 1e6:.1f}us  "
+              f"{row[idx['snr_db']]:+6.0f}"
+              f"   {row[idx['fhcs_ber']]:.6f}   {row[idx['psk_ber']]:.6f}")
+    print("\nDoubling the hop duration doubles the per-hop integration gain;"
+          "\nFHCS rides the peak detector and stays below PSK everywhere.")
+
+    rep2 = bench.run_method_comparison(cfg, sweep, snr_db=20.0, n_prt=1500,
+                                       order_bits=4)
+    idx2 = {c: i for i, c in enumerate(rep2.columns)}
+    print("\n16PSK at 20 dB under +/-1 dB, +/-0.2 rad front-end ripple:")
+    for row in rep2.rows:
+        print(f"  {row[0]:10s} SER = {row[idx2['ser']]:.4f}  "
+              f"mean |residual| = {row[idx2['mean_abs_residual']]:.4f} rad")
+
+
+if __name__ == "__main__":     # the BER sweep spawns worker processes
+    main()

@@ -16,21 +16,4 @@ from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
 from .bench import (SweepReport, SweepSpec, data_rate, run_ber_sweep,
                     run_method_comparison, run_radar_sweep, wilson_interval)
 
-__all__ = [
-    "SPEED_OF_LIGHT", "ConfigError", "RadarConfig",
-    "IqFormatError", "IqFrame", "read_iq", "write_iq",
-    "FhcsCodebook", "HopPlan", "PayloadLengthError", "PskGrid",
-    "make_psk_grid", "plan_hops", "synthesize",
-    "FrontEndProfile", "ImpairmentSpec", "accumulated_sto", "apply",
-    "rho_from_sto", "sto_from_rho", "window_gain",
-    "DemodReport", "ErrorCounts", "PilotRatioTable", "SyncEstimate",
-    "assign_peaks", "build_pilot_ratios", "correction_factor", "demodulate",
-    "estimate_cfo", "estimate_clock", "score_report",
-    "ArrayModel", "DetectionList", "RangeDopplerMap", "Target", "TargetScene",
-    "calibrate", "cfar_detect", "estimate_angle", "estimate_params",
-    "matched_filter", "mtd", "process_cpi", "synthesize_echo",
-    "SweepReport", "SweepSpec", "data_rate", "run_ber_sweep",
-    "run_method_comparison", "run_radar_sweep", "wilson_interval",
-]
-
 __version__ = "0.1.0"

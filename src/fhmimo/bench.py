@@ -9,15 +9,16 @@ a seed sequence so results do not depend on execution order.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import islice, product
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig, check_span
+from .config import ConfigError, RadarConfig, check_order_bits, check_span
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
@@ -37,6 +38,25 @@ def wilson_interval(errors: float, n: int, z: float = 1.96):
     return max(0.0, center - hw), min(1.0, center + hw)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_points(fn, calls: list) -> list:
+    """``fn(*args)`` for each ``args`` in ``calls``, in order, on one spawned
+    process per usable CPU up to one per call (a calling script needs the
+    ``__main__`` guard); one worker starts no process."""
+    n_workers = min(_usable_cpus(), len(calls))
+    if n_workers <= 1:
+        return [fn(*args) for args in calls]
+    spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
+    with ProcessPoolExecutor(n_workers, mp_context=spawn) as pool:
+        return list(pool.map(fn, *zip(*calls)))
+
+
 # ---------------------------------------------------------------------------
 # Data rate
 # ---------------------------------------------------------------------------
@@ -49,8 +69,7 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
     partially pinned hops and no PSK on pinned slots, averaged over one
     pilot cycle of K PRTs.
     """
-    if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
-        raise ConfigError("order_bits must be in [0, 63]")
+    check_order_bits(order_bits)
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
     full_bits = FhcsCodebook(K, M).bits
     nominal = (H * full_bits + order_bits * M * H) / cfg.prt_duration
@@ -71,7 +90,7 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
 class SweepSpec:
     """Knobs of the Monte-Carlo studies; defaults follow the experiment
     configuration (50 targets uniform in [-170,170] m/s, [750,4185] m,
-    [-4,4] deg; 100 radar trials)."""
+    [-4,4] deg; 100 radar trials). Sweeps run on every usable CPU."""
 
     snr_grid_db: tuple[float, ...] = (-10, -8, -6, -4, -2, 0, 2, 4, 6, 8,
                                       10, 12, 14, 16, 18, 20)
@@ -92,7 +111,6 @@ class SweepSpec:
     angle_fov_deg: float = 30.0
     p_fa: float = 1e-4
     chunk_prt: int = 2000
-    n_workers: int = 1                   # radar trials per worker pool
     seed: int = 0
 
     def __post_init__(self):
@@ -221,23 +239,23 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
             "psk_ber", "psk_ber_lo", "psk_ber_hi", "psk_bits",
             "psk_ser", "fhcs_ber", "fhcs_ber_lo", "fhcs_ber_hi",
             "fhcs_bits", "rate_nominal", "rate_effective"]
-    rows = []
+    # built here, so a bad hop length or PSK order fails before any worker
+    points = []
     for hop_t in sweep.hop_durations:
         cfg_t = config_for_hop_duration(cfg, hop_t)
         for order_bits in sweep.modulations:
-            rate_nom, rate_eff = data_rate(order_bits, cfg_t)
-            for snr_db in sweep.snr_grid_db:
-                acc = ber_point(cfg_t, order_bits, snr_db, sweep,
-                                sweep.seed)
-                p_lo, p_hi = wilson_interval(acc.psk_bit_errors,
-                                             acc.psk_bits)
-                f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors,
-                                             acc.fhcs_bits)
-                rows.append([hop_t, order_bits, float(snr_db),
-                             sweep.comm_mode,
-                             acc.psk_ber, p_lo, p_hi, acc.psk_bits,
-                             acc.psk_ser, acc.fhcs_ber, f_lo, f_hi,
-                             acc.fhcs_bits, rate_nom, rate_eff])
+            rates = data_rate(order_bits, cfg_t)
+            points += [(hop_t, cfg_t, order_bits, snr_db, rates)
+                       for snr_db in sweep.snr_grid_db]
+    counts = _map_points(ber_point, [(c, j, snr, sweep, sweep.seed)
+                                     for _, c, j, snr, _ in points])
+    rows = []
+    for (hop_t, _, order_bits, snr_db, rates), acc in zip(points, counts):
+        p_lo, p_hi = wilson_interval(acc.psk_bit_errors, acc.psk_bits)
+        f_lo, f_hi = wilson_interval(acc.fhcs_bit_errors, acc.fhcs_bits)
+        rows.append([hop_t, order_bits, float(snr_db), sweep.comm_mode,
+                     acc.psk_ber, p_lo, p_hi, acc.psk_bits, acc.psk_ser,
+                     acc.fhcs_ber, f_lo, f_hi, acc.fhcs_bits, *rates])
     return SweepReport(cols, rows, {"seed": sweep.seed})
 
 
@@ -315,49 +333,44 @@ def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
     """RMSE of range/velocity/angle across SNR for the pilot-carrying and
     the traditional waveform, paired per trial (same scenes and noise).
 
-    Trials are independent; with ``sweep.n_workers > 1`` they run in a
-    process pool and are merged in trial order, so parallel and serial
-    runs produce identical reports. An RMSE is NaN where no trial matched
-    a target, and the standard error of its MSE where fewer than two did.
+    Trials are independent: every (SNR, waveform, trial) call is mapped
+    at once and each point's trials are merged in trial order, so the
+    report does not depend on how many processes ran them. An RMSE is NaN
+    where no trial matched a target, and the standard error of its MSE
+    where fewer than two did; the detection rate is NaN without targets.
     """
     cols = ["snr_db", "waveform", "rmse_range", "rmse_velocity",
             "rmse_angle", "detection_rate", "n_matched", "n_targets",
             "se_mse_range", "se_mse_velocity", "se_mse_angle"]
-    rows = []
-    paired = {}
-    waveforms = (("dfrc", "pilot"), ("traditional", "random"))
-    with (ProcessPoolExecutor(max_workers=sweep.n_workers)
-          if sweep.n_workers > 1 else contextlib.nullcontext()) as pool:
-        trial_map = map if pool is None else pool.map
-        for snr_db, (mode, label) in product(sweep.radar_snr_grid_db,
-                                             waveforms):
-            # one (range, velocity, angle) MSE column per trial (NaN when
-            # nothing matched) so the two waveforms stay aligned for the
-            # paired comparison; every reduction below runs on a contiguous
-            # 1-D array, which keeps its summation order
-            mse = np.empty((3, sweep.trials))
-            matched = 0
-            total = 0
-            seeds = [[sweep.seed, trial, round(snr_db * 100) & 0xffff]
-                     for trial in range(sweep.trials)]
-            for trial, res in enumerate(trial_map(
-                    radar_trial, repeat(cfg), repeat(sweep), repeat(snr_db),
-                    seeds, repeat(mode))):
-                errs = [(dr, dv, da) for ok, dr, dv, da in res if ok]
-                matched += len(errs)
-                total += len(res)
-                e = (np.array(errs) if errs
-                     else np.full((1, 3), np.nan))
-                mse[:, trial] = [np.mean(c ** 2) for c in e.T]
-            # a trial's three MSEs are NaN together: one count serves all
-            n = int(np.sum(~np.isnan(mse[0])))
-            rmse = [float(np.sqrt(np.nansum(v) / n)) if n else np.nan
-                    for v in mse]
-            se = [float(np.nanstd(v, ddof=1) / np.sqrt(n)) if n >= 2
-                  else np.nan for v in mse]
-            rows.append([float(snr_db), label, *rmse,
-                         matched / max(total, 1), matched, total, *se])
-            paired[(snr_db, label)] = dict(zip("rva", mse))
+    rows, paired = [], {}
+    points = list(product(sweep.radar_snr_grid_db,
+                          (("dfrc", "pilot"), ("traditional", "random"))))
+    results = iter(_map_points(radar_trial, [
+        (cfg, sweep, snr_db,
+         [sweep.seed, trial, round(snr_db * 100) & 0xffff], mode)
+        for snr_db, (mode, _) in points for trial in range(sweep.trials)]))
+    for snr_db, (_, label) in points:
+        # one (range, velocity, angle) MSE column per trial (NaN when
+        # nothing matched) so the two waveforms stay aligned for the
+        # paired comparison; every reduction below runs on a contiguous
+        # 1-D array, which keeps its summation order
+        mse = np.empty((3, sweep.trials))
+        matched = total = 0
+        for trial, res in enumerate(islice(results, sweep.trials)):
+            errs = [(dr, dv, da) for ok, dr, dv, da in res if ok]
+            matched += len(errs)
+            total += len(res)
+            e = np.array(errs) if errs else np.full((1, 3), np.nan)
+            mse[:, trial] = [np.mean(c ** 2) for c in e.T]
+        # a trial's three MSEs are NaN together: one count serves all
+        n = int(np.sum(~np.isnan(mse[0])))
+        rmse = [float(np.sqrt(np.nansum(v) / n)) if n else np.nan
+                for v in mse]
+        se = [float(np.nanstd(v, ddof=1) / np.sqrt(n)) if n >= 2
+              else np.nan for v in mse]
+        rows.append([float(snr_db), label, *rmse,
+                     commrx.rate(matched, total), matched, total, *se])
+        paired[(snr_db, label)] = dict(zip("rva", mse))
     meta = {"seed": sweep.seed, "paired_mse": paired}
     return SweepReport(cols, rows, meta)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig
+from .config import ConfigError, RadarConfig, check_order_bits
 from .iqfile import IqFrame, write_csv
 from .impairments import ImpairmentSpec, expected_hop_peak, sto_from_rho
 from .waveform import (HopPlan, PskGrid, gray_encode, hop_groups,
@@ -322,8 +322,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     """
     if mode not in MODES:
         raise ConfigError(f"unknown demodulation mode {mode!r}")
-    if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
-        raise ConfigError("order_bits must be in [0, 63]")
+    check_order_bits(order_bits)
     if 2 * cfg.n_tx >= cfg.samples_per_hop:
         raise ConfigError(
             f"the comm receiver needs 2*n_tx < samples_per_hop, got "

@@ -30,6 +30,12 @@ def check_span(name: str, span) -> None:
         raise ConfigError(f"{name} must be [low, high], got {list(span)}")
 
 
+def check_order_bits(order_bits: int) -> None:
+    """PSK bits per symbol must be in [0, 63]: symbol arithmetic is int64."""
+    if not 0 <= order_bits <= 63:
+        raise ConfigError("order_bits must be in [0, 63]")
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """Pulsed FH-MIMO radar parameters.

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig
+from .config import ConfigError, RadarConfig, check_order_bits
 from .iqfile import IqFrame
 
 
@@ -355,8 +355,7 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
     and Gray-mapped onto the constellation. An ``order_bits`` outside
     [0, 63] is a :class:`ConfigError`.
     """
-    if not 0 <= order_bits <= 63:      # symbol arithmetic is int64
-        raise ConfigError("order_bits must be in [0, 63]")
+    check_order_bits(order_bits)
     rng = np.random.default_rng(rng)
     free = ~plan.pinned
     n_slots = int(free.sum())

@@ -333,8 +333,8 @@ def test_radar_sweep_small(cfg):
     (2, -90.0, ("rmse_range", "rmse_velocity", "rmse_angle",
                 "se_mse_range", "se_mse_velocity", "se_mse_angle"))],
     ids=["two-trials", "one-trial", "nothing-matched"])
-def test_radar_sweep_worker_pool_matches_serial(cfg, trials, snr_db,
-                                                nan_cols):
+def test_radar_sweep_worker_pool_matches_serial(cfg, monkeypatch, trials,
+                                                snr_db, nan_cols):
     # trials run in a process pool are merged in trial order, so the
     # report equals the serial one exactly; a standard error needs two
     # matched trials and an RMSE one, and with fewer the column is NaN
@@ -343,10 +343,9 @@ def test_radar_sweep_worker_pool_matches_serial(cfg, trials, snr_db,
     sweep = bench.SweepSpec(trials=trials, n_targets=3,
                             radar_snr_grid_db=(snr_db,),
                             angle_grid_points=64, seed=9)
-    serial = bench.run_radar_sweep(small, sweep)
-    pooled = bench.run_radar_sweep(small,
-                                   dataclasses.replace(sweep, n_workers=2))
-    np.testing.assert_equal(pooled.rows, serial.rows)
+    serial, pooled = _serial_and_pooled(monkeypatch, bench.run_radar_sweep,
+                                        small, sweep)
+    _assert_same_rows(pooled, serial)
     np.testing.assert_equal(pooled.meta["paired_mse"],
                             serial.meta["paired_mse"])
     idx = {c: i for i, c in enumerate(serial.columns)}
@@ -354,3 +353,110 @@ def test_radar_sweep_worker_pool_matches_serial(cfg, trials, snr_db,
         for col in idx:
             if col.startswith(("rmse_", "se_mse_")):
                 assert np.isnan(row[idx[col]]) == (col in nan_cols), col
+
+
+def test_ber_sweep_worker_pool_matches_serial(cfg, monkeypatch):
+    # every (hop, order, SNR) point seeds itself, so the points mapped
+    # through a process pool give the serial rows, in the same order and
+    # of the same types; order 0 gives NaN PSK columns
+    sweep = bench.SweepSpec(snr_grid_db=(-4, 6.0), modulations=(0, 2),
+                            hop_durations=(0.5e-6, 1e-6), chunk_prt=40,
+                            min_symbols=300, seed=4)
+    serial, pooled = _serial_and_pooled(monkeypatch, bench.run_ber_sweep,
+                                        cfg, sweep)
+    assert len(serial.rows) == 8
+    _assert_same_rows(pooled, serial)
+    assert [r[:3] for r in serial.rows] == [
+        [h, j, float(s)] for h in sweep.hop_durations
+        for j in sweep.modulations for s in sweep.snr_grid_db]
+
+
+def _serial_and_pooled(monkeypatch, run, *args):
+    """``run(*args)`` on one usable CPU (in this process) and on two (a
+    process pool)."""
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _no_pool)
+    serial = run(*args)
+    monkeypatch.undo()
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    return serial, run(*args)
+
+
+def _no_pool(**kwargs):
+    raise AssertionError("one usable CPU must not start a process pool")
+
+
+def _assert_same_rows(a, b):
+    assert a.columns == b.columns and len(a.rows) == len(b.rows)
+    for ra, rb in zip(a.rows, b.rows):
+        assert [type(v) for v in ra] == [type(v) for v in rb]
+        np.testing.assert_equal(ra, rb)
+
+
+class _RecordingExecutor:
+    """Stands in for the process pool: records ``max_workers`` and maps in
+    this process, so no process is started."""
+    max_workers = []
+
+    def __init__(self, max_workers, mp_context):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("n_calls", [1, 2, 3, 7])
+def test_point_map_uses_one_worker_per_call_up_to_the_cpus(monkeypatch,
+                                                            n_calls):
+    # 10,000 claimed CPUs: the pool is sized to the calls it maps, and
+    # one call runs in this process without any pool
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 10_000)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+    calls = [(i, 10 * i) for i in range(n_calls)]
+    assert bench._map_points(pow, calls) == [pow(*c) for c in calls]
+    assert _RecordingExecutor.max_workers == ([n_calls] if n_calls > 1
+                                              else [])
+    # and a machine with fewer CPUs than calls caps the pool at its CPUs
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    bench._map_points(pow, calls)
+    assert _RecordingExecutor.max_workers[-1:] == ([2] if n_calls > 1
+                                                   else [])
+
+
+def test_sweeps_map_every_point_at_once(cfg, monkeypatch):
+    # one pool per sweep, sized to all of its calls: every (hop, order,
+    # SNR) point of a BER sweep, every (SNR, waveform, trial) radar call
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 10_000)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
+    bench.run_ber_sweep(cfg, bench.SweepSpec(
+        snr_grid_db=(10.0, 20.0, 30.0), modulations=(1,),
+        hop_durations=(0.5e-6, 1e-6), chunk_prt=40, min_symbols=10))
+    bench.run_radar_sweep(dataclasses.replace(cfg, prts_per_cpi=16),
+                          bench.SweepSpec(trials=3, n_targets=1,
+                                          radar_snr_grid_db=(-10.0, 0.0),
+                                          angle_grid_points=16))
+    assert _RecordingExecutor.max_workers == [6, 12]
+
+
+def test_radar_sweep_without_targets_has_no_detection_rate(cfg):
+    # with no target there is nothing to detect: the rate is NaN, like
+    # the RMSEs beside it, not 0.0 over 0 targets
+    sweep = bench.SweepSpec(trials=2, n_targets=0,
+                            radar_snr_grid_db=(-10.0,),
+                            angle_grid_points=64, seed=3)
+    rep = bench.run_radar_sweep(dataclasses.replace(cfg, prts_per_cpi=16),
+                                sweep)
+    assert len(rep.rows) == 2
+    for row in rep.rows:
+        row = dict(zip(rep.columns, row))
+        assert row["n_targets"] == 0 and row["n_matched"] == 0
+        assert np.isnan(row["detection_rate"])
+        assert np.isnan(row["rmse_range"])

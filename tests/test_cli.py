@@ -1,6 +1,7 @@
 import json
 import re
 import typing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,42 @@ def test_hops_too_short_for_the_receiver_floor_exit_2(cfg_file, tmp_path,
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    *command) == cli.EXIT_CONFIG == 2
+
+
+@pytest.mark.parametrize("radar, sweep, key", [
+    ({}, {"kind": "radar", "velocity_span": [-2000, 2000]}, "velocity_span"),
+    ({}, {"kind": "radar", "n_targets": -2}, "n_targets"),
+    ({"n_subbands": 4, "n_tx": 2, "hops_per_pulse": 3, "bandwidth": 4e6,
+      "sample_rate": 4e6},
+     {"kind": "ber", "snr_grid_db": [0, 10], "min_symbols": 10},
+     "samples_per_hop")],
+    ids=["radar-velocity_span-aliased", "radar-n_targets-negative",
+         "ber-hops-too-short"])
+def test_sweep_config_error_raised_in_a_worker_exits_2(
+        cfg_file, tmp_path, capsys, monkeypatch, radar, sweep, key):
+    # these configs are refused by the point itself, so with two usable
+    # CPUs the ConfigError is raised inside a pool worker; it reaches the
+    # CLI as itself: exit 2, with the offending key named
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    cfg = json.loads(cfg_file.read_text())
+    cfg["radar"].update(radar)
+    cfg["sweep"].update(sweep)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "sweep") == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and key in error["message"]
+    assert pools == [2]
 
 
 def test_comm_summary_writes_null_for_rates_over_nothing(cfg_file,
