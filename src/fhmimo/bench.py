@@ -9,6 +9,7 @@ a seed sequence so results do not depend on execution order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -45,15 +46,36 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# BLAS thread counts a spawned worker's NumPy reads when it is imported
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Environment in which a spawned worker's NumPy runs one BLAS thread:
+    each of :data:`_BLAS_THREAD_VARS` that the caller left unset reads 1
+    until the block exits, and is unset again after it."""
+    unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for v in unset:
+            os.environ.pop(v, None)
+
+
 def _map_points(fn, calls: list) -> list:
     """``fn(*args)`` for each ``args`` in ``calls``, in order, on one spawned
     process per usable CPU up to one per call (a calling script needs the
-    ``__main__`` guard); one worker starts no process."""
+    ``__main__`` guard); one worker starts no process. The workers run one
+    BLAS thread each unless the caller's environment sets the count."""
     n_workers = min(_usable_cpus(), len(calls))
     if n_workers <= 1:
         return [fn(*args) for args in calls]
     spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
-    with ProcessPoolExecutor(n_workers, mp_context=spawn) as pool:
+    with (_one_blas_thread(),
+          ProcessPoolExecutor(n_workers, mp_context=spawn) as pool):
         return list(pool.map(fn, *zip(*calls)))
 
 

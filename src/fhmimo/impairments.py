@@ -222,8 +222,9 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
     Linear in the input frame: each antenna's hop segment is scaled by its
     slot gain and the common CFO ramp, antennas are summed into one stream,
     and AWGN of the configured variance is added on the hop samples, the
-    only samples the receiver reads. The inter-pulse silence stays exactly
-    0, so an FHIQ file written from the result has a zero tail.
+    only samples the receiver reads. The result stores each PRT's pulse
+    only (:class:`IqFrame`): the inter-pulse silence is exactly 0, and an
+    FHIQ file written from it has a zero tail.
 
     Seed contract: the noise is one :func:`complex_noise` draw of shape
     (n_prt, H, n_hop), laid onto ``hops(cfg, 1)[0]`` of the output.
@@ -241,9 +242,6 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
                       spec, cfg)                           # (n_prt, H, M)
     ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
     mixed = np.einsum("mihn,ihm->ihn", active, gains) * ramp
-
-    out = IqFrame(np.zeros((1, n_prt, cfg.samples_per_prt), np.complex128),
-                  cfg.sample_rate, plan.first_prt)
-    np.add(mixed, complex_noise(mixed.shape, spec.noise_var, rng),
-           out=out.hops(cfg, 1)[0])
-    return out
+    mixed += complex_noise(mixed.shape, spec.noise_var, rng)
+    return IqFrame(mixed.reshape(1, n_prt, H * n_hop), cfg.sample_rate,
+                   plan.first_prt, cfg.samples_per_prt)

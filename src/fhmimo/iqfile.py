@@ -30,11 +30,25 @@ class IqFormatError(ValueError):
 @dataclass
 class IqFrame:
     """Complex baseband samples of whole PRTs, starting at absolute PRT
-    ``first_prt`` (the pilot-cycle phase of a capture)."""
+    ``first_prt`` (the pilot-cycle phase of a capture).
 
-    data: np.ndarray          # (n_channels, n_prt, samples_per_prt) complex
+    ``data`` stores the first ``data.shape[2]`` samples of each
+    ``samples_per_prt``-sample PRT (all of them by default); the samples
+    it leaves out are 0. A simulated frame stores only its pulse, and
+    :func:`write_iq` writes the zero tail."""
+
+    data: np.ndarray          # (n_channels, n_prt, stored samples) complex
     sample_rate: float
     first_prt: int = 0
+    samples_per_prt: int | None = None
+
+    def __post_init__(self):
+        if self.samples_per_prt is None:
+            self.samples_per_prt = self.data.shape[2]
+        if self.data.shape[2] > self.samples_per_prt:
+            raise ConfigError(
+                f"frame stores {self.data.shape[2]} samples of "
+                f"{self.samples_per_prt}-sample PRTs")
 
     @property
     def n_channels(self) -> int:
@@ -45,10 +59,6 @@ class IqFrame:
         return self.data.shape[1]
 
     @property
-    def samples_per_prt(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def n_samples(self) -> int:
         return self.n_prt * self.samples_per_prt
 
@@ -56,39 +66,50 @@ class IqFrame:
         """Writable (n_channels, n_prt, H, n_hop) view of each PRT's pulse,
         its first ``cfg.samples_per_pulse`` samples; hop h is samples
         [h*n_hop, (h+1)*n_hop). :class:`ConfigError` unless the frame is
-        sampled as ``cfg`` says and has ``n_channels`` channels."""
+        sampled as ``cfg`` says, has ``n_channels`` channels and stores
+        the whole pulse."""
         if (self.sample_rate != cfg.sample_rate
                 or self.samples_per_prt != cfg.samples_per_prt
-                or self.n_channels != n_channels):
+                or self.n_channels != n_channels
+                or self.data.shape[2] < cfg.samples_per_pulse):
             raise ConfigError(
-                f"frame of {self.n_channels} channels of "
-                f"{self.samples_per_prt}-sample PRTs at {self.sample_rate:g} "
-                f"Hz does not match the radar config ({n_channels} of "
-                f"{cfg.samples_per_prt} at {cfg.sample_rate:g} Hz)")
+                f"frame of {self.n_channels} channels storing "
+                f"{self.data.shape[2]} samples of {self.samples_per_prt}"
+                f"-sample PRTs at {self.sample_rate:g} Hz does not match "
+                f"the radar config ({n_channels} of {cfg.samples_per_prt}"
+                f" with {cfg.samples_per_pulse}-sample pulses at "
+                f"{cfg.sample_rate:g} Hz)")
         # splitting the last axis never copies
         return self.data[:, :, :cfg.samples_per_pulse].reshape(
             n_channels, self.n_prt, cfg.hops_per_pulse, cfg.samples_per_hop)
 
 
-def _write_interleaved(path, header: str, data: np.ndarray) -> None:
-    """``header`` in ASCII, then ``data`` as float32 real/imag pairs."""
+def _write_interleaved(path, header: str, data: np.ndarray,
+                       length: int | None = None) -> None:
+    """``header`` in ASCII, then ``data`` as float32 real/imag pairs, its
+    last axis padded with zeros to ``length`` samples."""
+    stored = data.shape[-1]
+    length = stored if length is None else length
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        interleaved = np.empty(data.shape + (2,), dtype=np.float32)
-        interleaved[..., 0] = data.real
-        interleaved[..., 1] = data.imag
+        interleaved = np.zeros(data.shape[:-1] + (length, 2), np.float32)
+        interleaved[..., :stored, 0] = data.real
+        interleaved[..., :stored, 1] = data.imag
         f.write(interleaved.tobytes())
 
 
 def write_iq(path, frame: IqFrame) -> None:
-    """FHIQ file of ``frame``; ``first_prt`` is written only when nonzero."""
+    """FHIQ file of ``frame``, every PRT written whole (the samples the
+    frame does not store as 0); ``first_prt`` is written only when
+    nonzero."""
     first = f"first_prt={frame.first_prt}\n" if frame.first_prt else ""
     _write_interleaved(path, f"{_MAGIC}\n"
                              f"sample_rate={frame.sample_rate:.17g}\n"
                              f"channels={frame.n_channels}\n"
                              f"samples={frame.n_samples}\n"
                              f"samples_per_prt={frame.samples_per_prt}\n"
-                             f"{first}data\n", frame.data)
+                             f"{first}data\n", frame.data,
+                       frame.samples_per_prt)
 
 
 def write_rdm(path, rdm) -> None:

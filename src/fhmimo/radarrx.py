@@ -171,7 +171,7 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
     n_pulse = cfg.samples_per_pulse
     rx = complex_noise((N, n_prt, n_p), noise_var, rng)
 
-    pulses = synthesize(plan, psk, cfg).data[:, :, :n_pulse]  # (M, n_prt, E)
+    pulses = synthesize(plan, psk, cfg).data              # (M, n_prt, E)
     e_t, e_r = array._errs()
     i_idx = np.arange(n_prt)
     for t in scene.targets:
@@ -211,7 +211,7 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
     M = cfg.n_tx
     E = cfg.samples_per_pulse
     R = n_p - E
-    refs = synthesize(plan, psk, cfg).data[:, :, :E]          # (M, n_prt, E)
+    refs = synthesize(plan, psk, cfg).data                    # (M, n_prt, E)
     S_conj = np.conj(np.fft.fft(refs, n_p, axis=-1))          # (M,n_prt,n_p)
     profiles = np.empty((N, M, n_prt, R), dtype=np.complex128)
     for n in range(N):

@@ -199,10 +199,6 @@ class HopPlan:
     def n_prt(self) -> int:
         return self.subband.shape[0]
 
-    def frequencies(self) -> np.ndarray:
-        """Baseband frequency of every slot (Hz)."""
-        return self.cfg.subband_frequency(self.subband)
-
     def prt_indices(self) -> np.ndarray:
         return self.first_prt + np.arange(self.n_prt)
 
@@ -382,21 +378,33 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
 # ---------------------------------------------------------------------------
 
 def synthesize(plan: HopPlan, psk: PskGrid | None, cfg: RadarConfig) -> IqFrame:
-    """Per-antenna complex baseband frames for the plan.
+    """Per-antenna complex baseband pulses for the plan.
 
     Each hop is a pure tone of the planned sub-band rotated by the slot's
-    PSK phase; the interval after the last hop of each pulse is silent.
+    PSK phase. The frame stores each PRT's ``samples_per_pulse`` pulse
+    samples; the silence after the last hop is not stored
+    (:class:`IqFrame`).
+
+    The tones come from a table with one ``exp`` per distinct (sub-band,
+    PSK phase) pair, each entry computed by the same float operations as a
+    per-slot ``exp(1j * (2*pi*f*t + phase))``, so the samples are those of
+    the per-slot form bit for bit.
     """
     if psk is not None and psk.phases.shape != plan.subband.shape:
         raise ValueError("psk grid does not match plan dimensions")
+    K = cfg.n_subbands
     t = np.arange(cfg.samples_per_hop) / cfg.sample_rate
-    freqs = plan.frequencies()                      # (n_prt, H, M)
-    ph = (2 * np.pi * freqs)[..., None] * t
+    if psk is None:
+        codes = plan.subband
+    else:
+        phases, phase_idx = np.unique(psk.phases, return_inverse=True)
+        codes = phase_idx.reshape(plan.subband.shape) * K + plan.subband
+    pairs, slot = np.unique(codes, return_inverse=True)
+    ph = (2 * np.pi * cfg.subband_frequency(pairs % K))[:, None] * t
     if psk is not None:
-        ph = ph + psk.phases[..., None]
-    active = np.exp(1j * ph)                        # (n_prt, H, M, n_hop)
-
-    frame = IqFrame(np.zeros((cfg.n_tx, plan.n_prt, cfg.samples_per_prt),
-                             complex), cfg.sample_rate, plan.first_prt)
-    frame.hops(cfg, cfg.n_tx)[:] = np.moveaxis(active, 2, 0)
-    return frame
+        ph = ph + phases[pairs // K][:, None]
+    table = np.exp(1j * ph)                          # (n_pairs, n_hop)
+    # gathered in (M, n_prt, H) order, so the pulse axis is a free reshape
+    pulses = table[np.moveaxis(slot.reshape(codes.shape), 2, 0)]
+    return IqFrame(pulses.reshape(cfg.n_tx, plan.n_prt, -1), cfg.sample_rate,
+                   plan.first_prt, cfg.samples_per_prt)

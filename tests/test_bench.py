@@ -430,6 +430,30 @@ def test_point_map_uses_one_worker_per_call_up_to_the_cpus(monkeypatch,
                                                    else [])
 
 
+def _threads_and_env(var):
+    """OS threads of this process, its BLAS pool included, and ``var``."""
+    return len(os.listdir("/proc/self/task")), os.environ.get(var)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts a process's threads under /proc")
+def test_mapped_calls_see_one_blas_thread(monkeypatch):
+    # a spawned worker imports NumPy with one BLAS thread, so it runs one
+    # thread; a count the caller set reaches the workers unchanged, and
+    # the caller's environment is as it was after the map
+    for var in bench._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    calls = [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)]
+    assert bench._map_points(_threads_and_env, calls) == [(1, "1")] * 2
+    assert not set(bench._BLAS_THREAD_VARS) & set(os.environ)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    got = bench._map_points(_threads_and_env, calls)
+    assert [env for _, env in got] == ["2", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
 def test_sweeps_map_every_point_at_once(cfg, monkeypatch):
     # one pool per sweep, sized to all of its calls: every (hop, order,
     # SNR) point of a BER sweep, every (SNR, waveform, trial) radar call

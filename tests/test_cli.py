@@ -55,6 +55,35 @@ def test_iq_file_roundtrip(tmp_path, rng):
     assert back.data.tobytes() == data.astype(np.complex64).tobytes()
 
 
+def test_pulse_only_frame_writes_its_zero_tail(tmp_path, cfg):
+    # a frame that stores only each PRT's pulse writes the same FHIQ bytes
+    # as the same frame padded to whole PRTs by hand, and reads back as a
+    # whole-PRT frame with equal hops
+    plan = wf.plan_hops(cfg, n_prt=4, rng=3, first_prt=2)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=4)
+    tx = wf.synthesize(plan, psk, cfg)
+    rx = imp.apply(tx, plan, psk, imp.ImpairmentSpec(noise_var=0.5), cfg,
+                   rng=5)
+    E = cfg.samples_per_pulse
+    for name, frame in (("tx", tx), ("rx", rx)):
+        assert frame.data.shape[2] == E
+        padded = np.zeros(frame.data.shape[:2] + (cfg.samples_per_prt,),
+                          complex)
+        padded[:, :, :E] = frame.data
+        write_iq(tmp_path / f"{name}.iq", frame)
+        write_iq(tmp_path / f"{name}-padded.iq",
+                 IqFrame(padded, frame.sample_rate, frame.first_prt))
+        assert (tmp_path / f"{name}.iq").read_bytes() \
+            == (tmp_path / f"{name}-padded.iq").read_bytes()
+        back = read_iq(tmp_path / f"{name}.iq")
+        assert back.data.shape[2] == back.samples_per_prt \
+            == cfg.samples_per_prt
+        assert back.first_prt == 2
+        n = frame.n_channels
+        assert np.array_equal(back.hops(cfg, n),
+                              frame.hops(cfg, n).astype(np.complex64))
+
+
 def test_iq_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.iq"
     p.write_bytes(b"NOTIQ\nx=1\ndata\n")

@@ -7,6 +7,7 @@ from fhmimo.config import ConfigError, RadarConfig
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
+from fhmimo.iqfile import read_iq, write_iq
 
 
 def single_antenna_cfg():
@@ -95,8 +96,8 @@ def test_apply_checks_frame_geometry(cfg, rng):
     fast = dataclasses.replace(cfg, sample_rate=80e6)
     with pytest.raises(ConfigError):
         imp.apply(frame, plan, psk, imp.ImpairmentSpec(), fast)
-    for bad in (wf.IqFrame(frame.data[:1], frame.sample_rate),
-                wf.IqFrame(frame.data, frame.sample_rate, first_prt=3)):
+    for bad in (dataclasses.replace(frame, data=frame.data[:1]),
+                dataclasses.replace(frame, first_prt=3)):
         with pytest.raises(ValueError):
             imp.apply(bad, plan, psk, imp.ImpairmentSpec(), cfg)
 
@@ -105,7 +106,7 @@ def test_linearity_in_frame(cfg, rng):
     plan, psk, frame = _frame(cfg, 6, rng)
     spec = imp.ImpairmentSpec.from_clock(1e-6, cfg, sto_initial=3e-9)
     base = imp.apply(frame, plan, psk, spec, cfg).data
-    scaled_frame = wf.IqFrame(2.5j * frame.data, frame.sample_rate)
+    scaled_frame = dataclasses.replace(frame, data=2.5j * frame.data)
     scaled = imp.apply(scaled_frame, plan, psk, spec, cfg).data
     assert np.allclose(scaled, 2.5j * base, rtol=1e-12)
 
@@ -123,11 +124,12 @@ def test_noise_calibration(cfg):
     assert np.var(hops) == pytest.approx(2.0, rel=0.01)
 
 
-def test_channel_noise_seed_contract(cfg):
+def test_channel_noise_seed_contract(cfg, tmp_path):
     # the contract in complex_noise's docstring, through apply: one
     # (n_prt, H, n_hop) draw on the hop view, real block, then imaginary
-    # block, scaled by sqrt(noise_var / 2); the silent tail of every PRT,
-    # which the receiver never reads, stays exactly 0
+    # block, scaled by sqrt(noise_var / 2); the frame stores the pulse only,
+    # and the silent tail of every PRT, which the receiver never reads, is
+    # written as exact zeros
     plan = wf.plan_hops(cfg, n_prt=3, rng=0)
     frame = wf.synthesize(plan, None, cfg)
     frame.data[:] = 0
@@ -139,9 +141,15 @@ def test_channel_noise_seed_contract(cfg):
     expect = ((g.standard_normal(s) + 1j * g.standard_normal(s))
               * np.sqrt(noise_var / 2))
     assert out.data.dtype == np.complex128
-    assert out.data.shape == (1, 3, cfg.samples_per_prt)
+    assert out.data.shape == (1, 3, cfg.samples_per_pulse)
+    assert out.samples_per_prt == cfg.samples_per_prt
     assert np.array_equal(out.hops(cfg, 1)[0], expect)
-    assert np.all(out.data[0, :, cfg.samples_per_pulse:] == 0)
+    write_iq(tmp_path / "rx.iq", out)
+    written = read_iq(tmp_path / "rx.iq").data
+    assert written.shape == (1, 3, cfg.samples_per_prt)
+    assert np.array_equal(written[0, :, :cfg.samples_per_pulse],
+                          expect.reshape(3, -1).astype(np.complex64))
+    assert np.all(written[0, :, cfg.samples_per_pulse:] == 0)
     # no noise: zeros, and the generator is left untouched
     state = g.bit_generator.state
     assert not imp.complex_noise(s, 0.0, g).any()
@@ -149,8 +157,9 @@ def test_channel_noise_seed_contract(cfg):
 
 
 def _time_domain_mix(plan, psk, spec, cfg):
-    """Noiseless received frame from the closed form in the module
-    docstring, each tone evaluated at its hop's sample instants:
+    """Noiseless received frame of whole PRTs, as a capture stores it, from
+    the closed form in the module docstring, each tone evaluated at its
+    hop's sample instants:
     sum_m beta_m e^{j phi} e^{j (w + dw)(n/fs + dt_ih)} e^{j dw (i Tp + h T)}.
     """
     M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
@@ -177,9 +186,10 @@ def _time_domain_mix(plan, psk, spec, cfg):
                                      "prt_duration": 8e-6}])
 def test_noiseless_apply_matches_time_domain_oracle(kw):
     # apply scales the synthesized tones by closed-form factors; the oracle
-    # evaluates every impaired tone at its sample instants instead. Without
-    # noise the two agree to float rounding, the receiver decides
-    # identically on either frame in all four modes, and a generator passed
+    # evaluates every impaired tone at its sample instants instead, into a
+    # frame of whole PRTs. Without noise the hops agree to float rounding,
+    # the receiver decides identically on apply's pulse-only frame and on
+    # the oracle's whole PRTs in all four modes, and a generator passed
     # with noise_var = 0 changes no byte
     cfg = RadarConfig(**kw)
     rng = np.random.default_rng(17)
@@ -194,7 +204,10 @@ def test_noiseless_apply_matches_time_domain_oracle(kw):
     assert imp.apply(frame, plan, psk, spec, cfg, rng=9).data.tobytes() \
         == out.data.tobytes()
     oracle = _time_domain_mix(plan, psk, spec, cfg)
-    assert np.allclose(out.data, oracle.data, rtol=0, atol=1e-12)
+    assert out.data.shape == (1, plan.n_prt, cfg.samples_per_pulse)
+    assert oracle.data.shape == (1, plan.n_prt, cfg.samples_per_prt)
+    assert np.allclose(out.hops(cfg, 1), oracle.hops(cfg, 1), rtol=0,
+                       atol=1e-12)
     for mode in crx.MODES:
         a = crx.demodulate(out, cfg, 3, mode=mode, spec=spec)
         b = crx.demodulate(oracle, cfg, 3, mode=mode, spec=spec)
@@ -207,11 +220,18 @@ def test_noiseless_apply_matches_time_domain_oracle(kw):
             assert np.array_equal(a.psk_symbol, truth), mode
 
 
-def test_silence_untouched_without_noise(cfg, rng):
+def test_silence_untouched_without_noise(cfg, rng, tmp_path):
+    # the impaired pulse-only frame is written with a tail of exact zeros
     plan, psk, frame = _frame(cfg, 4, rng)
     spec = imp.ImpairmentSpec.from_clock(2e-6, cfg, sto_initial=5e-9)
     out = imp.apply(frame, plan, psk, spec, cfg)
-    assert np.all(out.data[0, :, cfg.samples_per_pulse:] == 0)
+    write_iq(tmp_path / "rx.iq", out)
+    written = read_iq(tmp_path / "rx.iq").data[0]
+    tail = written[:, cfg.samples_per_pulse:]
+    assert tail.shape == (4, cfg.samples_per_prt - cfg.samples_per_pulse)
+    assert np.all(tail == 0)
+    assert np.array_equal(written[:, :cfg.samples_per_pulse],
+                          out.data[0].astype(np.complex64))
 
 
 def test_cfo_range_enforced(cfg):

@@ -140,8 +140,7 @@ def test_matched_filter_cross_channel_leakage_bound(cfg):
     # cross-correlation of the two planned pulses bounds the leakage of a
     # single-antenna echo into the other channel at the peak bin
     plan, psk = _plan_psk(cfg, 1, seed=5)
-    pulses = wf.synthesize(plan, psk, cfg).data[:, 0,
-                                                :cfg.samples_per_pulse]
+    pulses = wf.synthesize(plan, psk, cfg).data[:, 0]
     cross = np.abs(np.vdot(pulses[1], pulses[0]))
     # mute the second transmit chain so the echo carries pulse 0 only
     arr = rrx.ArrayModel(n_rx=1, tx_errors=np.array([1.0, 0.0]),
@@ -163,7 +162,7 @@ def _full_prt_correlation(rx, plan, psk, cfg):
     listening window [E, n_p) sliced out."""
     N, n_prt, n_p = rx.shape
     E = cfg.samples_per_pulse
-    refs = wf.synthesize(plan, psk, cfg).data[:, :, :E]
+    refs = wf.synthesize(plan, psk, cfg).data
     n_fft = 1
     while n_fft < n_p + E:
         n_fft *= 2
@@ -253,8 +252,7 @@ def test_mtd_parseval_and_correlator_energy(cfg):
     rhs = prof.shape[1] * np.sum(np.abs(prof) ** 2)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    refs = wf.synthesize(plan, psk, cfg).data[:, :,
-                                              :cfg.samples_per_pulse]
+    refs = wf.synthesize(plan, psk, cfg).data
     n_fft = 4096
     x = rx[0, 0]
     s = refs[0, 0]

@@ -5,6 +5,7 @@ import pytest
 
 from fhmimo.config import ConfigError, RadarConfig
 from fhmimo import waveform as wf
+from fhmimo.iqfile import read_iq, write_iq
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +241,48 @@ def test_synthesize_zero_subband_is_constant(cfg, rng):
     assert np.allclose(seg, 1.0)
 
 
-def test_synthesize_frame_layout(cfg, rng):
+def test_synthesize_frame_layout(cfg, rng, tmp_path):
+    # each 1600-sample PRT stores its 200 pulse samples, all active; the
+    # silence is not stored, and the written FHIQ file holds it as a tail
+    # of 1400 exact zeros per PRT
     plan = wf.plan_hops(cfg, n_prt=3, rng=rng)
     psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
     frame = wf.synthesize(plan, psk, cfg)
-    assert frame.data.shape == (2, 3, 1600)
-    # first 200 samples of each PRT active, remainder silent
-    assert np.all(np.abs(frame.data[:, :, :200]) > 0.99)
-    assert np.all(frame.data[:, :, 200:] == 0)
+    assert frame.data.shape == (2, 3, 200)
+    assert frame.samples_per_prt == 1600 and frame.n_samples == 3 * 1600
+    assert np.all(np.abs(frame.data) > 0.99)
+    write_iq(tmp_path / "tx.iq", frame)
+    written = read_iq(tmp_path / "tx.iq").data
+    assert written.shape == (2, 3, 1600)
+    assert np.all(np.abs(written[:, :, :200]) > 0.99)
+    assert np.all(written[:, :, 200:] == 0)
+
+
+def test_frame_refuses_a_lost_prt_length(cfg, rng):
+    # rebuilding a pulse-only frame from its data alone drops the PRT
+    # length: the result is a frame of 200-sample PRTs, and hops() refuses
+    # it naming the stored and the PRT lengths
+    plan = wf.plan_hops(cfg, n_prt=2, rng=rng)
+    frame = wf.synthesize(plan, None, cfg)
+    lost = wf.IqFrame(frame.data * 2, frame.sample_rate)
+    assert lost.samples_per_prt == 200
+    with pytest.raises(ConfigError, match=r"storing 200 samples of "
+                                          r"200-sample PRTs.*2 of 1600"):
+        lost.hops(cfg, 2)
+    kept = wf.IqFrame(frame.data * 2, frame.sample_rate,
+                      samples_per_prt=frame.samples_per_prt)
+    assert np.array_equal(kept.hops(cfg, 2), 2 * frame.hops(cfg, 2))
+    # a frame storing less than the pulse has no hop view
+    short = wf.IqFrame(frame.data[:, :, :120], frame.sample_rate,
+                       samples_per_prt=1600)
+    with pytest.raises(ConfigError, match=r"storing 120 samples of "
+                                          r"1600-sample PRTs.*200-sample "
+                                          r"pulses"):
+        short.hops(cfg, 2)
+    # and no frame stores more samples than a PRT has
+    with pytest.raises(ConfigError, match="stores 200 samples of "
+                                          "100-sample PRTs"):
+        wf.IqFrame(frame.data, frame.sample_rate, samples_per_prt=100)
 
 
 def test_frame_hops_is_a_writable_view(cfg, rng):

@@ -12,10 +12,12 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
   and 13, partial last pilot cycles, -20 to 20 dB (erased slots included),
   noiseless frames (``noise_var`` 0), 1- and 40-PRT frames and frames
-  without a usable pilot pair. Every ``DemodReport`` field and every
-  ``score_report`` count is hashed. The noiseless rows let a change to the
-  channel's noise draw show that everything but the noise still matches:
-  its noisy rows differ by name, its noiseless ones must not.
+  without a usable pilot pair. Every ``DemodReport`` field, every
+  ``score_report`` count and the FHIQ bytes ``write_iq`` writes of each
+  frame are hashed, so the zero tail it pads a pulse-only frame with is
+  compared too. The noiseless rows let a change to the channel's noise
+  draw show that everything but the noise still matches: its noisy rows
+  differ by name, its noiseless ones must not.
 
 Every output that differs between the two trees is named, and the exit
 status is 1 on any difference, 0 when all are identical. A refactor that
@@ -111,6 +113,7 @@ def collect(out: Path) -> None:
     """Run the matrix with the ``fhmimo`` on the path; write under ``out``."""
     from fhmimo import cli, commrx, impairments as imp, waveform as wf
     from fhmimo.config import RadarConfig
+    from fhmimo.iqfile import write_iq
 
     codes = {}
     for name, config, argv in _cli_runs():
@@ -137,6 +140,11 @@ def collect(out: Path) -> None:
         psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
         rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, spec, cfg,
                        rng=rng)
+        fhiq = out / "frame.fhiq"
+        write_iq(fhiq, rx)
+        digests[f"{name}/write_iq"] = hashlib.sha256(
+            fhiq.read_bytes()).hexdigest()
+        fhiq.unlink()
         for mode in MODES:
             rep = commrx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
             key = f"{name}/{mode}"
