@@ -199,8 +199,7 @@ def cmd_txgen(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     frame = synthesize(plan, psk, cfg)
     cfg_hash = _echo_config(raw, out_dir)
     write_iq(out_dir / "tx.iq", frame)
-    (out_dir / "plan.txt").write_text(
-        f"# config_hash={cfg_hash}\n" + "\n".join(plan.to_records(psk)) + "\n")
+    plan.to_csv(out_dir / "plan.txt", psk, cfg_hash)
     print(f"wrote {out_dir / 'tx.iq'} ({frame.n_channels} ch x "
           f"{frame.n_samples} samples) and plan.txt")
 

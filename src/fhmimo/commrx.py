@@ -50,7 +50,7 @@ def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
 
 
 def assign_peaks(sub_vals: np.ndarray, cfg: RadarConfig,
-                 first_prt: int = 0) -> HopPlan:
+                 first_prt: int) -> HopPlan:
     """Detected hopping plan of a batch: map spectral peaks to antennas.
 
     ``sub_vals``: (n_prt, H, K) sub-band coefficients of PRTs ``first_prt``
@@ -258,20 +258,19 @@ class DemodReport:
     psk_symbol: np.ndarray       # snapped constellation position
     psk_residual: np.ndarray     # phase residual after snapping
     fhcs_rows: np.ndarray        # (n_codewords, 4) int64
-    n_erased_slots: int = 0
-    n_erased_hops: int = 0
+    n_erased_slots: int
+    n_erased_hops: int
 
     @property
     def psk_erased(self) -> np.ndarray:
         return self.slots[:, 5].astype(bool)
 
     def to_csv(self, path, cfg_hash=None) -> None:
-        rows = [(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]),
-                 float(p), float(res), int(r[5]))
-                for r, p, res in zip(self.slots, self.psk_phase,
-                                     self.psk_residual)]
+        prt, hop, ant, k, kappa, erased = self.slots.T.tolist()
         write_csv(path, ["prt", "hop", "antenna", "subband", "offset",
-                         "phase_est", "residual", "erased"], rows, cfg_hash)
+                         "phase_est", "residual", "erased"],
+                  zip(prt, hop, ant, k, kappa, self.psk_phase.tolist(),
+                      self.psk_residual.tolist(), erased), cfg_hash)
 
     def summary(self) -> dict:
         """JSON-ready counts and estimates; the estimates are None when

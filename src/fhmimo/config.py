@@ -30,10 +30,18 @@ def check_span(name: str, span) -> None:
         raise ConfigError(f"{name} must be [low, high], got {list(span)}")
 
 
+# The widest PSK symbol, in bits. A symbol's phase 2*pi*p/2^J is a float64,
+# and a noiseless identity channel already decodes errors at J = 50; 32
+# keeps 16 bits of margin for configs with more tone cycles per hop.
+MAX_ORDER_BITS = 32
+
+
 def check_order_bits(order_bits: int) -> None:
-    """PSK bits per symbol must be in [0, 63]: symbol arithmetic is int64."""
-    if not 0 <= order_bits <= 63:
-        raise ConfigError("order_bits must be in [0, 63]")
+    """PSK bits per symbol must be in [0, ``MAX_ORDER_BITS``]."""
+    if not 0 <= order_bits <= MAX_ORDER_BITS:
+        raise ConfigError(
+            f"order_bits must be in [0, {MAX_ORDER_BITS}]: the float64 "
+            f"phase of a wider PSK symbol does not decode exactly")
 
 
 @dataclass(frozen=True)

@@ -346,7 +346,7 @@ def _box_mean(stat: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, counts
 
 
-def cfar_detect(rdm: RangeDopplerMap, p_fa: float = 1e-4) -> DetectionList:
+def cfar_detect(rdm: RangeDopplerMap, p_fa: float) -> DetectionList:
     """2D cell-averaging CFAR on the incoherent channel sum.
 
     The noise level per cell is the mean of the training ring (a square
@@ -386,7 +386,7 @@ class CalibrationError(RuntimeError):
 
 
 def calibrate(anchor_vector: np.ndarray, array: ArrayModel,
-              anchor_azimuth_deg: float = 0.0) -> np.ndarray:
+              anchor_azimuth_deg: float) -> np.ndarray:
     """Array calibration vector from an anchor target of known direction.
 
     Channels are normalized to the first so that the calibrated steering
@@ -426,7 +426,7 @@ def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
 
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
                     array: ArrayModel, grid: np.ndarray,
-                    cal: np.ndarray | None = None) -> DetectionList:
+                    cal: np.ndarray | None) -> DetectionList:
     """Fill the range, velocity and azimuth columns of a CPI's detections.
 
     Range and velocity come from the bin columns; the (D, P) channel

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ConfigError, RadarConfig, check_order_bits
-from .iqfile import IqFrame
+from .iqfile import IqFrame, write_csv
 
 
 class PayloadLengthError(ValueError):
@@ -202,18 +202,17 @@ class HopPlan:
     def prt_indices(self) -> np.ndarray:
         return self.first_prt + np.arange(self.n_prt)
 
-    def to_records(self, psk: "PskGrid") -> list[str]:
-        """One text record per slot: i,h,m,subband,pinned,phase."""
-        lines = ["prt,hop,antenna,subband,pinned,phase"]
-        for i in range(self.n_prt):
-            for h in range(self.cfg.hops_per_pulse):
-                for m in range(self.cfg.n_tx):
-                    lines.append(
-                        f"{self.first_prt + i},{h},{m},"
-                        f"{self.subband[i, h, m]},"
-                        f"{int(self.pinned[i, h, m])},"
-                        f"{psk.phases[i, h, m]:.17g}")
-        return lines
+    def to_csv(self, path, psk: "PskGrid", cfg_hash: str) -> None:
+        """One row per slot in (PRT, hop, antenna) order: its sub-band,
+        pilot flag and PSK phase, the phase to 17 significant digits."""
+        i, h, m = np.indices(self.subband.shape).reshape(3, -1)
+        write_csv(path, ["prt", "hop", "antenna", "subband", "pinned",
+                         "phase"],
+                  zip((self.first_prt + i).tolist(), h.tolist(), m.tolist(),
+                      self.subband.ravel().tolist(),
+                      self.pinned.ravel().astype(int).tolist(),
+                      (f"{p:.17g}" for p in psk.phases.ravel().tolist())),
+                  cfg_hash)
 
 
 def _bit_layout(cfg: RadarConfig, groups: list[HopGroup], n_prt: int):
@@ -344,27 +343,21 @@ class PskGrid:
 
 
 def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
-                  bits=None, rng=None) -> PskGrid:
-    """Fill every non-pinned slot with a PSK symbol from the bit stream.
+                  rng=None) -> PskGrid:
+    """Fill every non-pinned slot with a random PSK symbol.
 
-    Bits are consumed ``order_bits`` per slot in (PRT, hop, antenna) order
-    and Gray-mapped onto the constellation. An ``order_bits`` outside
-    [0, 63] is a :class:`ConfigError`.
+    ``order_bits`` random bits per slot, drawn in (PRT, hop, antenna)
+    order, are Gray-mapped onto the constellation, most significant bit
+    first. An ``order_bits`` outside [0, ``MAX_ORDER_BITS``] is a
+    :class:`ConfigError` (:func:`config.check_order_bits`).
     """
     check_order_bits(order_bits)
     rng = np.random.default_rng(rng)
     free = ~plan.pinned
     n_slots = int(free.sum())
-    if bits is None:
-        bits = rng.integers(0, 2, size=n_slots * order_bits, dtype=np.uint8)
-    else:
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        if bits.size < n_slots * order_bits:
-            raise PayloadLengthError(
-                f"need {n_slots * order_bits} PSK bits, got {bits.size}")
+    bits = rng.integers(0, 2, size=(n_slots, order_bits), dtype=np.uint8)
     weights = 1 << np.arange(order_bits - 1, -1, -1, dtype=np.int64)
-    patterns = bits[:n_slots * order_bits].reshape(n_slots,
-                                                   order_bits) @ weights
+    patterns = bits @ weights
     pos = gray_decode(patterns)
     symbol_index = np.full(plan.subband.shape, -1, dtype=np.int64)
     symbol_index[free] = pos
@@ -381,29 +374,25 @@ def synthesize(plan: HopPlan, psk: PskGrid | None, cfg: RadarConfig) -> IqFrame:
     """Per-antenna complex baseband pulses for the plan.
 
     Each hop is a pure tone of the planned sub-band rotated by the slot's
-    PSK phase. The frame stores each PRT's ``samples_per_pulse`` pulse
-    samples; the silence after the last hop is not stored
-    (:class:`IqFrame`).
+    PSK phase (0 for every slot without ``psk``). The frame stores each
+    PRT's ``samples_per_pulse`` pulse samples; the silence after the last
+    hop is not stored (:class:`IqFrame`).
 
     The tones come from a table with one ``exp`` per distinct (sub-band,
     PSK phase) pair, each entry computed by the same float operations as a
     per-slot ``exp(1j * (2*pi*f*t + phase))``, so the samples are those of
     the per-slot form bit for bit.
     """
-    if psk is not None and psk.phases.shape != plan.subband.shape:
+    slot_phase = np.zeros(plan.subband.shape) if psk is None else psk.phases
+    if slot_phase.shape != plan.subband.shape:
         raise ValueError("psk grid does not match plan dimensions")
     K = cfg.n_subbands
     t = np.arange(cfg.samples_per_hop) / cfg.sample_rate
-    if psk is None:
-        codes = plan.subband
-    else:
-        phases, phase_idx = np.unique(psk.phases, return_inverse=True)
-        codes = phase_idx.reshape(plan.subband.shape) * K + plan.subband
+    phases, phase_idx = np.unique(slot_phase, return_inverse=True)
+    codes = phase_idx.reshape(plan.subband.shape) * K + plan.subband
     pairs, slot = np.unique(codes, return_inverse=True)
     ph = (2 * np.pi * cfg.subband_frequency(pairs % K))[:, None] * t
-    if psk is not None:
-        ph = ph + phases[pairs // K][:, None]
-    table = np.exp(1j * ph)                          # (n_pairs, n_hop)
+    table = np.exp(1j * (ph + phases[pairs // K][:, None]))  # (n_pairs, n_hop)
     # gathered in (M, n_prt, H) order, so the pulse axis is a free reshape
     pulses = table[np.moveaxis(slot.reshape(codes.shape), 2, 0)]
     return IqFrame(pulses.reshape(cfg.n_tx, plan.n_prt, -1), cfg.sample_rate,

@@ -491,15 +491,36 @@ def test_comm_summary_writes_null_for_rates_over_nothing(cfg_file,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_comm_with_63_bit_symbols_runs_cleanly(cfg_file, tmp_path):
-    # the widest symbol the int64 arithmetic holds; an integral float count
-    # is still accepted
+def test_comm_with_32_bit_symbols_runs_cleanly(cfg_file, tmp_path):
+    # the widest symbol accepted (config.MAX_ORDER_BITS); an integral float
+    # count is still accepted
     cfg = json.loads(cfg_file.read_text())
-    cfg["run"].update(order_bits=63, n_prt=20.0)
+    cfg["run"].update(order_bits=32, n_prt=20.0)
     p = tmp_path / "wide.json"
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    "comm") == 0
+
+
+@pytest.mark.parametrize("order_bits", [33, 63])
+@pytest.mark.parametrize("command", [["comm"], ["txgen"],
+                                     ["sweep", "--kind", "ber"]])
+def test_psk_order_beyond_the_float64_phase_exits_2(cfg_file, tmp_path,
+                                                     capsys, command,
+                                                     order_bits):
+    # orders 33..63 used to run, and from 50 bits a noiseless channel
+    # decoded with errors: a 40-PRT known-mode comm run, seed 1, gave
+    # psk_ber 4.1e-4 at 50, 9.5e-3 at 52 and 9.1e-2 at 63
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"]["order_bits"] = order_bits
+    cfg["sweep"]["modulations"] = [order_bits]
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   *command) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["message"].startswith("order_bits must be in [0, 32]")
 
 
 def test_empty_sections_give_library_defaults():

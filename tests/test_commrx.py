@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fhmimo.config import ConfigError, RadarConfig
+from fhmimo.config import MAX_ORDER_BITS, ConfigError, RadarConfig
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
@@ -681,3 +681,27 @@ def test_receiver_refuses_hops_too_short_for_the_floor(K, M):
         assert rep.n_erased_hops == rep.n_erased_slots == 0, mode
         assert sc.psk_symbol_errors == sc.fhcs_bit_errors == 0, mode
         assert sc.psk_symbols > 0 and sc.fhcs_bits > 0, mode
+
+
+@pytest.mark.parametrize("cfg", [
+    RadarConfig(),
+    RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4, bandwidth=14e6,
+                sample_rate=28e6)], ids=["default", "K7-M3-H4"])
+def test_identity_channel_exact_up_to_the_order_bound(cfg):
+    # a symbol's phase 2*pi*p/2^J is a float64: a noiseless identity
+    # channel of 2000 PRTs decoded exactly up to J = 49 in every mode and
+    # made 920 symbol errors in the known mode at J = 50, which was
+    # accepted (any J up to 63 was). The widest accepted order decodes
+    # exactly and one bit more is refused
+    spec = imp.ImpairmentSpec()
+    plan, psk, rx = _chain(cfg, 2000, np.random.default_rng(7),
+                           order_bits=MAX_ORDER_BITS)
+    for mode in crx.MODES:
+        rep = crx.demodulate(rx, cfg, MAX_ORDER_BITS, mode=mode, spec=spec)
+        sc = crx.score_report(rep, plan, psk, cfg)
+        assert rep.n_erased_slots == 0, mode
+        assert sc.psk_symbol_errors == sc.fhcs_bit_errors == 0, mode
+    with pytest.raises(ConfigError, match=r"order_bits must be in \[0, 32\]"):
+        wf.make_psk_grid(cfg, plan, MAX_ORDER_BITS + 1, rng=0)
+    with pytest.raises(ConfigError, match=r"order_bits must be in \[0, 32\]"):
+        crx.demodulate(rx, cfg, MAX_ORDER_BITS + 1, spec=spec)

