@@ -7,6 +7,8 @@ that antennas stay orthogonal within every hop. Run:
     python demos/demo_waveform.py
 """
 
+import math
+
 import numpy as np
 
 from fhmimo.config import RadarConfig
@@ -22,11 +24,15 @@ print(f"  {cfg.hops_per_pulse} hops x {cfg.hop_duration * 1e6:.1f} us,"
       f" PRT {cfg.prt_duration * 1e6:.0f} us,"
       f" {cfg.samples_per_prt} samples per PRT")
 
-cb = wf.FhcsCodebook(cfg.n_subbands, cfg.n_tx)
-print(f"\nFHCS codebook: C({cfg.n_subbands},{cfg.n_tx}) = {cb.n_total} "
-      f"combinations, {cb.n_usable} usable -> {cb.bits} bits per hop")
-print(f"  codeword 0 = sub-bands {cb.unrank(0)}")
-print(f"  codeword {cb.n_usable - 1} = sub-bands {cb.unrank(cb.n_usable - 1)}")
+n_bits = wf.codebook_bits(cfg.n_subbands, cfg.n_tx)
+n_usable = 1 << n_bits
+print(f"\nFHCS codebook: C({cfg.n_subbands},{cfg.n_tx}) = "
+      f"{math.comb(cfg.n_subbands, cfg.n_tx)} combinations, {n_usable} "
+      f"usable -> {n_bits} bits per hop")
+first, last = map(tuple, wf.unrank_subsets(
+    np.array([0, n_usable - 1]), cfg.n_subbands, cfg.n_tx).tolist())
+print(f"  codeword 0 = sub-bands {first}")
+print(f"  codeword {n_usable - 1} = sub-bands {last}")
 
 # deterministic payload so the mapping is visible
 bits = np.array([int(b) for b in "10110011101010001111010101"
@@ -44,7 +50,7 @@ for h in range(cfg.hops_per_pulse):
 print("  (hop m pins antenna m to the zero sub-band; hop m+1 to the "
       "PRT-cycled pilot)")
 
-back = wf.extract_payload_bits(plan)
+back = wf.extract_payload_bits(plan, cfg)
 print(f"\nPayload round trip: {back.size} bits consumed, "
       f"identity = {np.array_equal(back, bits[:back.size])}")
 

@@ -2,7 +2,7 @@
 
 from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
 from .iqfile import IqFormatError, IqFrame, read_iq, write_iq
-from .waveform import (FhcsCodebook, HopPlan, PayloadLengthError, PskGrid,
+from .waveform import (HopPlan, PayloadLengthError, PskGrid, codebook_bits,
                        make_psk_grid, plan_hops, synthesize)
 from .impairments import (FrontEndProfile, ImpairmentSpec, accumulated_sto,
                           apply, rho_from_sto, sto_from_rho, window_gain)

@@ -23,8 +23,8 @@ from .config import ConfigError, RadarConfig, check_order_bits, check_span
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
-from .waveform import (FhcsCodebook, make_psk_grid, payload_codewords,
-                       plan_hops, synthesize)
+from .waveform import (codebook_bits, hop_groups, make_psk_grid, plan_hops,
+                       synthesize)
 
 
 def wilson_interval(errors: float, n: int, z: float = 1.96):
@@ -93,12 +93,11 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
     """
     check_order_bits(order_bits)
     K, M, H = cfg.n_subbands, cfg.n_tx, cfg.hops_per_pulse
-    full_bits = FhcsCodebook(K, M).bits
-    nominal = (H * full_bits + order_bits * M * H) / cfg.prt_duration
+    nominal = (H * codebook_bits(K, M) + order_bits * M * H) / cfg.prt_duration
 
-    plan = plan_hops(cfg, n_prt=K, rng=0)
-    fhcs_cycle = int(payload_codewords(plan)[2].sum())
-    psk_slots_cycle = int((~plan.pinned).sum())
+    groups = hop_groups(cfg, np.arange(K))
+    fhcs_cycle = sum(g.rows.size * g.bits for g in groups)
+    psk_slots_cycle = sum(g.rows.size * len(g.free_ants) for g in groups)
     effective = (fhcs_cycle + order_bits * psk_slots_cycle) \
         / (K * cfg.prt_duration)
     return nominal, effective
@@ -144,8 +143,9 @@ class SweepSpec:
                 raise ConfigError(f"sweep.{name} must be >= 1")
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError("sweep.p_fa must be in (0, 1)")
-        if not 0.0 < self.angle_fov_deg < np.inf:
-            raise ConfigError("sweep.angle_fov_deg must be finite and > 0")
+        if not 0.0 < self.angle_fov_deg <= 90.0:      # NaN fails too
+            raise ConfigError("sweep.angle_fov_deg must be in (0, 90]: the "
+                              "angle grid spans [-fov, fov) of azimuth")
         if self.comm_mode not in commrx.MODES:
             raise ConfigError(f"sweep.comm_mode must be one of "
                               f"{commrx.MODES}, not {self.comm_mode!r}")
@@ -328,7 +328,8 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
                 trial_seed, waveform_mode: str):
     """One scene through the full chain; returns association results."""
     seq = np.random.SeedSequence(trial_seed)
-    # the FHCS (plan) and PSK bits each get their own child stream
+    # the FHCS (plan) and PSK bits each get their own child stream; the
+    # traditional waveform carries no PSK (order 0)
     scene_seed, plan_seed, noise_seed, psk_seed = seq.spawn(4)
     scene = radarrx.TargetScene.random(
         cfg, sweep.n_targets, rng=np.random.default_rng(scene_seed),
@@ -338,9 +339,8 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
     plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi,
                      rng=np.random.default_rng(plan_seed),
                      mode=waveform_mode)
-    psk = (make_psk_grid(cfg, plan, 3,
-                         rng=np.random.default_rng(psk_seed))
-           if waveform_mode == "dfrc" else None)
+    psk = make_psk_grid(cfg, plan, 3 if waveform_mode == "dfrc" else 0,
+                        rng=np.random.default_rng(psk_seed))
     noise_var = 10.0 ** (-snr_db / 10.0)
     rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
                                  noise_var=noise_var,

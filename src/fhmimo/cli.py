@@ -63,9 +63,10 @@ def _check_keys(where: str, given, allowed) -> None:
 
 def _convert(value, kind, key: str):
     """``value`` of config key ``key`` as ``kind``, else a ConfigError that
-    names the key. Numbers are JSON numbers, not booleans or strings (but a
-    complex may be a string, JSON having no complex literal); a tuple kind
-    is a list; a dict kind, or a dataclass kind, a JSON object of its keys."""
+    names the key. Numbers are finite JSON numbers, not booleans or strings
+    (but a complex may be a string, JSON having no complex literal); a tuple
+    kind is a list; a dict kind, or a dataclass kind, a JSON object of its
+    keys."""
     if isinstance(kind, dict):
         _check_keys(key, value, kind)
         return {k: _convert(v, kind[k], f"{key}.{k}")
@@ -88,11 +89,15 @@ def _convert(value, kind, key: str):
     elif type(value) in (int, float) or (kind, type(value)) == (complex, str):
         try:
             out = kind(value)
-            if kind is not int or out == value:     # 2.5 is no int
-                return out
         except (ValueError, OverflowError):         # int(inf) overflows
             pass
-    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+        else:                   # 2.5 is no int, NaN and inf no number
+            if out == value if kind is int else np.isfinite(out):
+                return out
+    what = kind.__name__
+    if kind in (float, complex):
+        what = f"a finite {what}"
+    raise ConfigError(f"{key}: expected {what}, got {value!r}")
 
 
 def _given(raw: dict, section: str) -> dict:

@@ -40,6 +40,11 @@ from .waveform import (HopPlan, PskGrid, gray_encode, hop_groups,
 
 PEAK_FLOOR_FACTOR = 3.0  # peak must exceed this multiple of the median bin
 MODES = ("estimated", "averaged", "flat", "known")   # see demodulate
+# The widest PSK symbol a complex64 frame (as read from an FHIQ file) is
+# decoded at. Noiseless single-precision frames decoded exactly up to J = 25
+# and made errors from J = 26; 16 keeps margin, as MAX_ORDER_BITS does for
+# the float64 phase.
+MAX_COMPLEX64_ORDER_BITS = 16
 
 
 def _batch_spectra(frame: IqFrame, cfg: RadarConfig):
@@ -70,7 +75,7 @@ def assign_peaks(sub_vals: np.ndarray, cfg: RadarConfig,
             F = len(g.free_ants)
             top = np.argpartition(masked, K - F, axis=1)[:, K - F:]
             subband[g.rows[:, None], g.hop, g.free_ants] = np.sort(top, 1)
-    return HopPlan(cfg, subband, pinned, first_prt)
+    return HopPlan(subband, pinned, first_prt)
 
 
 def slot_peaks(sub_vals: np.ndarray, median_mag: np.ndarray, det: HopPlan):
@@ -308,6 +313,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
 
     The frame must be one stream sampled as ``cfg`` says
     (:meth:`IqFrame.hops`); its ``first_prt`` sets the pilot-cycle phase.
+    A complex64 frame takes ``order_bits`` up to
+    ``MAX_COMPLEX64_ORDER_BITS``.
     ``cfg`` must have 2*n_tx < samples_per_hop, so that the median of a
     hop's DFT bins, from which the peak floor is taken, is not a tone.
 
@@ -322,6 +329,12 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     if mode not in MODES:
         raise ConfigError(f"unknown demodulation mode {mode!r}")
     check_order_bits(order_bits)
+    if (frame.data.dtype == np.complex64
+            and order_bits > MAX_COMPLEX64_ORDER_BITS):
+        raise ConfigError(
+            f"order_bits {order_bits} on a complex64 frame: its single-"
+            f"precision phase decodes PSK symbols of at most "
+            f"{MAX_COMPLEX64_ORDER_BITS} bits exactly")
     if 2 * cfg.n_tx >= cfg.samples_per_hop:
         raise ConfigError(
             f"the comm receiver needs 2*n_tx < samples_per_hop, got "
@@ -354,7 +367,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     k, payload = det.subband[row, h, m], peaks[row, h, m]
     slots = np.stack([prt_abs[row], h, m, k, cfg.subband_offset(k),
                       hop_erased[row, h]], axis=1)
-    prt, hop, bits, cw = payload_codewords(det)
+    prt, hop, bits, cw = payload_codewords(det, cfg)
     cw[hop_erased[prt - first_prt, hop] | (cw >= (1 << bits))] = -1
     fhcs_rows = np.stack([prt, hop, bits, cw], axis=1)
 
@@ -442,7 +455,7 @@ def score_report(report: DemodReport, plan: HopPlan, psk: PskGrid,
     diff[erased] = J / 2.0
 
     est = report.fhcs_rows
-    prt_t, hop_t, bits_t, cw_t = payload_codewords(plan)
+    prt_t, hop_t, bits_t, cw_t = payload_codewords(plan, cfg)
     if not (np.array_equal(est[:, 0], prt_t)
             and np.array_equal(est[:, 1], hop_t)
             and np.array_equal(est[:, 2], bits_t)):

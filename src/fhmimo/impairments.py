@@ -215,7 +215,7 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
     return out
 
 
-def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
+def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
           spec: ImpairmentSpec, cfg: RadarConfig, rng=None) -> IqFrame:
     """Propagate per-antenna transmit frames through the impaired channel.
 
@@ -234,7 +234,7 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid | None,
     n_prt = frame.n_prt
     active = frame.hops(cfg, M)                      # (M, n_prt, H, n_hop)
     if (plan.n_prt != n_prt or plan.first_prt != frame.first_prt
-            or (psk is not None and psk.phases.shape[0] != n_prt)):
+            or psk.phases.shape[0] != n_prt):
         raise ValueError("plan/psk PRTs do not match frame")
 
     gains = slot_gain(plan.prt_indices()[:, None, None],

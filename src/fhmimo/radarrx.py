@@ -148,7 +148,7 @@ class ArrayModel:
 # Echo synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
+def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
                     array: ArrayModel, cfg: RadarConfig,
                     noise_var: float = 0.0, rng=None) -> np.ndarray:
     """Per-receive-antenna echo samples for one CPI.
@@ -193,7 +193,7 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid | None, scene: TargetScene,
 # Pulse compression and range-Doppler map
 # ---------------------------------------------------------------------------
 
-def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
+def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
                    cfg: RadarConfig) -> np.ndarray:
     """Correlate every receive stream with every planned transmit pulse.
 
@@ -441,7 +441,7 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
     return dets
 
 
-def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid | None,
+def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
                 cfg: RadarConfig, array: ArrayModel, grid: np.ndarray,
                 p_fa: float = 1e-4, cal: np.ndarray | None = None
                 ) -> tuple[RangeDopplerMap, DetectionList]:

@@ -79,33 +79,12 @@ def unrank_subsets(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FhcsCodebook:
-    """All m-subsets of a pool in lexicographic order; the first 2^bits are
-    addressable by payload bits."""
-
-    pool_size: int
-    subset_size: int
-
-    def __post_init__(self):
-        if self.subset_size > self.pool_size:
-            raise ConfigError("cannot pick more sub-bands than available")
-
-    @property
-    def n_total(self) -> int:
-        return math.comb(self.pool_size, self.subset_size)
-
-    @property
-    def bits(self) -> int:
-        return self.n_total.bit_length() - 1
-
-    @property
-    def n_usable(self) -> int:
-        return 1 << self.bits
-
-    def unrank(self, index: int) -> tuple:
-        return tuple(int(v) for v in unrank_subsets(
-            np.array([index]), self.pool_size, self.subset_size)[0])
+def codebook_bits(pool: int, n_pick: int) -> int:
+    """FHCS bits of a hop that picks ``n_pick`` of ``pool`` sub-bands: the
+    first 2^bits of its subsets in lexicographic order are addressable."""
+    if n_pick > pool:
+        raise ConfigError("cannot pick more sub-bands than available")
+    return math.comb(pool, n_pick).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +139,8 @@ def hop_groups(cfg: RadarConfig, prt_abs: np.ndarray) -> list[HopGroup]:
                       else np.zeros((rows.size, 0), dtype=np.int64))
             free = tuple(m for m in range(M) if m not in pin_ants)
             pool = K - len(pins)
-            bits = FhcsCodebook(pool, len(free)).bits
-            out.append(HopGroup(h, rows, pin_ants, pin_ks, free, pool, bits))
+            out.append(HopGroup(h, rows, pin_ants, pin_ks, free, pool,
+                                codebook_bits(pool, len(free))))
     return out
 
 
@@ -190,7 +169,6 @@ def _subbands_to_positions(ks: np.ndarray, pin_ks: np.ndarray) -> np.ndarray:
 class HopPlan:
     """Per-(PRT, hop, antenna) sub-band assignment with pilot flags."""
 
-    cfg: RadarConfig
     subband: np.ndarray      # (n_prt, H, M) int
     pinned: np.ndarray       # (n_prt, H, M) bool
     first_prt: int = 0       # absolute index of row 0 (pilot cycle phase)
@@ -251,7 +229,7 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
         u = rng.random((n_prt, H, K))
         subband = np.argsort(u, axis=-1)[..., :M]
         pinned = np.zeros((n_prt, H, M), dtype=bool)
-        return HopPlan(cfg, subband, pinned, first_prt)
+        return HopPlan(subband, pinned, first_prt)
     if mode != "dfrc":
         raise ValueError(f"unknown plan mode {mode!r}")
 
@@ -280,18 +258,18 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
         pos = unrank_subsets(idx, g.pool, len(g.free_ants))
         ks = _positions_to_subbands(pos, g.pin_ks)
         subband[g.rows[:, None], g.hop, g.free_ants] = ks
-    return HopPlan(cfg, subband, pinned, first_prt)
+    return HopPlan(subband, pinned, first_prt)
 
 
-def payload_codewords(plan: HopPlan):
+def payload_codewords(plan: HopPlan, cfg: RadarConfig):
     """Ground-truth FHCS codewords of a plan.
 
     Returns (prt, hop, n_bits, codeword) int64 arrays in (prt, hop) order,
     the order :func:`plan_hops` reads bits in, covering every hop with
     nonzero capacity.
     """
-    groups = hop_groups(plan.cfg, plan.prt_indices())
-    widths = _bit_layout(plan.cfg, groups, plan.n_prt)
+    groups = hop_groups(cfg, plan.prt_indices())
+    widths = _bit_layout(cfg, groups, plan.n_prt)
     cw = np.zeros_like(widths)
     for g in groups:
         ks = plan.subband[g.rows[:, None], g.hop, g.free_ants]
@@ -302,9 +280,9 @@ def payload_codewords(plan: HopPlan):
     return plan.first_prt + row, hop, widths[used], cw[used]
 
 
-def extract_payload_bits(plan: HopPlan) -> np.ndarray:
+def extract_payload_bits(plan: HopPlan, cfg: RadarConfig) -> np.ndarray:
     """Recover the FHCS payload bits from a plan (round-trip of plan_hops)."""
-    _, _, widths, cw = payload_codewords(plan)
+    _, _, widths, cw = payload_codewords(plan, cfg)
     if not cw.size:
         return np.zeros(0, dtype=np.uint8)
     # MSB-first at the widest width; each codeword keeps its low bits
@@ -370,25 +348,24 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
 # Sample synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize(plan: HopPlan, psk: PskGrid | None, cfg: RadarConfig) -> IqFrame:
+def synthesize(plan: HopPlan, psk: PskGrid, cfg: RadarConfig) -> IqFrame:
     """Per-antenna complex baseband pulses for the plan.
 
     Each hop is a pure tone of the planned sub-band rotated by the slot's
-    PSK phase (0 for every slot without ``psk``). The frame stores each
-    PRT's ``samples_per_pulse`` pulse samples; the silence after the last
-    hop is not stored (:class:`IqFrame`).
+    PSK phase (0 on every slot of an order-0 ``psk``, the waveform without
+    PSK). The frame stores each PRT's ``samples_per_pulse`` pulse samples;
+    the silence after the last hop is not stored (:class:`IqFrame`).
 
     The tones come from a table with one ``exp`` per distinct (sub-band,
     PSK phase) pair, each entry computed by the same float operations as a
     per-slot ``exp(1j * (2*pi*f*t + phase))``, so the samples are those of
     the per-slot form bit for bit.
     """
-    slot_phase = np.zeros(plan.subband.shape) if psk is None else psk.phases
-    if slot_phase.shape != plan.subband.shape:
+    if psk.phases.shape != plan.subband.shape:
         raise ValueError("psk grid does not match plan dimensions")
     K = cfg.n_subbands
     t = np.arange(cfg.samples_per_hop) / cfg.sample_rate
-    phases, phase_idx = np.unique(slot_phase, return_inverse=True)
+    phases, phase_idx = np.unique(psk.phases, return_inverse=True)
     codes = phase_idx.reshape(plan.subband.shape) * K + plan.subband
     pairs, slot = np.unique(codes, return_inverse=True)
     ph = (2 * np.pi * cfg.subband_frequency(pairs % K))[:, None] * t

@@ -296,7 +296,7 @@ def test_criterion_8_property_suite():
     bits = np.random.default_rng([SEED, 83]).integers(
         0, 2, size=50_000, dtype=np.uint8)
     plan2 = wf.plan_hops(cfg, fhcs_bits=bits, n_prt=2000)
-    back = wf.extract_payload_bits(plan2)
+    back = wf.extract_payload_bits(plan2, cfg)
     checks.append((np.array_equal(back, bits[:back.size]),
                    "FHCS round-trip not the identity"))
 
@@ -308,16 +308,17 @@ def test_criterion_8_property_suite():
     dts = -3e-13
     sync = crx.SyncEstimate(0.0, 0.0, dts)
     plan3 = wf.plan_hops(cfg, n_prt=40, rng=np.random.default_rng([SEED, 85]))
-    frame3 = wf.synthesize(plan3, None, cfg)
+    psk3 = wf.make_psk_grid(cfg, plan3, 0)
+    frame3 = wf.synthesize(plan3, psk3, cfg)
 
     def table_pair(fe_a, fe_b):
         sa = imp.ImpairmentSpec(sto_initial=5e-9, sample_time_offset=dts,
                                 front_end=fe_a)
         sb = imp.ImpairmentSpec(sto_initial=5e-9, sample_time_offset=dts,
                                 front_end=fe_b)
-        _, va = crx._batch_spectra(imp.apply(frame3, plan3, None, sa, cfg),
+        _, va = crx._batch_spectra(imp.apply(frame3, plan3, psk3, sa, cfg),
                                    cfg)
-        _, vb = crx._batch_spectra(imp.apply(frame3, plan3, None, sb, cfg),
+        _, vb = crx._batch_spectra(imp.apply(frame3, plan3, psk3, sb, cfg),
                                    cfg)
         # group 0: first pilot cycle through a; group 1: second through b;
         # antenna m's pilots: hop m at the zero sub-band, hop m+1 cycled

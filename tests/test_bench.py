@@ -33,7 +33,7 @@ def test_effective_rate_from_slot_enumeration(cfg):
     # oracle: count free slots and per-hop capacities directly from a
     # generated plan over one pilot cycle
     plan = wf.plan_hops(cfg, n_prt=20, rng=1)
-    fhcs_bits = wf.extract_payload_bits(plan).size
+    fhcs_bits = wf.extract_payload_bits(plan, cfg).size
     psk_slots = int((~plan.pinned).sum())
     for x in (0, 2, 4):
         _, effective = bench.data_rate(x, cfg)

@@ -194,11 +194,13 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
     lines = (out / "demod.csv").read_text().splitlines()
     assert lines[1].startswith("prt,hop,antenna")
     assert len(lines) == 2 + 20 * 6 + 2
-    # a capture skips make_psk_grid; demodulate checks order_bits itself
-    cfg["run"]["order_bits"] = -1
-    p.write_text(json.dumps(cfg))
-    assert run_cli("--config", str(p), "--out", str(out), "comm") == \
-        cli.EXIT_CONFIG
+    # a capture skips make_psk_grid; demodulate checks order_bits itself,
+    # and a capture is complex64, decoded at no more than 16 bits a symbol
+    for order_bits, code in ((-1, cli.EXIT_CONFIG), (16, cli.EXIT_OK),
+                             (17, cli.EXIT_CONFIG)):
+        cfg["run"]["order_bits"] = order_bits
+        p.write_text(json.dumps(cfg))
+        assert run_cli("--config", str(p), "--out", str(out), "comm") == code
 
 
 def test_iq_frame_rejects_partial_prt(tmp_path):
@@ -381,7 +383,29 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("sweep", "sweep", {"kind": "radar", "comm_mode": "bogus"}, "comm_mode"),
     ("sweep", "sweep", {"kind": "radar", "velocity_span": [-2000, 2000]},
      "velocity_span"),
-    ("radar", "scene", {"velocity_span": [-2000, 2000]}, "velocity_span")],
+    ("radar", "scene", {"velocity_span": [-2000, 2000]}, "velocity_span"),
+    ("comm", "radar", {"prt_duration": float("nan")}, "prt_duration"),
+    ("comm", "radar", {"prt_duration": float("inf")}, "prt_duration"),
+    ("comm", "radar", {"hop_duration": float("nan")}, "hop_duration"),
+    ("comm", "radar", {"carrier_freq": float("nan")}, "carrier_freq"),
+    ("comm", "radar", {"carrier_freq": float("inf")}, "carrier_freq"),
+    ("comm", "impairment", {"ripple_db": float("nan")}, "ripple_db"),
+    ("comm", "impairment", {"ripple_rad": float("nan")}, "ripple_rad"),
+    ("comm", "impairment", {"ripple_rad": float("inf")}, "ripple_rad"),
+    ("sweep", "sweep", {"snr_grid_db": [float("nan")]}, "snr_grid_db"),
+    ("sweep", "sweep", {"hop_durations": [float("nan")]}, "hop_durations"),
+    ("sweep", "sweep", {"ripple_db": float("nan")}, "ripple_db"),
+    ("radar", "scene", {"targets": [{"range_m": 1000,
+                                     "velocity": float("nan")}]}, "velocity"),
+    ("radar", "scene", {"targets": [{"range_m": 1000,
+                                     "azimuth_deg": float("nan")}]},
+     "azimuth_deg"),
+    ("radar", "scene", {"targets": [{"range_m": 1000,
+                                     "azimuth_deg": float("inf")}]},
+     "azimuth_deg"),
+    ("radar", "scene", {"targets": [{"range_m": 1000, "coeff": "nan+0j"}]},
+     "coeff"),
+    ("radar", "sweep", {"angle_fov_deg": 1e308}, "angle_fov_deg")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -398,7 +422,12 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "target-unknown-key", "iq_file-number", "payload_file-number",
          "rho_span-one-entry", "rho_span-three-entries",
          "comm_mode-unknown", "sweep-velocity_span-aliased",
-         "scene-velocity_span-aliased"])
+         "scene-velocity_span-aliased", "prt_duration-nan",
+         "prt_duration-inf", "hop_duration-nan", "carrier_freq-nan",
+         "carrier_freq-inf", "ripple_db-nan", "ripple_rad-nan",
+         "ripple_rad-inf", "snr_grid_db-nan", "hop_durations-nan",
+         "sweep-ripple_db-nan", "target-velocity-nan", "target-azimuth-nan",
+         "target-azimuth-inf", "target-coeff-nan", "angle_fov_deg-1e308"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -409,8 +438,10 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
     # angle grid, a rho_span that is not two entries, a radar sweep with an
     # unknown comm_mode, a sweep velocity span beyond the unambiguous
-    # velocity running aliased trials); the error message names the
-    # offending key
+    # velocity running aliased trials, a NaN or infinite number reaching
+    # the radar timing, the carrier, the ripple, a sweep grid or a target,
+    # a field of view whose grid step overflows); the error message names
+    # the offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"

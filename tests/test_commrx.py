@@ -5,6 +5,7 @@ from fhmimo.config import MAX_ORDER_BITS, ConfigError, RadarConfig
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
+from fhmimo.iqfile import read_iq, write_iq
 
 
 def _chain(cfg, n_prt, rng, order_bits=3, spec=None, noise_rng=None):
@@ -24,8 +25,9 @@ def test_single_tone_bin_and_magnitude(cfg):
     # a noiseless tone on sub-band k peaks at its bin with magnitude N_h
     plan = wf.plan_hops(RadarConfig(n_tx=1), n_prt=1, rng=0)
     cfg1 = RadarConfig(n_tx=1)
-    frame = wf.synthesize(plan, None, cfg1)
-    rx = imp.apply(frame, plan, None, imp.ImpairmentSpec(), cfg1)
+    psk = wf.make_psk_grid(cfg1, plan, 0)
+    frame = wf.synthesize(plan, psk, cfg1)
+    rx = imp.apply(frame, plan, psk, imp.ImpairmentSpec(), cfg1)
     spectra, sub_vals = crx._batch_spectra(rx, cfg1)
     for h in range(cfg1.hops_per_pulse):
         k = int(plan.subband[0, h, 0])
@@ -235,8 +237,8 @@ def test_pilot_ratio_phase_from_initial_offset(cfg, rng):
         spec = imp.ImpairmentSpec.from_clock(1.8e-6, cfg1, sto_initial=dt0,
                                              front_end=fe)
         plan = wf.plan_hops(cfg1, n_prt=2 * K, rng=rng, first_prt=13)
-        rx = imp.apply(wf.synthesize(plan, None, cfg1), plan, None, spec,
-                       cfg1)
+        psk = wf.make_psk_grid(cfg1, plan, 0)
+        rx = imp.apply(wf.synthesize(plan, psk, cfg1), plan, psk, spec, cfg1)
         _, sub_vals = crx._batch_spectra(rx, cfg1)
         table = _table(sub_vals, 13, crx.SyncEstimate.from_spec(spec, cfg1),
                        cfg1)
@@ -402,9 +404,10 @@ def test_correction_factor_against_bruteforce_pilots(cfg):
     sub[:, 0, 0] = cfg1.zero_subband
     sub[i1, h1, 0] = k
     sub[i2, h2, 0] = k
-    plan = wf.HopPlan(cfg1, sub, np.zeros_like(sub, dtype=bool))
-    frame = wf.synthesize(plan, None, cfg1)
-    rx = imp.apply(frame, plan, None, spec, cfg1)
+    plan = wf.HopPlan(sub, np.zeros_like(sub, dtype=bool))
+    psk = wf.make_psk_grid(cfg1, plan, 0)
+    frame = wf.synthesize(plan, psk, cfg1)
+    rx = imp.apply(frame, plan, psk, spec, cfg1)
     _, sv = crx._batch_spectra(rx, cfg1)
     r1 = sv[i1, h1, k] / sv[i1, 0, cfg1.zero_subband]
     r2 = sv[i2, h2, k] / sv[i2, 0, cfg1.zero_subband]
@@ -473,13 +476,14 @@ def test_front_end_stability_of_pilot_ratios(cfg):
     sync = crx.SyncEstimate(0.0, 0.0, dts)
 
     plan = wf.plan_hops(cfg, n_prt=40, rng=np.random.default_rng(4))
-    frame = wf.synthesize(plan, None, cfg)
+    psk = wf.make_psk_grid(cfg, plan, 0)
+    frame = wf.synthesize(plan, psk, cfg)
 
     def ratio_tables(spec_a, spec_b):
         # first pilot cycle (group 0) through profile a, second (group 1)
         # through profile b
-        rx_a = imp.apply(frame, plan, None, spec_a, cfg)
-        rx_b = imp.apply(frame, plan, None, spec_b, cfg)
+        rx_a = imp.apply(frame, plan, psk, spec_a, cfg)
+        rx_b = imp.apply(frame, plan, psk, spec_b, cfg)
         _, sv_a = crx._batch_spectra(rx_a, cfg)
         _, sv_b = crx._batch_spectra(rx_b, cfg)
         return _table(np.concatenate([sv_a[:20], sv_b[20:]]), 0, sync, cfg)
@@ -705,3 +709,30 @@ def test_identity_channel_exact_up_to_the_order_bound(cfg):
         wf.make_psk_grid(cfg, plan, MAX_ORDER_BITS + 1, rng=0)
     with pytest.raises(ConfigError, match=r"order_bits must be in \[0, 32\]"):
         crx.demodulate(rx, cfg, MAX_ORDER_BITS + 1, spec=spec)
+
+
+@pytest.mark.parametrize("cfg", [
+    RadarConfig(),
+    RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4, bandwidth=14e6,
+                sample_rate=28e6),
+    RadarConfig(hop_duration=0.5e-6, bandwidth=40e6, sample_rate=40e6)],
+    ids=["default", "K7-M3-H4", "hop-0.5us"])
+def test_complex64_frame_exact_up_to_its_order_bound(cfg, tmp_path):
+    # an FHIQ file stores complex64: noiseless frames read back from one
+    # decoded exactly up to J = 25 and made symbol errors from J = 26, and
+    # demodulate accepted up to 32. The widest order a complex64 frame is
+    # decoded at decodes exactly in every mode; one bit more is refused
+    spec = imp.ImpairmentSpec()
+    J = crx.MAX_COMPLEX64_ORDER_BITS
+    plan, psk, rx = _chain(cfg, 500, np.random.default_rng(11),
+                           order_bits=J)
+    write_iq(tmp_path / "rx.iq", rx)
+    read = read_iq(tmp_path / "rx.iq")
+    assert read.data.dtype == np.complex64
+    for mode in crx.MODES:
+        rep = crx.demodulate(read, cfg, J, mode=mode, spec=spec)
+        sc = crx.score_report(rep, plan, psk, cfg)
+        assert rep.n_erased_slots == 0, mode
+        assert sc.psk_symbol_errors == sc.fhcs_bit_errors == 0, mode
+    with pytest.raises(ConfigError, match=r"complex64 frame.*at most 16"):
+        crx.demodulate(read, cfg, J + 1, spec=spec)

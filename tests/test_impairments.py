@@ -119,7 +119,8 @@ def test_noise_calibration(cfg):
     frame = wf.IqFrame(np.zeros((cfg.n_tx, 5000, cfg.samples_per_prt)),
                        cfg.sample_rate)
     spec = imp.ImpairmentSpec(noise_var=2.0)
-    hops = imp.apply(frame, plan, None, spec, cfg, rng=7).hops(cfg, 1)[0]
+    hops = imp.apply(frame, plan, wf.make_psk_grid(cfg, plan, 0), spec, cfg,
+                     rng=7).hops(cfg, 1)[0]
     assert hops.size >= 1_000_000
     assert np.var(hops) == pytest.approx(2.0, rel=0.01)
 
@@ -131,11 +132,12 @@ def test_channel_noise_seed_contract(cfg, tmp_path):
     # and the silent tail of every PRT, which the receiver never reads, is
     # written as exact zeros
     plan = wf.plan_hops(cfg, n_prt=3, rng=0)
-    frame = wf.synthesize(plan, None, cfg)
+    psk = wf.make_psk_grid(cfg, plan, 0)
+    frame = wf.synthesize(plan, psk, cfg)
     frame.data[:] = 0
     noise_var = 2.5
     spec = imp.ImpairmentSpec(noise_var=noise_var)
-    out = imp.apply(frame, plan, None, spec, cfg, rng=31)
+    out = imp.apply(frame, plan, psk, spec, cfg, rng=31)
     g = np.random.default_rng(31)
     s = (3, cfg.hops_per_pulse, cfg.samples_per_hop)
     expect = ((g.standard_normal(s) + 1j * g.standard_normal(s))

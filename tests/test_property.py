@@ -63,7 +63,7 @@ def test_identity_channel_error_free_in_every_mode(case):
                         * cfg.n_subbands, dtype=np.uint8)
     plan = wf.plan_hops(cfg, fhcs_bits=bits, n_prt=n_prt,
                         first_prt=first_prt)
-    back = wf.extract_payload_bits(plan)
+    back = wf.extract_payload_bits(plan, cfg)
     assert np.array_equal(back, bits[:back.size])
     # the plan read exactly these bits: they rebuild it, one fewer is short
     # (with K = M a plan reads none, and there is no bit to take away)

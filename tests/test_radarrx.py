@@ -10,8 +10,7 @@ from fhmimo import waveform as wf
 def _plan_psk(cfg, n_prt, seed=0, mode="dfrc"):
     rng = np.random.default_rng(seed)
     plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, mode=mode)
-    psk = (wf.make_psk_grid(cfg, plan, 3, rng=rng)
-           if mode == "dfrc" else None)
+    psk = wf.make_psk_grid(cfg, plan, 3 if mode == "dfrc" else 0, rng=rng)
     return plan, psk
 
 

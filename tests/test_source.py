@@ -8,9 +8,9 @@ import fhmimo
 SRC = Path(fhmimo.__file__).parent
 
 # Parameters that are never read but stay: the benchmark harness
-# (perfbench/workloads.py) passes them positionally, so they go with the
+# (perfbench/workloads.py) passes it positionally, so it goes with the
 # next change to the benchmark (ROADMAP item 1).
-UNREAD_ON_PURPOSE = {"commrx.score_report.cfg", "waveform.make_psk_grid.cfg"}
+UNREAD_ON_PURPOSE = {"waveform.make_psk_grid.cfg"}
 
 
 def _unread_parameters(tree: ast.Module, module: str) -> set[str]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,29 +14,41 @@ from fhmimo.iqfile import read_iq, write_iq
 # ---------------------------------------------------------------------------
 
 def test_codebook_experiment_size(cfg):
-    cb = wf.FhcsCodebook(cfg.n_subbands, cfg.n_tx)
-    assert cb.n_total == 190
-    assert cb.n_usable == 128
-    assert cb.bits == 7
+    assert math.comb(cfg.n_subbands, cfg.n_tx) == 190
+    assert wf.codebook_bits(cfg.n_subbands, cfg.n_tx) == 7
+    assert 1 << wf.codebook_bits(cfg.n_subbands, cfg.n_tx) == 128
 
 
 def test_codebook_degenerate_full_pick():
-    cb = wf.FhcsCodebook(5, 5)
-    assert cb.n_total == 1
-    assert cb.bits == 0
-    assert cb.unrank(0) == (0, 1, 2, 3, 4)
+    assert math.comb(5, 5) == 1
+    assert wf.codebook_bits(5, 5) == 0
+    assert wf.unrank_subsets(np.array([0]), 5, 5).tolist() == [[0, 1, 2, 3, 4]]
 
 
 def test_codebook_small_against_bruteforce():
     # oracle: plain lexicographic enumeration of 2-subsets of {0,1,2,3}
     brute = sorted(itertools.combinations(range(4), 2))
-    cb = wf.FhcsCodebook(4, 2)
-    assert cb.n_total == 6
-    assert cb.n_usable == 4
-    assert cb.bits == 2
-    assert [cb.unrank(i) for i in range(cb.n_total)] == brute
+    assert math.comb(4, 2) == 6
+    assert 1 << wf.codebook_bits(4, 2) == 4
+    assert wf.codebook_bits(4, 2) == 2
+    assert [tuple(s) for s in wf.unrank_subsets(np.arange(6), 4, 2).tolist()
+            ] == brute
     assert np.array_equal(wf.rank_subsets(np.array(brute), 4),
                           np.arange(len(brute)))
+    # every pool up to 12: the bits address the largest power of two of
+    # the C(n, m) subsets, and the ranks run through them in lexicographic
+    # order (m = 0 is a hop whose antennas are all pinned)
+    for n in range(13):
+        for m in range(n + 1):
+            total = math.comb(n, m)
+            bits = wf.codebook_bits(n, m)
+            assert 1 << bits <= total < 2 << bits
+            brute = np.array(list(itertools.combinations(range(n), m)),
+                             dtype=np.int64).reshape(total, m)
+            assert np.array_equal(
+                wf.unrank_subsets(np.arange(total), n, m), brute)
+            assert np.array_equal(wf.rank_subsets(brute, n),
+                                  np.arange(total))
 
 
 def test_rank_unrank_roundtrip_bulk(rng):
@@ -48,8 +61,8 @@ def test_rank_unrank_roundtrip_bulk(rng):
 
 
 def test_codebook_rejects_overfull():
-    with pytest.raises(ConfigError):
-        wf.FhcsCodebook(3, 4)
+    with pytest.raises(ConfigError, match="more sub-bands than available"):
+        wf.codebook_bits(3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +137,7 @@ def test_plan_payload_ascending_among_free_antennas(cfg, rng):
 def test_fhcs_roundtrip_identity(cfg, rng):
     bits = rng.integers(0, 2, size=60000, dtype=np.uint8)
     plan = wf.plan_hops(cfg, fhcs_bits=bits, n_prt=2000)
-    back = wf.extract_payload_bits(plan)
+    back = wf.extract_payload_bits(plan, cfg)
     assert np.array_equal(back, bits[:back.size])
     # the plan read exactly these bits: they rebuild it, one fewer is short
     again = wf.plan_hops(cfg, fhcs_bits=back, n_prt=2000)
@@ -153,13 +166,13 @@ def test_payload_codewords_against_bruteforce(kw, first_prt, rng):
             pool = [k for k in range(cfg.n_subbands)
                     if k not in plan.subband[i, h, pin]]
             free = tuple(sorted(plan.subband[i, h, ~pin]))
-            n_bits = wf.FhcsCodebook(len(pool), len(free)).bits
+            n_bits = wf.codebook_bits(len(pool), len(free))
             if n_bits:
                 codebook = list(itertools.combinations(pool, len(free)))
                 rows.append((first_prt + i, h, n_bits,
                              codebook.index(free)))
     want = np.array(rows, dtype=np.int64).T
-    got = wf.payload_codewords(plan)
+    got = wf.payload_codewords(plan, cfg)
     assert len(got) == 4
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -231,7 +244,7 @@ def test_psk_bits_roundtrip(cfg, rng):
 
 def test_synthesize_zero_subband_is_constant(cfg, rng):
     plan = wf.plan_hops(cfg, n_prt=5, rng=rng)
-    frame = wf.synthesize(plan, None, cfg)
+    frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
     # hop 0 pins antenna 0 to the zero sub-band: constant-one samples
     seg = frame.data[0, 0, :cfg.samples_per_hop]
     assert np.allclose(seg, 1.0)
@@ -259,7 +272,7 @@ def test_frame_refuses_a_lost_prt_length(cfg, rng):
     # length: the result is a frame of 200-sample PRTs, and hops() refuses
     # it naming the stored and the PRT lengths
     plan = wf.plan_hops(cfg, n_prt=2, rng=rng)
-    frame = wf.synthesize(plan, None, cfg)
+    frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
     lost = wf.IqFrame(frame.data * 2, frame.sample_rate)
     assert lost.samples_per_prt == 200
     with pytest.raises(ConfigError, match=r"storing 200 samples of "
@@ -285,7 +298,7 @@ def test_frame_hops_is_a_writable_view(cfg, rng):
     # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, and a
     # write through the hop view lands in the frame's samples
     plan = wf.plan_hops(cfg, n_prt=3, rng=rng, first_prt=4)
-    frame = wf.synthesize(plan, None, cfg)
+    frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
     assert frame.first_prt == 4
     hops = frame.hops(cfg, 2)
     assert hops.shape == (2, 3, 5, 40)

@@ -6,13 +6,15 @@ Each tree runs the same matrix in its own interpreter, with the tree's
 ``src`` as ``PYTHONPATH``:
 
 * the CLI on small configs: ``txgen``, ``comm`` in all four modes,
-  ``radar``, and ``sweep --kind ber|radar|methods``;
+  both also without PSK (``order_bits`` 0), ``radar``, and
+  ``sweep --kind ber|radar|methods``;
   every file each run writes and its exit code are kept;
 * ``commrx.demodulate`` in all four modes, in process, on seeded frames of
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
   and 13, partial last pilot cycles, -20 to 20 dB (erased slots included),
   noiseless frames (``noise_var`` 0), 1- and 40-PRT frames and frames
-  without a usable pilot pair. Every ``DemodReport`` field, every
+  without a usable pilot pair, each frame with 8PSK and without PSK
+  (order 0). Every ``DemodReport`` field, every
   ``score_report`` count and the FHIQ bytes ``write_iq`` writes of each
   frame are hashed, so the zero tail it pads a pulse-only frame with is
   compared too. The noiseless rows let a change to the channel's noise
@@ -58,8 +60,10 @@ MODES = ("estimated", "averaged", "flat", "known")
 def _cli_runs():
     """(name, config, argv) of every CLI run."""
     small = {**BASE, "radar": SMALL}
-    runs = [("txgen", BASE, ["txgen"])]
+    no_psk = {**BASE, "run": {**BASE["run"], "order_bits": 0}}
+    runs = [("txgen", BASE, ["txgen"]), ("txgen-j0", no_psk, ["txgen"])]
     runs += [(f"comm-{m}", BASE, ["comm", "--mode", m]) for m in MODES]
+    runs += [(f"comm-j0-{m}", no_psk, ["comm", "--mode", m]) for m in MODES]
     runs += [(f"comm-small-{m}", small, ["comm", "--mode", m])
              for m in MODES]
     runs.append(("radar", {**BASE, "scene": {"n_targets": 3}},
@@ -74,8 +78,9 @@ def _cli_runs():
 
 
 def _frames():
-    """(name, cfg kwargs, n_prt, first_prt, snr_db) of every demod frame;
-    an SNR of None is a noiseless frame."""
+    """(name, cfg kwargs, n_prt, first_prt, snr_db, order_bits) of every
+    demod frame; an SNR of None is a noiseless frame, and an order-0 frame
+    (named ``-j0``) carries no PSK."""
     out = []
     for tag, kw in (("default", {}), ("small", SMALL)):
         for n_prt, first_prt, snrs in ((1, 0, (20,)),
@@ -84,8 +89,9 @@ def _frames():
                                        (333, 13, (-4, 10, None)),
                                        (160, 0, (0,))):
             out += [(f"{tag}-n{n_prt}-p{first_prt}-"
-                     + ("noiseless" if snr is None else f"{snr}dB"), kw,
-                     n_prt, first_prt, snr) for snr in snrs]
+                     + ("noiseless" if snr is None else f"{snr}dB")
+                     + ("-j0" if j == 0 else ""), kw, n_prt, first_prt, snr, j)
+                    for snr in snrs for j in (3, 0)]
     return out
 
 
@@ -128,7 +134,7 @@ def collect(out: Path) -> None:
         json.dumps(codes, indent=1, sort_keys=True))
 
     digests = {}
-    for name, kw, n_prt, first_prt, snr_db in _frames():
+    for name, kw, n_prt, first_prt, snr_db, order_bits in _frames():
         cfg = RadarConfig(**kw)
         rng = np.random.default_rng(
             [n_prt, first_prt, 0 if snr_db is None else snr_db + 100])
@@ -137,7 +143,7 @@ def collect(out: Path) -> None:
             noise_var=0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0),
             front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
         plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, first_prt=first_prt)
-        psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+        psk = wf.make_psk_grid(cfg, plan, order_bits, rng=rng)
         rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, spec, cfg,
                        rng=rng)
         fhiq = out / "frame.fhiq"
@@ -146,7 +152,8 @@ def collect(out: Path) -> None:
             fhiq.read_bytes()).hexdigest()
         fhiq.unlink()
         for mode in MODES:
-            rep = commrx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+            rep = commrx.demodulate(rx, cfg, order_bits, mode=mode,
+                                    spec=spec)
             key = f"{name}/{mode}"
             for f in dataclasses.fields(rep):
                 digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
