@@ -45,8 +45,7 @@ SCHEMA = {
               "range_span": tuple[float, ...],
               "velocity_span": tuple[float, ...],
               "azimuth_span": tuple[float, ...]},
-    "array": {"n_rx": int, "tx_spacing": float, "rx_spacing": float,
-              "random_errors": bool},
+    "array": {"n_rx": int, "tx_spacing": float, "rx_spacing": float},
     "sweep": {"kind": str, **typing.get_type_hints(bench.SweepSpec)},
     "run": {"seed": int, "order_bits": int, "n_prt": int, "mode": str,
             "payload_file": str, "iq_file": str},
@@ -83,8 +82,8 @@ def _convert(value, kind, key: str):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
         return tuple(_convert(v, typing.get_args(kind)[0], f"{key}[{i}]")
                      for i, v in enumerate(value))
-    if kind in (str, bool):
-        if isinstance(value, kind):
+    if kind is str:
+        if isinstance(value, str):
             return value
     elif type(value) in (int, float) or (kind, type(value)) == (complex, str):
         try:
@@ -168,11 +167,8 @@ def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
     return scene
 
 
-def build_array(raw: dict, cfg: RadarConfig, rng) -> radarrx.ArrayModel:
-    sec = _given(raw, "array")
-    random_errors = sec.pop("random_errors", False)
-    array = radarrx.ArrayModel(n_tx=cfg.n_tx, **sec)
-    return array.with_random_errors(rng) if random_errors else array
+def build_array(raw: dict, cfg: RadarConfig) -> radarrx.ArrayModel:
+    return radarrx.ArrayModel(n_tx=cfg.n_tx, **_given(raw, "array"))
 
 
 def _echo_config(raw: dict, out_dir: Path) -> str:
@@ -249,10 +245,10 @@ def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     """Synthesize a scene, run the radar chain, export detections + RDM."""
     run = _run(raw)
     seq = np.random.SeedSequence([run["seed"], 3])
-    scene_rng, noise_rng, plan_rng, arr_rng = (
-        np.random.default_rng(s) for s in seq.spawn(4))
+    scene_rng, noise_rng, plan_rng = (
+        np.random.default_rng(s) for s in seq.spawn(3))
     scene = build_scene(raw, cfg, scene_rng)
-    array = build_array(raw, cfg, arr_rng)
+    array = build_array(raw, cfg)
     sweep = build_sweep_spec(raw, run["seed"])
     plan = plan_hops(cfg, rng=plan_rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
@@ -322,8 +318,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("txgen", help="generate transmit IQ + plan files")
     c = sub.add_parser("comm", help="run the communication receive chain")
-    c.add_argument("--modulation", type=int, choices=(1, 2, 3, 4),
-                   dest="run.order_bits", help="PSK bits per symbol")
+    c.add_argument("--modulation", type=int, dest="run.order_bits",
+                   metavar="MODULATION", help="PSK bits per symbol")
     c.add_argument("--mode", dest="run.mode", choices=commrx.MODES)
     r = sub.add_parser("radar", help="run the radar receive chain")
     r.add_argument("--snr", type=float, dest="impairment.snr_db",

@@ -9,6 +9,7 @@ matched filters, giving P = M*N spatial channels ordered p = n*M + m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,13 +194,26 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
 # Pulse compression and range-Doppler map
 # ---------------------------------------------------------------------------
 
-def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
+def reference_spectra(plan: HopPlan, psk: PskGrid,
+                      cfg: RadarConfig) -> np.ndarray:
+    """Conjugate spectra of the planned transmit pulses, the references of
+    :func:`matched_filter`, built once per CPI.
+
+    Returns (M, n_prt, samples_per_prt) complex: each PRT's pulse from
+    each transmitter, zero-padded to one PRT and transformed.
+    """
+    pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
+    return np.conj(np.fft.fft(pulses, cfg.samples_per_prt, axis=-1))
+
+
+def matched_filter(rx: np.ndarray, refs: np.ndarray,
                    cfg: RadarConfig) -> np.ndarray:
     """Correlate every receive stream with every planned transmit pulse.
 
-    rx: (N, n_prt, samples_per_prt). Returns (P, n_prt, n_range) range
-    profiles with P = N*M channels (p = n*M + m) and range bins covering
-    the listening window [pulse end, PRT end).
+    rx: (N, n_prt, samples_per_prt) for any number N of receive antennas;
+    refs: the CPI's :func:`reference_spectra`. Returns (P, n_prt, n_range)
+    range profiles with P = N*M channels (p = n*M + m) and range bins
+    covering the listening window [pulse end, PRT end).
 
     Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
     so only the R = n_p - E listening samples enter; their linear
@@ -211,13 +225,11 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     M = cfg.n_tx
     E = cfg.samples_per_pulse
     R = n_p - E
-    refs = synthesize(plan, psk, cfg).data                    # (M, n_prt, E)
-    S_conj = np.conj(np.fft.fft(refs, n_p, axis=-1))          # (M,n_prt,n_p)
     profiles = np.empty((N, M, n_prt, R), dtype=np.complex128)
     for n in range(N):
         X = np.fft.fft(rx[n, :, E:], n_p, axis=-1)            # (n_prt, n_p)
         for m in range(M):
-            profiles[n, m] = np.fft.ifft(X * S_conj[m], axis=-1)[:, :R]
+            profiles[n, m] = np.fft.ifft(X * refs[m], axis=-1)[:, :R]
     return profiles.reshape(N * M, n_prt, R)
 
 
@@ -279,6 +291,7 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
 # CFAR detection
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def cfar_threshold_scale(n_channels: int, p_fa: float) -> float:
     """Cell-averaging CFAR multiplier for the magnitude-sum statistic.
 
@@ -448,10 +461,22 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
     rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
-    CPI's detections with every column filled.
+    CPI's detections with every column filled. The matched filter and the
+    slow-time DFT run one receive antenna at a time, each antenna's M
+    channels copied into the one (n_doppler, P, n_range) cube, so the
+    (P, n_prt, n_range) range profiles of the whole array are never held
+    next to it. The cube equals ``mtd(matched_filter(rx, ...))`` bit for
+    bit.
     """
-    # the profiles are freed once the cube exists, before CFAR's arrays
-    rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
+    N, n_prt, n_p = rx.shape
+    M = cfg.n_tx
+    refs = reference_spectra(plan, psk, cfg)
+    cube = np.empty((n_prt, N * M, n_p - cfg.samples_per_pulse),
+                    dtype=np.complex128)
+    for n in range(N):
+        cube[:, n * M:(n + 1) * M] = mtd(
+            matched_filter(rx[n:n + 1], refs, cfg), cfg).cube
+    rdm = RangeDopplerMap(cube, cfg)
     dets = cfar_detect(rdm, p_fa)
     estimate_params(dets, rdm, array, grid, cal)
     return rdm, dets

@@ -370,7 +370,8 @@ def test_criterion_8_property_suite():
         rx5 = rrx.synthesize_echo(plan5, psk5, rrx.TargetScene([]), arr,
                                   cfg, noise_var=1.0,
                                   rng=np.random.default_rng([SEED, 89, trial]))
-        rdm = rrx.mtd(rrx.matched_filter(rx5, plan5, psk5, cfg), cfg)
+        refs5 = rrx.reference_spectra(plan5, psk5, cfg)
+        rdm = rrx.mtd(rrx.matched_filter(rx5, refs5, cfg), cfg)
         stat = rdm.detection_statistic()
         s_out, c_out = rrx._box_mean(stat, 10)
         s_in, c_in = rrx._box_mean(stat, 2)
@@ -391,7 +392,8 @@ def test_criterion_8_property_suite():
            + 1j * rng.standard_normal((2, 8, 1600)))
     plan6 = wf.plan_hops(cfg, n_prt=8, rng=rng)
     psk6 = wf.make_psk_grid(cfg, plan6, 3, rng=rng)
-    prof = rrx.matched_filter(rx6, plan6, psk6, cfg)
+    refs6 = rrx.reference_spectra(plan6, psk6, cfg)
+    prof = rrx.matched_filter(rx6, refs6, cfg)
     rdm6 = rrx.mtd(prof, cfg)
     lhs = np.sum(np.abs(rdm6.cube) ** 2)
     rhs = prof.shape[1] * np.sum(np.abs(prof) ** 2)

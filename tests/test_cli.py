@@ -372,9 +372,7 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("comm", "impairment", {"snr_db": False}, "snr_db"),
     ("radar", "array", {"n_rx": True}, "n_rx"),
     ("radar", "scene", {"n_targets": True}, "n_targets"),
-    ("radar", "array", {"random_errors": "no"}, "random_errors"),
-    ("radar", "array", {"random_errors": 1}, "random_errors"),
-    ("radar", "array", {"random_errors": 0}, "random_errors"),
+    ("radar", "array", {"random_errors": True}, "random_errors"),
     ("radar", "scene", {"targets": [{"range_m": 1000, "foo": 1}]}, "foo"),
     ("comm", "run", {"iq_file": 0}, "iq_file"),
     ("txgen", "run", {"payload_file": 7}, "payload_file"),
@@ -418,7 +416,7 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "n_subbands-text", "hop_duration-text", "p_fa-text",
          "targets-not-list", "snr_grid_db-not-list", "n_prt-true",
          "snr_db-false", "n_rx-true", "n_targets-true",
-         "random_errors-text", "random_errors-one", "random_errors-zero",
+         "random_errors-unknown",
          "target-unknown-key", "iq_file-number", "payload_file-number",
          "rho_span-one-entry", "rho_span-three-entries",
          "comm_mode-unknown", "sweep-velocity_span-aliased",
@@ -434,8 +432,9 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # each used to exit 5 ("internal") on an uncaught error, 2 with a bare
     # TypeError message, or 0 with meaningless output (n_rx 0, rx_spacing
     # NaN, n_targets < 0, p_fa > 1, a count truncated to an int, a JSON
-    # boolean read as 0 or 1, random_errors "no" read as true, a target key
-    # dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
+    # boolean read as 0 or 1, array.random_errors giving uncalibrated
+    # angles (a radar run with seed 1 read targets at -3, 2 and 10 degrees
+    # as -30.00, -24.38 and -15.94), a target key dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
     # angle grid, a rho_span that is not two entries, a radar sweep with an
     # unknown comm_mode, a sweep velocity span beyond the unambiguous
     # velocity running aliased trials, a NaN or infinite number reaching
@@ -554,12 +553,42 @@ def test_psk_order_beyond_the_float64_phase_exits_2(cfg_file, tmp_path,
     assert error["message"].startswith("order_bits must be in [0, 32]")
 
 
+@pytest.mark.parametrize("order_bits", [0, 5])
+def test_comm_modulation_flag_takes_every_order_the_config_takes(
+        cfg_file, tmp_path, order_bits):
+    # --modulation used to stop with argparse's usage error outside 1..4,
+    # while "order_bits" 0 and 5 in the config ran
+    outs = []
+    for how in ("flag", "config"):
+        cfg = json.loads(cfg_file.read_text())
+        args = ["comm", "--modulation", str(order_bits)]
+        if how == "config":
+            cfg["run"]["order_bits"] = order_bits
+            args = ["comm"]
+        p = tmp_path / f"{how}.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / how
+        assert run_cli("--config", str(p), "--out", str(out), *args) == 0
+        outs.append((out / "demod.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_comm_modulation_flag_beyond_the_float64_phase_exits_2(
+        cfg_file, tmp_path, capsys):
+    # the flag's range is config.check_order_bits', with its message
+    capsys.readouterr()
+    assert run_cli("--config", str(cfg_file), "--out", str(tmp_path / "o"),
+                   "comm", "--modulation", "33") == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["message"].startswith("order_bits must be in [0, 32]")
+
+
 def test_empty_sections_give_library_defaults():
     # build_array, build_scene and build_impairments pass on only the keys
     # a config gives, so an empty section means the library's defaults
     cfg = RadarConfig(prts_per_cpi=20)
     raw = cli.load_config()
-    assert cli.build_array(raw, cfg, 0) == rrx.ArrayModel(n_tx=cfg.n_tx)
+    assert cli.build_array(raw, cfg) == rrx.ArrayModel(n_tx=cfg.n_tx)
     assert cli.build_scene(raw, cfg, 5) == rrx.TargetScene.random(cfg, rng=5)
     raw["impairment"]["front_end"] = "rippled"
     fe = cli.build_impairments(raw, cfg, 7).front_end
@@ -625,7 +654,7 @@ def test_readme_example_config_loads(tmp_path):
     assert cfg == RadarConfig()
     assert cli.build_impairments(raw, cfg, 0).noise_var == 0.01
     assert len(cli.build_scene(raw, cfg, 0).targets) == 50
-    assert cli.build_array(raw, cfg, 0).n_rx == 12
+    assert cli.build_array(raw, cfg).n_rx == 12
     sweep = cli.build_sweep_spec(raw, 1)
     assert sweep.snr_grid_db == (-10.0, 0.0, 10.0)
     assert sweep.modulations == (3, 4) and sweep.seed == 1

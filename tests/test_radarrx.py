@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,8 @@ def test_matched_filter_autocorrelation_peak(cfg):
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)])
     arr = rrx.ArrayModel()
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg)
-    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    prof = rrx.matched_filter(rx, refs, cfg)
     assert prof.shape == (24, 2, 1400)
     peak_bin = np.argmax(np.abs(prof[0, 0]))
     assert peak_bin == 400 - cfg.samples_per_pulse
@@ -146,7 +149,8 @@ def test_matched_filter_cross_channel_leakage_bound(cfg):
                          rx_errors=np.ones(1))
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg)
-    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    prof = rrx.matched_filter(rx, refs, cfg)
     d = 400 - cfg.samples_per_pulse
     assert np.abs(prof[0, 0, d]) == pytest.approx(cfg.samples_per_pulse)
     # the mismatched channel sees at most the pulses' cross-correlation,
@@ -184,7 +188,8 @@ def test_matched_filter_matches_full_prt_correlation(prt_duration):
     g = np.random.default_rng(5)
     rx[:, :, :E] = g.standard_normal((3, 4, E)) + 1j * g.standard_normal(
         (3, 4, E))
-    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    prof = rrx.matched_filter(rx, refs, cfg)
     ref = _full_prt_correlation(rx, plan, psk, cfg)
     assert prof.shape == ref.shape == (6, 4, cfg.samples_per_prt - E)
     assert np.abs(prof - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -206,11 +211,52 @@ def test_mtd_equals_shifted_fft_exactly(cfg, n_prt):
                           np.abs(expect).sum(axis=1))
 
 
+@pytest.mark.parametrize("mode", ["dfrc", "traditional"])
+def test_process_cpi_cube_equals_the_whole_array_front_end(mode):
+    # process_cpi runs the matched filter and the MTD one receive antenna
+    # at a time; its cube is byte-equal to one pass over all antennas, off
+    # the default config too (M = 3, odd slow-time length)
+    cfg = RadarConfig(n_tx=3)
+    plan, psk = _plan_psk(cfg, 7, seed=11, mode=mode)
+    arr = rrx.ArrayModel(n_tx=3, n_rx=5)
+    scene = rrx.TargetScene([rrx.Target(1500.0, 30.0, 1.0),
+                             rrx.Target(2600.0, -80.0, -2.0)])
+    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=0.5,
+                             rng=12)
+    rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 64))
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    whole = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg).cube
+    assert rdm.cube.shape == whole.shape == (7, 15, cfg.samples_per_prt
+                                             - cfg.samples_per_pulse)
+    assert np.array_equal(rdm.cube.view(np.uint8), whole.view(np.uint8))
+
+
+def test_process_cpi_never_holds_a_second_cube(cfg):
+    # the (P, n_prt, R) range profiles are never built whole: the traced
+    # peak inside process_cpi stays within 1.6 cubes (it was 2.08 when the
+    # whole profiles array sat next to the cube)
+    sweep = bench.SweepSpec(n_targets=10)
+    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
+    arr = rrx.ArrayModel()
+    scene = rrx.TargetScene.random(cfg, sweep.n_targets, rng=3)
+    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
+                             noise_var=10 ** 2.4, rng=4)
+    grid = rrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
+    tracemalloc.start()
+    try:
+        rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rdm.cube.nbytes <= peak < 1.6 * rdm.cube.nbytes
+
+
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
     plan, psk = _plan_psk(cfg, 16)
     scene = rrx.TargetScene([rrx.Target(2000.0, 0.0, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg)
-    rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
     stat = rdm.detection_statistic()
     f_pk, t_pk = np.unravel_index(np.argmax(stat), stat.shape)
     assert f_pk == rdm.n_doppler // 2
@@ -230,7 +276,8 @@ def test_moving_target_doppler_bin(cfg):
     plan, psk = _plan_psk(cfg, 128)
     scene = rrx.TargetScene([rrx.Target(2000.0, v, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(n_rx=2), cfg)
-    rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
     stat = rdm.detection_statistic()
     f_pk, _ = np.unravel_index(np.argmax(stat), stat.shape)
     v_hat = cfg.wavelength * rdm.doppler_freqs()[f_pk] / 2
@@ -245,7 +292,8 @@ def test_mtd_parseval_and_correlator_energy(cfg):
     rng = np.random.default_rng(77)
     rx = (rng.standard_normal((2, 8, 1600))
           + 1j * rng.standard_normal((2, 8, 1600)))
-    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    prof = rrx.matched_filter(rx, refs, cfg)
     rdm = rrx.mtd(prof, cfg)
     lhs = np.sum(np.abs(rdm.cube) ** 2)
     rhs = prof.shape[1] * np.sum(np.abs(prof) ** 2)
@@ -276,7 +324,8 @@ def test_cfar_false_alarm_calibration(cfg):
     for trial in range(6):
         rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg,
                                  noise_var=1.0, rng=100 + trial)
-        rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
+        refs = rrx.reference_spectra(plan, psk, cfg)
+        rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
         stat = rdm.detection_statistic()
         s_out, c_out = rrx._box_mean(stat, 10)
         s_in, c_in = rrx._box_mean(stat, 2)
@@ -297,7 +346,8 @@ def test_cfar_single_target_single_cluster(cfg):
     scene = rrx.TargetScene([rrx.Target(2000.0, 50.0, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg,
                              noise_var=10 ** (3.4), rng=5)
-    rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
+    refs = rrx.reference_spectra(plan, psk, cfg)
+    rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
     # tighter operating point: at p_fa=1e-4 a 1.8e5-cell map statistically
     # yields ~18 chance crossings; the single-cluster statement is about
     # the target, so test it at a false-alarm rate where E[FA] << 1

@@ -1,6 +1,6 @@
 """Check that two source trees give byte-identical seeded outputs.
 
-    python tools/identity.py PARENT_TREE CHANGE_TREE
+    python tools/identity.py [--all-equal] PARENT_TREE CHANGE_TREE
 
 Each tree runs the same matrix in its own interpreter, with the tree's
 ``src`` as ``PYTHONPATH``:
@@ -21,9 +21,13 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   draw show that everything but the noise still matches: its noisy rows
   differ by name, its noiseless ones must not.
 
-Every output that differs between the two trees is named, and the exit
-status is 1 on any difference, 0 when all are identical. A refactor that
-claims identical outputs runs this against its parent commit, e.g. a
+Every output that differs between the two trees is named. A change that
+alters seeded outputs on purpose (a named seed-contract change) lists
+them in ``seed_contract.txt`` next to this file, one name a line as this
+tool prints it. The exit status is 1 when an unlisted output differs or a
+listed one does not, 0 otherwise. ``--all-equal`` ignores the list, so
+every output must match: that is the check that two copies of one tree
+repeat each other. A change runs this against its parent commit, e.g. a
 ``git archive`` of it unpacked elsewhere. It needs two trees, so the test
 suite does not run it.
 """
@@ -42,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 DEMOD_JSON = "demod.json"
+CONTRACT = Path(__file__).with_name("seed_contract.txt")
 
 BASE = {"radar": {"n_subbands": 20, "n_tx": 2, "hops_per_pulse": 5,
                   "prts_per_cpi": 32},
@@ -187,13 +192,33 @@ def compare(a: Path, b: Path) -> list[str]:
     return diffs
 
 
+def read_contract(path: Path) -> set[str]:
+    """The output names a contract list gives: every line that is neither
+    blank nor a ``#`` comment."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return {line for line in lines if line and not line.startswith("#")}
+
+
+def judge(diffs: list[str], listed: set[str]) -> tuple[list[str], int]:
+    """Report lines and the failure count: an output that differs without
+    being listed fails, and so does a listed output that does not differ."""
+    lines = [f"CHANGED (listed) {d}" if d in listed else f"DIFFERS {d}"
+             for d in diffs]
+    lines += [f"UNCHANGED (listed) {d}" for d in sorted(listed - set(diffs))]
+    return lines, sum(not line.startswith("CHANGED") for line in lines)
+
+
 def main(argv) -> int:
     if argv == ["--collect"]:
         collect(Path.cwd())
         return 0
+    all_equal = argv[:1] == ["--all-equal"]
+    if all_equal:
+        argv = argv[1:]
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2
+    listed = set() if all_equal else read_contract(CONTRACT)
     trees = [Path(t).resolve() for t in argv]
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / name for name in ("parent", "change")]
@@ -203,11 +228,12 @@ def main(argv) -> int:
         diffs = compare(*outs)
         n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
         n_demod = len(json.loads((outs[0] / DEMOD_JSON).read_text()))
-    for d in diffs:
-        print(f"DIFFERS {d}")
-    print(f"{len(diffs)} differences over {n_files} files and "
-          f"{n_demod} demodulate outputs")
-    return 1 if diffs else 0
+    lines, n_failed = judge(diffs, listed)
+    for line in lines:
+        print(line)
+    print(f"{len(diffs)} differences ({len(listed)} listed) over {n_files} "
+          f"files and {n_demod} demodulate outputs; {n_failed} failed")
+    return 1 if n_failed else 0
 
 
 if __name__ == "__main__":
