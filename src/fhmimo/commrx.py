@@ -10,6 +10,8 @@ Processing of a CPI-aligned single-channel receive stream:
    it clears the noise floor; every later stage reads these two arrays.
    Antenna m's zero pilot is slot (hop m, antenna m), its cycled pilot
    slot (hop m+1, antenna m); the unpinned slots carry the payload.
+   None of this depends on the mode, so a frame whose data is read-only
+   has its slot grid computed once per config (:func:`_slot_grid`).
 3. Zero pilots of consecutive PRTs give the CFO via their pairwise phase
    ratio; clock stability and the sampling-time offset follow from the CFO
    and the carrier/sampling frequencies.
@@ -28,6 +30,7 @@ Processing of a CPI-aligned single-channel receive stream:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -99,6 +102,43 @@ def _lane_median(a: np.ndarray) -> np.ndarray:
     lo, hi = s[..., (n - 1) // 2], s[..., n // 2]
     return np.where(np.isnan(s[..., -1]), s[..., -1],
                     hi if n % 2 else (lo + hi) / 2)
+
+
+@dataclass(frozen=True)
+class _SlotGrid:
+    """What :func:`demodulate` reads of a frame before it reads the mode:
+    the detected plan, the slot peaks and their floor test
+    (:func:`slot_peaks`), and ``payload_codewords(det, cfg)``. Every array
+    is read-only."""
+
+    det: HopPlan
+    peaks: np.ndarray
+    peak_ok: np.ndarray
+    codewords: tuple         # (prt, hop, n_bits, codeword)
+
+
+# frame -> {cfg: _SlotGrid}; an entry dies with its frame
+_SLOT_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
+    """The frame's slot grid under ``cfg``. It is kept while the frame
+    lives, and reused, only when ``frame.data`` is read-only: a writable
+    frame may change between calls, so its grid is computed every time."""
+    memo = None if frame.data.flags.writeable else _SLOT_GRIDS.setdefault(
+        frame, {})
+    if memo is not None and cfg in memo:
+        return memo[cfg]
+    spectra, sub_vals = _batch_spectra(frame, cfg)
+    det = assign_peaks(sub_vals, cfg, frame.first_prt)
+    peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
+    del spectra, sub_vals           # the hop DFTs are not needed past here
+    grid = _SlotGrid(det, peaks, peak_ok, payload_codewords(det, cfg))
+    for a in (det.subband, det.pinned, peaks, peak_ok, *grid.codewords):
+        a.flags.writeable = False
+    if memo is not None:
+        memo[cfg] = grid
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +384,10 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     if mode == "known" and spec is None:
         raise ValueError("known-channel mode needs the impairment spec")
 
-    spectra, sub_vals = _batch_spectra(frame, cfg)
+    grid = _slot_grid(frame, cfg)
+    det, peaks, peak_ok = grid.det, grid.peaks, grid.peak_ok
     first_prt = frame.first_prt
     prt_abs = first_prt + np.arange(frame.n_prt)
-    det = assign_peaks(sub_vals, cfg, first_prt)
-    peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
     hop_erased = ~peak_ok.all(axis=-1)
     ants = np.arange(cfg.n_tx)
     zero, zero_ok = peaks[:, ants, ants], peak_ok[:, ants, ants]
@@ -367,8 +406,9 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     k, payload = det.subband[row, h, m], peaks[row, h, m]
     slots = np.stack([prt_abs[row], h, m, k, cfg.subband_offset(k),
                       hop_erased[row, h]], axis=1)
-    prt, hop, bits, cw = payload_codewords(det, cfg)
-    cw[hop_erased[prt - first_prt, hop] | (cw >= (1 << bits))] = -1
+    prt, hop, bits, cw = grid.codewords
+    cw = np.where(hop_erased[prt - first_prt, hop] | (cw >= (1 << bits)),
+                  -1, cw)
     fhcs_rows = np.stack([prt, hop, bits, cw], axis=1)
 
     if mode == "known":

@@ -27,7 +27,7 @@ class IqFormatError(ValueError):
     fill a whole number of PRTs."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IqFrame:
     """Complex baseband samples of whole PRTs, starting at absolute PRT
     ``first_prt`` (the pilot-cycle phase of a capture).
@@ -35,7 +35,13 @@ class IqFrame:
     ``data`` stores the first ``data.shape[2]`` samples of each
     ``samples_per_prt``-sample PRT (all of them by default); the samples
     it leaves out are 0. A simulated frame stores only its pulse, and
-    :func:`write_iq` writes the zero tail."""
+    :func:`write_iq` writes the zero tail.
+
+    A frame is a value: its fields cannot be rebound, and it hashes by
+    identity. The frames :func:`read_iq` and ``impairments.apply`` return
+    own read-only ``data``, so their samples cannot change either; the
+    receiver relies on that to compute a frame's slot grid once
+    (``commrx.demodulate``)."""
 
     data: np.ndarray          # (n_channels, n_prt, stored samples) complex
     sample_rate: float
@@ -44,7 +50,7 @@ class IqFrame:
 
     def __post_init__(self):
         if self.samples_per_prt is None:
-            self.samples_per_prt = self.data.shape[2]
+            object.__setattr__(self, "samples_per_prt", self.data.shape[2])
         if self.data.shape[2] > self.samples_per_prt:
             raise ConfigError(
                 f"frame stores {self.data.shape[2]} samples of "
@@ -63,8 +69,9 @@ class IqFrame:
         return self.n_prt * self.samples_per_prt
 
     def hops(self, cfg: RadarConfig, n_channels: int) -> np.ndarray:
-        """Writable (n_channels, n_prt, H, n_hop) view of each PRT's pulse,
-        its first ``cfg.samples_per_pulse`` samples; hop h is samples
+        """(n_channels, n_prt, H, n_hop) view of each PRT's pulse, its
+        first ``cfg.samples_per_pulse`` samples, read-only when ``data``
+        is; hop h is samples
         [h*n_hop, (h+1)*n_hop). :class:`ConfigError` unless the frame is
         sampled as ``cfg`` says, has ``n_channels`` channels and stores
         the whole pulse."""
@@ -124,8 +131,8 @@ def write_rdm(path, rdm) -> None:
 
 
 def read_iq(path) -> IqFrame:
-    """The frame of an FHIQ file, complex64 as stored; a missing
-    ``first_prt`` key reads as 0."""
+    """The frame of an FHIQ file, complex64 as stored, with read-only
+    ``data``; a missing ``first_prt`` key reads as 0."""
     with open(path, "rb") as f:
         first = f.readline().decode("ascii", "replace").strip()
         if first != _MAGIC:
@@ -162,6 +169,7 @@ def read_iq(path) -> IqFrame:
         data = np.empty((channels, samples // spp, spp), np.complex64)
         if f.readinto(data) != left:
             raise IqFormatError("payload size does not match header")
+        data.flags.writeable = False
         return IqFrame(data, sample_rate, first_prt)
 
 

@@ -39,7 +39,7 @@ def cfg_file(tmp_path):
 
 def test_iq_file_roundtrip(tmp_path, rng):
     # exact at float32 storage, -0.0 and infinities included; the frame
-    # comes back complex64 and writable
+    # comes back complex64 and read-only
     shape = (3, 2, 320)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     data[0, 0, :4] = [complex(-0.0, 1), complex(1, -0.0), complex(1, np.inf),
@@ -51,7 +51,10 @@ def test_iq_file_roundtrip(tmp_path, rng):
     back = read_iq(tmp_path / "x.iq")
     assert back.sample_rate == 40e6
     assert back.samples_per_prt == 320 and back.first_prt == 0
-    assert back.data.dtype == np.complex64 and back.data.flags.writeable
+    assert back.data.dtype == np.complex64
+    assert not back.data.flags.writeable
+    with pytest.raises(ValueError):
+        back.data[0, 0, 0] = 0
     assert back.data.tobytes() == data.astype(np.complex64).tobytes()
 
 

@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -736,3 +741,133 @@ def test_complex64_frame_exact_up_to_its_order_bound(cfg, tmp_path):
         assert sc.psk_symbol_errors == sc.fhcs_bit_errors == 0, mode
     with pytest.raises(ConfigError, match=r"complex64 frame.*at most 16"):
         crx.demodulate(read, cfg, J + 1, spec=spec)
+
+
+# ---------------------------------------------------------------------------
+# Slot-grid memo
+# ---------------------------------------------------------------------------
+
+SMALL_CFG = RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4,
+                        bandwidth=7e6, sample_rate=14e6, prt_duration=8e-6)
+
+
+def _same_report(a, b):
+    """Field by field, arrays byte for byte (dtype and shape included)."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if (x.dtype, x.shape, x.tobytes()) != (y.dtype, y.shape,
+                                                   y.tobytes()):
+                return False
+        elif dataclasses.is_dataclass(x):
+            if not _same_report(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def _read_only_frame(cfg, source, tmp_path, n_prt=45, snr_db=-4):
+    """A seeded frame from PRT 5, as ``apply`` returns it or read back
+    from an FHIQ file, with its spec. ``snr_db`` is the sample SNR a
+    40-sample hop would have, so the hop SNR is the same in every config:
+    at -4 dB some hops, slots and codewords are erased."""
+    rng = np.random.default_rng(29)
+    spec = imp.ImpairmentSpec.from_clock(
+        1.5e-6, cfg, sto_initial=0.4 / cfg.sample_rate,
+        noise_var=10 ** (-snr_db / 10) * cfg.samples_per_hop / 40,
+        front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
+    plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, first_prt=5)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+    rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, spec, cfg,
+                   rng=rng)
+    if source == "read_iq":
+        write_iq(tmp_path / "rx.iq", rx)
+        rx = read_iq(tmp_path / "rx.iq")
+    return rx, spec
+
+
+@pytest.mark.parametrize("n_prt, snr_db", [(45, -4), (1, 20)],
+                         ids=["45-prt-at-4dB", "1-prt-at-20dB"])
+@pytest.mark.parametrize("source", ["apply", "read_iq"])
+@pytest.mark.parametrize("cfg", [RadarConfig(), SMALL_CFG],
+                         ids=["default", "K7-M3-H4"])
+def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
+        cfg, source, n_prt, snr_db, tmp_path):
+    # a read-only frame computes its slot grid in its first demodulate and
+    # reuses it in the next: in each of the 24 orders of the four modes, on
+    # a fresh frame over the same samples, every report equals the report
+    # of a writable copy (which never uses the memo), and no report array
+    # shares memory with the memo
+    rx, spec = _read_only_frame(cfg, source, tmp_path, n_prt, snr_db)
+    assert not rx.data.flags.writeable
+    copy = dataclasses.replace(rx, data=rx.data.copy())
+    want = {m: crx.demodulate(copy, cfg, 3, mode=m, spec=spec)
+            for m in crx.MODES}
+    assert copy not in crx._SLOT_GRIDS
+    # the 45-PRT frame erases some hops and codewords; the one-PRT frame
+    # has no pilot pair, so the blind modes erase every hop of it, and
+    # known mode must still erase none
+    known = want["known"]
+    assert (known.n_erased_hops > 0) == (n_prt == 45)
+    assert (known.fhcs_rows[:, 3] == -1).any() == (n_prt == 45)
+    assert (want["estimated"].sync is None) == (n_prt == 1)
+    for order in itertools.permutations(crx.MODES):
+        frame = dataclasses.replace(rx)       # same samples, a new memo key
+        for mode in order:
+            rep = crx.demodulate(frame, cfg, 3, mode=mode, spec=spec)
+            assert _same_report(rep, want[mode]), (order, mode)
+        grid = crx._SLOT_GRIDS[frame][cfg]
+        memo = (grid.det.subband, grid.det.pinned, grid.peaks,
+                grid.peak_ok, *grid.codewords)
+        assert not any(a.flags.writeable for a in memo)
+        for f in dataclasses.fields(rep):
+            value = getattr(rep, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.flags.writeable, f.name
+                assert not any(np.shares_memory(value, a) for a in memo)
+
+
+def test_memo_arrays_refuse_writes_and_belong_to_one_frame_and_config(
+        cfg, tmp_path):
+    rx, spec = _read_only_frame(cfg, "apply", tmp_path)
+    grid = crx._slot_grid(rx, cfg)
+    assert crx._slot_grid(rx, cfg) is grid
+    with pytest.raises(ValueError):
+        grid.codewords[3][0] = -1
+    with pytest.raises(ValueError):
+        grid.peak_ok[0] = False
+    other = dataclasses.replace(cfg, carrier_freq=2 * cfg.carrier_freq)
+    assert crx._slot_grid(rx, other) is not grid
+    assert set(crx._SLOT_GRIDS[rx]) == {cfg, other}
+    assert crx._slot_grid(dataclasses.replace(rx), cfg) is not grid
+
+
+def test_writable_frame_edited_between_calls_gets_a_fresh_answer(cfg):
+    # a writable frame may change between calls, so each call recomputes:
+    # after hop 0 of PRT 25 (antenna 0's zero pilot) is negated in place,
+    # the second call answers as on a copy of the edited samples
+    spec = imp.ImpairmentSpec(noise_var=1e-4)
+    plan, psk, rx = _chain(cfg, 40, np.random.default_rng(61), spec=spec,
+                           noise_rng=np.random.default_rng(63))
+    frame = dataclasses.replace(rx, data=rx.data.copy())
+    before = crx.demodulate(frame, cfg, 3, mode="estimated")
+    frame.data[0, 25, :cfg.samples_per_hop] *= -1
+    after = crx.demodulate(frame, cfg, 3, mode="estimated")
+    fresh = crx.demodulate(dataclasses.replace(frame, data=frame.data.copy()),
+                           cfg, 3, mode="estimated")
+    assert frame not in crx._SLOT_GRIDS
+    assert not np.array_equal(after.psk_symbol, before.psk_symbol)
+    assert _same_report(after, fresh)
+
+
+def test_memo_entry_dies_with_its_frame(cfg, tmp_path):
+    rx, spec = _read_only_frame(cfg, "read_iq", tmp_path)
+    for mode in crx.MODES:
+        crx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+    frame_ref = weakref.ref(rx)
+    grid_ref = weakref.ref(crx._SLOT_GRIDS[rx][cfg])
+    del rx
+    gc.collect()
+    assert frame_ref() is None
+    assert grid_ref() is None

@@ -21,6 +21,14 @@ def test_only_the_listed_outputs_may_differ_and_all_must():
     assert identity.judge([], set()) == ([], 0)
 
 
+def test_a_memoized_report_unlike_its_writable_copy_fails():
+    lines, n_failed = identity.judge(
+        ["demodulate x"], {"demodulate x"}, ["/b: demodulate y/known/slots"])
+    assert lines == ["CHANGED (listed) demodulate x",
+                     "UNLIKE ITS WRITABLE COPY /b: demodulate y/known/slots"]
+    assert n_failed == 1
+
+
 def test_contract_list_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "contract.txt"
     p.write_text("# a comment\n\n  cli/comm-known/demod.csv  \n"

@@ -158,6 +158,21 @@ def test_channel_noise_seed_contract(cfg, tmp_path):
     assert g.bit_generator.state == state
 
 
+def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path):
+    # both own the buffers they return, and nothing can change them, not
+    # through the hop view either
+    plan, psk, frame = _frame(cfg, 4, rng)
+    out = imp.apply(frame, plan, psk, imp.ImpairmentSpec(noise_var=0.1),
+                    cfg, rng=3)
+    write_iq(tmp_path / "rx.iq", out)
+    for rx in (out, read_iq(tmp_path / "rx.iq")):
+        assert not rx.data.flags.writeable
+        assert not rx.hops(cfg, 1).flags.writeable
+        with pytest.raises(ValueError):
+            rx.hops(cfg, 1)[0, 0, 0] = 0
+    assert frame.data.flags.writeable
+
+
 def _time_domain_mix(plan, psk, spec, cfg):
     """Noiseless received frame of whole PRTs, as a capture stores it, from
     the closed form in the module docstring, each tone evaluated at its

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -307,6 +308,22 @@ def test_frame_hops_is_a_writable_view(cfg, rng):
     assert np.all(frame.data[1, 2, 120:160] == 7.0)
     with pytest.raises(ConfigError):
         frame.hops(cfg, 1)
+
+
+def test_frame_is_a_frozen_value_hashed_by_identity(cfg, rng):
+    # fields cannot be rebound, and two frames over the same samples are
+    # two keys; a synthesized frame keeps writable samples
+    plan = wf.plan_hops(cfg, n_prt=3, rng=rng)
+    frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
+    twin = dataclasses.replace(frame)
+    assert twin.data is frame.data and twin != frame
+    assert len({frame, twin}) == 2
+    for name, value in (("data", frame.data[:1]), ("first_prt", 1),
+                        ("sample_rate", 1.0), ("samples_per_prt", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, name, value)
+    assert frame.data.flags.writeable
+    assert wf.IqFrame(frame.data, 1.0).samples_per_prt == frame.data.shape[2]
 
 
 def test_synthesize_hop_orthogonality_exact(cfg, rng):

@@ -19,13 +19,18 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   frame are hashed, so the zero tail it pads a pulse-only frame with is
   compared too. The noiseless rows let a change to the channel's noise
   draw show that everything but the noise still matches: its noisy rows
-  differ by name, its noiseless ones must not.
+  differ by name, its noiseless ones must not. Each frame is also
+  demodulated as a writable copy, which ``demodulate`` never memoizes:
+  within each tree, every report of the frame itself (read-only from
+  ``apply``, so its slot grid is computed once and reused by the later
+  modes) must equal the copy's field by field.
 
 Every output that differs between the two trees is named. A change that
 alters seeded outputs on purpose (a named seed-contract change) lists
 them in ``seed_contract.txt`` next to this file, one name a line as this
-tool prints it. The exit status is 1 when an unlisted output differs or a
-listed one does not, 0 otherwise. ``--all-equal`` ignores the list, so
+tool prints it. The exit status is 1 when an unlisted output differs, a
+listed one does not, or a memoized report differs from its writable
+copy's; 0 otherwise. ``--all-equal`` ignores the list, so
 every output must match: that is the check that two copies of one tree
 repeat each other. A change runs this against its parent commit, e.g. a
 ``git archive`` of it unpacked elsewhere. It needs two trees, so the test
@@ -46,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 DEMOD_JSON = "demod.json"
+MEMO_JSON = "memo.json"      # outputs unlike the writable copy's; not compared
 CONTRACT = Path(__file__).with_name("seed_contract.txt")
 
 BASE = {"radar": {"n_subbands": 20, "n_tx": 2, "hops_per_pulse": 5,
@@ -138,7 +144,7 @@ def collect(out: Path) -> None:
     (out / "cli" / "exit_codes.json").write_text(
         json.dumps(codes, indent=1, sort_keys=True))
 
-    digests = {}
+    digests, unlike_copy = {}, []
     for name, kw, n_prt, first_prt, snr_db, order_bits in _frames():
         cfg = RadarConfig(**kw)
         rng = np.random.default_rng(
@@ -156,15 +162,19 @@ def collect(out: Path) -> None:
         digests[f"{name}/write_iq"] = hashlib.sha256(
             fhiq.read_bytes()).hexdigest()
         fhiq.unlink()
+        copy = dataclasses.replace(rx, data=rx.data.copy())
         for mode in MODES:
-            rep = commrx.demodulate(rx, cfg, order_bits, mode=mode,
-                                    spec=spec)
+            rep, fresh = (commrx.demodulate(f, cfg, order_bits, mode=mode,
+                                            spec=spec) for f in (rx, copy))
             key = f"{name}/{mode}"
             for f in dataclasses.fields(rep):
-                digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
+                d = digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
+                if d != _digest(getattr(fresh, f.name)):
+                    unlike_copy.append(f"{key}/{f.name}")
             digests[f"{key}/score_report"] = _digest(
                 commrx.score_report(rep, plan, psk, cfg))
     (out / DEMOD_JSON).write_text(json.dumps(digests, indent=1))
+    (out / MEMO_JSON).write_text(json.dumps(unlike_copy))
 
 
 def _run_tree(tree: Path, out: Path) -> None:
@@ -176,10 +186,15 @@ def _run_tree(tree: Path, out: Path) -> None:
         sys.exit(f"{tree}: the matrix failed\n{proc.stderr}")
 
 
+def _outputs(out: Path) -> set[Path]:
+    """The compared files of a result dir, relative to it."""
+    return {p.relative_to(out) for p in out.rglob("*")
+            if p.is_file() and p.name != MEMO_JSON}
+
+
 def compare(a: Path, b: Path) -> list[str]:
     """Names of the outputs that differ between the result dirs a and b."""
-    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    files_a, files_b = (_outputs(d) for d in (a, b))
     diffs = [f"{p}: only in one tree" for p in sorted(files_a ^ files_b)]
     for p in sorted(files_a & files_b):
         if p.name == DEMOD_JSON:
@@ -199,12 +214,15 @@ def read_contract(path: Path) -> set[str]:
     return {line for line in lines if line and not line.startswith("#")}
 
 
-def judge(diffs: list[str], listed: set[str]) -> tuple[list[str], int]:
+def judge(diffs: list[str], listed: set[str],
+          unlike_copy: list[str] = ()) -> tuple[list[str], int]:
     """Report lines and the failure count: an output that differs without
-    being listed fails, and so does a listed output that does not differ."""
+    being listed fails, and so does a listed output that does not differ
+    and a memoized demodulate output unlike its writable copy's."""
     lines = [f"CHANGED (listed) {d}" if d in listed else f"DIFFERS {d}"
              for d in diffs]
     lines += [f"UNCHANGED (listed) {d}" for d in sorted(listed - set(diffs))]
+    lines += [f"UNLIKE ITS WRITABLE COPY {d}" for d in unlike_copy]
     return lines, sum(not line.startswith("CHANGED") for line in lines)
 
 
@@ -226,9 +244,12 @@ def main(argv) -> int:
             out.mkdir()
             _run_tree(tree, out)
         diffs = compare(*outs)
-        n_files = sum(1 for p in outs[0].rglob("*") if p.is_file())
+        unlike_copy = [f"{tree}: demodulate {name}"
+                       for tree, out in zip(trees, outs)
+                       for name in json.loads((out / MEMO_JSON).read_text())]
+        n_files = len(_outputs(outs[0]))
         n_demod = len(json.loads((outs[0] / DEMOD_JSON).read_text()))
-    lines, n_failed = judge(diffs, listed)
+    lines, n_failed = judge(diffs, listed, unlike_copy)
     for line in lines:
         print(line)
     print(f"{len(diffs)} differences ({len(listed)} listed) over {n_files} "
