@@ -85,13 +85,14 @@ def slot_peaks(sub_vals: np.ndarray, median_mag: np.ndarray, det: HopPlan):
     """The slot grid of a batch: (peaks, peak_ok), each (n_prt, H, M).
 
     ``peaks`` holds the coefficient of every (PRT, hop, antenna) slot at
-    its detected sub-band; ``peak_ok`` says whether that peak clears
+    its detected sub-band; ``peak_ok`` says whether that peak exceeds
     ``PEAK_FLOOR_FACTOR`` times its hop's median DFT magnitude
-    ``median_mag`` (n_prt, H).
+    ``median_mag`` (n_prt, H). The test is strict, so an all-zero hop (a
+    dropped PRT) fails it.
     """
     peaks = np.take_along_axis(sub_vals, det.subband, axis=2)
     floor = PEAK_FLOOR_FACTOR * median_mag
-    return peaks, np.abs(peaks) >= floor[..., None]
+    return peaks, np.abs(peaks) > floor[..., None]
 
 
 def _lane_median(a: np.ndarray) -> np.ndarray:

@@ -626,6 +626,33 @@ def test_blind_modes_erase_slots_whose_zero_pilot_is_lost(cfg):
             assert np.array_equal(rep.psk_symbol[ok], truth[ok]), mode
 
 
+def test_an_all_zero_prt_is_erased_in_every_mode(cfg):
+    # a dropped PRT (every sample 0) has DFT peaks of 0 and a median bin
+    # of 0; the floor test must be strict, or 0 >= 3 * 0 passes and the
+    # PRT's payload is decoded from zeros with no erasure. Every hop, slot
+    # and codeword of it is erased in every mode, and nothing else is
+    spec = imp.ImpairmentSpec(noise_var=1e-2)
+    plan, psk, rx = _chain(cfg, 40, np.random.default_rng(71), spec=spec,
+                           noise_rng=np.random.default_rng(72))
+    frame = dataclasses.replace(rx, data=rx.data.copy())
+    frame.data[0, 25] = 0.0
+    for mode in crx.MODES:
+        rep = crx.demodulate(frame, cfg, 3, mode=mode, spec=spec)
+        in_25 = rep.slots[:, 0] == 25
+        assert in_25.sum() == 6, mode
+        assert rep.psk_erased[in_25].all(), mode
+        assert rep.n_erased_hops == cfg.hops_per_pulse, mode
+        rows_25 = rep.fhcs_rows[:, 0] == 25
+        assert rows_25.any(), mode
+        assert (rep.fhcs_rows[rows_25, 3] == -1).all(), mode
+        assert (rep.fhcs_rows[~rows_25, 3] >= 0).all(), mode
+        if mode != "flat":
+            ok = ~rep.psk_erased
+            assert np.array_equal(rep.psk_symbol[ok],
+                                  psk.symbol_index[~plan.pinned][ok]), mode
+            assert rep.n_erased_slots == 6, mode
+
+
 def test_blind_modes_erase_everything_without_pilot_pairs(cfg):
     # a -20 dB frame leaves no pair of consecutive PRTs with both zero
     # pilots above the floor, and a one-PRT frame has no pair at all: the
