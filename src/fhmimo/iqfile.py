@@ -102,7 +102,7 @@ def _write_interleaved(path, header: str, data: np.ndarray,
         interleaved = np.zeros(data.shape[:-1] + (length, 2), np.float32)
         interleaved[..., :stored, 0] = data.real
         interleaved[..., :stored, 1] = data.imag
-        f.write(interleaved.tobytes())
+        f.write(interleaved)      # its own buffer, not a bytes copy
 
 
 def write_iq(path, frame: IqFrame) -> None:

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -85,6 +86,25 @@ def test_pulse_only_frame_writes_its_zero_tail(tmp_path, cfg):
         n = frame.n_channels
         assert np.array_equal(back.hops(cfg, n),
                               frame.hops(cfg, n).astype(np.complex64))
+
+
+def test_write_iq_holds_its_interleaved_samples_once(tmp_path, cfg):
+    # writing a 500-PRT pulse-only frame allocates the interleaved float32
+    # samples once (6.4 MB here) and no copy of them; a bytes copy of the
+    # whole payload doubled the peak
+    plan = wf.plan_hops(cfg, n_prt=500, rng=3)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=4)
+    rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk,
+                   imp.ImpairmentSpec(), cfg)
+    payload = rx.n_channels * rx.n_samples * 8
+    tracemalloc.start()
+    try:
+        write_iq(tmp_path / "rx.iq", rx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload <= peak < 1.25 * payload
+    assert (tmp_path / "rx.iq").stat().st_size > payload
 
 
 def test_iq_file_rejects_garbage(tmp_path):
