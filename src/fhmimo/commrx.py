@@ -126,14 +126,14 @@ def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
     """The frame's slot grid under ``cfg``. It is kept while the frame
     lives, and reused, only when ``frame.data`` is read-only: a writable
     frame may change between calls, so its grid is computed every time."""
-    memo = None if frame.data.flags.writeable else _SLOT_GRIDS.setdefault(
-        frame, {})
-    if memo is not None and cfg in memo:
-        return memo[cfg]
+    memo = None
+    if not frame.data.flags.writeable:
+        memo = _SLOT_GRIDS.setdefault(frame, {})
+        if cfg in memo:
+            return memo[cfg]
     spectra, sub_vals = _batch_spectra(frame, cfg)
     det = assign_peaks(sub_vals, cfg, frame.first_prt)
     peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
-    del spectra, sub_vals           # the hop DFTs are not needed past here
     grid = _SlotGrid(det, peaks, peak_ok, payload_codewords(det, cfg))
     for a in (det.subband, det.pinned, peaks, peak_ok, *grid.codewords):
         a.flags.writeable = False

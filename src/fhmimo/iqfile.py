@@ -71,10 +71,9 @@ class IqFrame:
     def hops(self, cfg: RadarConfig, n_channels: int) -> np.ndarray:
         """(n_channels, n_prt, H, n_hop) view of each PRT's pulse, its
         first ``cfg.samples_per_pulse`` samples, read-only when ``data``
-        is; hop h is samples
-        [h*n_hop, (h+1)*n_hop). :class:`ConfigError` unless the frame is
-        sampled as ``cfg`` says, has ``n_channels`` channels and stores
-        the whole pulse."""
+        is; hop h is samples [h*n_hop, (h+1)*n_hop). :class:`ConfigError`
+        unless the frame is sampled as ``cfg`` says, has ``n_channels``
+        channels and stores the whole pulse."""
         if (self.sample_rate != cfg.sample_rate
                 or self.samples_per_prt != cfg.samples_per_prt
                 or self.n_channels != n_channels

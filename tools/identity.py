@@ -164,8 +164,9 @@ def collect(out: Path) -> None:
         fhiq.unlink()
         copy = dataclasses.replace(rx, data=rx.data.copy())
         for mode in MODES:
-            rep, fresh = (commrx.demodulate(f, cfg, order_bits, mode=mode,
-                                            spec=spec) for f in (rx, copy))
+            rep, fresh = (commrx.demodulate(frame, cfg, order_bits,
+                                            mode=mode, spec=spec)
+                          for frame in (rx, copy))
             key = f"{name}/{mode}"
             for f in dataclasses.fields(rep):
                 d = digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
