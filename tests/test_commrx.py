@@ -641,6 +641,7 @@ def test_an_all_zero_prt_is_erased_in_every_mode(cfg):
         in_25 = rep.slots[:, 0] == 25
         assert in_25.sum() == 6, mode
         assert rep.psk_erased[in_25].all(), mode
+        assert rep.n_erased_slots == 6, mode
         assert rep.n_erased_hops == cfg.hops_per_pulse, mode
         rows_25 = rep.fhcs_rows[:, 0] == 25
         assert rows_25.any(), mode
@@ -650,7 +651,6 @@ def test_an_all_zero_prt_is_erased_in_every_mode(cfg):
             ok = ~rep.psk_erased
             assert np.array_equal(rep.psk_symbol[ok],
                                   psk.symbol_index[~plan.pinned][ok]), mode
-            assert rep.n_erased_slots == 6, mode
 
 
 def test_blind_modes_erase_everything_without_pilot_pairs(cfg):
