@@ -213,7 +213,8 @@ def matched_filter(rx: np.ndarray, refs: np.ndarray,
     rx: (N, n_prt, samples_per_prt) for any number N of receive antennas;
     refs: the CPI's :func:`reference_spectra`. Returns (P, n_prt, n_range)
     range profiles with P = N*M channels (p = n*M + m) and range bins
-    covering the listening window [pulse end, PRT end).
+    covering the listening window [pulse end, PRT end); a pulse that fills
+    the PRT leaves no range bin and is a :class:`ConfigError`.
 
     Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
     so only the R = n_p - E listening samples enter; their linear
@@ -225,6 +226,11 @@ def matched_filter(rx: np.ndarray, refs: np.ndarray,
     M = cfg.n_tx
     E = cfg.samples_per_pulse
     R = n_p - E
+    if R < 1:
+        raise ConfigError(
+            f"the radar needs a listening window: samples_per_prt - "
+            f"samples_per_pulse = {R} range bins, must be >= 1 (shorten "
+            f"hops_per_pulse * hop_duration or lengthen prt_duration)")
     profiles = np.empty((N, M, n_prt, R), dtype=np.complex128)
     for n in range(N):
         X = np.fft.fft(rx[n, :, E:], n_p, axis=-1)            # (n_prt, n_p)

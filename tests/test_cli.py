@@ -316,6 +316,25 @@ def test_radar_command(cfg_file, tmp_path):
     assert (out / "scene.csv").exists()
 
 
+def test_radar_without_a_listening_window_exits_2(cfg_file, tmp_path,
+                                                  capsys):
+    # a 40-hop pulse fills the 40 us PRT, so no range bin is left; radar
+    # exited 0 with "wrote 0 detections" and a range-0 rdm.bin
+    cfg = json.loads(cfg_file.read_text())
+    cfg["radar"].update(hops_per_pulse=40, prts_per_cpi=16)
+    cfg["scene"] = {"n_targets": 2, "range_span": [5000, 7000]}
+    p = tmp_path / "full.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "radar") == cli.EXIT_CONFIG == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert "listening window" in error["message"]
+    assert not (out / "rdm.bin").exists()
+
+
 def _with_noise(cfg_file, tmp_path, noise, drop=()):
     """Config file whose impairment section sets only ``noise`` (a dict
     with ``noise_var`` or ``snr_db``) next to the fixture's other keys,
@@ -495,12 +514,14 @@ def test_hops_too_short_for_the_receiver_floor_exit_2(cfg_file, tmp_path,
 @pytest.mark.parametrize("radar, sweep, key", [
     ({}, {"kind": "radar", "velocity_span": [-2000, 2000]}, "velocity_span"),
     ({}, {"kind": "radar", "n_targets": -2}, "n_targets"),
+    ({"hops_per_pulse": 40, "prts_per_cpi": 16},
+     {"kind": "radar", "range_span": [5000, 7000]}, "listening window"),
     ({"n_subbands": 4, "n_tx": 2, "hops_per_pulse": 3, "bandwidth": 4e6,
       "sample_rate": 4e6},
      {"kind": "ber", "snr_grid_db": [0, 10], "min_symbols": 10},
      "samples_per_hop")],
     ids=["radar-velocity_span-aliased", "radar-n_targets-negative",
-         "ber-hops-too-short"])
+         "radar-no-listening-window", "ber-hops-too-short"])
 def test_sweep_config_error_raised_in_a_worker_exits_2(
         cfg_file, tmp_path, capsys, monkeypatch, radar, sweep, key):
     # these configs are refused by the point itself, so with two usable

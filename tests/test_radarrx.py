@@ -159,6 +159,19 @@ def test_matched_filter_cross_channel_leakage_bound(cfg):
     assert cross < 1e-9
 
 
+def test_front_end_refuses_a_pulse_that_fills_the_prt():
+    # 40 hops of 1 us fill the 40 us PRT: no listening sample, so no range
+    # bin. RadarConfig accepts it (comm listens to the pulse itself); the
+    # radar front end refuses it by name instead of mapping zero bins
+    cfg = RadarConfig(hops_per_pulse=40, prts_per_cpi=4)
+    assert cfg.samples_per_pulse == cfg.samples_per_prt
+    plan, psk = _plan_psk(cfg, 4)
+    arr = rrx.ArrayModel(n_rx=2)
+    rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg)
+    with pytest.raises(ConfigError, match="listening window"):
+        rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 8))
+
+
 def _full_prt_correlation(rx, plan, psk, cfg):
     """Reference matched filter: the whole PRT zero-padded to a power of two
     >= n_p + E, one (N, M, n_prt, n_fft) product and inverse FFT, and the
