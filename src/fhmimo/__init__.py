@@ -12,7 +12,7 @@ from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
 from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
                       TargetScene, calibrate, cfar_detect, estimate_angle,
                       estimate_params, matched_filter, mtd, process_cpi,
-                      reference_spectra, synthesize_echo)
+                      synthesize_echo)
 from .bench import (SweepReport, SweepSpec, data_rate, run_ber_sweep,
                     run_method_comparison, run_radar_sweep, wilson_interval)
 

@@ -194,33 +194,22 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
 # Pulse compression and range-Doppler map
 # ---------------------------------------------------------------------------
 
-def reference_spectra(plan: HopPlan, psk: PskGrid,
-                      cfg: RadarConfig) -> np.ndarray:
-    """Conjugate spectra of the planned transmit pulses, the references of
-    :func:`matched_filter`, built once per CPI.
-
-    Returns (M, n_prt, samples_per_prt) complex: each PRT's pulse from
-    each transmitter, zero-padded to one PRT and transformed.
-    """
-    pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
-    return np.conj(np.fft.fft(pulses, cfg.samples_per_prt, axis=-1))
-
-
-def matched_filter(rx: np.ndarray, refs: np.ndarray,
+def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
                    cfg: RadarConfig) -> np.ndarray:
     """Correlate every receive stream with every planned transmit pulse.
 
-    rx: (N, n_prt, samples_per_prt) for any number N of receive antennas;
-    refs: the CPI's :func:`reference_spectra`. Returns (P, n_prt, n_range)
-    range profiles with P = N*M channels (p = n*M + m) and range bins
+    rx: (N, n_prt, samples_per_prt) for any number N of receive antennas.
+    Returns the (n_prt, P, n_range) range profiles, PRT-major as the
+    :func:`mtd` cube, with P = N*M channels (p = n*M + m) and range bins
     covering the listening window [pulse end, PRT end); a pulse that fills
     the PRT leaves no range bin and is a :class:`ConfigError`.
 
     Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
     so only the R = n_p - E listening samples enter; their linear
     correlation with the pulse spans R + E - 1 < n_p lags and fits an
-    n_p-point FFT without wrap. Receive antennas are transformed one at a
-    time, so the temporaries are (n_prt, n_p).
+    n_p-point FFT without wrap. The pulses' conjugate spectra are built
+    once per call and the receive antennas transformed one at a time, so
+    the temporaries are (n_prt, n_p).
     """
     N, n_prt, n_p = rx.shape
     M = cfg.n_tx
@@ -231,12 +220,14 @@ def matched_filter(rx: np.ndarray, refs: np.ndarray,
             f"the radar needs a listening window: samples_per_prt - "
             f"samples_per_pulse = {R} range bins, must be >= 1 (shorten "
             f"hops_per_pulse * hop_duration or lengthen prt_duration)")
-    profiles = np.empty((N, M, n_prt, R), dtype=np.complex128)
+    pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
+    refs = np.conj(np.fft.fft(pulses, n_p, axis=-1))
+    profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
     for n in range(N):
         X = np.fft.fft(rx[n, :, E:], n_p, axis=-1)            # (n_prt, n_p)
         for m in range(M):
-            profiles[n, m] = np.fft.ifft(X * refs[m], axis=-1)[:, :R]
-    return profiles.reshape(N * M, n_prt, R)
+            profiles[:, n * M + m] = np.fft.ifft(X * refs[m], axis=-1)[:, :R]
+    return profiles
 
 
 @dataclass
@@ -276,21 +267,21 @@ class RangeDopplerMap:
 
 
 def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
-    """Slow-time DFT across PRTs: the range-Doppler map.
+    """Slow-time DFT across PRTs: the range-Doppler map, in place.
 
-    profiles: (P, n_prt, n_range). Doppler axis is shifted so bin
-    n_doppler//2 is zero Doppler. The cube is C-contiguous
-    (n_doppler, P, n_range), one FFT per channel.
+    profiles: (n_prt, P, n_range), as :func:`matched_filter` writes them.
+    Each channel is transformed along the PRT axis and written back
+    shifted, so bin n_doppler//2 is zero Doppler: ``profiles`` is
+    overwritten and becomes the map's (n_doppler, P, n_range) cube.
     """
-    P, F, R = profiles.shape
+    F = profiles.shape[0]
     s = F // 2
-    cube = np.empty((F, P, R), dtype=np.complex128)
-    for p in range(P):
-        # the two halves land shifted and transposed: out[k] = X[(k-s) % F]
-        X = np.fft.fft(profiles[p], axis=0)                   # (F, R)
-        cube[:s, p] = X[F - s:]
-        cube[s:, p] = X[:F - s]
-    return RangeDopplerMap(cube, cfg)
+    for p in range(profiles.shape[1]):
+        # the two halves land shifted: out[k] = X[(k-s) % F]
+        X = np.fft.fft(profiles[:, p], axis=0)                # (F, R)
+        profiles[:s, p] = X[F - s:]
+        profiles[s:, p] = X[:F - s]
+    return RangeDopplerMap(profiles, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +458,10 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
     rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
-    CPI's detections with every column filled. The matched filter and the
-    slow-time DFT run one receive antenna at a time, each antenna's M
-    channels copied into the one (n_doppler, P, n_range) cube, so the
-    (P, n_prt, n_range) range profiles of the whole array are never held
-    next to it. The cube equals ``mtd(matched_filter(rx, ...))`` bit for
-    bit.
+    CPI's detections with every column filled. The range profiles and the
+    cube are one buffer, which :func:`mtd` transforms in place.
     """
-    N, n_prt, n_p = rx.shape
-    M = cfg.n_tx
-    refs = reference_spectra(plan, psk, cfg)
-    cube = np.empty((n_prt, N * M, n_p - cfg.samples_per_pulse),
-                    dtype=np.complex128)
-    for n in range(N):
-        cube[:, n * M:(n + 1) * M] = mtd(
-            matched_filter(rx[n:n + 1], refs, cfg), cfg).cube
-    rdm = RangeDopplerMap(cube, cfg)
+    rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
     dets = cfar_detect(rdm, p_fa)
     estimate_params(dets, rdm, array, grid, cal)
     return rdm, dets

@@ -202,8 +202,7 @@ def test_criterion_5_ber_curve_shapes(ber_report):
 def test_criterion_6_method_contrast():
     cfg = RadarConfig()
     sweep = bench.SweepSpec(seed=SEED, ripple_db=1.0, ripple_rad=0.2)
-    rep = bench.run_method_comparison(cfg, sweep, snr_db=20.0, n_prt=3000,
-                                      order_bits=4)
+    rep = bench.run_method_comparison(cfg, sweep, n_prt=3000)
     idx = {c: i for i, c in enumerate(rep.columns)}
     ser = {r[0]: r[idx["ser"]] for r in rep.rows}
     n = {r[0]: r[idx["n_symbols"]] for r in rep.rows}
@@ -370,8 +369,7 @@ def test_criterion_8_property_suite():
         rx5 = rrx.synthesize_echo(plan5, psk5, rrx.TargetScene([]), arr,
                                   cfg, noise_var=1.0,
                                   rng=np.random.default_rng([SEED, 89, trial]))
-        refs5 = rrx.reference_spectra(plan5, psk5, cfg)
-        rdm = rrx.mtd(rrx.matched_filter(rx5, refs5, cfg), cfg)
+        rdm = rrx.mtd(rrx.matched_filter(rx5, plan5, psk5, cfg), cfg)
         stat = rdm.detection_statistic()
         s_out, c_out = rrx._box_mean(stat, 10)
         s_in, c_in = rrx._box_mean(stat, 2)
@@ -392,11 +390,10 @@ def test_criterion_8_property_suite():
            + 1j * rng.standard_normal((2, 8, 1600)))
     plan6 = wf.plan_hops(cfg, n_prt=8, rng=rng)
     psk6 = wf.make_psk_grid(cfg, plan6, 3, rng=rng)
-    refs6 = rrx.reference_spectra(plan6, psk6, cfg)
-    prof = rrx.matched_filter(rx6, refs6, cfg)
-    rdm6 = rrx.mtd(prof, cfg)
+    prof = rrx.matched_filter(rx6, plan6, psk6, cfg)
+    rhs = prof.shape[0] * np.sum(np.abs(prof) ** 2)
+    rdm6 = rrx.mtd(prof, cfg)     # overwrites prof
     lhs = np.sum(np.abs(rdm6.cube) ** 2)
-    rhs = prof.shape[1] * np.sum(np.abs(prof) ** 2)
     checks.append((abs(lhs - rhs) / rhs < 1e-12, "MTD Parseval violated"))
 
     _verdict(8, "property suite: orthogonality, round-trip, front-end "

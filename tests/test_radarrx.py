@@ -129,9 +129,8 @@ def test_matched_filter_autocorrelation_peak(cfg):
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)])
     arr = rrx.ArrayModel()
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg)
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    prof = rrx.matched_filter(rx, refs, cfg)
-    assert prof.shape == (24, 2, 1400)
+    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    assert prof.shape == (2, 24, 1400)
     peak_bin = np.argmax(np.abs(prof[0, 0]))
     assert peak_bin == 400 - cfg.samples_per_pulse
     assert np.abs(prof[0, 0, peak_bin]) == pytest.approx(
@@ -149,13 +148,12 @@ def test_matched_filter_cross_channel_leakage_bound(cfg):
                          rx_errors=np.ones(1))
     scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg)
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    prof = rrx.matched_filter(rx, refs, cfg)
+    prof = rrx.matched_filter(rx, plan, psk, cfg)
     d = 400 - cfg.samples_per_pulse
     assert np.abs(prof[0, 0, d]) == pytest.approx(cfg.samples_per_pulse)
     # the mismatched channel sees at most the pulses' cross-correlation,
     # which is exactly zero at the aligned lag (hop orthogonality)
-    assert np.abs(prof[1, 0, d]) <= cross + 1e-6
+    assert np.abs(prof[0, 1, d]) <= cross + 1e-6
     assert cross < 1e-9
 
 
@@ -201,10 +199,9 @@ def test_matched_filter_matches_full_prt_correlation(prt_duration):
     g = np.random.default_rng(5)
     rx[:, :, :E] = g.standard_normal((3, 4, E)) + 1j * g.standard_normal(
         (3, 4, E))
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    prof = rrx.matched_filter(rx, refs, cfg)
-    ref = _full_prt_correlation(rx, plan, psk, cfg)
-    assert prof.shape == ref.shape == (6, 4, cfg.samples_per_prt - E)
+    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    ref = _full_prt_correlation(rx, plan, psk, cfg).transpose(1, 0, 2)
+    assert prof.shape == ref.shape == (4, 6, cfg.samples_per_prt - E)
     assert np.abs(prof - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -212,11 +209,10 @@ def test_matched_filter_matches_full_prt_correlation(prt_duration):
 def test_mtd_equals_shifted_fft_exactly(cfg, n_prt):
     # odd slow-time lengths shift by (n_prt - 1) / 2, not n_prt / 2
     rng = np.random.default_rng(n_prt)
-    prof = (rng.standard_normal((6, n_prt, 50))
-            + 1j * rng.standard_normal((6, n_prt, 50)))
-    rdm = rrx.mtd(prof, cfg)
-    expect = np.fft.fftshift(np.fft.fft(prof, axis=1),
-                             axes=1).transpose(1, 0, 2)
+    prof = (rng.standard_normal((n_prt, 6, 50))
+            + 1j * rng.standard_normal((n_prt, 6, 50)))
+    expect = np.fft.fftshift(np.fft.fft(prof, axis=0), axes=0)
+    rdm = rrx.mtd(prof, cfg)      # overwrites prof
     assert rdm.cube.shape == (n_prt, 6, 50)
     assert rdm.cube.flags.c_contiguous
     assert np.array_equal(rdm.cube, expect)
@@ -225,10 +221,10 @@ def test_mtd_equals_shifted_fft_exactly(cfg, n_prt):
 
 
 @pytest.mark.parametrize("mode", ["dfrc", "traditional"])
-def test_process_cpi_cube_equals_the_whole_array_front_end(mode):
-    # process_cpi runs the matched filter and the MTD one receive antenna
-    # at a time; its cube is byte-equal to one pass over all antennas, off
-    # the default config too (M = 3, odd slow-time length)
+def test_process_cpi_cube_matches_an_independent_reference(mode):
+    # off the default config (M = 3, 5 receive antennas, odd slow-time
+    # length): the cube is the shifted slow-time FFT of the full-PRT
+    # correlation, and it is the one buffer the matched filter filled
     cfg = RadarConfig(n_tx=3)
     plan, psk = _plan_psk(cfg, 7, seed=11, mode=mode)
     arr = rrx.ArrayModel(n_tx=3, n_rx=5)
@@ -237,17 +233,21 @@ def test_process_cpi_cube_equals_the_whole_array_front_end(mode):
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=0.5,
                              rng=12)
     rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 64))
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    whole = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg).cube
-    assert rdm.cube.shape == whole.shape == (7, 15, cfg.samples_per_prt
-                                             - cfg.samples_per_pulse)
-    assert np.array_equal(rdm.cube.view(np.uint8), whole.view(np.uint8))
+    ref = np.fft.fftshift(np.fft.fft(_full_prt_correlation(rx, plan, psk, cfg),
+                                     axis=1), axes=1).transpose(1, 0, 2)
+    assert rdm.cube.shape == ref.shape == (7, 15, cfg.samples_per_prt
+                                           - cfg.samples_per_pulse)
+    assert rdm.cube.flags.c_contiguous
+    assert np.abs(rdm.cube - ref).max() <= 1e-12 * np.abs(ref).max()
+    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    assert np.shares_memory(rrx.mtd(prof, cfg).cube, prof)
 
 
 def test_process_cpi_never_holds_a_second_cube(cfg):
-    # the (P, n_prt, R) range profiles are never built whole: the traced
-    # peak inside process_cpi stays within 1.6 cubes (it was 2.08 when the
-    # whole profiles array sat next to the cube)
+    # the range profiles are the cube's buffer, which mtd transforms in
+    # place: the traced peak inside process_cpi stays within 1.4 cubes (it
+    # was 2.08 when the whole profiles array sat next to the cube, and
+    # 1.455 when one antenna's block at a time was copied into it)
     sweep = bench.SweepSpec(n_targets=10)
     plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
     arr = rrx.ArrayModel()
@@ -261,15 +261,14 @@ def test_process_cpi_never_holds_a_second_cube(cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rdm.cube.nbytes <= peak < 1.6 * rdm.cube.nbytes
+    assert rdm.cube.nbytes <= peak < 1.4 * rdm.cube.nbytes
 
 
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
     plan, psk = _plan_psk(cfg, 16)
     scene = rrx.TargetScene([rrx.Target(2000.0, 0.0, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg)
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
+    rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
     stat = rdm.detection_statistic()
     f_pk, t_pk = np.unravel_index(np.argmax(stat), stat.shape)
     assert f_pk == rdm.n_doppler // 2
@@ -289,8 +288,7 @@ def test_moving_target_doppler_bin(cfg):
     plan, psk = _plan_psk(cfg, 128)
     scene = rrx.TargetScene([rrx.Target(2000.0, v, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(n_rx=2), cfg)
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
+    rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
     stat = rdm.detection_statistic()
     f_pk, _ = np.unravel_index(np.argmax(stat), stat.shape)
     v_hat = cfg.wavelength * rdm.doppler_freqs()[f_pk] / 2
@@ -305,11 +303,10 @@ def test_mtd_parseval_and_correlator_energy(cfg):
     rng = np.random.default_rng(77)
     rx = (rng.standard_normal((2, 8, 1600))
           + 1j * rng.standard_normal((2, 8, 1600)))
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    prof = rrx.matched_filter(rx, refs, cfg)
-    rdm = rrx.mtd(prof, cfg)
+    prof = rrx.matched_filter(rx, plan, psk, cfg)
+    rhs = prof.shape[0] * np.sum(np.abs(prof) ** 2)
+    rdm = rrx.mtd(prof, cfg)      # overwrites prof
     lhs = np.sum(np.abs(rdm.cube) ** 2)
-    rhs = prof.shape[1] * np.sum(np.abs(prof) ** 2)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
     refs = wf.synthesize(plan, psk, cfg).data
@@ -337,8 +334,7 @@ def test_cfar_false_alarm_calibration(cfg):
     for trial in range(6):
         rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg,
                                  noise_var=1.0, rng=100 + trial)
-        refs = rrx.reference_spectra(plan, psk, cfg)
-        rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
+        rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
         stat = rdm.detection_statistic()
         s_out, c_out = rrx._box_mean(stat, 10)
         s_in, c_in = rrx._box_mean(stat, 2)
@@ -359,8 +355,7 @@ def test_cfar_single_target_single_cluster(cfg):
     scene = rrx.TargetScene([rrx.Target(2000.0, 50.0, 0.0)])
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg,
                              noise_var=10 ** (3.4), rng=5)
-    refs = rrx.reference_spectra(plan, psk, cfg)
-    rdm = rrx.mtd(rrx.matched_filter(rx, refs, cfg), cfg)
+    rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
     # tighter operating point: at p_fa=1e-4 a 1.8e5-cell map statistically
     # yields ~18 chance crossings; the single-cluster statement is about
     # the target, so test it at a false-alarm rate where E[FA] << 1
