@@ -29,8 +29,7 @@ def main():
     print("\nDoubling the hop duration doubles the per-hop integration gain;"
           "\nFHCS rides the peak detector and stays below PSK everywhere.")
 
-    rep2 = bench.run_method_comparison(cfg, sweep, snr_db=20.0, n_prt=1500,
-                                       order_bits=4)
+    rep2 = bench.run_method_comparison(cfg, sweep, n_prt=1500)
     idx2 = {c: i for i, c in enumerate(rep2.columns)}
     print("\n16PSK at 20 dB under +/-1 dB, +/-0.2 rad front-end ripple:")
     for row in rep2.rows:

@@ -401,28 +401,32 @@ def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
 # Demodulation method comparison
 # ---------------------------------------------------------------------------
 
+METHOD_SNR_DB = 20.0      # the method comparison's operating point:
+METHOD_ORDER_BITS = 4     # 16PSK at 20 dB
+
+
 def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
-                          snr_db: float = 20.0, n_prt: int = 2000,
-                          order_bits: int = 4) -> SweepReport:
+                          n_prt: int = 2000) -> SweepReport:
     """SER of the three demodulation variants under a rippled front end:
     gain-ripple correction disabled, the full pipeline, and the full
-    pipeline with CPI-averaged pilot ratios."""
+    pipeline with CPI-averaged pilot ratios, at ``METHOD_SNR_DB`` with
+    ``METHOD_ORDER_BITS`` bits per symbol."""
     cols = ["method", "order_bits", "snr_db", "ser", "ser_lo", "ser_hi",
             "ber", "mean_abs_residual", "n_symbols"]
     rng = np.random.default_rng(np.random.SeedSequence([sweep.seed, 77]))
-    noise_var = 10.0 ** (-snr_db / 10.0)
+    noise_var = 10.0 ** (-METHOD_SNR_DB / 10.0)
     imp = _draw_impairments(cfg, sweep, rng, noise_var)
     plan = plan_hops(cfg, n_prt=n_prt, rng=rng)
-    psk = make_psk_grid(cfg, plan, order_bits, rng=rng)
+    psk = make_psk_grid(cfg, plan, METHOD_ORDER_BITS, rng=rng)
     frame = synthesize(plan, psk, cfg)
     rx = apply(frame, plan, psk, imp, cfg, rng=rng)
     rows = []
     for mode in ("flat", "estimated", "averaged"):
-        rep = commrx.demodulate(rx, cfg, order_bits, mode=mode)
+        rep = commrx.demodulate(rx, cfg, METHOD_ORDER_BITS, mode=mode)
         sc = commrx.score_report(rep, plan, psk, cfg)
         lo, hi = wilson_interval(sc.psk_symbol_errors, sc.psk_symbols)
-        rows.append([mode, order_bits, float(snr_db), sc.psk_ser, lo, hi,
-                     sc.psk_ber,
+        rows.append([mode, METHOD_ORDER_BITS, METHOD_SNR_DB, sc.psk_ser,
+                     lo, hi, sc.psk_ber,
                      float(np.abs(rep.psk_residual).mean()),
                      sc.psk_symbols])
     return SweepReport(cols, rows, {"seed": sweep.seed})

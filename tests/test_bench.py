@@ -198,8 +198,7 @@ def test_ber_sweep_deterministic(cfg, tmp_path):
 
 def test_method_comparison_ordering(cfg):
     sweep = bench.SweepSpec(seed=4)
-    rep = bench.run_method_comparison(cfg, sweep, snr_db=20.0, n_prt=400,
-                                      order_bits=4)
+    rep = bench.run_method_comparison(cfg, sweep, n_prt=400)
     idx = {c: i for i, c in enumerate(rep.columns)}
     ser = {r[0]: r[idx["ser"]] for r in rep.rows}
     resid = {r[0]: r[idx["mean_abs_residual"]] for r in rep.rows}
