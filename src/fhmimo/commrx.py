@@ -10,8 +10,8 @@ Processing of a CPI-aligned single-channel receive stream:
    it clears the noise floor; every later stage reads these two arrays.
    Antenna m's zero pilot is slot (hop m, antenna m), its cycled pilot
    slot (hop m+1, antenna m); the unpinned slots carry the payload.
-   None of this depends on the mode, so a frame whose data is read-only
-   has its slot grid computed once per config (:func:`_slot_grid`).
+   None of this depends on the mode, so a frame has its slot grid
+   computed once per config (:func:`_slot_grid`).
 3. Zero pilots of consecutive PRTs give the CFO via their pairwise phase
    ratio; clock stability and the sampling-time offset follow from the CFO
    and the carrier/sampling frequencies.
@@ -123,22 +123,18 @@ _SLOT_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
-    """The frame's slot grid under ``cfg``. It is kept while the frame
-    lives, and reused, only when ``frame.data`` is read-only: a writable
-    frame may change between calls, so its grid is computed every time."""
-    memo = None
-    if not frame.data.flags.writeable:
-        memo = _SLOT_GRIDS.setdefault(frame, {})
-        if cfg in memo:
-            return memo[cfg]
+    """The frame's slot grid under ``cfg``, computed once and kept while
+    the frame lives."""
+    memo = _SLOT_GRIDS.setdefault(frame, {})
+    if cfg in memo:
+        return memo[cfg]
     spectra, sub_vals = _batch_spectra(frame, cfg)
     det = assign_peaks(sub_vals, cfg, frame.first_prt)
     peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
     grid = _SlotGrid(det, peaks, peak_ok, payload_codewords(det, cfg))
     for a in (det.subband, det.pinned, peaks, peak_ok, *grid.codewords):
         a.flags.writeable = False
-    if memo is not None:
-        memo[cfg] = grid
+    memo[cfg] = grid
     return grid
 
 

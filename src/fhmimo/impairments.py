@@ -224,7 +224,7 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
     and AWGN of the configured variance is added on the hop samples, the
     only samples the receiver reads. The result stores each PRT's pulse
     only (:class:`IqFrame`): the inter-pulse silence is exactly 0, and an
-    FHIQ file written from it has a zero tail. Its ``data`` is read-only.
+    FHIQ file written from it has a zero tail.
 
     Seed contract: the noise is one :func:`complex_noise` draw of shape
     (n_prt, H, n_hop), laid onto ``hops(cfg, 1)[0]`` of the output.
@@ -241,8 +241,9 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
                       np.arange(H)[:, None], np.arange(M), plan.subband,
                       spec, cfg)                           # (n_prt, H, M)
     ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
-    mixed = np.einsum("mihn,ihm->ihn", active, gains) * ramp
+    out = np.empty((1, n_prt, H * n_hop), complex)
+    mixed = out.reshape(n_prt, H, n_hop)                # a view of out
+    np.einsum("mihn,ihm->ihn", active, gains, out=mixed)
+    mixed *= ramp
     mixed += complex_noise(mixed.shape, spec.noise_var, rng)
-    mixed.flags.writeable = False
-    return IqFrame(mixed.reshape(1, n_prt, H * n_hop), cfg.sample_rate,
-                   plan.first_prt, cfg.samples_per_prt)
+    return IqFrame(out, cfg.sample_rate, plan.first_prt, cfg.samples_per_prt)

@@ -37,11 +37,11 @@ class IqFrame:
     it leaves out are 0. A simulated frame stores only its pulse, and
     :func:`write_iq` writes the zero tail.
 
-    A frame is a value: its fields cannot be rebound, and it hashes by
-    identity. The frames :func:`read_iq` and ``impairments.apply`` return
-    own read-only ``data``, so their samples cannot change either; the
+    A frame is a value: its fields cannot be rebound, it hashes by
+    identity, and it takes ``data`` read-only, first copying an array that
+    does not own its memory (the owner of a view can still write it). The
     receiver relies on that to compute a frame's slot grid once
-    (``commrx.demodulate``)."""
+    (``commrx.demodulate``). To edit samples, edit a copy and wrap it."""
 
     data: np.ndarray          # (n_channels, n_prt, stored samples) complex
     sample_rate: float
@@ -49,6 +49,9 @@ class IqFrame:
     samples_per_prt: int | None = None
 
     def __post_init__(self):
+        if not self.data.flags.owndata:
+            object.__setattr__(self, "data", self.data.copy())
+        self.data.flags.writeable = False
         if self.samples_per_prt is None:
             object.__setattr__(self, "samples_per_prt", self.data.shape[2])
         if self.data.shape[2] > self.samples_per_prt:
@@ -70,8 +73,8 @@ class IqFrame:
 
     def hops(self, cfg: RadarConfig, n_channels: int) -> np.ndarray:
         """(n_channels, n_prt, H, n_hop) view of each PRT's pulse, its
-        first ``cfg.samples_per_pulse`` samples, read-only when ``data``
-        is; hop h is samples [h*n_hop, (h+1)*n_hop). :class:`ConfigError`
+        first ``cfg.samples_per_pulse`` samples; hop h is samples
+        [h*n_hop, (h+1)*n_hop). :class:`ConfigError`
         unless the frame is sampled as ``cfg`` says, has ``n_channels``
         channels and stores the whole pulse."""
         if (self.sample_rate != cfg.sample_rate
@@ -130,8 +133,8 @@ def write_rdm(path, rdm) -> None:
 
 
 def read_iq(path) -> IqFrame:
-    """The frame of an FHIQ file, complex64 as stored, with read-only
-    ``data``; a missing ``first_prt`` key reads as 0."""
+    """The frame of an FHIQ file, complex64 as stored; a missing
+    ``first_prt`` key reads as 0."""
     with open(path, "rb") as f:
         first = f.readline().decode("ascii", "replace").strip()
         if first != _MAGIC:
@@ -168,7 +171,6 @@ def read_iq(path) -> IqFrame:
         data = np.empty((channels, samples // spp, spp), np.complex64)
         if f.readinto(data) != left:
             raise IqFormatError("payload size does not match header")
-        data.flags.writeable = False
         return IqFrame(data, sample_rate, first_prt)
 
 

@@ -370,7 +370,8 @@ def synthesize(plan: HopPlan, psk: PskGrid, cfg: RadarConfig) -> IqFrame:
     pairs, slot = np.unique(codes, return_inverse=True)
     ph = (2 * np.pi * cfg.subband_frequency(pairs % K))[:, None] * t
     table = np.exp(1j * (ph + phases[pairs // K][:, None]))  # (n_pairs, n_hop)
-    # gathered in (M, n_prt, H) order, so the pulse axis is a free reshape
+    # gathered in (M, n_prt, H) order, so the pulse axis is reshaped in place
     pulses = table[np.moveaxis(slot.reshape(codes.shape), 2, 0)]
-    return IqFrame(pulses.reshape(cfg.n_tx, plan.n_prt, -1), cfg.sample_rate,
-                   plan.first_prt, cfg.samples_per_prt)
+    pulses.shape = (cfg.n_tx, plan.n_prt, -1)
+    return IqFrame(pulses, cfg.sample_rate, plan.first_prt,
+                   cfg.samples_per_prt)

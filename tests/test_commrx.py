@@ -575,9 +575,10 @@ def test_free_antenna_fade_keeps_the_prt_pilots(cfg):
     plan = wf.plan_hops(cfg, n_prt=20, rng=np.random.default_rng(51))
     psk = wf.make_psk_grid(cfg, plan, 3, rng=np.random.default_rng(52))
     frame = wf.synthesize(plan, psk, cfg)
-    tx = frame.data
+    tx = frame.data.copy()
     assert not plan.pinned[5, 0, 1]
     tx[1, 5, :cfg.samples_per_hop] = 0.0
+    frame = dataclasses.replace(frame, data=tx)
     rx = imp.apply(frame, plan, psk, spec, cfg,
                    rng=np.random.default_rng(55))
     for mode in ("estimated", "averaged", "flat"):
@@ -604,7 +605,9 @@ def test_blind_modes_erase_slots_whose_zero_pilot_is_lost(cfg):
     psk = wf.make_psk_grid(cfg, plan, 3, rng=np.random.default_rng(62))
     frame = wf.synthesize(plan, psk, cfg)
     assert plan.pinned[25, 0, 0]
-    frame.data[0, 25, :cfg.samples_per_hop] = 0.0
+    tx = frame.data.copy()
+    tx[0, 25, :cfg.samples_per_hop] = 0.0
+    frame = dataclasses.replace(frame, data=tx)
     rx = imp.apply(frame, plan, psk, spec, cfg,
                    rng=np.random.default_rng(63))
     hop0 = [[25, 0, 1]]
@@ -634,8 +637,9 @@ def test_an_all_zero_prt_is_erased_in_every_mode(cfg):
     spec = imp.ImpairmentSpec(noise_var=1e-2)
     plan, psk, rx = _chain(cfg, 40, np.random.default_rng(71), spec=spec,
                            noise_rng=np.random.default_rng(72))
-    frame = dataclasses.replace(rx, data=rx.data.copy())
-    frame.data[0, 25] = 0.0
+    data = rx.data.copy()
+    data[0, 25] = 0.0
+    frame = dataclasses.replace(rx, data=data)
     for mode in crx.MODES:
         rep = crx.demodulate(frame, cfg, 3, mode=mode, spec=spec)
         in_25 = rep.slots[:, 0] == 25
@@ -794,7 +798,7 @@ def _same_report(a, b):
     return True
 
 
-def _read_only_frame(cfg, source, tmp_path, n_prt=45, snr_db=-4):
+def _seeded_frame(cfg, source, tmp_path, n_prt=45, snr_db=-4):
     """A seeded frame from PRT 5, as ``apply`` returns it or read back
     from an FHIQ file, with its spec. ``snr_db`` is the sample SNR a
     40-sample hop would have, so the hop SNR is the same in every config:
@@ -821,17 +825,18 @@ def _read_only_frame(cfg, source, tmp_path, n_prt=45, snr_db=-4):
                          ids=["default", "K7-M3-H4"])
 def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
         cfg, source, n_prt, snr_db, tmp_path):
-    # a read-only frame computes its slot grid in its first demodulate and
-    # reuses it in the next: in each of the 24 orders of the four modes, on
-    # a fresh frame over the same samples, every report equals the report
-    # of a writable copy (which never uses the memo), and no report array
-    # shares memory with the memo
-    rx, spec = _read_only_frame(cfg, source, tmp_path, n_prt, snr_db)
+    # a frame computes its slot grid in its first demodulate and reuses it
+    # in the next: in each of the 24 orders of the four modes, on a fresh
+    # frame over the same samples, every report equals the report of a
+    # frame demodulated in that mode alone (its grid computed afresh), and
+    # no report array shares memory with the memo
+    rx, spec = _seeded_frame(cfg, source, tmp_path, n_prt, snr_db)
     assert not rx.data.flags.writeable
-    copy = dataclasses.replace(rx, data=rx.data.copy())
-    want = {m: crx.demodulate(copy, cfg, 3, mode=m, spec=spec)
-            for m in crx.MODES}
-    assert copy not in crx._SLOT_GRIDS
+    want = {}
+    for m in crx.MODES:
+        alone = dataclasses.replace(rx)       # a new memo key per mode
+        want[m] = crx.demodulate(alone, cfg, 3, mode=m, spec=spec)
+        assert list(crx._SLOT_GRIDS[alone]) == [cfg]
     # the 45-PRT frame erases some hops and codewords; the one-PRT frame
     # has no pilot pair, so the blind modes erase every hop of it, and
     # known mode must still erase none
@@ -857,7 +862,7 @@ def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
 
 def test_memo_arrays_refuse_writes_and_belong_to_one_frame_and_config(
         cfg, tmp_path):
-    rx, spec = _read_only_frame(cfg, "apply", tmp_path)
+    rx, spec = _seeded_frame(cfg, "apply", tmp_path)
     grid = crx._slot_grid(rx, cfg)
     assert crx._slot_grid(rx, cfg) is grid
     with pytest.raises(ValueError):
@@ -870,26 +875,35 @@ def test_memo_arrays_refuse_writes_and_belong_to_one_frame_and_config(
     assert crx._slot_grid(dataclasses.replace(rx), cfg) is not grid
 
 
-def test_writable_frame_edited_between_calls_gets_a_fresh_answer(cfg):
-    # a writable frame may change between calls, so each call recomputes:
-    # after hop 0 of PRT 25 (antenna 0's zero pilot) is negated in place,
-    # the second call answers as on a copy of the edited samples
+def test_a_read_only_view_of_writable_memory_cannot_go_stale(cfg):
+    # the owner of a read-only view can still write its memory, so a frame
+    # over such a view takes a copy: after hop 0 of PRT 25 (antenna 0's
+    # zero pilot) is negated in the owner between two calls, the frame's
+    # samples are those it was built with, and its memoized report equals
+    # the report of a fresh frame over them, not the first report of
+    # samples the frame no longer holds
     spec = imp.ImpairmentSpec(noise_var=1e-4)
     plan, psk, rx = _chain(cfg, 40, np.random.default_rng(61), spec=spec,
                            noise_rng=np.random.default_rng(63))
-    frame = dataclasses.replace(rx, data=rx.data.copy())
+    buf = rx.data.copy()
+    view = buf.view()
+    view.flags.writeable = False
+    frame = wf.IqFrame(view, rx.sample_rate, rx.first_prt, rx.samples_per_prt)
     before = crx.demodulate(frame, cfg, 3, mode="estimated")
-    frame.data[0, 25, :cfg.samples_per_hop] *= -1
+    buf[0, 25, :cfg.samples_per_hop] *= -1
     after = crx.demodulate(frame, cfg, 3, mode="estimated")
     fresh = crx.demodulate(dataclasses.replace(frame, data=frame.data.copy()),
                            cfg, 3, mode="estimated")
-    assert frame not in crx._SLOT_GRIDS
-    assert not np.array_equal(after.psk_symbol, before.psk_symbol)
+    edited = crx.demodulate(dataclasses.replace(frame, data=buf.copy()),
+                            cfg, 3, mode="estimated")
+    assert not np.array_equal(edited.psk_symbol, before.psk_symbol)
     assert _same_report(after, fresh)
+    assert _same_report(after, before)
+    assert np.array_equal(frame.data, rx.data)
 
 
 def test_memo_entry_dies_with_its_frame(cfg, tmp_path):
-    rx, spec = _read_only_frame(cfg, "read_iq", tmp_path)
+    rx, spec = _seeded_frame(cfg, "read_iq", tmp_path)
     for mode in crx.MODES:
         crx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
     frame_ref = weakref.ref(rx)

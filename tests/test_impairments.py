@@ -134,7 +134,7 @@ def test_channel_noise_seed_contract(cfg, tmp_path):
     plan = wf.plan_hops(cfg, n_prt=3, rng=0)
     psk = wf.make_psk_grid(cfg, plan, 0)
     frame = wf.synthesize(plan, psk, cfg)
-    frame.data[:] = 0
+    frame = dataclasses.replace(frame, data=np.zeros_like(frame.data))
     noise_var = 2.5
     spec = imp.ImpairmentSpec(noise_var=noise_var)
     out = imp.apply(frame, plan, psk, spec, cfg, rng=31)
@@ -159,18 +159,19 @@ def test_channel_noise_seed_contract(cfg, tmp_path):
 
 
 def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path):
-    # both own the buffers they return, and nothing can change them, not
-    # through the hop view either
+    # synthesize, apply and read_iq hand the frame buffers they own, so it
+    # copies none, and nothing can change them, not through the hop view
+    # either
     plan, psk, frame = _frame(cfg, 4, rng)
     out = imp.apply(frame, plan, psk, imp.ImpairmentSpec(noise_var=0.1),
                     cfg, rng=3)
     write_iq(tmp_path / "rx.iq", out)
     for rx in (out, read_iq(tmp_path / "rx.iq")):
-        assert not rx.data.flags.writeable
+        assert rx.data.flags.owndata and not rx.data.flags.writeable
         assert not rx.hops(cfg, 1).flags.writeable
         with pytest.raises(ValueError):
             rx.hops(cfg, 1)[0, 0, 0] = 0
-    assert frame.data.flags.writeable
+    assert frame.data.flags.owndata and not frame.data.flags.writeable
 
 
 def _time_domain_mix(plan, psk, spec, cfg):
@@ -191,10 +192,10 @@ def _time_domain_mix(plan, psk, spec, cfg):
         * np.exp(1j * (w + spec.cfo)[..., None] * (t + dt)) \
         * np.exp(1j * spec.cfo * (i * cfg.prt_duration
                                   + h * cfg.hop_duration))[..., None]
-    out = wf.IqFrame(np.zeros((1, plan.n_prt, cfg.samples_per_prt),
-                              np.complex128), cfg.sample_rate, plan.first_prt)
-    out.hops(cfg, 1)[0] = tone.sum(axis=2)
-    return out
+    data = np.zeros((1, plan.n_prt, cfg.samples_per_prt), np.complex128)
+    data[0, :, :cfg.samples_per_pulse] = tone.sum(axis=2).reshape(
+        plan.n_prt, -1)
+    return wf.IqFrame(data, cfg.sample_rate, plan.first_prt)
 
 
 @pytest.mark.parametrize("kw", [{}, {"n_subbands": 7, "n_tx": 3,

@@ -295,24 +295,27 @@ def test_frame_refuses_a_lost_prt_length(cfg, rng):
         wf.IqFrame(frame.data, frame.sample_rate, samples_per_prt=100)
 
 
-def test_frame_hops_is_a_writable_view(cfg, rng):
-    # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, and a
-    # write through the hop view lands in the frame's samples
+def test_frame_hops_is_a_read_only_view(cfg, rng):
+    # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, a view
+    # of the frame's samples; neither refuses a read nor takes a write
     plan = wf.plan_hops(cfg, n_prt=3, rng=rng, first_prt=4)
     frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
     assert frame.first_prt == 4
     hops = frame.hops(cfg, 2)
     assert hops.shape == (2, 3, 5, 40)
+    assert np.shares_memory(hops, frame.data)
     assert np.array_equal(hops[1, 2, 3], frame.data[1, 2, 120:160])
-    hops[1, 2, 3] = 7.0
-    assert np.all(frame.data[1, 2, 120:160] == 7.0)
+    for samples in (hops[1, 2, 3], frame.data[1, 2, 120:160]):
+        with pytest.raises(ValueError, match="read-only"):
+            samples[:] = 7.0
     with pytest.raises(ConfigError):
         frame.hops(cfg, 1)
 
 
 def test_frame_is_a_frozen_value_hashed_by_identity(cfg, rng):
-    # fields cannot be rebound, and two frames over the same samples are
-    # two keys; a synthesized frame keeps writable samples
+    # fields cannot be rebound, two frames over the same samples are two
+    # keys, and the samples are read-only: an array that owns its memory
+    # is taken as it is, a view is copied, since its owner can still write
     plan = wf.plan_hops(cfg, n_prt=3, rng=rng)
     frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
     twin = dataclasses.replace(frame)
@@ -322,8 +325,15 @@ def test_frame_is_a_frozen_value_hashed_by_identity(cfg, rng):
                         ("sample_rate", 1.0), ("samples_per_prt", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(frame, name, value)
-    assert frame.data.flags.writeable
+    assert not frame.data.flags.writeable and frame.data.flags.owndata
     assert wf.IqFrame(frame.data, 1.0).samples_per_prt == frame.data.shape[2]
+    owned = np.zeros((1, 2, 8), complex)
+    assert wf.IqFrame(owned, 1.0).data is owned
+    assert not owned.flags.writeable
+    buf = np.zeros((1, 2, 8), complex)
+    viewed = wf.IqFrame(buf[:, :, :4], 1.0, samples_per_prt=8)
+    assert not np.shares_memory(viewed.data, buf)
+    assert buf.flags.writeable and not viewed.data.flags.writeable
 
 
 def test_synthesize_hop_orthogonality_exact(cfg, rng):
