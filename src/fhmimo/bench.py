@@ -2,7 +2,8 @@
 method comparison, and data-rate accounting.
 
 SNR convention used everywhere: per-hop-sample SNR of a single antenna's
-tone, i.e. tone power (unity) over the per-sample complex noise variance.
+tone, i.e. tone power (unity) over the per-sample complex noise variance
+(:func:`config.noise_var_for_snr`).
 Every study is reproducible from (spec, seed); trials draw child seeds from
 a seed sequence so results do not depend on execution order.
 """
@@ -19,7 +20,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig, check_order_bits, check_span
+from .config import (ConfigError, RadarConfig, check_order_bits, check_span,
+                     noise_var_for_snr)
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
@@ -152,6 +154,8 @@ class SweepSpec:
         for name in ("rho_span", "range_span", "velocity_span",
                      "azimuth_span"):
             check_span(f"sweep.{name}", getattr(self, name))
+        for snr_db in (*self.snr_grid_db, *self.radar_snr_grid_db):
+            noise_var_for_snr(snr_db)
 
 
 @dataclass
@@ -230,7 +234,7 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     """
     if min_symbols is None:
         min_symbols = sweep.min_symbols
-    noise_var = 10.0 ** (-snr_db / 10.0)
+    noise_var = noise_var_for_snr(snr_db)
     snr_code = round(snr_db * 10) & 0xffff
     acc = commrx.ErrorCounts()
     chunk_idx = 0
@@ -341,7 +345,7 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
                      mode=waveform_mode)
     psk = make_psk_grid(cfg, plan, 3 if waveform_mode == "dfrc" else 0,
                         rng=np.random.default_rng(psk_seed))
-    noise_var = 10.0 ** (-snr_db / 10.0)
+    noise_var = noise_var_for_snr(snr_db)
     rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
                                  noise_var=noise_var,
                                  rng=np.random.default_rng(noise_seed))
@@ -414,7 +418,7 @@ def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
     cols = ["method", "order_bits", "snr_db", "ser", "ser_lo", "ser_hi",
             "ber", "mean_abs_residual", "n_symbols"]
     rng = np.random.default_rng(np.random.SeedSequence([sweep.seed, 77]))
-    noise_var = 10.0 ** (-METHOD_SNR_DB / 10.0)
+    noise_var = noise_var_for_snr(METHOD_SNR_DB)
     imp = _draw_impairments(cfg, sweep, rng, noise_var)
     plan = plan_hops(cfg, n_prt=n_prt, rng=rng)
     psk = make_psk_grid(cfg, plan, METHOD_ORDER_BITS, rng=rng)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, commrx, radarrx
-from .config import ConfigError, RadarConfig
+from .config import ConfigError, RadarConfig, noise_var_for_snr
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
 from .iqfile import (IqFormatError, config_hash, read_iq, write_csv,
                      write_iq, write_rdm)
@@ -132,7 +132,7 @@ def _noise_var(sec: dict, default: float) -> float:
     ``snr_db`` if given, else ``noise_var``, else ``default``."""
     noise_var = sec.pop("noise_var", default)
     if "snr_db" in sec:
-        noise_var = 10.0 ** (-sec.pop("snr_db") / 10.0)
+        noise_var = noise_var_for_snr(sec.pop("snr_db"))
     return noise_var
 
 

@@ -44,6 +44,21 @@ def check_order_bits(order_bits: int) -> None:
             f"phase of a wider PSK symbol does not decode exactly")
 
 
+def noise_var_for_snr(snr_db: float) -> float:
+    """Per-sample complex noise variance at ``snr_db``: the SNR of every
+    study is a unit tone's power over that variance. A :class:`ConfigError`
+    names an SNR whose variance is not a finite float (below about
+    -3082.5 dB, or NaN)."""
+    try:
+        noise_var = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        noise_var = np.inf
+    if not noise_var < np.inf:                      # NaN fails too
+        raise ConfigError(f"snr_db={snr_db:g} dB gives no finite noise "
+                          f"variance 10^(-snr_db/10)")
+    return noise_var
+
+
 @dataclass(frozen=True)
 class RadarConfig:
     """Pulsed FH-MIMO radar parameters.

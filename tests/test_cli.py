@@ -362,6 +362,30 @@ def test_invalid_noise_variance_rejected(cfg_file, tmp_path, command, noise):
                    command) == cli.EXIT_CONFIG == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["radar", "--snr", "-4000"], ["comm"],
+    ["sweep", "--kind", "ber", "--snr", "-4000"],
+    ["sweep", "--kind", "radar", "--snr", "-4000"]],
+    ids=["radar", "comm", "sweep-ber", "sweep-radar"])
+def test_snr_beyond_the_float_noise_variance_exits_2(
+        cfg_file, tmp_path, capsys, monkeypatch, command):
+    # 10^(4000/10) overflows a float: each command exited 5 with
+    # "Numerical result out of range"; a sweep refuses the grid before any
+    # worker starts
+    pools = []
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor",
+                        lambda *a, **k: pools.append(a))
+    p = _with_noise(cfg_file, tmp_path, {"snr_db": -4000})
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   *command) == cli.EXIT_CONFIG == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert "snr_db=-4000 dB" in error["message"]
+    assert pools == []
+
+
 @pytest.mark.parametrize("keys, drop", [
     ({"cfo": float("nan")}, ("rho",)),
     ({"sto_initial": float("inf")}, ("rho",)),

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fhmimo import bench, commrx, waveform
 from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
-                           RadarConfig, check_order_bits)
+                           RadarConfig, check_order_bits, noise_var_for_snr)
 
 
 def test_experiment_defaults_sizes(cfg):
@@ -98,3 +100,24 @@ def test_order_bits_rule_is_one_function(cfg):
                                match=r"^order_bits must be in \[0, 32\]: "
                                      r"the float64 phase"):
                 refuse(order_bits)
+
+
+def test_snr_conversion_is_one_function(cfg):
+    # the SNR convention (unit tone power over the per-sample complex noise
+    # variance) is written once; below about -3082.5 dB the float power
+    # overflowed, and every study and command that read the SNR exited 5
+    small = RadarConfig(prts_per_cpi=8)
+    for snr_db in (-3082, -40, -16, 0, 7.5, 25, np.float64(-8)):
+        assert noise_var_for_snr(snr_db) == 10.0 ** (-float(snr_db) / 10.0)
+    assert noise_var_for_snr(np.inf) == 0.0
+    for snr_db in (-3083, -4000, -1e308, -np.inf, np.nan):
+        for refuse in (
+                noise_var_for_snr,
+                lambda s: bench.ber_point(small, 3, s, bench.SweepSpec(), 0),
+                lambda s: bench.radar_trial(small, bench.SweepSpec(), s, 0,
+                                            "dfrc"),
+                lambda s: bench.SweepSpec(snr_grid_db=(0, s)),
+                lambda s: bench.SweepSpec(radar_snr_grid_db=(s, -8))):
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"snr_db={snr_db:g} dB ")):
+                refuse(snr_db)
