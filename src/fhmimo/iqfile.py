@@ -52,6 +52,8 @@ class IqFrame:
         if not self.data.flags.owndata:
             object.__setattr__(self, "data", self.data.copy())
         self.data.flags.writeable = False
+        if self.first_prt < 0:
+            raise ConfigError(f"first_prt must be >= 0, got {self.first_prt}")
         if self.samples_per_prt is None:
             object.__setattr__(self, "samples_per_prt", self.data.shape[2])
         if self.data.shape[2] > self.samples_per_prt:

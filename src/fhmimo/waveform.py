@@ -222,6 +222,8 @@ def plan_hops(cfg: RadarConfig, fhcs_bits=None, n_prt: int | None = None,
         n_prt = cfg.prts_per_cpi
     if n_prt < 1:
         raise ConfigError("n_prt must be >= 1")
+    if first_prt < 0:
+        raise ConfigError(f"first_prt must be >= 0, got {first_prt}")
     rng = np.random.default_rng(rng)
 
     if mode == "traditional":

@@ -295,6 +295,22 @@ def test_frame_refuses_a_lost_prt_length(cfg, rng):
         wf.IqFrame(frame.data, frame.sample_rate, samples_per_prt=100)
 
 
+def test_a_negative_first_prt_is_refused(cfg):
+    # plan_hops(first_prt=-2) -> synthesize -> write_iq wrote a file with
+    # first_prt=-2 that read_iq refused as a bad header, and apply raised
+    # a bare ValueError from accumulated_sto: a capture starts at PRT >= 0
+    for mode in ("dfrc", "traditional"):
+        with pytest.raises(ConfigError, match="first_prt must be >= 0"):
+            wf.plan_hops(cfg, n_prt=3, mode=mode, rng=0, first_prt=-2)
+    plan = wf.plan_hops(cfg, n_prt=3, rng=0)
+    psk = wf.make_psk_grid(cfg, plan, 0)
+    frame = wf.synthesize(plan, psk, cfg)
+    with pytest.raises(ConfigError, match="first_prt must be >= 0"):
+        dataclasses.replace(frame, first_prt=-2)
+    with pytest.raises(ConfigError, match="first_prt must be >= 0"):
+        wf.synthesize(dataclasses.replace(plan, first_prt=-2), psk, cfg)
+
+
 def test_frame_hops_is_a_read_only_view(cfg, rng):
     # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, a view
     # of the frame's samples; neither refuses a read nor takes a write
