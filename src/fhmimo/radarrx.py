@@ -340,11 +340,10 @@ class DetectionList:
                   cfg_hash)
 
 
-def _box_mean(stat: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated-window box sums and counts via a summed-area table."""
-    F, R = stat.shape
-    sat = np.zeros((F + 1, R + 1))
-    sat[1:, 1:] = stat.cumsum(axis=0).cumsum(axis=1)
+def _box_mean(sat: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated-window box sums and counts from the (F+1, R+1)
+    summed-area table ``sat`` of an (F, R) map."""
+    F, R = sat.shape[0] - 1, sat.shape[1] - 1
     f = np.arange(F)[:, None]
     r = np.arange(R)[None, :]
     f0 = np.clip(f - half, 0, F)
@@ -365,8 +364,10 @@ def cfar_detect(rdm: RangeDopplerMap, p_fa: float) -> DetectionList:
     by keeping local maxima of the statistic over their 8-neighborhood.
     """
     stat = rdm.detection_statistic()
-    sum_out, cnt_out = _box_mean(stat, CFAR_GUARD_CELLS + CFAR_TRAINING_CELLS)
-    sum_in, cnt_in = _box_mean(stat, CFAR_GUARD_CELLS)
+    sat = np.zeros((stat.shape[0] + 1, stat.shape[1] + 1))  # summed-area
+    sat[1:, 1:] = stat.cumsum(axis=0).cumsum(axis=1)
+    sum_out, cnt_out = _box_mean(sat, CFAR_GUARD_CELLS + CFAR_TRAINING_CELLS)
+    sum_in, cnt_in = _box_mean(sat, CFAR_GUARD_CELLS)
     train_mean = (sum_out - sum_in) / np.maximum(cnt_out - cnt_in, 1)
     alpha = cfar_threshold_scale(rdm.cube.shape[1], p_fa)
     threshold = alpha * train_mean

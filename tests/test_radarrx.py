@@ -335,8 +335,10 @@ def test_cfar_false_alarm_calibration(cfg):
                                  noise_var=1.0, rng=100 + trial)
         rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
         stat = rdm.detection_statistic()
-        s_out, c_out = rrx._box_mean(stat, 10)
-        s_in, c_in = rrx._box_mean(stat, 2)
+        sat = np.zeros((stat.shape[0] + 1, stat.shape[1] + 1))
+        sat[1:, 1:] = stat.cumsum(axis=0).cumsum(axis=1)
+        s_out, c_out = rrx._box_mean(sat, 10)
+        s_in, c_in = rrx._box_mean(sat, 2)
         train = (s_out - s_in) / np.maximum(c_out - c_in, 1)
         for pfa in counts:
             alpha = rrx.cfar_threshold_scale(24, pfa)
