@@ -21,11 +21,11 @@ def test_only_the_listed_outputs_may_differ_and_all_must():
     assert identity.judge([], set()) == ([], 0)
 
 
-def test_a_memoized_report_unlike_its_writable_copy_fails():
+def test_a_memoized_report_unlike_a_fresh_frames_fails():
     lines, n_failed = identity.judge(
         ["demodulate x"], {"demodulate x"}, ["/b: demodulate y/known/slots"])
     assert lines == ["CHANGED (listed) demodulate x",
-                     "UNLIKE ITS WRITABLE COPY /b: demodulate y/known/slots"]
+                     "UNLIKE A FRESH FRAME /b: demodulate y/known/slots"]
     assert n_failed == 1
 
 

@@ -20,18 +20,21 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   frame are hashed, so the zero tail it pads a pulse-only frame with is
   compared too. The noiseless rows let a change to the channel's noise
   draw show that everything but the noise still matches: its noisy rows
-  differ by name, its noiseless ones must not. Each frame is also
-  demodulated as a writable copy, which ``demodulate`` never memoizes:
-  within each tree, every report of the frame itself (read-only from
-  ``apply``, so its slot grid is computed once and reused by the later
-  modes) must equal the copy's field by field.
+  differ by name, its noiseless ones must not. Each FHIQ file is read
+  back with ``read_iq`` (complex64, as the ``comm-rx`` benchmark reads
+  its frames) and demodulated in all four modes, and those reports are
+  hashed too. In each mode the frame is also demodulated as a fresh
+  frame over the same samples (``dataclasses.replace``, a new memo key):
+  within each tree, every report of the frame itself (its slot grid
+  computed once and reused by the later modes) must equal the fresh
+  frame's field by field.
 
 Every output that differs between the two trees is named. A change that
 alters seeded outputs on purpose (a named seed-contract change) lists
 them in ``seed_contract.txt`` next to this file, one name a line as this
 tool prints it. The exit status is 1 when an unlisted output differs, a
-listed one does not, or a memoized report differs from its writable
-copy's; 0 otherwise. ``--all-equal`` ignores the list, so
+listed one does not, or a memoized report differs from a fresh
+frame's; 0 otherwise. ``--all-equal`` ignores the list, so
 every output must match: that is the check that two copies of one tree
 repeat each other. A change runs this against its parent commit, e.g. a
 ``git archive`` of it unpacked elsewhere. It needs two trees, so the test
@@ -52,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 DEMOD_JSON = "demod.json"
-MEMO_JSON = "memo.json"      # outputs unlike the writable copy's; not compared
+MEMO_JSON = "memo.json"      # outputs unlike a fresh frame's; not compared
 CONTRACT = Path(__file__).with_name("seed_contract.txt")
 
 BASE = {"radar": {"n_subbands": 20, "n_tx": 2, "hops_per_pulse": 5,
@@ -134,7 +137,7 @@ def collect(out: Path) -> None:
     """Run the matrix with the ``fhmimo`` on the path; write under ``out``."""
     from fhmimo import cli, commrx, impairments as imp, waveform as wf
     from fhmimo.config import RadarConfig
-    from fhmimo.iqfile import write_iq
+    from fhmimo.iqfile import read_iq, write_iq
 
     codes = {}
     for name, config, argv in _cli_runs():
@@ -148,7 +151,7 @@ def collect(out: Path) -> None:
     (out / "cli" / "exit_codes.json").write_text(
         json.dumps(codes, indent=1, sort_keys=True))
 
-    digests, unlike_copy = {}, []
+    digests, unlike_fresh = {}, []
     for name, kw, n_prt, first_prt, snr_db, order_bits in _frames():
         cfg = RadarConfig(**kw)
         rng = np.random.default_rng(
@@ -165,21 +168,24 @@ def collect(out: Path) -> None:
         write_iq(fhiq, rx)
         digests[f"{name}/write_iq"] = hashlib.sha256(
             fhiq.read_bytes()).hexdigest()
+        back = read_iq(fhiq)
         fhiq.unlink()
-        copy = dataclasses.replace(rx, data=rx.data.copy())
         for mode in MODES:
-            rep, fresh = (commrx.demodulate(frame, cfg, order_bits,
-                                            mode=mode, spec=spec)
-                          for frame in (rx, copy))
+            rep, fresh, read_back = (
+                commrx.demodulate(frame, cfg, order_bits, mode=mode,
+                                  spec=spec)
+                for frame in (rx, dataclasses.replace(rx), back))
             key = f"{name}/{mode}"
             for f in dataclasses.fields(rep):
                 d = digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
                 if d != _digest(getattr(fresh, f.name)):
-                    unlike_copy.append(f"{key}/{f.name}")
+                    unlike_fresh.append(f"{key}/{f.name}")
+                digests[f"{name}/read_iq/{mode}/{f.name}"] = _digest(
+                    getattr(read_back, f.name))
             digests[f"{key}/score_report"] = _digest(
                 commrx.score_report(rep, plan, psk, cfg))
     (out / DEMOD_JSON).write_text(json.dumps(digests, indent=1))
-    (out / MEMO_JSON).write_text(json.dumps(unlike_copy))
+    (out / MEMO_JSON).write_text(json.dumps(unlike_fresh))
 
 
 def _run_tree(tree: Path, out: Path) -> None:
@@ -220,14 +226,14 @@ def read_contract(path: Path) -> set[str]:
 
 
 def judge(diffs: list[str], listed: set[str],
-          unlike_copy: list[str] = ()) -> tuple[list[str], int]:
+          unlike_fresh: list[str] = ()) -> tuple[list[str], int]:
     """Report lines and the failure count: an output that differs without
     being listed fails, and so does a listed output that does not differ
-    and a memoized demodulate output unlike its writable copy's."""
+    and a memoized demodulate output unlike a fresh frame's."""
     lines = [f"CHANGED (listed) {d}" if d in listed else f"DIFFERS {d}"
              for d in diffs]
     lines += [f"UNCHANGED (listed) {d}" for d in sorted(listed - set(diffs))]
-    lines += [f"UNLIKE ITS WRITABLE COPY {d}" for d in unlike_copy]
+    lines += [f"UNLIKE A FRESH FRAME {d}" for d in unlike_fresh]
     return lines, sum(not line.startswith("CHANGED") for line in lines)
 
 
@@ -249,12 +255,12 @@ def main(argv) -> int:
             out.mkdir()
             _run_tree(tree, out)
         diffs = compare(*outs)
-        unlike_copy = [f"{tree}: demodulate {name}"
+        unlike_fresh = [f"{tree}: demodulate {name}"
                        for tree, out in zip(trees, outs)
                        for name in json.loads((out / MEMO_JSON).read_text())]
         n_files = len(_outputs(outs[0]))
         n_demod = len(json.loads((outs[0] / DEMOD_JSON).read_text()))
-    lines, n_failed = judge(diffs, listed, unlike_copy)
+    lines, n_failed = judge(diffs, listed, unlike_fresh)
     for line in lines:
         print(line)
     print(f"{len(diffs)} differences ({len(listed)} listed) over {n_files} "
