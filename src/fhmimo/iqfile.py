@@ -39,9 +39,11 @@ class IqFrame:
 
     A frame is a value: its fields cannot be rebound, it hashes by
     identity, and it takes ``data`` read-only, first copying an array that
-    does not own its memory (the owner of a view can still write it). The
-    receiver relies on that to compute a frame's slot grid once
-    (``commrx.demodulate``). To edit samples, edit a copy and wrap it."""
+    does not own its memory (the owner of a view can still write it). An
+    array it takes as is must have no writable view left, which could
+    still change the samples. The receiver relies on that to compute a
+    frame's slot grid once (``commrx.demodulate``). To edit samples, edit
+    a copy and wrap it."""
 
     data: np.ndarray          # (n_channels, n_prt, stored samples) complex
     sample_rate: float
@@ -49,9 +51,6 @@ class IqFrame:
     samples_per_prt: int | None = None
 
     def __post_init__(self):
-        if not self.data.flags.owndata:
-            object.__setattr__(self, "data", self.data.copy())
-        self.data.flags.writeable = False
         if self.first_prt < 0:
             raise ConfigError(f"first_prt must be >= 0, got {self.first_prt}")
         if self.samples_per_prt is None:
@@ -60,6 +59,9 @@ class IqFrame:
             raise ConfigError(
                 f"frame stores {self.data.shape[2]} samples of "
                 f"{self.samples_per_prt}-sample PRTs")
+        if not self.data.flags.owndata:
+            object.__setattr__(self, "data", self.data.copy())
+        self.data.flags.writeable = False
 
     @property
     def n_channels(self) -> int:

@@ -309,6 +309,11 @@ def test_a_negative_first_prt_is_refused(cfg):
         dataclasses.replace(frame, first_prt=-2)
     with pytest.raises(ConfigError, match="first_prt must be >= 0"):
         wf.synthesize(dataclasses.replace(plan, first_prt=-2), psk, cfg)
+    # a refused frame leaves the caller's array as it was
+    data = np.zeros((1, 2, 8), complex)
+    with pytest.raises(ConfigError, match="first_prt must be >= 0"):
+        wf.IqFrame(data, 1.0, first_prt=-1)
+    assert data.flags.writeable
 
 
 def test_frame_hops_is_a_read_only_view(cfg, rng):
