@@ -158,20 +158,30 @@ def test_channel_noise_seed_contract(cfg, tmp_path):
     assert g.bit_generator.state == state
 
 
-def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path):
-    # synthesize, apply and read_iq hand the frame buffers they own, so it
+def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path,
+                                                  monkeypatch):
+    # synthesize, apply and read_iq hand IqFrame buffers they own, so it
     # copies none, and nothing can change them, not through the hop view
     # either
+    handed = []
+    take = wf.IqFrame.__post_init__
+
+    def spy(frame):
+        handed.append(frame.data.flags.owndata)
+        take(frame)
+
+    monkeypatch.setattr(wf.IqFrame, "__post_init__", spy)
     plan, psk, frame = _frame(cfg, 4, rng)
     out = imp.apply(frame, plan, psk, imp.ImpairmentSpec(noise_var=0.1),
                     cfg, rng=3)
     write_iq(tmp_path / "rx.iq", out)
-    for rx in (out, read_iq(tmp_path / "rx.iq")):
-        assert rx.data.flags.owndata and not rx.data.flags.writeable
-        assert not rx.hops(cfg, 1).flags.writeable
+    back = read_iq(tmp_path / "rx.iq")
+    assert handed == [True, True, True]
+    for rx in (frame, out, back):
+        assert not rx.data.flags.writeable
+        assert not rx.hops(cfg, rx.n_channels).flags.writeable
         with pytest.raises(ValueError):
-            rx.hops(cfg, 1)[0, 0, 0] = 0
-    assert frame.data.flags.owndata and not frame.data.flags.writeable
+            rx.hops(cfg, rx.n_channels)[0, 0, 0] = 0
 
 
 def _time_domain_mix(plan, psk, spec, cfg):
