@@ -317,8 +317,8 @@ def test_a_negative_first_prt_is_refused(cfg):
 
 
 def test_frame_hops_is_a_read_only_view(cfg, rng):
-    # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, a view
-    # of the frame's samples; neither refuses a read nor takes a write
+    # hop h of PRT i is samples [h*n_hop, (h+1)*n_hop) of that PRT, read
+    # through a view of the frame's samples that, like them, refuses writes
     plan = wf.plan_hops(cfg, n_prt=3, rng=rng, first_prt=4)
     frame = wf.synthesize(plan, wf.make_psk_grid(cfg, plan, 0), cfg)
     assert frame.first_prt == 4
