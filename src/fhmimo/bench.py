@@ -143,6 +143,8 @@ class SweepSpec:
                      "angle_grid_points"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"sweep.{name} must be >= 1")
+        if self.seed < 0:           # SeedSequence takes no negative entropy
+            raise ConfigError(f"sweep.seed must be >= 0, got {self.seed}")
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError("sweep.p_fa must be in (0, 1)")
         if not 0.0 < self.angle_fov_deg <= 90.0:      # NaN fails too

@@ -124,7 +124,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 def _run(raw: dict) -> dict:
     """The converted run section with the CLI's seed and PSK order defaults;
     without ``n_prt``, :func:`plan_hops` plans one CPI."""
-    return {"seed": 0, "order_bits": 3, **_given(raw, "run")}
+    run = {"seed": 0, "order_bits": 3, **_given(raw, "run")}
+    if run["seed"] < 0:             # SeedSequence takes no negative entropy
+        raise ConfigError(f"run.seed must be >= 0, got {run['seed']}")
+    return run
 
 
 def _noise_var(sec: dict, default: float) -> float:
@@ -160,8 +163,8 @@ def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
 
 def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
     sec = _given(raw, "scene")
-    targets = sec.pop("targets", ())
-    scene = (radarrx.TargetScene(targets) if targets
+    # a given target list is the scene, even an empty one
+    scene = (radarrx.TargetScene(sec["targets"]) if "targets" in sec
              else radarrx.TargetScene.random(cfg, rng=rng, **sec))
     scene.validate(cfg)
     return scene

@@ -335,6 +335,49 @@ def test_radar_without_a_listening_window_exits_2(cfg_file, tmp_path,
     assert not (out / "rdm.bin").exists()
 
 
+def test_an_empty_target_list_is_a_scene_without_targets(cfg_file,
+                                                          tmp_path):
+    # an explicit empty list was read as "no list": radar exited 0 with a
+    # scene of 50 random targets in scene.csv
+    cfg = json.loads(cfg_file.read_text())
+    cfg["scene"] = {"targets": []}
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("--config", str(p), "--out", str(out), "radar",
+                   "--snr", "0") == 0
+    lines = (out / "scene.csv").read_text().splitlines()
+    assert lines[-1] == "range_m,velocity,azimuth_deg"     # header only
+
+
+@pytest.mark.parametrize("argv, sweep_seed, key", [
+    (["--seed", "-1", "txgen"], None, "run.seed"),
+    (["--seed", "-1", "comm"], None, "run.seed"),
+    (["--seed", "-1", "radar", "--snr", "-10"], None, "run.seed"),
+    (["sweep", "--kind", "ber"], -3, "sweep.seed")],
+    ids=["txgen", "comm", "radar", "sweep"])
+def test_a_negative_seed_exits_2(cfg_file, tmp_path, capsys, monkeypatch,
+                                 argv, sweep_seed, key):
+    # SeedSequence refuses negative entropy: each command exited 5 with
+    # "expected non-negative integer"; a sweep refuses it before any worker
+    # starts
+    pools = []
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor",
+                        lambda *a, **k: pools.append(a))
+    cfg = json.loads(cfg_file.read_text())
+    if sweep_seed is not None:
+        cfg["sweep"]["seed"] = sweep_seed
+    p = tmp_path / "seed.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   *argv) == cli.EXIT_CONFIG == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config" and key in error["message"]
+    assert pools == []
+
+
 def _with_noise(cfg_file, tmp_path, noise, drop=()):
     """Config file whose impairment section sets only ``noise`` (a dict
     with ``noise_var`` or ``snr_db``) next to the fixture's other keys,
