@@ -209,9 +209,15 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     correlation with the pulse spans R + E - 1 < n_p lags and fits an
     n_p-point FFT without wrap. The pulses' conjugate spectra are built
     once per call and the receive antennas transformed one at a time, so
-    the temporaries are (n_prt, n_p).
+    the temporaries are (n_prt, n_p). An ``rx`` whose PRTs are not the
+    plan's ``n_prt`` of ``samples_per_prt`` samples is a
+    :class:`ConfigError`.
     """
     N, n_prt, n_p = rx.shape
+    if (n_prt, n_p) != (plan.n_prt, cfg.samples_per_prt):
+        raise ConfigError(
+            f"rx holds (n_prt, samples_per_prt) = {(n_prt, n_p)}, but the "
+            f"plan and config give {(plan.n_prt, cfg.samples_per_prt)}")
     M = cfg.n_tx
     E = cfg.samples_per_pulse
     R = n_p - E

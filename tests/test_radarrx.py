@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,19 @@ def test_front_end_refuses_a_pulse_that_fills_the_prt():
     rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg)
     with pytest.raises(ConfigError, match="listening window"):
         rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 8))
+
+
+@pytest.mark.parametrize("shape", [(16, 800), (1, 1600)],
+                         ids=["half-length-prts", "one-prt"])
+def test_matched_filter_refuses_rx_unlike_the_plan(cfg, shape):
+    # a 16-PRT plan: half-length PRTs gave 600 range bins where the config
+    # has 1400, and a 1-PRT rx raised a bare numpy broadcast ValueError
+    plan, psk = _plan_psk(cfg, 16)
+    rx = np.zeros((2, *shape), dtype=complex)
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{shape}, but the plan and config "
+                                       f"give (16, 1600)")):
+        rrx.matched_filter(rx, plan, psk, cfg)
 
 
 def _full_prt_correlation(rx, plan, psk, cfg):
