@@ -169,23 +169,6 @@ class SweepReport:
     def to_csv(self, path, cfg_hash=None) -> None:
         write_csv(path, self.columns, self.rows, cfg_hash)
 
-    def to_plotdata(self, path, x_col: str, curve_cols: list,
-                    label_cols: list, cfg_hash=None) -> None:
-        """Long-format plot file: one row per (curve, x) with y and CI."""
-        cols = ["curve", "x"]
-        for c in curve_cols:
-            cols += [c, c + "_lo", c + "_hi"]
-        idx = {c: i for i, c in enumerate(self.columns)}
-        rows = []
-        for r in self.rows:
-            label = "/".join(f"{c}={r[idx[c]]}" for c in label_cols)
-            row = [label, r[idx[x_col]]]
-            for c in curve_cols:
-                row += [r[idx[c]], r[idx.get(c + "_lo", idx[c])],
-                        r[idx.get(c + "_hi", idx[c])]]
-            rows.append(row)
-        write_csv(path, cols, rows, cfg_hash)
-
 
 def config_for_hop_duration(cfg: RadarConfig, hop_duration: float
                             ) -> RadarConfig:
@@ -284,7 +267,7 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
         rows.append([hop_t, order_bits, float(snr_db), sweep.comm_mode,
                      acc.psk_ber, p_lo, p_hi, acc.psk_bits, acc.psk_ser,
                      acc.fhcs_ber, f_lo, f_hi, acc.fhcs_bits, *rates])
-    return SweepReport(cols, rows, {"seed": sweep.seed})
+    return SweepReport(cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +382,7 @@ def run_radar_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
         rows.append([float(snr_db), label, *rmse,
                      commrx.rate(matched, total), matched, total, *se])
         paired[(snr_db, label)] = dict(zip("rva", mse))
-    meta = {"seed": sweep.seed, "paired_mse": paired}
-    return SweepReport(cols, rows, meta)
+    return SweepReport(cols, rows, {"paired_mse": paired})
 
 
 # ---------------------------------------------------------------------------
@@ -435,4 +417,4 @@ def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
                      lo, hi, sc.psk_ber,
                      float(np.abs(rep.psk_residual).mean()),
                      sc.psk_symbols])
-    return SweepReport(cols, rows, {"seed": sweep.seed})
+    return SweepReport(cols, rows)

@@ -279,29 +279,23 @@ def build_sweep_spec(raw: dict, seed: int) -> bench.SweepSpec:
     return bench.SweepSpec(**{"seed": seed, **sec})
 
 
+# Each sweep kind's study and the report file it writes; ``sweep --kind``
+# takes its keys
+STUDIES = {"ber": (bench.run_ber_sweep, "ber_sweep.csv"),
+           "radar": (bench.run_radar_sweep, "radar_sweep.csv"),
+           "methods": (bench.run_method_comparison, "method_comparison.csv")}
+
+
 def cmd_sweep(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
-    """Run the configured Monte-Carlo study and export report files."""
+    """Run the configured Monte-Carlo study and write its report."""
     sweep = build_sweep_spec(raw, _run(raw)["seed"])
     kind = _given(raw, "sweep").get("kind", "ber")
     cfg_hash = _echo_config(raw, out_dir)
-    if kind == "ber":
-        rep = bench.run_ber_sweep(cfg, sweep)
-        rep.to_csv(out_dir / "ber_sweep.csv", cfg_hash)
-        rep.to_plotdata(out_dir / "ber_plotdata.csv", "snr_db",
-                        ["psk_ber", "fhcs_ber"],
-                        ["hop_duration", "order_bits"], cfg_hash)
-    elif kind == "radar":
-        rep = bench.run_radar_sweep(cfg, sweep)
-        rep.to_csv(out_dir / "radar_sweep.csv", cfg_hash)
-        rep.to_plotdata(out_dir / "radar_plotdata.csv", "snr_db",
-                        ["rmse_range", "rmse_velocity", "rmse_angle"],
-                        ["waveform"], cfg_hash)
-    elif kind == "methods":
-        rep = bench.run_method_comparison(cfg, sweep)
-        rep.to_csv(out_dir / "method_comparison.csv", cfg_hash)
-    else:
+    if kind not in STUDIES:
         raise ConfigError(f"unknown sweep kind {kind!r}")
-    print(f"wrote {kind} report to {out_dir}")
+    study, report = STUDIES[kind]
+    study(cfg, sweep).to_csv(out_dir / report, cfg_hash)
+    print(f"wrote {kind} report to {out_dir / report}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--snr", type=float, dest="impairment.snr_db",
                    metavar="SNR", help="per-sample SNR in dB")
     s = sub.add_parser("sweep", help="run a Monte-Carlo study")
-    s.add_argument("--kind", choices=("ber", "radar", "methods"),
-                   dest="sweep.kind")
+    s.add_argument("--kind", choices=STUDIES, dest="sweep.kind")
     s.add_argument("--snr", type=float, nargs="+", dest="sweep.snr_grid_db",
                    metavar="SNR", help="SNR grid override")
     s.add_argument("--modulation", type=int, nargs="+",

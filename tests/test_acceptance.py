@@ -421,8 +421,7 @@ def test_criterion_9_determinism(tmp_path):
             (["txgen"], ["tx.iq", "plan.txt"]),
             (["comm", "--mode", "estimated"], ["demod.csv", "summary.json"]),
             (["radar"], ["detections.csv", "rdm.bin", "scene.csv"]),
-            (["sweep", "--kind", "ber"], ["ber_sweep.csv",
-                                          "ber_plotdata.csv"])):
+            (["sweep", "--kind", "ber"], ["ber_sweep.csv"])):
         blobs = []
         for rep in ("a", "b"):
             out = tmp_path / f"{cmd[0]}_{rep}"

@@ -784,6 +784,37 @@ def test_sweep_command_and_determinism(cfg_file, tmp_path):
     assert b"fhcs_ber" in outs[0]
 
 
+@pytest.mark.parametrize("kind, report", [
+    (kind, report) for kind, (_, report) in cli.STUDIES.items()])
+def test_sweep_writes_one_report_per_study(cfg_file, tmp_path, kind,
+                                           report):
+    # ber and radar also wrote a plot-data CSV that repeated the report's
+    # columns, with each radar RMSE standing in for its own interval
+    out = tmp_path / kind
+    assert run_cli("--config", str(cfg_file), "--out", str(out), "sweep",
+                   "--kind", kind) == 0
+    assert {p.name for p in out.iterdir()} == {"effective_config.json",
+                                               report}
+    args = cli.make_parser().parse_args(["sweep", "--kind", kind])
+    assert vars(args)["sweep.kind"] == kind
+
+
+def test_unknown_sweep_kind_in_a_config_exits_2(cfg_file, tmp_path, capsys):
+    cfg = json.loads(cfg_file.read_text())
+    cfg["sweep"]["kind"] = "bogus"
+    p = tmp_path / "kind.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "sweep") == cli.EXIT_CONFIG == 2
+    assert "'bogus'" in json.loads(capsys.readouterr().err)["message"]
+    # the config is echoed before the kind is looked up
+    assert [f.name for f in out.iterdir()] == ["effective_config.json"]
+    with pytest.raises(SystemExit):
+        cli.make_parser().parse_args(["sweep", "--kind", "bogus"])
+
+
 def test_unknown_config_keys_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"radar": {"nope": 1}}))
