@@ -136,7 +136,7 @@ def _digest(value) -> str:
 def collect(out: Path) -> None:
     """Run the matrix with the ``fhmimo`` on the path; write under ``out``."""
     from fhmimo import cli, commrx, impairments as imp, waveform as wf
-    from fhmimo.config import RadarConfig
+    from fhmimo.config import RadarConfig, noise_var_for_snr
     from fhmimo.iqfile import read_iq, write_iq
 
     codes = {}
@@ -158,7 +158,7 @@ def collect(out: Path) -> None:
             [n_prt, first_prt, 0 if snr_db is None else snr_db + 100])
         spec = imp.ImpairmentSpec.from_clock(
             1.5e-6, cfg, sto_initial=0.4 / cfg.sample_rate,
-            noise_var=0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0),
+            noise_var=0.0 if snr_db is None else noise_var_for_snr(snr_db),
             front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
         plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, first_prt=first_prt)
         psk = wf.make_psk_grid(cfg, plan, order_bits, rng=rng)
