@@ -350,34 +350,6 @@ def test_an_empty_target_list_is_a_scene_without_targets(cfg_file,
     assert lines[-1] == "range_m,velocity,azimuth_deg"     # header only
 
 
-@pytest.mark.parametrize("argv, sweep_seed, key", [
-    (["--seed", "-1", "txgen"], None, "run.seed"),
-    (["--seed", "-1", "comm"], None, "run.seed"),
-    (["--seed", "-1", "radar", "--snr", "-10"], None, "run.seed"),
-    (["sweep", "--kind", "ber"], -3, "sweep.seed")],
-    ids=["txgen", "comm", "radar", "sweep"])
-def test_a_negative_seed_exits_2(cfg_file, tmp_path, capsys, monkeypatch,
-                                 argv, sweep_seed, key):
-    # SeedSequence refuses negative entropy: each command exited 5 with
-    # "expected non-negative integer"; a sweep refuses it before any worker
-    # starts
-    pools = []
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(bench, "ProcessPoolExecutor",
-                        lambda *a, **k: pools.append(a))
-    cfg = json.loads(cfg_file.read_text())
-    if sweep_seed is not None:
-        cfg["sweep"]["seed"] = sweep_seed
-    p = tmp_path / "seed.json"
-    p.write_text(json.dumps(cfg))
-    capsys.readouterr()
-    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
-                   *argv) == cli.EXIT_CONFIG == 2
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "config" and key in error["message"]
-    assert pools == []
-
-
 def _with_noise(cfg_file, tmp_path, noise, drop=()):
     """Config file whose impairment section sets only ``noise`` (a dict
     with ``noise_var`` or ``snr_db``) next to the fixture's other keys,
@@ -512,7 +484,11 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
      "azimuth_deg"),
     ("radar", "scene", {"targets": [{"range_m": 1000, "coeff": "nan+0j"}]},
      "coeff"),
-    ("radar", "sweep", {"angle_fov_deg": 1e308}, "angle_fov_deg")],
+    ("radar", "sweep", {"angle_fov_deg": 1e308}, "angle_fov_deg"),
+    ("txgen", "run", {"seed": -1}, "run.seed"),
+    ("comm", "run", {"seed": -1}, "run.seed"),
+    ("radar", "run", {"seed": -1}, "run.seed"),
+    ("sweep", "sweep", {"seed": -3}, "sweep.seed")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -534,7 +510,9 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "carrier_freq-inf", "ripple_db-nan", "ripple_rad-nan",
          "ripple_rad-inf", "snr_grid_db-nan", "hop_durations-nan",
          "sweep-ripple_db-nan", "target-velocity-nan", "target-azimuth-nan",
-         "target-azimuth-inf", "target-coeff-nan", "angle_fov_deg-1e308"])
+         "target-azimuth-inf", "target-coeff-nan", "angle_fov_deg-1e308",
+         "seed-negative-txgen", "seed-negative-comm", "seed-negative-radar",
+         "sweep-seed-negative"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -548,8 +526,9 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # unknown comm_mode, a sweep velocity span beyond the unambiguous
     # velocity running aliased trials, a NaN or infinite number reaching
     # the radar timing, the carrier, the ripple, a sweep grid or a target,
-    # a field of view whose grid step overflows); the error message names
-    # the offending key
+    # a field of view whose grid step overflows, a negative seed reaching
+    # SeedSequence as "expected non-negative integer"); the error message
+    # names the offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
