@@ -3,9 +3,7 @@
 
 Builds a 10-target scene, synthesizes echoes for the 2x12 virtual array,
 pulse-compresses, forms the range-Doppler map, detects with CA-CFAR and
-estimates (range, velocity, azimuth) per detection — once with an ideal
-array and once with unknown per-element gain errors fixed by anchor
-calibration. Run:
+estimates (range, velocity, azimuth) per detection. Run:
 
     python demos/demo_radar_chain.py
 """
@@ -31,12 +29,11 @@ print(f"Blind zone {cfg.blind_range:.0f} m, unambiguous range "
 print(f"Bins: {cfg.range_bin:.2f} m, {cfg.velocity_bin:.2f} m/s, "
       f"{60 / 1024:.3f} deg\n")
 
-def run(array, cal=None, label=""):
+def run(array, label):
     rx = rrx.synthesize_echo(plan, psk, scene, array, cfg,
                              noise_var=10 ** (24 / 10),
                              rng=np.random.default_rng(99))
-    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, array, grid=grid,
-                                cal=cal)
+    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, array, grid=grid)
     print(f"{label}: {len(dets)} detections for {len(scene.targets)} targets"
           " (plain-DFT Doppler sidelobes of strong echoes also cross CFAR;"
           " association gates sort them out)")
@@ -55,15 +52,4 @@ def run(array, cal=None, label=""):
     print(f"  matched {hits}/{len(scene.targets)}\n")
 
 
-run(rrx.ArrayModel(), label="Ideal array")
-
-# unknown per-element gains: calibrate against an anchor at boresight
-err_array = rrx.ArrayModel().with_random_errors(rng)
-anchor = rrx.TargetScene([rrx.Target(2250.0, 0.0, 0.0)])
-rx = rrx.synthesize_echo(plan, psk, anchor, err_array, cfg,
-                         noise_var=10.0, rng=np.random.default_rng(5))
-rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, err_array, grid=grid)
-z = dets.channel[np.argmax(dets.statistic)]
-cal = rrx.calibrate(z, err_array, anchor_azimuth_deg=0.0)
-print("Array with random element errors, anchor-calibrated at 0 deg:")
-run(err_array, cal=cal, label="Calibrated array")
+run(rrx.ArrayModel(), "Ideal array")

@@ -163,10 +163,14 @@ def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
 
 def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
     sec = _given(raw, "scene")
-    # a given target list is the scene, even an empty one
-    scene = (radarrx.TargetScene(sec["targets"]) if "targets" in sec
-             else radarrx.TargetScene.random(cfg, rng=rng, **sec))
+    # a given target list is the whole scene, even an empty one
+    targets = sec.pop("targets", None)
+    scene = (radarrx.TargetScene.random(cfg, rng=rng, **sec)
+             if targets is None else radarrx.TargetScene(targets))
     scene.validate(cfg)
+    if targets is not None and sec:
+        raise ConfigError(f"scene.targets is the whole scene; drop "
+                          f"{', '.join(sorted(sec))}")
     return scene
 
 

@@ -1,5 +1,5 @@
 """Radar receive chain: echo synthesis, pulse compression, range-Doppler
-processing, CFAR detection, array calibration and grid angle estimation.
+processing, CFAR detection and grid angle estimation.
 
 The virtual array is the Kronecker product of the receive and transmit
 steering vectors; with M transmitters every receive stream passes all M
@@ -8,7 +8,7 @@ matched filters, giving P = M*N spatial channels ordered p = n*M + m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +20,6 @@ from .waveform import HopPlan, PskGrid, synthesize
 
 CFAR_GUARD_CELLS = 2      # guard ring around the cell under test
 CFAR_TRAINING_CELLS = 8   # width of the training ring beyond the guard ring
-CAL_MIN_LEVEL = 1e-9      # smallest anchor channel magnitude to calibrate on
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,21 @@ def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayModel:
-    """Transmit/receive ULA geometry with per-element complex gain errors."""
+    """Error-free transmit/receive ULA geometry. The virtual array needs at
+    least two channels: one channel's angle spectrum is flat."""
 
     n_tx: int = 2
     n_rx: int = 12
     tx_spacing: float = 6.0    # wavelengths
     rx_spacing: float = 0.5    # wavelengths
-    tx_errors: np.ndarray | None = None
-    rx_errors: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.n_tx >= 1 and self.n_rx >= 1):
             raise ConfigError("n_tx and n_rx must be >= 1")
+        if self.n_virtual < 2:
+            raise ConfigError(
+                f"n_tx*n_rx = {self.n_virtual} virtual channel, must be >= 2 "
+                f"to estimate an angle")
         if not np.isfinite([self.tx_spacing, self.rx_spacing]).all():
             raise ConfigError("tx_spacing and rx_spacing must be finite")
 
@@ -117,32 +119,12 @@ class ArrayModel:
     def n_virtual(self) -> int:
         return self.n_tx * self.n_rx
 
-    def _errs(self):
-        e_t = (np.ones(self.n_tx, dtype=complex) if self.tx_errors is None
-               else np.asarray(self.tx_errors, dtype=complex))
-        e_r = (np.ones(self.n_rx, dtype=complex) if self.rx_errors is None
-               else np.asarray(self.rx_errors, dtype=complex))
-        return e_t, e_r
-
-    def with_random_errors(self, rng=None) -> "ArrayModel":
-        """This geometry with uniform random phase errors, n_tx transmit
-        phases drawn first, then n_rx receive phases."""
-        rng = np.random.default_rng(rng)
-        return replace(
-            self, tx_errors=np.exp(1j * rng.uniform(-np.pi, np.pi, self.n_tx)),
-            rx_errors=np.exp(1j * rng.uniform(-np.pi, np.pi, self.n_rx)))
-
-    def virtual_steering(self, theta_deg, include_errors: bool = True
-                         ) -> np.ndarray:
+    def virtual_steering(self, theta_deg) -> np.ndarray:
         """(..., P) steering of the virtual array, p = n*M + m."""
         a_t = _ula(theta_deg, self.tx_spacing, self.n_tx)
         a_r = _ula(theta_deg, self.rx_spacing, self.n_rx)
-        out = (a_r[..., :, None] * a_t[..., None, :]).reshape(
+        return (a_r[..., :, None] * a_t[..., None, :]).reshape(
             *a_t.shape[:-1], self.n_virtual)
-        if include_errors:
-            e_t, e_r = self._errs()
-            out = out * np.kron(e_r, e_t)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +155,11 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
     rx = complex_noise((N, n_prt, n_p), noise_var, rng)
 
     pulses = synthesize(plan, psk, cfg).data              # (M, n_prt, E)
-    e_t, e_r = array._errs()
     i_idx = np.arange(n_prt)
     for t in scene.targets:
         d = int(round(t.delay() * cfg.sample_rate))
-        a_t = _ula(t.azimuth_deg, array.tx_spacing, array.n_tx) * e_t  # (M,)
-        a_r = _ula(t.azimuth_deg, array.rx_spacing, N) * e_r           # (N,)
+        a_t = _ula(t.azimuth_deg, array.tx_spacing, array.n_tx)  # (M,)
+        a_r = _ula(t.azimuth_deg, array.rx_spacing, N)           # (N,)
         dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
                       * i_idx * cfg.prt_duration)             # (n_prt,)
         tx_sum = np.einsum("m,min->in", a_t, pulses)          # (n_prt, E)
@@ -395,27 +376,8 @@ def cfar_detect(rdm: RangeDopplerMap, p_fa: float) -> DetectionList:
 
 
 # ---------------------------------------------------------------------------
-# Calibration and parameter estimation
+# Parameter estimation
 # ---------------------------------------------------------------------------
-
-class CalibrationError(RuntimeError):
-    pass
-
-
-def calibrate(anchor_vector: np.ndarray, array: ArrayModel,
-              anchor_azimuth_deg: float) -> np.ndarray:
-    """Array calibration vector from an anchor target of known direction.
-
-    Channels are normalized to the first so that the calibrated steering
-    a(theta)*cal sums the anchor's channel vector coherently.
-    """
-    z = np.asarray(anchor_vector)
-    if np.any(np.abs(z) < CAL_MIN_LEVEL):
-        raise CalibrationError("anchor channel level too low to calibrate")
-    a_ideal = array.virtual_steering(anchor_azimuth_deg, include_errors=False)
-    cal = (z / z[0]) / (a_ideal / a_ideal[0])
-    return cal
-
 
 def angle_grid(fov_deg: float, n_points: int) -> np.ndarray:
     """Uniform azimuth grid over [-fov, fov) degrees."""
@@ -423,27 +385,22 @@ def angle_grid(fov_deg: float, n_points: int) -> np.ndarray:
     return -fov_deg + step * np.arange(n_points)
 
 
-def estimate_angle(z: np.ndarray, array: ArrayModel, grid: np.ndarray,
-                   cal: np.ndarray | None = None) -> np.ndarray:
+def estimate_angle(z: np.ndarray, array: ArrayModel,
+                   grid: np.ndarray) -> np.ndarray:
     """Azimuths maximizing |a(theta)^H z|^2 over the grid.
 
     ``z`` holds D channel vectors stacked as (D, P); returns the (D,)
     azimuths. The (L, P) steering matrix is built once per call and the
-    (D, L) spectrum comes from one product. Without a calibration vector
-    the ideal steering is used (correct for error-free arrays); with one,
-    per-channel gains are folded in.
+    (D, L) spectrum comes from one product.
     """
-    A = array.virtual_steering(grid, include_errors=False)   # (L, P)
-    if cal is not None:
-        A = A * cal
+    A = array.virtual_steering(grid)                          # (L, P)
     spectrum = np.abs(z @ A.conj().T)                         # (D, L)
     spectrum **= 2      # in place: no second (D, L) array
     return np.asarray(grid)[np.argmax(spectrum, axis=1)]
 
 
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
-                    array: ArrayModel, grid: np.ndarray,
-                    cal: np.ndarray | None) -> DetectionList:
+                    array: ArrayModel, grid: np.ndarray) -> DetectionList:
     """Fill the range, velocity and azimuth columns of a CPI's detections.
 
     Range and velocity come from the bin columns; the (D, P) channel
@@ -454,14 +411,13 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
     dets.range_m = SPEED_OF_LIGHT * t_star / 2.0
     f_star = rdm.doppler_freqs()[dets.doppler_bin]
     dets.velocity = cfg.wavelength * f_star / 2.0
-    dets.azimuth_deg = estimate_angle(dets.channel, array, grid, cal)
+    dets.azimuth_deg = estimate_angle(dets.channel, array, grid)
     return dets
 
 
 def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
                 cfg: RadarConfig, array: ArrayModel, grid: np.ndarray,
-                p_fa: float = 1e-4, cal: np.ndarray | None = None
-                ) -> tuple[RangeDopplerMap, DetectionList]:
+                p_fa: float = 1e-4) -> tuple[RangeDopplerMap, DetectionList]:
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
     rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
@@ -470,5 +426,5 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     """
     rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
     dets = cfar_detect(rdm, p_fa)
-    estimate_params(dets, rdm, array, grid, cal)
+    estimate_params(dets, rdm, array, grid)
     return rdm, dets

@@ -350,6 +350,25 @@ def test_an_empty_target_list_is_a_scene_without_targets(cfg_file,
     assert lines[-1] == "range_m,velocity,azimuth_deg"     # header only
 
 
+def test_a_one_channel_virtual_array_exits_2(cfg_file, tmp_path, capsys):
+    # radar.n_tx 1 with array.n_rx 1 exited 0 and read a target at 3 deg
+    # (and every other detection) at the angle grid's first point, -30 deg
+    cfg = json.loads(cfg_file.read_text())
+    cfg["radar"]["n_tx"] = 1
+    cfg["array"] = {"n_rx": 1}
+    cfg["scene"] = {"targets": [{"range_m": 2000, "azimuth_deg": 3}]}
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out), "radar",
+                   "--snr", "0") == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert "n_tx" in error["message"] and "n_rx" in error["message"]
+    assert not (out / "detections.csv").exists()
+
+
 def _with_noise(cfg_file, tmp_path, noise, drop=()):
     """Config file whose impairment section sets only ``noise`` (a dict
     with ``noise_var`` or ``snr_db``) next to the fixture's other keys,
@@ -488,7 +507,10 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("txgen", "run", {"seed": -1}, "run.seed"),
     ("comm", "run", {"seed": -1}, "run.seed"),
     ("radar", "run", {"seed": -1}, "run.seed"),
-    ("sweep", "sweep", {"seed": -3}, "sweep.seed")],
+    ("sweep", "sweep", {"seed": -3}, "sweep.seed"),
+    ("radar", "scene", {"targets": [{"range_m": 1000}],
+                        "range_span": [5000, 100]},
+     "scene.targets is the whole scene; drop n_targets, range_span")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -512,14 +534,14 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "sweep-ripple_db-nan", "target-velocity-nan", "target-azimuth-nan",
          "target-azimuth-inf", "target-coeff-nan", "angle_fov_deg-1e308",
          "seed-negative-txgen", "seed-negative-comm", "seed-negative-radar",
-         "sweep-seed-negative"])
+         "sweep-seed-negative", "targets-next-to-random-scene-keys"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
     # each used to exit 5 ("internal") on an uncaught error, 2 with a bare
     # TypeError message, or 0 with meaningless output (n_rx 0, rx_spacing
     # NaN, n_targets < 0, p_fa > 1, a count truncated to an int, a JSON
-    # boolean read as 0 or 1, array.random_errors giving uncalibrated
+    # boolean read as 0 or 1, array.random_errors giving skewed
     # angles (a radar run with seed 1 read targets at -3, 2 and 10 degrees
     # as -30.00, -24.38 and -15.94), a target key dropped, order_bits 64 overflowing int64 symbol arithmetic, a NaN
     # angle grid, a rho_span that is not two entries, a radar sweep with an
@@ -527,8 +549,9 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # velocity running aliased trials, a NaN or infinite number reaching
     # the radar timing, the carrier, the ripple, a sweep grid or a target,
     # a field of view whose grid step overflows, a negative seed reaching
-    # SeedSequence as "expected non-negative integer"); the error message
-    # names the offending key
+    # SeedSequence as "expected non-negative integer", a target list whose
+    # neighbouring scene keys, the empty range span too, were dropped
+    # unread); the error message names the offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Checks on the package source itself, read with ``ast``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fhmimo
@@ -11,6 +12,21 @@ SRC = Path(fhmimo.__file__).parent
 # (perfbench/workloads.py) passes it positionally, so it goes with the
 # next change to the benchmark (ROADMAP item 1).
 UNREAD_ON_PURPOSE = {"waveform.make_psk_grid.cfg"}
+
+# Library names that nothing else in the package names, kept because test
+# oracles or the demos read them.
+UNREACHED_ON_PURPOSE = {
+    # the analytic CFO window model, the CFO-loss tests' oracle
+    "impairments.window_gain",
+    # the inverse of sto_from_rho, checked by the round trip
+    "impairments.rho_from_sto",
+    # the transmit-side bit truth of a plan's FHCS payload
+    "waveform.extract_payload_bits",
+    # printed by demos/demo_waveform.py
+    "config.RadarConfig.subband_spacing",
+    # printed by demos/demo_radar_chain.py; criterion 7's velocity floor
+    "config.RadarConfig.velocity_bin",
+}
 
 
 def _unread_parameters(tree: ast.Module, module: str) -> set[str]:
@@ -33,6 +49,39 @@ def _unread_parameters(tree: ast.Module, module: str) -> set[str]:
     return out
 
 
+def _definitions(tree: ast.Module, module: str) -> dict:
+    """``module.name`` of every module-level function and class, and
+    ``module.Class.name`` of every method but the dunders, each with its
+    ``ast`` node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[f"{module}.{node.name}"] = node
+        if isinstance(node, ast.ClassDef):
+            out |= {f"{module}.{node.name}.{f.name}": f for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("__")}
+    return out
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name is loaded or stored, or read as an attribute,
+    under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreached(trees: dict) -> set[str]:
+    """Definitions in ``trees`` (module name -> ``ast`` tree) that no
+    module but ``__init__`` names outside the definition itself."""
+    trees = {m: t for m, t in trees.items() if m != "__init__"}
+    named = sum(map(_names, trees.values()), Counter())
+    return {qualname for module, tree in trees.items()
+            for qualname, node in _definitions(tree, module).items()
+            if named[node.name] <= _names(node)[node.name]}
+
+
 def test_every_function_parameter_is_read():
     unread = set()
     for path in sorted(SRC.glob("*.py")):
@@ -48,3 +97,22 @@ def test_unread_parameter_check_sees_what_it_claims():
                      "    z = 1\n")
     assert _unread_parameters(tree, "m") == {
         "m.f.b", "m.f.c", "m.f.e", "m.<lambda>.y", "m.h.z"}
+
+
+def test_every_library_definition_is_reached():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unreached(trees) == UNREACHED_ON_PURPOSE
+
+
+def test_unreached_check_sees_what_it_claims():
+    trees = {"m": ast.parse("def f():\n"
+                            "    return f()\n"
+                            "def g():\n"
+                            "    return C().used()\n"
+                            "class C:\n"
+                            "    def __init__(self): pass\n"
+                            "    def used(self): pass\n"
+                            "    def unused(self): pass\n"),
+             "__init__": ast.parse("from .m import f, g\nf()\n")}
+    assert _unreached(trees) == {"m.f", "m.g", "m.C.unused"}
