@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Desk-scale BER-vs-SNR study (the simulation lower bound).
+"""Desk-scale BER-vs-SNR study (the known-channel reference).
 
 Sweeps FHCS and PSK bit error rates over SNR for two hop durations in
 known-channel mode and prints the curves; also runs the three-method

@@ -10,9 +10,9 @@ from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
                      assign_peaks, build_pilot_ratios, correction_factor,
                      demodulate, estimate_cfo, estimate_clock, score_report)
 from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
-                      TargetScene, cfar_detect, estimate_angle,
+                      cfar_detect, check_scene, estimate_angle,
                       estimate_params, matched_filter, mtd, process_cpi,
-                      synthesize_echo)
+                      random_scene, synthesize_echo)
 from .bench import (SweepReport, SweepSpec, data_rate, run_ber_sweep,
                     run_method_comparison, run_radar_sweep, wilson_interval)
 

@@ -244,7 +244,7 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
 
 def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
     """BER of FHCS and PSK across the SNR grid, per modulation order and
-    hop duration (known-channel mode reproduces the simulation lower bound).
+    hop duration (known-channel mode: coherent detection plus erasures).
     """
     cols = ["hop_duration", "order_bits", "snr_db", "mode",
             "psk_ber", "psk_ber_lo", "psk_ber_hi", "psk_bits",
@@ -279,7 +279,8 @@ GATE_DOPPLER_BINS = 2
 GATE_ANGLE_DEG = 2.0
 
 
-def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
+def _associate(dets: radarrx.DetectionList,
+               scene: tuple[radarrx.Target, ...],
                rdm: radarrx.RangeDopplerMap):
     """Greedy nearest association of detections to truth targets.
 
@@ -293,7 +294,7 @@ def _associate(dets: radarrx.DetectionList, scene: radarrx.TargetScene,
     cfg = rdm.cfg
     free = np.ones(len(dets), dtype=bool)
     out = []
-    for t in scene.targets:
+    for t in scene:
         rb_t = round(t.delay() * cfg.sample_rate) - rdm.range_offset
         db_t = round(t.doppler(cfg.wavelength)
                      / cfg.doppler_bin) + rdm.n_doppler // 2
@@ -320,11 +321,11 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
     # the FHCS (plan) and PSK bits each get their own child stream; the
     # traditional waveform carries no PSK (order 0)
     scene_seed, plan_seed, noise_seed, psk_seed = seq.spawn(4)
-    scene = radarrx.TargetScene.random(
+    scene = radarrx.random_scene(
         cfg, sweep.n_targets, rng=np.random.default_rng(scene_seed),
         range_span=sweep.range_span, velocity_span=sweep.velocity_span,
         azimuth_span=sweep.azimuth_span)
-    array = radarrx.ArrayModel(n_tx=cfg.n_tx)
+    array = radarrx.ArrayModel()
     plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi,
                      rng=np.random.default_rng(plan_seed),
                      mode=waveform_mode)

@@ -33,8 +33,8 @@ EXIT_INTERNAL = 5
 
 
 # The keys each section may give and the kind each converts to, read by both
-# the key check and the conversion. The radar and sweep kinds are their
-# dataclasses' field annotations; a scene target is a radarrx.Target.
+# the key check and the conversion. The radar, array and sweep kinds are
+# their dataclasses' field annotations; a scene target is a radarrx.Target.
 SCHEMA = {
     "radar": typing.get_type_hints(RadarConfig),
     "impairment": {"rho": float, "cfo": float, "sto_initial": float,
@@ -45,7 +45,7 @@ SCHEMA = {
               "range_span": tuple[float, ...],
               "velocity_span": tuple[float, ...],
               "azimuth_span": tuple[float, ...]},
-    "array": {"n_rx": int, "tx_spacing": float, "rx_spacing": float},
+    "array": typing.get_type_hints(radarrx.ArrayModel),
     "sweep": {"kind": str, **typing.get_type_hints(bench.SweepSpec)},
     "run": {"seed": int, "order_bits": int, "n_prt": int, "mode": str,
             "payload_file": str, "iq_file": str},
@@ -132,11 +132,13 @@ def _run(raw: dict) -> dict:
 
 def _noise_var(sec: dict, default: float) -> float:
     """Per-sample noise variance, popped from a converted impairment section:
-    ``snr_db`` if given, else ``noise_var``, else ``default``."""
-    noise_var = sec.pop("noise_var", default)
+    ``snr_db`` or ``noise_var`` (not both), else ``default``."""
+    if {"snr_db", "noise_var"} <= sec.keys():
+        raise ConfigError("give impairment.snr_db or impairment.noise_var, "
+                          "not both")
     if "snr_db" in sec:
-        noise_var = noise_var_for_snr(sec.pop("snr_db"))
-    return noise_var
+        return noise_var_for_snr(sec.pop("snr_db"))
+    return sec.pop("noise_var", default)
 
 
 def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
@@ -146,10 +148,13 @@ def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
     fe_kind = sec.pop("front_end", "flat")
     if fe_kind == "rippled":
         fe = FrontEndProfile.rippled(cfg, rng, **ripple)
-    elif fe_kind == "flat":
-        fe = None
-    else:
+    elif fe_kind != "flat":
         raise ConfigError(f"unknown front_end kind {fe_kind!r}")
+    elif ripple:            # a flat front end has no ripple to scale
+        raise ConfigError(f"impairment.{'/'.join(ripple)} needs front_end "
+                          f"'rippled'")
+    else:
+        fe = None
     # the clock keys are left; with rho, the CFO and clock mismatch follow
     if "rho" in sec:
         rho = sec.pop("rho")
@@ -161,21 +166,19 @@ def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
     return spec
 
 
-def build_scene(raw: dict, cfg: RadarConfig, rng) -> radarrx.TargetScene:
+def build_scene(raw: dict, cfg: RadarConfig,
+                rng) -> tuple[radarrx.Target, ...]:
+    """The given target list (the whole scene, even an empty one; a bad
+    target is named first), else a random scene of the other keys."""
     sec = _given(raw, "scene")
-    # a given target list is the whole scene, even an empty one
     targets = sec.pop("targets", None)
-    scene = (radarrx.TargetScene.random(cfg, rng=rng, **sec)
-             if targets is None else radarrx.TargetScene(targets))
-    scene.validate(cfg)
-    if targets is not None and sec:
+    if targets is None:
+        return radarrx.random_scene(cfg, rng=rng, **sec)
+    radarrx.check_scene(targets, cfg)
+    if sec:
         raise ConfigError(f"scene.targets is the whole scene; drop "
                           f"{', '.join(sorted(sec))}")
-    return scene
-
-
-def build_array(raw: dict, cfg: RadarConfig) -> radarrx.ArrayModel:
-    return radarrx.ArrayModel(n_tx=cfg.n_tx, **_given(raw, "array"))
+    return targets
 
 
 def _echo_config(raw: dict, out_dir: Path) -> str:
@@ -255,7 +258,7 @@ def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     scene_rng, noise_rng, plan_rng = (
         np.random.default_rng(s) for s in seq.spawn(3))
     scene = build_scene(raw, cfg, scene_rng)
-    array = build_array(raw, cfg)
+    array = radarrx.ArrayModel(**_given(raw, "array"))
     sweep = build_sweep_spec(raw, run["seed"])
     plan = plan_hops(cfg, rng=plan_rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
@@ -268,11 +271,10 @@ def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
     cfg_hash = _echo_config(raw, out_dir)
     dets.to_csv(out_dir / "detections.csv", cfg_hash)
     write_rdm(out_dir / "rdm.bin", rdm)
-    truth_rows = [(t.range_m, t.velocity, t.azimuth_deg)
-                  for t in scene.targets]
+    truth_rows = [(t.range_m, t.velocity, t.azimuth_deg) for t in scene]
     write_csv(out_dir / "scene.csv", ["range_m", "velocity", "azimuth_deg"],
               truth_rows, cfg_hash)
-    print(f"wrote {len(dets)} detections for {len(scene.targets)} targets")
+    print(f"wrote {len(dets)} detections for {len(scene)} targets")
 
 
 def build_sweep_spec(raw: dict, seed: int) -> bench.SweepSpec:
@@ -342,6 +344,8 @@ def main(argv=None) -> int:
                  if "." in key and val is not None}
     if "sweep.snr_grid_db" in overrides:    # --snr sets both SNR grids
         overrides["sweep.radar_snr_grid_db"] = overrides["sweep.snr_grid_db"]
+    if "run.seed" in overrides:             # --seed sets both seeds
+        overrides["sweep.seed"] = overrides["run.seed"]
 
     try:
         raw = load_config(args.config, overrides)

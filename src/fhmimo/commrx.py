@@ -361,7 +361,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
       "flat"       estimated, but every pilot-table residual is 1 - i.e.
                    the per-sub-band gain/timing correction is disabled
                    (comparison baseline);
-      "known"      corrections from the true ``spec`` (lower bound).
+      "known"      corrections from the true ``spec`` (the reference).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown demodulation mode {mode!r}")

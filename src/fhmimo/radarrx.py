@@ -2,8 +2,9 @@
 processing, CFAR detection and grid angle estimation.
 
 The virtual array is the Kronecker product of the receive and transmit
-steering vectors; with M transmitters every receive stream passes all M
-matched filters, giving P = M*N spatial channels ordered p = n*M + m.
+steering vectors; each of the N = ``ArrayModel.n_rx`` receive streams
+passes all M = ``RadarConfig.n_tx`` matched filters, giving P = M*N spatial
+channels ordered p = n*M + m. A scene is a tuple of :class:`Target`.
 """
 
 from __future__ import annotations
@@ -36,56 +37,45 @@ class Target:
         return 2.0 * self.velocity / wavelength
 
 
-@dataclass
-class TargetScene:
-    targets: list
+def random_scene(cfg: RadarConfig, n_targets: int = 50, rng=None,
+                 range_span=(750.0, 4185.0), velocity_span=(-170.0, 170.0),
+                 azimuth_span=(-4.0, 4.0)) -> tuple[Target, ...]:
+    """``n_targets`` targets drawn uniformly over the spans; the range span
+    is first clamped to the observable window. A negative count, a span
+    that is empty or not two entries, or a velocity span reaching
+    +/-``cfg.unambiguous_velocity`` (its targets would alias) is a
+    :class:`ConfigError`."""
+    for name, span in (("range_span", range_span),
+                       ("velocity_span", velocity_span),
+                       ("azimuth_span", azimuth_span)):
+        check_span(name, span)
+    v_max = cfg.unambiguous_velocity
+    if not (-v_max < velocity_span[0] and velocity_span[1] < v_max):
+        raise ConfigError(
+            f"velocity_span must lie inside +/-{v_max:.6g} m/s (the "
+            f"unambiguous velocity), got {list(velocity_span)}")
+    if not n_targets >= 0:
+        raise ConfigError("n_targets must be >= 0")
+    lo_r = max(range_span[0], cfg.blind_range)
+    hi_r = min(range_span[1], cfg.unambiguous_range)
+    check_span("range_span (clamped to the observable window)", (lo_r, hi_r))
+    rng = np.random.default_rng(rng)
+    return tuple(Target(range_m=float(rng.uniform(lo_r, hi_r)),
+                        velocity=float(rng.uniform(*velocity_span)),
+                        azimuth_deg=float(rng.uniform(*azimuth_span)),
+                        coeff=np.exp(2j * np.pi * rng.random()))
+                 for _ in range(n_targets))
 
-    def __post_init__(self):
-        self.targets = list(self.targets)
 
-    @classmethod
-    def random(cls, cfg: RadarConfig, n_targets: int = 50, rng=None,
-               range_span=(750.0, 4185.0), velocity_span=(-170.0, 170.0),
-               azimuth_span=(-4.0, 4.0)) -> "TargetScene":
-        """``n_targets`` targets drawn uniformly over the spans; the range
-        span is first clamped to the observable window. A negative count, a
-        span that is empty or not two entries, or a velocity span reaching
-        +/-``cfg.unambiguous_velocity`` (its targets would alias) is a
-        :class:`ConfigError`."""
-        for name, span in (("range_span", range_span),
-                           ("velocity_span", velocity_span),
-                           ("azimuth_span", azimuth_span)):
-            check_span(name, span)
-        v_max = cfg.unambiguous_velocity
-        if not (-v_max < velocity_span[0] and velocity_span[1] < v_max):
+def check_scene(targets, cfg: RadarConfig) -> None:
+    """Refuse a target outside the observable range and velocity spans."""
+    for t in targets:
+        if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
             raise ConfigError(
-                f"velocity_span must lie inside +/-{v_max:.6g} m/s (the "
-                f"unambiguous velocity), got {list(velocity_span)}")
-        if not n_targets >= 0:
-            raise ConfigError("n_targets must be >= 0")
-        lo_r = max(range_span[0], cfg.blind_range)
-        hi_r = min(range_span[1], cfg.unambiguous_range)
-        check_span("range_span (clamped to the observable window)",
-                   (lo_r, hi_r))
-        rng = np.random.default_rng(rng)
-        targets = []
-        for _ in range(n_targets):
-            targets.append(Target(
-                range_m=float(rng.uniform(lo_r, hi_r)),
-                velocity=float(rng.uniform(*velocity_span)),
-                azimuth_deg=float(rng.uniform(*azimuth_span)),
-                coeff=np.exp(2j * np.pi * rng.random()),
-            ))
-        return cls(targets)
-
-    def validate(self, cfg: RadarConfig) -> None:
-        for t in self.targets:
-            if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
-                raise ConfigError(
-                    f"target range_m {t.range_m} outside "
-                    f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
-            if abs(t.velocity) >= cfg.unambiguous_velocity:
-                raise ConfigError("target velocity outside unambiguous span")
+                f"target range_m {t.range_m} outside "
+                f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
+        if abs(t.velocity) >= cfg.unambiguous_velocity:
+            raise ConfigError("target velocity outside unambiguous span")
 
 
 def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:
@@ -97,41 +87,32 @@ def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayModel:
-    """Error-free transmit/receive ULA geometry. The virtual array needs at
-    least two channels: one channel's angle spectrum is flat."""
+    """Error-free ULA geometry: the receive array and the spacing of the
+    transmit array, whose element count is the config's ``n_tx``."""
 
-    n_tx: int = 2
     n_rx: int = 12
     tx_spacing: float = 6.0    # wavelengths
     rx_spacing: float = 0.5    # wavelengths
 
     def __post_init__(self):
-        if not (self.n_tx >= 1 and self.n_rx >= 1):
-            raise ConfigError("n_tx and n_rx must be >= 1")
-        if self.n_virtual < 2:
-            raise ConfigError(
-                f"n_tx*n_rx = {self.n_virtual} virtual channel, must be >= 2 "
-                f"to estimate an angle")
+        if not self.n_rx >= 1:
+            raise ConfigError("n_rx must be >= 1")
         if not np.isfinite([self.tx_spacing, self.rx_spacing]).all():
             raise ConfigError("tx_spacing and rx_spacing must be finite")
 
-    @property
-    def n_virtual(self) -> int:
-        return self.n_tx * self.n_rx
-
-    def virtual_steering(self, theta_deg) -> np.ndarray:
-        """(..., P) steering of the virtual array, p = n*M + m."""
-        a_t = _ula(theta_deg, self.tx_spacing, self.n_tx)
+    def virtual_steering(self, theta_deg, n_tx: int) -> np.ndarray:
+        """(..., P) steering with M = ``n_tx`` transmitters, p = n*M + m."""
+        a_t = _ula(theta_deg, self.tx_spacing, n_tx)
         a_r = _ula(theta_deg, self.rx_spacing, self.n_rx)
         return (a_r[..., :, None] * a_t[..., None, :]).reshape(
-            *a_t.shape[:-1], self.n_virtual)
+            *a_t.shape[:-1], n_tx * self.n_rx)
 
 
 # ---------------------------------------------------------------------------
 # Echo synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
+def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
                     array: ArrayModel, cfg: RadarConfig,
                     noise_var: float = 0.0, rng=None) -> np.ndarray:
     """Per-receive-antenna echo samples for one CPI.
@@ -141,13 +122,13 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
     steering and its scattering coefficient, with a per-PRT Doppler phase.
     Delays are rounded to the sample grid; samples inside the transmit
     window are zeroed (pulsed-radar blind zone). A scene outside the
-    observable window (:meth:`TargetScene.validate`) raises
+    observable window (:func:`check_scene`) raises
     :class:`ConfigError` before anything is drawn. The noise is one
     :func:`complex_noise` draw of shape (N, n_prt, samples_per_prt), made
     before the echoes, so equal seeds give equal noise regardless of the
     scene/plan and a bad ``noise_var`` raises its :class:`ConfigError`.
     """
-    scene.validate(cfg)
+    check_scene(scene, cfg)
     N = array.n_rx
     n_prt = plan.n_prt
     n_p = cfg.samples_per_prt
@@ -156,9 +137,9 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: TargetScene,
 
     pulses = synthesize(plan, psk, cfg).data              # (M, n_prt, E)
     i_idx = np.arange(n_prt)
-    for t in scene.targets:
+    for t in scene:
         d = int(round(t.delay() * cfg.sample_rate))
-        a_t = _ula(t.azimuth_deg, array.tx_spacing, array.n_tx)  # (M,)
+        a_t = _ula(t.azimuth_deg, array.tx_spacing, cfg.n_tx)    # (M,)
         a_r = _ula(t.azimuth_deg, array.rx_spacing, N)           # (N,)
         dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
                       * i_idx * cfg.prt_duration)             # (n_prt,)
@@ -389,11 +370,12 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
                    grid: np.ndarray) -> np.ndarray:
     """Azimuths maximizing |a(theta)^H z|^2 over the grid.
 
-    ``z`` holds D channel vectors stacked as (D, P); returns the (D,)
-    azimuths. The (L, P) steering matrix is built once per call and the
-    (D, L) spectrum comes from one product.
+    ``z`` holds D channel vectors stacked as (D, P), so the virtual array
+    has P // n_rx transmitters; returns the (D,) azimuths. The (L, P)
+    steering matrix is built once per call and the (D, L) spectrum comes
+    from one product.
     """
-    A = array.virtual_steering(grid)                          # (L, P)
+    A = array.virtual_steering(grid, z.shape[1] // array.n_rx)  # (L, P)
     spectrum = np.abs(z @ A.conj().T)                         # (D, L)
     spectrum **= 2      # in place: no second (D, L) array
     return np.asarray(grid)[np.argmax(spectrum, axis=1)]
@@ -420,10 +402,20 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
                 p_fa: float = 1e-4) -> tuple[RangeDopplerMap, DetectionList]:
     """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
 
-    rx: (N, n_prt, samples_per_prt). Returns the range-Doppler map and the
-    CPI's detections with every column filled. The range profiles and the
-    cube are one buffer, which :func:`mtd` transforms in place.
+    rx: (N, n_prt, samples_per_prt) with N = ``array.n_rx``. Returns the
+    range-Doppler map and the CPI's detections with every column filled.
+    The range profiles and the cube are one buffer, which :func:`mtd`
+    transforms in place. A virtual array of fewer than two channels
+    (``cfg.n_tx * array.n_rx``; one channel's angle spectrum is flat) or an
+    ``rx`` of another antenna count is a :class:`ConfigError`.
     """
+    P = cfg.n_tx * array.n_rx
+    if P < 2:
+        raise ConfigError(f"n_tx*n_rx = {P} virtual channel, must be >= 2 "
+                          f"to estimate an angle")
+    if len(rx) != array.n_rx:
+        raise ConfigError(f"rx holds {len(rx)} receive streams, but the "
+                          f"array has n_rx = {array.n_rx}")
     rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
     dets = cfar_detect(rdm, p_fa)
     estimate_params(dets, rdm, array, grid)

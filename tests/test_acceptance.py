@@ -40,7 +40,7 @@ def test_criterion_1_parameter_fidelity():
         (np.array_equal(freqs, np.arange(-10, 10)),
          "sub-bands != -10..+9 MHz"),
         (cfg.blind_range == 750.0, "blind zone != 750 m"),
-        (rrx.ArrayModel(n_tx=cfg.n_tx).n_virtual == 24,
+        (cfg.n_tx * rrx.ArrayModel().n_rx == 24,
          "virtual channels != 24"),
     ]
     _verdict(1, "experiment parameters reproduced exactly", checks)
@@ -366,7 +366,7 @@ def test_criterion_8_property_suite():
     counts = {1e-3: 0, 1e-4: 0}
     cells = 0
     for trial in range(6):
-        rx5 = rrx.synthesize_echo(plan5, psk5, rrx.TargetScene([]), arr,
+        rx5 = rrx.synthesize_echo(plan5, psk5, (), arr,
                                   cfg, noise_var=1.0,
                                   rng=np.random.default_rng([SEED, 89, trial]))
         rdm = rrx.mtd(rrx.matched_filter(rx5, plan5, psk5, cfg), cfg)

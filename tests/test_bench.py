@@ -245,7 +245,7 @@ def test_associate_tie_break_and_no_reuse(cfg):
         (250, 64, 0.0, 99.0, 3.0),    # outside range gate
         (200, 64, 3.0, 99.0, 4.0),    # outside angle gate
     ])
-    scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)] * 4)
+    scene = (rrx.Target(1500.0, 0.0, 0.0),) * 4
     out = bench._associate(dets, scene, _rdm(cfg))
     # highest statistic first, lowest index on ties, never reused
     assert [r[0] for r in out] == [True, True, True, False]
@@ -256,7 +256,7 @@ def test_associate_matches_loop_reference(cfg):
     # the per-detection loop the vectorized association replaced
     def loop(dets, scene):
         out, used = [], set()
-        for t in scene.targets:
+        for t in scene:
             rb_t = round(t.delay() * cfg.sample_rate) - cfg.samples_per_pulse
             db_t = round(t.doppler(cfg.wavelength) / cfg.doppler_bin) + 64
             best = None
@@ -278,9 +278,8 @@ def test_associate_matches_loop_reference(cfg):
         return out
 
     rng = np.random.default_rng(4)
-    scene = rrx.TargetScene([rrx.Target(1500.0 + 3.75 * rng.integers(-4, 5),
-                                        0.0, rng.uniform(-2, 2))
-                             for _ in range(40)])
+    scene = tuple(rrx.Target(1500.0 + 3.75 * rng.integers(-4, 5), 0.0,
+                             rng.uniform(-2, 2)) for _ in range(40))
     # few distinct statistics so ties are common
     dets = _dets([
         (200 + int(rng.integers(-6, 7)), 64 + int(rng.integers(-3, 4)),

@@ -510,7 +510,13 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("sweep", "sweep", {"seed": -3}, "sweep.seed"),
     ("radar", "scene", {"targets": [{"range_m": 1000}],
                         "range_span": [5000, 100]},
-     "scene.targets is the whole scene; drop n_targets, range_span")],
+     "scene.targets is the whole scene; drop n_targets, range_span"),
+    ("comm", "impairment", {"front_end": "flat", "ripple_db": 6.0},
+     "impairment.ripple_db needs front_end 'rippled'"),
+    ("comm", "impairment", {"front_end": "flat", "ripple_rad": 0.3},
+     "impairment.ripple_rad needs front_end 'rippled'"),
+    ("comm", "impairment", {"noise_var": 5.0},
+     "give impairment.snr_db or impairment.noise_var, not both")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -534,7 +540,9 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "sweep-ripple_db-nan", "target-velocity-nan", "target-azimuth-nan",
          "target-azimuth-inf", "target-coeff-nan", "angle_fov_deg-1e308",
          "seed-negative-txgen", "seed-negative-comm", "seed-negative-radar",
-         "sweep-seed-negative", "targets-next-to-random-scene-keys"])
+         "sweep-seed-negative", "targets-next-to-random-scene-keys",
+         "ripple_db-on-a-flat-front-end", "ripple_rad-on-a-flat-front-end",
+         "noise_var-next-to-snr_db"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -551,7 +559,8 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # a field of view whose grid step overflows, a negative seed reaching
     # SeedSequence as "expected non-negative integer", a target list whose
     # neighbouring scene keys, the empty range span too, were dropped
-    # unread); the error message names the offending key
+    # unread, a ripple on a flat front end or a noise_var next to snr_db
+    # read and then ignored); the error message names the offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
@@ -697,12 +706,12 @@ def test_comm_modulation_flag_beyond_the_float64_phase_exits_2(
 
 
 def test_empty_sections_give_library_defaults():
-    # build_array, build_scene and build_impairments pass on only the keys
-    # a config gives, so an empty section means the library's defaults
+    # the array section, build_scene and build_impairments pass on only the
+    # keys a config gives, so an empty section means the library's defaults
     cfg = RadarConfig(prts_per_cpi=20)
     raw = cli.load_config()
-    assert cli.build_array(raw, cfg) == rrx.ArrayModel(n_tx=cfg.n_tx)
-    assert cli.build_scene(raw, cfg, 5) == rrx.TargetScene.random(cfg, rng=5)
+    assert rrx.ArrayModel(**cli._given(raw, "array")) == rrx.ArrayModel()
+    assert cli.build_scene(raw, cfg, 5) == rrx.random_scene(cfg, rng=5)
     raw["impairment"]["front_end"] = "rippled"
     fe = cli.build_impairments(raw, cfg, 7).front_end
     ref = imp.FrontEndProfile.rippled(cfg, rng=7)
@@ -766,8 +775,8 @@ def test_readme_example_config_loads(tmp_path):
     cfg = RadarConfig(**cli._given(raw, "radar"))
     assert cfg == RadarConfig()
     assert cli.build_impairments(raw, cfg, 0).noise_var == 0.01
-    assert len(cli.build_scene(raw, cfg, 0).targets) == 50
-    assert cli.build_array(raw, cfg).n_rx == 12
+    assert len(cli.build_scene(raw, cfg, 0)) == 50
+    assert rrx.ArrayModel(**cli._given(raw, "array")).n_rx == 12
     sweep = cli.build_sweep_spec(raw, 1)
     assert sweep.snr_grid_db == (-10.0, 0.0, 10.0)
     assert sweep.modulations == (3, 4) and sweep.seed == 1
@@ -834,6 +843,26 @@ def test_unknown_config_keys_rejected(tmp_path):
 def test_missing_config_file(tmp_path):
     assert run_cli("--config", str(tmp_path / "missing.json"),
                    "txgen") == cli.EXIT_IO
+
+
+def test_seed_flag_overrides_the_sweep_seed(cfg_file, tmp_path):
+    # with sweep.seed in the config, --seed 5 and --seed 9 wrote the same
+    # method_comparison.csv rows; only the config_hash line differed.
+    # --seed N now gives the rows of a config whose sweep.seed is N
+    def rows(sweep_seed, *flag):
+        cfg = json.loads(cfg_file.read_text())
+        cfg["sweep"].update(kind="methods", seed=sweep_seed)
+        p = tmp_path / "methods.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / f"{sweep_seed}{''.join(flag)}"
+        assert run_cli("--config", str(p), *flag, "--out", str(out),
+                       "sweep") == 0
+        text = (out / "method_comparison.csv").read_text()
+        return [line for line in text.splitlines()
+                if not line.startswith("# config_hash")]
+
+    assert rows(3, "--seed", "5") == rows(5)
+    assert rows(3, "--seed", "9") == rows(9) != rows(5)
 
 
 def test_seed_changes_payload(cfg_file, tmp_path):

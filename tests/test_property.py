@@ -2,7 +2,8 @@
 odd and even sub-band counts, one to four antennas, extra hops, two hop
 lengths and frames that start mid pilot cycle, through an identity channel
 (every config the receiver accepts: K >= M, 1 to 4 samples per sub-band)
-and through a noisy, impaired one."""
+and through a noisy, impaired one; and the radar chain on one target over
+the same range of configs and one to six receive antennas."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from fhmimo import bench, commrx as crx
 from fhmimo import impairments as imp
+from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
-from fhmimo.config import MAX_ORDER_BITS, RadarConfig
+from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
+                           RadarConfig)
 
 
 def _frame(draw, K, M, oversampling, orders):
@@ -123,3 +126,74 @@ def test_high_snr_impaired_channel_in_every_mode(case):
         assert sc.fhcs_bit_errors == 0, mode
         if mode != "flat":
             assert sc.psk_symbol_errors == 0, mode
+
+
+AZIMUTHS = rrx.angle_grid(30.0, 128)     # the target's and the estimator's
+
+
+@st.composite
+def radar_cases(draw):
+    """A radar config (M = 1..4, K = M..23, H = M+1..M+3, 0.5 or 1 us hops
+    of 1 to 4 samples per sub-band, a listening window of 2H to 6H hops,
+    16, 32 or 64 PRTs), a receive array of 1 to 6 antennas spaced so the
+    virtual array is a contiguous half-wavelength line, and one target at
+    an integer delay, an integer Doppler bin and an azimuth on the grid."""
+    M = draw(st.integers(1, 4))
+    K = draw(st.integers(M, 23))
+    H = draw(st.integers(M + 1, M + 3))
+    hop = draw(st.sampled_from((1e-6, 0.5e-6)))
+    bandwidth = K * round(1 / hop)          # one tone cycle per sub-band
+    cfg = RadarConfig(n_subbands=K, n_tx=M, hops_per_pulse=H,
+                      hop_duration=hop,
+                      prt_duration=(H + draw(st.integers(2 * H, 6 * H)))
+                      * hop, bandwidth=bandwidth,
+                      sample_rate=draw(st.integers(1, 4)) * bandwidth,
+                      prts_per_cpi=draw(st.sampled_from((16, 32, 64))))
+    n_rx = draw(st.integers(1, 6))
+    E, n_p, F = cfg.samples_per_pulse, cfg.samples_per_prt, cfg.prts_per_cpi
+    delay = draw(st.integers(E, n_p - E))
+    k = draw(st.integers(-(F // 4), F // 4))
+    azimuth = float(AZIMUTHS[draw(st.integers(0, AZIMUTHS.size - 1))])
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cfg, n_rx, delay, k, azimuth, seed
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(radar_cases())
+def test_radar_chain_finds_one_target_in_every_config(case):
+    """Unit coefficient, unit noise variance, p_fa 1e-4: the target's cell
+    is the strongest detection, with exact range and velocity. The angle
+    is checked against the Cramer-Rao spread of sin(azimuth) for a
+    P-element half-wavelength line at the post-integration SNR F*E of one
+    channel: exact where 5 of those spreads fit in half a grid step, else
+    inside half the main lobe (1/P in sin). P = 1 is refused."""
+    cfg, n_rx, delay, k, azimuth, seed = case
+    E, F, P = cfg.samples_per_pulse, cfg.prts_per_cpi, cfg.n_tx * n_rx
+    # built as the estimator maps bins back, with the library's constant
+    range_m = SPEED_OF_LIGHT * (delay / cfg.sample_rate) / 2.0
+    velocity = cfg.wavelength * (k / (F * cfg.prt_duration)) / 2.0
+    target = rrx.Target(range_m, velocity, azimuth)
+    arr = rrx.ArrayModel(n_rx=n_rx, tx_spacing=0.5 * n_rx)
+    rng = np.random.default_rng(seed)
+    plan = wf.plan_hops(cfg, n_prt=F, rng=rng)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+    rx = rrx.synthesize_echo(plan, psk, (target,), arr, cfg, noise_var=1.0,
+                             rng=rng)
+    if P == 1:
+        with pytest.raises(ConfigError, match=r"n_tx\*n_rx = 1"):
+            rrx.process_cpi(rx, plan, psk, cfg, arr, AZIMUTHS)
+        return
+    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, AZIMUTHS, p_fa=1e-4)
+    best = np.argmax(dets.statistic)
+    assert (dets.range_bin[best], dets.doppler_bin[best]) == (delay - E,
+                                                              k + F // 2)
+    assert dets.range_m[best] == range_m
+    assert dets.velocity[best] == velocity
+    sigma_u = np.sqrt(6 / (np.pi ** 2 * F * E * P * (P * P - 1)))
+    half_step = np.cos(np.deg2rad(30.0)) * np.deg2rad(60.0 / 128) / 2
+    if 5 * sigma_u < half_step:
+        assert dets.azimuth_deg[best] == azimuth
+    else:
+        u_err = (np.sin(np.deg2rad(dets.azimuth_deg[best]))
+                 - np.sin(np.deg2rad(azimuth)))
+        assert abs(u_err) <= 1 / P

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -25,43 +26,70 @@ def test_blind_zone_is_750m(cfg):
     assert cfg.blind_range == pytest.approx(750.0)
 
 
-def test_virtual_channel_count():
-    assert rrx.ArrayModel(n_tx=2, n_rx=12).n_virtual == 24
+def test_virtual_channel_count(cfg):
+    # the config's M transmitters times the array's N receivers
+    arr = rrx.ArrayModel()
+    assert [f.name for f in dataclasses.fields(arr)] == [
+        "n_rx", "tx_spacing", "rx_spacing"]
+    assert arr.virtual_steering(0.0, cfg.n_tx).shape == (24,)
+    assert arr.virtual_steering([0.0, 1.0], 3).shape == (2, 36)
 
 
 def test_a_one_channel_virtual_array_is_refused():
     # one channel's angle spectrum is flat, so argmax took the grid's first
-    # point: radar read a target at 3 deg as -30 deg and exited 0
-    with pytest.raises(ConfigError, match=r"n_tx\*n_rx = 1.*>= 2"):
-        rrx.ArrayModel(n_tx=1, n_rx=1)
-    assert rrx.ArrayModel(n_tx=1, n_rx=2).n_virtual == 2
+    # point: radar read a target at 3 deg as -30 deg and exited 0. The
+    # array alone has no channel count: process_cpi refuses P = 1 before
+    # the matched filter, and M = 1 with N = 2 runs
+    cfg = RadarConfig(n_tx=1, prts_per_cpi=4)
+    plan, psk = _plan_psk(cfg, 4)
+    for n_rx in (1, 2):
+        arr = rrx.ArrayModel(n_rx=n_rx)
+        rx = rrx.synthesize_echo(plan, psk, (rrx.Target(2000.0),), arr, cfg)
+        if n_rx == 1:
+            with pytest.raises(ConfigError, match=r"n_tx\*n_rx = 1.*>= 2"):
+                rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 8))
+        else:
+            rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr,
+                                     rrx.angle_grid(30, 8))
+            assert rdm.cube.shape[1] == 2
 
 
-def test_virtual_array_is_contiguous_half_wavelength():
+@pytest.mark.parametrize("n_rx", [4, 24])
+def test_process_cpi_refuses_rx_of_another_antenna_count(cfg, n_rx):
+    # the transmit count of estimate_angle is P // n_rx: a 12-antenna rx
+    # with n_rx = 4 would have been read as a 6-transmitter array
+    plan, psk = _plan_psk(cfg, 4)
+    rx = np.zeros((12, 4, cfg.samples_per_prt), dtype=complex)
+    with pytest.raises(ConfigError, match="12 receive streams.*n_rx = "):
+        rrx.process_cpi(rx, plan, psk, cfg, rrx.ArrayModel(n_rx=n_rx),
+                        rrx.angle_grid(30, 8))
+
+
+def test_virtual_array_is_contiguous_half_wavelength(cfg):
     # 2 TX at 6 wavelengths + 12 RX at half wavelength = 24-element
     # contiguous half-wavelength virtual ULA (no grating ambiguity)
     arr = rrx.ArrayModel()
     positions = sorted(0.5 * n + 6.0 * m
-                       for n in range(arr.n_rx) for m in range(arr.n_tx))
+                       for n in range(arr.n_rx) for m in range(cfg.n_tx))
     assert positions == [0.5 * p for p in range(24)]
     # steering phases match the element positions
     theta = 17.3
-    a = arr.virtual_steering(theta)
+    a = arr.virtual_steering(theta, cfg.n_tx)
     pos_p = np.array([0.5 * n + 6.0 * m
-                      for n in range(arr.n_rx) for m in range(arr.n_tx)])
+                      for n in range(arr.n_rx) for m in range(cfg.n_tx)])
     expect = np.exp(2j * np.pi * pos_p * np.sin(np.deg2rad(theta)))
     assert np.allclose(a, expect)
 
 
 def test_scene_validation(cfg):
     with pytest.raises(ValueError):
-        rrx.TargetScene([rrx.Target(100.0, 0.0, 0.0)]).validate(cfg)
+        rrx.check_scene((rrx.Target(100.0, 0.0, 0.0),), cfg)
     with pytest.raises(ValueError):
-        rrx.TargetScene([rrx.Target(1000.0, 400.0, 0.0)]).validate(cfg)
+        rrx.check_scene((rrx.Target(1000.0, 400.0, 0.0),), cfg)
     rng = np.random.default_rng(0)
-    scene = rrx.TargetScene.random(cfg, 50, rng=rng)
-    scene.validate(cfg)
-    assert len(scene.targets) == 50
+    scene = rrx.random_scene(cfg, 50, rng=rng)
+    rrx.check_scene(scene, cfg)
+    assert len(scene) == 50 and type(scene) is tuple
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +99,7 @@ def test_scene_validation(cfg):
 def test_echo_delay_sample(cfg):
     # 1500 m -> 10 us -> sample 400 at 40 MHz
     plan, psk = _plan_psk(cfg, 4)
-    scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)])
+    scene = (rrx.Target(1500.0, 0.0, 0.0),)
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg)
     first = np.argmax(np.abs(rx[0, 0]) > 0)
     assert first == 400
@@ -79,10 +107,10 @@ def test_echo_delay_sample(cfg):
 
 def test_echo_blind_zone_exclusion(cfg):
     # a target inside the blind zone is outside the observable window that
-    # TargetScene.validate enforces: refused, not warned about and dropped,
+    # check_scene enforces: refused, not warned about and dropped,
     # and refused before the noise draw touches the generator
     plan, psk = _plan_psk(cfg, 2)
-    scene = rrx.TargetScene([rrx.Target(600.0, 0.0, 0.0)])
+    scene = (rrx.Target(600.0, 0.0, 0.0),)
     g = np.random.default_rng(3)
     state = g.bit_generator.state
     with pytest.raises(ConfigError, match="range_m"):
@@ -93,7 +121,7 @@ def test_echo_blind_zone_exclusion(cfg):
 
 def test_zero_coefficient_scene_is_noise_only(cfg):
     plan, psk = _plan_psk(cfg, 2)
-    scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0, coeff=0.0)])
+    scene = (rrx.Target(1500.0, 0.0, 0.0, coeff=0.0),)
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg,
                              noise_var=1.0, rng=3)
     active = rx[:, :, cfg.samples_per_pulse:]
@@ -104,7 +132,7 @@ def test_echo_noise_depends_only_on_seed(cfg):
     # paired trials rely on equal noise for different plans
     plan_a, psk_a = _plan_psk(cfg, 2, seed=1)
     plan_b, psk_b = _plan_psk(cfg, 2, seed=2)
-    empty = rrx.TargetScene([])
+    empty = ()
     rx_a = rrx.synthesize_echo(plan_a, psk_a, empty, rrx.ArrayModel(), cfg,
                                noise_var=1.0, rng=42)
     rx_b = rrx.synthesize_echo(plan_b, psk_b, empty, rrx.ArrayModel(), cfg,
@@ -118,7 +146,7 @@ def test_echo_noise_seed_contract(cfg):
     plan, psk = _plan_psk(cfg, 3)
     arr = rrx.ArrayModel(n_rx=4)
     noise_var = 2.5
-    rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg,
+    rx = rrx.synthesize_echo(plan, psk, (), arr, cfg,
                              noise_var=noise_var, rng=31)
     g = np.random.default_rng(31)
     s = (arr.n_rx, 3, cfg.samples_per_prt)
@@ -135,7 +163,7 @@ def test_echo_noise_seed_contract(cfg):
 
 def test_matched_filter_autocorrelation_peak(cfg):
     plan, psk = _plan_psk(cfg, 2)
-    scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 0.0)])
+    scene = (rrx.Target(1500.0, 0.0, 0.0),)
     arr = rrx.ArrayModel()
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg)
     prof = rrx.matched_filter(rx, plan, psk, cfg)
@@ -172,7 +200,7 @@ def test_front_end_refuses_a_pulse_that_fills_the_prt():
     assert cfg.samples_per_pulse == cfg.samples_per_prt
     plan, psk = _plan_psk(cfg, 4)
     arr = rrx.ArrayModel(n_rx=2)
-    rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg)
+    rx = rrx.synthesize_echo(plan, psk, (), arr, cfg)
     with pytest.raises(ConfigError, match="listening window"):
         rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 8))
 
@@ -211,7 +239,7 @@ def test_matched_filter_matches_full_prt_correlation(prt_duration):
     cfg = RadarConfig(prt_duration=prt_duration)
     plan, psk = _plan_psk(cfg, 4, seed=3)
     arr = rrx.ArrayModel(n_rx=3)
-    scene = rrx.TargetScene([rrx.Target(1500.0, 30.0, 1.0)])
+    scene = (rrx.Target(1500.0, 30.0, 1.0),)
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=0.1,
                              rng=4)
     # samples inside the transmit window must not reach any range bin
@@ -247,9 +275,8 @@ def test_process_cpi_cube_matches_an_independent_reference(mode):
     # correlation, and it is the one buffer the matched filter filled
     cfg = RadarConfig(n_tx=3)
     plan, psk = _plan_psk(cfg, 7, seed=11, mode=mode)
-    arr = rrx.ArrayModel(n_tx=3, n_rx=5)
-    scene = rrx.TargetScene([rrx.Target(1500.0, 30.0, 1.0),
-                             rrx.Target(2600.0, -80.0, -2.0)])
+    arr = rrx.ArrayModel(n_rx=5)
+    scene = (rrx.Target(1500.0, 30.0, 1.0), rrx.Target(2600.0, -80.0, -2.0))
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=0.5,
                              rng=12)
     rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 64))
@@ -270,7 +297,7 @@ def test_process_cpi_never_holds_a_second_cube(cfg):
     sweep = bench.SweepSpec(n_targets=10)
     plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
     arr = rrx.ArrayModel()
-    scene = rrx.TargetScene.random(cfg, sweep.n_targets, rng=3)
+    scene = rrx.random_scene(cfg, sweep.n_targets, rng=3)
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                              noise_var=10 ** 2.4, rng=4)
     grid = rrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
@@ -285,7 +312,7 @@ def test_process_cpi_never_holds_a_second_cube(cfg):
 
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
     plan, psk = _plan_psk(cfg, 16)
-    scene = rrx.TargetScene([rrx.Target(2000.0, 0.0, 0.0)])
+    scene = (rrx.Target(2000.0, 0.0, 0.0),)
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg)
     rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
     stat = rdm.detection_statistic()
@@ -305,7 +332,7 @@ def test_mtd_bin_scalings(cfg):
 def test_moving_target_doppler_bin(cfg):
     v = 100.0
     plan, psk = _plan_psk(cfg, 128)
-    scene = rrx.TargetScene([rrx.Target(2000.0, v, 0.0)])
+    scene = (rrx.Target(2000.0, v, 0.0),)
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(n_rx=2), cfg)
     rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
     stat = rdm.detection_statistic()
@@ -351,7 +378,7 @@ def test_cfar_false_alarm_calibration(cfg):
     counts = {1e-3: 0, 1e-4: 0}
     cells = 0
     for trial in range(6):
-        rx = rrx.synthesize_echo(plan, psk, rrx.TargetScene([]), arr, cfg,
+        rx = rrx.synthesize_echo(plan, psk, (), arr, cfg,
                                  noise_var=1.0, rng=100 + trial)
         rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
         stat = rdm.detection_statistic()
@@ -373,7 +400,7 @@ def test_cfar_false_alarm_calibration(cfg):
 def test_cfar_single_target_single_cluster(cfg):
     # high-SNR single target: exactly one cluster at the true cell
     plan, psk = _plan_psk(cfg, 128)
-    scene = rrx.TargetScene([rrx.Target(2000.0, 50.0, 0.0)])
+    scene = (rrx.Target(2000.0, 50.0, 0.0),)
     rx = rrx.synthesize_echo(plan, psk, scene, rrx.ArrayModel(), cfg,
                              noise_var=10 ** (3.4), rng=5)
     rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
@@ -392,7 +419,7 @@ def test_cfar_single_target_single_cluster(cfg):
 def test_cfar_fifty_target_scene_detection_rate(cfg):
     plan, psk = _plan_psk(cfg, 128)
     rng = np.random.default_rng(8)
-    scene = rrx.TargetScene.random(cfg, 50, rng=rng)
+    scene = rrx.random_scene(cfg, 50, rng=rng)
     arr = rrx.ArrayModel()
     # RDM-peak SNR per channel ~ +14 dB: input -30 dB + MF/MTD gain 44 dB
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
@@ -411,7 +438,7 @@ def test_angle_exact_on_grid_point(cfg):
     arr = rrx.ArrayModel()
     grid = rrx.angle_grid(30, 1024)
     theta = grid[700]
-    z = arr.virtual_steering(theta)
+    z = arr.virtual_steering(theta, cfg.n_tx)
     assert rrx.estimate_angle(z[None], arr, grid)[0] == theta
 
 
@@ -421,7 +448,8 @@ def test_angle_quantization_floor(cfg, rng):
     grid = rrx.angle_grid(30, 4096)
     step = 60 / 4096
     thetas = rng.uniform(-25, 25, size=4000)
-    errs = rrx.estimate_angle(arr.virtual_steering(thetas), arr, grid) - thetas
+    z = arr.virtual_steering(thetas, cfg.n_tx)
+    errs = rrx.estimate_angle(z, arr, grid) - thetas
     rmse = np.sqrt(np.mean(errs ** 2))
     assert rmse == pytest.approx(step / np.sqrt(12), rel=0.1)
 
@@ -431,7 +459,7 @@ def test_angle_batch_equals_row_by_row(rng):
     arr = rrx.ArrayModel()
     grid = rrx.angle_grid(30, 256)
     thetas = rng.uniform(-25, 25, size=100)
-    z = arr.virtual_steering(thetas) + 0.3 * (
+    z = arr.virtual_steering(thetas, 2) + 0.3 * (
         rng.standard_normal((100, 24)) + 1j * rng.standard_normal((100, 24)))
     batch = rrx.estimate_angle(z, arr, grid)
     rows = [rrx.estimate_angle(zi[None], arr, grid)[0] for zi in z]
@@ -450,8 +478,8 @@ def test_estimate_params_mapping(make_cfg):
     # t* = 10 us -> 1500 m; f* = 0 -> v = 0; beyond the default config too
     cfg = make_cfg()
     plan, psk = _plan_psk(cfg, 128)
-    scene = rrx.TargetScene([rrx.Target(1500.0, 0.0, 7.5)])
-    arr = rrx.ArrayModel(n_tx=cfg.n_tx)
+    scene = (rrx.Target(1500.0, 0.0, 7.5),)
+    arr = rrx.ArrayModel()
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                              noise_var=10.0 ** 3, rng=4)
     grid = rrx.angle_grid(30, 4096)
@@ -477,7 +505,7 @@ def test_waveform_equivalence_quick(cfg):
     for mode in ("dfrc", "traditional"):
         plan, psk = _plan_psk(cfg, 128, seed=3, mode=mode)
         rng = np.random.default_rng(12)
-        scene = rrx.TargetScene.random(cfg, 8, rng=rng)
+        scene = rrx.random_scene(cfg, 8, rng=rng)
         arr = rrx.ArrayModel()
         rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                                  noise_var=10 ** (24 / 10), rng=13)
@@ -501,7 +529,7 @@ def test_pilot_waveform_excess_detections_lie_on_its_doppler_rows(cfg):
     the targets' rows and 286 against 26 on the cycled rows in this CPI,
     and 3.8x to 6.2x and 4.7x to 10x over 14 other seeded CPIs."""
     sweep = bench.SweepSpec()
-    scene = rrx.TargetScene.random(
+    scene = rrx.random_scene(
         cfg, 10, rng=np.random.default_rng(21), range_span=sweep.range_span,
         velocity_span=sweep.velocity_span, azimuth_span=sweep.azimuth_span)
     arr = rrx.ArrayModel()
@@ -515,7 +543,7 @@ def test_pilot_waveform_excess_detections_lie_on_its_doppler_rows(cfg):
                                     p_fa=sweep.p_fa)
         F = rdm.n_doppler
         rows = {round(t.doppler(cfg.wavelength) / cfg.doppler_bin) + F // 2
-                for t in scene.targets}
+                for t in scene}
         cycled = {(r + round(j * F / cfg.n_subbands)) % F for r in rows
                   for j in range(1, cfg.n_subbands)} - rows
         counts[mode] = [int(np.isin(dets.doppler_bin, list(r)).sum())

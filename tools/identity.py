@@ -7,8 +7,9 @@ Each tree runs the same matrix in its own interpreter, with the tree's
 
 * the CLI on small configs: ``txgen``, ``comm`` in all four modes,
   both also without PSK (``order_bits`` 0), ``radar`` on a
-  2 x 12 array and on the M = 3, K = 7, H = 4 config with 5 receive
-  antennas, and ``sweep --kind ber|radar|methods``;
+  2 x 12 array with a random scene and with a given two-target scene
+  (one complex ``coeff``), and on the M = 3, K = 7, H = 4 config with 5
+  receive antennas, and ``sweep --kind ber|radar|methods``;
   every file each run writes and its exit code are kept;
 * ``commrx.demodulate`` in all four modes, in process, on seeded frames of
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
@@ -82,6 +83,11 @@ def _cli_runs():
     runs += [(f"comm-small-{m}", small, ["comm", "--mode", m])
              for m in MODES]
     runs.append(("radar", {**BASE, "scene": {"n_targets": 3}},
+                 ["radar", "--snr", "-16"]))
+    targets = [{"range_m": 1500.0, "velocity": 30.0, "azimuth_deg": 1.0},
+               {"range_m": 2600.0, "velocity": -80.0, "azimuth_deg": -2.0,
+                "coeff": "0.6-0.8j"}]
+    runs.append(("radar-targets", {**BASE, "scene": {"targets": targets}},
                  ["radar", "--snr", "-16"]))
     runs.append(("radar-small", {**small, "array": {"n_rx": 5},
                                  "scene": {"n_targets": 3}},
