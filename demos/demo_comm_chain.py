@@ -11,7 +11,7 @@ correction variants. Run:
 
 import numpy as np
 
-from fhmimo.config import RadarConfig
+from fhmimo.config import RadarConfig, noise_var_for_snr
 from fhmimo import commrx, impairments as imp, waveform as wf
 
 cfg = RadarConfig()
@@ -24,7 +24,7 @@ frame = wf.synthesize(plan, psk, cfg)
 rho = 1.4e-6  # 1.4 ppm clock mismatch drives both CFO and sampling drift
 spec = imp.ImpairmentSpec.from_clock(
     rho, cfg, sto_initial=0.4 / cfg.sample_rate,
-    noise_var=10 ** (-22 / 10),
+    noise_var=noise_var_for_snr(22),
     front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
 rx = imp.apply(frame, plan, psk, spec, cfg, rng=rng)
 

@@ -11,7 +11,7 @@ estimates (range, velocity, azimuth) per detection. Run:
 import numpy as np
 
 from fhmimo import bench
-from fhmimo.config import RadarConfig
+from fhmimo.config import RadarConfig, noise_var_for_snr
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -31,7 +31,7 @@ print(f"Bins: {cfg.range_bin:.2f} m, {cfg.velocity_bin:.2f} m/s, "
 
 def run(array, label):
     rx = rrx.synthesize_echo(plan, psk, scene, array, cfg,
-                             noise_var=10 ** (24 / 10),
+                             noise_var=noise_var_for_snr(-24),
                              rng=np.random.default_rng(99))
     rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, array, grid=grid)
     print(f"{label}: {len(dets)} detections for {len(scene)} targets"

@@ -5,7 +5,7 @@ from .iqfile import IqFormatError, IqFrame, read_iq, write_iq
 from .waveform import (HopPlan, PayloadLengthError, PskGrid, codebook_bits,
                        make_psk_grid, plan_hops, synthesize)
 from .impairments import (FrontEndProfile, ImpairmentSpec, accumulated_sto,
-                          apply, rho_from_sto, sto_from_rho, window_gain)
+                          apply, sto_from_rho, window_gain)
 from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
                      assign_peaks, build_pilot_ratios, correction_factor,
                      demodulate, estimate_cfo, estimate_clock, score_report)

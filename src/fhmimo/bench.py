@@ -145,6 +145,9 @@ class SweepSpec:
                 raise ConfigError(f"sweep.{name} must be >= 1")
         if self.seed < 0:           # SeedSequence takes no negative entropy
             raise ConfigError(f"sweep.seed must be >= 0, got {self.seed}")
+        if not all(t > 0 for t in self.hop_durations):   # NaN fails too
+            raise ConfigError(f"sweep.hop_durations must be > 0, got "
+                              f"{list(self.hop_durations)}")
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError("sweep.p_fa must be in (0, 1)")
         if not 0.0 < self.angle_fov_deg <= 90.0:      # NaN fails too

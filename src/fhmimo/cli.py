@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, commrx, radarrx
-from .config import ConfigError, RadarConfig, noise_var_for_snr
+from .config import (ConfigError, RadarConfig, check_order_bits,
+                     noise_var_for_snr)
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
 from .iqfile import (IqFormatError, config_hash, read_iq, write_csv,
                      write_iq, write_rdm)
@@ -37,10 +38,8 @@ EXIT_INTERNAL = 5
 # their dataclasses' field annotations; a scene target is a radarrx.Target.
 SCHEMA = {
     "radar": typing.get_type_hints(RadarConfig),
-    "impairment": {"rho": float, "cfo": float, "sto_initial": float,
-                   "sample_time_offset": float, "noise_var": float,
-                   "snr_db": float, "front_end": str, "ripple_db": float,
-                   "ripple_rad": float},
+    "impairment": {"rho": float, "sto_initial": float, "snr_db": float,
+                   "front_end": str, "ripple_db": float, "ripple_rad": float},
     "scene": {"targets": tuple[radarrx.Target, ...], "n_targets": int,
               "range_span": tuple[float, ...],
               "velocity_span": tuple[float, ...],
@@ -99,15 +98,9 @@ def _convert(value, kind, key: str):
     raise ConfigError(f"{key}: expected {what}, got {value!r}")
 
 
-def _given(raw: dict, section: str) -> dict:
-    """The keys ``section`` gives, each converted to its kind, so a library
-    default applies to every key the config leaves out."""
-    return _convert(raw[section], SCHEMA[section], section)
-
-
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Parse the JSON run configuration and check its keys; a command
-    converts the values of the sections it reads (:func:`_given`)."""
+    """Parse the JSON run configuration and check its keys;
+    :func:`build_inputs` converts its values."""
     raw = {}
     if path is not None:
         with open(path) as f:
@@ -121,64 +114,83 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return raw
 
 
-def _run(raw: dict) -> dict:
-    """The converted run section with the CLI's seed and PSK order defaults;
-    without ``n_prt``, :func:`plan_hops` plans one CPI."""
-    run = {"seed": 0, "order_bits": 3, **_given(raw, "run")}
+@dataclasses.dataclass(frozen=True)
+class Inputs:
+    """What a command runs on, built once from every config section."""
+
+    raw: dict                   # the loaded config, echoed with the outputs
+    cfg: RadarConfig
+    run: dict                   # with the CLI's seed and PSK order defaults
+    sweep: bench.SweepSpec
+    kind: str                   # the sweep study, a key of STUDIES
+    array: radarrx.ArrayModel
+    spec: ImpairmentSpec
+    scene: dict                 # converted only: radar builds it
+    rng: np.random.Generator    # comm's stream, which drew ``spec``
+
+
+def build_inputs(raw: dict) -> Inputs:
+    """Convert and check every section of ``raw``, so every command refuses
+    the same configs; the scene is only converted, as its defaults need the
+    radar's listening window (:func:`build_scene`). ``spec`` is drawn from
+    comm's stream, ``SeedSequence([seed, 2])``, which comm carries on with."""
+    sec = {name: _convert(raw[name], kinds, name)
+           for name, kinds in SCHEMA.items()}
+    cfg = RadarConfig(**sec["radar"])
+    run = {"seed": 0, "order_bits": 3, **sec["run"]}
     if run["seed"] < 0:             # SeedSequence takes no negative entropy
         raise ConfigError(f"run.seed must be >= 0, got {run['seed']}")
-    return run
+    if run.get("n_prt", 1) < 1:
+        raise ConfigError(f"run.n_prt must be >= 1, got {run['n_prt']}")
+    if run.get("mode", "estimated") not in commrx.MODES:
+        raise ConfigError(f"run.mode must be one of {commrx.MODES}, not "
+                          f"{run['mode']!r}")
+    check_order_bits(run["order_bits"])
+    kind = sec["sweep"].pop("kind", "ber")
+    if kind not in STUDIES:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
+    sweep = bench.SweepSpec(**{"seed": run["seed"], **sec["sweep"]})
+    array = radarrx.ArrayModel(**sec["array"])
+    rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 2]))
+    spec = build_impairments(sec["impairment"], cfg, rng)
+    return Inputs(raw, cfg, run, sweep, kind, array, spec, sec["scene"], rng)
 
 
-def _noise_var(sec: dict, default: float) -> float:
-    """Per-sample noise variance, popped from a converted impairment section:
-    ``snr_db`` or ``noise_var`` (not both), else ``default``."""
-    if {"snr_db", "noise_var"} <= sec.keys():
-        raise ConfigError("give impairment.snr_db or impairment.noise_var, "
-                          "not both")
-    if "snr_db" in sec:
-        return noise_var_for_snr(sec.pop("snr_db"))
-    return sec.pop("noise_var", default)
-
-
-def build_impairments(raw: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
-    sec = _given(raw, "impairment")
-    noise_var = _noise_var(sec, 0.0)
-    ripple = {k: sec.pop(k) for k in ("ripple_db", "ripple_rad") if k in sec}
-    fe_kind = sec.pop("front_end", "flat")
-    if fe_kind == "rippled":
-        fe = FrontEndProfile.rippled(cfg, rng, **ripple)
-    elif fe_kind != "flat":
-        raise ConfigError(f"unknown front_end kind {fe_kind!r}")
-    elif ripple:            # a flat front end has no ripple to scale
+def build_impairments(sec: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
+    """The converted impairment section as an :class:`ImpairmentSpec`:
+    noiseless without ``snr_db``; with ``rho`` the CFO and the clock
+    mismatch follow from it, without it both are 0."""
+    ripple = {k: sec[k] for k in ("ripple_db", "ripple_rad") if k in sec}
+    fe_kind = sec.get("front_end", "flat")
+    if fe_kind not in ("flat", "rippled"):
+        raise ConfigError(f"impairment.front_end must be 'flat' or "
+                          f"'rippled', not {fe_kind!r}")
+    if fe_kind == "flat" and ripple:    # a flat front end has no ripple
         raise ConfigError(f"impairment.{'/'.join(ripple)} needs front_end "
                           f"'rippled'")
-    else:
-        fe = None
-    # the clock keys are left; with rho, the CFO and clock mismatch follow
+    fe = (FrontEndProfile.rippled(cfg, rng, **ripple)
+          if fe_kind == "rippled" else None)
+    kw = {k: sec[k] for k in ("sto_initial",) if k in sec}
+    noise_var = noise_var_for_snr(sec["snr_db"]) if "snr_db" in sec else 0.0
     if "rho" in sec:
-        rho = sec.pop("rho")
-        _check_keys("impairment", sec, {"sto_initial"})
-        return ImpairmentSpec.from_clock(rho, cfg, noise_var=noise_var,
-                                         front_end=fe, **sec)
-    spec = ImpairmentSpec(noise_var=noise_var, front_end=fe, **sec)
-    spec.validate(cfg)
-    return spec
+        return ImpairmentSpec.from_clock(sec["rho"], cfg, noise_var=noise_var,
+                                         front_end=fe, **kw)
+    return ImpairmentSpec(noise_var=noise_var, front_end=fe, **kw)
 
 
-def build_scene(raw: dict, cfg: RadarConfig,
+def build_scene(sec: dict, cfg: RadarConfig,
                 rng) -> tuple[radarrx.Target, ...]:
-    """The given target list (the whole scene, even an empty one; a bad
-    target is named first), else a random scene of the other keys."""
-    sec = _given(raw, "scene")
-    targets = sec.pop("targets", None)
-    if targets is None:
+    """The converted scene section's target list (the whole scene, even an
+    empty one; a bad target is named first), else a random scene of its
+    other keys."""
+    if "targets" not in sec:
         return radarrx.random_scene(cfg, rng=rng, **sec)
-    radarrx.check_scene(targets, cfg)
-    if sec:
+    radarrx.check_scene(sec["targets"], cfg)
+    others = sorted(set(sec) - {"targets"})
+    if others:
         raise ConfigError(f"scene.targets is the whole scene; drop "
-                          f"{', '.join(sorted(sec))}")
-    return targets
+                          f"{', '.join(others)}")
+    return sec["targets"]
 
 
 def _echo_config(raw: dict, out_dir: Path) -> str:
@@ -199,28 +211,26 @@ def _read_payload_bits(path) -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_txgen(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
+def cmd_txgen(inp: Inputs, out_dir: Path) -> None:
     """Write transmit IQ frames and the ground-truth plan/PSK records."""
-    run = _run(raw)
+    run, cfg = inp.run, inp.cfg
     rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 1]))
     payload = (_read_payload_bits(run["payload_file"])
                if run.get("payload_file") else None)
     plan = plan_hops(cfg, fhcs_bits=payload, n_prt=run.get("n_prt"), rng=rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=rng)
     frame = synthesize(plan, psk, cfg)
-    cfg_hash = _echo_config(raw, out_dir)
+    cfg_hash = _echo_config(inp.raw, out_dir)
     write_iq(out_dir / "tx.iq", frame)
     plan.to_csv(out_dir / "plan.txt", psk, cfg_hash)
     print(f"wrote {out_dir / 'tx.iq'} ({frame.n_channels} ch x "
           f"{frame.n_samples} samples) and plan.txt")
 
 
-def cmd_comm(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
+def cmd_comm(inp: Inputs, out_dir: Path) -> None:
     """End-to-end communication pipeline; reports BER when truth is local."""
-    run = _run(raw)
-    rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 2]))
-    spec = build_impairments(raw, cfg, rng)
-    cfg_hash = _echo_config(raw, out_dir)
+    run, cfg, spec, rng = inp.run, inp.cfg, inp.spec, inp.rng
+    cfg_hash = _echo_config(inp.raw, out_dir)
 
     plan = psk = None
     if run.get("iq_file"):
@@ -251,38 +261,30 @@ def cmd_comm(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
              else "no local truth"))
 
 
-def cmd_radar(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
+def cmd_radar(inp: Inputs, out_dir: Path) -> None:
     """Synthesize a scene, run the radar chain, export detections + RDM."""
-    run = _run(raw)
+    run, cfg, sweep = inp.run, inp.cfg, inp.sweep
     seq = np.random.SeedSequence([run["seed"], 3])
     scene_rng, noise_rng, plan_rng = (
         np.random.default_rng(s) for s in seq.spawn(3))
-    scene = build_scene(raw, cfg, scene_rng)
-    array = radarrx.ArrayModel(**_given(raw, "array"))
-    sweep = build_sweep_spec(raw, run["seed"])
+    scene = build_scene(inp.scene, cfg, scene_rng)
     plan = plan_hops(cfg, rng=plan_rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
-    noise_var = _noise_var(_given(raw, "impairment"), 1.0)
-    rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
+    # the echo defaults to 0 dB, where the comm link defaults to noiseless
+    noise_var = (inp.spec.noise_var if "snr_db" in inp.raw["impairment"]
+                 else 1.0)
+    rx = radarrx.synthesize_echo(plan, psk, scene, inp.array, cfg,
                                  noise_var=noise_var, rng=noise_rng)
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
-    rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, array,
+    rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, inp.array,
                                     p_fa=sweep.p_fa, grid=grid)
-    cfg_hash = _echo_config(raw, out_dir)
+    cfg_hash = _echo_config(inp.raw, out_dir)
     dets.to_csv(out_dir / "detections.csv", cfg_hash)
     write_rdm(out_dir / "rdm.bin", rdm)
     truth_rows = [(t.range_m, t.velocity, t.azimuth_deg) for t in scene]
     write_csv(out_dir / "scene.csv", ["range_m", "velocity", "azimuth_deg"],
               truth_rows, cfg_hash)
     print(f"wrote {len(dets)} detections for {len(scene)} targets")
-
-
-def build_sweep_spec(raw: dict, seed: int) -> bench.SweepSpec:
-    """The sweep section as a :class:`bench.SweepSpec`; ``seed`` (the run
-    seed) applies unless the section gives its own."""
-    sec = _given(raw, "sweep")
-    sec.pop("kind", None)
-    return bench.SweepSpec(**{"seed": seed, **sec})
 
 
 # Each sweep kind's study and the report file it writes; ``sweep --kind``
@@ -292,16 +294,12 @@ STUDIES = {"ber": (bench.run_ber_sweep, "ber_sweep.csv"),
            "methods": (bench.run_method_comparison, "method_comparison.csv")}
 
 
-def cmd_sweep(raw: dict, cfg: RadarConfig, out_dir: Path) -> None:
+def cmd_sweep(inp: Inputs, out_dir: Path) -> None:
     """Run the configured Monte-Carlo study and write its report."""
-    sweep = build_sweep_spec(raw, _run(raw)["seed"])
-    kind = _given(raw, "sweep").get("kind", "ber")
-    cfg_hash = _echo_config(raw, out_dir)
-    if kind not in STUDIES:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
-    study, report = STUDIES[kind]
-    study(cfg, sweep).to_csv(out_dir / report, cfg_hash)
-    print(f"wrote {kind} report to {out_dir / report}")
+    study, report = STUDIES[inp.kind]
+    cfg_hash = _echo_config(inp.raw, out_dir)
+    study(inp.cfg, inp.sweep).to_csv(out_dir / report, cfg_hash)
+    print(f"wrote {inp.kind} report to {out_dir / report}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +346,12 @@ def main(argv=None) -> int:
         overrides["sweep.seed"] = overrides["run.seed"]
 
     try:
-        raw = load_config(args.config, overrides)
+        inputs = build_inputs(load_config(args.config, overrides))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {"txgen": cmd_txgen, "comm": cmd_comm,
                    "radar": cmd_radar, "sweep": cmd_sweep}[args.command]
-        handler(raw, RadarConfig(**_given(raw, "radar")), out_dir)
+        handler(inputs, out_dir)
         return EXIT_OK
     except (ConfigError, json.JSONDecodeError) as exc:
         _fail("config", exc)

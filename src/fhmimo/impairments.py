@@ -32,12 +32,6 @@ def sto_from_rho(rho: float, sample_rate: float) -> float:
     return -rho / (sample_rate * (1.0 - rho))
 
 
-def rho_from_sto(sample_time_offset: float, sample_rate: float) -> float:
-    """Inverse of :func:`sto_from_rho`."""
-    a = sample_time_offset * sample_rate
-    return a / (a - 1.0)
-
-
 def window_gain(cfo: float, hop_duration: float) -> complex:
     """Continuous-time spectral gain of a hop window under CFO.
 

@@ -369,31 +369,35 @@ def test_a_one_channel_virtual_array_exits_2(cfg_file, tmp_path, capsys):
     assert not (out / "detections.csv").exists()
 
 
-def _with_noise(cfg_file, tmp_path, noise, drop=()):
-    """Config file whose impairment section sets only ``noise`` (a dict
-    with ``noise_var`` or ``snr_db``) next to the fixture's other keys,
-    less those named in ``drop``."""
+def _with_impairment(cfg_file, tmp_path, keys, drop=()):
+    """Config file whose impairment section is the fixture's, less the keys
+    named in ``drop``, with ``keys`` set."""
     cfg = json.loads(cfg_file.read_text())
-    for key in ("snr_db", *drop):
+    for key in drop:
         cfg["impairment"].pop(key)
-    cfg["impairment"].update(noise)
-    p = tmp_path / "noise.json"
+    cfg["impairment"].update(keys)
+    p = tmp_path / "impairment.json"
     p.write_text(json.dumps(cfg))   # NaN is written as the literal NaN
     return p
 
 
 @pytest.mark.parametrize("command, noise", [
-    ("radar", {"noise_var": -1.0}),
-    ("radar", {"noise_var": float("nan")}),
+    ("radar", {"noise_var": 1.0}),
+    ("radar", {"snr_db": float("inf")}),
     ("radar", {"snr_db": float("nan")}),
-    ("comm", {"noise_var": float("nan")}),
+    ("comm", {"noise_var": 0.0}),
     ("comm", {"snr_db": float("nan")})])
-def test_invalid_noise_variance_rejected(cfg_file, tmp_path, command, noise):
-    # a negative or NaN noise variance is a config error, not "no noise"
-    # (a negative one already fails ImpairmentSpec.validate for comm)
-    p = _with_noise(cfg_file, tmp_path, noise)
+def test_invalid_noise_variance_rejected(cfg_file, tmp_path, capsys, command,
+                                         noise):
+    # a NaN or infinite SNR is a config error, not "no noise"; the noise
+    # level is impairment.snr_db alone, so noise_var, the variance that
+    # config.noise_var_for_snr works out from it, is an unknown key
+    p = _with_impairment(cfg_file, tmp_path, noise, drop=("snr_db",))
+    capsys.readouterr()
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    command) == cli.EXIT_CONFIG == 2
+    [key] = noise
+    assert key in json.loads(capsys.readouterr().err)["message"]
 
 
 @pytest.mark.parametrize("command", [
@@ -410,7 +414,7 @@ def test_snr_beyond_the_float_noise_variance_exits_2(
     monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(bench, "ProcessPoolExecutor",
                         lambda *a, **k: pools.append(a))
-    p = _with_noise(cfg_file, tmp_path, {"snr_db": -4000})
+    p = _with_impairment(cfg_file, tmp_path, {"snr_db": -4000})
     capsys.readouterr()
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    *command) == cli.EXIT_CONFIG == 2
@@ -426,13 +430,18 @@ def test_snr_beyond_the_float_noise_variance_exits_2(
     ({"sample_time_offset": float("nan")}, ("rho",)),
     ({"rho": float("nan")}, ())],
     ids=["cfo-nan", "sto_initial-inf", "sample_time_offset-nan", "rho-nan"])
-def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
+def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
+                                          drop):
     # a NaN or infinite CFO, STO or clock stability used to give an all-NaN
-    # frame and exit 0; without rho, cfo and sample_time_offset are known
-    # keys, so the exit code is the value check's
-    p = _with_noise(cfg_file, tmp_path, {"snr_db": 25, **keys}, drop)
+    # frame and exit 0. The CFO and the clock mismatch follow from rho
+    # alone (ImpairmentSpec.from_clock), so cfo and sample_time_offset are
+    # unknown keys, refused by name even without rho
+    p = _with_impairment(cfg_file, tmp_path, keys, drop)
+    capsys.readouterr()
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    "comm") == cli.EXIT_CONFIG
+    [key] = keys
+    assert key in json.loads(capsys.readouterr().err)["message"]
 
 
 @pytest.mark.parametrize("command, section, values, key", [
@@ -516,7 +525,12 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
     ("comm", "impairment", {"front_end": "flat", "ripple_rad": 0.3},
      "impairment.ripple_rad needs front_end 'rippled'"),
     ("comm", "impairment", {"noise_var": 5.0},
-     "give impairment.snr_db or impairment.noise_var, not both")],
+     "unknown keys in [impairment]: ['noise_var']"),
+    ("sweep", "sweep", {"hop_durations": [1e-6, 0]}, "sweep.hop_durations"),
+    ("sweep", "sweep", {"hop_durations": [-1e-6]}, "sweep.hop_durations"),
+    ("radar", "run", {"n_prt": 0}, "run.n_prt"),
+    ("sweep", "run", {"mode": "bogus"}, "run.mode"),
+    ("sweep", "run", {"order_bits": 40}, "order_bits")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -542,7 +556,9 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, keys, drop):
          "seed-negative-txgen", "seed-negative-comm", "seed-negative-radar",
          "sweep-seed-negative", "targets-next-to-random-scene-keys",
          "ripple_db-on-a-flat-front-end", "ripple_rad-on-a-flat-front-end",
-         "noise_var-next-to-snr_db"])
+         "noise_var-next-to-snr_db", "hop_durations-zero",
+         "hop_durations-negative", "run-n_prt-zero-radar",
+         "run-mode-unknown-sweep", "run-order_bits-40-sweep"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -560,7 +576,9 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # SeedSequence as "expected non-negative integer", a target list whose
     # neighbouring scene keys, the empty range span too, were dropped
     # unread, a ripple on a flat front end or a noise_var next to snr_db
-    # read and then ignored); the error message names the offending key
+    # read and then ignored, a zero hop duration dividing by zero, a run key
+    # that a command does not read ignored); the error message names the
+    # offending key
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
@@ -570,6 +588,48 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                    command) == cli.EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config" and key in error["message"]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("array", "n_rx", -3), ("scene", "n_targets", -5),
+    ("impairment", "snr_db", "x"), ("impairment", "rho", 5.0),
+    ("impairment", "front_end", "bogus")],
+    ids=["n_rx", "n_targets", "snr_db", "rho", "front_end"])
+@pytest.mark.parametrize("command", [
+    ["txgen"], ["comm"], ["radar", "--snr", "-10"], ["sweep", "--kind", "ber"],
+    ["sweep", "--kind", "radar"], ["sweep", "--kind", "methods"]],
+    ids=["txgen", "comm", "radar", "sweep-ber", "sweep-radar",
+         "sweep-methods"])
+def test_every_command_checks_every_section_but_the_scene(
+        cfg_file, tmp_path, capsys, command, section, key, value):
+    # a command checked only the sections it read: 24 of these 30 runs
+    # exited 0 and 19 of them ignored the bad value. Every section is now
+    # built for every command, except the scene, which only radar builds;
+    # radar --snr replaces impairment.snr_db, so it never sees the bad one
+    cfg = json.loads(cfg_file.read_text())
+    cfg.setdefault(section, {})[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   *command)
+    radar = command[0] == "radar"
+    if (section == "scene" and not radar) or (key == "snr_db" and radar):
+        assert code == cli.EXIT_OK
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert key in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_comm_takes_a_pulse_that_fills_the_prt(tmp_path):
+    # the comm link listens to the pulse itself and needs no listening
+    # window; the scene, whose default range span does, is built by radar
+    # alone, so a scene drawn for every command would refuse this config
+    p = tmp_path / "full.json"
+    p.write_text(json.dumps({"radar": {"hops_per_pulse": 40,
+                                       "prts_per_cpi": 16}}))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("command", [["comm"], ["sweep", "--kind", "ber"],
@@ -706,17 +766,28 @@ def test_comm_modulation_flag_beyond_the_float64_phase_exits_2(
 
 
 def test_empty_sections_give_library_defaults():
-    # the array section, build_scene and build_impairments pass on only the
-    # keys a config gives, so an empty section means the library's defaults
+    # build_inputs and build_scene pass on only the keys a config gives, so
+    # an empty section means the library's defaults
+    inp = cli.build_inputs(cli.load_config())
+    assert inp.cfg == RadarConfig() and inp.array == rrx.ArrayModel()
+    assert inp.sweep == bench.SweepSpec() and inp.kind == "ber"
+    assert inp.run == {"seed": 0, "order_bits": 3}
+    # noiseless, and without rho no clock error: +0.0, not the -0.0 that
+    # from_clock(0.0) gives sample_time_offset
+    assert inp.spec == imp.ImpairmentSpec()
+    assert not np.signbit([inp.spec.cfo, inp.spec.sample_time_offset]).any()
     cfg = RadarConfig(prts_per_cpi=20)
-    raw = cli.load_config()
-    assert rrx.ArrayModel(**cli._given(raw, "array")) == rrx.ArrayModel()
-    assert cli.build_scene(raw, cfg, 5) == rrx.random_scene(cfg, rng=5)
-    raw["impairment"]["front_end"] = "rippled"
-    fe = cli.build_impairments(raw, cfg, 7).front_end
-    ref = imp.FrontEndProfile.rippled(cfg, rng=7)
-    np.testing.assert_array_equal(fe.gains, ref.gains)
-    np.testing.assert_array_equal(fe.channel, ref.channel)
+    assert cli.build_scene(inp.scene, cfg, 5) == rrx.random_scene(cfg, rng=5)
+    # a rippled front end is drawn from comm's stream, which comm goes on
+    # drawing from
+    raw = cli.load_config(overrides={"impairment.front_end": "rippled",
+                                     "run.seed": 4})
+    inp = cli.build_inputs(raw)
+    rng = np.random.default_rng(np.random.SeedSequence([4, 2]))
+    ref = imp.FrontEndProfile.rippled(RadarConfig(), rng=rng)
+    np.testing.assert_array_equal(inp.spec.front_end.gains, ref.gains)
+    np.testing.assert_array_equal(inp.spec.front_end.channel, ref.channel)
+    assert inp.rng.random() == rng.random()
 
 
 def test_integral_float_counts_run_as_ints(cfg_file, tmp_path):
@@ -772,16 +843,16 @@ def test_readme_example_config_loads(tmp_path):
     p = tmp_path / "example.json"
     p.write_text(example)
     raw = cli.load_config(p)
-    cfg = RadarConfig(**cli._given(raw, "radar"))
-    assert cfg == RadarConfig()
-    assert cli.build_impairments(raw, cfg, 0).noise_var == 0.01
-    assert len(cli.build_scene(raw, cfg, 0)) == 50
-    assert rrx.ArrayModel(**cli._given(raw, "array")).n_rx == 12
-    sweep = cli.build_sweep_spec(raw, 1)
-    assert sweep.snr_grid_db == (-10.0, 0.0, 10.0)
-    assert sweep.modulations == (3, 4) and sweep.seed == 1
-    assert isinstance(sweep.modulations[0], int)
-    assert raw == cli.load_config(p)    # the builders leave raw as it is
+    inp = cli.build_inputs(raw)
+    assert inp.cfg == RadarConfig()
+    assert inp.spec.noise_var == 0.01
+    assert len(cli.build_scene(inp.scene, inp.cfg, 0)) == 50
+    assert inp.array.n_rx == 12
+    assert inp.kind == "ber"
+    assert inp.sweep.snr_grid_db == (-10.0, 0.0, 10.0)
+    assert inp.sweep.modulations == (3, 4) and inp.sweep.seed == 1
+    assert isinstance(inp.sweep.modulations[0], int)
+    assert inp.raw == raw == cli.load_config(p)   # left as it was loaded
 
 
 def test_sweep_command_and_determinism(cfg_file, tmp_path):
@@ -820,8 +891,9 @@ def test_unknown_sweep_kind_in_a_config_exits_2(cfg_file, tmp_path, capsys):
     assert run_cli("--config", str(p), "--out", str(out),
                    "sweep") == cli.EXIT_CONFIG == 2
     assert "'bogus'" in json.loads(capsys.readouterr().err)["message"]
-    # the config is echoed before the kind is looked up
-    assert [f.name for f in out.iterdir()] == ["effective_config.json"]
+    # the kind is checked with every other input, before the output
+    # directory is made
+    assert not out.exists()
     with pytest.raises(SystemExit):
         cli.make_parser().parse_args(["sweep", "--kind", "bogus"])
 

@@ -18,8 +18,6 @@ UNREAD_ON_PURPOSE = {"waveform.make_psk_grid.cfg"}
 UNREACHED_ON_PURPOSE = {
     # the analytic CFO window model, the CFO-loss tests' oracle
     "impairments.window_gain",
-    # the inverse of sto_from_rho, checked by the round trip
-    "impairments.rho_from_sto",
     # the transmit-side bit truth of a plan's FHCS payload
     "waveform.extract_payload_bits",
     # printed by demos/demo_waveform.py

@@ -9,7 +9,11 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   both also without PSK (``order_bits`` 0), ``radar`` on a
   2 x 12 array with a random scene and with a given two-target scene
   (one complex ``coeff``), and on the M = 3, K = 7, H = 4 config with 5
-  receive antennas, and ``sweep --kind ber|radar|methods``;
+  receive antennas, and ``sweep --kind ber|radar|methods``; on an empty
+  impairment section (no clock error, no SNR), ``comm --mode
+  known|estimated`` and ``radar`` without ``--snr``; ``txgen`` and
+  ``sweep --kind methods`` on a config that also gives ``array``,
+  ``scene`` and ``impairment``, sections neither uses;
   every file each run writes and its exit code are kept;
 * ``commrx.demodulate`` in all four modes, in process, on seeded frames of
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
@@ -92,6 +96,16 @@ def _cli_runs():
     runs.append(("radar-small", {**small, "array": {"n_rx": 5},
                                  "scene": {"n_targets": 3}},
                  ["radar", "--snr", "-16"]))
+    # the defaults: no clock error, noiseless comm, a 0 dB radar echo
+    clean = {**BASE, "impairment": {}, "scene": {"n_targets": 3}}
+    runs += [(f"comm-clean-{m}", clean, ["comm", "--mode", m])
+             for m in ("known", "estimated")]
+    runs.append(("radar-0db", clean, ["radar"]))
+    # commands that use none of array, scene and impairment, given all three
+    full = {**BASE, "array": {"n_rx": 5}, "scene": {"n_targets": 3},
+            "sweep": {**SWEEP, "kind": "methods"}}
+    runs += [("txgen-full", full, ["txgen"]),
+             ("sweep-methods-full", full, ["sweep"])]
     for kind in ("ber", "radar", "methods"):
         modes = ("estimated", "averaged") if kind == "ber" else ("known",)
         for m in modes:
