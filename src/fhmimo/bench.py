@@ -145,6 +145,13 @@ class SweepSpec:
                 raise ConfigError(f"sweep.{name} must be >= 1")
         if self.seed < 0:           # SeedSequence takes no negative entropy
             raise ConfigError(f"sweep.seed must be >= 0, got {self.seed}")
+        if self.n_targets < 0:
+            raise ConfigError("sweep.n_targets must be >= 0")
+        try:
+            for order_bits in self.modulations:
+                check_order_bits(order_bits)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.modulations: {exc}") from None
         if not all(t > 0 for t in self.hop_durations):   # NaN fails too
             raise ConfigError(f"sweep.hop_durations must be > 0, got "
                               f"{list(self.hop_durations)}")

@@ -34,21 +34,20 @@ EXIT_INTERNAL = 5
 
 
 # The keys each section may give and the kind each converts to, read by both
-# the key check and the conversion. The radar, array and sweep kinds are
-# their dataclasses' field annotations; a scene target is a radarrx.Target.
+# the key check and the conversion; no key is in two sections. The radar,
+# array and sweep kinds are their dataclasses' field annotations, but the
+# sweep's seed is run.seed; a scene target is a radarrx.Target.
 SCHEMA = {
     "radar": typing.get_type_hints(RadarConfig),
     "impairment": {"rho": float, "sto_initial": float, "snr_db": float,
-                   "front_end": str, "ripple_db": float, "ripple_rad": float},
-    "scene": {"targets": tuple[radarrx.Target, ...], "n_targets": int,
-              "range_span": tuple[float, ...],
-              "velocity_span": tuple[float, ...],
-              "azimuth_span": tuple[float, ...]},
+                   "front_end": str},
+    "scene": {"targets": tuple[radarrx.Target, ...]},
     "array": typing.get_type_hints(radarrx.ArrayModel),
     "sweep": {"kind": str, **typing.get_type_hints(bench.SweepSpec)},
     "run": {"seed": int, "order_bits": int, "n_prt": int, "mode": str,
             "payload_file": str, "iq_file": str},
 }
+del SCHEMA["sweep"]["seed"]
 
 
 def _check_keys(where: str, given, allowed) -> None:
@@ -125,14 +124,14 @@ class Inputs:
     kind: str                   # the sweep study, a key of STUDIES
     array: radarrx.ArrayModel
     spec: ImpairmentSpec
-    scene: dict                 # converted only: radar builds it
+    targets: tuple | None       # the given scene; without it radar draws one
     rng: np.random.Generator    # comm's stream, which drew ``spec``
 
 
 def build_inputs(raw: dict) -> Inputs:
     """Convert and check every section of ``raw``, so every command refuses
-    the same configs; the scene is only converted, as its defaults need the
-    radar's listening window (:func:`build_scene`). ``spec`` is drawn from
+    the same configs; only radar draws a random scene, as the draw needs the
+    radar's listening window. ``spec`` is drawn from
     comm's stream, ``SeedSequence([seed, 2])``, which comm carries on with."""
     sec = {name: _convert(raw[name], kinds, name)
            for name, kinds in SCHEMA.items()}
@@ -149,26 +148,27 @@ def build_inputs(raw: dict) -> Inputs:
     kind = sec["sweep"].pop("kind", "ber")
     if kind not in STUDIES:
         raise ConfigError(f"unknown sweep kind {kind!r}")
-    sweep = bench.SweepSpec(**{"seed": run["seed"], **sec["sweep"]})
+    sweep = bench.SweepSpec(seed=run["seed"], **sec["sweep"])
     array = radarrx.ArrayModel(**sec["array"])
     rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 2]))
-    spec = build_impairments(sec["impairment"], cfg, rng)
-    return Inputs(raw, cfg, run, sweep, kind, array, spec, sec["scene"], rng)
+    spec = build_impairments(sec["impairment"], cfg, sweep, rng)
+    targets = sec["scene"].get("targets")
+    if targets is not None:
+        radarrx.check_scene(targets, cfg)
+    return Inputs(raw, cfg, run, sweep, kind, array, spec, targets, rng)
 
 
-def build_impairments(sec: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
+def build_impairments(sec: dict, cfg: RadarConfig, sweep: bench.SweepSpec,
+                      rng) -> ImpairmentSpec:
     """The converted impairment section as an :class:`ImpairmentSpec`:
     noiseless without ``snr_db``; with ``rho`` the CFO and the clock
-    mismatch follow from it, without it both are 0."""
-    ripple = {k: sec[k] for k in ("ripple_db", "ripple_rad") if k in sec}
+    mismatch follow from it, without it both are 0. A rippled front end
+    takes the sweep's ripple scale."""
     fe_kind = sec.get("front_end", "flat")
     if fe_kind not in ("flat", "rippled"):
         raise ConfigError(f"impairment.front_end must be 'flat' or "
                           f"'rippled', not {fe_kind!r}")
-    if fe_kind == "flat" and ripple:    # a flat front end has no ripple
-        raise ConfigError(f"impairment.{'/'.join(ripple)} needs front_end "
-                          f"'rippled'")
-    fe = (FrontEndProfile.rippled(cfg, rng, **ripple)
+    fe = (FrontEndProfile.rippled(cfg, rng, sweep.ripple_db, sweep.ripple_rad)
           if fe_kind == "rippled" else None)
     kw = {k: sec[k] for k in ("sto_initial",) if k in sec}
     noise_var = noise_var_for_snr(sec["snr_db"]) if "snr_db" in sec else 0.0
@@ -176,21 +176,6 @@ def build_impairments(sec: dict, cfg: RadarConfig, rng) -> ImpairmentSpec:
         return ImpairmentSpec.from_clock(sec["rho"], cfg, noise_var=noise_var,
                                          front_end=fe, **kw)
     return ImpairmentSpec(noise_var=noise_var, front_end=fe, **kw)
-
-
-def build_scene(sec: dict, cfg: RadarConfig,
-                rng) -> tuple[radarrx.Target, ...]:
-    """The converted scene section's target list (the whole scene, even an
-    empty one; a bad target is named first), else a random scene of its
-    other keys."""
-    if "targets" not in sec:
-        return radarrx.random_scene(cfg, rng=rng, **sec)
-    radarrx.check_scene(sec["targets"], cfg)
-    others = sorted(set(sec) - {"targets"})
-    if others:
-        raise ConfigError(f"scene.targets is the whole scene; drop "
-                          f"{', '.join(others)}")
-    return sec["targets"]
 
 
 def _echo_config(raw: dict, out_dir: Path) -> str:
@@ -230,8 +215,6 @@ def cmd_txgen(inp: Inputs, out_dir: Path) -> None:
 def cmd_comm(inp: Inputs, out_dir: Path) -> None:
     """End-to-end communication pipeline; reports BER when truth is local."""
     run, cfg, spec, rng = inp.run, inp.cfg, inp.spec, inp.rng
-    cfg_hash = _echo_config(inp.raw, out_dir)
-
     plan = psk = None
     if run.get("iq_file"):
         rx = read_iq(run["iq_file"])
@@ -240,6 +223,7 @@ def cmd_comm(inp: Inputs, out_dir: Path) -> None:
         psk = make_psk_grid(cfg, plan, run["order_bits"], rng=rng)
         frame = synthesize(plan, psk, cfg)
         rx = apply(frame, plan, psk, spec, cfg, rng=rng)
+    cfg_hash = _echo_config(inp.raw, out_dir)
     # only the known mode reads the spec
     report = commrx.demodulate(rx, cfg, run["order_bits"], spec=spec,
                                **{k: run[k] for k in ("mode",) if k in run})
@@ -267,7 +251,11 @@ def cmd_radar(inp: Inputs, out_dir: Path) -> None:
     seq = np.random.SeedSequence([run["seed"], 3])
     scene_rng, noise_rng, plan_rng = (
         np.random.default_rng(s) for s in seq.spawn(3))
-    scene = build_scene(inp.scene, cfg, scene_rng)
+    scene = inp.targets         # the whole scene, even an empty one
+    if scene is None:           # else drawn as the radar sweep draws its own
+        scene = radarrx.random_scene(
+            cfg, sweep.n_targets, rng=scene_rng, range_span=sweep.range_span,
+            velocity_span=sweep.velocity_span, azimuth_span=sweep.azimuth_span)
     plan = plan_hops(cfg, rng=plan_rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
     # the echo defaults to 0 dB, where the comm link defaults to noiseless
@@ -342,8 +330,6 @@ def main(argv=None) -> int:
                  if "." in key and val is not None}
     if "sweep.snr_grid_db" in overrides:    # --snr sets both SNR grids
         overrides["sweep.radar_snr_grid_db"] = overrides["sweep.snr_grid_db"]
-    if "run.seed" in overrides:             # --seed sets both seeds
-        overrides["sweep.seed"] = overrides["run.seed"]
 
     try:
         inputs = build_inputs(load_config(args.config, overrides))

@@ -409,7 +409,6 @@ def test_criterion_9_determinism(tmp_path):
         "radar": {"prts_per_cpi": 20},
         "impairment": {"rho": 1.5e-6, "sto_initial": 6e-9, "snr_db": 18,
                        "front_end": "rippled"},
-        "scene": {"n_targets": 4},
         "sweep": {"snr_grid_db": [0, 6], "modulations": [3],
                   "hop_durations": [1e-6], "min_symbols": 2000,
                   "trials": 1, "n_targets": 4,

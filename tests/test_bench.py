@@ -84,6 +84,17 @@ def test_sweep_spec_rejects_empty_counts(field):
     assert getattr(bench.SweepSpec(**{field: 1}), field) == 1
 
 
+def test_sweep_spec_checks_the_target_count_and_psk_orders():
+    # a negative count was refused only by the radar sweep's scene draw,
+    # and a PSK order outside [0, 32] only by the study that ran it
+    with pytest.raises(ConfigError, match="sweep.n_targets"):
+        bench.SweepSpec(n_targets=-1)
+    for orders in ((3, 33), (-1,)):
+        with pytest.raises(ConfigError, match="sweep.modulations: order_bits"):
+            bench.SweepSpec(modulations=orders)
+    assert bench.SweepSpec(n_targets=0, modulations=(0, 32)).n_targets == 0
+
+
 def test_ber_point_random_guess_baseline(cfg):
     # deep noise: PSK bits are coin flips (BER ~ 0.5 within CI)
     sweep = bench.SweepSpec(min_symbols=4000, seed=5)

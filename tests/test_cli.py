@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ from fhmimo import bench, cli, commrx
 from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
-from fhmimo.config import RadarConfig
+from fhmimo.config import ConfigError, RadarConfig
 from fhmimo.iqfile import IqFrame, IqFormatError, read_iq, write_iq
 
 
@@ -26,7 +27,6 @@ def cfg_file(tmp_path):
         "radar": {"prts_per_cpi": 20},
         "impairment": {"rho": 1e-6, "sto_initial": 7.5e-9, "snr_db": 25,
                        "front_end": "rippled"},
-        "scene": {"n_targets": 3},
         "sweep": {"snr_grid_db": [0], "modulations": [3],
                   "hop_durations": [1e-6], "min_symbols": 1500,
                   "trials": 1, "n_targets": 3,
@@ -226,6 +226,19 @@ def test_comm_from_iq_file(cfg_file, tmp_path):
         assert run_cli("--config", str(p), "--out", str(out), "comm") == code
 
 
+def test_comm_with_a_missing_capture_writes_no_config(tmp_path, capsys):
+    # comm echoed effective_config.json before it read run.iq_file, so a
+    # missing capture left a directory that read like a finished run
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"run": {"iq_file": str(tmp_path / "nope.iq")}}))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "comm") == cli.EXIT_IO == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert not (out / "effective_config.json").exists()
+
+
 def test_iq_frame_rejects_partial_prt(tmp_path):
     # an IqFrame holds whole PRTs only, so a file whose samples do not fill
     # them (1000 samples of 1600-sample PRTs, or 0-sample PRTs) is rejected
@@ -313,7 +326,8 @@ def test_radar_command(cfg_file, tmp_path):
     det_lines = (out / "detections.csv").read_text().splitlines()
     assert det_lines[1].startswith("doppler_bin,range_bin")
     assert (out / "rdm.bin").stat().st_size > 1000
-    assert (out / "scene.csv").exists()
+    # the random scene's count is the sweep's, 3 in the fixture
+    assert len((out / "scene.csv").read_text().splitlines()) == 2 + 3
 
 
 def test_radar_without_a_listening_window_exits_2(cfg_file, tmp_path,
@@ -322,7 +336,7 @@ def test_radar_without_a_listening_window_exits_2(cfg_file, tmp_path,
     # exited 0 with "wrote 0 detections" and a range-0 rdm.bin
     cfg = json.loads(cfg_file.read_text())
     cfg["radar"].update(hops_per_pulse=40, prts_per_cpi=16)
-    cfg["scene"] = {"n_targets": 2, "range_span": [5000, 7000]}
+    cfg["sweep"].update(n_targets=2, range_span=[5000, 7000])
     p = tmp_path / "full.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
@@ -448,15 +462,15 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
     ("radar", "array", {"n_rx": "abc"}, "n_rx"),
     ("comm", "run", {"n_prt": "x"}, "n_prt"),
     ("comm", "run", {"n_prt": -5}, "n_prt"),
-    ("comm", "impairment", {"ripple_db": "x"}, "ripple_db"),
+    ("comm", "sweep", {"ripple_db": "x"}, "ripple_db"),
     ("radar", "scene", {"targets": [{"range_m": 100.0}]}, "range_m"),
     ("radar", "scene", {"targets": [{"velocity": 10.0}]}, "range_m"),
     ("radar", "scene", {"targets": [5]}, "targets"),
     ("radar", "array", {"n_rx": -3}, "n_rx"),
     ("radar", "array", {"n_rx": 0}, "n_rx"),
     ("radar", "array", {"rx_spacing": "nan"}, "rx_spacing"),
-    ("radar", "scene", {"range_span": [5000, 100]}, "range_span"),
-    ("radar", "scene", {"n_targets": -2}, "n_targets"),
+    ("radar", "sweep", {"range_span": [5000, 100]}, "range_span"),
+    ("radar", "sweep", {"n_targets": -2}, "n_targets"),
     ("radar", "sweep", {"angle_grid_points": 0}, "angle_grid_points"),
     ("radar", "sweep", {"p_fa": 2.0}, "p_fa"),
     ("txgen", "run", {"order_bits": -1}, "order_bits"),
@@ -467,11 +481,11 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
     ("radar", "array", {"n_rx": 2.7}, "n_rx"),
     ("comm", "run", {"order_bits": 64}, "order_bits"),
     ("comm", "run", {"order_bits": 70}, "order_bits"),
-    ("radar", "scene", {"range_span": [1000]}, "range_span"),
-    ("radar", "scene", {"velocity_span": [-5, 0, 5]}, "velocity_span"),
+    ("radar", "sweep", {"range_span": [1000]}, "range_span"),
+    ("radar", "sweep", {"velocity_span": [-5, 0, 5]}, "velocity_span"),
     ("radar", "sweep", {"angle_fov_deg": float("nan")}, "angle_fov_deg"),
     ("radar", "sweep", {"angle_grid_points": 2.5}, "angle_grid_points"),
-    ("radar", "sweep", {"seed": "x"}, "seed"),
+    ("radar", "sweep", {"seed": "x"}, "unknown keys in [sweep]: ['seed']"),
     ("radar", "radar", {"n_subbands": "20"}, "n_subbands"),
     ("radar", "radar", {"hop_duration": "1e-6"}, "hop_duration"),
     ("radar", "sweep", {"p_fa": "0.01"}, "p_fa"),
@@ -480,7 +494,7 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
     ("comm", "run", {"n_prt": True}, "n_prt"),
     ("comm", "impairment", {"snr_db": False}, "snr_db"),
     ("radar", "array", {"n_rx": True}, "n_rx"),
-    ("radar", "scene", {"n_targets": True}, "n_targets"),
+    ("radar", "sweep", {"n_targets": True}, "n_targets"),
     ("radar", "array", {"random_errors": True}, "random_errors"),
     ("radar", "scene", {"targets": [{"range_m": 1000, "foo": 1}]}, "foo"),
     ("comm", "run", {"iq_file": 0}, "iq_file"),
@@ -490,15 +504,15 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
     ("sweep", "sweep", {"kind": "radar", "comm_mode": "bogus"}, "comm_mode"),
     ("sweep", "sweep", {"kind": "radar", "velocity_span": [-2000, 2000]},
      "velocity_span"),
-    ("radar", "scene", {"velocity_span": [-2000, 2000]}, "velocity_span"),
+    ("radar", "sweep", {"velocity_span": [-2000, 2000]}, "velocity_span"),
     ("comm", "radar", {"prt_duration": float("nan")}, "prt_duration"),
     ("comm", "radar", {"prt_duration": float("inf")}, "prt_duration"),
     ("comm", "radar", {"hop_duration": float("nan")}, "hop_duration"),
     ("comm", "radar", {"carrier_freq": float("nan")}, "carrier_freq"),
     ("comm", "radar", {"carrier_freq": float("inf")}, "carrier_freq"),
-    ("comm", "impairment", {"ripple_db": float("nan")}, "ripple_db"),
-    ("comm", "impairment", {"ripple_rad": float("nan")}, "ripple_rad"),
-    ("comm", "impairment", {"ripple_rad": float("inf")}, "ripple_rad"),
+    ("comm", "sweep", {"ripple_db": float("nan")}, "ripple_db"),
+    ("comm", "sweep", {"ripple_rad": float("nan")}, "ripple_rad"),
+    ("comm", "sweep", {"ripple_rad": float("inf")}, "ripple_rad"),
     ("sweep", "sweep", {"snr_grid_db": [float("nan")]}, "snr_grid_db"),
     ("sweep", "sweep", {"hop_durations": [float("nan")]}, "hop_durations"),
     ("sweep", "sweep", {"ripple_db": float("nan")}, "ripple_db"),
@@ -516,21 +530,26 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
     ("txgen", "run", {"seed": -1}, "run.seed"),
     ("comm", "run", {"seed": -1}, "run.seed"),
     ("radar", "run", {"seed": -1}, "run.seed"),
-    ("sweep", "sweep", {"seed": -3}, "sweep.seed"),
+    ("sweep", "run", {"seed": -3}, "run.seed"),
     ("radar", "scene", {"targets": [{"range_m": 1000}],
                         "range_span": [5000, 100]},
-     "scene.targets is the whole scene; drop n_targets, range_span"),
+     "unknown keys in [scene]: ['range_span']"),
     ("comm", "impairment", {"front_end": "flat", "ripple_db": 6.0},
-     "impairment.ripple_db needs front_end 'rippled'"),
+     "unknown keys in [impairment]: ['ripple_db']"),
     ("comm", "impairment", {"front_end": "flat", "ripple_rad": 0.3},
-     "impairment.ripple_rad needs front_end 'rippled'"),
+     "unknown keys in [impairment]: ['ripple_rad']"),
     ("comm", "impairment", {"noise_var": 5.0},
      "unknown keys in [impairment]: ['noise_var']"),
     ("sweep", "sweep", {"hop_durations": [1e-6, 0]}, "sweep.hop_durations"),
     ("sweep", "sweep", {"hop_durations": [-1e-6]}, "sweep.hop_durations"),
     ("radar", "run", {"n_prt": 0}, "run.n_prt"),
     ("sweep", "run", {"mode": "bogus"}, "run.mode"),
-    ("sweep", "run", {"order_bits": 40}, "order_bits")],
+    ("sweep", "run", {"order_bits": 40}, "order_bits"),
+    ("sweep", "sweep", {"kind": "radar", "n_targets": -2}, "sweep.n_targets"),
+    ("txgen", "sweep", {"n_targets": -2}, "sweep.n_targets"),
+    ("txgen", "sweep", {"modulations": [3, 40]}, "sweep.modulations"),
+    ("comm", "sweep", {"modulations": [-1]}, "sweep.modulations"),
+    ("radar", "sweep", {"modulations": [40]}, "sweep.modulations")],
     ids=["n_rx-text", "n_prt-text", "n_prt-negative", "ripple_db-text",
          "target-in-blind-zone", "target-without-range",
          "target-not-object", "n_rx-negative", "n_rx-zero", "rx_spacing-nan",
@@ -558,7 +577,10 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
          "ripple_db-on-a-flat-front-end", "ripple_rad-on-a-flat-front-end",
          "noise_var-next-to-snr_db", "hop_durations-zero",
          "hop_durations-negative", "run-n_prt-zero-radar",
-         "run-mode-unknown-sweep", "run-order_bits-40-sweep"])
+         "run-mode-unknown-sweep", "run-order_bits-40-sweep",
+         "radar-n_targets-negative", "n_targets-negative-txgen",
+         "modulations-40-txgen", "modulations-negative-comm",
+         "modulations-40-radar"])
 def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
                                                     capsys, command, section,
                                                     values, key):
@@ -577,8 +599,12 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # neighbouring scene keys, the empty range span too, were dropped
     # unread, a ripple on a flat front end or a noise_var next to snr_db
     # read and then ignored, a zero hop duration dividing by zero, a run key
-    # that a command does not read ignored); the error message names the
-    # offending key
+    # that a command does not read ignored, a negative sweep.n_targets or a
+    # PSK order beyond 32 in sweep.modulations run by txgen, comm and
+    # radar, or refused by the radar sweep only inside a pool worker); the
+    # error message names the offending key. The scene's random draw, the
+    # front end's ripple scale and the seed are each one key, of sweep and
+    # run, so their doubles in scene, impairment and sweep are unknown keys
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {}).update(values)
     p = tmp_path / "bad.json"
@@ -591,7 +617,7 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("array", "n_rx", -3), ("scene", "n_targets", -5),
+    ("array", "n_rx", -3), ("sweep", "n_targets", -5),
     ("impairment", "snr_db", "x"), ("impairment", "rho", 5.0),
     ("impairment", "front_end", "bogus")],
     ids=["n_rx", "n_targets", "snr_db", "rho", "front_end"])
@@ -604,8 +630,9 @@ def test_every_command_checks_every_section_but_the_scene(
         cfg_file, tmp_path, capsys, command, section, key, value):
     # a command checked only the sections it read: 24 of these 30 runs
     # exited 0 and 19 of them ignored the bad value. Every section is now
-    # built for every command, except the scene, which only radar builds;
-    # radar --snr replaces impairment.snr_db, so it never sees the bad one
+    # built for every command; only radar draws a random scene, and its
+    # target count is sweep.n_targets, which SweepSpec checks. radar --snr
+    # replaces impairment.snr_db, so it never sees the bad one
     cfg = json.loads(cfg_file.read_text())
     cfg.setdefault(section, {})[key] = value
     p = tmp_path / "bad.json"
@@ -613,12 +640,27 @@ def test_every_command_checks_every_section_but_the_scene(
     capsys.readouterr()
     code = run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    *command)
-    radar = command[0] == "radar"
-    if (section == "scene" and not radar) or (key == "snr_db" and radar):
+    if key == "snr_db" and command[0] == "radar":
         assert code == cli.EXIT_OK
     else:
         assert code == cli.EXIT_CONFIG
         assert key in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["txgen"], ["comm"], ["radar"], ["sweep", "--kind", "methods"]])
+def test_every_command_checks_a_given_target_list(cfg_file, tmp_path,
+                                                  capsys, command):
+    # a target in the blind zone was refused by radar alone; a given target
+    # list needs no draw, so every command checks it against the config
+    cfg = json.loads(cfg_file.read_text())
+    cfg["scene"] = {"targets": [{"range_m": 100.0}]}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   *command) == cli.EXIT_CONFIG
+    assert "range_m 100.0" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_comm_takes_a_pulse_that_fills_the_prt(tmp_path):
@@ -651,15 +693,14 @@ def test_hops_too_short_for_the_receiver_floor_exit_2(cfg_file, tmp_path,
 
 @pytest.mark.parametrize("radar, sweep, key", [
     ({}, {"kind": "radar", "velocity_span": [-2000, 2000]}, "velocity_span"),
-    ({}, {"kind": "radar", "n_targets": -2}, "n_targets"),
     ({"hops_per_pulse": 40, "prts_per_cpi": 16},
      {"kind": "radar", "range_span": [5000, 7000]}, "listening window"),
     ({"n_subbands": 4, "n_tx": 2, "hops_per_pulse": 3, "bandwidth": 4e6,
       "sample_rate": 4e6},
      {"kind": "ber", "snr_grid_db": [0, 10], "min_symbols": 10},
      "samples_per_hop")],
-    ids=["radar-velocity_span-aliased", "radar-n_targets-negative",
-         "radar-no-listening-window", "ber-hops-too-short"])
+    ids=["radar-velocity_span-aliased", "radar-no-listening-window",
+         "ber-hops-too-short"])
 def test_sweep_config_error_raised_in_a_worker_exits_2(
         cfg_file, tmp_path, capsys, monkeypatch, radar, sweep, key):
     # these configs are refused by the point itself, so with two usable
@@ -766,18 +807,22 @@ def test_comm_modulation_flag_beyond_the_float64_phase_exits_2(
 
 
 def test_empty_sections_give_library_defaults():
-    # build_inputs and build_scene pass on only the keys a config gives, so
-    # an empty section means the library's defaults
+    # build_inputs passes on only the keys a config gives, so an empty
+    # section means the library's defaults
     inp = cli.build_inputs(cli.load_config())
     assert inp.cfg == RadarConfig() and inp.array == rrx.ArrayModel()
     assert inp.sweep == bench.SweepSpec() and inp.kind == "ber"
-    assert inp.run == {"seed": 0, "order_bits": 3}
+    assert inp.run == {"seed": 0, "order_bits": 3} and inp.targets is None
+    # radar's scene draw and the rippled front end take SweepSpec's count,
+    # spans and ripple scale, whose defaults are the library functions'
+    for fn in (rrx.random_scene, imp.FrontEndProfile.rippled):
+        for name, param in inspect.signature(fn).parameters.items():
+            if hasattr(inp.sweep, name):
+                assert param.default == getattr(inp.sweep, name), name
     # noiseless, and without rho no clock error: +0.0, not the -0.0 that
     # from_clock(0.0) gives sample_time_offset
     assert inp.spec == imp.ImpairmentSpec()
     assert not np.signbit([inp.spec.cfo, inp.spec.sample_time_offset]).any()
-    cfg = RadarConfig(prts_per_cpi=20)
-    assert cli.build_scene(inp.scene, cfg, 5) == rrx.random_scene(cfg, rng=5)
     # a rippled front end is drawn from comm's stream, which comm goes on
     # drawing from
     raw = cli.load_config(overrides={"impairment.front_end": "rippled",
@@ -798,8 +843,8 @@ def test_integral_float_counts_run_as_ints(cfg_file, tmp_path):
         cfg = json.loads(cfg_file.read_text())
         cfg["radar"].update(n_subbands=num(20), prts_per_cpi=num(20))
         cfg["array"] = {"n_rx": num(8)}
-        cfg["sweep"].update(angle_grid_points=num(128), trials=num(2),
-                            seed=num(4))
+        cfg["sweep"].update(angle_grid_points=num(128), trials=num(2))
+        cfg["run"]["seed"] = num(4)
         p = tmp_path / f"{num.__name__}.json"
         p.write_text(json.dumps(cfg))
         files = {}
@@ -846,7 +891,7 @@ def test_readme_example_config_loads(tmp_path):
     inp = cli.build_inputs(raw)
     assert inp.cfg == RadarConfig()
     assert inp.spec.noise_var == 0.01
-    assert len(cli.build_scene(inp.scene, inp.cfg, 0)) == 50
+    assert inp.targets is None and inp.sweep.n_targets == 50
     assert inp.array.n_rx == 12
     assert inp.kind == "ber"
     assert inp.sweep.snr_grid_db == (-10.0, 0.0, 10.0)
@@ -919,14 +964,16 @@ def test_missing_config_file(tmp_path):
 
 def test_seed_flag_overrides_the_sweep_seed(cfg_file, tmp_path):
     # with sweep.seed in the config, --seed 5 and --seed 9 wrote the same
-    # method_comparison.csv rows; only the config_hash line differed.
-    # --seed N now gives the rows of a config whose sweep.seed is N
-    def rows(sweep_seed, *flag):
+    # method_comparison.csv rows; only the config_hash line differed. The
+    # study's seed is now run.seed alone, so --seed N gives the rows of a
+    # config whose run.seed is N, and sweep.seed is an unknown key
+    def rows(seed, *flag):
         cfg = json.loads(cfg_file.read_text())
-        cfg["sweep"].update(kind="methods", seed=sweep_seed)
+        cfg["sweep"]["kind"] = "methods"
+        cfg["run"]["seed"] = seed
         p = tmp_path / "methods.json"
         p.write_text(json.dumps(cfg))
-        out = tmp_path / f"{sweep_seed}{''.join(flag)}"
+        out = tmp_path / f"{seed}{''.join(flag)}"
         assert run_cli("--config", str(p), *flag, "--out", str(out),
                        "sweep") == 0
         text = (out / "method_comparison.csv").read_text()
@@ -935,6 +982,32 @@ def test_seed_flag_overrides_the_sweep_seed(cfg_file, tmp_path):
 
     assert rows(3, "--seed", "5") == rows(5)
     assert rows(3, "--seed", "9") == rows(9) != rows(5)
+    with pytest.raises(ConfigError, match=r"\[sweep\]: \['seed'\]"):
+        cli.build_inputs(cli.load_config(overrides={"sweep.seed": 5}))
+
+
+def test_no_key_is_in_two_sections():
+    # scene and sweep both gave the random scene's count and spans,
+    # impairment and sweep both the ripple scale, run and sweep the seed
+    keys = [key for kinds in cli.SCHEMA.values() for key in kinds]
+    assert len(keys) == len(set(keys)) == 42
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("scene", "n_targets", 3), ("scene", "range_span", [1000, 3000]),
+    ("scene", "velocity_span", [-10, 10]), ("scene", "azimuth_span", [-1, 1]),
+    ("impairment", "ripple_db", 1.0), ("impairment", "ripple_rad", 0.2),
+    ("sweep", "seed", 3)])
+def test_the_doubled_keys_are_unknown(tmp_path, capsys, section, key, value):
+    # each gave a quantity that another section's key also gave
+    p = tmp_path / "doubled.json"
+    p.write_text(json.dumps({section: {key: value}}))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "radar") == cli.EXIT_CONFIG
+    assert (json.loads(capsys.readouterr().err)["message"]
+            == f"unknown keys in [{section}]: ['{key}']")
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_changes_payload(cfg_file, tmp_path):

@@ -7,13 +7,14 @@ Each tree runs the same matrix in its own interpreter, with the tree's
 
 * the CLI on small configs: ``txgen``, ``comm`` in all four modes,
   both also without PSK (``order_bits`` 0), ``radar`` on a
-  2 x 12 array with a random scene and with a given two-target scene
+  2 x 12 array with a random scene of the default count and spans and
+  with a given two-target scene
   (one complex ``coeff``), and on the M = 3, K = 7, H = 4 config with 5
   receive antennas, and ``sweep --kind ber|radar|methods``; on an empty
   impairment section (no clock error, no SNR), ``comm --mode
   known|estimated`` and ``radar`` without ``--snr``; ``txgen`` and
   ``sweep --kind methods`` on a config that also gives ``array``,
-  ``scene`` and ``impairment``, sections neither uses;
+  ``scene`` (a target list) and ``impairment``, sections neither uses;
   every file each run writes and its exit code are kept;
 * ``commrx.demodulate`` in all four modes, in process, on seeded frames of
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
@@ -86,23 +87,23 @@ def _cli_runs():
     runs += [(f"comm-j0-{m}", no_psk, ["comm", "--mode", m]) for m in MODES]
     runs += [(f"comm-small-{m}", small, ["comm", "--mode", m])
              for m in MODES]
-    runs.append(("radar", {**BASE, "scene": {"n_targets": 3}},
-                 ["radar", "--snr", "-16"]))
+    # the random scenes take SweepSpec's count and spans, which equal
+    # random_scene's defaults
+    runs.append(("radar", BASE, ["radar", "--snr", "-16"]))
     targets = [{"range_m": 1500.0, "velocity": 30.0, "azimuth_deg": 1.0},
                {"range_m": 2600.0, "velocity": -80.0, "azimuth_deg": -2.0,
                 "coeff": "0.6-0.8j"}]
     runs.append(("radar-targets", {**BASE, "scene": {"targets": targets}},
                  ["radar", "--snr", "-16"]))
-    runs.append(("radar-small", {**small, "array": {"n_rx": 5},
-                                 "scene": {"n_targets": 3}},
+    runs.append(("radar-small", {**small, "array": {"n_rx": 5}},
                  ["radar", "--snr", "-16"]))
     # the defaults: no clock error, noiseless comm, a 0 dB radar echo
-    clean = {**BASE, "impairment": {}, "scene": {"n_targets": 3}}
+    clean = {**BASE, "impairment": {}}
     runs += [(f"comm-clean-{m}", clean, ["comm", "--mode", m])
              for m in ("known", "estimated")]
     runs.append(("radar-0db", clean, ["radar"]))
     # commands that use none of array, scene and impairment, given all three
-    full = {**BASE, "array": {"n_rx": 5}, "scene": {"n_targets": 3},
+    full = {**BASE, "array": {"n_rx": 5}, "scene": {"targets": targets},
             "sweep": {**SWEEP, "kind": "methods"}}
     runs += [("txgen-full", full, ["txgen"]),
              ("sweep-methods-full", full, ["sweep"])]
