@@ -20,7 +20,7 @@ rng = np.random.default_rng(7)
 
 plan = wf.plan_hops(cfg, n_prt=cfg.prts_per_cpi, rng=rng)
 psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
-scene = rrx.random_scene(cfg, 10, rng=rng)
+scene = bench.SweepSpec(n_targets=10).random_scene(cfg, rng)
 grid = rrx.angle_grid(30.0, 1024)
 
 print(f"Blind zone {cfg.blind_range:.0f} m, unambiguous range "
@@ -29,27 +29,24 @@ print(f"Blind zone {cfg.blind_range:.0f} m, unambiguous range "
 print(f"Bins: {cfg.range_bin:.2f} m, {cfg.velocity_bin:.2f} m/s, "
       f"{60 / 1024:.3f} deg\n")
 
-def run(array, label):
-    rx = rrx.synthesize_echo(plan, psk, scene, array, cfg,
-                             noise_var=noise_var_for_snr(-24),
-                             rng=np.random.default_rng(99))
-    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, array, grid=grid)
-    print(f"{label}: {len(dets)} detections for {len(scene)} targets"
-          " (plain-DFT Doppler sidelobes of strong echoes also cross CFAR;"
-          " association gates sort them out)")
-    # the sweep's gate: +-3 range bins, +-2 Doppler bins, +-2 deg
-    results = bench._associate(dets, scene, rdm)
-    for t, (hit, dr, dv, da) in sorted(zip(scene, results),
-                                       key=lambda p: p[0].range_m):
-        truth = (f"truth ({t.range_m:7.1f} m, {t.velocity:+7.1f} m/s, "
-                 f"{t.azimuth_deg:+5.2f} deg)")
-        if hit:
-            print(f"  {truth} -> est ({t.range_m + dr:7.1f}, "
-                  f"{t.velocity + dv:+7.1f}, {t.azimuth_deg + da:+5.2f})")
-        else:
-            print(f"  {truth} -> MISS")
-    hits = sum(r[0] for r in results)
-    print(f"  matched {hits}/{len(scene)}\n")
-
-
-run(rrx.ArrayModel(), "Ideal array")
+array = rrx.ArrayModel()
+rx = rrx.synthesize_echo(plan, psk, scene, array, cfg,
+                         noise_var=noise_var_for_snr(-24),
+                         rng=np.random.default_rng(99))
+rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, array, grid=grid)
+print(f"Ideal array: {len(dets)} detections for {len(scene)} targets"
+      " (plain-DFT Doppler sidelobes of strong echoes also cross CFAR;"
+      " association gates sort them out)")
+# the sweep's gate: +-3 range bins, +-2 Doppler bins, +-2 deg
+results = bench._associate(dets, scene, rdm)
+for t, (hit, dr, dv, da) in sorted(zip(scene, results),
+                                   key=lambda p: p[0].range_m):
+    truth = (f"truth ({t.range_m:7.1f} m, {t.velocity:+7.1f} m/s, "
+             f"{t.azimuth_deg:+5.2f} deg)")
+    if hit:
+        print(f"  {truth} -> est ({t.range_m + dr:7.1f}, "
+              f"{t.velocity + dv:+7.1f}, {t.azimuth_deg + da:+5.2f})")
+    else:
+        print(f"  {truth} -> MISS")
+hits = sum(r[0] for r in results)
+print(f"  matched {hits}/{len(scene)}\n")

@@ -12,7 +12,7 @@ from .commrx import (DemodReport, ErrorCounts, PilotRatioTable, SyncEstimate,
 from .radarrx import (ArrayModel, DetectionList, RangeDopplerMap, Target,
                       cfar_detect, check_scene, estimate_angle,
                       estimate_params, matched_filter, mtd, process_cpi,
-                      random_scene, synthesize_echo)
+                      synthesize_echo)
 from .bench import (SweepReport, SweepSpec, data_rate, run_ber_sweep,
                     run_method_comparison, run_radar_sweep, wilson_interval)
 

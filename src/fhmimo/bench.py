@@ -169,6 +169,29 @@ class SweepSpec:
         for snr_db in (*self.snr_grid_db, *self.radar_snr_grid_db):
             noise_var_for_snr(snr_db)
 
+    def random_scene(self, cfg: RadarConfig, rng) -> tuple[radarrx.Target, ...]:
+        """``n_targets`` targets drawn uniformly over the spans; the range
+        span is first clamped to the observable window. A velocity span
+        reaching +/-``cfg.unambiguous_velocity`` (its targets would alias)
+        or a clamped range span that is empty is a :class:`ConfigError`."""
+        v_max = cfg.unambiguous_velocity
+        v_lo, v_hi = self.velocity_span
+        if not (-v_max < v_lo and v_hi < v_max):
+            raise ConfigError(
+                f"sweep.velocity_span must lie inside +/-{v_max:.6g} m/s (the "
+                f"unambiguous velocity), got {list(self.velocity_span)}")
+        lo_r = max(self.range_span[0], cfg.blind_range)
+        hi_r = min(self.range_span[1], cfg.unambiguous_range)
+        check_span("sweep.range_span (clamped to the observable window)",
+                   (lo_r, hi_r))
+        rng = np.random.default_rng(rng)
+        return tuple(
+            radarrx.Target(range_m=float(rng.uniform(lo_r, hi_r)),
+                           velocity=float(rng.uniform(v_lo, v_hi)),
+                           azimuth_deg=float(rng.uniform(*self.azimuth_span)),
+                           coeff=np.exp(2j * np.pi * rng.random()))
+            for _ in range(self.n_targets))
+
 
 @dataclass
 class SweepReport:
@@ -201,7 +224,14 @@ def config_for_hop_duration(cfg: RadarConfig, hop_duration: float
 
 def _draw_impairments(cfg: RadarConfig, spec: SweepSpec, rng,
                       noise_var: float) -> ImpairmentSpec:
-    """Clock-consistent random impairment draw inside the estimator range."""
+    """Clock-consistent random impairment draw inside the estimator range.
+    The span's largest |rho| is checked first, so a span reaching past the
+    unambiguous CFO is refused whatever the draw."""
+    try:
+        ImpairmentSpec.from_clock(max(map(abs, spec.rho_span)), cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep.rho_span {list(spec.rho_span)}: {exc}"
+                          ) from None
     rho = rng.uniform(*spec.rho_span) * rng.choice((-1.0, 1.0))
     sto0 = rng.uniform(0.0, 1.0) / cfg.sample_rate  # sub-sample initial STO
     fe = FrontEndProfile.rippled(cfg, rng=rng, ripple_db=spec.ripple_db,
@@ -263,7 +293,10 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
     # built here, so a bad hop length or PSK order fails before any worker
     points = []
     for hop_t in sweep.hop_durations:
-        cfg_t = config_for_hop_duration(cfg, hop_t)
+        try:
+            cfg_t = config_for_hop_duration(cfg, hop_t)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.hop_durations {hop_t}: {exc}") from None
         for order_bits in sweep.modulations:
             rates = data_rate(order_bits, cfg_t)
             points += [(hop_t, cfg_t, order_bits, snr_db, rates)
@@ -331,10 +364,7 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
     # the FHCS (plan) and PSK bits each get their own child stream; the
     # traditional waveform carries no PSK (order 0)
     scene_seed, plan_seed, noise_seed, psk_seed = seq.spawn(4)
-    scene = radarrx.random_scene(
-        cfg, sweep.n_targets, rng=np.random.default_rng(scene_seed),
-        range_span=sweep.range_span, velocity_span=sweep.velocity_span,
-        azimuth_span=sweep.azimuth_span)
+    scene = sweep.random_scene(cfg, scene_seed)
     array = radarrx.ArrayModel()
     plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi,
                      rng=np.random.default_rng(plan_seed),

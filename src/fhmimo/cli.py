@@ -253,9 +253,7 @@ def cmd_radar(inp: Inputs, out_dir: Path) -> None:
         np.random.default_rng(s) for s in seq.spawn(3))
     scene = inp.targets         # the whole scene, even an empty one
     if scene is None:           # else drawn as the radar sweep draws its own
-        scene = radarrx.random_scene(
-            cfg, sweep.n_targets, rng=scene_rng, range_span=sweep.range_span,
-            velocity_span=sweep.velocity_span, azimuth_span=sweep.azimuth_span)
+        scene = sweep.random_scene(cfg, scene_rng)
     plan = plan_hops(cfg, rng=plan_rng)
     psk = make_psk_grid(cfg, plan, run["order_bits"], rng=plan_rng)
     # the echo defaults to 0 dB, where the comm link defaults to noiseless

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig, check_span
+from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
 from .impairments import complex_noise
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
@@ -35,36 +35,6 @@ class Target:
 
     def doppler(self, wavelength: float) -> float:
         return 2.0 * self.velocity / wavelength
-
-
-def random_scene(cfg: RadarConfig, n_targets: int = 50, rng=None,
-                 range_span=(750.0, 4185.0), velocity_span=(-170.0, 170.0),
-                 azimuth_span=(-4.0, 4.0)) -> tuple[Target, ...]:
-    """``n_targets`` targets drawn uniformly over the spans; the range span
-    is first clamped to the observable window. A negative count, a span
-    that is empty or not two entries, or a velocity span reaching
-    +/-``cfg.unambiguous_velocity`` (its targets would alias) is a
-    :class:`ConfigError`."""
-    for name, span in (("range_span", range_span),
-                       ("velocity_span", velocity_span),
-                       ("azimuth_span", azimuth_span)):
-        check_span(name, span)
-    v_max = cfg.unambiguous_velocity
-    if not (-v_max < velocity_span[0] and velocity_span[1] < v_max):
-        raise ConfigError(
-            f"velocity_span must lie inside +/-{v_max:.6g} m/s (the "
-            f"unambiguous velocity), got {list(velocity_span)}")
-    if not n_targets >= 0:
-        raise ConfigError("n_targets must be >= 0")
-    lo_r = max(range_span[0], cfg.blind_range)
-    hi_r = min(range_span[1], cfg.unambiguous_range)
-    check_span("range_span (clamped to the observable window)", (lo_r, hi_r))
-    rng = np.random.default_rng(rng)
-    return tuple(Target(range_m=float(rng.uniform(lo_r, hi_r)),
-                        velocity=float(rng.uniform(*velocity_span)),
-                        azimuth_deg=float(rng.uniform(*azimuth_span)),
-                        coeff=np.exp(2j * np.pi * rng.random()))
-                 for _ in range(n_targets))
 
 
 def check_scene(targets, cfg: RadarConfig) -> None:

@@ -542,6 +542,8 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
      "unknown keys in [impairment]: ['noise_var']"),
     ("sweep", "sweep", {"hop_durations": [1e-6, 0]}, "sweep.hop_durations"),
     ("sweep", "sweep", {"hop_durations": [-1e-6]}, "sweep.hop_durations"),
+    ("sweep", "sweep", {"hop_durations": [0.3e-6]}, "sweep.hop_durations"),
+    ("sweep", "sweep", {"hop_durations": [10e-6]}, "sweep.hop_durations"),
     ("radar", "run", {"n_prt": 0}, "run.n_prt"),
     ("sweep", "run", {"mode": "bogus"}, "run.mode"),
     ("sweep", "run", {"order_bits": 40}, "order_bits"),
@@ -576,7 +578,8 @@ def test_non_finite_clock_errors_rejected(cfg_file, tmp_path, capsys, keys,
          "sweep-seed-negative", "targets-next-to-random-scene-keys",
          "ripple_db-on-a-flat-front-end", "ripple_rad-on-a-flat-front-end",
          "noise_var-next-to-snr_db", "hop_durations-zero",
-         "hop_durations-negative", "run-n_prt-zero-radar",
+         "hop_durations-negative", "hop_durations-fractional-prt",
+         "hop_durations-pulse-past-prt", "run-n_prt-zero-radar",
          "run-mode-unknown-sweep", "run-order_bits-40-sweep",
          "radar-n_targets-negative", "n_targets-negative-txgen",
          "modulations-40-txgen", "modulations-negative-comm",
@@ -601,8 +604,9 @@ def test_malformed_config_values_are_config_errors(cfg_file, tmp_path,
     # read and then ignored, a zero hop duration dividing by zero, a run key
     # that a command does not read ignored, a negative sweep.n_targets or a
     # PSK order beyond 32 in sweep.modulations run by txgen, comm and
-    # radar, or refused by the radar sweep only inside a pool worker); the
-    # error message names the offending key. The scene's random draw, the
+    # radar, or refused by the radar sweep only inside a pool worker, a
+    # hop duration the radar config cannot take refused without the key's
+    # name); the error message names the offending key. The scene's random draw, the
     # front end's ripple scale and the seed are each one key, of sweep and
     # run, so their doubles in scene, impairment and sweep are unknown keys
     cfg = json.loads(cfg_file.read_text())
@@ -698,9 +702,11 @@ def test_hops_too_short_for_the_receiver_floor_exit_2(cfg_file, tmp_path,
     ({"n_subbands": 4, "n_tx": 2, "hops_per_pulse": 3, "bandwidth": 4e6,
       "sample_rate": 4e6},
      {"kind": "ber", "snr_grid_db": [0, 10], "min_symbols": 10},
-     "samples_per_hop")],
+     "samples_per_hop"),
+    ({}, {"kind": "ber", "snr_grid_db": [0, 10], "min_symbols": 10,
+          "rho_span": [1e-6, 3e-6]}, "sweep.rho_span")],
     ids=["radar-velocity_span-aliased", "radar-no-listening-window",
-         "ber-hops-too-short"])
+         "ber-hops-too-short", "ber-rho_span-aliased"])
 def test_sweep_config_error_raised_in_a_worker_exits_2(
         cfg_file, tmp_path, capsys, monkeypatch, radar, sweep, key):
     # these configs are refused by the point itself, so with two usable
@@ -726,6 +732,22 @@ def test_sweep_config_error_raised_in_a_worker_exits_2(
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config" and key in error["message"]
     assert pools == [2]
+
+
+@pytest.mark.parametrize("seed", [0, 14])
+def test_a_rho_span_past_the_unambiguous_cfo_is_refused_at_every_seed(
+        tmp_path, capsys, seed):
+    # |rho| above about 2.27e-6 aliases the default config's CFO; the
+    # methods study refused this span only when its draw landed there
+    # (seed 14, without naming the key) and ran at seed 0. The span's
+    # largest |rho| is checked before any draw
+    p = tmp_path / "rho.json"
+    p.write_text(json.dumps({"sweep": {"kind": "methods",
+                                       "rho_span": [1e-6, 3e-6]}}))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "--seed", str(seed), "sweep") == cli.EXIT_CONFIG
+    assert "sweep.rho_span" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_comm_summary_writes_null_for_rates_over_nothing(cfg_file,
@@ -813,12 +835,12 @@ def test_empty_sections_give_library_defaults():
     assert inp.cfg == RadarConfig() and inp.array == rrx.ArrayModel()
     assert inp.sweep == bench.SweepSpec() and inp.kind == "ber"
     assert inp.run == {"seed": 0, "order_bits": 3} and inp.targets is None
-    # radar's scene draw and the rippled front end take SweepSpec's count,
-    # spans and ripple scale, whose defaults are the library functions'
-    for fn in (rrx.random_scene, imp.FrontEndProfile.rippled):
-        for name, param in inspect.signature(fn).parameters.items():
-            if hasattr(inp.sweep, name):
-                assert param.default == getattr(inp.sweep, name), name
+    # a rippled front end takes SweepSpec's ripple scale, whose defaults
+    # are FrontEndProfile.rippled's
+    params = inspect.signature(imp.FrontEndProfile.rippled).parameters
+    for name, param in params.items():
+        if hasattr(inp.sweep, name):
+            assert param.default == getattr(inp.sweep, name), name
     # noiseless, and without rho no clock error: +0.0, not the -0.0 that
     # from_clock(0.0) gives sample_time_offset
     assert inp.spec == imp.ImpairmentSpec()

@@ -87,7 +87,7 @@ def test_scene_validation(cfg):
     with pytest.raises(ValueError):
         rrx.check_scene((rrx.Target(1000.0, 400.0, 0.0),), cfg)
     rng = np.random.default_rng(0)
-    scene = rrx.random_scene(cfg, 50, rng=rng)
+    scene = bench.SweepSpec().random_scene(cfg, rng)
     rrx.check_scene(scene, cfg)
     assert len(scene) == 50 and type(scene) is tuple
 
@@ -297,7 +297,7 @@ def test_process_cpi_never_holds_a_second_cube(cfg):
     sweep = bench.SweepSpec(n_targets=10)
     plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
     arr = rrx.ArrayModel()
-    scene = rrx.random_scene(cfg, sweep.n_targets, rng=3)
+    scene = sweep.random_scene(cfg, 3)
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                              noise_var=10 ** 2.4, rng=4)
     grid = rrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
@@ -419,7 +419,7 @@ def test_cfar_single_target_single_cluster(cfg):
 def test_cfar_fifty_target_scene_detection_rate(cfg):
     plan, psk = _plan_psk(cfg, 128)
     rng = np.random.default_rng(8)
-    scene = rrx.random_scene(cfg, 50, rng=rng)
+    scene = bench.SweepSpec().random_scene(cfg, rng)
     arr = rrx.ArrayModel()
     # RDM-peak SNR per channel ~ +14 dB: input -30 dB + MF/MTD gain 44 dB
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
@@ -505,7 +505,7 @@ def test_waveform_equivalence_quick(cfg):
     for mode in ("dfrc", "traditional"):
         plan, psk = _plan_psk(cfg, 128, seed=3, mode=mode)
         rng = np.random.default_rng(12)
-        scene = rrx.random_scene(cfg, 8, rng=rng)
+        scene = bench.SweepSpec(n_targets=8).random_scene(cfg, rng)
         arr = rrx.ArrayModel()
         rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
                                  noise_var=10 ** (24 / 10), rng=13)
@@ -528,10 +528,8 @@ def test_pilot_waveform_excess_detections_lie_on_its_doppler_rows(cfg):
     one there, with the same scene and noise: 205 against 38 detections on
     the targets' rows and 286 against 26 on the cycled rows in this CPI,
     and 3.8x to 6.2x and 4.7x to 10x over 14 other seeded CPIs."""
-    sweep = bench.SweepSpec()
-    scene = rrx.random_scene(
-        cfg, 10, rng=np.random.default_rng(21), range_span=sweep.range_span,
-        velocity_span=sweep.velocity_span, azimuth_span=sweep.azimuth_span)
+    sweep = bench.SweepSpec(n_targets=10)
+    scene = sweep.random_scene(cfg, np.random.default_rng(21))
     arr = rrx.ArrayModel()
     grid = rrx.angle_grid(sweep.angle_fov_deg, 160)
     counts = {}

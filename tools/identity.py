@@ -16,6 +16,9 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   ``sweep --kind methods`` on a config that also gives ``array``,
   ``scene`` (a target list) and ``impairment``, sections neither uses;
   every file each run writes and its exit code are kept;
+* each tree's own ``demos/*.py``, run as scripts: every file each writes,
+  its stdout and its exit code are kept (each demo runs in under a second
+  and repeats its output exactly);
 * ``commrx.demodulate`` in all four modes, in process, on seeded frames of
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
   and 13, partial last pilot cycles, -20 to 20 dB (erased slots included),
@@ -87,8 +90,7 @@ def _cli_runs():
     runs += [(f"comm-j0-{m}", no_psk, ["comm", "--mode", m]) for m in MODES]
     runs += [(f"comm-small-{m}", small, ["comm", "--mode", m])
              for m in MODES]
-    # the random scenes take SweepSpec's count and spans, which equal
-    # random_scene's defaults
+    # the random scenes take SweepSpec's default count and spans
     runs.append(("radar", BASE, ["radar", "--snr", "-16"]))
     targets = [{"range_m": 1500.0, "velocity": 30.0, "azimuth_deg": 1.0},
                {"range_m": 2600.0, "velocity": -80.0, "azimuth_deg": -2.0,
@@ -216,6 +218,15 @@ def _run_tree(tree: Path, out: Path) -> None:
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{tree}: the matrix failed\n{proc.stderr}")
+    demos, codes = out / "demos", {}
+    demos.mkdir()
+    for demo in sorted((tree / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=demos,
+                              env=env, capture_output=True)
+        (demos / f"{demo.stem}.stdout").write_bytes(proc.stdout)
+        codes[demo.stem] = proc.returncode
+    (demos / "exit_codes.json").write_text(
+        json.dumps(codes, indent=1, sort_keys=True))
 
 
 def _outputs(out: Path) -> set[Path]:
