@@ -37,8 +37,6 @@ print(f"Estimated: cfo = {report.sync.cfo / (2 * np.pi):+.1f} Hz "
       f"(rel err {abs(report.sync.cfo - spec.cfo) / spec.cfo:.2e}), "
       f"rho = {report.sync.rho:.3e}, "
       f"dTs = {report.sync.sample_time_offset:.3e} s")
-print(f"  {report.sync.raw_pair_cfo.size} pairwise CFO estimates averaged "
-      f"over the {cfg.prts_per_cpi}-PRT CPI")
 
 print("\n16PSK demodulation, same capture, three corrections:")
 for mode, label in (("flat", "no gain-ripple correction"),

@@ -21,7 +21,7 @@ from itertools import islice, product
 import numpy as np
 
 from .config import (ConfigError, RadarConfig, check_order_bits, check_span,
-                     noise_var_for_snr)
+                     noise_var_for_snr, prefixed)
 from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
@@ -147,11 +147,9 @@ class SweepSpec:
             raise ConfigError(f"sweep.seed must be >= 0, got {self.seed}")
         if self.n_targets < 0:
             raise ConfigError("sweep.n_targets must be >= 0")
-        try:
+        with prefixed("sweep.modulations: "):
             for order_bits in self.modulations:
                 check_order_bits(order_bits)
-        except ConfigError as exc:
-            raise ConfigError(f"sweep.modulations: {exc}") from None
         if not all(t > 0 for t in self.hop_durations):   # NaN fails too
             raise ConfigError(f"sweep.hop_durations must be > 0, got "
                               f"{list(self.hop_durations)}")
@@ -166,8 +164,14 @@ class SweepSpec:
         for name in ("rho_span", "range_span", "velocity_span",
                      "azimuth_span"):
             check_span(f"sweep.{name}", getattr(self, name))
-        for snr_db in (*self.snr_grid_db, *self.radar_snr_grid_db):
-            noise_var_for_snr(snr_db)
+        for name in ("snr_grid_db", "radar_snr_grid_db"):
+            with prefixed(f"sweep.{name}: "):
+                for snr_db in getattr(self, name):
+                    noise_var_for_snr(snr_db)
+        with np.errstate(over="ignore"):    # the rippled front end's peak
+            if not np.isfinite(np.power(10.0, abs(self.ripple_db) / 20)):
+                raise ConfigError(f"sweep.ripple_db={self.ripple_db:g} dB "
+                                  f"gives no finite gain 10^(|ripple_db|/20)")
 
     def random_scene(self, cfg: RadarConfig, rng) -> tuple[radarrx.Target, ...]:
         """``n_targets`` targets drawn uniformly over the spans; the range
@@ -227,11 +231,8 @@ def _draw_impairments(cfg: RadarConfig, spec: SweepSpec, rng,
     """Clock-consistent random impairment draw inside the estimator range.
     The span's largest |rho| is checked first, so a span reaching past the
     unambiguous CFO is refused whatever the draw."""
-    try:
+    with prefixed(f"sweep.rho_span {list(spec.rho_span)}: "):
         ImpairmentSpec.from_clock(max(map(abs, spec.rho_span)), cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"sweep.rho_span {list(spec.rho_span)}: {exc}"
-                          ) from None
     rho = rng.uniform(*spec.rho_span) * rng.choice((-1.0, 1.0))
     sto0 = rng.uniform(0.0, 1.0) / cfg.sample_rate  # sub-sample initial STO
     fe = FrontEndProfile.rippled(cfg, rng=rng, ripple_db=spec.ripple_db,
@@ -293,10 +294,8 @@ def run_ber_sweep(cfg: RadarConfig, sweep: SweepSpec) -> SweepReport:
     # built here, so a bad hop length or PSK order fails before any worker
     points = []
     for hop_t in sweep.hop_durations:
-        try:
+        with prefixed(f"sweep.hop_durations {hop_t}: "):
             cfg_t = config_for_hop_duration(cfg, hop_t)
-        except ConfigError as exc:
-            raise ConfigError(f"sweep.hop_durations {hop_t}: {exc}") from None
         for order_bits in sweep.modulations:
             rates = data_rate(order_bits, cfg_t)
             points += [(hop_t, cfg_t, order_bits, snr_db, rates)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench, commrx, radarrx
 from .config import (ConfigError, RadarConfig, check_order_bits,
-                     noise_var_for_snr)
+                     noise_var_for_snr, prefixed)
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
 from .iqfile import (IqFormatError, config_hash, read_iq, write_csv,
                      write_iq, write_rdm)
@@ -154,7 +154,8 @@ def build_inputs(raw: dict) -> Inputs:
     spec = build_impairments(sec["impairment"], cfg, sweep, rng)
     targets = sec["scene"].get("targets")
     if targets is not None:
-        radarrx.check_scene(targets, cfg)
+        with prefixed("scene."):
+            radarrx.check_scene(targets, cfg)
     return Inputs(raw, cfg, run, sweep, kind, array, spec, targets, rng)
 
 
@@ -173,8 +174,10 @@ def build_impairments(sec: dict, cfg: RadarConfig, sweep: bench.SweepSpec,
     kw = {k: sec[k] for k in ("sto_initial",) if k in sec}
     noise_var = noise_var_for_snr(sec["snr_db"]) if "snr_db" in sec else 0.0
     if "rho" in sec:
-        return ImpairmentSpec.from_clock(sec["rho"], cfg, noise_var=noise_var,
-                                         front_end=fe, **kw)
+        with prefixed(f"impairment.rho {sec['rho']:g}: "):
+            return ImpairmentSpec.from_clock(sec["rho"], cfg,
+                                             noise_var=noise_var,
+                                             front_end=fe, **kw)
     return ImpairmentSpec(noise_var=noise_var, front_end=fe, **kw)
 
 

@@ -31,7 +31,7 @@ Processing of a CPI-aligned single-channel receive stream:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,12 +144,11 @@ def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
 
 @dataclass
 class SyncEstimate:
-    """CFO/clock estimates and per-pair diagnostics."""
+    """CFO and clock estimates."""
 
     cfo: float                    # rad/s
     rho: float                    # clock stability
     sample_time_offset: float     # s
-    raw_pair_cfo: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def from_spec(cls, spec: ImpairmentSpec, cfg: RadarConfig) -> "SyncEstimate":
@@ -159,13 +158,12 @@ class SyncEstimate:
 
 
 def estimate_cfo(pilot_zero: np.ndarray, cfg: RadarConfig,
-                 valid: np.ndarray) -> tuple[float, np.ndarray]:
-    """CFO from zero-frequency pilots of consecutive PRTs.
+                 valid: np.ndarray) -> float:
+    """CFO in rad/s from zero-frequency pilots of consecutive PRTs.
 
     ``pilot_zero``: (n_prt, M) complex pilot coefficients (hop m, antenna
-    m); ``valid``: (n_prt, M) pilots that may be used. Returns (cfo_hat,
-    per-pair raw estimates in rad/s). The final value is the circular mean
-    of the pairwise phases over all PRT pairs and antennas.
+    m); ``valid``: (n_prt, M) pilots that may be used. The estimate is the
+    circular mean of the pairwise phases over all PRT pairs and antennas.
     """
     ratios = np.where(valid[1:] & valid[:-1],
                       pilot_zero[1:] * np.conj(pilot_zero[:-1]), 0.0)
@@ -176,10 +174,8 @@ def estimate_cfo(pilot_zero: np.ndarray, cfg: RadarConfig,
     good = np.abs(pair_vec) > 0
     if not np.any(good):
         raise ValueError("no valid pilot pairs for CFO estimation")
-    raw = np.angle(pair_vec[good]) / cfg.prt_duration
     mean_vec = (pair_vec[good] / np.abs(pair_vec[good])).mean()
-    cfo_hat = float(np.angle(mean_vec) / cfg.prt_duration)
-    return cfo_hat, raw
+    return float(np.angle(mean_vec) / cfg.prt_duration)
 
 
 def estimate_clock(cfo_hat: float, cfg: RadarConfig) -> tuple[float, float]:
@@ -392,12 +388,12 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         sync = SyncEstimate.from_spec(spec, cfg)
     else:
         try:
-            cfo_hat, raw = estimate_cfo(zero, cfg, zero_ok)
+            cfo_hat = estimate_cfo(zero, cfg, zero_ok)
         except ValueError:                  # no pilot pair: nothing to
             sync = None                     # correct with
             hop_erased[:] = True
         else:
-            sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg), raw)
+            sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg))
 
     row, h, m = np.nonzero(~det.pinned)     # (PRT, hop, antenna) order
     k, payload = det.subband[row, h, m], peaks[row, h, m]
@@ -459,7 +455,6 @@ class ErrorCounts:
     fhcs_bits: int = 0
     fhcs_bit_errors: float = 0.0
     fhcs_codewords: int = 0
-    fhcs_codeword_errors: float = 0.0
 
     @property
     def psk_ber(self) -> float:
@@ -510,5 +505,4 @@ def score_report(report: DemodReport, plan: HopPlan, psk: PskGrid,
             erased, 1.0, (truth_sym != report.psk_symbol)).sum()),
         fhcs_bits=int(bits_t.sum()),
         fhcs_bit_errors=float(bit_err.sum()),
-        fhcs_codewords=int(est.shape[0]),
-        fhcs_codeword_errors=float((bad | (cw_e != cw_t)).sum()))
+        fhcs_codewords=int(est.shape[0]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,16 @@ SPEED_OF_LIGHT = 3.0e8
 
 class ConfigError(ValueError):
     """Invalid or mutually inconsistent configuration values."""
+
+
+@contextlib.contextmanager
+def prefixed(prefix: str):
+    """Re-raise a :class:`ConfigError` of the block with ``prefix``, the
+    config key it concerns, in front of its message."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(prefix + str(exc)) from None
 
 
 def _as_exact_int(value: float, name: str) -> int:

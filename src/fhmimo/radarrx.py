@@ -38,14 +38,17 @@ class Target:
 
 
 def check_scene(targets, cfg: RadarConfig) -> None:
-    """Refuse a target outside the observable range and velocity spans."""
-    for t in targets:
+    """Refuse a target outside the observable range and velocity spans,
+    naming it ``targets[i]``."""
+    for i, t in enumerate(targets):
         if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
             raise ConfigError(
-                f"target range_m {t.range_m} outside "
+                f"targets[{i}]: range_m {t.range_m} outside "
                 f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
         if abs(t.velocity) >= cfg.unambiguous_velocity:
-            raise ConfigError("target velocity outside unambiguous span")
+            raise ConfigError(
+                f"targets[{i}]: velocity {t.velocity} outside the "
+                f"unambiguous span +/-{cfg.unambiguous_velocity:.6g} m/s")
 
 
 def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:

@@ -317,7 +317,6 @@ def gray_decode(g):
 class PskGrid:
     """Per-slot PSK phases; pilots carry phase 0 and symbol index -1."""
 
-    order_bits: int          # bits per symbol (J); constellation size 2^J
     phases: np.ndarray       # (n_prt, H, M) float radians
     symbol_index: np.ndarray  # (n_prt, H, M) int, -1 on pinned slots
 
@@ -343,7 +342,7 @@ def make_psk_grid(cfg: RadarConfig, plan: HopPlan, order_bits: int,
     symbol_index[free] = pos
     phases = np.zeros(plan.subband.shape, dtype=float)
     phases[free] = 2 * np.pi * pos / (1 << order_bits)
-    return PskGrid(order_bits, phases, symbol_index)
+    return PskGrid(phases, symbol_index)
 
 
 # ---------------------------------------------------------------------------

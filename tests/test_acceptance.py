@@ -106,8 +106,8 @@ def test_criterion_4_estimator_accuracy():
         rx = imp.apply(frame, plan, psk, spec, cfg)
         _, sub_vals = crx._batch_spectra(rx, cfg)
         pilots = sub_vals[:, np.arange(cfg.n_tx), cfg.zero_subband]
-        cfo_hat, _ = crx.estimate_cfo(pilots, cfg,
-                                      np.ones(pilots.shape, dtype=bool))
+        cfo_hat = crx.estimate_cfo(pilots, cfg,
+                                   np.ones(pilots.shape, dtype=bool))
         rho_hat, dts_hat = crx.estimate_clock(cfo_hat, cfg)
         worst["cfo"] = max(worst["cfo"], abs(cfo_hat - spec.cfo)
                            / abs(spec.cfo))
@@ -354,7 +354,7 @@ def test_criterion_8_property_suite():
         valid = np.ones(pilots.shape, dtype=bool)
         for n_pairs in est:
             est[n_pairs].append(crx.estimate_cfo(
-                pilots[:n_pairs + 1], cfg, valid[:n_pairs + 1])[0])
+                pilots[:n_pairs + 1], cfg, valid[:n_pairs + 1]))
     v = {n: np.var(est[n]) for n in est}
     checks.append((v[1] > v[16] > v[127],
                    f"CFO variance not monotone: {v}"))

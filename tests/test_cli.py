@@ -667,6 +667,38 @@ def test_every_command_checks_a_given_target_list(cfg_file, tmp_path,
     assert "range_m 100.0" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("section, values, key", [
+    ("impairment", {"rho": 3e-6}, "impairment.rho"),
+    ("scene", {"targets": [{"range_m": 1500.0}, {"range_m": 1e9}]},
+     "scene.targets[1]"),
+    ("sweep", {"snr_grid_db": [0, -1e9]}, "sweep.snr_grid_db"),
+    ("sweep", {"radar_snr_grid_db": [-1e9]}, "sweep.radar_snr_grid_db"),
+    ("sweep", {"ripple_db": 1e300}, "sweep.ripple_db")],
+    ids=["rho-aliased", "targets-out-of-window", "snr_grid_db-overflow",
+         "radar_snr_grid_db-overflow", "ripple_db-overflow"])
+@pytest.mark.parametrize("command", [["txgen"], ["comm"], ["radar"], ["sweep"]],
+                         ids=["txgen", "comm", "radar", "sweep"])
+def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
+                                           command, section, values, key):
+    # each value was refused without its key ("CFO outside the unambiguous
+    # range ...", "target range_m 1000000000.0 outside [...]", "snr_db=-1e+09
+    # dB gives no finite noise variance ...") or, for the ripple, run to
+    # exit 0 by txgen and a flat comm and refused by a rippled one only
+    # after a numpy overflow warning
+    cfg = json.loads(cfg_file.read_text())
+    cfg[section] = {**cfg.get(section, {}), **values}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   *command) == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(key)
+    assert not out.exists()
+
+
 def test_comm_takes_a_pulse_that_fills_the_prt(tmp_path):
     # the comm link listens to the pulse itself and needs no listening
     # window; the scene, whose default range span does, is built by radar

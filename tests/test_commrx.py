@@ -132,10 +132,9 @@ def test_cfo_estimate_closed_form(cfg, rng):
     cfg1 = RadarConfig(n_tx=1)
     _, sub_vals = crx._batch_spectra(rx, cfg1)
     pilots = sub_vals[:, np.arange(1), cfg1.zero_subband]
-    cfo_hat, raw = crx.estimate_cfo(pilots, cfg1,
-                                    np.ones(pilots.shape, dtype=bool))
-    assert np.mean(raw) * cfg1.prt_duration == pytest.approx(0.0251327,
-                                                             abs=1e-6)
+    cfo_hat = crx.estimate_cfo(pilots, cfg1,
+                               np.ones(pilots.shape, dtype=bool))
+    assert cfo_hat * cfg1.prt_duration == pytest.approx(0.0251327, abs=1e-6)
     assert cfo_hat == pytest.approx(cfo, rel=1e-6)
 
 
@@ -143,13 +142,6 @@ def test_cfo_zero_exact(cfg, rng):
     plan, psk, rx = _chain(cfg, 8, rng)
     rep = crx.demodulate(rx, cfg, 3)
     assert abs(rep.sync.cfo) < 1e-6
-
-
-def test_cfo_pair_count_matches_cpi(cfg, rng):
-    # 128 PRTs -> 127 pairwise estimates
-    plan, psk, rx = _chain(cfg, 128, rng)
-    rep = crx.demodulate(rx, cfg, 3)
-    assert rep.sync.raw_pair_cfo.size == 127
 
 
 def test_clock_estimates(cfg):
@@ -180,8 +172,8 @@ def test_cfo_averaging_variance_monotone(cfg):
         pilots = sub_vals[:, np.arange(cfg.n_tx), cfg.zero_subband]
         valid = np.ones(pilots.shape, dtype=bool)
         for n_pairs in estimates:
-            cfo_hat, _ = crx.estimate_cfo(pilots[:n_pairs + 1], cfg,
-                                          valid[:n_pairs + 1])
+            cfo_hat = crx.estimate_cfo(pilots[:n_pairs + 1], cfg,
+                                       valid[:n_pairs + 1])
             estimates[n_pairs].append(cfo_hat)
     v1, v16, v127 = (np.var(estimates[n]) for n in (1, 16, 127))
     assert v1 > v16 > v127

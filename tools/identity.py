@@ -23,36 +23,40 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   the default config and of an M = 3, K = 7, H = 4 config: first PRT 0, 5
   and 13, partial last pilot cycles, -20 to 20 dB (erased slots included),
   noiseless frames (``noise_var`` 0), 1- and 40-PRT frames and frames
-  without a usable pilot pair, each frame with 8PSK and without PSK
-  (order 0). Every ``DemodReport`` field, every
-  ``score_report`` count and the FHIQ bytes ``write_iq`` writes of each
-  frame are hashed, so the zero tail it pads a pulse-only frame with is
-  compared too. The noiseless rows let a change to the channel's noise
-  draw show that everything but the noise still matches: its noisy rows
-  differ by name, its noiseless ones must not. Each FHIQ file is read
-  back with ``read_iq`` (complex64, as the ``comm-rx`` benchmark reads
-  its frames) and demodulated in all four modes, and those reports are
-  hashed too. In each mode the frame is also demodulated as a fresh
-  frame over the same samples (``dataclasses.replace``, a new memo key):
-  within each tree, every report of the frame itself (its slot grid
+  without a usable pilot pair, each frame with 8PSK and without PSK (order
+  0). Every ``DemodReport`` field, every ``score_report`` count and the
+  FHIQ bytes ``write_iq`` writes of each frame are hashed, so the zero
+  tail it pads a pulse-only frame with is compared too. A report nested in
+  another is hashed one field a key (``.../sync/cfo``,
+  ``.../score_report/psk_bits``), so a field that one tree drops or adds
+  differs by its own name. The noiseless rows let a change to the
+  channel's noise draw show that everything but the noise still matches:
+  its noisy rows differ by name, its noiseless ones must not. Each FHIQ
+  file is read back with ``read_iq`` (complex64, as the ``comm-rx``
+  benchmark reads its frames) and demodulated in all four modes, and those
+  reports are hashed too. In each mode the frame is also demodulated as a
+  fresh frame over the same samples (``dataclasses.replace``, a new memo
+  key): within each tree, every report of the frame itself (its slot grid
   computed once and reused by the later modes) must equal the fresh
   frame's field by field.
 
 Every output that differs between the two trees is named. A change that
 alters seeded outputs on purpose (a named seed-contract change) lists
-them in ``seed_contract.txt`` next to this file, one name a line as this
-tool prints it. The exit status is 1 when an unlisted output differs, a
-listed one does not, or a memoized report differs from a fresh
-frame's; 0 otherwise. ``--all-equal`` ignores the list, so
-every output must match: that is the check that two copies of one tree
-repeat each other. A change runs this against its parent commit, e.g. a
-``git archive`` of it unpacked elsewhere. It needs two trees, so the test
-suite does not run it.
+them in ``seed_contract.txt`` next to this file, one a line as this tool
+prints it, or as an ``fnmatch`` pattern (``demodulate */sync/cfo``; ``*``
+also matches ``/``). The exit status is 1 when an output no line matches
+differs, a line matches no differing output, or a memoized report
+differs from a fresh frame's; 0 otherwise. ``--all-equal`` ignores the
+list, so every output must match: that is the check that two copies of
+one tree repeat each other. A change runs this against its parent
+commit, e.g. a ``git archive`` of it unpacked elsewhere. It needs two
+trees, so the test suite does not run it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import hashlib
 import json
 import os
@@ -136,24 +140,21 @@ def _frames():
     return out
 
 
-def _digest(value) -> str:
-    """Hash of a value's exact bytes: arrays by dtype, shape and data,
-    dataclasses field by field, everything else by ``repr``."""
+def _digests(key: str, value) -> dict:
+    """``{key: hash}`` of a value's exact bytes (an array by dtype, shape
+    and data, anything else by ``repr``); a dataclass gives one entry per
+    field, ``key/field``, nested dataclasses in turn."""
+    if dataclasses.is_dataclass(value):
+        return {k: d for f in dataclasses.fields(value)
+                for k, d in _digests(f"{key}/{f.name}",
+                                     getattr(value, f.name)).items()}
     h = hashlib.sha256()
-
-    def feed(v):
-        if isinstance(v, np.ndarray):
-            h.update(f"{v.dtype.str}{v.shape}".encode())
-            h.update(np.ascontiguousarray(v).tobytes())
-        elif dataclasses.is_dataclass(v):
-            for f in dataclasses.fields(v):
-                h.update(f.name.encode())
-                feed(getattr(v, f.name))
-        else:
-            h.update(repr(v).encode())
-
-    feed(value)
-    return h.hexdigest()
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+    return {key: h.hexdigest()}
 
 
 def collect(out: Path) -> None:
@@ -199,14 +200,12 @@ def collect(out: Path) -> None:
                                   spec=spec)
                 for frame in (rx, dataclasses.replace(rx), back))
             key = f"{name}/{mode}"
-            for f in dataclasses.fields(rep):
-                d = digests[f"{key}/{f.name}"] = _digest(getattr(rep, f.name))
-                if d != _digest(getattr(fresh, f.name)):
-                    unlike_fresh.append(f"{key}/{f.name}")
-                digests[f"{name}/read_iq/{mode}/{f.name}"] = _digest(
-                    getattr(read_back, f.name))
-            digests[f"{key}/score_report"] = _digest(
-                commrx.score_report(rep, plan, psk, cfg))
+            own, other = _digests(key, rep), _digests(key, fresh)
+            unlike_fresh += sorted(k for k in own.keys() | other.keys()
+                                   if own.get(k) != other.get(k))
+            digests |= own | _digests(f"{name}/read_iq/{mode}", read_back)
+            digests |= _digests(f"{key}/score_report",
+                                commrx.score_report(rep, plan, psk, cfg))
     (out / DEMOD_JSON).write_text(json.dumps(digests, indent=1))
     (out / MEMO_JSON).write_text(json.dumps(unlike_fresh))
 
@@ -251,20 +250,23 @@ def compare(a: Path, b: Path) -> list[str]:
 
 
 def read_contract(path: Path) -> set[str]:
-    """The output names a contract list gives: every line that is neither
-    blank nor a ``#`` comment."""
+    """The output names and patterns a contract list gives: every line that
+    is neither blank nor a ``#`` comment."""
     lines = (line.strip() for line in path.read_text().splitlines())
     return {line for line in lines if line and not line.startswith("#")}
 
 
 def judge(diffs: list[str], listed: set[str],
           unlike_fresh: list[str] = ()) -> tuple[list[str], int]:
-    """Report lines and the failure count: an output that differs without
-    being listed fails, and so does a listed output that does not differ
-    and a memoized demodulate output unlike a fresh frame's."""
-    lines = [f"CHANGED (listed) {d}" if d in listed else f"DIFFERS {d}"
-             for d in diffs]
-    lines += [f"UNCHANGED (listed) {d}" for d in sorted(listed - set(diffs))]
+    """Report lines and the failure count: an output that differs and that
+    no listed name or ``fnmatch`` pattern matches fails, and so does a
+    listed line that matches no differing output and a memoized demodulate
+    output unlike a fresh frame's."""
+    lines = [f"CHANGED (listed) {d}"
+             if any(fnmatch.fnmatchcase(d, p) for p in listed)
+             else f"DIFFERS {d}" for d in diffs]
+    lines += [f"UNCHANGED (listed) {p}" for p in sorted(listed)
+              if not any(fnmatch.fnmatchcase(d, p) for d in diffs)]
     lines += [f"UNLIKE A FRESH FRAME {d}" for d in unlike_fresh]
     return lines, sum(not line.startswith("CHANGED") for line in lines)
 
