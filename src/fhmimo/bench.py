@@ -24,6 +24,7 @@ from .config import (ConfigError, RadarConfig, check_order_bits, check_span,
                      noise_var_for_snr, prefixed)
 from .iqfile import write_csv
 from . import commrx, radarrx
+from .radarrx import _usable_cpus
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
 from .waveform import (codebook_bits, hop_groups, make_psk_grid, plan_hops,
                        synthesize)
@@ -39,13 +40,6 @@ def wilson_interval(errors: float, n: int, z: float = 1.96):
     center = (p + z * z / (2 * n)) / denom
     hw = z / denom * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
     return max(0.0, center - hw), min(1.0, center + hw)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # BLAS thread counts a spawned worker's NumPy reads when it is imported
@@ -67,17 +61,25 @@ def _one_blas_thread():
             os.environ.pop(v, None)
 
 
+def _one_chain_thread() -> None:
+    """Pool initializer: the worker's radar chain runs on one thread."""
+    radarrx._threads = 1
+
+
 def _map_points(fn, calls: list) -> list:
     """``fn(*args)`` for each ``args`` in ``calls``, in order, on one spawned
     process per usable CPU up to one per call (a calling script needs the
     ``__main__`` guard); one worker starts no process. The workers run one
-    BLAS thread each unless the caller's environment sets the count."""
+    BLAS thread each unless the caller's environment sets the count, and
+    their radar chain runs on one thread, since they already split the
+    CPUs."""
     n_workers = min(_usable_cpus(), len(calls))
     if n_workers <= 1:
         return [fn(*args) for args in calls]
     spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
     with (_one_blas_thread(),
-          ProcessPoolExecutor(n_workers, mp_context=spawn) as pool):
+          ProcessPoolExecutor(n_workers, mp_context=spawn,
+                              initializer=_one_chain_thread) as pool):
         return list(pool.map(fn, *zip(*calls)))
 
 
@@ -168,10 +170,13 @@ class SweepSpec:
             with prefixed(f"sweep.{name}: "):
                 for snr_db in getattr(self, name):
                     noise_var_for_snr(snr_db)
-        with np.errstate(over="ignore"):    # the rippled front end's peak
-            if not np.isfinite(np.power(10.0, abs(self.ripple_db) / 20)):
-                raise ConfigError(f"sweep.ripple_db={self.ripple_db:g} dB "
-                                  f"gives no finite gain 10^(|ripple_db|/20)")
+        # the receiver multiplies two rippled pilot peaks, so the squared
+        # gain must be finite too
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.power(10.0, abs(self.ripple_db) / 10)):
+                raise ConfigError(
+                    f"sweep.ripple_db={self.ripple_db:g} dB gives no finite "
+                    f"squared gain 10^(|ripple_db|/10)")
 
     def random_scene(self, cfg: RadarConfig, rng) -> tuple[radarrx.Target, ...]:
         """``n_targets`` targets drawn uniformly over the spans; the range

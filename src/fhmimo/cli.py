@@ -135,7 +135,8 @@ def build_inputs(raw: dict) -> Inputs:
     comm's stream, ``SeedSequence([seed, 2])``, which comm carries on with."""
     sec = {name: _convert(raw[name], kinds, name)
            for name, kinds in SCHEMA.items()}
-    cfg = RadarConfig(**sec["radar"])
+    with prefixed("radar."):
+        cfg = RadarConfig(**sec["radar"])
     run = {"seed": 0, "order_bits": 3, **sec["run"]}
     if run["seed"] < 0:             # SeedSequence takes no negative entropy
         raise ConfigError(f"run.seed must be >= 0, got {run['seed']}")

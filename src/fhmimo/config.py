@@ -104,24 +104,38 @@ class RadarConfig:
     prts_per_cpi: int = 128
 
     def __post_init__(self):
-        if min(self.n_subbands, self.n_tx, self.hops_per_pulse,
-               self.prts_per_cpi) < 1:
-            raise ConfigError("counts must be positive")
-        if min(self.hop_duration, self.prt_duration, self.bandwidth,
-               self.sample_rate, self.carrier_freq) <= 0:
-            raise ConfigError("durations/frequencies must be positive")
+        # every refusal leads with the field it names
+        for name in ("n_subbands", "n_tx", "hops_per_pulse", "prts_per_cpi"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("hop_duration", "prt_duration", "bandwidth",
+                     "sample_rate", "carrier_freq"):
+            if not getattr(self, name) > 0:         # NaN fails too
+                raise ConfigError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
         if self.n_tx > self.n_subbands:
-            raise ConfigError("need at least as many sub-bands as antennas")
+            raise ConfigError(f"n_tx = {self.n_tx} exceeds n_subbands = "
+                              f"{self.n_subbands}: each antenna needs a "
+                              f"sub-band of its own")
         if self.hops_per_pulse < self.n_tx + 1:
             raise ConfigError(
-                "hops_per_pulse must be >= n_tx + 1 for the pilot layout")
-        if self.hops_per_pulse * self.hop_duration > self.prt_duration * (1 + 1e-12):
-            raise ConfigError("pulse does not fit in the PRT")
+                f"hops_per_pulse = {self.hops_per_pulse} must be >= n_tx + 1 "
+                f"= {self.n_tx + 1} for the pilot layout")
+        pulse = self.hops_per_pulse * self.hop_duration
+        if pulse > self.prt_duration * (1 + 1e-12):
+            raise ConfigError(
+                f"prt_duration = {self.prt_duration:g} s is shorter than the "
+                f"pulse, hops_per_pulse*hop_duration = {pulse:g} s")
         if self.sample_rate < self.bandwidth:
-            raise ConfigError("sample_rate below occupied bandwidth")
-        _as_exact_int(self.cycles_per_hop, "bandwidth*hop_duration/n_subbands")
-        _as_exact_int(self.sample_rate * self.hop_duration, "samples per hop")
-        _as_exact_int(self.sample_rate * self.prt_duration, "samples per PRT")
+            raise ConfigError(f"sample_rate = {self.sample_rate:g} Hz is below "
+                              f"the occupied bandwidth = {self.bandwidth:g} Hz")
+        _as_exact_int(self.cycles_per_hop,
+                      "hop_duration: bandwidth*hop_duration/n_subbands")
+        _as_exact_int(self.sample_rate * self.hop_duration,
+                      "hop_duration: samples per hop, sample_rate*hop_duration")
+        _as_exact_int(self.sample_rate * self.prt_duration,
+                      "prt_duration: samples per PRT, sample_rate*prt_duration")
 
     # -- derived sizes ----------------------------------------------------
 

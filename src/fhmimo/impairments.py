@@ -187,14 +187,20 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
             * np.exp(1j * np.asarray(psk_phase)))
 
 
+# floats per normal draw of :func:`complex_noise`: a 1 MiB buffer
+NOISE_CHUNK = 1 << 17
+
+
 def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
     """Circular complex AWGN of per-sample variance ``noise_var``.
 
     Seed contract: with g = default_rng(rng) the result is
     (g.standard_normal(shape) + 1j * g.standard_normal(shape))
-    * sqrt(noise_var / 2), real block first; both blocks pass through one
-    float buffer. A variance of 0 gives zeros and draws nothing; a
-    negative, infinite or NaN one raises :class:`ConfigError`.
+    * sqrt(noise_var / 2), real block first. Each block is drawn in C
+    order through one float buffer of at most ``NOISE_CHUNK`` values, which
+    draws the same numbers as one draw of the whole block. A variance of 0
+    gives zeros and draws nothing; a negative, infinite or NaN one raises
+    :class:`ConfigError`.
     """
     if not 0.0 <= noise_var < np.inf:               # NaN fails too
         raise ConfigError("noise_var must be finite and >= 0")
@@ -202,10 +208,14 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
         return np.zeros(shape, dtype=np.complex128)
     rng = np.random.default_rng(rng)
     out = np.empty(shape, dtype=np.complex128)
-    buf = np.empty(shape)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=buf)
-        np.multiply(buf, np.sqrt(noise_var / 2.0), out=part)
+    flat = out.reshape(-1)                          # a view of out
+    buf = np.empty(min(flat.size, NOISE_CHUNK))
+    scale = np.sqrt(noise_var / 2.0)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, NOISE_CHUNK):
+            chunk = buf[:flat.size - lo]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk, scale, out=part[lo:lo + chunk.size])
     return out
 
 

@@ -9,6 +9,8 @@ channels ordered p = n*M + m. A scene is a tuple of :class:`Target`.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +23,49 @@ from .waveform import HopPlan, PskGrid, synthesize
 
 CFAR_GUARD_CELLS = 2      # guard ring around the cell under test
 CFAR_TRAINING_CELLS = 8   # width of the training ring beyond the guard ring
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Bytes of one matched-filter scratch block: a thread's two blocks stay in a
+# core's L2 cache, and the threads' scratch stays small next to the cube.
+_BLOCK_BYTES = 1 << 20
+
+# Threads of one CPI's per-antenna, per-channel and per-plane passes, the
+# calling thread included; None is one per usable CPU. A sweep worker sets
+# 1, since the sweep's processes already split the CPUs.
+_threads: int | None = None
+
+
+def _each(fn, n: int, work_shape: tuple, dtype=complex) -> None:
+    """``fn(i, work)`` for every i in range(n) on ``_threads`` threads,
+    thread t taking i = t, t + ``_threads``, ... and passing its own
+    scratch array ``work`` of ``work_shape``. The calling thread is thread
+    0, so one thread starts none, and it allocates every thread's scratch:
+    a started thread allocates nothing large, which would stay resident in
+    a heap of its own. Each call writes only its own slice of the output
+    with NumPy alone (whose FFTs and loops release the GIL), so the output
+    is the same at any thread count."""
+    n_threads = max(1, min(_threads or _usable_cpus(), n))
+    work = np.empty((n_threads, *work_shape), dtype)
+
+    def share(t):
+        for i in range(t, n, n_threads):
+            fn(i, work[t])
+
+    if n_threads == 1:
+        share(0)
+        return
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        started = [pool.submit(share, t) for t in range(1, n_threads)]
+        share(0)
+        for future in started:
+            future.result()                     # re-raises its error
 
 
 @dataclass(frozen=True)
@@ -143,10 +188,11 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     so only the R = n_p - E listening samples enter; their linear
     correlation with the pulse spans R + E - 1 < n_p lags and fits an
     n_p-point FFT without wrap. The pulses' conjugate spectra are built
-    once per call and the receive antennas transformed one at a time, so
-    the temporaries are (n_prt, n_p). An ``rx`` whose PRTs are not the
-    plan's ``n_prt`` of ``samples_per_prt`` samples is a
-    :class:`ConfigError`.
+    once per call; each receive antenna is one task of :func:`_each`,
+    which transforms its PRTs in blocks of about ``_BLOCK_BYTES`` per
+    n_p-sample array, on two such scratch blocks per thread. An ``rx``
+    whose PRTs are not the plan's ``n_prt`` of ``samples_per_prt``
+    samples is a :class:`ConfigError`.
     """
     N, n_prt, n_p = rx.shape
     if (n_prt, n_p) != (plan.n_prt, cfg.samples_per_prt):
@@ -164,10 +210,19 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
     refs = np.conj(np.fft.fft(pulses, n_p, axis=-1))
     profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
-    for n in range(N):
-        X = np.fft.fft(rx[n, :, E:], n_p, axis=-1)            # (n_prt, n_p)
-        for m in range(M):
-            profiles[:, n * M + m] = np.fft.ifft(X * refs[m], axis=-1)[:, :R]
+    rows = max(1, _BLOCK_BYTES // (16 * n_p))             # PRTs per block
+
+    def antenna(n, work):
+        for i in range(0, n_prt, rows):
+            X, Y = work[:, :min(rows, n_prt - i)]             # (rows, n_p)
+            block = slice(i, i + len(X))
+            np.fft.fft(rx[n, block, E:], n_p, axis=-1, out=X)
+            for m in range(M):
+                np.multiply(X, refs[m, block], out=Y)
+                profiles[block, n * M + m] = np.fft.ifft(
+                    Y, axis=-1, out=Y)[:, :R]
+
+    _each(antenna, N, (2, min(rows, n_prt), n_p))
     return profiles
 
 
@@ -198,12 +253,15 @@ class RangeDopplerMap:
     def detection_statistic(self) -> np.ndarray:
         """Incoherent accumulation over spatial channels: sum_p |Y_fp(t)|.
 
-        One Doppler plane at a time, so no (n_doppler, P, n_range)
-        magnitude array is built.
+        One Doppler plane per :func:`_each` task, so no (n_doppler, P,
+        n_range) magnitude array is built.
         """
         stat = np.empty((self.n_doppler, self.n_range))
-        for f, plane in enumerate(self.cube):
-            np.abs(plane).sum(axis=0, out=stat[f])
+
+        def plane(f, mag):
+            np.abs(self.cube[f], out=mag).sum(axis=0, out=stat[f])
+
+        _each(plane, self.n_doppler, self.cube.shape[1:], float)
         return stat
 
 
@@ -213,15 +271,19 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
     profiles: (n_prt, P, n_range), as :func:`matched_filter` writes them.
     Each channel is transformed along the PRT axis and written back
     shifted, so bin n_doppler//2 is zero Doppler: ``profiles`` is
-    overwritten and becomes the map's (n_doppler, P, n_range) cube.
+    overwritten and becomes the map's (n_doppler, P, n_range) cube. Each
+    channel is one :func:`_each` task.
     """
     F = profiles.shape[0]
     s = F // 2
-    for p in range(profiles.shape[1]):
+
+    def channel(p, X):
         # the two halves land shifted: out[k] = X[(k-s) % F]
-        X = np.fft.fft(profiles[:, p], axis=0)                # (F, R)
+        np.fft.fft(profiles[:, p], axis=0, out=X)             # (F, R)
         profiles[:s, p] = X[F - s:]
         profiles[s:, p] = X[:F - s]
+
+    _each(channel, profiles.shape[1], (F, profiles.shape[2]))
     return RangeDopplerMap(profiles, cfg)
 
 
@@ -283,16 +345,21 @@ class DetectionList:
 
 def _box_mean(sat: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated-window box sums and counts from the (F+1, R+1)
-    summed-area table ``sat`` of an (F, R) map."""
+    summed-area table ``sat`` of an (F, R) map: each cell's window corners
+    come from one row gather per window edge and column gathers of those
+    rows."""
     F, R = sat.shape[0] - 1, sat.shape[1] - 1
-    f = np.arange(F)[:, None]
-    r = np.arange(R)[None, :]
+    f = np.arange(F)
+    r = np.arange(R)
     f0 = np.clip(f - half, 0, F)
     f1 = np.clip(f + half + 1, 0, F)
     r0 = np.clip(r - half, 0, R)
     r1 = np.clip(r + half + 1, 0, R)
-    sums = sat[f1, r1] - sat[f0, r1] - sat[f1, r0] + sat[f0, r0]
-    counts = (f1 - f0) * (r1 - r0)
+    top, bottom = sat[f0], sat[f1]                          # (F, R+1)
+    # ((bottom - top)[r1] - bottom[r0]) + top[r0], as four corner gathers
+    # of sat would sum them
+    sums = (bottom - top)[:, r1] - bottom[:, r0] + top[:, r0]
+    counts = np.outer(f1 - f0, r1 - r0)
     return sums, counts
 
 
@@ -316,13 +383,13 @@ def cfar_detect(rdm: RangeDopplerMap, p_fa: float) -> DetectionList:
     above = stat > threshold
     # 8-neighborhood local maxima: at least as large as all 8 neighbours,
     # above threshold or not (cells beyond the map edge count as -inf); on
-    # a plateau every cell of the maximum is kept
+    # a plateau every cell of the maximum is kept. The 3x3 maximum that
+    # also holds the cell itself gives the same test, and is taken along
+    # each axis in turn from shifted views
     pad = np.pad(stat, 1, constant_values=-np.inf)
-    neigh = np.stack([pad[1 + df:1 + df + stat.shape[0],
-                          1 + dr:1 + dr + stat.shape[1]]
-                      for df in (-1, 0, 1) for dr in (-1, 0, 1)
-                      if not (df == 0 and dr == 0)])
-    is_max = stat >= neigh.max(axis=0)
+    rows = np.maximum(np.maximum(pad[:, :-2], pad[:, 1:-1]), pad[:, 2:])
+    box = np.maximum(np.maximum(rows[:-2], rows[1:-1]), rows[2:])
+    is_max = stat >= box
     f_bin, t_bin = np.nonzero(above & is_max)
     return DetectionList(f_bin, t_bin, stat[f_bin, t_bin],
                          threshold[f_bin, t_bin], rdm.cube[f_bin, :, t_bin],

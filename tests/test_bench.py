@@ -407,7 +407,7 @@ class _RecordingExecutor:
     this process, so no process is started."""
     max_workers = []
 
-    def __init__(self, max_workers, mp_context):
+    def __init__(self, max_workers, mp_context, initializer):
         self.max_workers.append(max_workers)
 
     def __enter__(self):
@@ -461,6 +461,19 @@ def test_mapped_calls_see_one_blas_thread(monkeypatch):
     assert [env for _, env in got] == ["2", "1"]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+def _chain_threads(_):
+    """The radar chain's thread setting in this process."""
+    return rrx._threads
+
+
+def test_mapped_calls_run_the_radar_chain_on_one_thread(monkeypatch):
+    # the sweep's processes already split the CPUs, so each worker runs
+    # the chain's FFTs on one thread; the caller keeps every usable CPU
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    assert bench._map_points(_chain_threads, [(0,), (1,)]) == [1, 1]
+    assert rrx._threads is None
 
 
 def test_sweeps_map_every_point_at_once(cfg, monkeypatch):

@@ -651,6 +651,35 @@ def test_every_command_checks_every_section_but_the_scene(
         assert key in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_subbands", 0), ("n_tx", 25), ("hops_per_pulse", 2),
+    ("hop_duration", 0.7e-6), ("prt_duration", 4e-6), ("bandwidth", 0.0),
+    ("sample_rate", 10e6), ("carrier_freq", -5.5e9), ("prts_per_cpi", 0)],
+    ids=["n_subbands-zero", "n_tx-past-the-sub-bands",
+         "hops_per_pulse-below-the-pilot-layout",
+         "hop_duration-fractional-tone-cycles", "prt_duration-below-the-pulse",
+         "bandwidth-zero", "sample_rate-below-the-bandwidth",
+         "carrier_freq-negative", "prts_per_cpi-zero"])
+def test_a_radar_refusal_leads_with_its_key(cfg_file, tmp_path, capsys, key,
+                                            value):
+    # RadarConfig refused these with "counts must be positive",
+    # "durations/frequencies must be positive", "need at least as many
+    # sub-bands as antennas", "pulse does not fit in the PRT" and the like;
+    # each check names its field, and the CLI puts "radar." in front
+    cfg = json.loads(cfg_file.read_text())
+    cfg["radar"][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "txgen") == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert re.match(rf"radar\.{key}[ :]", error["message"]), error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["txgen"], ["comm"], ["radar"], ["sweep", "--kind", "methods"]])
 def test_every_command_checks_a_given_target_list(cfg_file, tmp_path,
@@ -673,9 +702,11 @@ def test_every_command_checks_a_given_target_list(cfg_file, tmp_path,
      "scene.targets[1]"),
     ("sweep", {"snr_grid_db": [0, -1e9]}, "sweep.snr_grid_db"),
     ("sweep", {"radar_snr_grid_db": [-1e9]}, "sweep.radar_snr_grid_db"),
-    ("sweep", {"ripple_db": 1e300}, "sweep.ripple_db")],
+    ("sweep", {"ripple_db": 1e300}, "sweep.ripple_db"),
+    ("sweep", {"ripple_db": 6000.0}, "sweep.ripple_db")],
     ids=["rho-aliased", "targets-out-of-window", "snr_grid_db-overflow",
-         "radar_snr_grid_db-overflow", "ripple_db-overflow"])
+         "radar_snr_grid_db-overflow", "ripple_db-overflow",
+         "ripple_db-squared-overflow"])
 @pytest.mark.parametrize("command", [["txgen"], ["comm"], ["radar"], ["sweep"]],
                          ids=["txgen", "comm", "radar", "sweep"])
 def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
@@ -684,7 +715,9 @@ def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
     # range ...", "target range_m 1000000000.0 outside [...]", "snr_db=-1e+09
     # dB gives no finite noise variance ...") or, for the ripple, run to
     # exit 0 by txgen and a flat comm and refused by a rippled one only
-    # after a numpy overflow warning
+    # after a numpy overflow warning; a ripple of 6000 dB has a finite gain
+    # but not a finite squared gain, and comm multiplied two rippled pilot
+    # peaks into an overflow warning, then wrote psk_ber 0.468 and exited 0
     cfg = json.loads(cfg_file.read_text())
     cfg[section] = {**cfg.get(section, {}), **values}
     p = tmp_path / "bad.json"
@@ -747,9 +780,10 @@ def test_sweep_config_error_raised_in_a_worker_exits_2(
     pools = []
 
     class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer):
             pools.append(max_workers)
-            super().__init__(max_workers, mp_context=mp_context)
+            super().__init__(max_workers, mp_context=mp_context,
+                             initializer=initializer)
 
     monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)

@@ -81,6 +81,29 @@ def test_invalid_configs_rejected(kw):
         RadarConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(hop_duration=0.7e-6), "hop_duration"),    # B*T/K not integer
+    (dict(n_tx=5), "hops_per_pulse"),               # needs H >= M+1
+    (dict(n_tx=25), "n_tx"),                # more antennas than sub-bands
+    (dict(prt_duration=4e-6), "prt_duration"),      # pulse longer than PRT
+    (dict(sample_rate=10e6), "sample_rate"),        # undersampled
+    (dict(sample_rate=30.5e6), "hop_duration"),     # 30.5 samples per hop
+    (dict(prt_duration=40.01e-6), "prt_duration"),  # 1600.4 per PRT
+    (dict(n_subbands=0), "n_subbands"),
+    (dict(prts_per_cpi=-1), "prts_per_cpi"),
+    (dict(bandwidth=0.0), "bandwidth"),
+    (dict(carrier_freq=-5.5e9), "carrier_freq"),
+    (dict(hop_duration=float("nan")), "hop_duration"),
+])
+def test_a_refusal_leads_with_its_field(kw, field):
+    # RadarConfig said "counts must be positive", "pulse does not fit in
+    # the PRT" and the like; every refusal now leads with the field it
+    # names, which the CLI prefixes with "radar.", and a NaN duration is
+    # refused too (min() passed it on to round())
+    with pytest.raises(ConfigError, match=f"^{field}[ :]"):
+        RadarConfig(**kw)
+
+
 def test_order_bits_rule_is_one_function(cfg):
     # 0..32 bits per symbol are accepted (a float64 phase decodes wider
     # symbols with errors), and every entry point refuses the rest with

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,29 @@ def test_noise_calibration(cfg):
                      rng=7).hops(cfg, 1)[0]
     assert hops.size >= 1_000_000
     assert np.var(hops) == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("shape", [
+    (imp.NOISE_CHUNK,), (2, imp.NOISE_CHUNK), (3, imp.NOISE_CHUNK + 1),
+    (imp.NOISE_CHUNK - 1,), (2000, 5, 40), (3, 7), (1,), (), (0, 4)],
+    ids=["one-chunk", "two-chunks", "past-three-chunks", "under-a-chunk",
+         "ber-chunk", "3x7", "one", "scalar", "empty"])
+def test_noise_through_a_small_buffer_is_the_one_buffer_draw(shape):
+    # each block is drawn through a buffer of at most NOISE_CHUNK floats,
+    # which draws the same numbers, in the same order, as one draw of the
+    # whole block; the buffer is all the draw holds beyond its output
+    g = np.random.default_rng(17)
+    expect = ((g.standard_normal(shape) + 1j * g.standard_normal(shape))
+              * np.sqrt(2.5 / 2))
+    tracemalloc.start()
+    try:
+        got = imp.complex_noise(shape, 2.5, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.complex128 and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+    assert peak <= got.nbytes + 8 * imp.NOISE_CHUNK + 4096
 
 
 def test_channel_noise_seed_contract(cfg, tmp_path):

@@ -290,6 +290,44 @@ def test_process_cpi_cube_matches_an_independent_reference(mode):
     assert np.shares_memory(rrx.mtd(prof, cfg).cube, prof)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(2, 12), (3, 5)],
+                         ids=["default", "M3-5rx"])
+def test_the_chain_gives_the_same_bits_on_any_thread_count(monkeypatch,
+                                                            n_tx, n_rx):
+    # each antenna, channel and Doppler plane gets the same NumPy calls on
+    # whichever thread runs it, so one thread, two and three (an uneven
+    # split of 5 antennas, 15 channels and 128 planes) give byte-identical
+    # cubes, detection columns and trial associations
+    cfg = RadarConfig(n_tx=n_tx)
+    arr = rrx.ArrayModel(n_rx=n_rx)
+    sweep = bench.SweepSpec(n_targets=10, angle_grid_points=64)
+    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=5)
+    rx = rrx.synthesize_echo(plan, psk, sweep.random_scene(cfg, 6), arr, cfg,
+                             noise_var=10 ** 2.4, rng=7)
+    grid = rrx.angle_grid(30, 64)
+    first = None
+    for n_threads in (1, 2, 3):
+        monkeypatch.setattr(rrx, "_threads", n_threads)
+        rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid)
+        trial = bench.radar_trial(cfg, sweep, -24.0, [3, 1], "dfrc")
+        got = (rdm.cube, [getattr(dets, f.name)
+                          for f in dataclasses.fields(dets)], repr(trial))
+        del rdm
+        if first is None:
+            first = got
+            assert len(dets) > 10 and any(ok for ok, *_ in trial)
+            continue
+        assert _same_bits(got[0], first[0])
+        assert all(_same_bits(a, b) for a, b in zip(got[1], first[1]))
+        assert got[2] == first[2]
+
+
 def test_process_cpi_never_holds_a_second_cube(cfg):
     # the range profiles are the cube's buffer, which mtd transforms in
     # place, so the traced peak inside process_cpi stays within 1.4 cubes
