@@ -187,7 +187,9 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
             * np.exp(1j * np.asarray(psk_phase)))
 
 
-# floats per normal draw of :func:`complex_noise`: a 1 MiB buffer
+# Floats per normal draw of :func:`complex_noise`, a 1 MiB buffer: a buffer
+# the size of a radar CPI's block (19.7 MB) raised glibc's mmap threshold
+# when freed, so later temporaries stayed resident in the heap.
 NOISE_CHUNK = 1 << 17
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -303,7 +304,17 @@ def test_the_chain_gives_the_same_bits_on_any_thread_count(monkeypatch,
     # each antenna, channel and Doppler plane gets the same NumPy calls on
     # whichever thread runs it, so one thread, two and three (an uneven
     # split of 5 antennas, 15 channels and 128 planes) give byte-identical
-    # cubes, detection columns and trial associations
+    # cubes, detection columns and trial associations, also with the
+    # interpreter switching threads as often as it can
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _compare_thread_counts(monkeypatch, n_tx, n_rx)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _compare_thread_counts(monkeypatch, n_tx, n_rx):
     cfg = RadarConfig(n_tx=n_tx)
     arr = rrx.ArrayModel(n_rx=n_rx)
     sweep = bench.SweepSpec(n_targets=10, angle_grid_points=64)
@@ -318,7 +329,6 @@ def test_the_chain_gives_the_same_bits_on_any_thread_count(monkeypatch,
         trial = bench.radar_trial(cfg, sweep, -24.0, [3, 1], "dfrc")
         got = (rdm.cube, [getattr(dets, f.name)
                           for f in dataclasses.fields(dets)], repr(trial))
-        del rdm
         if first is None:
             first = got
             assert len(dets) > 10 and any(ok for ok, *_ in trial)
