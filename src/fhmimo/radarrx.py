@@ -210,7 +210,7 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
     refs = np.conj(np.fft.fft(pulses, n_p, axis=-1))
     profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
-    rows = max(1, _BLOCK_BYTES // (16 * n_p))             # PRTs per block
+    rows = max(1, _BLOCK_BYTES // (16 * n_p))     # complex128 PRTs per block
 
     def antenna(n, work):
         for i in range(0, n_prt, rows):
