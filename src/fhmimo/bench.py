@@ -61,25 +61,19 @@ def _one_blas_thread():
             os.environ.pop(v, None)
 
 
-def _one_chain_thread() -> None:
-    """Pool initializer: the worker's radar chain runs on one thread."""
-    radarrx._threads = 1
-
-
 def _map_points(fn, calls: list) -> list:
     """``fn(*args)`` for each ``args`` in ``calls``, in order, on one spawned
     process per usable CPU up to one per call (a calling script needs the
     ``__main__`` guard); one worker starts no process. The workers run one
-    BLAS thread each unless the caller's environment sets the count, and
-    their radar chain runs on one thread, since they already split the
-    CPUs."""
+    BLAS thread each unless the caller's environment sets the count, since
+    they already split the CPUs; for that reason their radar chain runs
+    one thread too (:func:`radarrx._each`)."""
     n_workers = min(_usable_cpus(), len(calls))
     if n_workers <= 1:
         return [fn(*args) for args in calls]
     spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads
     with (_one_blas_thread(),
-          ProcessPoolExecutor(n_workers, mp_context=spawn,
-                              initializer=_one_chain_thread) as pool):
+          ProcessPoolExecutor(n_workers, mp_context=spawn) as pool):
         return list(pool.map(fn, *zip(*calls)))
 
 

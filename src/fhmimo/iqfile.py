@@ -24,7 +24,7 @@ _MAGIC = "FHIQ1"
 
 class IqFormatError(ValueError):
     """Malformed IQ file header, truncated payload, or samples that do not
-    fill a whole number of PRTs."""
+    fill a whole, nonzero number of PRTs."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +165,13 @@ def read_iq(path) -> IqFrame:
             raise IqFormatError(
                 f"bad header: sample_rate={sample_rate:g}, "
                 f"channels={channels}, first_prt={first_prt}")
-        if spp <= 0 or samples % spp:
-            raise IqFormatError(f"{samples} samples is not a whole "
-                                f"number of {spp}-sample PRTs")
+        if spp <= 0 or samples <= 0 or samples % spp:
+            raise IqFormatError(f"bad header: samples={samples} is not a "
+                                f"whole number (at least one) of "
+                                f"samples_per_prt={spp} PRTs")
         # checked before allocating: a header may claim any size
         left = os.fstat(f.fileno()).st_size - f.tell()
-        if samples < 0 or channels * samples * 8 != left:
+        if channels * samples * 8 != left:
             raise IqFormatError("payload size does not match header")
         data = np.empty((channels, samples // spp, spp), np.complex64)
         if f.readinto(data) != left:

@@ -9,6 +9,7 @@ channels ordered p = n*M + m. A scene is a tuple of :class:`Target`.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,22 +37,20 @@ def _usable_cpus() -> int:
 # core's L2 cache, and the threads' scratch stays small next to the cube.
 _BLOCK_BYTES = 1 << 20
 
-# Threads of one CPI's per-antenna, per-channel and per-plane passes, the
-# calling thread included; None is one per usable CPU. A sweep worker sets
-# 1, since the sweep's processes already split the CPUs.
-_threads: int | None = None
-
 
 def _each(fn, n: int, work_shape: tuple, dtype=complex) -> None:
-    """``fn(i, work)`` for every i in range(n) on ``_threads`` threads,
-    thread t taking i = t, t + ``_threads``, ... and passing its own
-    scratch array ``work`` of ``work_shape``. The calling thread is thread
-    0, so one thread starts none, and it allocates every thread's scratch:
-    a started thread allocates nothing large, which would stay resident in
-    a heap of its own. Each call writes only its own slice of the output
-    with NumPy alone (whose FFTs and loops release the GIL), so the output
-    is the same at any thread count."""
-    n_threads = max(1, min(_threads or _usable_cpus(), n))
+    """``fn(i, work)`` for every i in range(n) on T threads, thread t
+    taking i = t, t + T, ... and passing its own scratch array ``work`` of
+    ``work_shape``. T is one per usable CPU up to n, but one in a process
+    that ``multiprocessing`` started, whose siblings already split the
+    CPUs. The calling thread is thread 0, so one thread starts none, and
+    it allocates every thread's scratch: a started thread allocates
+    nothing large, which would stay resident in a heap of its own. Each
+    call writes only its own slice of the output with NumPy alone (whose
+    FFTs and loops release the GIL), so the output is the same at any
+    thread count."""
+    worker = multiprocessing.parent_process() is not None
+    n_threads = max(1, min(1 if worker else _usable_cpus(), n))
     work = np.empty((n_threads, *work_shape), dtype)
 
     def share(t):
@@ -319,16 +318,15 @@ def cfar_threshold_scale(n_channels: int, p_fa: float) -> float:
 class DetectionList:
     """The D detections of one CPI as columns, each an array over D.
 
-    ``cfar_detect`` fills the bins, the CFAR statistic and threshold and the
-    (D, P) channel vectors; ``estimate_params`` fills ``range_m``,
-    ``velocity`` and ``azimuth_deg``, which are zero until then.
+    ``cfar_detect`` fills the bins and the CFAR statistic and threshold;
+    ``estimate_params`` fills ``range_m``, ``velocity`` and
+    ``azimuth_deg``, which are zero until then.
     """
 
     doppler_bin: np.ndarray   # (D,) int
     range_bin: np.ndarray     # (D,) int
     statistic: np.ndarray     # (D,)
     threshold: np.ndarray     # (D,)
-    channel: np.ndarray       # (D, P) complex
     range_m: np.ndarray       # (D,)
     velocity: np.ndarray      # (D,)
     azimuth_deg: np.ndarray   # (D,)
@@ -392,8 +390,7 @@ def cfar_detect(rdm: RangeDopplerMap, p_fa: float) -> DetectionList:
     is_max = stat >= box
     f_bin, t_bin = np.nonzero(above & is_max)
     return DetectionList(f_bin, t_bin, stat[f_bin, t_bin],
-                         threshold[f_bin, t_bin], rdm.cube[f_bin, :, t_bin],
-                         *np.zeros((3, f_bin.size)))
+                         threshold[f_bin, t_bin], *np.zeros((3, f_bin.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +423,15 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
     """Fill the range, velocity and azimuth columns of a CPI's detections.
 
     Range and velocity come from the bin columns; the (D, P) channel
-    vectors go to one ``estimate_angle`` call.
+    vectors of the detected cells go to one ``estimate_angle`` call.
     """
     cfg = rdm.cfg
     t_star = (rdm.range_offset + dets.range_bin) / cfg.sample_rate
     dets.range_m = SPEED_OF_LIGHT * t_star / 2.0
     f_star = rdm.doppler_freqs()[dets.doppler_bin]
     dets.velocity = cfg.wavelength * f_star / 2.0
-    dets.azimuth_deg = estimate_angle(dets.channel, array, grid)
+    dets.azimuth_deg = estimate_angle(
+        rdm.cube[dets.doppler_bin, :, dets.range_bin], array, grid)
     return dets
 
 

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +239,6 @@ def _dets(rows):
         np.array(c) for c in zip(*rows))
     zeros = np.zeros(len(rows))
     return rrx.DetectionList(doppler_bin, range_bin, statistic, zeros,
-                             np.zeros((len(rows), 24), dtype=complex),
                              range_m, zeros, azimuth_deg)
 
 
@@ -407,7 +409,7 @@ class _RecordingExecutor:
     this process, so no process is started."""
     max_workers = []
 
-    def __init__(self, max_workers, mp_context, initializer):
+    def __init__(self, max_workers, mp_context):
         self.max_workers.append(max_workers)
 
     def __enter__(self):
@@ -463,17 +465,27 @@ def test_mapped_calls_see_one_blas_thread(monkeypatch):
     assert "OMP_NUM_THREADS" not in os.environ
 
 
-def _chain_threads(_):
-    """The radar chain's thread setting in this process."""
-    return rrx._threads
+def _chain_threads(n):
+    """Distinct threads that the radar chain's ``_each`` runs n calls on
+    in this process."""
+    ids = set()
+    rrx._each(lambda i, work: ids.add(threading.get_ident()), n, ())
+    return len(ids)
 
 
 def test_mapped_calls_run_the_radar_chain_on_one_thread(monkeypatch):
     # the sweep's processes already split the CPUs, so each worker runs
-    # the chain's FFTs on one thread; the caller keeps every usable CPU
+    # the chain's FFTs on one thread (on a box of one CPU, it would anyway)
     monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
-    assert bench._map_points(_chain_threads, [(0,), (1,)]) == [1, 1]
-    assert rrx._threads is None
+    assert bench._map_points(_chain_threads, [(4,), (4,)]) == [1, 1]
+
+
+def test_a_callers_own_pool_runs_the_radar_chain_on_one_thread():
+    # a pool of radar_trial or process_cpi calls that the caller starts
+    # itself splits the CPUs as the sweep's does
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=spawn) as pool:
+        assert list(pool.map(_chain_threads, [4, 4])) == [1, 1]
 
 
 def test_sweeps_map_every_point_at_once(cfg, monkeypatch):

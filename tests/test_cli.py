@@ -118,12 +118,13 @@ def test_iq_file_rejects_garbage(tmp_path):
            b"samples_per_prt=5\ndata\n"
     # short payload, one trailing byte, a header claiming 1e12 samples
     # (checked before allocating), negative counts whose product fits, no
-    # channels, and a NaN or negative sample rate
+    # channels, no PRT, and a NaN or negative sample rate
     for bad in (head % (2, 10) + b"\x00\x00",
                 head % (2, 10) + bytes(161),
                 head % (1, 10 ** 12) + bytes(80),
                 head % (-2, -10) + bytes(160),
                 head % (0, 10),
+                head % (1, 0),
                 rate % b"nan" + bytes(80),
                 rate % b"-4e7" + bytes(80)):
         p.write_bytes(bad)
@@ -267,6 +268,24 @@ def test_comm_rejects_iq_file_with_partial_prt(cfg_file, tmp_path):
     p.write_text(json.dumps(cfg))
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    "comm") == cli.EXIT_IO == 3
+
+
+def test_comm_rejects_iq_file_without_a_prt(cfg_file, tmp_path, capsys):
+    # a header of 0 samples read as a frame of no PRT: comm exited 0 with
+    # an empty demod.csv and a summary of nulls, which measure nothing
+    path = tmp_path / "empty.iq"
+    path.write_bytes(b"FHIQ1\nsample_rate=40000000\nchannels=1\n"
+                     b"samples=0\nsamples_per_prt=1600\ndata\n")
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"]["iq_file"] = str(path)
+    p = tmp_path / "cfg8.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == cli.EXIT_IO == 3
+    assert "samples=0" in json.loads(capsys.readouterr().err)["message"]
+    assert not list((tmp_path / "o").glob("*.csv"))
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def test_comm_rejects_iq_file_of_another_config(cfg_file, tmp_path):
@@ -780,10 +799,9 @@ def test_sweep_config_error_raised_in_a_worker_exits_2(
     pools = []
 
     class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context, initializer):
+        def __init__(self, max_workers, mp_context):
             pools.append(max_workers)
-            super().__init__(max_workers, mp_context=mp_context,
-                             initializer=initializer)
+            super().__init__(max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)

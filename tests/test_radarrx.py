@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -324,7 +325,7 @@ def _compare_thread_counts(monkeypatch, n_tx, n_rx):
     grid = rrx.angle_grid(30, 64)
     first = None
     for n_threads in (1, 2, 3):
-        monkeypatch.setattr(rrx, "_threads", n_threads)
+        monkeypatch.setattr(rrx, "_usable_cpus", lambda: n_threads)
         rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid)
         trial = bench.radar_trial(cfg, sweep, -24.0, [3, 1], "dfrc")
         got = (rdm.cube, [getattr(dets, f.name)
@@ -336,6 +337,26 @@ def _compare_thread_counts(monkeypatch, n_tx, n_rx):
         assert _same_bits(got[0], first[0])
         assert all(_same_bits(a, b) for a, b in zip(got[1], first[1]))
         assert got[2] == first[2]
+
+
+@pytest.mark.parametrize("cpus, n, threads", [(1, 4, 1), (3, 2, 2),
+                                               (3, 5, 3)])
+def test_each_runs_one_thread_per_usable_cpu_up_to_n(monkeypatch, cpus, n,
+                                                       threads):
+    # each thread waits at the barrier with its first call, so it breaks
+    # unless `threads` threads run at once; the calling thread is one
+    monkeypatch.setattr(rrx, "_usable_cpus", lambda: cpus)
+    barrier = threading.Barrier(threads, timeout=30)
+    ids = []
+
+    def call(i, work):
+        if i < threads:
+            barrier.wait()
+        ids.append(threading.get_ident())
+
+    rrx._each(call, n, ())
+    assert len(ids) == n and threading.get_ident() in ids
+    assert len(set(ids)) == threads
 
 
 def test_process_cpi_never_holds_a_second_cube(cfg):

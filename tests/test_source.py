@@ -124,6 +124,37 @@ def _unread_fields(trees: dict) -> set[str]:
             and stmt.target.id not in read}
 
 
+def _module_names(tree: ast.Module, modules: set) -> set[str]:
+    """Names ``tree`` binds to a module of ``modules``: by ``from . import
+    m``, ``from fhmimo import m`` or ``import fhmimo.m as n``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level and node.module is None
+                or node.module == "fhmimo"):
+            out |= {a.asname or a.name for a in node.names
+                    if a.name in modules}
+        elif isinstance(node, ast.Import):
+            out |= {a.asname for a in node.names if a.asname
+                    and a.name.removeprefix("fhmimo.") in modules}
+    return out
+
+
+def _foreign_assignments(trees: dict) -> set[str]:
+    """``module:line name.attr`` of every assignment in ``trees`` (module
+    name -> ``ast`` tree) to an attribute of a name that the module binds
+    to a module of the package."""
+    out = set()
+    for module, tree in trees.items():
+        names = _module_names(tree, set(trees))
+        out |= {f"{module}:{n.lineno} {n.value.id}.{n.attr}"
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id in names}
+    return out
+
+
 def test_every_function_parameter_is_read():
     unread = set().union(*(_unread_parameters(tree, module)
                            for module, tree in _library_trees().items()))
@@ -180,3 +211,26 @@ def test_unread_field_check_sees_what_it_claims():
                             "D(1, 2, c=3).total()\n"),
              "__init__": ast.parse("from .m import E\nE(1).d\n")}
     assert _unread_fields(trees) == {"m.D.c", "m.E.d"}
+
+
+def test_no_library_module_assigns_another_modules_attribute():
+    # each module's state is set only by the module itself
+    assert _foreign_assignments(_library_trees()) == set()
+
+
+def test_foreign_assignment_check_sees_what_it_claims():
+    trees = {"m": ast.parse("x = 0\n"),
+             "n": ast.parse("import numpy as np\n"
+                            "from . import m\n"
+                            "from fhmimo import m as mm\n"
+                            "import fhmimo.m as m3\n"
+                            "m.x = 1\n"
+                            "mm.x += 1\n"
+                            "m3.x, y = 2, 3\n"
+                            "np.seterr = None\n"
+                            "a = np.ones(2)\n"
+                            "a.flags.writeable = False\n"
+                            "m.x.y = 4\n"
+                            "z = m.x\n")}
+    assert _foreign_assignments(trees) == {"n:5 m.x", "n:6 mm.x",
+                                           "n:7 m3.x"}
