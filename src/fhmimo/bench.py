@@ -105,6 +105,15 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
 # Sweep specification / report
 # ---------------------------------------------------------------------------
 
+# The largest front-end ripple, in dB. A noiseless `comm` link (five
+# seeded 40-PRT frames a point) decoded 8-, 16- and 64-PSK error-free up to
+# 150 dB of ripple and not from 160 dB (64-PSK) or 170 dB (8- and 16-PSK),
+# where the sub-bands the ripple sinks fall below the float64 rounding of
+# those it lifts. With noise the ripple is an SNR loss that the answer
+# measures: at 25 dB SNR errors start from 30 dB of ripple.
+MAX_RIPPLE_DB = 150.0
+
+
 @dataclass
 class SweepSpec:
     """Knobs of the Monte-Carlo studies; defaults follow the experiment
@@ -164,13 +173,11 @@ class SweepSpec:
             with prefixed(f"sweep.{name}: "):
                 for snr_db in getattr(self, name):
                     noise_var_for_snr(snr_db)
-        # the receiver multiplies two rippled pilot peaks, so the squared
-        # gain must be finite too
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.power(10.0, abs(self.ripple_db) / 10)):
-                raise ConfigError(
-                    f"sweep.ripple_db={self.ripple_db:g} dB gives no finite "
-                    f"squared gain 10^(|ripple_db|/10)")
+        if not abs(self.ripple_db) <= MAX_RIPPLE_DB:
+            raise ConfigError(
+                f"sweep.ripple_db={self.ripple_db:g} dB is outside "
+                f"+/-{MAX_RIPPLE_DB:g} dB: past that, the sub-bands it sinks "
+                f"fall below the float64 rounding of those it lifts")
 
     def random_scene(self, cfg: RadarConfig, rng) -> tuple[radarrx.Target, ...]:
         """``n_targets`` targets drawn uniformly over the spans; the range
@@ -370,12 +377,14 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
     psk = make_psk_grid(cfg, plan, 3 if waveform_mode == "dfrc" else 0,
                         rng=np.random.default_rng(psk_seed))
     noise_var = noise_var_for_snr(snr_db)
-    rx = radarrx.synthesize_echo(plan, psk, scene, array, cfg,
-                                 noise_var=noise_var,
-                                 rng=np.random.default_rng(noise_seed))
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
-    rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, array,
-                                    p_fa=sweep.p_fa, grid=grid)
+    # the echo is bound to no name here, so process_cpi frees it after
+    # pulse compression
+    rdm, dets = radarrx.process_cpi(
+        radarrx.synthesize_echo(plan, psk, scene, array, cfg,
+                                noise_var=noise_var,
+                                rng=np.random.default_rng(noise_seed)),
+        plan, psk, cfg, array, p_fa=sweep.p_fa, grid=grid)
     return _associate(dets, scene, rdm)
 
 

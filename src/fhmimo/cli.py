@@ -263,11 +263,13 @@ def cmd_radar(inp: Inputs, out_dir: Path) -> None:
     # the echo defaults to 0 dB, where the comm link defaults to noiseless
     noise_var = (inp.spec.noise_var if "snr_db" in inp.raw["impairment"]
                  else 1.0)
-    rx = radarrx.synthesize_echo(plan, psk, scene, inp.array, cfg,
-                                 noise_var=noise_var, rng=noise_rng)
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
-    rdm, dets = radarrx.process_cpi(rx, plan, psk, cfg, inp.array,
-                                    p_fa=sweep.p_fa, grid=grid)
+    # the echo is bound to no name here, so process_cpi frees it after
+    # pulse compression
+    rdm, dets = radarrx.process_cpi(
+        radarrx.synthesize_echo(plan, psk, scene, inp.array, cfg,
+                                noise_var=noise_var, rng=noise_rng),
+        plan, psk, cfg, inp.array, p_fa=sweep.p_fa, grid=grid)
     cfg_hash = _echo_config(inp.raw, out_dir)
     dets.to_csv(out_dir / "detections.csv", cfg_hash)
     write_rdm(out_dir / "rdm.bin", rdm)

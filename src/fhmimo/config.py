@@ -47,6 +47,15 @@ def check_span(name: str, span) -> None:
 MAX_ORDER_BITS = 32
 
 
+# The highest carrier, in Hz: radio waves end at 3,000 GHz (ITU Radio
+# Regulations, No. 1.5). Inside that band every seeded output is the same
+# at any carrier, up to the scale of the clock error and the velocities
+# (measured from 1 GHz to 1e305 Hz), so no measured figure sets the bound;
+# at 1e300 Hz a noiseless link's clock estimate rho_hat underflowed to the
+# subnormal -9.9e-315.
+MAX_CARRIER_FREQ = 3e12
+
+
 def check_order_bits(order_bits: int) -> None:
     """PSK bits per symbol must be in [0, ``MAX_ORDER_BITS``]."""
     if not 0 <= order_bits <= MAX_ORDER_BITS:
@@ -114,6 +123,10 @@ class RadarConfig:
             if not getattr(self, name) > 0:         # NaN fails too
                 raise ConfigError(
                     f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.carrier_freq < MAX_CARRIER_FREQ:
+            raise ConfigError(
+                f"carrier_freq must be below {MAX_CARRIER_FREQ:g} Hz, the "
+                f"top of the radio band, got {self.carrier_freq:g}")
         if self.n_tx > self.n_subbands:
             raise ConfigError(f"n_tx = {self.n_tx} exceeds n_subbands = "
                               f"{self.n_subbands}: each antenna needs a "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -97,18 +98,31 @@ class IqFrame:
             n_channels, self.n_prt, cfg.hops_per_pulse, cfg.samples_per_hop)
 
 
+# Bytes of the float32 block a writer fills and writes at a time: a whole
+# capture or cube is never copied.
+_BLOCK_BYTES = 1 << 20
+
+
 def _write_interleaved(path, header: str, data: np.ndarray,
                        length: int | None = None) -> None:
     """``header`` in ASCII, then ``data`` as float32 real/imag pairs, its
-    last axis padded with zeros to ``length`` samples."""
+    last axis padded with zeros to ``length`` samples. The rows of the last
+    axis go out in blocks of about ``_BLOCK_BYTES``."""
     stored = data.shape[-1]
     length = stored if length is None else length
+    # a view of a C-ordered array
+    rows = data.reshape(math.prod(data.shape[:-1]), stored)
+    n = max(1, _BLOCK_BYTES // (8 * max(length, 1)))   # 8-byte float32 pairs
+    # zeroed once: the padding past ``stored`` is never written
+    block = np.zeros((min(n, len(rows)), length, 2), np.float32)
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        interleaved = np.zeros(data.shape[:-1] + (length, 2), np.float32)
-        interleaved[..., :stored, 0] = data.real
-        interleaved[..., :stored, 1] = data.imag
-        f.write(interleaved)      # its own buffer, not a bytes copy
+        for i in range(0, len(rows), n):
+            src = rows[i:i + n]
+            out = block[:len(src)]
+            out[:, :stored, 0] = src.real
+            out[:, :stored, 1] = src.imag
+            f.write(out)          # its own buffer, not a bytes copy
 
 
 def write_iq(path, frame: IqFrame) -> None:

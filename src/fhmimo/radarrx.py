@@ -206,8 +206,8 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
             f"the radar needs a listening window: samples_per_prt - "
             f"samples_per_pulse = {R} range bins, must be >= 1 (shorten "
             f"hops_per_pulse * hop_duration or lengthen prt_duration)")
-    pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
-    refs = np.conj(np.fft.fft(pulses, n_p, axis=-1))
+    refs = np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1)
+    np.conj(refs, out=refs)                                   # (M, n_prt, n_p)
     profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
     rows = max(1, _BLOCK_BYTES // (16 * n_p))     # complex128 PRTs per block
 
@@ -409,13 +409,22 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
 
     ``z`` holds D channel vectors stacked as (D, P), so the virtual array
     has P // n_rx transmitters; returns the (D,) azimuths. The (L, P)
-    steering matrix is built once per call and the (D, L) spectrum comes
-    from one product.
+    steering matrix is built once per call, and the (D, L) spectrum is
+    taken in near-equal row blocks of about ``_BLOCK_BYTES`` of complex
+    values, so the memory a call takes does not grow with D. Each block
+    holds at least two rows (from D = 2): matmul takes a one-row product
+    through gemv, whose sums round unlike the whole product's gemm, while
+    blocks of two or more rows give its bits.
     """
-    A = array.virtual_steering(grid, z.shape[1] // array.n_rx)  # (L, P)
-    spectrum = np.abs(z @ A.conj().T)                         # (D, L)
-    spectrum **= 2      # in place: no second (D, L) array
-    return np.asarray(grid)[np.argmax(spectrum, axis=1)]
+    AH = array.virtual_steering(grid, z.shape[1] // array.n_rx).conj().T
+    n_blocks = max(1, min(len(z) // 2,
+                          -(-16 * len(z) * AH.shape[1] // _BLOCK_BYTES)))
+    best = []
+    for block in np.array_split(z, n_blocks):
+        spectrum = np.abs(block @ AH)                         # (rows, L)
+        spectrum **= 2      # in place: no second (rows, L) array
+        best.append(np.argmax(spectrum, axis=1))
+    return np.asarray(grid)[np.concatenate(best)]
 
 
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
@@ -443,7 +452,11 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     rx: (N, n_prt, samples_per_prt) with N = ``array.n_rx``. Returns the
     range-Doppler map and the CPI's detections with every column filled.
     The range profiles and the cube are one buffer, which :func:`mtd`
-    transforms in place. A virtual array of fewer than two channels
+    transforms in place. The call drops its reference to ``rx`` once the
+    matched filter has read it, so an echo that only this call holds (one
+    passed without a name) is freed before the MTD; CPython 3.10 keeps a
+    call's arguments on the caller's stack, and there it lives to the end
+    of the call. A virtual array of fewer than two channels
     (``cfg.n_tx * array.n_rx``; one channel's angle spectrum is flat) or an
     ``rx`` of another antenna count is a :class:`ConfigError`.
     """
@@ -454,7 +467,9 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     if len(rx) != array.n_rx:
         raise ConfigError(f"rx holds {len(rx)} receive streams, but the "
                           f"array has n_rx = {array.n_rx}")
-    rdm = mtd(matched_filter(rx, plan, psk, cfg), cfg)
+    profiles = matched_filter(rx, plan, psk, cfg)
+    del rx              # nothing reads the echo after pulse compression
+    rdm = mtd(profiles, cfg)
     dets = cfar_detect(rdm, p_fa)
     estimate_params(dets, rdm, array, grid)
     return rdm, dets

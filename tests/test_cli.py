@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhmimo import bench, cli, commrx
+from fhmimo import bench, cli, commrx, config, iqfile
 from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
@@ -89,9 +89,9 @@ def test_pulse_only_frame_writes_its_zero_tail(tmp_path, cfg):
 
 
 def test_write_iq_holds_its_interleaved_samples_once(tmp_path, cfg):
-    # writing a 500-PRT pulse-only frame allocates the interleaved float32
-    # samples once (6.4 MB here) and no copy of them; a bytes copy of the
-    # whole payload doubled the peak
+    # writing a 500-PRT pulse-only frame (a 6.4 MB payload) holds one
+    # float32 block of about iqfile._BLOCK_BYTES at a time: no bytes copy of
+    # the payload, which doubled the peak, and no whole-payload array
     plan = wf.plan_hops(cfg, n_prt=500, rng=3)
     psk = wf.make_psk_grid(cfg, plan, 3, rng=4)
     rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk,
@@ -103,8 +103,44 @@ def test_write_iq_holds_its_interleaved_samples_once(tmp_path, cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert payload <= peak < 1.25 * payload
+    assert peak < 1.25 * iqfile._BLOCK_BYTES < payload / 4
     assert (tmp_path / "rx.iq").stat().st_size > payload
+
+
+def _whole_array_bytes(header: bytes, data, length) -> bytes:
+    """The FHIQ payload as one interleaved float32 copy of ``data``."""
+    stored = data.shape[-1]
+    interleaved = np.zeros(data.shape[:-1] + (length, 2), np.float32)
+    interleaved[..., :stored, 0] = data.real
+    interleaved[..., :stored, 1] = data.imag
+    return header + interleaved.tobytes()
+
+
+@pytest.mark.parametrize("channels, n_prt, stored", [
+    (2, 700, 1600), (1, 90, 200), (3, 333, 1600)],
+    ids=["two-channels", "pulse-only", "prts-not-a-multiple-of-the-block"])
+def test_blocked_writer_gives_the_whole_array_bytes(tmp_path, rng, channels,
+                                                    n_prt, stored):
+    # the writers fill and write blocks of whole rows; the file is the
+    # bytes of one interleaved copy of the whole array, the zero tail of a
+    # pulse-only frame and a last, partial block included
+    data = (rng.standard_normal((channels, n_prt, stored))
+            + 1j * rng.standard_normal((channels, n_prt, stored)))
+    rows = iqfile._BLOCK_BYTES // (8 * 1600)
+    assert channels * n_prt > rows and channels * n_prt % rows
+    for frame in (IqFrame(data, 40e6, samples_per_prt=1600),
+                  IqFrame(data.astype(np.complex64), 40e6, first_prt=3,
+                          samples_per_prt=1600)):
+        write_iq(tmp_path / "x.iq", frame)
+        got = (tmp_path / "x.iq").read_bytes()
+        head = got[:got.index(b"data\n") + 5]
+        assert got == _whole_array_bytes(head, frame.data, 1600)
+    cube = data.transpose(1, 0, 2).copy()      # (Doppler, channel, range)
+    rdm = rrx.RangeDopplerMap(cube, RadarConfig())
+    iqfile.write_rdm(tmp_path / "rdm.bin", rdm)
+    got = (tmp_path / "rdm.bin").read_bytes()
+    head = got[:got.index(b"data\n") + 5]
+    assert got == _whole_array_bytes(head, cube, stored)
 
 
 def test_iq_file_rejects_garbage(tmp_path):
@@ -722,10 +758,14 @@ def test_every_command_checks_a_given_target_list(cfg_file, tmp_path,
     ("sweep", {"snr_grid_db": [0, -1e9]}, "sweep.snr_grid_db"),
     ("sweep", {"radar_snr_grid_db": [-1e9]}, "sweep.radar_snr_grid_db"),
     ("sweep", {"ripple_db": 1e300}, "sweep.ripple_db"),
-    ("sweep", {"ripple_db": 6000.0}, "sweep.ripple_db")],
+    ("sweep", {"ripple_db": 6000.0}, "sweep.ripple_db"),
+    ("sweep", {"ripple_db": 1000.0}, "sweep.ripple_db"),
+    ("sweep", {"ripple_db": 3080.0}, "sweep.ripple_db"),
+    ("radar", {"carrier_freq": 1e300}, "radar.carrier_freq")],
     ids=["rho-aliased", "targets-out-of-window", "snr_grid_db-overflow",
          "radar_snr_grid_db-overflow", "ripple_db-overflow",
-         "ripple_db-squared-overflow"])
+         "ripple_db-squared-overflow", "ripple_db-1000", "ripple_db-3080",
+         "carrier_freq-1e300"])
 @pytest.mark.parametrize("command", [["txgen"], ["comm"], ["radar"], ["sweep"]],
                          ids=["txgen", "comm", "radar", "sweep"])
 def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
@@ -736,7 +776,10 @@ def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
     # exit 0 by txgen and a flat comm and refused by a rippled one only
     # after a numpy overflow warning; a ripple of 6000 dB has a finite gain
     # but not a finite squared gain, and comm multiplied two rippled pilot
-    # peaks into an overflow warning, then wrote psk_ber 0.468 and exited 0
+    # peaks into an overflow warning, then wrote psk_ber 0.468 and exited 0;
+    # at 1000 dB comm wrote psk_ber 0.507 and exited 0, at 3080 dB it
+    # overflowed; a carrier of 1e300 Hz was refused by radar and sweep only
+    # through the scene, and comm reported rho_hat -9.9e-315 with exit 0
     cfg = json.loads(cfg_file.read_text())
     cfg[section] = {**cfg.get(section, {}), **values}
     p = tmp_path / "bad.json"
@@ -749,6 +792,41 @@ def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
     assert error["error"] == "config"
     assert error["message"].startswith(key)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, accepted, refused", [
+    ("radar", "carrier_freq", 2.99e12, 3e12),
+    ("sweep", "ripple_db", -150.0, 150.01)],
+    ids=["carrier_freq", "ripple_db"])
+@pytest.mark.parametrize("command", ["txgen", "comm"])
+def test_the_carrier_and_ripple_bounds_sit_where_the_readme_puts_them(
+        tmp_path, capsys, command, section, key, accepted, refused):
+    # the carrier stays below 3 THz, the top of the radio band; the ripple
+    # within +/-150 dB, the largest at which a noiseless link still decoded
+    # 8-, 16- and 64-PSK error-free (README, "refuses a bad value")
+    assert (config.MAX_CARRIER_FREQ, bench.MAX_RIPPLE_DB) == (3e12, 150.0)
+    for value, code in ((accepted, cli.EXIT_OK), (refused, cli.EXIT_CONFIG)):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {key: value},
+                                 "run": {"n_prt": 4}}))
+        capsys.readouterr()
+        assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                       command) == code
+    assert json.loads(capsys.readouterr().err)["message"].startswith(
+        f"{section}.{key}")
+
+
+def test_a_noiseless_link_decodes_at_the_ripple_bound(tmp_path):
+    # the bound's measurement, at one seed: a rippled front end at
+    # +/-150 dB, no noise, 8PSK, estimated mode: no bit error
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"impairment": {"front_end": "rippled"},
+                             "sweep": {"ripple_db": 150.0},
+                             "run": {"n_prt": 40}}))
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "comm") == cli.EXIT_OK
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["psk_ber"] == summary["fhcs_ber"] == 0.0
 
 
 def test_comm_takes_a_pulse_that_fills_the_prt(tmp_path):

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +380,35 @@ def test_process_cpi_never_holds_a_second_cube(cfg):
     assert rdm.cube.nbytes <= peak < 1.4 * rdm.cube.nbytes
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the "
+                           "caller's stack until the call returns")
+def test_process_cpi_frees_an_echo_only_it_holds_before_the_mtd(
+        cfg, monkeypatch):
+    # nothing reads the echo after pulse compression: an echo passed
+    # unnamed, as radar_trial and cmd_radar pass it, is gone before mtd
+    # runs; a caller that holds the echo keeps it
+    plan, psk = _plan_psk(cfg, 16)
+    arr = rrx.ArrayModel()
+    echoes, alive = [], []
+
+    def echo():
+        rx = rrx.synthesize_echo(plan, psk, (rrx.Target(2000.0),), arr, cfg)
+        echoes.append(weakref.ref(rx))
+        return rx
+
+    def mtd(profiles, cfg, real=rrx.mtd):
+        alive.append(echoes[-1]() is not None)
+        return real(profiles, cfg)
+
+    monkeypatch.setattr(rrx, "mtd", mtd)
+    grid = rrx.angle_grid(30, 8)
+    rrx.process_cpi(echo(), plan, psk, cfg, arr, grid)
+    held = echo()
+    rrx.process_cpi(held, plan, psk, cfg, arr, grid)
+    assert alive == [False, True]
+
+
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
     plan, psk = _plan_psk(cfg, 16)
     scene = (rrx.Target(2000.0, 0.0, 0.0),)
@@ -535,6 +565,53 @@ def test_angle_batch_equals_row_by_row(rng):
     assert batch.shape == (100,)
     assert np.array_equal(batch, rows)
     assert rrx.estimate_angle(z[:0], arr, grid).shape == (0,)
+
+
+def test_angle_memory_does_not_grow_with_the_detection_count(rng):
+    # the (D, L) spectrum is taken in row blocks of about _BLOCK_BYTES: the
+    # traced peak at D = 5,000 is within one block of the peak at D = 500
+    # (the one-shot spectrum and its magnitude took 30 MB at D = 5,000),
+    # and the azimuths are the one-shot argmax |z A^H|^2 bit for bit
+    arr = rrx.ArrayModel()
+    grid = rrx.angle_grid(30, 256)
+    A = arr.virtual_steering(grid, 2)
+    peaks = []
+    for d in (500, 5000):
+        z = arr.virtual_steering(rng.uniform(-25, 25, size=d), 2) + 0.3 * (
+            rng.standard_normal((d, 24)) + 1j * rng.standard_normal((d, 24)))
+        tracemalloc.start()
+        try:
+            got = rrx.estimate_angle(z, arr, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        spectrum = np.abs(z @ A.conj().T)
+        spectrum **= 2
+        assert np.array_equal(got, grid[np.argmax(spectrum, axis=1)])
+    assert abs(peaks[1] - peaks[0]) < rrx._BLOCK_BYTES < peaks[0] < 30e6 / 4
+
+
+@pytest.mark.parametrize("d", [2, 3, 257, 513, 5053])
+def test_angle_blocks_of_two_rows_or_more_give_the_one_shot_bits(
+        monkeypatch, rng, d):
+    # the blocks hold at least two rows: matmul takes a one-row product
+    # through gemv, whose sums may round unlike the one-shot gemm. The
+    # premise is checked on this BLAS, then the azimuths over blocks of
+    # 2-3 rows (a 1-KiB block) and of the default size
+    arr = rrx.ArrayModel()
+    grid = rrx.angle_grid(30, 256)
+    AH = arr.virtual_steering(grid, 2).conj().T
+    z = rng.standard_normal((d, 24)) + 1j * rng.standard_normal((d, 24))
+    whole = z @ AH
+    for n in {1, d // 2, -(-d // 256)}:
+        blocks = np.concatenate([b @ AH for b in np.array_split(z, n)])
+        assert blocks.tobytes() == whole.tobytes()
+    spectrum = np.abs(whole)
+    spectrum **= 2
+    one_shot = grid[np.argmax(spectrum, axis=1)]
+    for block_bytes in (1 << 10, rrx._BLOCK_BYTES):
+        monkeypatch.setattr(rrx, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(rrx.estimate_angle(z, arr, grid), one_shot)
 
 
 @pytest.mark.parametrize("make_cfg", [
