@@ -15,9 +15,9 @@ call path, that rise and the mark after it; the last line names the call
 that set the peak, which is what ``peak_rss_mb`` reports. The mark is read
 only at call boundaries of the calling thread, so a rise in a call's own
 body, or in a private helper or thread it runs, is that call's. Nothing
-under ``perfbench/`` is edited, and the numbers are this process's alone:
-a run of ``perfbench/run.py`` on the same seed reaches about the same
-peak.
+under ``perfbench/`` is edited. The numbers are this process's alone,
+and heap layout moves them by a few MB: a run of ``perfbench/run.py`` on
+the same seed peaks at the same call, not always at the same figure.
 """
 
 from __future__ import annotations
