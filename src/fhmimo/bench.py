@@ -188,11 +188,12 @@ class SweepSpec:
         v_lo, v_hi = self.velocity_span
         if not (-v_max < v_lo and v_hi < v_max):
             raise ConfigError(
-                f"sweep.velocity_span must lie inside +/-{v_max:.6g} m/s (the "
-                f"unambiguous velocity), got {list(self.velocity_span)}")
+                f"sweep.velocity_span must lie inside +/-{v_max:.6g} m/s, the "
+                f"unambiguous velocity {radarrx.UNAMBIGUOUS_VELOCITY}, got "
+                f"{list(self.velocity_span)}")
         lo_r = max(self.range_span[0], cfg.blind_range)
         hi_r = min(self.range_span[1], cfg.unambiguous_range)
-        check_span("sweep.range_span (clamped to the observable window)",
+        check_span(f"sweep.range_span clamped to {radarrx.OBSERVABLE_WINDOW}",
                    (lo_r, hi_r))
         rng = np.random.default_rng(rng)
         return tuple(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 import typing
 from pathlib import Path
@@ -145,12 +146,15 @@ def build_inputs(raw: dict) -> Inputs:
     if run.get("mode", "estimated") not in commrx.MODES:
         raise ConfigError(f"run.mode must be one of {commrx.MODES}, not "
                           f"{run['mode']!r}")
-    check_order_bits(run["order_bits"])
+    with prefixed("run."):
+        check_order_bits(run["order_bits"])
     kind = sec["sweep"].pop("kind", "ber")
     if kind not in STUDIES:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+        raise ConfigError(f"sweep.kind must be one of {tuple(STUDIES)}, "
+                          f"not {kind!r}")
     sweep = bench.SweepSpec(seed=run["seed"], **sec["sweep"])
-    array = radarrx.ArrayModel(**sec["array"])
+    with prefixed("array."):
+        array = radarrx.ArrayModel(**sec["array"])
     rng = np.random.default_rng(np.random.SeedSequence([run["seed"], 2]))
     spec = build_impairments(sec["impairment"], cfg, sweep, rng)
     targets = sec["scene"].get("targets")
@@ -173,7 +177,10 @@ def build_impairments(sec: dict, cfg: RadarConfig, sweep: bench.SweepSpec,
     fe = (FrontEndProfile.rippled(cfg, rng, sweep.ripple_db, sweep.ripple_rad)
           if fe_kind == "rippled" else None)
     kw = {k: sec[k] for k in ("sto_initial",) if k in sec}
-    noise_var = noise_var_for_snr(sec["snr_db"]) if "snr_db" in sec else 0.0
+    noise_var = 0.0
+    if "snr_db" in sec:
+        with prefixed("impairment."):
+            noise_var = noise_var_for_snr(sec["snr_db"])
     if "rho" in sec:
         with prefixed(f"impairment.rho {sec['rho']:g}: "):
             return ImpairmentSpec.from_clock(sec["rho"], cfg,
@@ -335,31 +342,34 @@ def main(argv=None) -> int:
     if "sweep.snr_grid_db" in overrides:    # --snr sets both SNR grids
         overrides["sweep.radar_snr_grid_db"] = overrides["sweep.snr_grid_db"]
 
+    out_dir = Path(args.out)
+    # the outermost directory this run makes, removed if the run fails
+    made = next((d for d in reversed([out_dir, *out_dir.parents])
+                 if not d.exists()), None)
     try:
         inputs = build_inputs(load_config(args.config, overrides))
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {"txgen": cmd_txgen, "comm": cmd_comm,
                    "radar": cmd_radar, "sweep": cmd_sweep}[args.command]
         handler(inputs, out_dir)
         return EXIT_OK
     except (ConfigError, json.JSONDecodeError) as exc:
-        _fail("config", exc)
-        return EXIT_CONFIG
+        code = _fail("config", exc, EXIT_CONFIG)
     except PayloadLengthError as exc:
-        _fail("payload", exc)
-        return EXIT_PAYLOAD
+        code = _fail("payload", exc, EXIT_PAYLOAD)
     except (IqFormatError, OSError) as exc:
-        _fail("io", exc)
-        return EXIT_IO
+        code = _fail("io", exc, EXIT_IO)
     except Exception as exc:  # pragma: no cover - defensive
-        _fail("internal", exc)
-        return EXIT_INTERNAL
+        code = _fail("internal", exc, EXIT_INTERNAL)
+    if made is not None and made.is_dir():
+        shutil.rmtree(made)
+    return code
 
 
-def _fail(category: str, exc: Exception) -> None:
+def _fail(category: str, exc: Exception, code: int) -> int:
     sys.stderr.write(json.dumps({"error": category, "message": str(exc)})
                      + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ Processing of a CPI-aligned single-channel receive stream:
    Antenna m's zero pilot is slot (hop m, antenna m), its cycled pilot
    slot (hop m+1, antenna m); the unpinned slots carry the payload.
    None of this depends on the mode, so a frame has its slot grid
-   computed once per config (:func:`_slot_grid`).
+   computed once per config (:func:`_slot_grid`), and so do steps 3 and
+   4 for the blind modes (:func:`_blind_estimate`).
 3. Zero pilots of consecutive PRTs give the CFO via their pairwise phase
    ratio; clock stability and the sampling-time offset follow from the CFO
    and the carrier/sampling frequencies.
@@ -30,6 +31,7 @@ Processing of a CPI-aligned single-channel receive stream:
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, fields
 
@@ -107,33 +109,68 @@ def _lane_median(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SlotGrid:
-    """What :func:`demodulate` reads of a frame before it reads the mode:
-    the detected plan, the slot peaks and their floor test
-    (:func:`slot_peaks`), and ``payload_codewords(det, cfg)``. Every array
-    is read-only."""
+    """What :func:`demodulate` reads of a frame before it reads the mode.
 
+    The slot grid: the detected plan, the slot peaks and their floor test
+    (:func:`slot_peaks`) and the hops with a peak below the floor. The
+    slot table: the payload slots' report rows (prt, hop, antenna,
+    sub-band, offset, erased), a slot erased when its hop is, their peaks,
+    the zero pilots and their floor test, and the FHCS rows, a codeword
+    erased when its hop is or when it is outside the usable range. What
+    the blind modes share (:attr:`blind`) is computed on its first read,
+    so ``known`` never pays for it. Every array is read-only: a report
+    copies the rows it changes.
+    """
+
+    cfg: RadarConfig
     det: HopPlan
-    peaks: np.ndarray
-    peak_ok: np.ndarray
-    codewords: tuple         # (prt, hop, n_bits, codeword)
+    peaks: np.ndarray        # (n_prt, H, M)
+    peak_ok: np.ndarray      # (n_prt, H, M)
+    hop_erased: np.ndarray   # (n_prt, H)
+    slots: np.ndarray        # (n_slots, 6) int64, as DemodReport.slots
+    payload: np.ndarray      # (n_slots,) peaks of the payload slots
+    zero: np.ndarray         # (n_prt, M) zero pilots (hop m, antenna m)
+    zero_ok: np.ndarray      # (n_prt, M)
+    fhcs_rows: np.ndarray    # (n_codewords, 4) int64, as DemodReport's
+
+    @functools.cached_property
+    def blind(self) -> _BlindEstimate | None:
+        return _blind_estimate(self)
 
 
 # frame -> {cfg: _SlotGrid}; an entry dies with its frame
 _SLOT_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
-    """The frame's slot grid under ``cfg``, computed once and kept while
-    the frame lives."""
+    """The frame's slot grid and slot table under ``cfg``, computed once
+    and kept while the frame lives."""
     memo = _SLOT_GRIDS.setdefault(frame, {})
     if cfg in memo:
         return memo[cfg]
     spectra, sub_vals = _batch_spectra(frame, cfg)
     det = assign_peaks(sub_vals, cfg, frame.first_prt)
     peaks, peak_ok = slot_peaks(sub_vals, _lane_median(np.abs(spectra)), det)
-    grid = _SlotGrid(det, peaks, peak_ok, payload_codewords(det, cfg))
-    for a in (det.subband, det.pinned, peaks, peak_ok, *grid.codewords):
-        a.flags.writeable = False
+    hop_erased = ~peak_ok.all(axis=-1)
+    row, h, m = np.nonzero(~det.pinned)     # (PRT, hop, antenna) order
+    k = det.subband[row, h, m]
+    slots = np.stack([det.first_prt + row, h, m, k, cfg.subband_offset(k),
+                      hop_erased[row, h]], axis=1)
+    prt, hop, bits, cw = payload_codewords(det, cfg)
+    cw = np.where(hop_erased[prt - det.first_prt, hop] | (cw >= (1 << bits)),
+                  -1, cw)
+    ants = np.arange(cfg.n_tx)
+    grid = _SlotGrid(cfg, det, peaks, peak_ok, hop_erased, slots,
+                     peaks[row, h, m], peaks[:, ants, ants],
+                     peak_ok[:, ants, ants],
+                     np.stack([prt, hop, bits, cw], axis=1))
+    _read_only(det.subband, det.pinned,
+               *(getattr(grid, f.name) for f in fields(grid)[2:]))
     memo[cfg] = grid
     return grid
 
@@ -142,9 +179,9 @@ def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
 # Synchronization estimators
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SyncEstimate:
-    """CFO and clock estimates."""
+    """CFO and clock estimates; the blind reports of one frame share one."""
 
     cfo: float                    # rad/s
     rho: float                    # clock stability
@@ -274,6 +311,47 @@ def _averaged_table(table: PilotRatioTable) -> PilotRatioTable:
                              for a in (values, n > 0)))
 
 
+@dataclass(frozen=True)
+class _BlindEstimate:
+    """What every blind mode reads of a frame besides its slot table: the
+    sync estimate, the pilot table as measured (each mode transforms it
+    into a table of its own), and each payload slot's pilot cycle,
+    correction factor, same-PRT zero pilot and that pilot's floor test.
+    Every array is read-only."""
+
+    sync: SyncEstimate
+    table: PilotRatioTable
+    group: np.ndarray        # (n_slots,) pilot cycle of each payload slot
+    corr: np.ndarray         # (n_slots,) complex
+    pilot: np.ndarray        # (n_slots,) complex
+    pilot_ok: np.ndarray     # (n_slots,) bool
+
+
+def _blind_estimate(grid: _SlotGrid) -> _BlindEstimate | None:
+    """The blind modes' estimate of a frame, None when no pair of
+    consecutive PRTs has zero pilots above the floor."""
+    cfg, det = grid.cfg, grid.det
+    try:
+        cfo_hat = estimate_cfo(grid.zero, cfg, grid.zero_ok)
+    except ValueError:
+        return None
+    sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg))
+    ants = np.arange(cfg.n_tx)
+    # a PRT at offset 0 sends no cycled pilot, so there is none to check
+    cycled = (slice(None), ants + 1, ants)
+    cycled_ok = grid.peak_ok[cycled] | ~det.pinned[cycled]
+    table = build_pilot_ratios(grid.zero, grid.peaks[cycled], det.first_prt,
+                               sync, cfg, grid.zero_ok & cycled_ok)
+    i, h, m, k = grid.slots[:, :4].T
+    row = i - det.first_prt
+    blind = _BlindEstimate(sync, table, row // cfg.n_subbands,
+                           correction_factor(i, h, m, k, sync, cfg),
+                           grid.zero[row, m], grid.zero_ok[row, m])
+    _read_only(table.values, table.measured,
+               *(getattr(blind, f.name) for f in fields(blind)[2:]))
+    return blind
+
+
 # ---------------------------------------------------------------------------
 # Demodulation
 # ---------------------------------------------------------------------------
@@ -325,20 +403,6 @@ class DemodReport:
         }
 
 
-def _pilot_phases(slots: np.ndarray, peak: np.ndarray, pilot: np.ndarray,
-                  table: PilotRatioTable, sync: SyncEstimate,
-                  first_prt: int, cfg: RadarConfig):
-    """Blind PSK phase of every slot: its ``peak`` divided by its same-PRT
-    zero ``pilot``, the matching pilot-table residual and the slot's
-    correction factor. Returns (phase, missing) where ``missing`` flags
-    slots whose table entry was never measured."""
-    i, h, m, k, kappa = slots[:, :5].T
-    group = (i - first_prt) // cfg.n_subbands
-    ref = (table.values[group, m, kappa]
-           * correction_factor(i, h, m, k, sync, cfg) * pilot)
-    return np.angle(peak * np.conj(ref)), ~table.measured[group, m, kappa]
-
-
 def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
                mode: str = "estimated", spec: ImpairmentSpec | None = None
                ) -> DemodReport:
@@ -370,7 +434,8 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
             f"{MAX_COMPLEX64_ORDER_BITS} bits exactly")
     if 2 * cfg.n_tx >= cfg.samples_per_hop:
         raise ConfigError(
-            f"the comm receiver needs 2*n_tx < samples_per_hop, got "
+            f"radar.n_tx: the comm receiver needs 2*n_tx < samples_per_hop "
+            f"(radar.sample_rate*radar.hop_duration), got "
             f"2*{cfg.n_tx} >= {cfg.samples_per_hop}: its peak floor is "
             f"{PEAK_FLOOR_FACTOR:g}x the median of a hop's DFT bins, which "
             f"is a tone, not noise, once the tones fill half of them")
@@ -378,50 +443,31 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         raise ValueError("known-channel mode needs the impairment spec")
 
     grid = _slot_grid(frame, cfg)
-    det, peaks, peak_ok = grid.det, grid.peaks, grid.peak_ok
-    first_prt = frame.first_prt
-    prt_abs = first_prt + np.arange(frame.n_prt)
-    hop_erased = ~peak_ok.all(axis=-1)
-    ants = np.arange(cfg.n_tx)
-    zero, zero_ok = peaks[:, ants, ants], peak_ok[:, ants, ants]
+    slots, fhcs_rows = grid.slots.copy(), grid.fhcs_rows.copy()
+    n_erased_hops = int(grid.hop_erased.sum())
     if mode == "known":
         sync = SyncEstimate.from_spec(spec, cfg)
-    else:
-        try:
-            cfo_hat = estimate_cfo(zero, cfg, zero_ok)
-        except ValueError:                  # no pilot pair: nothing to
-            sync = None                     # correct with
-            hop_erased[:] = True
-        else:
-            sync = SyncEstimate(cfo_hat, *estimate_clock(cfo_hat, cfg))
-
-    row, h, m = np.nonzero(~det.pinned)     # (PRT, hop, antenna) order
-    k, payload = det.subband[row, h, m], peaks[row, h, m]
-    slots = np.stack([prt_abs[row], h, m, k, cfg.subband_offset(k),
-                      hop_erased[row, h]], axis=1)
-    prt, hop, bits, cw = grid.codewords
-    cw = np.where(hop_erased[prt - first_prt, hop] | (cw >= (1 << bits)),
-                  -1, cw)
-    fhcs_rows = np.stack([prt, hop, bits, cw], axis=1)
-
-    if mode == "known":
-        ref = expected_hop_peak(*slots[:, :4].T, 0.0, spec, cfg)
-        raw_phase = np.angle(payload * np.conj(ref))
-    elif sync is None:
+        ref = expected_hop_peak(*grid.slots[:, :4].T, 0.0, spec, cfg)
+        raw_phase = np.angle(grid.payload * np.conj(ref))
+    elif grid.blind is None:                # no pilot pair: nothing to
+        sync = None                         # correct with
+        n_erased_hops = grid.hop_erased.size
+        slots[:, 5] = 1
+        fhcs_rows[:, 3] = -1
         raw_phase = np.zeros(len(slots))
     else:
-        cycled = peaks[:, ants + 1, ants]
-        # a PRT at offset 0 sends no cycled pilot, so there is none to check
-        cycled_ok = peak_ok[:, ants + 1, ants] | ~det.pinned[:, ants + 1, ants]
-        table = build_pilot_ratios(zero, cycled, first_prt, sync, cfg,
-                                   zero_ok & cycled_ok)
+        blind = grid.blind
+        sync = blind.sync
         table = (_averaged_table if mode == "averaged"
-                 else _carried_table)(table)
+                 else _carried_table)(blind.table)
         if mode == "flat":
             table.values[:] = 1.0
-        raw_phase, missing = _pilot_phases(slots, payload, zero[row, m],
-                                           table, sync, first_prt, cfg)
-        slots[missing | ~zero_ok[row, m], 5] = 1   # no usable reference
+        # each payload slot's entry: its group, antenna and offset
+        entry = blind.group, grid.slots[:, 2], grid.slots[:, 4]
+        ref = table.values[entry] * blind.corr * blind.pilot
+        raw_phase = np.angle(grid.payload * np.conj(ref))
+        # no usable reference: an unmeasured entry or a sub-floor pilot
+        slots[~table.measured[entry] | ~blind.pilot_ok, 5] = 1
 
     size = 1 << order_bits
     sym = np.mod(np.rint(raw_phase * size / (2 * np.pi)), size).astype(
@@ -429,8 +475,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     residual = np.mod(raw_phase - 2 * np.pi * sym / size + np.pi,
                       2 * np.pi) - np.pi
     return DemodReport(order_bits, sync, slots, raw_phase, sym, residual,
-                       fhcs_rows, int(slots[:, 5].sum()),
-                       int(hop_erased.sum()))
+                       fhcs_rows, int(slots[:, 5].sum()), n_erased_hops)
 
 
 # ---------------------------------------------------------------------------

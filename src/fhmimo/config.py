@@ -28,7 +28,7 @@ def prefixed(prefix: str):
 
 
 def _as_exact_int(value: float, name: str) -> int:
-    n = round(value)
+    n = round(value) if np.isfinite(value) else 0
     if n <= 0 or abs(value - n) > 1e-6:
         raise ConfigError(f"{name} = {value} must be a positive integer")
     return n
@@ -127,6 +127,11 @@ class RadarConfig:
             raise ConfigError(
                 f"carrier_freq must be below {MAX_CARRIER_FREQ:g} Hz, the "
                 f"top of the radio band, got {self.carrier_freq:g}")
+        if not self.carrier_freq > self.bandwidth / 2:
+            raise ConfigError(
+                f"carrier_freq = {self.carrier_freq:g} Hz must exceed "
+                f"bandwidth/2 = {self.bandwidth / 2:g} Hz, so that every "
+                f"sub-band's tone has a positive frequency")
         if self.n_tx > self.n_subbands:
             raise ConfigError(f"n_tx = {self.n_tx} exceeds n_subbands = "
                               f"{self.n_subbands}: each antenna needs a "

@@ -125,7 +125,9 @@ class ImpairmentSpec:
                 "cfo, sto_initial and sample_time_offset must be finite")
         if abs(self.cfo) * cfg.prt_duration >= np.pi:
             raise ConfigError(
-                "CFO outside the unambiguous range |cfo|*prt_duration < pi")
+                f"CFO {self.cfo:.6g} rad/s outside the unambiguous range "
+                f"|cfo|*radar.prt_duration < pi (a clock error rho gives "
+                f"2*pi*rho*radar.carrier_freq)")
         if not 0.0 <= self.noise_var < np.inf:      # NaN fails too
             raise ConfigError("noise_var must be finite and >= 0")
         if self.front_end is not None and (

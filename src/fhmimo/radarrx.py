@@ -81,6 +81,13 @@ class Target:
         return 2.0 * self.velocity / wavelength
 
 
+# The config keys that set the observable spans, for the refusals
+OBSERVABLE_WINDOW = ("the observable window from the pulse's end "
+                     "(radar.hops_per_pulse*radar.hop_duration) to the "
+                     "PRT's (radar.prt_duration)")
+UNAMBIGUOUS_VELOCITY = "c/(4*radar.carrier_freq*radar.prt_duration)"
+
+
 def check_scene(targets, cfg: RadarConfig) -> None:
     """Refuse a target outside the observable range and velocity spans,
     naming it ``targets[i]``."""
@@ -88,11 +95,12 @@ def check_scene(targets, cfg: RadarConfig) -> None:
         if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
             raise ConfigError(
                 f"targets[{i}]: range_m {t.range_m} outside "
-                f"[{cfg.blind_range}, {cfg.unambiguous_range}]")
+                f"[{cfg.blind_range}, {cfg.unambiguous_range}], {OBSERVABLE_WINDOW}")
         if abs(t.velocity) >= cfg.unambiguous_velocity:
             raise ConfigError(
                 f"targets[{i}]: velocity {t.velocity} outside the "
-                f"unambiguous span +/-{cfg.unambiguous_velocity:.6g} m/s")
+                f"unambiguous span +/-{cfg.unambiguous_velocity:.6g} m/s, "
+                f"{UNAMBIGUOUS_VELOCITY}")
 
 
 def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:
@@ -205,7 +213,8 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
         raise ConfigError(
             f"the radar needs a listening window: samples_per_prt - "
             f"samples_per_pulse = {R} range bins, must be >= 1 (shorten "
-            f"hops_per_pulse * hop_duration or lengthen prt_duration)")
+            f"radar.hops_per_pulse * radar.hop_duration or lengthen "
+            f"radar.prt_duration)")
     refs = np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1)
     np.conj(refs, out=refs)                                   # (M, n_prt, n_p)
     profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
@@ -412,11 +421,16 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
     steering matrix is built once per call, and the (D, L) spectrum is
     taken in near-equal row blocks of about ``_BLOCK_BYTES`` of complex
     values, so the memory a call takes does not grow with D. Each block
-    holds at least two rows (from D = 2): matmul takes a one-row product
-    through gemv, whose sums round unlike the whole product's gemm, while
-    blocks of two or more rows give its bits.
+    holds at least two rows, and one detection is taken as two copies of
+    its row: matmul takes a one-row product through gemv, whose sums round
+    unlike the gemm of two or more rows, so on a near-tie of two grid
+    angles a detection's azimuth would depend on how many detections
+    share its call.
     """
     AH = array.virtual_steering(grid, z.shape[1] // array.n_rx).conj().T
+    D = len(z)
+    if D == 1:
+        z = np.repeat(z, 2, axis=0)
     n_blocks = max(1, min(len(z) // 2,
                           -(-16 * len(z) * AH.shape[1] // _BLOCK_BYTES)))
     best = []
@@ -424,7 +438,7 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
         spectrum = np.abs(block @ AH)                         # (rows, L)
         spectrum **= 2      # in place: no second (rows, L) array
         best.append(np.argmax(spectrum, axis=1))
-    return np.asarray(grid)[np.concatenate(best)]
+    return np.asarray(grid)[np.concatenate(best)[:D]]
 
 
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,

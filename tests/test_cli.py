@@ -1,13 +1,19 @@
+import contextlib
 import inspect
+import io
 import json
+import math
 import re
+import tempfile
 import tracemalloc
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhmimo import bench, cli, commrx, config, iqfile
 from fhmimo import impairments as imp
@@ -274,6 +280,7 @@ def test_comm_with_a_missing_capture_writes_no_config(tmp_path, capsys):
                    "comm") == cli.EXIT_IO == 3
     assert json.loads(capsys.readouterr().err)["error"] == "io"
     assert not (out / "effective_config.json").exists()
+    assert not out.exists()
 
 
 def test_iq_frame_rejects_partial_prt(tmp_path):
@@ -401,7 +408,9 @@ def test_radar_without_a_listening_window_exits_2(cfg_file, tmp_path,
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "config"
     assert "listening window" in error["message"]
+    assert "radar.prt_duration" in error["message"]
     assert not (out / "rdm.bin").exists()
+    assert not out.exists()
 
 
 def test_an_empty_target_list_is_a_scene_without_targets(cfg_file,
@@ -761,11 +770,20 @@ def test_every_command_checks_a_given_target_list(cfg_file, tmp_path,
     ("sweep", {"ripple_db": 6000.0}, "sweep.ripple_db"),
     ("sweep", {"ripple_db": 1000.0}, "sweep.ripple_db"),
     ("sweep", {"ripple_db": 3080.0}, "sweep.ripple_db"),
-    ("radar", {"carrier_freq": 1e300}, "radar.carrier_freq")],
+    ("radar", {"carrier_freq": 1e300}, "radar.carrier_freq"),
+    ("radar", {"carrier_freq": 1e-300}, "radar.carrier_freq"),
+    ("radar", {"sample_rate": 1e300, "prt_duration": 1e300},
+     "radar.prt_duration"),
+    ("impairment", {"snr_db": -1e300}, "impairment.snr_db"),
+    ("array", {"n_rx": -1}, "array.n_rx"),
+    ("run", {"order_bits": 33}, "run.order_bits"),
+    ("sweep", {"kind": "bogus"}, "sweep.kind")],
     ids=["rho-aliased", "targets-out-of-window", "snr_grid_db-overflow",
          "radar_snr_grid_db-overflow", "ripple_db-overflow",
          "ripple_db-squared-overflow", "ripple_db-1000", "ripple_db-3080",
-         "carrier_freq-1e300"])
+         "carrier_freq-1e300", "carrier_freq-1e-300",
+         "samples_per_prt-overflow", "snr_db-overflow", "n_rx-negative",
+         "order_bits-33", "kind-bogus"])
 @pytest.mark.parametrize("command", [["txgen"], ["comm"], ["radar"], ["sweep"]],
                          ids=["txgen", "comm", "radar", "sweep"])
 def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
@@ -779,7 +797,10 @@ def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
     # peaks into an overflow warning, then wrote psk_ber 0.468 and exited 0;
     # at 1000 dB comm wrote psk_ber 0.507 and exited 0, at 3080 dB it
     # overflowed; a carrier of 1e300 Hz was refused by radar and sweep only
-    # through the scene, and comm reported rho_hat -9.9e-315 with exit 0
+    # through the scene, and comm reported rho_hat -9.9e-315 with exit 0;
+    # a carrier of 1e-300 Hz overflowed the wavelength in radar, an
+    # infinite PRT sample count exited 5, and the SNR, array, PSK order
+    # and sweep kind refusals did not name their key
     cfg = json.loads(cfg_file.read_text())
     cfg[section] = {**cfg.get(section, {}), **values}
     p = tmp_path / "bad.json"
@@ -792,6 +813,65 @@ def test_every_command_names_a_refused_key(cfg_file, tmp_path, capsys,
     assert error["error"] == "config"
     assert error["message"].startswith(key)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, edits, names", [
+    ("txgen", {"radar": {"carrier_freq": 1e12}},
+     ["impairment.rho", "radar.carrier_freq", "radar.prt_duration"]),
+    ("txgen", {"scene": {"targets": [{"range_m": 100.0}]}},
+     ["scene.targets[0]", "radar.hop_duration", "radar.prt_duration"]),
+    ("txgen", {"scene": {"targets": [{"range_m": 1500.0,
+                                      "velocity": 1e4}]}},
+     ["scene.targets[0]", "radar.carrier_freq", "radar.prt_duration"]),
+    ("radar", {"sweep": {"velocity_span": [-1e4, 1e4]}},
+     ["sweep.velocity_span", "radar.carrier_freq", "radar.prt_duration"]),
+    ("radar", {"sweep": {"range_span": [10.0, 20.0]}},
+     ["sweep.range_span", "radar.hop_duration", "radar.prt_duration"]),
+    ("comm", {"radar": {"n_subbands": 4, "n_tx": 2, "hops_per_pulse": 3,
+                        "bandwidth": 4e6, "sample_rate": 4e6}},
+     ["radar.n_tx", "radar.sample_rate", "radar.hop_duration"])],
+    ids=["cfo-carrier", "target-range", "target-velocity",
+         "velocity_span", "range_span", "receiver-floor"])
+def test_a_bound_set_by_the_radar_names_its_radar_keys(
+        cfg_file, tmp_path, capsys, command, edits, names):
+    # these refusals named only the key they lead with ("impairment.rho
+    # 1e-06: CFO outside the unambiguous range |cfo|*prt_duration < pi"),
+    # so a config that broke them by a radar key did not say which
+    cfg = json.loads(cfg_file.read_text())
+    for sec, values in edits.items():
+        cfg[sec] = {**cfg.get(sec, {}), **values}
+    p = tmp_path / "bound.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   command) == cli.EXIT_CONFIG
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(names[0])
+    assert all(name in message for name in names[1:]), message
+    assert not out.exists()
+
+
+def test_a_refusal_inside_a_command_leaves_no_output_directory(
+        cfg_file, tmp_path, capsys):
+    # the BER sweep builds each hop duration's config only when it runs,
+    # after the output directory is made: a hop of 1e-300 s exited 2 and
+    # left that directory behind; a directory that was there stays
+    cfg = json.loads(cfg_file.read_text())
+    cfg["sweep"]["hop_durations"] = [1e-300]
+    p = tmp_path / "hop.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "a" / "b"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "sweep") == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["message"].startswith(
+        "sweep.hop_durations")
+    assert not (tmp_path / "a").exists()
+    out.mkdir(parents=True)
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "sweep") == cli.EXIT_CONFIG
+    assert out.is_dir()
 
 
 @pytest.mark.parametrize("section, key, accepted, refused", [
@@ -957,7 +1037,7 @@ def test_psk_order_beyond_the_float64_phase_exits_2(cfg_file, tmp_path,
     assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
                    *command) == cli.EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
-    assert error["message"].startswith("order_bits must be in [0, 32]")
+    assert error["message"].startswith("run.order_bits must be in [0, 32]")
 
 
 @pytest.mark.parametrize("order_bits", [0, 5])
@@ -987,7 +1067,7 @@ def test_comm_modulation_flag_beyond_the_float64_phase_exits_2(
     assert run_cli("--config", str(cfg_file), "--out", str(tmp_path / "o"),
                    "comm", "--modulation", "33") == cli.EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
-    assert error["message"].startswith("order_bits must be in [0, 32]")
+    assert error["message"].startswith("run.order_bits must be in [0, 32]")
 
 
 def test_empty_sections_give_library_defaults():
@@ -1201,3 +1281,147 @@ def test_seed_changes_payload(cfg_file, tmp_path):
     run_cli("--config", str(cfg_file), "--seed", "2", "--out", str(out2),
             "txgen")
     assert (out1 / "plan.txt").read_text() != (out2 / "plan.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Property: edits drawn from cli.SCHEMA (ROADMAP item 14)
+# ---------------------------------------------------------------------------
+
+_BASE = {
+    "radar": {"prts_per_cpi": 20},
+    "impairment": {"rho": 1e-6, "sto_initial": 7.5e-9, "snr_db": 25.0,
+                   "front_end": "rippled"},
+    "scene": {"targets": [{"range_m": 1500.0, "velocity": 30.0,
+                           "azimuth_deg": 1.0}]},
+    "array": {},
+    "sweep": {"kind": "ber", "snr_grid_db": [0.0], "modulations": [3],
+              "hop_durations": [1e-6], "min_symbols": 1500, "trials": 1,
+              "n_targets": 3, "radar_snr_grid_db": [-24.0],
+              "angle_grid_points": 256, "chunk_prt": 400},
+    "run": {"seed": 3, "n_prt": 20, "order_bits": 3, "mode": "estimated"},
+}
+_DEFAULTS = {"radar": RadarConfig(), "array": rrx.ArrayModel(),
+             "sweep": bench.SweepSpec()}
+_KEYS = [(sec, key) for sec, kinds in cli.SCHEMA.items() for key in kinds]
+_STRINGS = ["", "flat", "rippled", "known", "estimated", "averaged", "ber",
+            "radar", "methods", "no-such-file"]
+_SCALES = [-1.0, 1e-9, 1e-3, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0, 1e3, 1e9]
+# the most complex samples one array of a run may hold: a larger config is
+# not run (radar at the default CPI holds 1.6e7)
+_MAX_SAMPLES = 4e6
+
+
+def _default(sec, key):
+    if key in _BASE[sec]:
+        return _BASE[sec][key]
+    return getattr(_DEFAULTS.get(sec), key, None)
+
+
+def _values(kind, default):
+    """Values of a config key's kind, around its default."""
+    if typing.get_origin(kind) is tuple:
+        elem = typing.get_args(kind)[0]
+        return st.lists(_values(elem, default[0] if default else None),
+                        max_size=3)
+    if kind is rrx.Target:
+        return st.fixed_dictionaries(
+            {"range_m": _values(float, 1500.0),
+             "velocity": _values(float, 30.0),
+             "azimuth_deg": _values(float, 1.0)},
+            optional={"coeff": st.sampled_from(["0.6-0.8j", "1", "x"])})
+    if kind is str:
+        return st.sampled_from(_STRINGS)
+    if kind is int:
+        return st.one_of(st.sampled_from([-1, 0, 1, 2, 3, 7, 33, 2 ** 40]),
+                         st.integers(0, 2 * (default or 1) + 2))
+    scale = default or 1.0
+    return st.one_of(
+        st.sampled_from([0.0, 1e-300, 1e300, -1e300, math.inf]),
+        st.sampled_from(_SCALES).map(lambda f: f * scale))
+
+
+@st.composite
+def _edits(draw):
+    keys = draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=2,
+                         unique=True))
+    return {(sec, key): draw(_values(cli.SCHEMA[sec][key],
+                                     _default(sec, key)))
+            for sec, key in keys}
+
+
+def _runs_within_the_guard(command, inp) -> bool:
+    """Whether each array ``command`` makes on ``inp`` stays within
+    ``_MAX_SAMPLES`` complex samples, and its loops stay short."""
+    cfg, sweep = inp.cfg, inp.sweep
+    grid = cfg.prts_per_cpi * cfg.hops_per_pulse * cfg.n_subbands
+    if grid > _MAX_SAMPLES or sweep.n_targets > 200:
+        return False
+    if command == "radar":
+        return (cfg.samples_per_prt * cfg.prts_per_cpi * inp.array.n_rx
+                <= _MAX_SAMPLES
+                and sweep.angle_grid_points <= 1e5)
+    if command in ("txgen", "comm"):
+        n_prt = inp.run.get("n_prt", cfg.prts_per_cpi)
+        return (n_prt * cfg.samples_per_prt <= _MAX_SAMPLES
+                and n_prt * cfg.hops_per_pulse * cfg.n_subbands
+                <= _MAX_SAMPLES)
+    if inp.kind == "radar":
+        return (len(sweep.radar_snr_grid_db) * sweep.trials <= 4
+                and sweep.angle_grid_points <= 1e5
+                and cfg.samples_per_prt * cfg.prts_per_cpi * inp.array.n_rx
+                <= _MAX_SAMPLES)
+    n_prt = 2000 if inp.kind == "methods" else sweep.chunk_prt
+    points = (1 if inp.kind == "methods" else len(sweep.snr_grid_db)
+              * len(sweep.modulations) * len(sweep.hop_durations))
+    try:
+        spans = [bench.config_for_hop_duration(cfg, hop).samples_per_prt
+                 for hop in sweep.hop_durations]
+    except ConfigError:
+        spans = []              # the sweep refuses it
+    return (points <= 4 and sweep.min_symbols <= 20 * sweep.chunk_prt
+            and n_prt * max(spans + [cfg.samples_per_prt]) <= _MAX_SAMPLES
+            and n_prt * cfg.hops_per_pulse * cfg.n_subbands <= _MAX_SAMPLES)
+
+
+def _names(message, sec, key) -> bool:
+    """Whether a refusal names ``sec.key``: in full, or, for a check across
+    fields of one section that leads with another of them
+    (``radar.n_tx = 2 exceeds n_subbands = 1``), by the key alone."""
+    return (f"{sec}.{key}" in message
+            or message.startswith(f"{sec}.")
+            and re.search(rf"\b{key}\b", message) is not None)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(edits=_edits())
+def test_schema_edits_exit_by_name_and_never_crash(edits):
+    # one or two keys set to values of their kind: each command exits 0,
+    # 2, 3 or 4, never 5; an exit 2 names the section.key of an edited key
+    # and leaves no output directory. A command whose arrays would pass
+    # _MAX_SAMPLES is not run
+    config = json.loads(json.dumps(_BASE))
+    for (sec, key), value in edits.items():
+        config[sec][key] = value
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(bench, "_usable_cpus", lambda: 1):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        try:
+            inp = cli.build_inputs(cli.load_config(path))
+        except ConfigError:
+            inp = None                  # every command refuses it
+        for command in ("txgen", "comm", "radar", "sweep"):
+            if inp is not None and not _runs_within_the_guard(command, inp):
+                continue
+            out = Path(tmp) / command
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--config", str(path), "--out", str(out),
+                                 command])
+            assert code in (0, 2, 3, 4), (command, err.getvalue())
+            if code == cli.EXIT_CONFIG:
+                message = json.loads(err.getvalue())["message"]
+                assert any(_names(message, sec, key) for sec, key in edits), (
+                    command, message)
+                assert not out.exists(), command

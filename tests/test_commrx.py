@@ -767,7 +767,7 @@ def test_complex64_frame_exact_up_to_its_order_bound(cfg, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Slot-grid memo
+# Slot-grid and blind-estimate memo
 # ---------------------------------------------------------------------------
 
 SMALL_CFG = RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4,
@@ -817,11 +817,12 @@ def _seeded_frame(cfg, source, tmp_path, n_prt=45, snr_db=-4):
                          ids=["default", "K7-M3-H4"])
 def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
         cfg, source, n_prt, snr_db, tmp_path):
-    # a frame computes its slot grid in its first demodulate and reuses it
-    # in the next: in each of the 24 orders of the four modes, on a fresh
-    # frame over the same samples, every report equals the report of a
-    # frame demodulated in that mode alone (its grid computed afresh), and
-    # no report array shares memory with the memo
+    # a frame computes its slot grid and slot table in its first
+    # demodulate, and its blind estimate in its first blind one, and reuses
+    # them in the next: in each of the 24 orders of the four modes, on a
+    # fresh frame over the same samples, every report equals the report of
+    # a frame demodulated in that mode alone (its memo computed afresh),
+    # and no report array shares memory with the memo
     rx, spec = _seeded_frame(cfg, source, tmp_path, n_prt, snr_db)
     assert not rx.data.flags.writeable
     want = {}
@@ -829,6 +830,9 @@ def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
         alone = dataclasses.replace(rx)       # a new memo key per mode
         want[m] = crx.demodulate(alone, cfg, 3, mode=m, spec=spec)
         assert list(crx._SLOT_GRIDS[alone]) == [cfg]
+        grid = crx._SLOT_GRIDS[alone][cfg]
+        assert set(vars(grid)) == (_GRID_FIELDS if m == "known"
+                                   else _GRID_FIELDS | {"blind"}), m
     # the 45-PRT frame erases some hops and codewords; the one-PRT frame
     # has no pilot pair, so the blind modes erase every hop of it, and
     # known mode must still erase none
@@ -842,8 +846,8 @@ def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
             rep = crx.demodulate(frame, cfg, 3, mode=mode, spec=spec)
             assert _same_report(rep, want[mode]), (order, mode)
         grid = crx._SLOT_GRIDS[frame][cfg]
-        memo = (grid.det.subband, grid.det.pinned, grid.peaks,
-                grid.peak_ok, *grid.codewords)
+        assert (grid.blind is None) == (n_prt == 1)
+        memo = _memo_arrays(grid)
         assert not any(a.flags.writeable for a in memo)
         for f in dataclasses.fields(rep):
             value = getattr(rep, f.name)
@@ -852,15 +856,79 @@ def test_memoized_reports_equal_a_writable_copy_in_every_mode_order(
                 assert not any(np.shares_memory(value, a) for a in memo)
 
 
+_GRID_FIELDS = {f.name for f in dataclasses.fields(crx._SlotGrid)}
+
+
+def _memo_arrays(grid):
+    """Every array a frame's memo holds: the slot grid and slot table, and
+    the blind estimate once a blind mode has computed it."""
+    arrays = [grid.det.subband, grid.det.pinned]
+    arrays += [getattr(grid, f.name) for f in dataclasses.fields(grid)
+               if isinstance(getattr(grid, f.name), np.ndarray)]
+    blind = vars(grid).get("blind")
+    if blind is not None:
+        arrays += [blind.table.values, blind.table.measured]
+        arrays += [getattr(blind, f.name) for f in dataclasses.fields(blind)
+                   if isinstance(getattr(blind, f.name), np.ndarray)]
+    return arrays
+
+
+def test_the_blind_modes_estimate_a_frame_once(cfg, tmp_path, monkeypatch):
+    # per frame and config, the three blind modes estimate the CFO and
+    # measure the pilot table once, and take the correction factor twice
+    # (for the table's pilots and for the payload slots); a frame
+    # demodulated only in known mode makes none of these calls
+    calls = {}
+
+    def counted(name):
+        original = getattr(crx, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(crx, name, wrapper)
+
+    for name in ("estimate_cfo", "build_pilot_ratios", "correction_factor"):
+        counted(name)
+    rx, spec = _seeded_frame(cfg, "read_iq", tmp_path)
+    for mode in ("known", "flat", "estimated", "averaged"):
+        crx.demodulate(rx, cfg, 3, mode=mode, spec=spec)
+        if mode == "known":
+            assert calls == {}
+    assert calls == {"estimate_cfo": 1, "build_pilot_ratios": 1,
+                     "correction_factor": 2}
+    calls.clear()
+    other = dataclasses.replace(rx)
+    for _ in range(2):
+        crx.demodulate(other, cfg, 3, mode="known", spec=spec)
+    assert calls == {}
+
+
+def test_the_blind_reports_of_a_frame_share_one_frozen_sync_estimate(
+        cfg, tmp_path):
+    rx, spec = _seeded_frame(cfg, "apply", tmp_path)
+    reps = [crx.demodulate(rx, cfg, 3, mode=m, spec=spec)
+            for m in ("estimated", "averaged", "flat")]
+    assert all(r.sync is reps[0].sync for r in reps)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reps[0].sync.cfo = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        crx.demodulate(rx, cfg, 3, mode="known", spec=spec).sync.rho = 0.0
+
+
 def test_memo_arrays_refuse_writes_and_belong_to_one_frame_and_config(
         cfg, tmp_path):
     rx, spec = _seeded_frame(cfg, "apply", tmp_path)
     grid = crx._slot_grid(rx, cfg)
     assert crx._slot_grid(rx, cfg) is grid
     with pytest.raises(ValueError):
-        grid.codewords[3][0] = -1
+        grid.fhcs_rows[0, 3] = -1
     with pytest.raises(ValueError):
         grid.peak_ok[0] = False
+    with pytest.raises(ValueError):
+        grid.blind.corr[0] = 1.0
+    with pytest.raises(ValueError):
+        grid.blind.table.values[0] = 1.0
     other = dataclasses.replace(cfg, carrier_freq=2 * cfg.carrier_freq)
     assert crx._slot_grid(rx, other) is not grid
     assert set(crx._SLOT_GRIDS[rx]) == {cfg, other}

@@ -37,8 +37,11 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   reports are hashed too. In each mode the frame is also demodulated as a
   fresh frame over the same samples (``dataclasses.replace``, a new memo
   key): within each tree, every report of the frame itself (its slot grid
-  computed once and reused by the later modes) must equal the fresh
-  frame's field by field.
+  computed once and reused by the later modes, its blind estimate
+  computed by the first blind mode) must equal the fresh frame's field by
+  field, and so must every report of another such frame demodulated in
+  the reverse mode order, ``known`` first, whose memo fills in the other
+  order.
 
 Every output that differs between the two trees is named. A change that
 alters seeded outputs on purpose (a named seed-contract change) lists
@@ -194,6 +197,10 @@ def collect(out: Path) -> None:
             fhiq.read_bytes()).hexdigest()
         back = read_iq(fhiq)
         fhiq.unlink()
+        reverse = dataclasses.replace(rx)
+        reversed_reps = {mode: commrx.demodulate(reverse, cfg, order_bits,
+                                                 mode=mode, spec=spec)
+                         for mode in reversed(MODES)}
         for mode in MODES:
             rep, fresh, read_back = (
                 commrx.demodulate(frame, cfg, order_bits, mode=mode,
@@ -201,8 +208,11 @@ def collect(out: Path) -> None:
                 for frame in (rx, dataclasses.replace(rx), back))
             key = f"{name}/{mode}"
             own, other = _digests(key, rep), _digests(key, fresh)
-            unlike_fresh += sorted(k for k in own.keys() | other.keys()
-                                   if own.get(k) != other.get(k))
+            for order, memoized in (("", own), (" (reverse order)",
+                                    _digests(key, reversed_reps[mode]))):
+                unlike_fresh += sorted(
+                    k + order for k in memoized.keys() | other.keys()
+                    if memoized.get(k) != other.get(k))
             digests |= own | _digests(f"{name}/read_iq/{mode}", read_back)
             digests |= _digests(f"{key}/score_report",
                                 commrx.score_report(rep, plan, psk, cfg))
