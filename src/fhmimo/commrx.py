@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig, check_order_bits
+from .config import ConfigError, RadarConfig, Value, check_order_bits
 from .iqfile import IqFrame, write_csv
 from .impairments import ImpairmentSpec, expected_hop_peak, sto_from_rho
 from .waveform import (HopPlan, PskGrid, gray_encode, hop_groups,
@@ -107,8 +107,8 @@ def _lane_median(a: np.ndarray) -> np.ndarray:
                     hi if n % 2 else (lo + hi) / 2)
 
 
-@dataclass(frozen=True)
-class _SlotGrid:
+@dataclass(frozen=True, eq=False)
+class _SlotGrid(Value):
     """What :func:`demodulate` reads of a frame before it reads the mode.
 
     The slot grid: the detected plan, the slot peaks and their floor test
@@ -118,8 +118,7 @@ class _SlotGrid:
     the zero pilots and their floor test, and the FHCS rows, a codeword
     erased when its hop is or when it is outside the usable range. What
     the blind modes share (:attr:`blind`) is computed on its first read,
-    so ``known`` never pays for it. Every array is read-only: a report
-    copies the rows it changes.
+    so ``known`` never pays for it. A report copies the rows it changes.
     """
 
     cfg: RadarConfig
@@ -140,11 +139,6 @@ class _SlotGrid:
 
 # frame -> {cfg: _SlotGrid}; an entry dies with its frame
 _SLOT_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
@@ -169,8 +163,6 @@ def _slot_grid(frame: IqFrame, cfg: RadarConfig) -> _SlotGrid:
                      peaks[row, h, m], peaks[:, ants, ants],
                      peak_ok[:, ants, ants],
                      np.stack([prt, hop, bits, cw], axis=1))
-    _read_only(det.subband, det.pinned,
-               *(getattr(grid, f.name) for f in fields(grid)[2:]))
     memo[cfg] = grid
     return grid
 
@@ -242,8 +234,8 @@ def correction_factor(i, h, m, k, sync: SyncEstimate, cfg: RadarConfig):
 # Pilot-ratio table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PilotRatioTable:
+@dataclass(frozen=True, eq=False)
+class PilotRatioTable(Value):
     """Per-(group, antenna, sub-band offset) pilot-ratio residuals.
 
     Group g covers batch rows g*K .. g*K+K-1, one pilot cycle. A measured
@@ -311,13 +303,12 @@ def _averaged_table(table: PilotRatioTable) -> PilotRatioTable:
                              for a in (values, n > 0)))
 
 
-@dataclass(frozen=True)
-class _BlindEstimate:
+@dataclass(frozen=True, eq=False)
+class _BlindEstimate(Value):
     """What every blind mode reads of a frame besides its slot table: the
     sync estimate, the pilot table as measured (each mode transforms it
     into a table of its own), and each payload slot's pilot cycle,
-    correction factor, same-PRT zero pilot and that pilot's floor test.
-    Every array is read-only."""
+    correction factor, same-PRT zero pilot and that pilot's floor test."""
 
     sync: SyncEstimate
     table: PilotRatioTable
@@ -344,12 +335,9 @@ def _blind_estimate(grid: _SlotGrid) -> _BlindEstimate | None:
                                sync, cfg, grid.zero_ok & cycled_ok)
     i, h, m, k = grid.slots[:, :4].T
     row = i - det.first_prt
-    blind = _BlindEstimate(sync, table, row // cfg.n_subbands,
-                           correction_factor(i, h, m, k, sync, cfg),
-                           grid.zero[row, m], grid.zero_ok[row, m])
-    _read_only(table.values, table.measured,
-               *(getattr(blind, f.name) for f in fields(blind)[2:]))
-    return blind
+    return _BlindEstimate(sync, table, row // cfg.n_subbands,
+                          correction_factor(i, h, m, k, sync, cfg),
+                          grid.zero[row, m], grid.zero_ok[row, m])
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +448,11 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         sync = blind.sync
         table = (_averaged_table if mode == "averaged"
                  else _carried_table)(blind.table)
-        if mode == "flat":
-            table.values[:] = 1.0
         # each payload slot's entry: its group, antenna and offset
         entry = blind.group, grid.slots[:, 2], grid.slots[:, 4]
-        ref = table.values[entry] * blind.corr * blind.pilot
+        # flat mode reads every pilot-table residual as 1
+        residual = 1.0 if mode == "flat" else table.values[entry]
+        ref = residual * blind.corr * blind.pilot
         raw_phase = np.angle(grid.payload * np.conj(ref))
         # no usable reference: an unmeasured entry or a sub-floor pilot
         slots[~table.measured[entry] | ~blind.pilot_ok, 5] = 1

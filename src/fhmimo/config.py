@@ -27,6 +27,27 @@ def prefixed(prefix: str):
         raise ConfigError(prefix + str(exc)) from None
 
 
+class Value:
+    """Base of a frozen value dataclass that holds arrays, declared
+    ``@dataclass(frozen=True, eq=False)``: its fields cannot be rebound,
+    it hashes by identity, and it takes every array field read-only,
+    first copying an array that does not own its memory (the owner of a
+    view can still write it). An array it takes as is must have no
+    writable view left, which could still change the value. The receiver
+    relies on this to memoize what it computes of a frame
+    (``commrx.demodulate``). To edit a value, edit copies of its arrays
+    and build a new one (``dataclasses.replace``). A subclass with its own
+    ``__post_init__`` runs its checks first, then this one."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                if not value.flags.owndata:
+                    value = value.copy()
+                    object.__setattr__(self, name, value)
+                value.flags.writeable = False
+
+
 def _as_exact_int(value: float, name: str) -> int:
     n = round(value) if np.isfinite(value) else 0
     if n <= 0 or abs(value - n) > 1e-6:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig
+from .config import ConfigError, RadarConfig, Value
 from .iqfile import IqFrame
 from .waveform import HopPlan, PskGrid
 
@@ -54,8 +54,8 @@ def dft_window_gain(cfo, n_samples: int, sample_rate: float):
     return mag * np.exp(1j * (n_samples - 1) * phi / 2.0)
 
 
-@dataclass(frozen=True)
-class FrontEndProfile:
+@dataclass(frozen=True, eq=False)
+class FrontEndProfile(Value):
     """Frequency-dependent complex gain of each transmit chain.
 
     ``gains[m, k]`` is the gain of antenna m at sub-band k; ``channel[m]``
@@ -69,6 +69,7 @@ class FrontEndProfile:
     def __post_init__(self):
         if np.any(np.abs(self.gains) <= 0):
             raise ConfigError("front-end gain magnitude must be positive")
+        super().__post_init__()
 
     @classmethod
     def flat(cls, cfg: RadarConfig) -> "FrontEndProfile":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig
+from .config import ConfigError, RadarConfig, Value
 
 _MAGIC = "FHIQ1"
 
@@ -29,7 +29,7 @@ class IqFormatError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class IqFrame:
+class IqFrame(Value):
     """Complex baseband samples of whole PRTs, starting at absolute PRT
     ``first_prt`` (the pilot-cycle phase of a capture).
 
@@ -38,13 +38,8 @@ class IqFrame:
     it leaves out are 0. A simulated frame stores only its pulse, and
     :func:`write_iq` writes the zero tail.
 
-    A frame is a value: its fields cannot be rebound, it hashes by
-    identity, and it takes ``data`` read-only, first copying an array that
-    does not own its memory (the owner of a view can still write it). An
-    array it takes as is must have no writable view left, which could
-    still change the samples. The receiver relies on that to compute a
-    frame's slot grid once (``commrx.demodulate``). To edit samples, edit
-    a copy and wrap it."""
+    A frame is a :class:`~fhmimo.config.Value`, so its samples are
+    read-only. To edit samples, edit a copy and wrap it."""
 
     data: np.ndarray          # (n_channels, n_prt, stored samples) complex
     sample_rate: float
@@ -60,9 +55,7 @@ class IqFrame:
             raise ConfigError(
                 f"frame stores {self.data.shape[2]} samples of "
                 f"{self.samples_per_prt}-sample PRTs")
-        if not self.data.flags.owndata:
-            object.__setattr__(self, "data", self.data.copy())
-        self.data.flags.writeable = False
+        super().__post_init__()
 
     @property
     def n_channels(self) -> int:

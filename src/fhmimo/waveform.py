@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig, check_order_bits
+from .config import ConfigError, RadarConfig, Value, check_order_bits
 from .iqfile import IqFrame, write_csv
 
 
@@ -38,12 +38,13 @@ class PayloadLengthError(ValueError):
 def _comb_cumsum(n: int, m: int) -> np.ndarray:
     """Table F[r, t] = sum_{x<t} C(n-1-x, r) for r in 0..m-1, t in 0..n.
 
-    Cached; callers must not mutate the returned array.
+    Cached, so read-only.
     """
     table = np.zeros((m, n + 1), dtype=np.int64)
     for r in range(m):
         vals = [math.comb(n - 1 - x, r) for x in range(n)]
         table[r, 1:] = np.cumsum(vals)
+    table.flags.writeable = False
     return table
 
 
@@ -91,8 +92,8 @@ def codebook_bits(pool: int, n_pick: int) -> int:
 # Pilot layout
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HopGroup:
+@dataclass(frozen=True, eq=False)
+class HopGroup(Value):
     """Rows of a PRT batch that share the pilot structure of one hop."""
 
     hop: int
@@ -165,8 +166,8 @@ def _subbands_to_positions(ks: np.ndarray, pin_ks: np.ndarray) -> np.ndarray:
 # Hop plans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HopPlan:
+@dataclass(frozen=True, eq=False)
+class HopPlan(Value):
     """Per-(PRT, hop, antenna) sub-band assignment with pilot flags."""
 
     subband: np.ndarray      # (n_prt, H, M) int
@@ -313,8 +314,8 @@ def gray_decode(g):
     return p
 
 
-@dataclass
-class PskGrid:
+@dataclass(frozen=True, eq=False)
+class PskGrid(Value):
     """Per-slot PSK phases; pilots carry phase 0 and symbol index -1."""
 
     phases: np.ndarray       # (n_prt, H, M) float radians

@@ -681,6 +681,19 @@ def test_demodulate_rejects_unknown_mode(cfg, rng):
         crx.demodulate(rx, cfg, 3, mode="known")  # needs the true spec
 
 
+def test_score_report_refuses_the_truth_of_another_capture(cfg, rng):
+    # a plan of another length has another slot count; a plan one pilot
+    # cycle later has the same slots, but its FHCS rows name other PRTs
+    plan, psk, rx = _chain(cfg, 40, rng)
+    rep = crx.demodulate(rx, cfg, 3)
+    longer = wf.plan_hops(cfg, n_prt=41, rng=rng)
+    with pytest.raises(ValueError, match="slot count mismatch"):
+        crx.score_report(rep, longer, wf.make_psk_grid(cfg, longer, 3), cfg)
+    later = dataclasses.replace(plan, first_prt=cfg.n_subbands)
+    with pytest.raises(ValueError, match="FHCS row layout mismatch"):
+        crx.score_report(rep, later, psk, cfg)
+
+
 def test_demodulate_rejects_frame_of_another_config(cfg, rng):
     plan, psk, rx = _chain(cfg, 4, rng)
     for other in (RadarConfig(sample_rate=80e6),

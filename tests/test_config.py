@@ -1,9 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from fhmimo import bench, commrx, waveform
+from fhmimo import bench, commrx, impairments, waveform
 from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
                            RadarConfig, check_order_bits, noise_var_for_snr)
 
@@ -144,3 +145,59 @@ def test_snr_conversion_is_one_function(cfg):
             with pytest.raises(ConfigError,
                                match=re.escape(f"snr_db={snr_db:g} dB ")):
                 refuse(snr_db)
+
+
+@pytest.fixture(scope="module")
+def values():
+    """One value of each type that derives from ``config.Value``, by name:
+    the transmit truth and received frame of a noiseless 45-PRT capture,
+    the receiver's memo of that frame and a rippled front end. The plan
+    and the pilot table are built from views: a traditional plan keeps a
+    slice of an argsort, and the averaged table broadcasts one group's
+    entries over every group."""
+    cfg = RadarConfig()
+    plan = waveform.plan_hops(cfg, n_prt=45, rng=1, first_prt=5)
+    psk = waveform.make_psk_grid(cfg, plan, 3, rng=2)
+    frame = impairments.apply(waveform.synthesize(plan, psk, cfg), plan, psk,
+                              impairments.ImpairmentSpec(), cfg)
+    grid = commrx._slot_grid(frame, cfg)
+    return {"IqFrame": frame, "PskGrid": psk,
+            "HopPlan": waveform.plan_hops(cfg, n_prt=4, mode="traditional",
+                                          rng=4),
+            "HopGroup": waveform.hop_groups(cfg, plan.prt_indices())[1],
+            "FrontEndProfile": impairments.FrontEndProfile.rippled(cfg,
+                                                                   rng=3),
+            "PilotRatioTable": commrx._averaged_table(grid.blind.table),
+            "_SlotGrid": grid, "_BlindEstimate": grid.blind}
+
+
+@pytest.mark.parametrize("name", [
+    "IqFrame", "HopPlan", "PskGrid", "HopGroup", "FrontEndProfile",
+    "PilotRatioTable", "_SlotGrid", "_BlindEstimate"])
+def test_a_value_holds_read_only_arrays_and_copies_a_view(values, name):
+    # every array field refuses writes and owns its memory, no field can be
+    # rebound, dataclasses.replace builds a new value that takes read-only
+    # arrays as they are, and a view is copied, since its owner can still
+    # write it
+    value = values[name]
+    assert type(value).__name__ == name
+    arrays = {k: a for k, a in vars(value).items()
+              if isinstance(a, np.ndarray)}
+    assert arrays
+    for k, a in arrays.items():
+        assert a.flags.owndata and not a.flags.writeable, k
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, k, a.copy())
+    twin = dataclasses.replace(value)
+    assert twin is not value and twin != value
+    assert all(getattr(twin, k) is a for k, a in arrays.items())
+    owners = {k: a.copy() for k, a in arrays.items()}
+    viewed = dataclasses.replace(value, **{k: owner[...]
+                                          for k, owner in owners.items()})
+    for k, owner in owners.items():
+        taken = getattr(viewed, k)
+        assert not np.shares_memory(taken, owner), k
+        assert np.array_equal(taken, owner) and not taken.flags.writeable
+        assert owner.flags.writeable

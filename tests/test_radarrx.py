@@ -470,8 +470,10 @@ def test_mtd_parseval_and_correlator_energy(cfg):
 # ---------------------------------------------------------------------------
 
 def test_cfar_false_alarm_calibration(cfg):
-    # noise-only maps: empirical false-alarm rate within 3x nominal over
-    # >= 1e6 cells, for both operating points
+    # noise-only maps: cfar_detect's own detections per cell within 3x the
+    # nominal rate over >= 1e6 cells, for both operating points. Keeping
+    # only local maxima lowers the count: over 16 such CPIs it was 0.91
+    # (1e-4) and 0.985 (1e-3) of p_fa x cells
     plan, psk = _plan_psk(cfg, 128)
     arr = rrx.ArrayModel()
     counts = {1e-3: 0, 1e-4: 0}
@@ -480,16 +482,9 @@ def test_cfar_false_alarm_calibration(cfg):
         rx = rrx.synthesize_echo(plan, psk, (), arr, cfg,
                                  noise_var=1.0, rng=100 + trial)
         rdm = rrx.mtd(rrx.matched_filter(rx, plan, psk, cfg), cfg)
-        stat = rdm.detection_statistic()
-        sat = np.zeros((stat.shape[0] + 1, stat.shape[1] + 1))
-        sat[1:, 1:] = stat.cumsum(axis=0).cumsum(axis=1)
-        s_out, c_out = rrx._box_mean(sat, 10)
-        s_in, c_in = rrx._box_mean(sat, 2)
-        train = (s_out - s_in) / np.maximum(c_out - c_in, 1)
         for pfa in counts:
-            alpha = rrx.cfar_threshold_scale(24, pfa)
-            counts[pfa] += int((stat > alpha * train).sum())
-        cells += stat.size
+            counts[pfa] += len(rrx.cfar_detect(rdm, pfa))
+        cells += rdm.n_doppler * rdm.n_range
     assert cells >= 1_000_000
     for pfa, n in counts.items():
         ratio = (n / cells) / pfa

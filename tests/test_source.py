@@ -34,6 +34,19 @@ UNREAD_FIELDS_ON_PURPOSE = {
 }
 
 
+# Library dataclasses with array fields that are working types, not
+# values (``config.Value``): their arrays are written after construction.
+MUTABLE_ON_PURPOSE = {
+    # a caller may edit a report's arrays; the memo test asserts they are
+    # writable and share no memory with the receiver's memo
+    "commrx.DemodReport",
+    # estimate_params fills the range, velocity and azimuth columns
+    "radarrx.DetectionList",
+    # mtd writes the cube in place
+    "radarrx.RangeDopplerMap",
+}
+
+
 def _library_trees() -> dict:
     """Module name -> ``ast`` tree of every module of the package."""
     return {path.stem: ast.parse(path.read_text())
@@ -124,6 +137,21 @@ def _unread_fields(trees: dict) -> set[str]:
             and stmt.target.id not in read}
 
 
+def _array_dataclasses_not_values(trees: dict) -> set[str]:
+    """``module.Class`` of every module-level dataclass in ``trees``
+    (module name -> ``ast`` tree) that has a field whose annotation names
+    ``ndarray`` and does not derive from ``Value`` (by name or as a
+    module attribute)."""
+    return {f"{module}.{cls.name}"
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            and any(isinstance(stmt, ast.AnnAssign)
+                    and "ndarray" in ast.unparse(stmt.annotation)
+                    for stmt in cls.body)
+            and not any(ast.unparse(b).split(".")[-1] == "Value"
+                        for b in cls.bases)}
+
+
 def _module_names(tree: ast.Module, modules: set) -> set[str]:
     """Names ``tree`` binds to a module of ``modules``: by ``from . import
     m``, ``from fhmimo import m`` or ``import fhmimo.m as n``."""
@@ -211,6 +239,40 @@ def test_unread_field_check_sees_what_it_claims():
                             "D(1, 2, c=3).total()\n"),
              "__init__": ast.parse("from .m import E\nE(1).d\n")}
     assert _unread_fields(trees) == {"m.D.c", "m.E.d"}
+
+
+def test_every_dataclass_holding_arrays_is_a_value():
+    assert _array_dataclasses_not_values(_library_trees()) == (
+        MUTABLE_ON_PURPOSE)
+
+
+def test_array_value_check_sees_what_it_claims():
+    trees = {"m": ast.parse("import numpy as np\n"
+                            "from dataclasses import dataclass\n"
+                            "from . import config\n"
+                            "from .config import Value\n"
+                            "@dataclass(frozen=True, eq=False)\n"
+                            "class A(Value):\n"
+                            "    x: np.ndarray\n"
+                            "@dataclass(frozen=True, eq=False)\n"
+                            "class B(config.Value):\n"
+                            "    x: np.ndarray | None\n"
+                            "@dataclass\n"
+                            "class C:\n"
+                            "    x: 'np.ndarray'\n"
+                            "@dataclass(frozen=True)\n"
+                            "class D:\n"
+                            "    n: int\n"
+                            "    x: tuple[np.ndarray, ...]\n"
+                            "@dataclass\n"
+                            "class E:\n"
+                            "    n: int\n"
+                            "class F:\n"
+                            "    x: np.ndarray\n"
+                            "@dataclass\n"
+                            "class G(F):\n"
+                            "    y: np.ndarray\n")}
+    assert _array_dataclasses_not_values(trees) == {"m.C", "m.D", "m.G"}
 
 
 def test_no_library_module_assigns_another_modules_attribute():

@@ -184,6 +184,14 @@ def test_plan_bits_exhausted(cfg):
         wf.plan_hops(cfg, fhcs_bits=np.ones(10, dtype=np.uint8), n_prt=40)
 
 
+def test_plan_hops_refuses_an_empty_plan_and_an_unknown_mode(cfg):
+    for mode in ("dfrc", "traditional"):
+        with pytest.raises(ConfigError, match="n_prt must be >= 1"):
+            wf.plan_hops(cfg, n_prt=0, mode=mode, rng=0)
+    with pytest.raises(ValueError, match="unknown plan mode 'fhcs'"):
+        wf.plan_hops(cfg, n_prt=3, mode="fhcs", rng=0)
+
+
 def test_per_prt_capacity(cfg):
     # M=2, K=20: hops carry floor(log2(C(19,1)))=4, 0, 4, 7, 7 bits on a
     # regular PRT; the zero-offset PRT frees the cycled-pilot slots
@@ -314,6 +322,13 @@ def test_a_negative_first_prt_is_refused(cfg):
     with pytest.raises(ConfigError, match="first_prt must be >= 0"):
         wf.IqFrame(data, 1.0, first_prt=-1)
     assert data.flags.writeable
+
+
+def test_synthesize_refuses_a_grid_of_another_plan(cfg, rng):
+    plan = wf.plan_hops(cfg, n_prt=3, rng=rng)
+    longer = wf.plan_hops(cfg, n_prt=4, rng=rng)
+    with pytest.raises(ValueError, match="psk grid does not match plan"):
+        wf.synthesize(plan, wf.make_psk_grid(cfg, longer, 3, rng=rng), cfg)
 
 
 def test_frame_hops_is_a_read_only_view(cfg, rng):
