@@ -114,7 +114,7 @@ def data_rate(order_bits: int, cfg: RadarConfig) -> tuple[float, float]:
 MAX_RIPPLE_DB = 150.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """Knobs of the Monte-Carlo studies; defaults follow the experiment
     configuration (50 targets uniform in [-170,170] m/s, [750,4185] m,
@@ -124,7 +124,7 @@ class SweepSpec:
                                       10, 12, 14, 16, 18, 20)
     modulations: tuple[int, ...] = (3, 4)     # PSK bits per symbol
     hop_durations: tuple[float, ...] = (0.5e-6, 1e-6)
-    min_symbols: int = 10000             # per point, PSK symbols and FHCS bits
+    min_symbols: int = 10000             # PSK symbols, FHCS codewords a point
     comm_mode: str = "known"             # one of commrx.MODES
     rho_span: tuple[float, ...] = (1e-6, 2.2e-6)  # |clock stability| range
     ripple_db: float = 1.0
@@ -204,7 +204,7 @@ class SweepSpec:
             for _ in range(self.n_targets))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepReport:
     columns: list
     rows: list

@@ -100,11 +100,16 @@ def _convert(value, kind, key: str):
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
     """Parse the JSON run configuration and check its keys;
-    :func:`build_inputs` converts its values."""
+    :func:`build_inputs` converts its values. A file that is not UTF-8
+    JSON, or that nests deeper than the decoder can recurse, is a
+    :class:`ConfigError` that names it."""
     raw = {}
     if path is not None:
-        with open(path) as f:
-            raw = json.load(f)
+        try:
+            with open(path, encoding="utf-8") as f:
+                raw = json.load(f)
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON
+            raise ConfigError(f"{path}: {exc}") from None
     _check_keys("<root>", raw, SCHEMA)
     for sec, kinds in SCHEMA.items():
         _check_keys(sec, raw.setdefault(sec, {}), kinds)
@@ -353,7 +358,7 @@ def main(argv=None) -> int:
                    "radar": cmd_radar, "sweep": cmd_sweep}[args.command]
         handler(inputs, out_dir)
         return EXIT_OK
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         code = _fail("config", exc, EXIT_CONFIG)
     except PayloadLengthError as exc:
         code = _fail("payload", exc, EXIT_PAYLOAD)

@@ -118,7 +118,8 @@ class _SlotGrid(Value):
     the zero pilots and their floor test, and the FHCS rows, a codeword
     erased when its hop is or when it is outside the usable range. What
     the blind modes share (:attr:`blind`) is computed on its first read,
-    so ``known`` never pays for it. A report copies the rows it changes.
+    so ``known`` never pays for it. A report shares the rows its mode
+    does not change, and takes a copy of those it does.
     """
 
     cfg: RadarConfig
@@ -344,15 +345,16 @@ def _blind_estimate(grid: _SlotGrid) -> _BlindEstimate | None:
 # Demodulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DemodReport:
+@dataclass(frozen=True, eq=False)
+class DemodReport(Value):
     """Recovered payload with per-symbol diagnostics.
 
     ``slots`` columns: prt, hop, antenna, detected sub-band, offset, erased.
     ``fhcs_rows`` columns: prt, hop, n_bits, codeword, with codeword -1
     when erased or outside the usable range. ``sync`` is None when the
     blind receiver found no pair of consecutive PRTs with pilots above the
-    noise floor; every hop, slot and codeword is then erased.
+    noise floor; every hop, slot and codeword is then erased. The rows a
+    mode does not change are the frame's memo rows (:class:`_SlotGrid`).
     """
 
     order_bits: int
@@ -431,7 +433,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         raise ValueError("known-channel mode needs the impairment spec")
 
     grid = _slot_grid(frame, cfg)
-    slots, fhcs_rows = grid.slots.copy(), grid.fhcs_rows.copy()
+    slots, fhcs_rows = grid.slots, grid.fhcs_rows
     n_erased_hops = int(grid.hop_erased.sum())
     if mode == "known":
         sync = SyncEstimate.from_spec(spec, cfg)
@@ -440,6 +442,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
     elif grid.blind is None:                # no pilot pair: nothing to
         sync = None                         # correct with
         n_erased_hops = grid.hop_erased.size
+        slots, fhcs_rows = slots.copy(), fhcs_rows.copy()
         slots[:, 5] = 1
         fhcs_rows[:, 3] = -1
         raw_phase = np.zeros(len(slots))
@@ -455,6 +458,7 @@ def demodulate(frame: IqFrame, cfg: RadarConfig, order_bits: int,
         ref = residual * blind.corr * blind.pilot
         raw_phase = np.angle(grid.payload * np.conj(ref))
         # no usable reference: an unmeasured entry or a sub-floor pilot
+        slots = slots.copy()
         slots[~table.measured[entry] | ~blind.pilot_ok, 5] = 1
 
     size = 1 << order_bits
@@ -476,7 +480,7 @@ def rate(errors: float, n: int) -> float:
     return errors / n if n else float("nan")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorCounts:
     """Bit/symbol error tallies; erased symbols count half their bits wrong.
     A rate over an empty count is NaN (:func:`rate`)."""

@@ -12,12 +12,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig
+from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig, Value
 from .impairments import complex_noise
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
@@ -234,8 +234,8 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     return profiles
 
 
-@dataclass
-class RangeDopplerMap:
+@dataclass(frozen=True, eq=False)
+class RangeDopplerMap(Value):
     """Doppler-transformed per-channel cube and its physical bin scalings."""
 
     cube: np.ndarray         # (n_doppler, P, n_range) complex
@@ -279,8 +279,8 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
     profiles: (n_prt, P, n_range), as :func:`matched_filter` writes them.
     Each channel is transformed along the PRT axis and written back
     shifted, so bin n_doppler//2 is zero Doppler: ``profiles`` is
-    overwritten and becomes the map's (n_doppler, P, n_range) cube. Each
-    channel is one :func:`_each` task.
+    overwritten and becomes the map's (n_doppler, P, n_range) cube, and is
+    read-only from then on. Each channel is one :func:`_each` task.
     """
     F = profiles.shape[0]
     s = F // 2
@@ -323,13 +323,13 @@ def cfar_threshold_scale(n_channels: int, p_fa: float) -> float:
     return q / (n_channels * mean1)
 
 
-@dataclass
-class DetectionList:
+@dataclass(frozen=True, eq=False)
+class DetectionList(Value):
     """The D detections of one CPI as columns, each an array over D.
 
-    ``cfar_detect`` fills the bins and the CFAR statistic and threshold;
-    ``estimate_params`` fills ``range_m``, ``velocity`` and
-    ``azimuth_deg``, which are zero until then.
+    ``cfar_detect`` gives the bins and the CFAR statistic and threshold,
+    with ``range_m``, ``velocity`` and ``azimuth_deg`` zero;
+    ``estimate_params`` returns the list with those three filled.
     """
 
     doppler_bin: np.ndarray   # (D,) int
@@ -443,19 +443,20 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
 
 def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
                     array: ArrayModel, grid: np.ndarray) -> DetectionList:
-    """Fill the range, velocity and azimuth columns of a CPI's detections.
+    """A CPI's detections with the range, velocity and azimuth columns
+    filled.
 
     Range and velocity come from the bin columns; the (D, P) channel
     vectors of the detected cells go to one ``estimate_angle`` call.
     """
     cfg = rdm.cfg
     t_star = (rdm.range_offset + dets.range_bin) / cfg.sample_rate
-    dets.range_m = SPEED_OF_LIGHT * t_star / 2.0
     f_star = rdm.doppler_freqs()[dets.doppler_bin]
-    dets.velocity = cfg.wavelength * f_star / 2.0
-    dets.azimuth_deg = estimate_angle(
-        rdm.cube[dets.doppler_bin, :, dets.range_bin], array, grid)
-    return dets
+    return replace(
+        dets, range_m=SPEED_OF_LIGHT * t_star / 2.0,
+        velocity=cfg.wavelength * f_star / 2.0,
+        azimuth_deg=estimate_angle(
+            rdm.cube[dets.doppler_bin, :, dets.range_bin], array, grid))
 
 
 def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
@@ -484,6 +485,4 @@ def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     profiles = matched_filter(rx, plan, psk, cfg)
     del rx              # nothing reads the echo after pulse compression
     rdm = mtd(profiles, cfg)
-    dets = cfar_detect(rdm, p_fa)
-    estimate_params(dets, rdm, array, grid)
-    return rdm, dets
+    return rdm, estimate_params(cfar_detect(rdm, p_fa), rdm, array, grid)

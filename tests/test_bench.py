@@ -99,6 +99,13 @@ def test_sweep_spec_checks_the_target_count_and_psk_orders():
     assert bench.SweepSpec(n_targets=0, modulations=(0, 32)).n_targets == 0
 
 
+def test_sweep_spec_refuses_a_negative_seed():
+    # SeedSequence takes no negative entropy; the CLI refuses run.seed < 0
+    # before it builds the spec, so only a library caller reaches this
+    with pytest.raises(ConfigError, match="sweep.seed must be >= 0, got -1"):
+        bench.SweepSpec(seed=-1)
+
+
 def test_ber_point_random_guess_baseline(cfg):
     # deep noise: PSK bits are coin flips (BER ~ 0.5 within CI)
     sweep = bench.SweepSpec(min_symbols=4000, seed=5)

@@ -174,6 +174,24 @@ def test_iq_file_rejects_garbage(tmp_path):
             read_iq(p)
 
 
+@pytest.mark.parametrize("header, match", [
+    (b"FHIQ1\nsample_rate\ndata\n", "bad header line 'sample_rate'"),
+    (b"FHIQ1\nsample_rate=1\nchannels=1\ndata\n",
+     "incomplete header: 'samples'")],
+    ids=["line-without-a-value", "no-samples-key"])
+def test_read_iq_names_what_is_wrong_with_a_header(tmp_path, header, match):
+    p = tmp_path / "bad.iq"
+    p.write_bytes(header + bytes(80))
+    with pytest.raises(IqFormatError, match=match):
+        read_iq(p)
+
+
+def test_write_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    iqfile.write_csv(tmp_path / "x.csv", ["n", "x"],
+                     [(np.int64(-7), np.float32(0.5))])
+    assert (tmp_path / "x.csv").read_text() == "n,x\n-7,0.5\n"
+
+
 def test_txgen_writes_outputs(cfg_file, tmp_path):
     out = tmp_path / "tx"
     assert run_cli("--config", str(cfg_file), "--out", str(out),
@@ -196,6 +214,21 @@ def test_txgen_payload_file_and_exhaustion(cfg_file, tmp_path):
     bad.write_text(json.dumps(cfg))
     assert run_cli("--config", str(bad), "--out", str(tmp_path / "o"),
                    "txgen") == cli.EXIT_PAYLOAD
+
+
+def test_a_payload_file_without_bits_exits_4(cfg_file, tmp_path, capsys):
+    payload = tmp_path / "bits.txt"
+    payload.write_text("no binary digits here\n")
+    cfg = json.loads(cfg_file.read_text())
+    cfg["run"]["payload_file"] = str(payload)
+    p = tmp_path / "cfg2.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "txgen") == cli.EXIT_PAYLOAD == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "payload",
+                     "message": f"no payload bits found in {payload}"}
 
 
 def test_comm_end_to_end_and_determinism(cfg_file, tmp_path):
@@ -390,6 +423,26 @@ def test_radar_command(cfg_file, tmp_path):
     assert (out / "rdm.bin").stat().st_size > 1000
     # the random scene's count is the sweep's, 3 in the fixture
     assert len((out / "scene.csv").read_text().splitlines()) == 2 + 3
+
+
+def test_radar_without_an_snr_runs_at_0_db(cfg_file, tmp_path):
+    # the echo's noise defaults to 0 dB: the same map, and the same
+    # detections apart from the config hash, as radar --snr 0
+    cfg = json.loads(cfg_file.read_text())
+    del cfg["impairment"]["snr_db"]
+    p = tmp_path / "no-snr.json"
+    p.write_text(json.dumps(cfg))
+    runs = {"default": [], "0-dB": ["--snr", "0"]}
+    for name, flags in runs.items():
+        assert run_cli("--config", str(p), "--out", str(tmp_path / name),
+                       "radar", *flags) == 0
+    default, zero = (tmp_path / "default", tmp_path / "0-dB")
+    assert ((default / "rdm.bin").read_bytes()
+            == (zero / "rdm.bin").read_bytes())
+    lines = [(d / "detections.csv").read_text().splitlines()
+             for d in (default, zero)]
+    assert lines[0][0] != lines[1][0]                   # the hash lines
+    assert lines[0][1:] == lines[1][1:] and len(lines[0]) > 2
 
 
 def test_radar_without_a_listening_window_exits_2(cfg_file, tmp_path,
@@ -872,6 +925,44 @@ def test_a_refusal_inside_a_command_leaves_no_output_directory(
     assert run_cli("--config", str(p), "--out", str(out),
                    "sweep") == cli.EXIT_CONFIG
     assert out.is_dir()
+
+
+# deeper than the JSON decoder's recursion limit (the interpreter's, 1,000)
+_DEEP = b"[" * 2000 + b"]" * 2000
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{}", _DEEP, b'{"run": {"seed": ' + _DEEP + b"}}", b'{"run": '],
+    ids=["utf-16-byte-order-mark", "nested-at-the-root",
+         "nested-under-run-seed", "cut-short"])
+def test_a_config_file_json_cannot_decode_exits_2(tmp_path, capsys, text):
+    # the first three exited 5 ("internal"), on a UnicodeDecodeError or on
+    # the decoder's RecursionError; a JSON syntax error exited 2 without
+    # naming the file
+    p = tmp_path / "cfg.json"
+    p.write_bytes(text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(out),
+                   "txgen") == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(str(p)), error["message"]
+    assert not out.exists()
+
+
+def test_a_seed_beyond_the_float_range_exits_2(cfg_file, tmp_path, capsys):
+    # JSON's 1e999 reads as inf, which int() cannot take
+    text = cfg_file.read_text()
+    assert '"seed": 3' in text
+    p = tmp_path / "seed.json"
+    p.write_text(text.replace('"seed": 3', '"seed": 1e999'))
+    capsys.readouterr()
+    assert run_cli("--config", str(p), "--out", str(tmp_path / "o"),
+                   "txgen") == cli.EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "config",
+                     "message": "run.seed: expected int, got inf"}
 
 
 @pytest.mark.parametrize("section, key, accepted, refused", [

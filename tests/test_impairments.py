@@ -285,6 +285,28 @@ def test_cfo_range_enforced(cfg):
         imp.ImpairmentSpec(cfo=np.pi / cfg.prt_duration * 1.01).validate(cfg)
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"cfo": np.nan}, "cfo, sto_initial and sample_time_offset must be "
+                      "finite"),
+    ({"sto_initial": np.inf}, "cfo, sto_initial and sample_time_offset "
+                              "must be finite"),
+    ({"noise_var": -1.0}, "noise_var must be finite and >= 0"),
+    ({"front_end": imp.FrontEndProfile(np.ones((2, 7), complex),
+                                       np.ones(2, complex))},
+     "front-end profile shape mismatch")],
+    ids=["cfo-nan", "sto-inf", "noise-negative", "front-end-2x7"])
+def test_validate_refuses_each_bad_field(cfg, kw, match):
+    # the CLI converts the impairment section to finite numbers and builds
+    # the front end from the config, so only a library caller reaches these
+    with pytest.raises(ConfigError, match=match):
+        imp.ImpairmentSpec(**kw).validate(cfg)
+
+
+def test_complex_noise_refuses_a_negative_variance():
+    with pytest.raises(ConfigError, match="noise_var must be finite and >= 0"):
+        imp.complex_noise((2, 3), -1.0, 0)
+
+
 def test_front_end_ripple_bounds(cfg, rng):
     fe = imp.FrontEndProfile.rippled(cfg, rng=rng, ripple_db=1.0,
                                      ripple_rad=0.2)

@@ -38,6 +38,17 @@ def test_virtual_channel_count(cfg):
     assert arr.virtual_steering([0.0, 1.0], 3).shape == (2, 36)
 
 
+@pytest.mark.parametrize("spacing", [{"tx_spacing": np.inf},
+                                     {"rx_spacing": np.nan}],
+                         ids=["tx-inf", "rx-nan"])
+def test_array_model_refuses_a_non_finite_spacing(spacing):
+    # the CLI refuses a non-finite number before the model sees it, so only
+    # a library caller reaches this check
+    with pytest.raises(ConfigError, match="tx_spacing and rx_spacing must "
+                                          "be finite"):
+        rrx.ArrayModel(**spacing)
+
+
 def test_a_one_channel_virtual_array_is_refused():
     # one channel's angle spectrum is flat, so argmax took the grid's first
     # point: radar read a target at 3 deg as -30 deg and exited 0. The
@@ -639,6 +650,30 @@ def test_estimate_params_mapping(make_cfg):
     assert dets.range_m[best] == pytest.approx(1500.0, abs=cfg.range_bin)
     assert dets.velocity[best] == 0.0
     assert dets.azimuth_deg[best] == pytest.approx(7.5, abs=0.1)
+
+
+def test_the_map_and_detections_are_read_only_values(cfg):
+    # mtd's input becomes the map's cube, and estimate_params returns a new
+    # list: the one cfar_detect gave keeps its zero columns
+    plan, psk = _plan_psk(cfg, 16)
+    arr = rrx.ArrayModel()
+    rx = rrx.synthesize_echo(plan, psk, (rrx.Target(1500.0),), arr, cfg,
+                             noise_var=1.0, rng=5)
+    profiles = rrx.matched_filter(rx, plan, psk, cfg)
+    rdm = rrx.mtd(profiles, cfg)
+    assert rdm.cube is profiles
+    raw = rrx.cfar_detect(rdm, 1e-4)
+    dets = rrx.estimate_params(raw, rdm, arr, rrx.angle_grid(30, 64))
+    assert dets is not raw and len(dets) == len(raw) > 0
+    assert not raw.range_m.any() and dets.range_m.all()
+    for value in (rdm, raw, dets):
+        for f in dataclasses.fields(value):
+            a = getattr(value, f.name)
+            if isinstance(a, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dets.range_m = dets.velocity
 
 
 def test_process_cpi_without_detections(cfg):

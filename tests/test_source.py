@@ -34,19 +34,6 @@ UNREAD_FIELDS_ON_PURPOSE = {
 }
 
 
-# Library dataclasses with array fields that are working types, not
-# values (``config.Value``): their arrays are written after construction.
-MUTABLE_ON_PURPOSE = {
-    # a caller may edit a report's arrays; the memo test asserts they are
-    # writable and share no memory with the receiver's memo
-    "commrx.DemodReport",
-    # estimate_params fills the range, velocity and azimuth columns
-    "radarrx.DetectionList",
-    # mtd writes the cube in place
-    "radarrx.RangeDopplerMap",
-}
-
-
 def _library_trees() -> dict:
     """Module name -> ``ast`` tree of every module of the package."""
     return {path.stem: ast.parse(path.read_text())
@@ -106,14 +93,14 @@ def _unreached(trees: dict) -> set[str]:
             if named[node.name] <= _names(node)[node.name]}
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """Whether ``@dataclass``, ``@dataclasses.dataclass`` or a call of
-    either decorates the class."""
+def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
+    """The ``@dataclass`` or ``@dataclasses.dataclass`` decorator of the
+    class, or a call of either; None when it is not a dataclass."""
     for d in node.decorator_list:
-        d = d.func if isinstance(d, ast.Call) else d
-        if (d.attr if isinstance(d, ast.Attribute) else d.id) == "dataclass":
-            return True
-    return False
+        f = d.func if isinstance(d, ast.Call) else d
+        if (f.attr if isinstance(f, ast.Attribute) else f.id) == "dataclass":
+            return d
+    return None
 
 
 def _unread_fields(trees: dict) -> set[str]:
@@ -131,25 +118,36 @@ def _unread_fields(trees: dict) -> set[str]:
              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     return {f"{module}.{cls.name}.{stmt.target.id}"
             for module, tree in trees.items() for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            if isinstance(cls, ast.ClassDef) and _dataclass_decorator(cls)
             for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign)
             and stmt.target.id not in read}
 
 
-def _array_dataclasses_not_values(trees: dict) -> set[str]:
+def _mutable_dataclasses(trees: dict) -> set[str]:
     """``module.Class`` of every module-level dataclass in ``trees``
-    (module name -> ``ast`` tree) that has a field whose annotation names
-    ``ndarray`` and does not derive from ``Value`` (by name or as a
-    module attribute)."""
-    return {f"{module}.{cls.name}"
-            for module, tree in trees.items() for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-            and any(isinstance(stmt, ast.AnnAssign)
-                    and "ndarray" in ast.unparse(stmt.annotation)
-                    for stmt in cls.body)
-            and not any(ast.unparse(b).split(".")[-1] == "Value"
-                        for b in cls.bases)}
+    (module name -> ``ast`` tree) that is not declared ``frozen=True``, or
+    that has a field whose annotation names ``ndarray`` and does not
+    derive from ``Value`` (by name or as a module attribute)."""
+    out = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            d = _dataclass_decorator(cls)
+            if d is None:
+                continue
+            frozen = isinstance(d, ast.Call) and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                and k.value.value is True for k in d.keywords)
+            holds_arrays = any(isinstance(stmt, ast.AnnAssign)
+                               and "ndarray" in ast.unparse(stmt.annotation)
+                               for stmt in cls.body)
+            value = any(ast.unparse(b).split(".")[-1] == "Value"
+                        for b in cls.bases)
+            if not frozen or holds_arrays and not value:
+                out.add(f"{module}.{cls.name}")
+    return out
 
 
 def _module_names(tree: ast.Module, modules: set) -> set[str]:
@@ -242,12 +240,14 @@ def test_unread_field_check_sees_what_it_claims():
 
 
 def test_every_dataclass_holding_arrays_is_a_value():
-    assert _array_dataclasses_not_values(_library_trees()) == (
-        MUTABLE_ON_PURPOSE)
+    # one rule, with no exceptions: every library dataclass is frozen, and
+    # one that holds arrays takes them read-only as a config.Value
+    assert _mutable_dataclasses(_library_trees()) == set()
 
 
 def test_array_value_check_sees_what_it_claims():
-    trees = {"m": ast.parse("import numpy as np\n"
+    trees = {"m": ast.parse("import dataclasses\n"
+                            "import numpy as np\n"
                             "from dataclasses import dataclass\n"
                             "from . import config\n"
                             "from .config import Value\n"
@@ -269,10 +269,20 @@ def test_array_value_check_sees_what_it_claims():
                             "    n: int\n"
                             "class F:\n"
                             "    x: np.ndarray\n"
-                            "@dataclass\n"
+                            "@dataclass(frozen=True)\n"
                             "class G(F):\n"
-                            "    y: np.ndarray\n")}
-    assert _array_dataclasses_not_values(trees) == {"m.C", "m.D", "m.G"}
+                            "    y: np.ndarray\n"
+                            "@dataclass(frozen=False)\n"
+                            "class H:\n"
+                            "    n: int\n"
+                            "@dataclasses.dataclass(frozen=True)\n"
+                            "class I:\n"
+                            "    n: int\n"
+                            "@dataclass(eq=False)\n"
+                            "class J(Value):\n"
+                            "    x: np.ndarray\n")}
+    assert _mutable_dataclasses(trees) == {"m.C", "m.D", "m.E", "m.G",
+                                           "m.H", "m.J"}
 
 
 def test_no_library_module_assigns_another_modules_attribute():
