@@ -282,8 +282,9 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
         imp = _draw_impairments(cfg, sweep, chan_rng, noise_var)
         plan = plan_hops(cfg, n_prt=sweep.chunk_prt, rng=chan_rng)
         psk = make_psk_grid(cfg, plan, order_bits, rng=psk_rng)
-        frame = synthesize(plan, psk, cfg)
-        rx = apply(frame, plan, psk, imp, cfg, rng=noise_rng)
+        # no name holds the transmit frame while the receiver runs
+        rx = apply(synthesize(plan, psk, cfg), plan, psk, imp, cfg,
+                   rng=noise_rng)
         rep = commrx.demodulate(rx, cfg, order_bits, mode=sweep.comm_mode,
                                 spec=imp)
         acc = acc.merge(commrx.score_report(rep, plan, psk, cfg))
@@ -455,8 +456,7 @@ def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
     imp = _draw_impairments(cfg, sweep, rng, noise_var)
     plan = plan_hops(cfg, n_prt=n_prt, rng=rng)
     psk = make_psk_grid(cfg, plan, METHOD_ORDER_BITS, rng=rng)
-    frame = synthesize(plan, psk, cfg)
-    rx = apply(frame, plan, psk, imp, cfg, rng=rng)
+    rx = apply(synthesize(plan, psk, cfg), plan, psk, imp, cfg, rng=rng)
     rows = []
     for mode in ("flat", "estimated", "averaged"):
         rep = commrx.demodulate(rx, cfg, METHOD_ORDER_BITS, mode=mode)

@@ -237,8 +237,7 @@ def cmd_comm(inp: Inputs, out_dir: Path) -> None:
     else:
         plan = plan_hops(cfg, n_prt=run.get("n_prt"), rng=rng)
         psk = make_psk_grid(cfg, plan, run["order_bits"], rng=rng)
-        frame = synthesize(plan, psk, cfg)
-        rx = apply(frame, plan, psk, spec, cfg, rng=rng)
+        rx = apply(synthesize(plan, psk, cfg), plan, psk, spec, cfg, rng=rng)
     cfg_hash = _echo_config(inp.raw, out_dir)
     # only the known mode reads the spec
     report = commrx.demodulate(rx, cfg, run["order_bits"], spec=spec,

@@ -207,12 +207,24 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
     gives zeros and draws nothing; a negative, infinite or NaN one raises
     :class:`ConfigError`.
     """
+    if noise_var == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    out = np.empty(shape, dtype=np.complex128)
+    _draw_noise(out, noise_var, rng, add=False)
+    return out
+
+
+def _draw_noise(out: np.ndarray, noise_var: float, rng, add: bool) -> None:
+    """Write (``add`` False) or add (``add`` True) :func:`complex_noise`'s
+    draw of ``out.shape`` into the C-contiguous complex array ``out``, one
+    scaled ``NOISE_CHUNK`` of normals at a time. An added sample is
+    fl(m + fl(s * scale)) in each component, as adding the whole noise
+    array gives; a variance of 0 leaves ``out`` as it is."""
     if not 0.0 <= noise_var < np.inf:               # NaN fails too
         raise ConfigError("noise_var must be finite and >= 0")
     if noise_var == 0:
-        return np.zeros(shape, dtype=np.complex128)
+        return
     rng = np.random.default_rng(rng)
-    out = np.empty(shape, dtype=np.complex128)
     flat = out.reshape(-1)                          # a view of out
     buf = np.empty(min(flat.size, NOISE_CHUNK))
     scale = np.sqrt(noise_var / 2.0)
@@ -220,8 +232,11 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
         for lo in range(0, flat.size, NOISE_CHUNK):
             chunk = buf[:flat.size - lo]
             rng.standard_normal(out=chunk)
-            np.multiply(chunk, scale, out=part[lo:lo + chunk.size])
-    return out
+            dst = part[lo:lo + chunk.size]
+            if add:
+                dst += np.multiply(chunk, scale, out=chunk)
+            else:
+                np.multiply(chunk, scale, out=dst)
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
@@ -236,7 +251,9 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
     FHIQ file written from it has a zero tail.
 
     Seed contract: the noise is one :func:`complex_noise` draw of shape
-    (n_prt, H, n_hop), laid onto ``hops(cfg, 1)[0]`` of the output.
+    (n_prt, H, n_hop), added onto ``hops(cfg, 1)[0]`` of the output. It is
+    added in place, one ``NOISE_CHUNK`` at a time, with the same bytes as
+    adding the whole draw; a variance of 0 adds nothing.
     """
     spec.validate(cfg)
     M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
@@ -254,5 +271,5 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
     mixed = out.reshape(n_prt, H, n_hop)                # a view of out
     np.einsum("mihn,ihm->ihn", active, gains, out=mixed)
     mixed *= ramp
-    mixed += complex_noise(mixed.shape, spec.noise_var, rng)
+    _draw_noise(out, spec.noise_var, rng, add=True)
     return IqFrame(out, cfg.sample_rate, plan.first_prt, cfg.samples_per_prt)

@@ -205,6 +205,4 @@ def write_csv(path, header_cols, rows, cfg_hash: str | None = None) -> None:
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"
-    if isinstance(v, np.integer):
-        return str(int(v))
     return str(v)

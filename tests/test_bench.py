@@ -14,7 +14,7 @@ import pytest
 
 from fhmimo import bench, commrx
 from fhmimo.config import ConfigError
-from fhmimo.impairments import apply
+from fhmimo.impairments import NOISE_CHUNK, apply
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -352,6 +352,45 @@ def test_radar_trial_peaks_at_the_echo_and_the_cube(cfg, monkeypatch):
     finally:
         tracemalloc.stop()
     assert rx + cube < peak < 1.1 * (rx + cube)
+
+
+def test_ber_chunk_drops_the_transmit_frame_before_the_receiver(
+        cfg, monkeypatch):
+    # one 2000-PRT chunk (the ber benchmark's unit) holds either the
+    # transmit frame with the received one and one noise buffer (synthesize
+    # and apply), or the received frame with the receiver's own peak, never
+    # the frame and the receiver at once. The receiver's peak is measured
+    # on a fresh frame over the same samples. The 2 MiB margin is what else
+    # the chunk holds as the receiver starts (its plan, PSK grid and
+    # impairments: 1.2 MiB measured). Holding the frame through demodulate
+    # added its 12.2 MiB
+    sweep = bench.SweepSpec(comm_mode="estimated", chunk_prt=2000)
+    seen = []
+    demodulate = commrx.demodulate
+
+    def spy(rx, *args, **kwargs):
+        seen.append((rx, args, kwargs))
+        return demodulate(rx, *args, **kwargs)
+
+    monkeypatch.setattr(commrx, "demodulate", spy)
+    tracemalloc.start()
+    try:
+        bench.ber_point(cfg, 3, 6.0, sweep, 7, min_symbols=1)
+        chunk = tracemalloc.get_traced_memory()[1]
+        (rx, args, kwargs), = seen
+        rx = dataclasses.replace(rx)         # a new memo key
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        demodulate(rx, *args, **kwargs)
+        receiver = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rx_bytes = rx.data.nbytes
+    frame = cfg.n_tx * rx_bytes
+    assert rx_bytes == sweep.chunk_prt * cfg.samples_per_pulse * 16
+    bound = max(frame + rx_bytes + 8 * NOISE_CHUNK,
+                rx_bytes + receiver) + 2 ** 21
+    assert chunk < bound < frame + rx_bytes + receiver
 
 
 def test_radar_sweep_small(cfg):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhmimo.config import ConfigError, RadarConfig
+from fhmimo.config import ConfigError, RadarConfig, noise_var_for_snr
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
 from fhmimo import waveform as wf
@@ -174,6 +174,65 @@ def test_channel_noise_seed_contract(cfg, tmp_path):
     state = g.bit_generator.state
     assert not imp.complex_noise(s, 0.0, g).any()
     assert g.bit_generator.state == state
+
+
+SMALL_CFG = RadarConfig(n_subbands=7, n_tx=3, hops_per_pulse=4,
+                        bandwidth=7e6, sample_rate=14e6, prt_duration=8e-6)
+
+
+def _whole_noise_apply(frame, plan, spec, cfg, rng):
+    # apply as it was with a whole noise array: the mix, the ramp, then
+    # += one complex_noise draw of the hop shape
+    M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
+    gains = imp.slot_gain(plan.prt_indices()[:, None, None],
+                          np.arange(H)[:, None], np.arange(M), plan.subband,
+                          spec, cfg)
+    ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
+    mixed = np.empty((frame.n_prt, H, n_hop), complex)
+    np.einsum("mihn,ihm->ihn", frame.hops(cfg, M), gains, out=mixed)
+    mixed *= ramp
+    mixed += imp.complex_noise(mixed.shape, spec.noise_var, rng)
+    return mixed
+
+
+@pytest.mark.parametrize("first_prt", [0, 5])
+@pytest.mark.parametrize("snr_db", [4.0, None], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("cfg", [RadarConfig(), SMALL_CFG],
+                         ids=["default", "M3-K7-H4"])
+def test_noise_added_in_place_is_the_whole_noise_sum(cfg, snr_db,
+                                                     first_prt):
+    # each sample is fl(m + fl(s * scale)) either way, since complex
+    # addition works on each component; a zero variance adds nothing, where
+    # a zero array would have turned a -0.0 into +0.0
+    rng = np.random.default_rng([first_prt, 3])
+    noise_var = 0.0 if snr_db is None else noise_var_for_snr(snr_db)
+    spec = imp.ImpairmentSpec.from_clock(
+        1.5e-6, cfg, sto_initial=0.4 / cfg.sample_rate, noise_var=noise_var,
+        front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
+    plan = wf.plan_hops(cfg, n_prt=45, rng=rng, first_prt=first_prt)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+    frame = wf.synthesize(plan, psk, cfg)
+    got = imp.apply(frame, plan, psk, spec, cfg, rng=41).data
+    expect = _whole_noise_apply(frame, plan, spec, cfg, 41)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_apply_holds_its_output_and_one_noise_buffer(cfg, rng):
+    # the noise goes into the output one NOISE_CHUNK at a time; beyond the
+    # output and that buffer apply holds only its (n_prt, H, M) slot gains
+    # and the one-hop ramp, so the margin is the gains and 64 KiB. A whole
+    # noise array, one more output's worth, broke this
+    plan, psk, frame = _frame(cfg, 2000, rng)
+    spec = imp.ImpairmentSpec.from_clock(1e-6, cfg, noise_var=0.5)
+    gains = plan.n_prt * cfg.hops_per_pulse * cfg.n_tx * 16
+    tracemalloc.start()
+    try:
+        out = imp.apply(frame, plan, psk, spec, cfg, rng=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes < peak
+    assert peak <= out.data.nbytes + 8 * imp.NOISE_CHUNK + gains + 65536
 
 
 def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path,
