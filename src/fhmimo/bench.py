@@ -21,10 +21,9 @@ from itertools import islice, product
 import numpy as np
 
 from .config import (ConfigError, RadarConfig, check_order_bits, check_span,
-                     noise_var_for_snr, prefixed)
+                     noise_var_for_snr, prefixed, usable_cpus)
 from .iqfile import write_csv
 from . import commrx, radarrx
-from .radarrx import _usable_cpus
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
 from .waveform import (codebook_bits, hop_groups, make_psk_grid, plan_hops,
                        synthesize)
@@ -63,12 +62,12 @@ def _one_blas_thread():
 
 def _map_points(fn, calls: list) -> list:
     """``fn(*args)`` for each ``args`` in ``calls``, in order, on one spawned
-    process per usable CPU up to one per call (a calling script needs the
-    ``__main__`` guard); one worker starts no process. The workers run one
-    BLAS thread each unless the caller's environment sets the count, since
-    they already split the CPUs; for that reason their radar chain runs
-    one thread too (:func:`radarrx._each`)."""
-    n_workers = min(_usable_cpus(), len(calls))
+    process per :func:`config.usable_cpus` up to one per call (a calling
+    script needs the ``__main__`` guard); one worker starts no process, so
+    a call from a process that ``multiprocessing`` started maps in that
+    process. The workers run one BLAS thread each unless the caller's
+    environment sets the count, since they already split the CPUs."""
+    n_workers = min(usable_cpus(), len(calls))
     if n_workers <= 1:
         return [fn(*args) for args in calls]
     spawn = multiprocessing.get_context("spawn")  # fork is unsafe with threads

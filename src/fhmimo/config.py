@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,26 @@ SPEED_OF_LIGHT = 3.0e8
 
 class ConfigError(ValueError):
     """Invalid or mutually inconsistent configuration values."""
+
+
+# Bytes of one scratch block: the matched filter's PRT rows, the angle
+# spectrum's row blocks, the FHIQ/RDM writer's float32 rows and the channel
+# noise's normal draws. A block stays small next to the arrays it serves and
+# fits a core's L2 cache. Freeing a large buffer raises glibc's dynamic mmap
+# threshold, so later temporaries stay resident in the heap; a 1 MiB block
+# keeps that rise small.
+BLOCK_BYTES = 1 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may use: one in a process that ``multiprocessing``
+    started, whose siblings already split the CPUs, else every CPU it may
+    run on."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextlib.contextmanager

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig, Value
+from .config import BLOCK_BYTES, ConfigError, RadarConfig, Value
 from .iqfile import IqFrame
 from .waveform import HopPlan, PskGrid
 
@@ -190,10 +190,8 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
             * np.exp(1j * np.asarray(psk_phase)))
 
 
-# Floats per normal draw of :func:`complex_noise`, a 1 MiB buffer: a buffer
-# the size of a radar CPI's block (19.7 MB) raised glibc's mmap threshold
-# when freed, so later temporaries stayed resident in the heap.
-NOISE_CHUNK = 1 << 17
+# Floats per normal draw of :func:`complex_noise`, one scratch block
+NOISE_CHUNK = BLOCK_BYTES // 8
 
 
 def complex_noise(shape, noise_var: float, rng) -> np.ndarray:

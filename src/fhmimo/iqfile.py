@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, RadarConfig, Value
+from .config import BLOCK_BYTES, ConfigError, RadarConfig, Value
 
 _MAGIC = "FHIQ1"
 
@@ -91,21 +91,17 @@ class IqFrame(Value):
             n_channels, self.n_prt, cfg.hops_per_pulse, cfg.samples_per_hop)
 
 
-# Bytes of the float32 block a writer fills and writes at a time: a whole
-# capture or cube is never copied.
-_BLOCK_BYTES = 1 << 20
-
-
 def _write_interleaved(path, header: str, data: np.ndarray,
                        length: int | None = None) -> None:
     """``header`` in ASCII, then ``data`` as float32 real/imag pairs, its
     last axis padded with zeros to ``length`` samples. The rows of the last
-    axis go out in blocks of about ``_BLOCK_BYTES``."""
+    axis go out in blocks of about ``BLOCK_BYTES``, so a whole capture or
+    cube is never copied."""
     stored = data.shape[-1]
     length = stored if length is None else length
     # a view of a C-ordered array
     rows = data.reshape(math.prod(data.shape[:-1]), stored)
-    n = max(1, _BLOCK_BYTES // (8 * max(length, 1)))   # 8-byte float32 pairs
+    n = max(1, BLOCK_BYTES // (8 * max(length, 1)))   # 8-byte float32 pairs
     # zeroed once: the padding past ``stored`` is never written
     block = np.zeros((min(n, len(rows)), length, 2), np.float32)
     with open(path, "wb") as f:

@@ -9,15 +9,14 @@ channels ordered p = n*M + m. A scene is a tuple of :class:`Target`.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ConfigError, RadarConfig, Value
+from .config import (BLOCK_BYTES, SPEED_OF_LIGHT, ConfigError, RadarConfig,
+                     Value, usable_cpus)
 from .impairments import complex_noise
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
@@ -26,31 +25,16 @@ CFAR_GUARD_CELLS = 2      # guard ring around the cell under test
 CFAR_TRAINING_CELLS = 8   # width of the training ring beyond the guard ring
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Bytes of one matched-filter scratch block: a thread's two blocks stay in a
-# core's L2 cache, and the threads' scratch stays small next to the cube.
-_BLOCK_BYTES = 1 << 20
-
-
 def _each(fn, n: int, work_shape: tuple, dtype=complex) -> None:
     """``fn(i, work)`` for every i in range(n) on T threads, thread t
     taking i = t, t + T, ... and passing its own scratch array ``work`` of
-    ``work_shape``. T is one per usable CPU up to n, but one in a process
-    that ``multiprocessing`` started, whose siblings already split the
-    CPUs. The calling thread is thread 0, so one thread starts none, and
-    it allocates every thread's scratch: a started thread allocates
-    nothing large, which would stay resident in a heap of its own. Each
-    call writes only its own slice of the output with NumPy alone (whose
-    FFTs and loops release the GIL), so the output is the same at any
-    thread count."""
-    worker = multiprocessing.parent_process() is not None
-    n_threads = max(1, min(1 if worker else _usable_cpus(), n))
+    ``work_shape``. T is :func:`config.usable_cpus` up to n. The calling
+    thread is thread 0, so one thread starts none, and it allocates every
+    thread's scratch: a started thread allocates nothing large, which
+    would stay resident in a heap of its own. Each call writes only its
+    own slice of the output with NumPy alone (whose FFTs and loops release
+    the GIL), so the output is the same at any thread count."""
+    n_threads = max(1, min(usable_cpus(), n))
     work = np.empty((n_threads, *work_shape), dtype)
 
     def share(t):
@@ -196,7 +180,7 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     correlation with the pulse spans R + E - 1 < n_p lags and fits an
     n_p-point FFT without wrap. The pulses' conjugate spectra are built
     once per call; each receive antenna is one task of :func:`_each`,
-    which transforms its PRTs in blocks of about ``_BLOCK_BYTES`` per
+    which transforms its PRTs in blocks of about ``BLOCK_BYTES`` per
     n_p-sample array, on two such scratch blocks per thread. An ``rx``
     whose PRTs are not the plan's ``n_prt`` of ``samples_per_prt``
     samples is a :class:`ConfigError`.
@@ -218,7 +202,7 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     refs = np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1)
     np.conj(refs, out=refs)                                   # (M, n_prt, n_p)
     profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
-    rows = max(1, _BLOCK_BYTES // (16 * n_p))     # complex128 PRTs per block
+    rows = max(1, BLOCK_BYTES // (16 * n_p))      # complex128 PRTs per block
 
     def antenna(n, work):
         for i in range(0, n_prt, rows):
@@ -419,7 +403,7 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
     ``z`` holds D channel vectors stacked as (D, P), so the virtual array
     has P // n_rx transmitters; returns the (D,) azimuths. The (L, P)
     steering matrix is built once per call, and the (D, L) spectrum is
-    taken in near-equal row blocks of about ``_BLOCK_BYTES`` of complex
+    taken in near-equal row blocks of about ``BLOCK_BYTES`` of complex
     values, so the memory a call takes does not grow with D. Each block
     holds at least two rows, and one detection is taken as two copies of
     its row: matmul takes a one-row product through gemv, whose sums round
@@ -432,7 +416,7 @@ def estimate_angle(z: np.ndarray, array: ArrayModel,
     if D == 1:
         z = np.repeat(z, 2, axis=0)
     n_blocks = max(1, min(len(z) // 2,
-                          -(-16 * len(z) * AH.shape[1] // _BLOCK_BYTES)))
+                          -(-16 * len(z) * AH.shape[1] // BLOCK_BYTES)))
     best = []
     for block in np.array_split(z, n_blocks):
         spectrum = np.abs(block @ AH)                         # (rows, L)

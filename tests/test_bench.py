@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ def test_radar_trial_peaks_at_the_echo_and_the_cube(cfg, monkeypatch):
     # pulse spectra and one thread's scratch (1.08x measured), below 1.1x;
     # holding the echo to the end and the one-shot (D, L) angle spectrum
     # made it 1.30-1.40x. Each further chain thread adds two 1-MiB blocks
-    monkeypatch.setattr(rrx, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(rrx, "usable_cpus", lambda: 1)
     n_rx = rrx.ArrayModel().n_rx
     rx = n_rx * cfg.prts_per_cpi * cfg.samples_per_prt * 16
     cube = (cfg.prts_per_cpi * cfg.n_tx * n_rx
@@ -455,15 +456,15 @@ def test_ber_sweep_worker_pool_matches_serial(cfg, monkeypatch):
 def _serial_and_pooled(monkeypatch, run, *args):
     """``run(*args)`` on one usable CPU (in this process) and on two (a
     process pool)."""
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 1)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", _no_pool)
     serial = run(*args)
     monkeypatch.undo()
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     return serial, run(*args)
 
 
-def _no_pool(**kwargs):
+def _no_pool(*args, **kwargs):
     raise AssertionError("one usable CPU must not start a process pool")
 
 
@@ -497,7 +498,7 @@ def test_point_map_uses_one_worker_per_call_up_to_the_cpus(monkeypatch,
                                                             n_calls):
     # 10,000 claimed CPUs: the pool is sized to the calls it maps, and
     # one call runs in this process without any pool
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 10_000)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 10_000)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
     calls = [(i, 10 * i) for i in range(n_calls)]
@@ -505,7 +506,7 @@ def test_point_map_uses_one_worker_per_call_up_to_the_cpus(monkeypatch,
     assert _RecordingExecutor.max_workers == ([n_calls] if n_calls > 1
                                               else [])
     # and a machine with fewer CPUs than calls caps the pool at its CPUs
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     bench._map_points(pow, calls)
     assert _RecordingExecutor.max_workers[-1:] == ([2] if n_calls > 1
                                                    else [])
@@ -524,7 +525,7 @@ def test_mapped_calls_see_one_blas_thread(monkeypatch):
     # the caller's environment is as it was after the map
     for var in bench._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     calls = [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)]
     assert bench._map_points(_threads_and_env, calls) == [(1, "1")] * 2
     assert not set(bench._BLAS_THREAD_VARS) & set(os.environ)
@@ -546,7 +547,7 @@ def _chain_threads(n):
 def test_mapped_calls_run_the_radar_chain_on_one_thread(monkeypatch):
     # the sweep's processes already split the CPUs, so each worker runs
     # the chain's FFTs on one thread (on a box of one CPU, it would anyway)
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     assert bench._map_points(_chain_threads, [(4,), (4,)]) == [1, 1]
 
 
@@ -558,10 +559,26 @@ def test_a_callers_own_pool_runs_the_radar_chain_on_one_thread():
         assert list(pool.map(_chain_threads, [4, 4])) == [1, 1]
 
 
+def _nested_map(n_calls):
+    """This process's PID and the PIDs of n calls that ``_map_points`` maps
+    from it, with process pools refused."""
+    with mock.patch.object(bench, "ProcessPoolExecutor", _no_pool):
+        return os.getpid(), bench._map_points(os.getpid, [()] * n_calls)
+
+
+def test_a_map_inside_a_mapped_call_runs_in_that_worker(monkeypatch):
+    # a worker's siblings already split the CPUs, so a map it makes starts
+    # no nested pool and runs every call in the worker itself
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+    got = bench._map_points(_nested_map, [(3,), (3,)])
+    assert all(calls == [pid] * 3 and pid != os.getpid()
+               for pid, calls in got)
+
+
 def test_sweeps_map_every_point_at_once(cfg, monkeypatch):
     # one pool per sweep, sized to all of its calls: every (hop, order,
     # SNR) point of a BER sweep, every (SNR, waveform, trial) radar call
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 10_000)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 10_000)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(_RecordingExecutor, "max_workers", [])
     bench.run_ber_sweep(cfg, bench.SweepSpec(

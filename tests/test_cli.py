@@ -96,7 +96,7 @@ def test_pulse_only_frame_writes_its_zero_tail(tmp_path, cfg):
 
 def test_write_iq_holds_its_interleaved_samples_once(tmp_path, cfg):
     # writing a 500-PRT pulse-only frame (a 6.4 MB payload) holds one
-    # float32 block of about iqfile._BLOCK_BYTES at a time: no bytes copy of
+    # float32 block of about iqfile.BLOCK_BYTES at a time: no bytes copy of
     # the payload, which doubled the peak, and no whole-payload array
     plan = wf.plan_hops(cfg, n_prt=500, rng=3)
     psk = wf.make_psk_grid(cfg, plan, 3, rng=4)
@@ -109,7 +109,7 @@ def test_write_iq_holds_its_interleaved_samples_once(tmp_path, cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * iqfile._BLOCK_BYTES < payload / 4
+    assert peak < 1.25 * iqfile.BLOCK_BYTES < payload / 4
     assert (tmp_path / "rx.iq").stat().st_size > payload
 
 
@@ -132,7 +132,7 @@ def test_blocked_writer_gives_the_whole_array_bytes(tmp_path, rng, channels,
     # pulse-only frame and a last, partial block included
     data = (rng.standard_normal((channels, n_prt, stored))
             + 1j * rng.standard_normal((channels, n_prt, stored)))
-    rows = iqfile._BLOCK_BYTES // (8 * 1600)
+    rows = iqfile.BLOCK_BYTES // (8 * 1600)
     assert channels * n_prt > rows and channels * n_prt % rows
     for frame in (IqFrame(data, 40e6, samples_per_prt=1600),
                   IqFrame(data.astype(np.complex64), 40e6, first_prt=3,
@@ -542,7 +542,7 @@ def test_snr_beyond_the_float_noise_variance_exits_2(
     # "Numerical result out of range"; a sweep refuses the grid before any
     # worker starts
     pools = []
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     monkeypatch.setattr(bench, "ProcessPoolExecutor",
                         lambda *a, **k: pools.append(a))
     p = _with_impairment(cfg_file, tmp_path, {"snr_db": -4000})
@@ -1052,7 +1052,7 @@ def test_sweep_config_error_raised_in_a_worker_exits_2(
             pools.append(max_workers)
             super().__init__(max_workers, mp_context=mp_context)
 
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
     monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
     cfg = json.loads(cfg_file.read_text())
     cfg["radar"].update(radar)
@@ -1494,7 +1494,7 @@ def test_schema_edits_exit_by_name_and_never_crash(edits):
     for (sec, key), value in edits.items():
         config[sec][key] = value
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(bench, "_usable_cpus", lambda: 1):
+            mock.patch.object(bench, "usable_cpus", lambda: 1):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         try:

@@ -1,12 +1,16 @@
 import dataclasses
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from fhmimo import bench, commrx, impairments, waveform
 from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
-                           RadarConfig, check_order_bits, noise_var_for_snr)
+                           RadarConfig, check_order_bits, noise_var_for_snr,
+                           usable_cpus)
 
 
 def test_experiment_defaults_sizes(cfg):
@@ -201,3 +205,22 @@ def test_a_value_holds_read_only_arrays_and_copies_a_view(values, name):
         assert not np.shares_memory(taken, owner), k
         assert np.array_equal(taken, owner) and not taken.flags.writeable
         assert owner.flags.writeable
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="counts the CPUs this process may run on")
+def test_a_plain_process_uses_every_cpu_it_may_run_on(monkeypatch):
+    # every CPU the affinity mask allows; without one, the CPU count, and
+    # 1 where even that is unknown
+    assert usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+def test_a_process_multiprocessing_started_uses_one_cpu():
+    # a worker's siblings already split the CPUs
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        assert pool.submit(usable_cpus).result() == 1

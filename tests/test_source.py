@@ -181,6 +181,29 @@ def _foreign_assignments(trees: dict) -> set[str]:
     return out
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports(trees: dict) -> set[str]:
+    """``module:line name`` of every private name that a module in
+    ``trees`` (module name -> ``ast`` tree) takes from another module of
+    the package: by ``from .x import _y`` or ``from fhmimo.x import _y``,
+    or as ``x._y`` of a name it binds to such a module."""
+    out = set()
+    for module, tree in trees.items():
+        names = _module_names(tree, set(trees))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module and (
+                    n.level or n.module.startswith("fhmimo.")):
+                out |= {f"{module}:{n.lineno} {a.name}" for a in n.names
+                        if _private(a.name)}
+            elif (isinstance(n, ast.Attribute) and _private(n.attr)
+                  and isinstance(n.value, ast.Name) and n.value.id in names):
+                out.add(f"{module}:{n.lineno} {n.value.id}.{n.attr}")
+    return out
+
+
 def test_every_function_parameter_is_read():
     unread = set().union(*(_unread_parameters(tree, module)
                            for module, tree in _library_trees().items()))
@@ -306,3 +329,24 @@ def test_foreign_assignment_check_sees_what_it_claims():
                             "z = m.x\n")}
     assert _foreign_assignments(trees) == {"n:5 m.x", "n:6 mm.x",
                                            "n:7 m3.x"}
+
+
+def test_no_library_module_takes_another_modules_private_name():
+    # a private name is its module's own; what another module needs of it
+    # is public, or lives in the module both import (config)
+    assert _private_imports(_library_trees()) == set()
+
+
+def test_private_import_check_sees_what_it_claims():
+    trees = {"m": ast.parse("_x = 0\ny = 0\n"),
+             "n": ast.parse("from __future__ import annotations\n"
+                            "import numpy as np\n"
+                            "from . import m\n"
+                            "from .m import _x, y\n"
+                            "from fhmimo.m import _x as z\n"
+                            "from fhmimo import m as mm\n"
+                            "a = m._x + mm._x + m.y\n"
+                            "b = np._core, m.__name__, _x._y\n"
+                            "m._x = 1\n")}
+    assert _private_imports(trees) == {"n:4 _x", "n:5 _x", "n:7 m._x",
+                                       "n:7 mm._x", "n:9 m._x"}
