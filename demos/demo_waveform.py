@@ -17,7 +17,8 @@ from fhmimo import waveform as wf
 
 cfg = RadarConfig()
 print("Radar configuration (defaults):")
-print(f"  {cfg.n_subbands} sub-bands of {cfg.subband_spacing / 1e6:.1f} MHz:"
+print(f"  {cfg.n_subbands} sub-bands of"
+      f" {cfg.bandwidth / cfg.n_subbands / 1e6:.1f} MHz:"
       f" {cfg.subband_frequency(0) / 1e6:+.0f} .."
       f" {cfg.subband_frequency(cfg.n_subbands - 1) / 1e6:+.0f} MHz")
 print(f"  {cfg.hops_per_pulse} hops x {cfg.hop_duration * 1e6:.1f} us,"

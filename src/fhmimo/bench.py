@@ -22,11 +22,10 @@ import numpy as np
 
 from .config import (ConfigError, RadarConfig, check_order_bits, check_span,
                      noise_var_for_snr, prefixed, usable_cpus)
-from .iqfile import write_csv
 from . import commrx, radarrx
 from .impairments import FrontEndProfile, ImpairmentSpec, apply
-from .waveform import (codebook_bits, hop_groups, make_psk_grid, plan_hops,
-                       synthesize)
+from .waveform import (HopPlan, PskGrid, codebook_bits, hop_groups,
+                       make_psk_grid, plan_hops, synthesize)
 
 
 def wilson_interval(errors: float, n: int, z: float = 1.96):
@@ -209,9 +208,6 @@ class SweepReport:
     rows: list
     meta: dict = field(default_factory=dict)
 
-    def to_csv(self, path, cfg_hash=None) -> None:
-        write_csv(path, self.columns, self.rows, cfg_hash)
-
 
 def config_for_hop_duration(cfg: RadarConfig, hop_duration: float
                             ) -> RadarConfig:
@@ -363,6 +359,21 @@ def _associate(dets: radarrx.DetectionList,
     return out
 
 
+def radar_cpi(cfg: RadarConfig, sweep: SweepSpec, plan: HopPlan,
+              psk: PskGrid, scene: tuple[radarrx.Target, ...],
+              array: radarrx.ArrayModel, noise_var: float, rng
+              ) -> tuple[radarrx.RangeDopplerMap, radarrx.DetectionList]:
+    """(range-Doppler map, detections) of one CPI's echo of ``scene``,
+    with the sweep's angle grid and false-alarm rate. The echo is bound
+    to no name, so :func:`radarrx.process_cpi` frees it after pulse
+    compression."""
+    grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
+    return radarrx.process_cpi(
+        radarrx.synthesize_echo(plan, psk, scene, array, cfg,
+                                noise_var=noise_var, rng=rng),
+        plan, psk, cfg, array, p_fa=sweep.p_fa, grid=grid)
+
+
 def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
                 trial_seed, waveform_mode: str):
     """One scene through the full chain; returns association results."""
@@ -371,21 +382,14 @@ def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,
     # traditional waveform carries no PSK (order 0)
     scene_seed, plan_seed, noise_seed, psk_seed = seq.spawn(4)
     scene = sweep.random_scene(cfg, scene_seed)
-    array = radarrx.ArrayModel()
     plan = plan_hops(cfg, n_prt=cfg.prts_per_cpi,
                      rng=np.random.default_rng(plan_seed),
                      mode=waveform_mode)
     psk = make_psk_grid(cfg, plan, 3 if waveform_mode == "dfrc" else 0,
                         rng=np.random.default_rng(psk_seed))
-    noise_var = noise_var_for_snr(snr_db)
-    grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
-    # the echo is bound to no name here, so process_cpi frees it after
-    # pulse compression
-    rdm, dets = radarrx.process_cpi(
-        radarrx.synthesize_echo(plan, psk, scene, array, cfg,
-                                noise_var=noise_var,
-                                rng=np.random.default_rng(noise_seed)),
-        plan, psk, cfg, array, p_fa=sweep.p_fa, grid=grid)
+    rdm, dets = radar_cpi(cfg, sweep, plan, psk, scene, radarrx.ArrayModel(),
+                          noise_var_for_snr(snr_db),
+                          np.random.default_rng(noise_seed))
     return _associate(dets, scene, rdm)
 
 

@@ -274,13 +274,8 @@ def cmd_radar(inp: Inputs, out_dir: Path) -> None:
     # the echo defaults to 0 dB, where the comm link defaults to noiseless
     noise_var = (inp.spec.noise_var if "snr_db" in inp.raw["impairment"]
                  else 1.0)
-    grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
-    # the echo is bound to no name here, so process_cpi frees it after
-    # pulse compression
-    rdm, dets = radarrx.process_cpi(
-        radarrx.synthesize_echo(plan, psk, scene, inp.array, cfg,
-                                noise_var=noise_var, rng=noise_rng),
-        plan, psk, cfg, inp.array, p_fa=sweep.p_fa, grid=grid)
+    rdm, dets = bench.radar_cpi(cfg, sweep, plan, psk, scene, inp.array,
+                                noise_var, noise_rng)
     cfg_hash = _echo_config(inp.raw, out_dir)
     dets.to_csv(out_dir / "detections.csv", cfg_hash)
     write_rdm(out_dir / "rdm.bin", rdm)
@@ -301,7 +296,8 @@ def cmd_sweep(inp: Inputs, out_dir: Path) -> None:
     """Run the configured Monte-Carlo study and write its report."""
     study, report = STUDIES[inp.kind]
     cfg_hash = _echo_config(inp.raw, out_dir)
-    study(inp.cfg, inp.sweep).to_csv(out_dir / report, cfg_hash)
+    rep = study(inp.cfg, inp.sweep)
+    write_csv(out_dir / report, rep.columns, rep.rows, cfg_hash)
     print(f"wrote {inp.kind} report to {out_dir / report}")
 
 

@@ -218,10 +218,6 @@ class RadarConfig:
         return self.hops_per_pulse * self.samples_per_hop
 
     @property
-    def subband_spacing(self) -> float:
-        return self.bandwidth / self.n_subbands
-
-    @property
     def zero_subband(self) -> int:
         """Index of the sub-band whose baseband frequency is exactly 0 Hz."""
         return -(-self.n_subbands // 2)  # ceil(K/2)

@@ -32,20 +32,9 @@ def sto_from_rho(rho: float, sample_rate: float) -> float:
     return -rho / (sample_rate * (1.0 - rho))
 
 
-def window_gain(cfo: float, hop_duration: float) -> complex:
-    """Continuous-time spectral gain of a hop window under CFO.
-
-    T*sinc(dw*T/2)*exp(j*dw*T/2); equals T at dw=0.
-    """
-    x = cfo * hop_duration / 2.0
-    return hop_duration * np.sinc(x / np.pi) * np.exp(1j * x)
-
-
 def dft_window_gain(cfo, n_samples: int, sample_rate: float):
-    """Discrete counterpart of :func:`window_gain` for an n-point hop DFT.
-
-    sum_{n<N} exp(j*cfo*n/fs): Dirichlet kernel, equals N at cfo=0.
-    """
+    """Spectral gain of an n-point hop DFT under CFO:
+    sum_{n<N} exp(j*cfo*n/fs), the Dirichlet kernel; equals N at cfo=0."""
     phi = np.divide(cfo, sample_rate)
     num = np.sin(n_samples * phi / 2.0)
     den = np.sin(phi / 2.0)

@@ -29,7 +29,8 @@ def _each(fn, n: int, work_shape: tuple, dtype=complex) -> None:
     """``fn(i, work)`` for every i in range(n) on T threads, thread t
     taking i = t, t + T, ... and passing its own scratch array ``work`` of
     ``work_shape``. T is :func:`config.usable_cpus` up to n. The calling
-    thread is thread 0, so one thread starts none, and it allocates every
+    thread is thread 0, so one thread starts none (the pool starts a
+    thread only for a task it is given), and it allocates every
     thread's scratch: a started thread allocates nothing large, which
     would stay resident in a heap of its own. Each call writes only its
     own slice of the output with NumPy alone (whose FFTs and loops release
@@ -41,10 +42,7 @@ def _each(fn, n: int, work_shape: tuple, dtype=complex) -> None:
         for i in range(t, n, n_threads):
             fn(i, work[t])
 
-    if n_threads == 1:
-        share(0)
-        return
-    with ThreadPoolExecutor(n_threads - 1) as pool:
+    with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
         started = [pool.submit(share, t) for t in range(1, n_threads)]
         share(0)
         for future in started:

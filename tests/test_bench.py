@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fhmimo import bench, commrx
+from fhmimo import bench, commrx, iqfile
 from fhmimo.config import ConfigError
 from fhmimo.impairments import NOISE_CHUNK, apply
 from fhmimo import radarrx as rrx
@@ -210,8 +210,8 @@ def test_ber_sweep_deterministic(cfg, tmp_path):
                             hop_durations=(1e-6,), min_symbols=2000, seed=9)
     r1 = bench.run_ber_sweep(cfg, sweep)
     r2 = bench.run_ber_sweep(cfg, sweep)
-    r1.to_csv(tmp_path / "a.csv", "h")
-    r2.to_csv(tmp_path / "b.csv", "h")
+    iqfile.write_csv(tmp_path / "a.csv", r1.columns, r1.rows, "h")
+    iqfile.write_csv(tmp_path / "b.csv", r2.columns, r2.rows, "h")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

@@ -87,6 +87,20 @@ def test_a_failed_run_fails_the_tool(tmp_path, capsys):
     assert "# 1 run(s) failed" in out
 
 
+def test_a_missing_work_directory_is_refused_before_any_run(tmp_path,
+                                                            capsys):
+    parent = _tree(tmp_path, "p", "parent")
+    change = _tree(tmp_path, "c", "change")
+    stub = Stub()
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main([str(parent), str(change), "--workload", "ber",
+                    "--seed", "1", "--pairs", "1",
+                    "--work", str(tmp_path / "missing")], runner=stub)
+    assert exit_.value.code == 2
+    assert "--work" in capsys.readouterr().err
+    assert stub.calls == [] and not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("better, parent, change, wins, clears", [
     ("lower", [10, 11, 12], [8, 9, 13], 2, False),
     ("lower", [10, 11, 12], [7, 8, 9], 3, True),

@@ -3,7 +3,11 @@ odd and even sub-band counts, one to four antennas, extra hops, two hop
 lengths and frames that start mid pilot cycle, through an identity channel
 (every config the receiver accepts: K >= M, 1 to 4 samples per sub-band)
 and through a noisy, impaired one; and the radar chain on one target over
-the same range of configs and one to six receive antennas."""
+the same range of configs and one to six receive antennas. Two of the
+properties are metamorphic relations (ROADMAP item 23): they compare two
+runs whose inputs differ in a known way, with no truth or bound."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
-                           RadarConfig)
+                           RadarConfig, noise_var_for_snr)
 
 
 def _frame(draw, K, M, oversampling, orders):
@@ -128,6 +132,44 @@ def test_high_snr_impaired_channel_in_every_mode(case):
             assert sc.psk_symbol_errors == 0, mode
 
 
+def _bytes(value):
+    """A value as bytes, a dataclass one field a key, so two values are
+    equal exactly when every field holds the same bytes."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bytes(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if value is None:
+        return None
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(frames(), st.sampled_from((20.0, 0.0, -8.0)))
+def test_a_gain_of_two_changes_no_demodulated_byte(case, snr_db):
+    """A frame times 2 is exact in floating point. Every step of the
+    receiver either scales with the samples or compares them with a floor
+    that scales with them, so in every mode the report (sync estimate
+    included) and its scored counts are the same bytes. -8 dB erases
+    slots, hops and, in some frames, the sync estimate."""
+    cfg, n_prt, first_prt, order_bits, seed = case
+    rng = np.random.default_rng(seed)
+    spec = bench._draw_impairments(cfg, bench.SweepSpec(), rng,
+                                   noise_var_for_snr(snr_db))
+    plan = wf.plan_hops(cfg, n_prt=n_prt, rng=rng, first_prt=first_prt)
+    psk = wf.make_psk_grid(cfg, plan, order_bits, rng=rng)
+    rx = imp.apply(wf.synthesize(plan, psk, cfg), plan, psk, spec, cfg,
+                   rng=rng)
+    twice = dataclasses.replace(rx, data=2 * rx.data)
+    for mode in crx.MODES:
+        once = crx.demodulate(rx, cfg, order_bits, mode=mode, spec=spec)
+        doubled = crx.demodulate(twice, cfg, order_bits, mode=mode,
+                                 spec=spec)
+        assert _bytes(doubled) == _bytes(once), mode
+        assert (crx.score_report(doubled, plan, psk, cfg)
+                == crx.score_report(once, plan, psk, cfg)), mode
+
+
 AZIMUTHS = rrx.angle_grid(30.0, 128)     # the target's and the estimator's
 
 
@@ -197,3 +239,33 @@ def test_radar_chain_finds_one_target_in_every_config(case):
         u_err = (np.sin(np.deg2rad(dets.azimuth_deg[best]))
                  - np.sin(np.deg2rad(azimuth)))
         assert abs(u_err) <= 1 / P
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(radar_cases())
+def test_a_gain_of_two_keeps_every_detection(case):
+    """An echo times 2 gives the same detection bins and azimuths, with
+    the CFAR statistic and threshold exactly doubled: the magnitude sum
+    and the training mean scale with the samples, and the threshold scale
+    does not depend on them. A config of one virtual channel is refused
+    either way (the property above)."""
+    cfg, n_rx, delay, k, azimuth, seed = case
+    if cfg.n_tx * n_rx == 1:
+        return
+    F = cfg.prts_per_cpi
+    target = rrx.Target(SPEED_OF_LIGHT * (delay / cfg.sample_rate) / 2.0,
+                        cfg.wavelength * (k / (F * cfg.prt_duration)) / 2.0,
+                        azimuth)
+    arr = rrx.ArrayModel(n_rx=n_rx, tx_spacing=0.5 * n_rx)
+    rng = np.random.default_rng(seed)
+    plan = wf.plan_hops(cfg, n_prt=F, rng=rng)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+    rx = rrx.synthesize_echo(plan, psk, (target,), arr, cfg, noise_var=1.0,
+                             rng=rng)
+    _, once = rrx.process_cpi(rx, plan, psk, cfg, arr, AZIMUTHS, p_fa=1e-4)
+    _, doubled = rrx.process_cpi(2 * rx, plan, psk, cfg, arr, AZIMUTHS,
+                                 p_fa=1e-4)
+    got, want = _bytes(doubled), _bytes(once)
+    for name in ("statistic", "threshold"):
+        got[name] = _bytes(getattr(doubled, name) / 2)
+    assert got == want

@@ -16,12 +16,8 @@ UNREAD_ON_PURPOSE = {"waveform.make_psk_grid.cfg"}
 # Library names that nothing else in the package names, kept because test
 # oracles or the demos read them.
 UNREACHED_ON_PURPOSE = {
-    # the analytic CFO window model, the CFO-loss tests' oracle
-    "impairments.window_gain",
     # the transmit-side bit truth of a plan's FHCS payload
     "waveform.extract_payload_bits",
-    # printed by demos/demo_waveform.py
-    "config.RadarConfig.subband_spacing",
     # printed by demos/demo_radar_chain.py; criterion 7's velocity floor
     "config.RadarConfig.velocity_bin",
 }
@@ -85,7 +81,10 @@ def _names(node: ast.AST) -> Counter:
 
 def _unreached(trees: dict) -> set[str]:
     """Definitions in ``trees`` (module name -> ``ast`` tree) that no
-    module but ``__init__`` names outside the definition itself."""
+    module but ``__init__`` names outside the definition itself. The check
+    goes by name, so a definition that shares its name with one that is
+    named counts as reached: ``RadarConfig.range_bin``, which only tests
+    and a demo read, is reached through ``DetectionList.range_bin``."""
     trees = {m: t for m, t in trees.items() if m != "__init__"}
     named = sum(map(_names, trees.values()), Counter())
     return {qualname for module, tree in trees.items()
@@ -228,12 +227,16 @@ def test_unreached_check_sees_what_it_claims():
     trees = {"m": ast.parse("def f():\n"
                             "    return f()\n"
                             "def g():\n"
-                            "    return C().used()\n"
+                            "    return C().used(), D().masked\n"
                             "class C:\n"
                             "    def __init__(self): pass\n"
                             "    def used(self): pass\n"
-                            "    def unused(self): pass\n"),
+                            "    def unused(self): pass\n"
+                            "    def masked(self): pass\n"
+                            "class D:\n"
+                            "    masked = 0\n"),
              "__init__": ast.parse("from .m import f, g\nf()\n")}
+    # nothing calls C.masked, but D.masked shares its name
     assert _unreached(trees) == {"m.f", "m.g", "m.C.unused"}
 
 

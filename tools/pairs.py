@@ -96,6 +96,8 @@ def main(argv=None, runner=run_benchmark) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    if args.work is not None and not args.work.is_dir():
+        p.error(f"--work {args.work} is not a directory")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"], m["better"])
                for m in spec["end_to_end"]] + [FAULTS]
