@@ -30,10 +30,10 @@ print(f"Bins: {cfg.range_bin:.2f} m, {cfg.velocity_bin:.2f} m/s, "
       f"{60 / 1024:.3f} deg\n")
 
 array = rrx.ArrayModel()
-rx = rrx.synthesize_echo(plan, psk, scene, array, cfg,
-                         noise_var=noise_var_for_snr(-24),
-                         rng=np.random.default_rng(99))
-rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, array, grid=grid)
+profiles = rrx.echo_profiles(plan, psk, scene, array, cfg,
+                             noise_var=noise_var_for_snr(-24),
+                             rng=np.random.default_rng(99))
+rdm, dets = rrx.process_cpi(profiles, cfg, array, grid=grid)
 print(f"Ideal array: {len(dets)} detections for {len(scene)} targets"
       " (plain-DFT Doppler sidelobes of strong echoes also cross CFAR;"
       " association gates sort them out)")

@@ -364,14 +364,14 @@ def radar_cpi(cfg: RadarConfig, sweep: SweepSpec, plan: HopPlan,
               array: radarrx.ArrayModel, noise_var: float, rng
               ) -> tuple[radarrx.RangeDopplerMap, radarrx.DetectionList]:
     """(range-Doppler map, detections) of one CPI's echo of ``scene``,
-    with the sweep's angle grid and false-alarm rate. The echo is bound
-    to no name, so :func:`radarrx.process_cpi` frees it after pulse
-    compression."""
+    with the sweep's angle grid and false-alarm rate: the profiles of
+    :func:`radarrx.echo_profiles`, which builds no echo array, through
+    :func:`radarrx.process_cpi`."""
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
     return radarrx.process_cpi(
-        radarrx.synthesize_echo(plan, psk, scene, array, cfg,
-                                noise_var=noise_var, rng=rng),
-        plan, psk, cfg, array, p_fa=sweep.p_fa, grid=grid)
+        radarrx.echo_profiles(plan, psk, scene, array, cfg,
+                              noise_var=noise_var, rng=rng),
+        cfg, array, p_fa=sweep.p_fa, grid=grid)
 
 
 def radar_trial(cfg: RadarConfig, sweep: SweepSpec, snr_db: float,

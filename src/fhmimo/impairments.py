@@ -17,6 +17,7 @@ the last factor is the CFO rotation of absolute time across the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -118,8 +119,7 @@ class ImpairmentSpec:
                 f"CFO {self.cfo:.6g} rad/s outside the unambiguous range "
                 f"|cfo|*radar.prt_duration < pi (a clock error rho gives "
                 f"2*pi*rho*radar.carrier_freq)")
-        if not 0.0 <= self.noise_var < np.inf:      # NaN fails too
-            raise ConfigError("noise_var must be finite and >= 0")
+        check_noise_var(self.noise_var)
         if self.front_end is not None and (
                 self.front_end.gains.shape != (cfg.n_tx, cfg.n_subbands)):
             raise ConfigError("front-end profile shape mismatch")
@@ -179,8 +179,14 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
             * np.exp(1j * np.asarray(psk_phase)))
 
 
-# Floats per normal draw of :func:`complex_noise`, one scratch block
+# Floats per normal draw of :func:`draw_noise`, one scratch block
 NOISE_CHUNK = BLOCK_BYTES // 8
+
+
+def check_noise_var(noise_var: float) -> None:
+    """Refuse a negative, infinite or NaN noise variance."""
+    if not 0.0 <= noise_var < np.inf:               # NaN fails too
+        raise ConfigError("noise_var must be finite and >= 0")
 
 
 def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
@@ -188,42 +194,65 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
 
     Seed contract: with g = default_rng(rng) the result is
     (g.standard_normal(shape) + 1j * g.standard_normal(shape))
-    * sqrt(noise_var / 2), real block first. Each block is drawn in C
-    order through one float buffer of at most ``NOISE_CHUNK`` values, which
-    draws the same numbers as one draw of the whole block. A variance of 0
-    gives zeros and draws nothing; a negative, infinite or NaN one raises
-    :class:`ConfigError`.
+    * sqrt(noise_var / 2), real block first, drawn by :func:`draw_noise`.
+    A variance of 0 gives zeros and draws nothing; a negative, infinite or
+    NaN one raises :class:`ConfigError`.
     """
     if noise_var == 0:
         return np.zeros(shape, dtype=np.complex128)
     out = np.empty(shape, dtype=np.complex128)
-    _draw_noise(out, noise_var, rng, add=False)
+    draw_noise(out.reshape(1, -1), noise_var, rng)
     return out
 
 
-def _draw_noise(out: np.ndarray, noise_var: float, rng, add: bool) -> None:
-    """Write (``add`` False) or add (``add`` True) :func:`complex_noise`'s
-    draw of ``out.shape`` into the C-contiguous complex array ``out``, one
-    scaled ``NOISE_CHUNK`` of normals at a time. An added sample is
-    fl(m + fl(s * scale)) in each component, as adding the whole noise
-    array gives; a variance of 0 leaves ``out`` as it is."""
-    if not 0.0 <= noise_var < np.inf:               # NaN fails too
-        raise ConfigError("noise_var must be finite and >= 0")
-    if noise_var == 0:
+def draw_noise(out: np.ndarray, noise_var: float, rng, add: bool = False,
+               row: int | None = None) -> None:
+    """Write (``add`` False) or add (``add`` True) the last samples of each
+    row of :func:`complex_noise`'s draw into ``out``.
+
+    ``out`` is a complex array of two or more axes, or a view of any
+    strides, (..., W); the draw has shape (..., ``row``) with ``row`` >= W
+    (W by default), real block first, and each row's first ``row`` - W
+    samples are drawn and dropped, so a row's last W samples are those of
+    the whole draw (a receiver blanked at each row's start). Each block is
+    drawn in C order through one float buffer of at most ``NOISE_CHUNK``
+    values, whole rows at a time, or one row in pieces when a row is
+    longer, which draws the same numbers as one draw of the whole block.
+    A written sample is fl(s * scale) and an added one fl(m + fl(s *
+    scale)) in each component, as writing or adding the whole noise array
+    gives. A variance of 0 leaves ``out`` as it is and draws nothing; a
+    negative, infinite or NaN one raises :class:`ConfigError` before it
+    draws.
+    """
+    check_noise_var(noise_var)
+    *lead, n_rows, width = out.shape
+    row = width if row is None else row
+    if noise_var == 0 or row == 0:
         return
     rng = np.random.default_rng(rng)
-    flat = out.reshape(-1)                          # a view of out
-    buf = np.empty(min(flat.size, NOISE_CHUNK))
+    skip = row - width                  # the dropped draws that open a row
+    piece = min(row, NOISE_CHUNK)       # a row's samples per draw
+    step = max(1, NOISE_CHUNK // row)   # rows per draw
+    buf = np.empty(min(step, n_rows) * piece)
     scale = np.sqrt(noise_var / 2.0)
-    for part in (flat.real, flat.imag):
-        for lo in range(0, flat.size, NOISE_CHUNK):
-            chunk = buf[:flat.size - lo]
-            rng.standard_normal(out=chunk)
-            dst = part[lo:lo + chunk.size]
-            if add:
-                dst += np.multiply(chunk, scale, out=chunk)
-            else:
-                np.multiply(chunk, scale, out=dst)
+    for part in (out.real, out.imag):
+        for index in product(*map(range, lead)):
+            rows = part[index]                          # (n_rows, W)
+            for r in range(0, n_rows, step):
+                k = min(step, n_rows - r)
+                for c in range(0, row, piece):
+                    p = min(piece, row - c)
+                    drawn = buf[:k * p].reshape(k, p)
+                    rng.standard_normal(out=drawn)
+                    first = max(c, skip)        # the first kept sample
+                    if first >= c + p:
+                        continue
+                    src = drawn[:, first - c:]
+                    dst = rows[r:r + k, first - skip:c + p - skip]
+                    if add:
+                        dst += np.multiply(src, scale, out=src)
+                    else:
+                        np.multiply(src, scale, out=dst)
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
@@ -258,5 +287,5 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
     mixed = out.reshape(n_prt, H, n_hop)                # a view of out
     np.einsum("mihn,ihm->ihn", active, gains, out=mixed)
     mixed *= ramp
-    _draw_noise(out, spec.noise_var, rng, add=True)
+    draw_noise(out, spec.noise_var, rng, add=True)
     return IqFrame(out, cfg.sample_rate, plan.first_prt, cfg.samples_per_prt)

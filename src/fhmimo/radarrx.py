@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import (BLOCK_BYTES, SPEED_OF_LIGHT, ConfigError, RadarConfig,
                      Value, usable_cpus)
-from .impairments import complex_noise
+from .impairments import check_noise_var, draw_noise
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
 
@@ -119,28 +119,28 @@ class ArrayModel:
 # Echo synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
-                    array: ArrayModel, cfg: RadarConfig,
-                    noise_var: float = 0.0, rng=None) -> np.ndarray:
-    """Per-receive-antenna echo samples for one CPI.
+def _echo_into(window: np.ndarray, plan: HopPlan, psk: PskGrid,
+               scene: tuple[Target, ...], array: ArrayModel,
+               cfg: RadarConfig, noise_var: float, rng) -> None:
+    """Write noise plus the echo of ``scene`` into ``window``, the
+    (N, n_prt, R) listening windows [E, samples_per_prt) of the N receive
+    streams, a view of any strides.
 
-    Returns (N, n_prt, samples_per_prt) complex. Each target contributes the
-    delayed superposition of the transmit pulses weighted by the two-way
-    steering and its scattering coefficient, with a per-PRT Doppler phase.
-    Delays are rounded to the sample grid; samples inside the transmit
-    window are zeroed (pulsed-radar blind zone). A scene outside the
-    observable window (:func:`check_scene`) raises
-    :class:`ConfigError` before anything is drawn. The noise is one
-    :func:`complex_noise` draw of shape (N, n_prt, samples_per_prt), made
-    before the echoes, so equal seeds give equal noise regardless of the
-    scene/plan and a bad ``noise_var`` raises its :class:`ConfigError`.
+    The noise is :func:`impairments.draw_noise`'s window of the whole
+    (N, n_prt, samples_per_prt) draw (zeros for a variance of 0, drawing
+    nothing); the targets are then added in scene order. Each target's
+    product with the receive steering is taken over its whole segment
+    [d, min(d + E, samples_per_prt)), as one array, so the rounding of
+    the product's vector tail does not depend on the window, and only its
+    part at or after sample E is added.
     """
-    check_scene(scene, cfg)
-    N = array.n_rx
-    n_prt = plan.n_prt
+    N, n_prt, _ = window.shape
     n_p = cfg.samples_per_prt
     n_pulse = cfg.samples_per_pulse
-    rx = complex_noise((N, n_prt, n_p), noise_var, rng)
+    if noise_var == 0:
+        window[...] = 0.0
+    else:
+        draw_noise(window, noise_var, rng, row=n_p)
 
     pulses = synthesize(plan, psk, cfg).data              # (M, n_prt, E)
     i_idx = np.arange(n_prt)
@@ -154,14 +154,94 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
         contrib = t.coeff * dopp[:, None] * tx_sum            # (n_prt, E)
         stop = min(n_p, d + n_pulse)
         seg = contrib[:, :stop - d]
-        rx[:, :, d:stop] += a_r[:, None, None] * seg[None]
-    rx[:, :, :n_pulse] = 0.0  # receiver blanked while transmitting
+        echo = a_r[:, None, None] * seg[None]         # (N, n_prt, stop - d)
+        first = max(d, n_pulse)         # the receiver is blanked before E
+        window[:, :, first - n_pulse:stop - n_pulse] += echo[:, :, first - d:]
+
+
+def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
+                    array: ArrayModel, cfg: RadarConfig,
+                    noise_var: float = 0.0, rng=None) -> np.ndarray:
+    """Per-receive-antenna echo samples for one CPI.
+
+    Returns (N, n_prt, samples_per_prt) complex. Each target contributes the
+    delayed superposition of the transmit pulses weighted by the two-way
+    steering and its scattering coefficient, with a per-PRT Doppler phase.
+    Delays are rounded to the sample grid; samples inside the transmit
+    window are zero (pulsed-radar blind zone). A scene outside the
+    observable window (:func:`check_scene`) raises
+    :class:`ConfigError` before anything is drawn. The noise is one
+    :func:`impairments.complex_noise` draw of shape (N, n_prt,
+    samples_per_prt), made before the echoes, so equal seeds give equal
+    noise regardless of the scene/plan and a bad ``noise_var`` raises its
+    :class:`ConfigError`; its samples in the transmit window are drawn and
+    dropped.
+
+    This is the echo array that :func:`echo_profiles` never builds: zeros
+    whose listening windows the same kernel writes, so
+    ``matched_filter(synthesize_echo(...))`` is ``echo_profiles(...)``
+    byte for byte. The tests and the acceptance suite read it.
+    """
+    check_scene(scene, cfg)
+    rx = np.zeros((array.n_rx, plan.n_prt, cfg.samples_per_prt),
+                  dtype=np.complex128)
+    _echo_into(rx[:, :, cfg.samples_per_pulse:], plan, psk, scene, array,
+               cfg, noise_var, rng)
     return rx
 
 
 # ---------------------------------------------------------------------------
 # Pulse compression and range-Doppler map
 # ---------------------------------------------------------------------------
+
+def _range_bins(cfg: RadarConfig) -> int:
+    """The R = samples_per_prt - samples_per_pulse listening samples, one
+    range bin each; a pulse that fills the PRT is a :class:`ConfigError`."""
+    R = cfg.samples_per_prt - cfg.samples_per_pulse
+    if R < 1:
+        raise ConfigError(
+            f"the radar needs a listening window: samples_per_prt - "
+            f"samples_per_pulse = {R} range bins, must be >= 1 (shorten "
+            f"radar.hops_per_pulse * radar.hop_duration or lengthen "
+            f"radar.prt_duration)")
+    return R
+
+
+def _compress(profiles: np.ndarray, echo: np.ndarray, plan: HopPlan,
+              psk: PskGrid, cfg: RadarConfig) -> None:
+    """Write the (n_prt, N*M, R) range profiles of the (N, n_prt, R)
+    listening windows ``echo`` into ``profiles``.
+
+    Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
+    so only the R listening samples enter; their linear correlation with
+    the pulse spans R + E - 1 < n_p lags and fits an n_p-point FFT without
+    wrap. The pulses' conjugate spectra are built once per call; each
+    receive antenna is one task of :func:`_each`, which transforms its
+    PRTs in blocks of about ``BLOCK_BYTES`` per n_p-sample array, on two
+    such scratch blocks per thread. A task reads a block of its echo into
+    its FFT scratch before it writes that block's M channels, and writes
+    only its own, so ``echo`` may be a view of ``profiles``: one channel
+    slot of each antenna (:func:`echo_profiles`).
+    """
+    n_prt, _, R = profiles.shape
+    M = cfg.n_tx
+    n_p = cfg.samples_per_prt
+    refs = np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1)
+    np.conj(refs, out=refs)                                   # (M, n_prt, n_p)
+    rows = max(1, BLOCK_BYTES // (16 * n_p))      # complex128 PRTs per block
+
+    def antenna(n, work):
+        for i in range(0, n_prt, rows):
+            X, Y = work[:, :min(rows, n_prt - i)]             # (rows, n_p)
+            block = slice(i, i + len(X))
+            np.fft.fft(echo[n, block], n_p, axis=-1, out=X)
+            for m in range(M):
+                np.multiply(X, refs[m, block], out=Y)
+                profiles[block, n * M + m] = np.fft.ifft(
+                    Y, axis=-1, out=Y)[:, :R]
+
+    _each(antenna, len(echo), (2, min(rows, n_prt), n_p))
+
 
 def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
                    cfg: RadarConfig) -> np.ndarray:
@@ -170,49 +250,47 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     rx: (N, n_prt, samples_per_prt) for any number N of receive antennas.
     Returns the (n_prt, P, n_range) range profiles, PRT-major as the
     :func:`mtd` cube, with P = N*M channels (p = n*M + m) and range bins
-    covering the listening window [pulse end, PRT end); a pulse that fills
-    the PRT leaves no range bin and is a :class:`ConfigError`.
-
-    Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
-    so only the R = n_p - E listening samples enter; their linear
-    correlation with the pulse spans R + E - 1 < n_p lags and fits an
-    n_p-point FFT without wrap. The pulses' conjugate spectra are built
-    once per call; each receive antenna is one task of :func:`_each`,
-    which transforms its PRTs in blocks of about ``BLOCK_BYTES`` per
-    n_p-sample array, on two such scratch blocks per thread. An ``rx``
-    whose PRTs are not the plan's ``n_prt`` of ``samples_per_prt``
-    samples is a :class:`ConfigError`.
+    covering the listening window [pulse end, PRT end), compressed by
+    the loop :func:`echo_profiles` runs; a pulse that fills the PRT
+    leaves no range bin and is a :class:`ConfigError`. An ``rx`` whose
+    PRTs are not the plan's ``n_prt`` of ``samples_per_prt`` samples is a
+    :class:`ConfigError`.
     """
     N, n_prt, n_p = rx.shape
     if (n_prt, n_p) != (plan.n_prt, cfg.samples_per_prt):
         raise ConfigError(
             f"rx holds (n_prt, samples_per_prt) = {(n_prt, n_p)}, but the "
             f"plan and config give {(plan.n_prt, cfg.samples_per_prt)}")
+    profiles = np.empty((n_prt, N * cfg.n_tx, _range_bins(cfg)),
+                        dtype=np.complex128)
+    _compress(profiles, rx[:, :, cfg.samples_per_pulse:], plan, psk, cfg)
+    return profiles
+
+
+def echo_profiles(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
+                  array: ArrayModel, cfg: RadarConfig,
+                  noise_var: float = 0.0, rng=None) -> np.ndarray:
+    """The range profiles of one CPI's echo of ``scene``, without an echo
+    array: ``matched_filter(synthesize_echo(...), plan, psk, cfg)`` byte
+    for byte, for the same arguments and seed.
+
+    Each antenna's listening window (noise and echo, as
+    :func:`synthesize_echo` writes it) goes straight into the slot of its
+    last channel, the (N, n_prt, R) view ``profiles[:, M-1::M]``
+    transposed, and is compressed there in place, so the call holds the
+    (n_prt, N*M, R) profiles, which it returns, and no (N, n_prt,
+    samples_per_prt) array. A scene outside the observable window, a bad
+    ``noise_var`` and a pulse that fills the PRT are each a
+    :class:`ConfigError` before the profiles are allocated.
+    """
+    check_scene(scene, cfg)
+    check_noise_var(noise_var)
     M = cfg.n_tx
-    E = cfg.samples_per_pulse
-    R = n_p - E
-    if R < 1:
-        raise ConfigError(
-            f"the radar needs a listening window: samples_per_prt - "
-            f"samples_per_pulse = {R} range bins, must be >= 1 (shorten "
-            f"radar.hops_per_pulse * radar.hop_duration or lengthen "
-            f"radar.prt_duration)")
-    refs = np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1)
-    np.conj(refs, out=refs)                                   # (M, n_prt, n_p)
-    profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
-    rows = max(1, BLOCK_BYTES // (16 * n_p))      # complex128 PRTs per block
-
-    def antenna(n, work):
-        for i in range(0, n_prt, rows):
-            X, Y = work[:, :min(rows, n_prt - i)]             # (rows, n_p)
-            block = slice(i, i + len(X))
-            np.fft.fft(rx[n, block, E:], n_p, axis=-1, out=X)
-            for m in range(M):
-                np.multiply(X, refs[m, block], out=Y)
-                profiles[block, n * M + m] = np.fft.ifft(
-                    Y, axis=-1, out=Y)[:, :R]
-
-    _each(antenna, N, (2, min(rows, n_prt), n_p))
+    profiles = np.empty((plan.n_prt, array.n_rx * M, _range_bins(cfg)),
+                        dtype=np.complex128)
+    window = profiles[:, M - 1::M].transpose(1, 0, 2)      # (N, n_prt, R)
+    _echo_into(window, plan, psk, scene, array, cfg, noise_var, rng)
+    _compress(profiles, window, plan, psk, cfg)
     return profiles
 
 
@@ -258,8 +336,9 @@ class RangeDopplerMap(Value):
 def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
     """Slow-time DFT across PRTs: the range-Doppler map, in place.
 
-    profiles: (n_prt, P, n_range), as :func:`matched_filter` writes them.
-    Each channel is transformed along the PRT axis and written back
+    profiles: (n_prt, P, n_range), as :func:`echo_profiles` and
+    :func:`matched_filter` write them. Each channel is copied into its task's contiguous (n_prt, n_range)
+    scratch, transformed there along the PRT axis and written back
     shifted, so bin n_doppler//2 is zero Doppler: ``profiles`` is
     overwritten and becomes the map's (n_doppler, P, n_range) cube, and is
     read-only from then on. Each channel is one :func:`_each` task.
@@ -269,7 +348,8 @@ def mtd(profiles: np.ndarray, cfg: RadarConfig) -> RangeDopplerMap:
 
     def channel(p, X):
         # the two halves land shifted: out[k] = X[(k-s) % F]
-        np.fft.fft(profiles[:, p], axis=0, out=X)             # (F, R)
+        X[...] = profiles[:, p]                               # (F, R)
+        np.fft.fft(X, axis=0, out=X)
         profiles[:s, p] = X[F - s:]
         profiles[s:, p] = X[:F - s]
 
@@ -441,30 +521,27 @@ def estimate_params(dets: DetectionList, rdm: RangeDopplerMap,
             rdm.cube[dets.doppler_bin, :, dets.range_bin], array, grid))
 
 
-def process_cpi(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
-                cfg: RadarConfig, array: ArrayModel, grid: np.ndarray,
-                p_fa: float = 1e-4) -> tuple[RangeDopplerMap, DetectionList]:
-    """Full chain for one CPI: matched filter, MTD, CFAR, parameters.
+def process_cpi(profiles: np.ndarray, cfg: RadarConfig, array: ArrayModel,
+                grid: np.ndarray, p_fa: float = 1e-4
+                ) -> tuple[RangeDopplerMap, DetectionList]:
+    """Back end of one CPI: MTD, CFAR and parameters.
 
-    rx: (N, n_prt, samples_per_prt) with N = ``array.n_rx``. Returns the
-    range-Doppler map and the CPI's detections with every column filled.
-    The range profiles and the cube are one buffer, which :func:`mtd`
-    transforms in place. The call drops its reference to ``rx`` once the
-    matched filter has read it, so an echo that only this call holds (one
-    passed without a name) is freed before the MTD; CPython 3.10 keeps a
-    call's arguments on the caller's stack, and there it lives to the end
-    of the call. A virtual array of fewer than two channels
-    (``cfg.n_tx * array.n_rx``; one channel's angle spectrum is flat) or an
-    ``rx`` of another antenna count is a :class:`ConfigError`.
+    profiles: the (n_prt, P, n_range) range profiles of
+    :func:`echo_profiles` or :func:`matched_filter`, with P = ``cfg.n_tx
+    * array.n_rx``. Returns the range-Doppler map and the CPI's
+    detections with every column filled. :func:`mtd` transforms the
+    profiles in place into the map's cube, which takes the buffer without
+    a copy when it owns its memory, so a CPI holds one cube-sized array.
+    A virtual array of fewer than two channels (one channel's angle
+    spectrum is flat) or profiles of another channel count is a
+    :class:`ConfigError`.
     """
     P = cfg.n_tx * array.n_rx
     if P < 2:
         raise ConfigError(f"n_tx*n_rx = {P} virtual channel, must be >= 2 "
                           f"to estimate an angle")
-    if len(rx) != array.n_rx:
-        raise ConfigError(f"rx holds {len(rx)} receive streams, but the "
-                          f"array has n_rx = {array.n_rx}")
-    profiles = matched_filter(rx, plan, psk, cfg)
-    del rx              # nothing reads the echo after pulse compression
+    if profiles.shape[1] != P:
+        raise ConfigError(f"the profiles hold {profiles.shape[1]} channels, "
+                          f"but the config and array give n_tx*n_rx = {P}")
     rdm = mtd(profiles, cfg)
     return rdm, estimate_params(cfar_detect(rdm, p_fa), rdm, array, grid)

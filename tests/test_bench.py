@@ -335,16 +335,16 @@ def test_radar_trial_plan_and_psk_streams_differ(cfg, monkeypatch):
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="CPython 3.10 keeps a call's arguments on the "
                            "caller's stack until the call returns")
-def test_radar_trial_peaks_at_the_echo_and_the_cube(cfg, monkeypatch):
-    # the default 50-target scene at -8 dB (about 4,800 detections): the
-    # traced peak is the matched filter's, the echo and the cube with the
-    # pulse spectra and one thread's scratch (1.08x measured), below 1.1x;
-    # holding the echo to the end and the one-shot (D, L) angle spectrum
-    # made it 1.30-1.40x. Each further chain thread adds two 1-MiB blocks
+def test_radar_cpi_peaks_below_1_3_cubes(cfg, monkeypatch):
+    # the default 50-target scene at -8 dB (about 4,800 detections), from
+    # scene to detections through bench.radar_cpi on one chain thread: the
+    # echo goes straight into the profile buffer that becomes the cube, so
+    # no (N, n_prt, samples_per_prt) echo array is built, and the traced
+    # peak is the cube and the CFAR's maps (1.26x measured). The echo
+    # array (0.57 cubes) next to the profiles made it 1.70x. Each further
+    # chain thread adds two 1-MiB blocks
     monkeypatch.setattr(rrx, "usable_cpus", lambda: 1)
-    n_rx = rrx.ArrayModel().n_rx
-    rx = n_rx * cfg.prts_per_cpi * cfg.samples_per_prt * 16
-    cube = (cfg.prts_per_cpi * cfg.n_tx * n_rx
+    cube = (cfg.prts_per_cpi * cfg.n_tx * rrx.ArrayModel().n_rx
             * (cfg.samples_per_prt - cfg.samples_per_pulse) * 16)
     tracemalloc.start()
     try:
@@ -352,7 +352,7 @@ def test_radar_trial_peaks_at_the_echo_and_the_cube(cfg, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rx + cube < peak < 1.1 * (rx + cube)
+    assert cube < peak < 1.3 * cube
 
 
 def test_ber_chunk_drops_the_transmit_frame_before_the_receiver(

@@ -151,6 +151,41 @@ def test_noise_through_a_small_buffer_is_the_one_buffer_draw(shape):
     assert peak <= got.nbytes + 8 * imp.NOISE_CHUNK + 4096
 
 
+@pytest.mark.parametrize("lead, row, width", [
+    ((12, 128), 1600, 1400), ((2, 3), 7, 7), ((3, 2), 7, 0),
+    ((2, 81), 1600, 1),
+    ((2, 1), imp.NOISE_CHUNK + 5, imp.NOISE_CHUNK - 3),
+    ((1, 3), 2 * imp.NOISE_CHUNK + 1, 2),
+    ((1, 2), 3 * imp.NOISE_CHUNK, 3 * imp.NOISE_CHUNK // 2)],
+    ids=["radar-window", "whole-rows", "no-window", "last-sample",
+         "row-past-a-chunk", "row-past-two-chunks", "window-mid-chunk"])
+@pytest.mark.parametrize("add", [False, True], ids=["write", "add"])
+def test_noise_window_is_the_whole_draw_without_the_blanked_columns(
+        lead, row, width, add):
+    # draw_noise on the last `width` samples of each `row`-sample row, into
+    # a strided view, writes or adds complex_noise's draw of the whole rows
+    # with the first row - width columns dropped, byte for byte, rows
+    # longer than a chunk too. Beyond its output it holds one NOISE_CHUNK
+    # buffer and NumPy's iteration buffers for strided operands (110 KB)
+    g = np.random.default_rng(5)
+    whole = imp.complex_noise((*lead, row), 2.5, 23)
+    base = g.standard_normal((*lead, 2, width)) * (1 + 1j)
+    out = base.copy()[..., 1, :]                    # every other row
+    expect = whole[..., row - width:]
+    if add:
+        expect = out + expect
+    else:
+        out[...] = np.nan
+    tracemalloc.start()
+    try:
+        imp.draw_noise(out, 2.5, 23, add=add, row=row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == expect.tobytes()
+    assert peak <= 8 * imp.NOISE_CHUNK + (1 << 18)
+
+
 def test_channel_noise_seed_contract(cfg, tmp_path):
     # the contract in complex_noise's docstring, through apply: one
     # (n_prt, H, n_hop) draw on the hop view, real block, then imaginary

@@ -219,13 +219,13 @@ def test_radar_chain_finds_one_target_in_every_config(case):
     rng = np.random.default_rng(seed)
     plan = wf.plan_hops(cfg, n_prt=F, rng=rng)
     psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
-    rx = rrx.synthesize_echo(plan, psk, (target,), arr, cfg, noise_var=1.0,
-                             rng=rng)
+    profiles = rrx.echo_profiles(plan, psk, (target,), arr, cfg,
+                                 noise_var=1.0, rng=rng)
     if P == 1:
         with pytest.raises(ConfigError, match=r"n_tx\*n_rx = 1"):
-            rrx.process_cpi(rx, plan, psk, cfg, arr, AZIMUTHS)
+            rrx.process_cpi(profiles, cfg, arr, AZIMUTHS)
         return
-    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, AZIMUTHS, p_fa=1e-4)
+    rdm, dets = rrx.process_cpi(profiles, cfg, arr, AZIMUTHS, p_fa=1e-4)
     best = np.argmax(dets.statistic)
     assert (dets.range_bin[best], dets.doppler_bin[best]) == (delay - E,
                                                               k + F // 2)
@@ -262,9 +262,10 @@ def test_a_gain_of_two_keeps_every_detection(case):
     psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
     rx = rrx.synthesize_echo(plan, psk, (target,), arr, cfg, noise_var=1.0,
                              rng=rng)
-    _, once = rrx.process_cpi(rx, plan, psk, cfg, arr, AZIMUTHS, p_fa=1e-4)
-    _, doubled = rrx.process_cpi(2 * rx, plan, psk, cfg, arr, AZIMUTHS,
-                                 p_fa=1e-4)
+    _, once = rrx.process_cpi(rrx.matched_filter(rx, plan, psk, cfg), cfg,
+                              arr, AZIMUTHS, p_fa=1e-4)
+    _, doubled = rrx.process_cpi(rrx.matched_filter(2 * rx, plan, psk, cfg),
+                                 cfg, arr, AZIMUTHS, p_fa=1e-4)
     got, want = _bytes(doubled), _bytes(once)
     for name in ("statistic", "threshold"):
         got[name] = _bytes(getattr(doubled, name) / 2)

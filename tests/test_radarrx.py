@@ -4,7 +4,6 @@ import re
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -54,29 +53,33 @@ def test_a_one_channel_virtual_array_is_refused():
     # one channel's angle spectrum is flat, so argmax took the grid's first
     # point: radar read a target at 3 deg as -30 deg and exited 0. The
     # array alone has no channel count: process_cpi refuses P = 1 before
-    # the matched filter, and M = 1 with N = 2 runs
+    # the MTD, and M = 1 with N = 2 runs
     cfg = RadarConfig(n_tx=1, prts_per_cpi=4)
     plan, psk = _plan_psk(cfg, 4)
     for n_rx in (1, 2):
         arr = rrx.ArrayModel(n_rx=n_rx)
-        rx = rrx.synthesize_echo(plan, psk, (rrx.Target(2000.0),), arr, cfg)
+        profiles = rrx.echo_profiles(plan, psk, (rrx.Target(2000.0),), arr,
+                                     cfg)
         if n_rx == 1:
             with pytest.raises(ConfigError, match=r"n_tx\*n_rx = 1.*>= 2"):
-                rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 8))
+                rrx.process_cpi(profiles, cfg, arr, rrx.angle_grid(30, 8))
         else:
-            rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr,
+            rdm, _ = rrx.process_cpi(profiles, cfg, arr,
                                      rrx.angle_grid(30, 8))
             assert rdm.cube.shape[1] == 2
 
 
 @pytest.mark.parametrize("n_rx", [4, 24])
 def test_process_cpi_refuses_rx_of_another_antenna_count(cfg, n_rx):
-    # the transmit count of estimate_angle is P // n_rx: a 12-antenna rx
-    # with n_rx = 4 would have been read as a 6-transmitter array
+    # the transmit count of estimate_angle is P // n_rx: the 24 channels
+    # of a 12-antenna rx with n_rx = 4 would have been read as a
+    # 6-transmitter array
     plan, psk = _plan_psk(cfg, 4)
     rx = np.zeros((12, 4, cfg.samples_per_prt), dtype=complex)
-    with pytest.raises(ConfigError, match="12 receive streams.*n_rx = "):
-        rrx.process_cpi(rx, plan, psk, cfg, rrx.ArrayModel(n_rx=n_rx),
+    profiles = rrx.matched_filter(rx, plan, psk, cfg)
+    with pytest.raises(ConfigError, match=rf"24 channels.*n_tx\*n_rx = "
+                                          rf"{2 * n_rx}$"):
+        rrx.process_cpi(profiles, cfg, rrx.ArrayModel(n_rx=n_rx),
                         rrx.angle_grid(30, 8))
 
 
@@ -190,6 +193,71 @@ def test_echo_noise_seed_contract(cfg):
     assert np.array_equal(rx, expect)
 
 
+def _front_end_cases():
+    """(config, n_rx, n_prt) of the front-end identity: every M in 1-4
+    with 1, 3 and 12 receive antennas on short CPIs, a 16-PRT config and
+    the default CPI, whose 128 PRTs span several matched-filter blocks and
+    noise draws."""
+    cases = [pytest.param(RadarConfig(n_tx=m), n_rx, 3, id=f"M{m}-N{n_rx}")
+             for m in (1, 2, 3, 4) for n_rx in (1, 3, 12)]
+    return cases + [
+        pytest.param(RadarConfig(prts_per_cpi=16), 4, 16, id="16-prt"),
+        pytest.param(RadarConfig(), 12, 128, id="default")]
+
+
+@pytest.mark.parametrize("cfg, n_rx, n_prt", _front_end_cases())
+def test_echo_profiles_are_the_matched_filter_of_the_echo(monkeypatch, cfg,
+                                                          n_rx, n_prt):
+    # the scene front end writes each antenna's listening window into the
+    # profile buffer and compresses it there; it must give the bytes of
+    # the echo array's path on one thread and on three, with a target at
+    # the blind range (its echo opens the listening window), one a sample
+    # later, one whose pulse the PRT's end clips, a complex coefficient,
+    # and with no noise or no scene
+    plan, psk = _plan_psk(cfg, n_prt, seed=n_rx)
+    arr = rrx.ArrayModel(n_rx=n_rx)
+    step = SPEED_OF_LIGHT / (2 * cfg.sample_rate)       # one sample of delay
+    scene = (rrx.Target(cfg.blind_range, 40.0, -3.0),
+             rrx.Target(cfg.blind_range + step, 0.0, 12.0, 0.5 - 2j),
+             rrx.Target(cfg.unambiguous_range - 5 * step, -90.0, 7.0),
+             rrx.Target(2000.0, 150.0, 1.5))
+    for targets, noise_var in ((scene, 10 ** 1.2), (scene, 0.0), ((), 2.0),
+                               ((), 0.0)):
+        expect = rrx.matched_filter(
+            rrx.synthesize_echo(plan, psk, targets, arr, cfg,
+                                noise_var=noise_var, rng=9), plan, psk, cfg)
+        for n_threads in (1, 3):
+            monkeypatch.setattr(rrx, "usable_cpus", lambda: n_threads)
+            got = rrx.echo_profiles(plan, psk, targets, arr, cfg,
+                                    noise_var=noise_var, rng=9)
+            assert got.flags.owndata and got.flags.c_contiguous
+            assert _same_bits(got, expect), (len(targets), noise_var,
+                                             n_threads)
+
+
+def test_echo_profiles_refuse_bad_inputs_before_the_buffer(cfg):
+    # a scene outside the window and a bad noise variance are refused
+    # before the 69 MB profile buffer is allocated or the generator drawn
+    # from: the refused call traces less than 1 MB
+    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi)
+    arr = rrx.ArrayModel()
+    g = np.random.default_rng(3)
+    state = g.bit_generator.state
+    for scene, noise_var, match in (((rrx.Target(600.0),), 1.0, "range_m"),
+                                    ((), -1.0, "noise_var"),
+                                    ((), np.nan, "noise_var")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=match):
+                rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                  noise_var=noise_var, rng=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+    assert g.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # Matched filter / MTD
 # ---------------------------------------------------------------------------
@@ -235,7 +303,9 @@ def test_front_end_refuses_a_pulse_that_fills_the_prt():
     arr = rrx.ArrayModel(n_rx=2)
     rx = rrx.synthesize_echo(plan, psk, (), arr, cfg)
     with pytest.raises(ConfigError, match="listening window"):
-        rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 8))
+        rrx.matched_filter(rx, plan, psk, cfg)
+    with pytest.raises(ConfigError, match="listening window"):
+        rrx.echo_profiles(plan, psk, (), arr, cfg)
 
 
 @pytest.mark.parametrize("shape", [(16, 800), (1, 1600)],
@@ -305,22 +375,23 @@ def test_mtd_equals_shifted_fft_exactly(cfg, n_prt):
 def test_process_cpi_cube_matches_an_independent_reference(mode):
     # off the default config (M = 3, 5 receive antennas, odd slow-time
     # length): the cube is the shifted slow-time FFT of the full-PRT
-    # correlation, and it is the one buffer the matched filter filled
+    # correlation of the echo, and it is the one buffer the front end
+    # filled
     cfg = RadarConfig(n_tx=3)
     plan, psk = _plan_psk(cfg, 7, seed=11, mode=mode)
     arr = rrx.ArrayModel(n_rx=5)
     scene = (rrx.Target(1500.0, 30.0, 1.0), rrx.Target(2600.0, -80.0, -2.0))
     rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=0.5,
                              rng=12)
-    rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr, rrx.angle_grid(30, 64))
+    profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg, noise_var=0.5,
+                                 rng=12)
+    rdm, _ = rrx.process_cpi(profiles, cfg, arr, rrx.angle_grid(30, 64))
     ref = np.fft.fftshift(np.fft.fft(_full_prt_correlation(rx, plan, psk, cfg),
                                      axis=1), axes=1).transpose(1, 0, 2)
     assert rdm.cube.shape == ref.shape == (7, 15, cfg.samples_per_prt
                                            - cfg.samples_per_pulse)
-    assert rdm.cube.flags.c_contiguous
+    assert rdm.cube is profiles and rdm.cube.flags.c_contiguous
     assert np.abs(rdm.cube - ref).max() <= 1e-12 * np.abs(ref).max()
-    prof = rrx.matched_filter(rx, plan, psk, cfg)
-    assert np.shares_memory(rrx.mtd(prof, cfg).cube, prof)
 
 
 def _same_bits(a, b) -> bool:
@@ -351,13 +422,14 @@ def _compare_thread_counts(monkeypatch, n_tx, n_rx):
     arr = rrx.ArrayModel(n_rx=n_rx)
     sweep = bench.SweepSpec(n_targets=10, angle_grid_points=64)
     plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=5)
-    rx = rrx.synthesize_echo(plan, psk, sweep.random_scene(cfg, 6), arr, cfg,
-                             noise_var=10 ** 2.4, rng=7)
+    scene = sweep.random_scene(cfg, 6)
     grid = rrx.angle_grid(30, 64)
     first = None
     for n_threads in (1, 2, 3):
         monkeypatch.setattr(rrx, "usable_cpus", lambda: n_threads)
-        rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid)
+        profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                     noise_var=10 ** 2.4, rng=7)
+        rdm, dets = rrx.process_cpi(profiles, cfg, arr, grid)
         trial = bench.radar_trial(cfg, sweep, -24.0, [3, 1], "dfrc")
         got = (rdm.cube, [getattr(dets, f.name)
                           for f in dataclasses.fields(dets)], repr(trial))
@@ -391,52 +463,24 @@ def test_each_runs_one_thread_per_usable_cpu_up_to_n(monkeypatch, cpus, n,
 
 
 def test_process_cpi_never_holds_a_second_cube(cfg):
-    # the range profiles are the cube's buffer, which mtd transforms in
-    # place, so the traced peak inside process_cpi stays within 1.4 cubes
-    # (1.36 measured; a second cube-sized array would make it >= 2)
+    # the map's cube is the profile buffer, which mtd transforms in place,
+    # so what process_cpi allocates beyond the profiles it is given (the
+    # MTD's scratch, the CFAR maps and the angle blocks) stays within 0.4
+    # cubes (0.25 measured); a second cube-sized array would make it >= 1
     sweep = bench.SweepSpec(n_targets=10)
     plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
     arr = rrx.ArrayModel()
-    scene = sweep.random_scene(cfg, 3)
-    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
-                             noise_var=10 ** 2.4, rng=4)
+    profiles = rrx.echo_profiles(plan, psk, sweep.random_scene(cfg, 3), arr,
+                                 cfg, noise_var=10 ** 2.4, rng=4)
     grid = rrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
     tracemalloc.start()
     try:
-        rdm, _ = rrx.process_cpi(rx, plan, psk, cfg, arr, grid)
+        rdm, _ = rrx.process_cpi(profiles, cfg, arr, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rdm.cube.nbytes <= peak < 1.4 * rdm.cube.nbytes
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="CPython 3.10 keeps a call's arguments on the "
-                           "caller's stack until the call returns")
-def test_process_cpi_frees_an_echo_only_it_holds_before_the_mtd(
-        cfg, monkeypatch):
-    # nothing reads the echo after pulse compression: an echo passed
-    # unnamed, as bench.radar_cpi passes it, is gone before mtd runs; a
-    # caller that holds the echo keeps it
-    plan, psk = _plan_psk(cfg, 16)
-    arr = rrx.ArrayModel()
-    echoes, alive = [], []
-
-    def echo():
-        rx = rrx.synthesize_echo(plan, psk, (rrx.Target(2000.0),), arr, cfg)
-        echoes.append(weakref.ref(rx))
-        return rx
-
-    def mtd(profiles, cfg, real=rrx.mtd):
-        alive.append(echoes[-1]() is not None)
-        return real(profiles, cfg)
-
-    monkeypatch.setattr(rrx, "mtd", mtd)
-    grid = rrx.angle_grid(30, 8)
-    rrx.process_cpi(echo(), plan, psk, cfg, arr, grid)
-    held = echo()
-    rrx.process_cpi(held, plan, psk, cfg, arr, grid)
-    assert alive == [False, True]
+    assert rdm.cube is profiles
+    assert peak < 0.4 * rdm.cube.nbytes
 
 
 def test_mtd_static_target_in_zero_doppler_bin(cfg):
@@ -571,10 +615,10 @@ def test_cfar_fifty_target_scene_detection_rate(cfg):
     scene = bench.SweepSpec().random_scene(cfg, rng)
     arr = rrx.ArrayModel()
     # RDM-peak SNR per channel ~ +14 dB: input -30 dB + MF/MTD gain 44 dB
-    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
-                             noise_var=10 ** (30 / 10), rng=9)
+    profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                 noise_var=10 ** (30 / 10), rng=9)
     grid = rrx.angle_grid(30, 512)
-    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
+    rdm, dets = rrx.process_cpi(profiles, cfg, arr, grid=grid)
     hits = sum(r[0] for r in bench._associate(dets, scene, rdm))
     assert hits >= 45  # >= 90% of 50
 
@@ -686,10 +730,10 @@ def test_estimate_params_mapping(make_cfg):
     plan, psk = _plan_psk(cfg, 128)
     scene = (rrx.Target(1500.0, 0.0, 7.5),)
     arr = rrx.ArrayModel()
-    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
-                             noise_var=10.0 ** 3, rng=4)
+    profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                 noise_var=10.0 ** 3, rng=4)
     grid = rrx.angle_grid(30, 4096)
-    rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
+    rdm, dets = rrx.process_cpi(profiles, cfg, arr, grid=grid)
     best = np.argmax(dets.statistic)
     assert dets.range_m[best] == pytest.approx(1500.0, abs=cfg.range_bin)
     assert dets.velocity[best] == 0.0
@@ -722,9 +766,9 @@ def test_the_map_and_detections_are_read_only_values(cfg):
 
 def test_process_cpi_without_detections(cfg):
     plan, psk = _plan_psk(cfg, 16)
-    rx = np.zeros((12, 16, cfg.samples_per_prt), dtype=complex)
-    _, dets = rrx.process_cpi(rx, plan, psk, cfg, rrx.ArrayModel(),
-                              grid=rrx.angle_grid(30, 256))
+    arr = rrx.ArrayModel()
+    _, dets = rrx.process_cpi(rrx.echo_profiles(plan, psk, (), arr, cfg),
+                              cfg, arr, grid=rrx.angle_grid(30, 256))
     assert len(dets) == 0
 
 
@@ -737,10 +781,10 @@ def test_waveform_equivalence_quick(cfg):
         rng = np.random.default_rng(12)
         scene = bench.SweepSpec(n_targets=8).random_scene(cfg, rng)
         arr = rrx.ArrayModel()
-        rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
-                                 noise_var=10 ** (24 / 10), rng=13)
+        profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                     noise_var=10 ** (24 / 10), rng=13)
         grid = rrx.angle_grid(30, 512)
-        rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid)
+        rdm, dets = rrx.process_cpi(profiles, cfg, arr, grid=grid)
         errs[mode] = np.array([
             (dr, dv) for hit, dr, dv, _ in bench._associate(dets, scene, rdm)
             if hit])
@@ -765,9 +809,9 @@ def test_pilot_waveform_excess_detections_lie_on_its_doppler_rows(cfg):
     counts = {}
     for mode in ("dfrc", "traditional"):
         plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=22, mode=mode)
-        rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg,
-                                 noise_var=10 ** 2.4, rng=23)
-        rdm, dets = rrx.process_cpi(rx, plan, psk, cfg, arr, grid=grid,
+        profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                     noise_var=10 ** 2.4, rng=23)
+        rdm, dets = rrx.process_cpi(profiles, cfg, arr, grid=grid,
                                     p_fa=sweep.p_fa)
         F = rdm.n_doppler
         rows = {round(t.doppler(cfg.wavelength) / cfg.doppler_bin) + F // 2

@@ -20,6 +20,14 @@ UNREACHED_ON_PURPOSE = {
     "waveform.extract_payload_bits",
     # printed by demos/demo_radar_chain.py; criterion 7's velocity floor
     "config.RadarConfig.velocity_bin",
+    # the echo-array path, the reference that echo_profiles must equal
+    # byte for byte: the radar tests and the acceptance suite build echoes
+    # and compress them (the profiles of a hand-made or scaled echo too)
+    "radarrx.synthesize_echo",
+    "radarrx.matched_filter",
+    # the whole noise draw as one array, the seed contract's statement
+    # that the noise tests hold draw_noise's windows and apply's sums to
+    "impairments.complex_noise",
 }
 
 # Dataclass fields that no library code reads, kept for the tests.
