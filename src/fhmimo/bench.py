@@ -366,7 +366,9 @@ def radar_cpi(cfg: RadarConfig, sweep: SweepSpec, plan: HopPlan,
     """(range-Doppler map, detections) of one CPI's echo of ``scene``,
     with the sweep's angle grid and false-alarm rate: the profiles of
     :func:`radarrx.echo_profiles`, which builds no echo array, through
-    :func:`radarrx.process_cpi`."""
+    :func:`radarrx.process_cpi`. A virtual array of fewer than two
+    channels is a :class:`ConfigError` before the echo is synthesized."""
+    radarrx.check_channels(cfg, array)
     grid = radarrx.angle_grid(sweep.angle_fov_deg, sweep.angle_grid_points)
     return radarrx.process_cpi(
         radarrx.echo_profiles(plan, psk, scene, array, cfg,

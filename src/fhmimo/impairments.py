@@ -179,7 +179,7 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
             * np.exp(1j * np.asarray(psk_phase)))
 
 
-# Floats per normal draw of :func:`draw_noise`, one scratch block
+# Floats per normal draw of :func:`noise_steps`, one scratch block
 NOISE_CHUNK = BLOCK_BYTES // 8
 
 
@@ -208,7 +208,16 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
 def draw_noise(out: np.ndarray, noise_var: float, rng, add: bool = False,
                row: int | None = None) -> None:
     """Write (``add`` False) or add (``add`` True) the last samples of each
-    row of :func:`complex_noise`'s draw into ``out``.
+    row of :func:`complex_noise`'s draw into ``out``: :func:`noise_steps`
+    run to its end."""
+    for _ in noise_steps(out, noise_var, rng, add, row):
+        pass
+
+
+def noise_steps(out: np.ndarray, noise_var: float, rng, add: bool = False,
+                row: int | None = None):
+    """The noise loop of :func:`draw_noise`, as a generator that yields
+    each leading index of ``out`` (a tuple) once its noise is whole.
 
     ``out`` is a complex array of two or more axes, or a view of any
     strides, (..., W); the draw has shape (..., ``row``) with ``row`` >= W
@@ -218,11 +227,15 @@ def draw_noise(out: np.ndarray, noise_var: float, rng, add: bool = False,
     drawn in C order through one float buffer of at most ``NOISE_CHUNK``
     values, whole rows at a time, or one row in pieces when a row is
     longer, which draws the same numbers as one draw of the whole block.
-    A written sample is fl(s * scale) and an added one fl(m + fl(s *
+    The real block is written for every index first; a leading index is
+    yielded once its imaginary rows are written, in C order, so a caller
+    may read or overwrite ``out[index]`` from then on (the radar front end
+    compresses each antenna on other threads while the draw goes on). A
+    written sample is fl(s * scale) and an added one fl(m + fl(s *
     scale)) in each component, as writing or adding the whole noise array
-    gives. A variance of 0 leaves ``out`` as it is and draws nothing; a
-    negative, infinite or NaN one raises :class:`ConfigError` before it
-    draws.
+    gives. A variance of 0 leaves ``out`` as it is, draws nothing and
+    yields nothing; a negative, infinite or NaN one raises
+    :class:`ConfigError` before it draws.
     """
     check_noise_var(noise_var)
     *lead, n_rows, width = out.shape
@@ -235,7 +248,7 @@ def draw_noise(out: np.ndarray, noise_var: float, rng, add: bool = False,
     step = max(1, NOISE_CHUNK // row)   # rows per draw
     buf = np.empty(min(step, n_rows) * piece)
     scale = np.sqrt(noise_var / 2.0)
-    for part in (out.real, out.imag):
+    for imag, part in enumerate((out.real, out.imag)):
         for index in product(*map(range, lead)):
             rows = part[index]                          # (n_rows, W)
             for r in range(0, n_rows, step):
@@ -253,6 +266,8 @@ def draw_noise(out: np.ndarray, noise_var: float, rng, add: bool = False,
                         dst += np.multiply(src, scale, out=src)
                     else:
                         np.multiply(src, scale, out=dst)
+            if imag:
+                yield index
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,

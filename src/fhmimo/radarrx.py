@@ -9,15 +9,15 @@ channels ordered p = n*M + m. A scene is a tuple of :class:`Target`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .config import (BLOCK_BYTES, SPEED_OF_LIGHT, ConfigError, RadarConfig,
                      Value, usable_cpus)
-from .impairments import check_noise_var, draw_noise
+from .impairments import check_noise_var, noise_steps
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
 
@@ -25,28 +25,87 @@ CFAR_GUARD_CELLS = 2      # guard ring around the cell under test
 CFAR_TRAINING_CELLS = 8   # width of the training ring beyond the guard ring
 
 
-def _each(fn, n: int, work_shape: tuple, dtype=complex) -> None:
-    """``fn(i, work)`` for every i in range(n) on T threads, thread t
-    taking i = t, t + T, ... and passing its own scratch array ``work`` of
-    ``work_shape``. T is :func:`config.usable_cpus` up to n. The calling
-    thread is thread 0, so one thread starts none (the pool starts a
-    thread only for a task it is given), and it allocates every
-    thread's scratch: a started thread allocates nothing large, which
-    would stay resident in a heap of its own. Each call writes only its
-    own slice of the output with NumPy alone (whose FFTs and loops release
-    the GIL), so the output is the same at any thread count."""
+# The targets' contributions that one pass over the antennas adds
+ECHO_BLOCK_BYTES = 4 * BLOCK_BYTES
+
+
+def _each(fn, n: int, work_shape: tuple, dtype=complex, lead=None,
+          set_up: int = 0) -> None:
+    """``fn(i, work)`` for every i in range(n) on T threads, each thread
+    taking the lowest i that no thread has taken and passing its own
+    scratch array ``work`` of ``work_shape``. T is
+    :func:`config.usable_cpus` up to n. The calling thread is one of them,
+    so one thread starts none, and it allocates every thread's scratch: a
+    started thread allocates nothing large, which would stay resident in a
+    heap of its own. Each call writes only its own slice of the output with
+    NumPy alone (whose FFTs and loops release the GIL), so the output is
+    the same at any thread count.
+
+    ``lead``, if given, is an iterable that the calling thread runs to its
+    end before it takes a call (a CPI's noise draw, one item per antenna
+    drawn), while the started threads take calls at once. The first
+    ``set_up`` calls run as soon as they are taken; call i >= ``set_up``
+    waits until all of those have returned and ``lead`` has given i -
+    ``set_up`` + 1 items or ended. An error in ``lead`` or in a call
+    stops the taking of calls and ends every wait, and is raised once
+    every thread has returned, so no thread is left waiting (an error of
+    the calling thread first).
+    """
     n_threads = max(1, min(usable_cpus(), n))
     work = np.empty((n_threads, *work_shape), dtype)
+    cond = threading.Condition()
+    taken = done = led = 0    # calls taken, set-up calls done, lead items
+    errors = []
+
+    def stop(error):
+        with cond:
+            errors.append(error)
+            cond.notify_all()
 
     def share(t):
-        for i in range(t, n, n_threads):
-            fn(i, work[t])
+        nonlocal taken, done
+        while True:
+            with cond:
+                i = taken
+                taken += 1
+                cond.wait_for(lambda: errors or i >= n or i < set_up or (
+                    done == set_up and led > i - set_up))
+                if errors or i >= n:
+                    return
+            try:
+                fn(i, work[t])
+            except BaseException as error:
+                stop(error)
+                return
+            if i < set_up:
+                with cond:
+                    done += 1
+                    cond.notify_all()
 
-    with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
-        started = [pool.submit(share, t) for t in range(1, n_threads)]
+    threads = [threading.Thread(target=share, args=(t,))
+               for t in range(1, n_threads)]
+    try:
+        for thread in threads:
+            thread.start()
+        for _ in lead or ():
+            with cond:
+                led += 1
+                cond.notify_all()
+            if errors:
+                break
+        with cond:
+            led = n
+            cond.notify_all()
         share(0)
-        for future in started:
-            future.result()                     # re-raises its error
+    except BaseException as error:
+        stop(error)             # end every wait before this error rises
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -119,44 +178,43 @@ class ArrayModel:
 # Echo synthesis
 # ---------------------------------------------------------------------------
 
-def _echo_into(window: np.ndarray, plan: HopPlan, psk: PskGrid,
-               scene: tuple[Target, ...], array: ArrayModel,
-               cfg: RadarConfig, noise_var: float, rng) -> None:
-    """Write noise plus the echo of ``scene`` into ``window``, the
-    (N, n_prt, R) listening windows [E, samples_per_prt) of the N receive
-    streams, a view of any strides.
-
-    The noise is :func:`impairments.draw_noise`'s window of the whole
-    (N, n_prt, samples_per_prt) draw (zeros for a variance of 0, drawing
-    nothing); the targets are then added in scene order. Each target's
-    product with the receive steering is taken over its whole segment
-    [d, min(d + E, samples_per_prt)), as one array, so the rounding of
-    the product's vector tail does not depend on the window, and only its
-    part at or after sample E is added.
-    """
-    N, n_prt, _ = window.shape
-    n_p = cfg.samples_per_prt
-    n_pulse = cfg.samples_per_pulse
+def _noise(window: np.ndarray, noise_var: float, rng, row: int):
+    """The draw that opens a CPI's front end, one item per receive antenna
+    n once its listening window ``window[n]`` holds its noise:
+    :func:`impairments.noise_steps`' window of the whole (N, n_prt,
+    ``row``) draw, or zeros for a variance of 0, drawing nothing."""
     if noise_var == 0:
-        window[...] = 0.0
+        for echo in window:
+            echo[...] = 0.0
+            yield
     else:
-        draw_noise(window, noise_var, rng, row=n_p)
+        yield from noise_steps(window, noise_var, rng, row=row)
 
-    pulses = synthesize(plan, psk, cfg).data              # (M, n_prt, E)
-    i_idx = np.arange(n_prt)
-    for t in scene:
-        d = int(round(t.delay() * cfg.sample_rate))
-        a_t = _ula(t.azimuth_deg, array.tx_spacing, cfg.n_tx)    # (M,)
-        a_r = _ula(t.azimuth_deg, array.rx_spacing, N)           # (N,)
-        dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
-                      * i_idx * cfg.prt_duration)             # (n_prt,)
-        tx_sum = np.einsum("m,min->in", a_t, pulses)          # (n_prt, E)
-        contrib = t.coeff * dopp[:, None] * tx_sum            # (n_prt, E)
-        stop = min(n_p, d + n_pulse)
-        seg = contrib[:, :stop - d]
-        echo = a_r[:, None, None] * seg[None]         # (N, n_prt, stop - d)
-        first = max(d, n_pulse)         # the receiver is blanked before E
-        window[:, :, first - n_pulse:stop - n_pulse] += echo[:, :, first - d:]
+
+def _add_echoes(echo: np.ndarray, steering: np.ndarray, delays,
+                contribs: np.ndarray, work: np.ndarray,
+                cfg: RadarConfig) -> None:
+    """The echo kernel: add to one antenna's (n_prt, R) listening window
+    ``echo``, samples [E, samples_per_prt) of its PRTs, the echoes of the
+    targets whose delays (in samples) ``delays`` gives, in that order.
+
+    Target k's echo is its (n_prt, E) transmit contribution
+    ``contribs[k]`` times its receive steering ``steering[k]``. The
+    product is taken over the target's whole segment [d, min(d + E,
+    samples_per_prt)) as one array in the scratch ``work``, so the rounding
+    of the product's vector tail does not depend on the window, and only
+    its part at or after sample E (the receiver is blanked before) is
+    added.
+    """
+    n_p, E = cfg.samples_per_prt, cfg.samples_per_pulse
+    n_prt, _ = echo.shape
+    prod = work[:n_prt * E].reshape(n_prt, E)
+    for k, d in enumerate(delays):
+        stop = min(n_p, d + E)
+        first = max(d, E)
+        seg = np.multiply(steering[k], contribs[k, :, :stop - d],
+                          out=prod[:, :stop - d])
+        echo[:, first - E:stop - E] += seg[:, first - d:]
 
 
 def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
@@ -169,24 +227,27 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
     steering and its scattering coefficient, with a per-PRT Doppler phase.
     Delays are rounded to the sample grid; samples inside the transmit
     window are zero (pulsed-radar blind zone). A scene outside the
-    observable window (:func:`check_scene`) raises
+    observable window (:func:`check_scene`) and a bad ``noise_var`` raise
     :class:`ConfigError` before anything is drawn. The noise is one
     :func:`impairments.complex_noise` draw of shape (N, n_prt,
     samples_per_prt), made before the echoes, so equal seeds give equal
-    noise regardless of the scene/plan and a bad ``noise_var`` raises its
-    :class:`ConfigError`; its samples in the transmit window are drawn and
-    dropped.
+    noise regardless of the scene/plan; its samples in the transmit window
+    are drawn and dropped.
 
     This is the echo array that :func:`echo_profiles` never builds: zeros
-    whose listening windows the same kernel writes, so
-    ``matched_filter(synthesize_echo(...))`` is ``echo_profiles(...)``
-    byte for byte. The tests and the acceptance suite read it.
+    whose listening windows the same draw and echo kernel write, without
+    the compression, so ``matched_filter(synthesize_echo(...))`` is
+    ``echo_profiles(...)`` byte for byte. The tests and the acceptance
+    suite read it.
     """
     check_scene(scene, cfg)
+    check_noise_var(noise_var)
     rx = np.zeros((array.n_rx, plan.n_prt, cfg.samples_per_prt),
                   dtype=np.complex128)
-    _echo_into(rx[:, :, cfg.samples_per_pulse:], plan, psk, scene, array,
-               cfg, noise_var, rng)
+    window = rx[:, :, cfg.samples_per_pulse:]
+    _front_end(window, plan, psk, cfg,
+               _noise(window, noise_var, rng, cfg.samples_per_prt), scene,
+               array)
     return rx
 
 
@@ -207,40 +268,119 @@ def _range_bins(cfg: RadarConfig) -> int:
     return R
 
 
-def _compress(profiles: np.ndarray, echo: np.ndarray, plan: HopPlan,
-              psk: PskGrid, cfg: RadarConfig) -> None:
-    """Write the (n_prt, N*M, R) range profiles of the (N, n_prt, R)
-    listening windows ``echo`` into ``profiles``.
+def check_channels(cfg: RadarConfig, array: ArrayModel) -> None:
+    """Refuse a virtual array of fewer than two channels (n_tx * n_rx),
+    whose angle spectrum is flat."""
+    P = cfg.n_tx * array.n_rx
+    if P < 2:
+        raise ConfigError(f"n_tx*n_rx = {P} virtual channel, must be >= 2 "
+                          f"to estimate an angle")
+
+
+def _compress_antenna(profiles: np.ndarray, n: int, echo: np.ndarray,
+                      refs: np.ndarray, work: np.ndarray,
+                      cfg: RadarConfig) -> None:
+    """The compression loop: write the range profiles of receive antenna
+    n, channels n*M ... n*M + M-1 of the (n_prt, N*M, R) ``profiles``,
+    from its (n_prt, R) listening window ``echo``.
 
     Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
     so only the R listening samples enter; their linear correlation with
     the pulse spans R + E - 1 < n_p lags and fits an n_p-point FFT without
-    wrap. The pulses' conjugate spectra are built once per call; each
-    receive antenna is one task of :func:`_each`, which transforms its
-    PRTs in blocks of about ``BLOCK_BYTES`` per n_p-sample array, on two
-    such scratch blocks per thread. A task reads a block of its echo into
-    its FFT scratch before it writes that block's M channels, and writes
-    only its own, so ``echo`` may be a view of ``profiles``: one channel
-    slot of each antenna (:func:`echo_profiles`).
+    wrap. ``refs`` holds the pulses' (M, n_prt, n_p) conjugate spectra.
+    The PRTs are transformed in blocks of about ``BLOCK_BYTES`` per
+    n_p-sample array, on two such blocks of the scratch ``work``; a block
+    of the echo is read into the scratch before that block's M channels
+    are written, so ``echo`` may be the view of the antenna's last
+    channel in ``profiles`` (:func:`echo_profiles`).
     """
     n_prt, _, R = profiles.shape
-    M = cfg.n_tx
-    n_p = cfg.samples_per_prt
-    refs = np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1)
-    np.conj(refs, out=refs)                                   # (M, n_prt, n_p)
-    rows = max(1, BLOCK_BYTES // (16 * n_p))      # complex128 PRTs per block
+    M, n_p = cfg.n_tx, cfg.samples_per_prt
+    rows = _compress_rows(cfg, n_prt)
+    scratch = work[:2 * rows * n_p].reshape(2, rows, n_p)
+    for i in range(0, n_prt, rows):
+        X, Y = scratch[:, :min(rows, n_prt - i)]
+        block = slice(i, i + len(X))
+        np.fft.fft(echo[block], n_p, axis=-1, out=X)
+        for m in range(M):
+            np.multiply(X, refs[m, block], out=Y)
+            profiles[block, n * M + m] = np.fft.ifft(Y, axis=-1, out=Y)[:, :R]
 
-    def antenna(n, work):
-        for i in range(0, n_prt, rows):
-            X, Y = work[:, :min(rows, n_prt - i)]             # (rows, n_p)
-            block = slice(i, i + len(X))
-            np.fft.fft(echo[n, block], n_p, axis=-1, out=X)
-            for m in range(M):
-                np.multiply(X, refs[m, block], out=Y)
-                profiles[block, n * M + m] = np.fft.ifft(
-                    Y, axis=-1, out=Y)[:, :R]
 
-    _each(antenna, len(echo), (2, min(rows, n_prt), n_p))
+def _compress_rows(cfg: RadarConfig, n_prt: int) -> int:
+    """The PRTs per compression block: about ``BLOCK_BYTES`` of
+    complex128 samples_per_prt-sample rows, at most the CPI."""
+    return max(1, min(n_prt, BLOCK_BYTES // (16 * cfg.samples_per_prt)))
+
+
+def _front_end(window: np.ndarray, plan: HopPlan, psk: PskGrid,
+               cfg: RadarConfig, lead=None, scene: tuple[Target, ...] = (),
+               array: ArrayModel | None = None,
+               profiles: np.ndarray | None = None) -> None:
+    """Fill the (N, n_prt, R) listening windows ``window`` of N receive
+    antennas with ``lead`` and the echo of ``scene``, and compress each
+    into ``profiles``, as one :func:`_each` pipeline.
+
+    ``lead`` (:func:`_noise`, or None for windows already filled) runs on
+    the calling thread; its item n means that antenna n's window is
+    drawn. Meanwhile the other threads build the pulses' conjugate
+    spectra (with ``profiles``) and the (n_prt, E) contributions of the
+    first targets, as many as fit ``ECHO_BLOCK_BYTES``, and then take the
+    antennas in order as each is drawn: each adds those targets' echoes
+    (:func:`_add_echoes`) and, if they are the scene's last, is compressed
+    in place (:func:`_compress_antenna`). A larger scene runs each later
+    block of targets as one more pass: its contributions, then the
+    antennas, so the memory held does not grow with the scene. Each
+    antenna gets its targets in scene order, so the windows and profiles
+    are the same bytes at any thread count. The calling thread allocates
+    every array the pipeline fills.
+    """
+    N, n_prt, _ = window.shape
+    M, n_p = cfg.n_tx, cfg.samples_per_prt
+    pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
+    delays = [int(round(t.delay() * cfg.sample_rate)) for t in scene]
+    per_pass = max(1, ECHO_BLOCK_BYTES // pulses[0].nbytes)
+    contribs = np.empty((min(len(scene), per_pass), *pulses.shape[1:]),
+                        dtype=np.complex128)
+    steering = np.empty((len(contribs), N), dtype=np.complex128)
+    refs = None if profiles is None else np.empty((M, n_prt, n_p),
+                                                  dtype=np.complex128)
+    work_shape = (max(pulses[0].size, 2 * _compress_rows(cfg, n_prt) * n_p),)
+
+    def spectra():
+        np.fft.fft(pulses, n_p, axis=-1, out=refs)
+        np.conj(refs, out=refs)
+
+    def contribution(k, t):
+        a_t = _ula(t.azimuth_deg, array.tx_spacing, M)           # (M,)
+        steering[k] = _ula(t.azimuth_deg, array.rx_spacing, N)   # (N,)
+        dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
+                      * np.arange(n_prt) * cfg.prt_duration)  # (n_prt,)
+        np.einsum("m,min->in", a_t, pulses, out=contribs[k])
+        np.multiply(t.coeff * dopp[:, None], contribs[k], out=contribs[k])
+
+    def one_pass(start):
+        targets = scene[start:start + per_pass]
+        compress = profiles is not None and start + per_pass >= len(scene)
+        set_up = [spectra] if start == 0 and refs is not None else []
+        set_up += [partial(contribution, k, t) for k, t in enumerate(targets)]
+
+        def task(i, work):
+            if i < len(set_up):
+                set_up[i]()
+                return
+            n = i - len(set_up)
+            _add_echoes(window[n], steering[:, n],
+                        delays[start:start + len(targets)], contribs, work,
+                        cfg)
+            if compress:
+                _compress_antenna(profiles, n, window[n], refs, work, cfg)
+
+        _each(task, len(set_up) + N, work_shape,
+              lead=lead if start == 0 else None, set_up=len(set_up))
+
+    for start in range(0, max(1, len(scene)), per_pass):
+        one_pass(start)
 
 
 def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
@@ -263,7 +403,8 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
             f"plan and config give {(plan.n_prt, cfg.samples_per_prt)}")
     profiles = np.empty((n_prt, N * cfg.n_tx, _range_bins(cfg)),
                         dtype=np.complex128)
-    _compress(profiles, rx[:, :, cfg.samples_per_pulse:], plan, psk, cfg)
+    _front_end(rx[:, :, cfg.samples_per_pulse:], plan, psk, cfg,
+               profiles=profiles)
     return profiles
 
 
@@ -272,16 +413,23 @@ def echo_profiles(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
                   noise_var: float = 0.0, rng=None) -> np.ndarray:
     """The range profiles of one CPI's echo of ``scene``, without an echo
     array: ``matched_filter(synthesize_echo(...), plan, psk, cfg)`` byte
-    for byte, for the same arguments and seed.
+    for byte, for the same arguments and seed, at any thread count.
 
     Each antenna's listening window (noise and echo, as
     :func:`synthesize_echo` writes it) goes straight into the slot of its
     last channel, the (N, n_prt, R) view ``profiles[:, M-1::M]``
     transposed, and is compressed there in place, so the call holds the
     (n_prt, N*M, R) profiles, which it returns, and no (N, n_prt,
-    samples_per_prt) array. A scene outside the observable window, a bad
-    ``noise_var`` and a pulse that fills the PRT are each a
-    :class:`ConfigError` before the profiles are allocated.
+    samples_per_prt) array. The calling thread draws the noise (the
+    seed's one stream, in its one order) while the other threads build
+    the pulse spectra and the targets' contributions, then add the echoes
+    of each antenna whose noise is drawn and compress it
+    (:func:`_front_end`); one usable CPU starts no thread, and runs the
+    draw, then the antennas in order. A scene outside the observable
+    window, a bad ``noise_var``, a virtual array of fewer than two
+    channels (:func:`process_cpi` would refuse it) and a pulse that fills
+    the PRT are each a :class:`ConfigError` before the profiles are
+    allocated.
     """
     check_scene(scene, cfg)
     check_noise_var(noise_var)
@@ -289,8 +437,9 @@ def echo_profiles(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
     profiles = np.empty((plan.n_prt, array.n_rx * M, _range_bins(cfg)),
                         dtype=np.complex128)
     window = profiles[:, M - 1::M].transpose(1, 0, 2)      # (N, n_prt, R)
-    _echo_into(window, plan, psk, scene, array, cfg, noise_var, rng)
-    _compress(profiles, window, plan, psk, cfg)
+    _front_end(window, plan, psk, cfg,
+               _noise(window, noise_var, rng, cfg.samples_per_prt), scene,
+               array, profiles)
     return profiles
 
 
@@ -536,10 +685,8 @@ def process_cpi(profiles: np.ndarray, cfg: RadarConfig, array: ArrayModel,
     spectrum is flat) or profiles of another channel count is a
     :class:`ConfigError`.
     """
+    check_channels(cfg, array)
     P = cfg.n_tx * array.n_rx
-    if P < 2:
-        raise ConfigError(f"n_tx*n_rx = {P} virtual channel, must be >= 2 "
-                          f"to estimate an angle")
     if profiles.shape[1] != P:
         raise ConfigError(f"the profiles hold {profiles.shape[1]} channels, "
                           f"but the config and array give n_tx*n_rx = {P}")

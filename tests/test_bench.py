@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fhmimo import bench, commrx, iqfile
-from fhmimo.config import ConfigError
+from fhmimo.config import ConfigError, RadarConfig
 from fhmimo.impairments import NOISE_CHUNK, apply
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
@@ -330,6 +330,29 @@ def test_radar_trial_plan_and_psk_streams_differ(cfg, monkeypatch):
     bench.radar_trial(small, bench.SweepSpec(n_targets=2), -10.0, [1, 2],
                       "dfrc")
     assert states["plan"]["state"] != states["psk"]["state"]
+
+
+def test_radar_cpi_refuses_a_one_channel_array_before_the_echo():
+    # n_tx 1 with n_rx 1 (fhmimo radar's config) synthesized and
+    # compressed a whole CPI before process_cpi refused it: now the
+    # refused call traces less than 1 MB (the default CPI's profiles are
+    # 2.9 MB, its pulse spectra 3.3 MB) and draws nothing
+    cfg = RadarConfig(n_tx=1)
+    plan = wf.plan_hops(cfg, n_prt=cfg.prts_per_cpi, rng=1)
+    psk = wf.make_psk_grid(cfg, plan, 3, rng=2)
+    g = np.random.default_rng(3)
+    state = g.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"n_tx\*n_rx = 1.*>= 2"):
+            bench.radar_cpi(cfg, bench.SweepSpec(), plan, psk,
+                            (rrx.Target(2000.0),), rrx.ArrayModel(n_rx=1),
+                            1.0, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert g.bit_generator.state == state
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),

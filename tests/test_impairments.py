@@ -186,6 +186,44 @@ def test_noise_window_is_the_whole_draw_without_the_blanked_columns(
     assert peak <= 8 * imp.NOISE_CHUNK + (1 << 18)
 
 
+@pytest.mark.parametrize("lead, row, width", [
+    ((12, 128), 1600, 1400), ((2, 3), 7, 7), ((3, 2), 7, 0),
+    ((2, 3, 2), 9, 4),
+    ((2, 1), imp.NOISE_CHUNK + 5, imp.NOISE_CHUNK - 3),
+    ((1, 3), 2 * imp.NOISE_CHUNK + 1, 2)],
+    ids=["radar-window", "whole-rows", "no-window", "two-lead-axes",
+         "row-past-a-chunk", "row-past-two-chunks"])
+@pytest.mark.parametrize("add", [False, True], ids=["write", "add"])
+def test_noise_steps_give_each_index_once_its_noise_is_whole(lead, row,
+                                                             width, add):
+    # the step generator that draw_noise runs to its end: it yields every
+    # leading index once, in C order, when that index's rows already hold
+    # their final bytes (the radar front end compresses an antenna from
+    # then on), and run to its end it writes or adds draw_noise's and
+    # complex_noise's bytes
+    g = np.random.default_rng(6)
+    whole = imp.complex_noise((*lead, row), 2.5, 29)
+    out = (g.standard_normal((*lead, 2, width)) * (1 + 1j))[..., 1, :]
+    base = out.copy()
+    expect = whole[..., row - width:] + (base if add else 0)
+    by_draw_noise = base.copy()
+    imp.draw_noise(by_draw_noise, 2.5, 29, add=add, row=row)
+    steps = []
+    for index in imp.noise_steps(out, 2.5, 29, add=add, row=row):
+        assert out[index].tobytes() == expect[index].tobytes()
+        steps.append(index)
+    assert steps == list(np.ndindex(*lead[:-1]))
+    assert out.tobytes() == expect.tobytes() == by_draw_noise.tobytes()
+
+
+def test_noise_steps_draw_nothing_for_a_variance_of_0():
+    g = np.random.default_rng(4)
+    state = g.bit_generator.state
+    out = np.ones((2, 3, 4), complex)
+    assert list(imp.noise_steps(out, 0.0, g)) == []
+    assert g.bit_generator.state == state and (out == 1).all()
+
+
 def test_channel_noise_seed_contract(cfg, tmp_path):
     # the contract in complex_noise's docstring, through apply: one
     # (n_prt, H, n_hop) draw on the hop view, real block, then imaginary

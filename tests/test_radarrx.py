@@ -3,14 +3,17 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fhmimo import bench
 from fhmimo.config import SPEED_OF_LIGHT, ConfigError, RadarConfig
+from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -211,7 +214,8 @@ def test_echo_profiles_are_the_matched_filter_of_the_echo(monkeypatch, cfg,
                                                           n_rx, n_prt):
     # the scene front end writes each antenna's listening window into the
     # profile buffer and compresses it there; it must give the bytes of
-    # the echo array's path on one thread and on three, with a target at
+    # the echo array's path on one, two and three threads (the draw on
+    # the calling thread, the antennas on the others), with a target at
     # the blind range (its echo opens the listening window), one a sample
     # later, one whose pulse the PRT's end clips, a complex coefficient,
     # and with no noise or no scene
@@ -227,13 +231,189 @@ def test_echo_profiles_are_the_matched_filter_of_the_echo(monkeypatch, cfg,
         expect = rrx.matched_filter(
             rrx.synthesize_echo(plan, psk, targets, arr, cfg,
                                 noise_var=noise_var, rng=9), plan, psk, cfg)
-        for n_threads in (1, 3):
+        for n_threads in (1, 2, 3):
             monkeypatch.setattr(rrx, "usable_cpus", lambda: n_threads)
             got = rrx.echo_profiles(plan, psk, targets, arr, cfg,
                                     noise_var=noise_var, rng=9)
             assert got.flags.owndata and got.flags.c_contiguous
             assert _same_bits(got, expect), (len(targets), noise_var,
                                              n_threads)
+
+
+def _broadcast_echo(plan, psk, scene, arr, cfg, noise_var, rng):
+    """Reference echo array: one complex_noise draw of the whole (N,
+    n_prt, samples_per_prt) block with its transmit window zeroed, then
+    each target's echo at every antenna at once, as the (N, n_prt, E)
+    product of its receive steering and its transmit contribution over
+    its whole segment."""
+    N, n_prt = arr.n_rx, plan.n_prt
+    n_p, E = cfg.samples_per_prt, cfg.samples_per_pulse
+    rx = imp.complex_noise((N, n_prt, n_p), noise_var, rng)
+    rx[..., :E] = 0
+    pulses = wf.synthesize(plan, psk, cfg).data
+    for t in scene:
+        d = int(round(t.delay() * cfg.sample_rate))
+        a_t = rrx._ula(t.azimuth_deg, arr.tx_spacing, cfg.n_tx)
+        a_r = rrx._ula(t.azimuth_deg, arr.rx_spacing, N)
+        dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
+                      * np.arange(n_prt) * cfg.prt_duration)
+        contrib = t.coeff * dopp[:, None] * np.einsum("m,min->in", a_t,
+                                                       pulses)
+        stop = min(n_p, d + E)
+        echo = a_r[:, None, None] * contrib[None, :, :stop - d]
+        first = max(d, E)
+        rx[:, :, first:stop] += echo[:, :, first - d:]
+    return rx
+
+
+def test_a_scene_of_several_contribution_blocks_is_the_broadcast_echo(
+        cfg, monkeypatch):
+    # the default 50-target scene on the default CPI: its contributions
+    # (50 x 400 KB) fill ECHO_BLOCK_BYTES five times, so after the
+    # pipelined first pass four more passes add the later targets before
+    # the last compresses. The echo array and the profiles are the bytes
+    # of the reference that adds every target at every antenna at once,
+    # on one, two and three threads
+    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=8)
+    arr = rrx.ArrayModel()
+    scene = bench.SweepSpec().random_scene(cfg, 4)
+    per_target = cfg.prts_per_cpi * cfg.samples_per_pulse * 16
+    assert len(scene) == 50
+    assert len(scene) * per_target > 4 * rrx.ECHO_BLOCK_BYTES
+    ref = _broadcast_echo(plan, psk, scene, arr, cfg, 10 ** 1.6, 3)
+    assert _same_bits(rrx.synthesize_echo(plan, psk, scene, arr, cfg,
+                                          noise_var=10 ** 1.6, rng=3), ref)
+    expect = rrx.matched_filter(ref, plan, psk, cfg)
+    del ref
+    for n_threads in (1, 2, 3):
+        monkeypatch.setattr(rrx, "usable_cpus", lambda: n_threads)
+        got = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                noise_var=10 ** 1.6, rng=3)
+        assert _same_bits(got, expect), n_threads
+
+
+def test_echo_profiles_peak_does_not_grow_with_the_scene(cfg, monkeypatch):
+    # the contributions live in one block of ECHO_BLOCK_BYTES, which a
+    # larger scene refills pass by pass: on two threads the traced peak of
+    # a 50-target scene is within 2% of a 10-target one's (the same
+    # measured), and both stay below 1.3 profile buffers (1.25 measured:
+    # the buffer, the pulse spectra, the block and the scratch)
+    monkeypatch.setattr(rrx, "usable_cpus", lambda: 2)
+    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=2)
+    arr = rrx.ArrayModel()
+    peaks = []
+    for n_targets in (10, 50):
+        scene = bench.SweepSpec(n_targets=n_targets).random_scene(cfg, 3)
+        tracemalloc.start()
+        try:
+            profiles = rrx.echo_profiles(plan, psk, scene, arr, cfg,
+                                         noise_var=10 ** 2.4, rng=4)
+            peaks.append(tracemalloc.get_traced_memory()[1] / profiles.nbytes)
+        finally:
+            tracemalloc.stop()
+        del profiles
+    assert abs(peaks[1] / peaks[0] - 1) < 0.02, peaks
+    assert max(peaks) < 1.3, peaks
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["draw", "antenna"])
+@pytest.mark.parametrize("n_threads", [2, 3])
+def test_a_failing_front_end_raises_and_leaves_no_thread_waiting(
+        cfg, monkeypatch, where, n_threads):
+    # an error in the draw (on the calling thread) once five of the six
+    # antennas are drawn and the started threads wait for the sixth, or
+    # in the compression of antenna 1 (on a started thread, while the
+    # draw of the default CPI's later antennas goes on and another thread
+    # waits for one) reaches the caller, and every thread the pipeline
+    # started has ended: none waits for an antenna the draw will never give
+    monkeypatch.setattr(rrx, "usable_cpus", lambda: n_threads)
+    if where == "draw":
+        def noise_steps(*args, real=rrx.noise_steps, **kwargs):
+            steps = real(*args, **kwargs)
+            for _ in range(5):
+                yield next(steps)
+            time.sleep(0.2)      # the other threads finish the five and wait
+            raise _Injected
+
+        monkeypatch.setattr(rrx, "noise_steps", noise_steps)
+    else:
+        def compress(profiles, n, *args, real=rrx._compress_antenna):
+            if n == 1:
+                raise _Injected
+            real(profiles, n, *args)
+
+        monkeypatch.setattr(rrx, "_compress_antenna", compress)
+    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi)
+    scene = (rrx.Target(1500.0, 20.0, 3.0), rrx.Target(2500.0))
+    before = set(threading.enumerate())
+    raised = []
+
+    def run():
+        try:
+            rrx.echo_profiles(plan, psk, scene, rrx.ArrayModel(n_rx=6), cfg,
+                              noise_var=1.0, rng=2)
+        except _Injected as error:
+            raised.append(error)
+
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the front end hung"
+    assert len(raised) == 1
+    assert set(threading.enumerate()) == before
+
+
+def test_each_runs_a_call_after_its_set_up_and_its_lead_item():
+    # calls below set_up run at once; call i >= set_up waits until every
+    # set-up call has returned and the calling thread's lead has given
+    # i - set_up + 1 items. The lead pauses between items, so the
+    # started threads reach the waits; with the interpreter switching
+    # threads as often as it can, three threads on two CPUs still run
+    # every call once
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    passed = []
+    try:
+        runner = threading.Thread(target=_check_each_waits, args=(passed,))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "_each hung"
+    finally:
+        sys.setswitchinterval(switch)
+    assert passed == [True]
+
+
+def _check_each_waits(passed):
+    led, done, seen = [0], [0], []
+    lock = threading.Lock()
+
+    def lead():
+        for _ in range(4):
+            time.sleep(0.02)
+            led[0] += 1
+            yield
+
+    def call(i, work):
+        with lock:
+            seen.append((i, led[0], done[0]))
+        if i < 2:
+            time.sleep(0.01)
+            with lock:
+                done[0] += 1
+
+    for n_threads in (1, 2, 3):
+        led[0] = done[0] = 0
+        seen.clear()
+        with mock.patch.object(rrx, "usable_cpus", lambda: n_threads):
+            rrx._each(call, 6, (), lead=lead(), set_up=2)
+        assert sorted(i for i, *_ in seen) == list(range(6))
+        assert all(n_led > i - 2 and n_done == 2
+                   for i, n_led, n_done in seen if i >= 2), seen
+    passed.append(True)
 
 
 def test_echo_profiles_refuse_bad_inputs_before_the_buffer(cfg):
