@@ -23,7 +23,7 @@ import numpy as np
 from .config import (ConfigError, RadarConfig, check_order_bits, check_span,
                      noise_var_for_snr, prefixed, usable_cpus)
 from . import commrx, radarrx
-from .impairments import FrontEndProfile, ImpairmentSpec, apply
+from .impairments import FrontEndProfile, ImpairmentSpec, NoiseDraw, apply
 from .waveform import (HopPlan, PskGrid, codebook_bits, hop_groups,
                        make_psk_grid, plan_hops, synthesize)
 
@@ -228,13 +228,17 @@ def config_for_hop_duration(cfg: RadarConfig, hop_duration: float
 # BER sweep
 # ---------------------------------------------------------------------------
 
-def _draw_impairments(cfg: RadarConfig, spec: SweepSpec, rng,
-                      noise_var: float) -> ImpairmentSpec:
-    """Clock-consistent random impairment draw inside the estimator range.
-    The span's largest |rho| is checked first, so a span reaching past the
-    unambiguous CFO is refused whatever the draw."""
+def _check_rho_span(cfg: RadarConfig, spec: SweepSpec) -> None:
+    """Refuse a clock span whose largest |rho| reaches past the
+    unambiguous CFO, whatever :func:`_draw_impairments` would draw."""
     with prefixed(f"sweep.rho_span {list(spec.rho_span)}: "):
         ImpairmentSpec.from_clock(max(map(abs, spec.rho_span)), cfg)
+
+
+def _draw_impairments(cfg: RadarConfig, spec: SweepSpec, rng,
+                      noise_var: float) -> ImpairmentSpec:
+    """Clock-consistent random impairment draw inside the estimator range
+    (:func:`_check_rho_span` checks the span)."""
     rho = rng.uniform(*spec.rho_span) * rng.choice((-1.0, 1.0))
     sto0 = rng.uniform(0.0, 1.0) / cfg.sample_rate  # sub-sample initial STO
     fe = FrontEndProfile.rippled(cfg, rng=rng, ripple_db=spec.ripple_db,
@@ -258,11 +262,17 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     share the channel; this is what makes the FHCS curves of different PSK
     runs directly comparable. A chunk's impairments and plan come from
     ``SeedSequence([seed, snr_code, chunk])``, its noise from that
-    sequence's first spawned child.
+    sequence's first spawned child. Having a stream of its own, the noise
+    draw starts first (:class:`impairments.NoiseDraw`, on a thread of its
+    own with two or more usable CPUs) and runs while the calling thread
+    draws the impairments, plan and PSK grid and synthesizes the transmit
+    frame; :func:`impairments.apply` mixes the frame onto it. The clock
+    span is checked before any chunk starts its draw.
     """
     if min_symbols is None:
         min_symbols = sweep.min_symbols
     noise_var = noise_var_for_snr(snr_db)
+    _check_rho_span(cfg, sweep)
     snr_code = round(snr_db * 10) & 0xffff
     acc = commrx.ErrorCounts()
     chunk_idx = 0
@@ -274,12 +284,14 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
         psk_rng = np.random.default_rng([seed, snr_code, chunk_idx,
                                          order_bits])
         chunk_idx += 1
-        imp = _draw_impairments(cfg, sweep, chan_rng, noise_var)
-        plan = plan_hops(cfg, n_prt=sweep.chunk_prt, rng=chan_rng)
-        psk = make_psk_grid(cfg, plan, order_bits, rng=psk_rng)
-        # no name holds the transmit frame while the receiver runs
-        rx = apply(synthesize(plan, psk, cfg), plan, psk, imp, cfg,
-                   rng=noise_rng)
+        with contextlib.closing(NoiseDraw(cfg, sweep.chunk_prt, noise_var,
+                                          noise_rng)) as noise:
+            imp = _draw_impairments(cfg, sweep, chan_rng, noise_var)
+            plan = plan_hops(cfg, n_prt=sweep.chunk_prt, rng=chan_rng)
+            psk = make_psk_grid(cfg, plan, order_bits, rng=psk_rng)
+            # no name holds the transmit frame while the receiver runs
+            rx = apply(synthesize(plan, psk, cfg), plan, psk, imp, cfg,
+                       rng=noise)
         rep = commrx.demodulate(rx, cfg, order_bits, mode=sweep.comm_mode,
                                 spec=imp)
         acc = acc.merge(commrx.score_report(rep, plan, psk, cfg))
@@ -458,6 +470,7 @@ def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
             "ber", "mean_abs_residual", "n_symbols"]
     rng = np.random.default_rng(np.random.SeedSequence([sweep.seed, 77]))
     noise_var = noise_var_for_snr(METHOD_SNR_DB)
+    _check_rho_span(cfg, sweep)
     imp = _draw_impairments(cfg, sweep, rng, noise_var)
     plan = plan_hops(cfg, n_prt=n_prt, rng=rng)
     psk = make_psk_grid(cfg, plan, METHOD_ORDER_BITS, rng=rng)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,74 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class Ahead:
+    """An iterator that runs ahead of the thread that reads it.
+
+    With more than one :func:`usable_cpus`, ``Ahead(steps)`` runs
+    ``steps`` to its end on one started thread, and :meth:`wait` returns
+    once the thread has taken the items the reader asks for; with one, or
+    with ``threaded`` False (steps with nothing to do), it starts no
+    thread, and :meth:`wait` takes them on the calling thread.
+    An error of ``steps`` rises from :meth:`wait`. :meth:`close` stops
+    the thread at its next item and joins it, so it must end every use,
+    errors included (``contextlib.closing``); it drops ``steps``.
+
+    A started thread allocates nothing large, which would stay resident
+    in a heap of its own, and runs no traced library function (the
+    benchmark's tracer keeps one span stack): ``steps`` takes its buffers
+    when it is made, on the calling thread. The radar chain's
+    ``radarrx._each`` cannot serve here: it runs its lead within the one
+    call that starts it, while this draw must outlive that call
+    (``bench.ber_point`` starts a chunk's noise draw, then builds the
+    transmit side, and ``impairments.apply`` reads the draw).
+    """
+
+    def __init__(self, steps, threaded: bool = True):
+        self._steps = iter(steps)
+        self._taken = 0
+        self._ended = self._stop = False
+        self._error = None
+        self._cond = threading.Condition()
+        self._thread = None
+        if threaded and usable_cpus() > 1:
+            self._thread = threading.Thread(target=self._run)
+            self._thread.start()
+
+    def _run(self):
+        try:
+            for _ in self._steps:
+                with self._cond:
+                    self._taken += 1
+                    self._cond.notify_all()
+                    if self._stop:
+                        break
+        except BaseException as error:
+            self._error = error
+        with self._cond:
+            self._ended = True
+            self._cond.notify_all()
+
+    def wait(self, n: int) -> None:
+        """Return once ``n`` items are taken or ``steps`` has ended."""
+        if self._thread is None:
+            for _ in range(self._taken, n):
+                if next(self._steps, self) is self:
+                    break
+                self._taken += 1
+            return
+        with self._cond:
+            self._cond.wait_for(lambda: self._taken >= n or self._ended)
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        if self._thread is not None:
+            with self._cond:
+                self._stop = True
+            self._thread.join()
+        self._steps = iter(())
 
 
 @contextlib.contextmanager

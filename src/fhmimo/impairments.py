@@ -16,12 +16,12 @@ the last factor is the CFO rotation of absolute time across the frame.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .config import BLOCK_BYTES, ConfigError, RadarConfig, Value
+from .config import Ahead, BLOCK_BYTES, ConfigError, RadarConfig, Value
 from .iqfile import IqFrame
 from .waveform import HopPlan, PskGrid
 
@@ -195,62 +195,70 @@ def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
     Seed contract: with g = default_rng(rng) the result is
     (g.standard_normal(shape) + 1j * g.standard_normal(shape))
     * sqrt(noise_var / 2), real block first, drawn by :func:`draw_noise`.
-    A variance of 0 gives zeros and draws nothing; a negative, infinite or
-    NaN one raises :class:`ConfigError`.
+    :func:`apply` and the radar front end draw these bytes in place, a
+    block of rows at a time (:func:`noise_steps`). A variance of 0 gives
+    zeros and draws nothing; a negative, infinite or NaN one raises
+    :class:`ConfigError`.
     """
     if noise_var == 0:
         return np.zeros(shape, dtype=np.complex128)
     out = np.empty(shape, dtype=np.complex128)
-    draw_noise(out.reshape(1, -1), noise_var, rng)
+    draw_noise([out.reshape(1, -1)], noise_var, rng)
     return out
 
 
-def draw_noise(out: np.ndarray, noise_var: float, rng, add: bool = False,
-               row: int | None = None) -> None:
-    """Write (``add`` False) or add (``add`` True) the last samples of each
-    row of :func:`complex_noise`'s draw into ``out``: :func:`noise_steps`
-    run to its end."""
-    for _ in noise_steps(out, noise_var, rng, add, row):
+def draw_noise(blocks, noise_var: float, rng, row: int | None = None
+               ) -> None:
+    """Write the last samples of each row of :func:`complex_noise`'s draw
+    into ``blocks``: :func:`noise_steps` run to its end."""
+    for _ in noise_steps(blocks, noise_var, rng, row):
         pass
 
 
-def noise_steps(out: np.ndarray, noise_var: float, rng, add: bool = False,
-                row: int | None = None):
-    """The noise loop of :func:`draw_noise`, as a generator that yields
-    each leading index of ``out`` (a tuple) once its noise is whole.
+def noise_steps(blocks, noise_var: float, rng, row: int | None = None):
+    """An iterator that writes :func:`draw_noise`'s noise into ``blocks``
+    and gives each block's position once its noise is whole.
 
-    ``out`` is a complex array of two or more axes, or a view of any
-    strides, (..., W); the draw has shape (..., ``row``) with ``row`` >= W
-    (W by default), real block first, and each row's first ``row`` - W
-    samples are drawn and dropped, so a row's last W samples are those of
-    the whole draw (a receiver blanked at each row's start). Each block is
-    drawn in C order through one float buffer of at most ``NOISE_CHUNK``
-    values, whole rows at a time, or one row in pieces when a row is
-    longer, which draws the same numbers as one draw of the whole block.
-    The real block is written for every index first; a leading index is
-    yielded once its imaginary rows are written, in C order, so a caller
-    may read or overwrite ``out[index]`` from then on (the radar front end
-    compresses each antenna on other threads while the draw goes on). A
-    written sample is fl(s * scale) and an added one fl(m + fl(s *
-    scale)) in each component, as writing or adding the whole noise array
-    gives. A variance of 0 leaves ``out`` as it is, draws nothing and
-    yields nothing; a negative, infinite or NaN one raises
-    :class:`ConfigError` before it draws.
+    ``blocks`` is a sequence of complex (rows, W) arrays of one width W,
+    each a view of any strides (an array of three axes is the sequence of
+    its first axis). The draw has shape (all their rows, ``row``), in
+    order, with ``row`` >= W (W by default), real block first, and each
+    row's first ``row`` - W samples are drawn and dropped, so a row's last
+    W samples are those of the whole draw (a receiver blanked at each
+    row's start). Each block is drawn in C order through one float buffer
+    of at most ``NOISE_CHUNK`` values, whole rows at a time, or one row in
+    pieces when a row is longer, which draws the same numbers as one draw
+    of the whole block. The real parts of every block are written first;
+    a block's position is given once its imaginary rows are written, in
+    order, so a caller may read or overwrite that block from then on (the
+    radar front end compresses each antenna, :func:`apply` adds its
+    mixed samples). A written sample is fl(s * scale) in each component,
+    as writing the whole noise array gives.
+
+    The checks and the float buffer come at the call, so a thread that
+    runs the iterator allocates nothing large: a negative, infinite or
+    NaN variance raises :class:`ConfigError` before anything is drawn, and
+    a variance of 0 gives an iterator that draws and writes nothing.
     """
     check_noise_var(noise_var)
-    *lead, n_rows, width = out.shape
+    width = blocks[0].shape[1] if len(blocks) else 0
     row = width if row is None else row
     if noise_var == 0 or row == 0:
-        return
-    rng = np.random.default_rng(rng)
-    skip = row - width                  # the dropped draws that open a row
+        return iter(())
     piece = min(row, NOISE_CHUNK)       # a row's samples per draw
     step = max(1, NOISE_CHUNK // row)   # rows per draw
-    buf = np.empty(min(step, n_rows) * piece)
-    scale = np.sqrt(noise_var / 2.0)
-    for imag, part in enumerate((out.real, out.imag)):
-        for index in product(*map(range, lead)):
-            rows = part[index]                          # (n_rows, W)
+    buf = np.empty(min(step, max(map(len, blocks))) * piece)
+    return _draw_steps(blocks, np.random.default_rng(rng), buf,
+                       np.sqrt(noise_var / 2.0), row, piece, step)
+
+
+def _draw_steps(blocks, rng, buf, scale, row, piece, step):
+    """The loop of :func:`noise_steps`, a generator."""
+    skip = row - blocks[0].shape[1]     # the dropped draws that open a row
+    for imag in (False, True):
+        for i, block in enumerate(blocks):
+            rows = block.imag if imag else block.real     # (n_rows, W)
+            n_rows = len(rows)
             for r in range(0, n_rows, step):
                 k = min(step, n_rows - r)
                 for c in range(0, row, piece):
@@ -258,16 +266,43 @@ def noise_steps(out: np.ndarray, noise_var: float, rng, add: bool = False,
                     drawn = buf[:k * p].reshape(k, p)
                     rng.standard_normal(out=drawn)
                     first = max(c, skip)        # the first kept sample
-                    if first >= c + p:
-                        continue
-                    src = drawn[:, first - c:]
-                    dst = rows[r:r + k, first - skip:c + p - skip]
-                    if add:
-                        dst += np.multiply(src, scale, out=src)
-                    else:
-                        np.multiply(src, scale, out=dst)
+                    if first < c + p:
+                        dst = rows[r:r + k, first - skip:c + p - skip]
+                        np.multiply(drawn[:, first - c:], scale, out=dst)
             if imag:
-                yield index
+                yield i
+
+
+class NoiseDraw(Ahead):
+    """The buffer of :func:`apply`'s received frame, (1, n_prt,
+    samples_per_pulse), with the draw of its channel noise into it
+    already started: :func:`noise_steps` over its blocks of ``rows`` PRTs
+    (``blocks`` holds their slices), ahead of the reader
+    (:class:`config.Ahead`). A variance of 0 starts no thread and draws
+    nothing. The calling thread allocates the buffer, then the draw's
+    float buffer, then ``scratch``, one block for :func:`apply` to mix
+    into; the scratch (16 bytes a sample) and the float buffer (8) of a
+    block fill one ``BLOCK_BYTES``. Where they are allocated moves
+    glibc's heap layout, and with it the ``ber`` workload's peak RSS:
+    with the scratch allocated in :func:`apply`, after the transmit
+    frame, it read 69.2-69.4 MB at 8 of 10 checkout paths; in this order
+    64.5-65.2 MB at 26 of 31 and 66.9-69.4 MB at 5, against 64.3-65.1 MB
+    at all 33 tried before the draw moved ahead of the transmit side.
+    """
+
+    def __init__(self, cfg: RadarConfig, n_prt: int, noise_var: float,
+                 rng):
+        width = cfg.samples_per_pulse
+        self.noise_var = noise_var
+        self.out = np.empty((1, n_prt, width), complex)
+        self.rows = max(1, BLOCK_BYTES // (24 * width))
+        self.blocks = [slice(r, r + self.rows)
+                       for r in range(0, n_prt, self.rows)]
+        steps = noise_steps([self.out[0, b] for b in self.blocks],
+                            noise_var, rng)
+        self.scratch = np.empty((self.rows if noise_var else 0, width),
+                                complex)
+        super().__init__(steps, threaded=noise_var > 0)
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
@@ -281,26 +316,57 @@ def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,
     only (:class:`IqFrame`): the inter-pulse silence is exactly 0, and an
     FHIQ file written from it has a zero tail.
 
-    Seed contract: the noise is one :func:`complex_noise` draw of shape
-    (n_prt, H, n_hop), added onto ``hops(cfg, 1)[0]`` of the output. It is
-    added in place, one ``NOISE_CHUNK`` at a time, with the same bytes as
-    adding the whole draw; a variance of 0 adds nothing.
-    """
-    spec.validate(cfg)
-    M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
-    n_prt = frame.n_prt
-    active = frame.hops(cfg, M)                      # (M, n_prt, H, n_hop)
-    if (plan.n_prt != n_prt or plan.first_prt != frame.first_prt
-            or psk.phases.shape[0] != n_prt):
-        raise ValueError("plan/psk PRTs do not match frame")
+    ``rng`` is a :class:`NoiseDraw` of the frame's PRT count and the
+    spec's variance that the caller started (``bench.ber_point`` starts
+    it before the transmit side), or a seed or Generator, from which
+    ``apply`` starts one once its checks pass (a refused call draws
+    nothing) and its slot gains are built (their temporaries never meet
+    the output). Either way the draw writes the noise into the output, and
+    each PRT block is mixed into scratch and added onto its noise once
+    that has landed; the draw is joined on every path, errors included.
 
-    gains = slot_gain(plan.prt_indices()[:, None, None],
-                      np.arange(H)[:, None], np.arange(M), plan.subband,
-                      spec, cfg)                           # (n_prt, H, M)
-    ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
-    out = np.empty((1, n_prt, H * n_hop), complex)
-    mixed = out.reshape(n_prt, H, n_hop)                # a view of out
-    np.einsum("mihn,ihm->ihn", active, gains, out=mixed)
-    mixed *= ramp
-    draw_noise(out, spec.noise_var, rng, add=True)
-    return IqFrame(out, cfg.sample_rate, plan.first_prt, cfg.samples_per_prt)
+    Seed contract: the noise is one :func:`complex_noise` draw of shape
+    (n_prt, H, n_hop), added onto ``hops(cfg, 1)[0]`` of the output. A
+    sample is fl(n + m), with n the noise and m the mixed sample, in each
+    component, which is the fl(m + n) of adding the whole draw; a variance
+    of 0 writes the mix as it is (adding zeros would turn a -0.0 into
+    +0.0).
+    """
+    with contextlib.ExitStack() as joined:
+        started = isinstance(rng, NoiseDraw)
+        if started:
+            joined.callback(rng.close)      # a refused call joins it too
+        spec.validate(cfg)
+        M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
+        n_prt = frame.n_prt
+        active = frame.hops(cfg, M)                  # (M, n_prt, H, n_hop)
+        if (plan.n_prt != n_prt or plan.first_prt != frame.first_prt
+                or psk.phases.shape[0] != n_prt):
+            raise ConfigError("plan/psk PRTs do not match frame")
+        if started and (rng.out.shape != (1, n_prt, H * n_hop)
+                        or rng.noise_var != spec.noise_var):
+            raise ConfigError("the started noise draw does not match the "
+                              "frame and the spec's noise_var")
+        gains = slot_gain(plan.prt_indices()[:, None, None],
+                          np.arange(H)[:, None], np.arange(M), plan.subband,
+                          spec, cfg)                       # (n_prt, H, M)
+        ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg.sample_rate)
+        if started:
+            noise = rng
+        else:
+            noise = NoiseDraw(cfg, n_prt, spec.noise_var, rng)
+            joined.callback(noise.close)
+        mixed = noise.out.reshape(n_prt, H, n_hop)      # a view of out
+        scratch = noise.scratch.reshape(-1, H, n_hop)
+        for i, rows in enumerate(noise.blocks):
+            dst = mixed[rows]
+            blk = scratch[:len(dst)] if spec.noise_var else dst
+            np.einsum("mihn,ihm->ihn", active[:, rows], gains[rows],
+                      out=blk)
+            blk *= ramp
+            if spec.noise_var:
+                noise.wait(i + 1)
+                dst += blk
+        noise.scratch = scratch = blk = None        # freed before the join
+    return IqFrame(noise.out, cfg.sample_rate, plan.first_prt,
+                   cfg.samples_per_prt)

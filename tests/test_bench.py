@@ -13,9 +13,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fhmimo import bench, commrx, iqfile
+from fhmimo import bench, commrx, config, iqfile
 from fhmimo.config import ConfigError, RadarConfig
-from fhmimo.impairments import NOISE_CHUNK, apply
+from fhmimo.impairments import NOISE_CHUNK, apply, complex_noise, slot_gain
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -118,19 +118,66 @@ def test_ber_point_random_guess_baseline(cfg):
 def test_ber_point_noise_stream_is_its_own(cfg, monkeypatch):
     # a chunk's noise comes from the first spawned child of its seed
     # sequence [seed, snr_code, chunk]: the same stream for every PSK
-    # order, and apart from the impairment and plan draws
+    # order, and apart from the impairment and plan draws. The stream is
+    # read as the chunk starts its noise draw
     seen = []
 
-    def spy(frame, plan, psk, spec, cfg_, rng=None):
+    def spy(cfg_, n_prt, noise_var, rng, real=bench.NoiseDraw):
         seen.append(rng.bit_generator.state)
-        return apply(frame, plan, psk, spec, cfg_, rng=rng)
+        return real(cfg_, n_prt, noise_var, rng)
 
-    monkeypatch.setattr(bench, "apply", spy)
+    monkeypatch.setattr(bench, "NoiseDraw", spy)
     sweep = bench.SweepSpec(chunk_prt=40)
     for order_bits in (1, 3, 4):
         bench.ber_point(cfg, order_bits, 6.0, sweep, 5, min_symbols=1)
     child = np.random.SeedSequence([5, 60, 0]).spawn(1)[0]   # 6 dB: code 60
     assert seen == [np.random.default_rng(child).bit_generator.state] * 3
+
+
+def test_a_refused_ber_point_starts_no_draw(cfg, monkeypatch):
+    # the clock span is checked before a chunk starts its noise draw: a
+    # span past the unambiguous CFO is a ConfigError with no draw made
+    # and no thread started
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    draws = []
+    monkeypatch.setattr(bench, "NoiseDraw",
+                        lambda *args: draws.append(args))
+    threads = threading.active_count()
+    sweep = bench.SweepSpec(rho_span=(1e-6, 3e-6), chunk_prt=40)
+    with pytest.raises(ConfigError, match="sweep.rho_span"):
+        bench.ber_point(cfg, 3, 6.0, sweep, 5, min_symbols=1)
+    assert draws == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_ber_point_frames_are_the_whole_array_reference(cfg, monkeypatch,
+                                                         cpus):
+    # each chunk's received frame, its noise drawn while the transmit side
+    # is built, is the whole-array mix x ramp plus one complex_noise draw
+    # of the chunk's noise stream, byte for byte, on any number of usable
+    # CPUs; 439 PRTs (a prime) leave a short last block
+    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
+    checked = []
+
+    def spy(frame, plan, psk, spec, cfg_, rng=None):
+        gains = slot_gain(plan.prt_indices()[:, None, None],
+                          np.arange(H)[:, None], np.arange(M), plan.subband,
+                          spec, cfg_)
+        ramp = np.exp(1j * spec.cfo * np.arange(n_hop) / cfg_.sample_rate)
+        expect = np.einsum("mihn,ihm->ihn", frame.hops(cfg_, M), gains)
+        expect *= ramp
+        child = np.random.SeedSequence([5, 60, len(checked)]).spawn(1)[0]
+        expect += complex_noise(expect.shape, spec.noise_var, child)
+        rx = apply(frame, plan, psk, spec, cfg_, rng=rng)
+        checked.append(rx.hops(cfg_, 1)[0].tobytes() == expect.tobytes())
+        return rx
+
+    monkeypatch.setattr(bench, "apply", spy)
+    sweep = bench.SweepSpec(chunk_prt=439, comm_mode="estimated")
+    bench.ber_point(cfg, 3, 6.0, sweep, 5, min_symbols=2 * 439 * 4)
+    assert checked == [True, True]
 
 
 def test_ber_sweep_without_psk_bits_reports_nan(cfg):

@@ -1,9 +1,12 @@
 import dataclasses
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from fhmimo import config
 from fhmimo.config import ConfigError, RadarConfig, noise_var_for_snr
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
@@ -157,32 +160,25 @@ def test_noise_through_a_small_buffer_is_the_one_buffer_draw(shape):
     ((2, 1), imp.NOISE_CHUNK + 5, imp.NOISE_CHUNK - 3),
     ((1, 3), 2 * imp.NOISE_CHUNK + 1, 2),
     ((1, 2), 3 * imp.NOISE_CHUNK, 3 * imp.NOISE_CHUNK // 2)],
-    ids=["radar-window", "whole-rows", "no-window", "last-sample",
-         "row-past-a-chunk", "row-past-two-chunks", "window-mid-chunk"])
-@pytest.mark.parametrize("add", [False, True], ids=["write", "add"])
+    ids=["write-radar-window", "write-whole-rows", "write-no-window",
+         "write-last-sample", "write-row-past-a-chunk",
+         "write-row-past-two-chunks", "write-window-mid-chunk"])
 def test_noise_window_is_the_whole_draw_without_the_blanked_columns(
-        lead, row, width, add):
+        lead, row, width):
     # draw_noise on the last `width` samples of each `row`-sample row, into
-    # a strided view, writes or adds complex_noise's draw of the whole rows
-    # with the first row - width columns dropped, byte for byte, rows
-    # longer than a chunk too. Beyond its output it holds one NOISE_CHUNK
-    # buffer and NumPy's iteration buffers for strided operands (110 KB)
-    g = np.random.default_rng(5)
+    # a strided view, writes complex_noise's draw of the whole rows with
+    # the first row - width columns dropped, byte for byte, rows longer
+    # than a chunk too. Beyond its output it holds one NOISE_CHUNK buffer
+    # and NumPy's iteration buffers for strided operands (110 KB)
     whole = imp.complex_noise((*lead, row), 2.5, 23)
-    base = g.standard_normal((*lead, 2, width)) * (1 + 1j)
-    out = base.copy()[..., 1, :]                    # every other row
-    expect = whole[..., row - width:]
-    if add:
-        expect = out + expect
-    else:
-        out[...] = np.nan
+    out = np.full((*lead, 2, width), np.nan, complex)[..., 1, :]
     tracemalloc.start()
     try:
-        imp.draw_noise(out, 2.5, 23, add=add, row=row)
+        imp.draw_noise(out, 2.5, 23, row=row)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.tobytes() == expect.tobytes()
+    assert out.tobytes() == whole[..., row - width:].tobytes()
     assert peak <= 8 * imp.NOISE_CHUNK + (1 << 18)
 
 
@@ -191,29 +187,36 @@ def test_noise_window_is_the_whole_draw_without_the_blanked_columns(
     ((2, 3, 2), 9, 4),
     ((2, 1), imp.NOISE_CHUNK + 5, imp.NOISE_CHUNK - 3),
     ((1, 3), 2 * imp.NOISE_CHUNK + 1, 2)],
-    ids=["radar-window", "whole-rows", "no-window", "two-lead-axes",
-         "row-past-a-chunk", "row-past-two-chunks"])
-@pytest.mark.parametrize("add", [False, True], ids=["write", "add"])
+    ids=["write-radar-window", "write-whole-rows", "write-no-window",
+         "write-two-lead-axes", "write-row-past-a-chunk",
+         "write-row-past-two-chunks"])
 def test_noise_steps_give_each_index_once_its_noise_is_whole(lead, row,
-                                                             width, add):
-    # the step generator that draw_noise runs to its end: it yields every
-    # leading index once, in C order, when that index's rows already hold
-    # their final bytes (the radar front end compresses an antenna from
-    # then on), and run to its end it writes or adds draw_noise's and
-    # complex_noise's bytes
-    g = np.random.default_rng(6)
+                                                             width):
+    # the step generator that draw_noise runs to its end, over the blocks
+    # of rows of each leading index of a strided view, in C order: it gives
+    # every block's position once, in order, when that block already holds
+    # its final bytes (the radar front end compresses an antenna from then
+    # on), and run to its end it writes complex_noise's bytes
     whole = imp.complex_noise((*lead, row), 2.5, 29)
-    out = (g.standard_normal((*lead, 2, width)) * (1 + 1j))[..., 1, :]
-    base = out.copy()
-    expect = whole[..., row - width:] + (base if add else 0)
-    by_draw_noise = base.copy()
-    imp.draw_noise(by_draw_noise, 2.5, 29, add=add, row=row)
+    out = np.full((*lead, 2, width), np.nan, complex)[..., 1, :]
+    blocks = [out[index] for index in np.ndindex(*lead[:-1])]
+    expect = whole[..., row - width:].reshape(len(blocks), lead[-1], width)
     steps = []
-    for index in imp.noise_steps(out, 2.5, 29, add=add, row=row):
-        assert out[index].tobytes() == expect[index].tobytes()
-        steps.append(index)
-    assert steps == list(np.ndindex(*lead[:-1]))
-    assert out.tobytes() == expect.tobytes() == by_draw_noise.tobytes()
+    for i in imp.noise_steps(blocks, 2.5, 29, row=row):
+        assert blocks[i].tobytes() == expect[i].tobytes()
+        steps.append(i)
+    assert steps == list(range(len(blocks)))
+    assert out.tobytes() == whole[..., row - width:].tobytes()
+
+
+def test_noise_steps_over_blocks_of_any_row_counts():
+    # blocks of 5, 2, 7 and 1 rows of one array (apply's PRT blocks end
+    # with a short one) are drawn as one draw of all the rows
+    whole = imp.complex_noise((15, 9), 2.5, 31)
+    out = np.full((15, 9), np.nan, complex)
+    blocks = [out[a:b] for a, b in ((0, 5), (5, 7), (7, 14), (14, 15))]
+    assert list(imp.noise_steps(blocks, 2.5, 31)) == [0, 1, 2, 3]
+    assert out.tobytes() == whole.tobytes()
 
 
 def test_noise_steps_draw_nothing_for_a_variance_of_0():
@@ -299,10 +302,13 @@ def test_noise_added_in_place_is_the_whole_noise_sum(cfg, snr_db,
 
 
 def test_apply_holds_its_output_and_one_noise_buffer(cfg, rng):
-    # the noise goes into the output one NOISE_CHUNK at a time; beyond the
-    # output and that buffer apply holds only its (n_prt, H, M) slot gains
-    # and the one-hop ramp, so the margin is the gains and 64 KiB. A whole
-    # noise array, one more output's worth, broke this
+    # the noise goes into the output one PRT block at a time; beyond the
+    # output apply holds the draw's float buffer and one block of mixing
+    # scratch (one NOISE_CHUNK of floats together), its (n_prt, H, M) slot
+    # gains and the one-hop ramp, so the margin is the gains, NumPy's
+    # iteration buffer for the ramp's broadcast (8192 complex values, 128
+    # KiB) and 64 KiB. A whole noise array, one more output's worth, broke
+    # this
     plan, psk, frame = _frame(cfg, 2000, rng)
     spec = imp.ImpairmentSpec.from_clock(1e-6, cfg, noise_var=0.5)
     gains = plan.n_prt * cfg.hops_per_pulse * cfg.n_tx * 16
@@ -313,7 +319,8 @@ def test_apply_holds_its_output_and_one_noise_buffer(cfg, rng):
     finally:
         tracemalloc.stop()
     assert out.data.nbytes < peak
-    assert peak <= out.data.nbytes + 8 * imp.NOISE_CHUNK + gains + 65536
+    assert peak <= (out.data.nbytes + 8 * imp.NOISE_CHUNK + gains
+                    + 16 * 8192 + 65536)
 
 
 def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path,
@@ -340,6 +347,159 @@ def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path,
         assert not rx.hops(cfg, rx.n_channels).flags.writeable
         with pytest.raises(ValueError):
             rx.hops(cfg, rx.n_channels)[0, 0, 0] = 0
+
+
+def _block_rows(cfg):
+    # PRTs of one of apply's blocks: its mixing scratch (16 bytes a sample)
+    # and the draw's float buffer (8) fill one NOISE_CHUNK of floats
+    return 8 * imp.NOISE_CHUNK // (24 * cfg.samples_per_pulse)
+
+
+def _prime_above(n):
+    return next(p for p in range(n + 1, 2 * n + 3)
+                if all(p % d for d in range(2, int(p ** 0.5) + 1)))
+
+
+def _count_started_threads(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("prts", ["prime", "ragged"])
+@pytest.mark.parametrize("snr_db", [4.0, None], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("cfg", [RadarConfig(), SMALL_CFG],
+                         ids=["M2", "M3-K7-H4"])
+def test_apply_is_the_whole_array_reference_at_any_cpu_count(
+        cfg, snr_db, prts, cpus, monkeypatch):
+    # the noise drawn into the output one PRT block at a time (on a
+    # started thread with two or more usable CPUs) and each block's mix
+    # added onto it, fl(n + m), are the bytes of the whole-array einsum x
+    # ramp plus one complex_noise draw, fl(m + n), with the last block
+    # short; a variance of 0 writes the mix (the frame holds -0.0
+    # components) and starts no thread, nor does one usable CPU
+    rows = _block_rows(cfg)
+    n_prt = _prime_above(2 * rows) if prts == "prime" else 2 * rows + 5
+    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    rng = np.random.default_rng([n_prt, 4])
+    noise_var = 0.0 if snr_db is None else noise_var_for_snr(snr_db)
+    spec = imp.ImpairmentSpec.from_clock(
+        -2e-6, cfg, sto_initial=0.3 / cfg.sample_rate, noise_var=noise_var,
+        front_end=imp.FrontEndProfile.rippled(cfg, rng=rng))
+    plan, psk, frame = _frame(cfg, n_prt, rng)
+    data = frame.data.copy()
+    data[:, ::7] = -0.0 - 0.0j
+    frame = dataclasses.replace(frame, data=data)
+    expect = _whole_noise_apply(frame, plan,
+                                dataclasses.replace(spec, noise_var=0.0),
+                                cfg, None)
+    if noise_var:
+        expect += imp.complex_noise(expect.shape, noise_var, 43)
+    started = _count_started_threads(monkeypatch)
+    got = imp.apply(frame, plan, psk, spec, cfg, rng=43).data
+    assert got.tobytes() == expect.tobytes()
+    assert len(started) == (cpus > 1 and noise_var > 0)
+
+
+def _mismatched(cfg, rng):
+    plan, psk, frame = _frame(cfg, 40, rng)
+    return plan, psk, dataclasses.replace(frame, first_prt=3)
+
+
+def test_a_refused_apply_draws_nothing_and_starts_no_thread(cfg, rng,
+                                                             monkeypatch):
+    # the checks run before the draw starts: a frame that does not match
+    # its plan is a ConfigError with the noise generator untouched
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    plan, psk, frame = _mismatched(cfg, rng)
+    noise = np.random.default_rng(8)
+    state = noise.bit_generator.state
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match="do not match frame"):
+        imp.apply(frame, plan, psk, imp.ImpairmentSpec(noise_var=1.0), cfg,
+                  rng=noise)
+    assert noise.bit_generator.state == state
+    assert threading.active_count() == threads
+
+
+def test_a_refused_apply_joins_the_draw_it_was_given(cfg, rng, monkeypatch):
+    # a draw that the caller started is joined when apply refuses the call
+    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    plan, psk, frame = _mismatched(cfg, rng)
+    threads = threading.active_count()
+    draw = imp.NoiseDraw(cfg, frame.n_prt, 1.0, 8)
+    with pytest.raises(ConfigError, match="do not match frame"):
+        imp.apply(frame, plan, psk, imp.ImpairmentSpec(noise_var=1.0), cfg,
+                  rng=draw)
+    assert threading.active_count() == threads
+    _, _, frame = _frame(cfg, 40, rng)
+    with pytest.raises(ConfigError, match="started noise draw"):
+        imp.apply(frame, plan, psk, imp.ImpairmentSpec(noise_var=2.0), cfg,
+                  rng=imp.NoiseDraw(cfg, frame.n_prt, 1.0, 8))
+    assert threading.active_count() == threads
+
+
+class _Injected(Exception):
+    pass
+
+
+def _failing_einsum(calls):
+    # numpy for apply's module, but einsum raises on its third call
+    def einsum(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise _Injected
+        return np.einsum(*args, **kwargs)
+
+    names = {k: getattr(np, k) for k in dir(np) if not k.startswith("__")}
+    return types.SimpleNamespace(**{**names, "einsum": einsum})
+
+
+@pytest.mark.parametrize("where", ["draw", "mixing"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_apply_raises_and_leaves_no_thread(cfg, rng, monkeypatch,
+                                                     where, cpus):
+    # an error in the draw (after its first block, on the started thread
+    # with two CPUs) or in the calling thread's mixing of the third block
+    # rises from apply, and the draw's thread has ended
+    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    if where == "draw":
+        def noise_steps(*args, real=imp.noise_steps):
+            steps = real(*args)
+
+            def failing():
+                yield next(steps)
+                raise _Injected
+
+            return failing()
+
+        monkeypatch.setattr(imp, "noise_steps", noise_steps)
+    else:
+        monkeypatch.setattr(imp, "np", _failing_einsum([]))
+    plan, psk, frame = _frame(cfg, 3 * _block_rows(cfg), rng)
+    spec = imp.ImpairmentSpec(noise_var=1.0)
+    before = set(threading.enumerate())
+    raised = []
+
+    def run():
+        try:
+            imp.apply(frame, plan, psk, spec, cfg, rng=5)
+        except _Injected as error:
+            raised.append(error)
+
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "apply hung"
+    assert len(raised) == 1
+    assert set(threading.enumerate()) == before
 
 
 def _time_domain_mix(plan, psk, spec, cfg):
