@@ -230,15 +230,17 @@ def config_for_hop_duration(cfg: RadarConfig, hop_duration: float
 
 def _check_rho_span(cfg: RadarConfig, spec: SweepSpec) -> None:
     """Refuse a clock span whose largest |rho| reaches past the
-    unambiguous CFO, whatever :func:`_draw_impairments` would draw."""
+    unambiguous CFO, whatever the draw."""
     with prefixed(f"sweep.rho_span {list(spec.rho_span)}: "):
         ImpairmentSpec.from_clock(max(map(abs, spec.rho_span)), cfg)
 
 
 def _draw_impairments(cfg: RadarConfig, spec: SweepSpec, rng,
                       noise_var: float) -> ImpairmentSpec:
-    """Clock-consistent random impairment draw inside the estimator range
-    (:func:`_check_rho_span` checks the span)."""
+    """Clock-consistent random impairment draw inside the estimator range.
+    The span is checked first (:func:`_check_rho_span`), so a span reaching
+    past the unambiguous CFO is refused whatever the draw."""
+    _check_rho_span(cfg, spec)
     rho = rng.uniform(*spec.rho_span) * rng.choice((-1.0, 1.0))
     sto0 = rng.uniform(0.0, 1.0) / cfg.sample_rate  # sub-sample initial STO
     fe = FrontEndProfile.rippled(cfg, rng=rng, ripple_db=spec.ripple_db,
@@ -470,7 +472,6 @@ def run_method_comparison(cfg: RadarConfig, sweep: SweepSpec,
             "ber", "mean_abs_residual", "n_symbols"]
     rng = np.random.default_rng(np.random.SeedSequence([sweep.seed, 77]))
     noise_var = noise_var_for_snr(METHOD_SNR_DB)
-    _check_rho_span(cfg, sweep)
     imp = _draw_impairments(cfg, sweep, rng, noise_var)
     plan = plan_hops(cfg, n_prt=n_prt, rng=rng)
     psk = make_psk_grid(cfg, plan, METHOD_ORDER_BITS, rng=rng)

@@ -46,8 +46,8 @@ class Ahead:
     With more than one :func:`usable_cpus`, ``Ahead(steps)`` runs
     ``steps`` to its end on one started thread, and :meth:`wait` returns
     once the thread has taken the items the reader asks for; with one, or
-    with ``threaded`` False (steps with nothing to do), it starts no
-    thread, and :meth:`wait` takes them on the calling thread.
+    with ``steps`` an empty sequence (nothing to do), it starts no thread,
+    and :meth:`wait` takes them on the calling thread.
     An error of ``steps`` rises from :meth:`wait`. :meth:`close` stops
     the thread at its next item and joins it, so it must end every use,
     errors included (``contextlib.closing``); it drops ``steps``.
@@ -62,14 +62,14 @@ class Ahead:
     transmit side, and ``impairments.apply`` reads the draw).
     """
 
-    def __init__(self, steps, threaded: bool = True):
+    def __init__(self, steps):
         self._steps = iter(steps)
         self._taken = 0
         self._ended = self._stop = False
         self._error = None
         self._cond = threading.Condition()
         self._thread = None
-        if threaded and usable_cpus() > 1:
+        if steps and usable_cpus() > 1:     # an iterator is always true
             self._thread = threading.Thread(target=self._run)
             self._thread.start()
 

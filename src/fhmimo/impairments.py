@@ -181,6 +181,8 @@ def expected_hop_peak(i, h, m, subband, psk_phase, spec: ImpairmentSpec,
 
 # Floats per normal draw of :func:`noise_steps`, one scratch block
 NOISE_CHUNK = BLOCK_BYTES // 8
+# NumPy's iteration buffer for a broadcast complex multiply: 8192 values
+RAMP_BUFFER_BYTES = 16 * 8192
 
 
 def check_noise_var(noise_var: float) -> None:
@@ -217,7 +219,8 @@ def draw_noise(blocks, noise_var: float, rng, row: int | None = None
 
 def noise_steps(blocks, noise_var: float, rng, row: int | None = None):
     """An iterator that writes :func:`draw_noise`'s noise into ``blocks``
-    and gives each block's position once its noise is whole.
+    and gives each block's position once its noise is whole, or an empty
+    tuple when there is nothing to draw.
 
     ``blocks`` is a sequence of complex (rows, W) arrays of one width W,
     each a view of any strides (an array of three axes is the sequence of
@@ -238,13 +241,14 @@ def noise_steps(blocks, noise_var: float, rng, row: int | None = None):
     The checks and the float buffer come at the call, so a thread that
     runs the iterator allocates nothing large: a negative, infinite or
     NaN variance raises :class:`ConfigError` before anything is drawn, and
-    a variance of 0 gives an iterator that draws and writes nothing.
+    a variance of 0 gives the empty tuple (:class:`config.Ahead` starts no
+    thread for it).
     """
     check_noise_var(noise_var)
     width = blocks[0].shape[1] if len(blocks) else 0
     row = width if row is None else row
     if noise_var == 0 or row == 0:
-        return iter(())
+        return ()
     piece = min(row, NOISE_CHUNK)       # a row's samples per draw
     step = max(1, NOISE_CHUNK // row)   # rows per draw
     buf = np.empty(min(step, max(map(len, blocks))) * piece)
@@ -281,13 +285,11 @@ class NoiseDraw(Ahead):
     (:class:`config.Ahead`). A variance of 0 starts no thread and draws
     nothing. The calling thread allocates the buffer, then the draw's
     float buffer, then ``scratch``, one block for :func:`apply` to mix
-    into; the scratch (16 bytes a sample) and the float buffer (8) of a
-    block fill one ``BLOCK_BYTES``. Where they are allocated moves
-    glibc's heap layout, and with it the ``ber`` workload's peak RSS:
-    with the scratch allocated in :func:`apply`, after the transmit
-    frame, it read 69.2-69.4 MB at 8 of 10 checkout paths; in this order
-    64.5-65.2 MB at 26 of 31 and 66.9-69.4 MB at 5, against 64.3-65.1 MB
-    at all 33 tried before the draw moved ahead of the transmit side.
+    into, in that order, since the order moves glibc's heap layout and
+    with it the peak RSS of a run of chunks. A block's scratch (16 bytes
+    a sample), its float buffer (8) and NumPy's iteration buffer for the
+    CFO ramp's broadcast (``RAMP_BUFFER_BYTES``), all live at once, fill
+    one ``BLOCK_BYTES``.
     """
 
     def __init__(self, cfg: RadarConfig, n_prt: int, noise_var: float,
@@ -295,14 +297,15 @@ class NoiseDraw(Ahead):
         width = cfg.samples_per_pulse
         self.noise_var = noise_var
         self.out = np.empty((1, n_prt, width), complex)
-        self.rows = max(1, BLOCK_BYTES // (24 * width))
+        self.rows = max(1, (BLOCK_BYTES - RAMP_BUFFER_BYTES)
+                        // (24 * width))
         self.blocks = [slice(r, r + self.rows)
                        for r in range(0, n_prt, self.rows)]
         steps = noise_steps([self.out[0, b] for b in self.blocks],
                             noise_var, rng)
         self.scratch = np.empty((self.rows if noise_var else 0, width),
                                 complex)
-        super().__init__(steps, threaded=noise_var > 0)
+        super().__init__(steps)
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,

@@ -303,12 +303,11 @@ def test_noise_added_in_place_is_the_whole_noise_sum(cfg, snr_db,
 
 def test_apply_holds_its_output_and_one_noise_buffer(cfg, rng):
     # the noise goes into the output one PRT block at a time; beyond the
-    # output apply holds the draw's float buffer and one block of mixing
-    # scratch (one NOISE_CHUNK of floats together), its (n_prt, H, M) slot
-    # gains and the one-hop ramp, so the margin is the gains, NumPy's
-    # iteration buffer for the ramp's broadcast (8192 complex values, 128
-    # KiB) and 64 KiB. A whole noise array, one more output's worth, broke
-    # this
+    # output apply holds the draw's float buffer, one block of mixing
+    # scratch and NumPy's iteration buffer for the ramp's broadcast (one
+    # NOISE_CHUNK of floats together), its (n_prt, H, M) slot gains and the
+    # one-hop ramp, so the margin is the gains and 64 KiB. A whole noise
+    # array, one more output's worth, broke this
     plan, psk, frame = _frame(cfg, 2000, rng)
     spec = imp.ImpairmentSpec.from_clock(1e-6, cfg, noise_var=0.5)
     gains = plan.n_prt * cfg.hops_per_pulse * cfg.n_tx * 16
@@ -319,8 +318,7 @@ def test_apply_holds_its_output_and_one_noise_buffer(cfg, rng):
     finally:
         tracemalloc.stop()
     assert out.data.nbytes < peak
-    assert peak <= (out.data.nbytes + 8 * imp.NOISE_CHUNK + gains
-                    + 16 * 8192 + 65536)
+    assert peak <= out.data.nbytes + 8 * imp.NOISE_CHUNK + gains + 65536
 
 
 def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path,
@@ -350,9 +348,8 @@ def test_apply_and_read_iq_return_read_only_frames(cfg, rng, tmp_path,
 
 
 def _block_rows(cfg):
-    # PRTs of one of apply's blocks: its mixing scratch (16 bytes a sample)
-    # and the draw's float buffer (8) fill one NOISE_CHUNK of floats
-    return 8 * imp.NOISE_CHUNK // (24 * cfg.samples_per_pulse)
+    # PRTs of one of apply's blocks (a variance of 0 starts no draw)
+    return imp.NoiseDraw(cfg, 1, 0.0, None).rows
 
 
 def _prime_above(n):
@@ -470,6 +467,7 @@ def test_a_failing_apply_raises_and_leaves_no_thread(cfg, rng, monkeypatch,
     # with two CPUs) or in the calling thread's mixing of the third block
     # rises from apply, and the draw's thread has ended
     monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    plan, psk, frame = _frame(cfg, 3 * _block_rows(cfg), rng)
     if where == "draw":
         def noise_steps(*args, real=imp.noise_steps):
             steps = real(*args)
@@ -483,7 +481,6 @@ def test_a_failing_apply_raises_and_leaves_no_thread(cfg, rng, monkeypatch,
         monkeypatch.setattr(imp, "noise_steps", noise_steps)
     else:
         monkeypatch.setattr(imp, "np", _failing_einsum([]))
-    plan, psk, frame = _frame(cfg, 3 * _block_rows(cfg), rng)
     spec = imp.ImpairmentSpec(noise_var=1.0)
     before = set(threading.enumerate())
     raised = []
