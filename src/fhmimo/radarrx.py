@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import (BLOCK_BYTES, SPEED_OF_LIGHT, ConfigError, RadarConfig,
                      Value, usable_cpus)
-from .impairments import check_noise_var, noise_steps
+from .impairments import check_noise_var, complex_noise, noise_steps
 from .iqfile import write_csv
 from .waveform import HopPlan, PskGrid, synthesize
 
@@ -178,17 +178,17 @@ class ArrayModel:
 # Echo synthesis
 # ---------------------------------------------------------------------------
 
-def _noise(window: np.ndarray, noise_var: float, rng, row: int):
-    """The draw that opens a CPI's front end, one item per receive antenna
-    n once its listening window ``window[n]`` holds its noise:
-    :func:`impairments.noise_steps`' window of the whole (N, n_prt,
-    ``row``) draw, or zeros for a variance of 0, drawing nothing."""
-    if noise_var == 0:
-        for echo in window:
-            echo[...] = 0.0
-            yield
-    else:
-        yield from noise_steps(window, noise_var, rng, row=row)
+def _contribution(t: Target, pulses: np.ndarray, array: ArrayModel,
+                  cfg: RadarConfig, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Target t's (n_prt, E) transmit contribution, into ``out`` if given:
+    the (M, n_prt, E) ``pulses`` weighted by its transmit steering, times
+    its scattering coefficient and per-PRT Doppler phase."""
+    a_t = _ula(t.azimuth_deg, array.tx_spacing, cfg.n_tx)         # (M,)
+    dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
+                  * np.arange(pulses.shape[1]) * cfg.prt_duration)
+    out = np.einsum("m,min->in", a_t, pulses, out=out)
+    return np.multiply(t.coeff * dopp[:, None], out, out=out)
 
 
 def _add_echoes(echo: np.ndarray, steering: np.ndarray, delays,
@@ -234,20 +234,29 @@ def synthesize_echo(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
     noise regardless of the scene/plan; its samples in the transmit window
     are drawn and dropped.
 
-    This is the echo array that :func:`echo_profiles` never builds: zeros
-    whose listening windows the same draw and echo kernel write, without
-    the compression, so ``matched_filter(synthesize_echo(...))`` is
-    ``echo_profiles(...)`` byte for byte. The tests and the acceptance
-    suite read it.
+    This is the echo array that :func:`echo_profiles` never builds, as
+    plain whole-array code: the draw with its transmit window zeroed, then
+    each target's echo at every antenna at once, in scene order, as the
+    (N, n_prt, E) product of its receive steering and its transmit
+    contribution over its whole segment [d, min(d + E, samples_per_prt)),
+    of which only the part at or after sample E is added. So
+    ``matched_filter(synthesize_echo(...))`` is ``echo_profiles(...)``
+    byte for byte: the tests and the acceptance suite read it as the
+    reference that the pipeline must equal.
     """
     check_scene(scene, cfg)
     check_noise_var(noise_var)
-    rx = np.zeros((array.n_rx, plan.n_prt, cfg.samples_per_prt),
-                  dtype=np.complex128)
-    window = rx[:, :, cfg.samples_per_pulse:]
-    _front_end(window, plan, psk, cfg,
-               _noise(window, noise_var, rng, cfg.samples_per_prt), scene,
-               array)
+    N, n_p, E = array.n_rx, cfg.samples_per_prt, cfg.samples_per_pulse
+    rx = complex_noise((N, plan.n_prt, n_p), noise_var, rng)
+    rx[:, :, :E] = 0
+    pulses = synthesize(plan, psk, cfg).data                  # (M, n_prt, E)
+    for t in scene:
+        d = int(round(t.delay() * cfg.sample_rate))
+        stop, first = min(n_p, d + E), max(d, E)
+        a_r = _ula(t.azimuth_deg, array.rx_spacing, N)
+        echo = a_r[:, None, None] * _contribution(
+            t, pulses, array, cfg)[None, :, :stop - d]
+        rx[:, :, first:stop] += echo[:, :, first - d:]
     return rx
 
 
@@ -280,9 +289,10 @@ def check_channels(cfg: RadarConfig, array: ArrayModel) -> None:
 def _compress_antenna(profiles: np.ndarray, n: int, echo: np.ndarray,
                       refs: np.ndarray, work: np.ndarray,
                       cfg: RadarConfig) -> None:
-    """The compression loop: write the range profiles of receive antenna
-    n, channels n*M ... n*M + M-1 of the (n_prt, N*M, R) ``profiles``,
-    from its (n_prt, R) listening window ``echo``.
+    """The compression loop of :func:`_front_end`: write the range
+    profiles of receive antenna n, channels n*M ... n*M + M-1 of the
+    (n_prt, N*M, R) ``profiles``, from its (n_prt, R) listening window
+    ``echo``, the view of the antenna's last channel in ``profiles``.
 
     Range bin k is sum_u rx[E+k+u] conj(s[u]) over the E pulse samples,
     so only the R listening samples enter; their linear correlation with
@@ -291,8 +301,7 @@ def _compress_antenna(profiles: np.ndarray, n: int, echo: np.ndarray,
     The PRTs are transformed in blocks of about ``BLOCK_BYTES`` per
     n_p-sample array, on two such blocks of the scratch ``work``; a block
     of the echo is read into the scratch before that block's M channels
-    are written, so ``echo`` may be the view of the antenna's last
-    channel in ``profiles`` (:func:`echo_profiles`).
+    are written, so the in-place pass is exact.
     """
     n_prt, _, R = profiles.shape
     M, n_p = cfg.n_tx, cfg.samples_per_prt
@@ -314,26 +323,27 @@ def _compress_rows(cfg: RadarConfig, n_prt: int) -> int:
 
 
 def _front_end(window: np.ndarray, plan: HopPlan, psk: PskGrid,
-               cfg: RadarConfig, lead=None, scene: tuple[Target, ...] = (),
-               array: ArrayModel | None = None,
-               profiles: np.ndarray | None = None) -> None:
+               cfg: RadarConfig, lead, scene: tuple[Target, ...],
+               array: ArrayModel, profiles: np.ndarray) -> None:
     """Fill the (N, n_prt, R) listening windows ``window`` of N receive
-    antennas with ``lead`` and the echo of ``scene``, and compress each
-    into ``profiles``, as one :func:`_each` pipeline.
+    antennas, the last channel of each in ``profiles``, with ``lead`` and
+    the echo of ``scene``, and compress each into ``profiles``, as one
+    :func:`_each` pipeline.
 
-    ``lead`` (:func:`_noise`, or None for windows already filled) runs on
-    the calling thread; its item n means that antenna n's window is
-    drawn. Meanwhile the other threads build the pulses' conjugate
-    spectra (with ``profiles``) and the (n_prt, E) contributions of the
-    first targets, as many as fit ``ECHO_BLOCK_BYTES``, and then take the
-    antennas in order as each is drawn: each adds those targets' echoes
-    (:func:`_add_echoes`) and, if they are the scene's last, is compressed
-    in place (:func:`_compress_antenna`). A larger scene runs each later
-    block of targets as one more pass: its contributions, then the
-    antennas, so the memory held does not grow with the scene. Each
-    antenna gets its targets in scene order, so the windows and profiles
-    are the same bytes at any thread count. The calling thread allocates
-    every array the pipeline fills.
+    ``lead`` (the noise draw, :func:`impairments.noise_steps`, or ``()``
+    for windows already filled) runs on the calling thread; its item n
+    means that antenna n's window is drawn. Meanwhile the other threads
+    build the pulses' conjugate spectra and the (n_prt, E) contributions
+    (:func:`_contribution`) of the first targets, as many as fit
+    ``ECHO_BLOCK_BYTES``, and then take the antennas in order as each is
+    drawn: each adds those targets' echoes (:func:`_add_echoes`) and, if
+    they are the scene's last, is compressed in place
+    (:func:`_compress_antenna`). A larger scene runs each later block of
+    targets as one more pass: its contributions, then the antennas, so the
+    memory held does not grow with the scene. Each antenna gets its
+    targets in scene order, so the profiles are the same bytes at any
+    thread count. The calling thread allocates every array the pipeline
+    fills.
     """
     N, n_prt, _ = window.shape
     M, n_p = cfg.n_tx, cfg.samples_per_prt
@@ -343,8 +353,7 @@ def _front_end(window: np.ndarray, plan: HopPlan, psk: PskGrid,
     contribs = np.empty((min(len(scene), per_pass), *pulses.shape[1:]),
                         dtype=np.complex128)
     steering = np.empty((len(contribs), N), dtype=np.complex128)
-    refs = None if profiles is None else np.empty((M, n_prt, n_p),
-                                                  dtype=np.complex128)
+    refs = np.empty((M, n_prt, n_p), dtype=np.complex128)
     work_shape = (max(pulses[0].size, 2 * _compress_rows(cfg, n_prt) * n_p),)
 
     def spectra():
@@ -352,17 +361,13 @@ def _front_end(window: np.ndarray, plan: HopPlan, psk: PskGrid,
         np.conj(refs, out=refs)
 
     def contribution(k, t):
-        a_t = _ula(t.azimuth_deg, array.tx_spacing, M)           # (M,)
         steering[k] = _ula(t.azimuth_deg, array.rx_spacing, N)   # (N,)
-        dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
-                      * np.arange(n_prt) * cfg.prt_duration)  # (n_prt,)
-        np.einsum("m,min->in", a_t, pulses, out=contribs[k])
-        np.multiply(t.coeff * dopp[:, None], contribs[k], out=contribs[k])
+        _contribution(t, pulses, array, cfg, out=contribs[k])
 
     def one_pass(start):
         targets = scene[start:start + per_pass]
-        compress = profiles is not None and start + per_pass >= len(scene)
-        set_up = [spectra] if start == 0 and refs is not None else []
+        compress = start + per_pass >= len(scene)
+        set_up = [spectra] if start == 0 else []
         set_up += [partial(contribution, k, t) for k, t in enumerate(targets)]
 
         def task(i, work):
@@ -377,7 +382,7 @@ def _front_end(window: np.ndarray, plan: HopPlan, psk: PskGrid,
                 _compress_antenna(profiles, n, window[n], refs, work, cfg)
 
         _each(task, len(set_up) + N, work_shape,
-              lead=lead if start == 0 else None, set_up=len(set_up))
+              lead=lead if start == 0 else (), set_up=len(set_up))
 
     for start in range(0, max(1, len(scene)), per_pass):
         one_pass(start)
@@ -390,21 +395,29 @@ def matched_filter(rx: np.ndarray, plan: HopPlan, psk: PskGrid,
     rx: (N, n_prt, samples_per_prt) for any number N of receive antennas.
     Returns the (n_prt, P, n_range) range profiles, PRT-major as the
     :func:`mtd` cube, with P = N*M channels (p = n*M + m) and range bins
-    covering the listening window [pulse end, PRT end), compressed by
-    the loop :func:`echo_profiles` runs; a pulse that fills the PRT
-    leaves no range bin and is a :class:`ConfigError`. An ``rx`` whose
-    PRTs are not the plan's ``n_prt`` of ``samples_per_prt`` samples is a
-    :class:`ConfigError`.
+    covering the listening window [pulse end, PRT end); a pulse that fills
+    the PRT leaves no range bin and is a :class:`ConfigError`. An ``rx``
+    whose PRTs are not the plan's ``n_prt`` of ``samples_per_prt`` samples
+    is a :class:`ConfigError`.
+
+    This is the compression of :func:`_compress_antenna` as plain
+    whole-array code: one n_p-point FFT of every listening window, then
+    per transmit antenna m the product with pulse m's conjugate spectrum
+    and its inverse FFT, so ``matched_filter(synthesize_echo(...))`` is
+    :func:`echo_profiles` byte for byte.
     """
     N, n_prt, n_p = rx.shape
     if (n_prt, n_p) != (plan.n_prt, cfg.samples_per_prt):
         raise ConfigError(
             f"rx holds (n_prt, samples_per_prt) = {(n_prt, n_p)}, but the "
             f"plan and config give {(plan.n_prt, cfg.samples_per_prt)}")
-    profiles = np.empty((n_prt, N * cfg.n_tx, _range_bins(cfg)),
-                        dtype=np.complex128)
-    _front_end(rx[:, :, cfg.samples_per_pulse:], plan, psk, cfg,
-               profiles=profiles)
+    M, R = cfg.n_tx, _range_bins(cfg)
+    X = np.fft.fft(rx[:, :, cfg.samples_per_pulse:], n_p, axis=-1)
+    refs = np.conj(np.fft.fft(synthesize(plan, psk, cfg).data, n_p, axis=-1))
+    profiles = np.empty((n_prt, N * M, R), dtype=np.complex128)
+    for m in range(M):
+        y = np.fft.ifft(X * refs[m], axis=-1)                 # (N, n_prt, n_p)
+        profiles[:, m::M] = y[:, :, :R].transpose(1, 0, 2)
     return profiles
 
 
@@ -420,26 +433,28 @@ def echo_profiles(plan: HopPlan, psk: PskGrid, scene: tuple[Target, ...],
     last channel, the (N, n_prt, R) view ``profiles[:, M-1::M]``
     transposed, and is compressed there in place, so the call holds the
     (n_prt, N*M, R) profiles, which it returns, and no (N, n_prt,
-    samples_per_prt) array. The calling thread draws the noise (the
-    seed's one stream, in its one order) while the other threads build
-    the pulse spectra and the targets' contributions, then add the echoes
-    of each antenna whose noise is drawn and compress it
-    (:func:`_front_end`); one usable CPU starts no thread, and runs the
-    draw, then the antennas in order. A scene outside the observable
-    window, a bad ``noise_var``, a virtual array of fewer than two
-    channels (:func:`process_cpi` would refuse it) and a pulse that fills
-    the PRT are each a :class:`ConfigError` before the profiles are
-    allocated.
+    samples_per_prt) array. The calling thread draws the noise
+    (:func:`impairments.noise_steps`, the seed's one stream in its one
+    order) while the other threads build the pulse spectra and the
+    targets' contributions, then add the echoes of each antenna whose
+    noise is drawn and compress it (:func:`_front_end`); one usable CPU
+    starts no thread, and runs the draw, then the antennas in order. A
+    variance of 0 draws nothing: the buffer is allocated as zeros. A scene
+    outside the observable window, a bad ``noise_var`` and a pulse that
+    fills the PRT are each a :class:`ConfigError` before the profiles are
+    allocated. A virtual array of one channel gives its profiles:
+    :func:`process_cpi` and :func:`bench.radar_cpi` refuse it.
     """
     check_scene(scene, cfg)
     check_noise_var(noise_var)
-    M = cfg.n_tx
-    profiles = np.empty((plan.n_prt, array.n_rx * M, _range_bins(cfg)),
-                        dtype=np.complex128)
+    M, n_p = cfg.n_tx, cfg.samples_per_prt
+    alloc = np.empty if noise_var else np.zeros
+    profiles = alloc((plan.n_prt, array.n_rx * M, _range_bins(cfg)),
+                     dtype=np.complex128)
     window = profiles[:, M - 1::M].transpose(1, 0, 2)      # (N, n_prt, R)
     _front_end(window, plan, psk, cfg,
-               _noise(window, noise_var, rng, cfg.samples_per_prt), scene,
-               array, profiles)
+               noise_steps(window, noise_var, rng, row=n_p), scene, array,
+               profiles)
     return profiles
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from fhmimo import bench
 from fhmimo.config import SPEED_OF_LIGHT, ConfigError, RadarConfig
-from fhmimo import impairments as imp
 from fhmimo import radarrx as rrx
 from fhmimo import waveform as wf
 
@@ -198,36 +197,48 @@ def test_echo_noise_seed_contract(cfg):
 
 
 def _front_end_cases():
-    """(config, n_rx, n_prt) of the front-end identity: every M in 1-4
-    with 1, 3 and 12 receive antennas on short CPIs, a 16-PRT config and
-    the default CPI, whose 128 PRTs span several matched-filter blocks and
-    noise draws."""
-    cases = [pytest.param(RadarConfig(n_tx=m), n_rx, 3, id=f"M{m}-N{n_rx}")
+    """(config, n_rx, n_prt, n_targets) of the front-end identity: every M
+    in 1-4 with 1, 3 and 12 receive antennas on short CPIs, a 16-PRT
+    config and the default CPI, whose 128 PRTs span several matched-filter
+    blocks and noise draws, on the edge scene (``n_targets`` None), and
+    the default CPI with the default random scene of 50 targets."""
+    cases = [pytest.param(RadarConfig(n_tx=m), n_rx, 3, None,
+                          id=f"M{m}-N{n_rx}")
              for m in (1, 2, 3, 4) for n_rx in (1, 3, 12)]
     return cases + [
-        pytest.param(RadarConfig(prts_per_cpi=16), 4, 16, id="16-prt"),
-        pytest.param(RadarConfig(), 12, 128, id="default")]
+        pytest.param(RadarConfig(prts_per_cpi=16), 4, 16, None, id="16-prt"),
+        pytest.param(RadarConfig(), 12, 128, None, id="default"),
+        pytest.param(RadarConfig(), 12, 128, 50, id="default-50-targets")]
 
 
-@pytest.mark.parametrize("cfg, n_rx, n_prt", _front_end_cases())
-def test_echo_profiles_are_the_matched_filter_of_the_echo(monkeypatch, cfg,
-                                                          n_rx, n_prt):
+@pytest.mark.parametrize("cfg, n_rx, n_prt, n_targets", _front_end_cases())
+def test_echo_profiles_are_the_matched_filter_of_the_echo(
+        monkeypatch, cfg, n_rx, n_prt, n_targets):
     # the scene front end writes each antenna's listening window into the
     # profile buffer and compresses it there; it must give the bytes of
     # the echo array's path on one, two and three threads (the draw on
-    # the calling thread, the antennas on the others), with a target at
-    # the blind range (its echo opens the listening window), one a sample
-    # later, one whose pulse the PRT's end clips, a complex coefficient,
-    # and with no noise or no scene
+    # the calling thread, the antennas on the others). The edge scene has
+    # a target at the blind range (its echo opens the listening window),
+    # one a sample later, one whose pulse the PRT's end clips and a
+    # complex coefficient, and runs with no noise or no scene too. The
+    # 50 targets' contributions (50 x 400 KB) fill ECHO_BLOCK_BYTES five
+    # times, so after the pipelined first pass four more passes add the
+    # later targets before the last compresses
     plan, psk = _plan_psk(cfg, n_prt, seed=n_rx)
     arr = rrx.ArrayModel(n_rx=n_rx)
-    step = SPEED_OF_LIGHT / (2 * cfg.sample_rate)       # one sample of delay
-    scene = (rrx.Target(cfg.blind_range, 40.0, -3.0),
-             rrx.Target(cfg.blind_range + step, 0.0, 12.0, 0.5 - 2j),
-             rrx.Target(cfg.unambiguous_range - 5 * step, -90.0, 7.0),
-             rrx.Target(2000.0, 150.0, 1.5))
-    for targets, noise_var in ((scene, 10 ** 1.2), (scene, 0.0), ((), 2.0),
-                               ((), 0.0)):
+    if n_targets:
+        scene = bench.SweepSpec(n_targets=n_targets).random_scene(cfg, 4)
+        per_target = n_prt * cfg.samples_per_pulse * 16
+        assert len(scene) * per_target > 4 * rrx.ECHO_BLOCK_BYTES
+        runs = ((scene, 10 ** 1.6),)
+    else:
+        step = SPEED_OF_LIGHT / (2 * cfg.sample_rate)   # one sample of delay
+        scene = (rrx.Target(cfg.blind_range, 40.0, -3.0),
+                 rrx.Target(cfg.blind_range + step, 0.0, 12.0, 0.5 - 2j),
+                 rrx.Target(cfg.unambiguous_range - 5 * step, -90.0, 7.0),
+                 rrx.Target(2000.0, 150.0, 1.5))
+        runs = ((scene, 10 ** 1.2), (scene, 0.0), ((), 2.0), ((), 0.0))
+    for targets, noise_var in runs:
         expect = rrx.matched_filter(
             rrx.synthesize_echo(plan, psk, targets, arr, cfg,
                                 noise_var=noise_var, rng=9), plan, psk, cfg)
@@ -240,56 +251,26 @@ def test_echo_profiles_are_the_matched_filter_of_the_echo(monkeypatch, cfg,
                                              n_threads)
 
 
-def _broadcast_echo(plan, psk, scene, arr, cfg, noise_var, rng):
-    """Reference echo array: one complex_noise draw of the whole (N,
-    n_prt, samples_per_prt) block with its transmit window zeroed, then
-    each target's echo at every antenna at once, as the (N, n_prt, E)
-    product of its receive steering and its transmit contribution over
-    its whole segment."""
-    N, n_prt = arr.n_rx, plan.n_prt
-    n_p, E = cfg.samples_per_prt, cfg.samples_per_pulse
-    rx = imp.complex_noise((N, n_prt, n_p), noise_var, rng)
-    rx[..., :E] = 0
-    pulses = wf.synthesize(plan, psk, cfg).data
-    for t in scene:
-        d = int(round(t.delay() * cfg.sample_rate))
-        a_t = rrx._ula(t.azimuth_deg, arr.tx_spacing, cfg.n_tx)
-        a_r = rrx._ula(t.azimuth_deg, arr.rx_spacing, N)
-        dopp = np.exp(2j * np.pi * t.doppler(cfg.wavelength)
-                      * np.arange(n_prt) * cfg.prt_duration)
-        contrib = t.coeff * dopp[:, None] * np.einsum("m,min->in", a_t,
-                                                       pulses)
-        stop = min(n_p, d + E)
-        echo = a_r[:, None, None] * contrib[None, :, :stop - d]
-        first = max(d, E)
-        rx[:, :, first:stop] += echo[:, :, first - d:]
-    return rx
+def test_the_echo_array_reference_runs_no_pipeline(cfg, monkeypatch):
+    # synthesize_echo and matched_filter are plain whole-array code, so
+    # the pipeline is checked against code it does not share: with the
+    # pool replaced by a call that raises, and three usable CPUs, they
+    # still give the bytes of echo_profiles
+    plan, psk = _plan_psk(cfg, 16, seed=6)
+    arr = rrx.ArrayModel(n_rx=5)
+    scene = (rrx.Target(1500.0, 30.0, 2.0),
+             rrx.Target(2600.0, -80.0, -4.0, 0.6 - 0.8j))
+    expect = rrx.echo_profiles(plan, psk, scene, arr, cfg, noise_var=2.0,
+                               rng=5)
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the echo-array reference ran the pool")
 
-def test_a_scene_of_several_contribution_blocks_is_the_broadcast_echo(
-        cfg, monkeypatch):
-    # the default 50-target scene on the default CPI: its contributions
-    # (50 x 400 KB) fill ECHO_BLOCK_BYTES five times, so after the
-    # pipelined first pass four more passes add the later targets before
-    # the last compresses. The echo array and the profiles are the bytes
-    # of the reference that adds every target at every antenna at once,
-    # on one, two and three threads
-    plan, psk = _plan_psk(cfg, cfg.prts_per_cpi, seed=8)
-    arr = rrx.ArrayModel()
-    scene = bench.SweepSpec().random_scene(cfg, 4)
-    per_target = cfg.prts_per_cpi * cfg.samples_per_pulse * 16
-    assert len(scene) == 50
-    assert len(scene) * per_target > 4 * rrx.ECHO_BLOCK_BYTES
-    ref = _broadcast_echo(plan, psk, scene, arr, cfg, 10 ** 1.6, 3)
-    assert _same_bits(rrx.synthesize_echo(plan, psk, scene, arr, cfg,
-                                          noise_var=10 ** 1.6, rng=3), ref)
-    expect = rrx.matched_filter(ref, plan, psk, cfg)
-    del ref
-    for n_threads in (1, 2, 3):
-        monkeypatch.setattr(rrx, "usable_cpus", lambda: n_threads)
-        got = rrx.echo_profiles(plan, psk, scene, arr, cfg,
-                                noise_var=10 ** 1.6, rng=3)
-        assert _same_bits(got, expect), n_threads
+    monkeypatch.setattr(rrx, "_each", no_pool)
+    monkeypatch.setattr(rrx, "usable_cpus", lambda: 3)
+    rx = rrx.synthesize_echo(plan, psk, scene, arr, cfg, noise_var=2.0,
+                             rng=5)
+    assert _same_bits(rrx.matched_filter(rx, plan, psk, cfg), expect)
 
 
 def test_echo_profiles_peak_does_not_grow_with_the_scene(cfg, monkeypatch):

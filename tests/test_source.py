@@ -25,9 +25,6 @@ UNREACHED_ON_PURPOSE = {
     # and compress them (the profiles of a hand-made or scaled echo too)
     "radarrx.synthesize_echo",
     "radarrx.matched_filter",
-    # the whole noise draw as one array, the seed contract's statement
-    # that the noise tests hold draw_noise's windows and apply's sums to
-    "impairments.complex_noise",
 }
 
 # Dataclass fields that no library code reads, kept for the tests.

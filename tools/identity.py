@@ -41,7 +41,15 @@ Each tree runs the same matrix in its own interpreter, with the tree's
   computed by the first blind mode) must equal the fresh frame's field by
   field, and so must every report of another such frame demodulated in
   the reverse mode order, ``known`` first, whose memo fills in the other
-  order.
+  order;
+* the radar front ends, in process, on three seeded CPIs: the default
+  config with 12 receive antennas and the default random scene (50
+  targets) at -8 dB, the M = 3, K = 7, H = 4 config with 5 receive
+  antennas and its default scene at -16 dB, and the default CPI and scene
+  without noise (``noise_var`` 0). Each CPI hashes the echo array
+  ``synthesize_echo`` builds, its ``matched_filter`` profiles and the
+  profiles of ``echo_profiles``, the pipeline every CLI and benchmark CPI
+  runs, so the plain reference is compared as well as the pipeline.
 
 Every output that differs between the two trees is named. A change that
 alters seeded outputs on purpose (a named seed-contract change) lists
@@ -71,6 +79,9 @@ from pathlib import Path
 import numpy as np
 
 DEMOD_JSON = "demod.json"
+RADAR_JSON = "radar.json"
+# The files of hashes compared key by key, with each key's output prefix
+KEYED = {DEMOD_JSON: "demodulate", RADAR_JSON: "radar"}
 MEMO_JSON = "memo.json"      # outputs unlike a fresh frame's; not compared
 CONTRACT = Path(__file__).with_name("seed_contract.txt")
 
@@ -143,6 +154,13 @@ def _frames():
     return out
 
 
+def _radar_cases():
+    """(name, cfg kwargs, n_rx, snr_db) of every in-process radar CPI; an
+    SNR of None is a noiseless echo."""
+    return [("default-8dB", {}, 12, -8), ("small-5rx-16dB", SMALL, 5, -16),
+            ("default-noiseless", {}, 12, None)]
+
+
 def _digests(key: str, value) -> dict:
     """``{key: hash}`` of a value's exact bytes (an array by dtype, shape
     and data, anything else by ``repr``); a dataclass gives one entry per
@@ -162,7 +180,9 @@ def _digests(key: str, value) -> dict:
 
 def collect(out: Path) -> None:
     """Run the matrix with the ``fhmimo`` on the path; write under ``out``."""
-    from fhmimo import cli, commrx, impairments as imp, waveform as wf
+    from fhmimo import cli, commrx, impairments as imp, radarrx as rrx
+    from fhmimo import waveform as wf
+    from fhmimo.bench import SweepSpec
     from fhmimo.config import RadarConfig, noise_var_for_snr
     from fhmimo.iqfile import read_iq, write_iq
 
@@ -219,6 +239,27 @@ def collect(out: Path) -> None:
     (out / DEMOD_JSON).write_text(json.dumps(digests, indent=1))
     (out / MEMO_JSON).write_text(json.dumps(unlike_fresh))
 
+    radar = {}
+    for name, kw, n_rx, snr_db in _radar_cases():
+        cfg = RadarConfig(**kw)
+        rng = np.random.default_rng(
+            [n_rx, 0 if snr_db is None else snr_db + 100])
+        plan = wf.plan_hops(cfg, n_prt=cfg.prts_per_cpi, rng=rng)
+        psk = wf.make_psk_grid(cfg, plan, 3, rng=rng)
+        args = (plan, psk, SweepSpec().random_scene(cfg, rng),
+                rrx.ArrayModel(n_rx=n_rx), cfg)
+        noise = {"noise_var": 0.0 if snr_db is None
+                 else noise_var_for_snr(snr_db),
+                 "rng": int(rng.integers(1 << 32))}
+        echo = rrx.synthesize_echo(*args, **noise)
+        radar |= _digests(f"{name}/synthesize_echo", echo)
+        radar |= _digests(f"{name}/matched_filter",
+                          rrx.matched_filter(echo, plan, psk, cfg))
+        del echo
+        radar |= _digests(f"{name}/echo_profiles",
+                          rrx.echo_profiles(*args, **noise))
+    (out / RADAR_JSON).write_text(json.dumps(radar, indent=1))
+
 
 def _run_tree(tree: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -249,10 +290,10 @@ def compare(a: Path, b: Path) -> list[str]:
     files_a, files_b = (_outputs(d) for d in (a, b))
     diffs = [f"{p}: only in one tree" for p in sorted(files_a ^ files_b)]
     for p in sorted(files_a & files_b):
-        if p.name == DEMOD_JSON:
+        if p.name in KEYED:
             da = json.loads((a / p).read_text())
             db = json.loads((b / p).read_text())
-            diffs += [f"demodulate {k}" for k in sorted(set(da) | set(db))
+            diffs += [f"{KEYED[p.name]} {k}" for k in sorted(set(da) | set(db))
                       if da.get(k) != db.get(k)]
         elif (a / p).read_bytes() != (b / p).read_bytes():
             diffs.append(str(p))
@@ -303,12 +344,14 @@ def main(argv) -> int:
                        for tree, out in zip(trees, outs)
                        for name in json.loads((out / MEMO_JSON).read_text())]
         n_files = len(_outputs(outs[0]))
-        n_demod = len(json.loads((outs[0] / DEMOD_JSON).read_text()))
+        n_keyed = {kind: len(json.loads((outs[0] / name).read_text()))
+                   for name, kind in KEYED.items()}
     lines, n_failed = judge(diffs, listed, unlike_fresh)
     for line in lines:
         print(line)
     print(f"{len(diffs)} differences ({len(listed)} listed) over {n_files} "
-          f"files and {n_demod} demodulate outputs; {n_failed} failed")
+          f"files, {n_keyed['demodulate']} demodulate and "
+          f"{n_keyed['radar']} radar outputs; {n_failed} failed")
     return 1 if n_failed else 0
 
 
