@@ -265,10 +265,11 @@ def ber_point(cfg: RadarConfig, order_bits: int, snr_db: float,
     runs directly comparable. A chunk's impairments and plan come from
     ``SeedSequence([seed, snr_code, chunk])``, its noise from that
     sequence's first spawned child. Having a stream of its own, the noise
-    draw starts first (:class:`impairments.NoiseDraw`, on a thread of its
-    own with two or more usable CPUs) and runs while the calling thread
-    draws the impairments, plan and PSK grid and synthesizes the transmit
-    frame; :func:`impairments.apply` mixes the frame onto it. The clock
+    draw starts first (:class:`impairments.NoiseDraw`, which starts and
+    joins a thread of its own with two or more usable CPUs and a variance
+    above 0) and runs while the calling thread draws the impairments,
+    plan and PSK grid and synthesizes the transmit frame;
+    :func:`impairments.apply` mixes the frame onto it. The clock
     span is checked before any chunk starts its draw.
     """
     if min_symbols is None:

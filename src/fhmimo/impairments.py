@@ -17,11 +17,13 @@ the last factor is the CFO rotation of absolute time across the frame.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Ahead, BLOCK_BYTES, ConfigError, RadarConfig, Value
+from .config import (BLOCK_BYTES, ConfigError, RadarConfig, Value,
+                     usable_cpus)
 from .iqfile import IqFrame
 from .waveform import HopPlan, PskGrid
 
@@ -194,31 +196,25 @@ def check_noise_var(noise_var: float) -> None:
 def complex_noise(shape, noise_var: float, rng) -> np.ndarray:
     """Circular complex AWGN of per-sample variance ``noise_var``.
 
-    Seed contract: with g = default_rng(rng) the result is
-    (g.standard_normal(shape) + 1j * g.standard_normal(shape))
-    * sqrt(noise_var / 2), real block first, drawn by :func:`draw_noise`.
-    :func:`apply` and the radar front end draw these bytes in place, a
-    block of rows at a time (:func:`noise_steps`). A variance of 0 gives
-    zeros and draws nothing; a negative, infinite or NaN one raises
-    :class:`ConfigError`.
+    Seed contract: with g = default_rng(rng) and s = sqrt(noise_var / 2),
+    the real parts are g.standard_normal(shape) * s, then the imaginary
+    parts are a second such draw. :func:`apply` and the radar front end
+    draw these bytes in place, a block of rows at a time
+    (:func:`noise_steps`). A variance of 0 gives zeros and draws nothing;
+    a negative, infinite or NaN one raises :class:`ConfigError`.
     """
-    if noise_var == 0:
-        return np.zeros(shape, dtype=np.complex128)
-    out = np.empty(shape, dtype=np.complex128)
-    draw_noise([out.reshape(1, -1)], noise_var, rng)
+    check_noise_var(noise_var)
+    out = np.zeros(shape, dtype=np.complex128)
+    if noise_var:
+        g = np.random.default_rng(rng)
+        s = np.sqrt(noise_var / 2.0)
+        out.real = g.standard_normal(shape) * s
+        out.imag = g.standard_normal(shape) * s
     return out
 
 
-def draw_noise(blocks, noise_var: float, rng, row: int | None = None
-               ) -> None:
-    """Write the last samples of each row of :func:`complex_noise`'s draw
-    into ``blocks``: :func:`noise_steps` run to its end."""
-    for _ in noise_steps(blocks, noise_var, rng, row):
-        pass
-
-
 def noise_steps(blocks, noise_var: float, rng, row: int | None = None):
-    """An iterator that writes :func:`draw_noise`'s noise into ``blocks``
+    """An iterator that writes :func:`complex_noise`'s draw into ``blocks``
     and gives each block's position once its noise is whole, or an empty
     tuple when there is nothing to draw.
 
@@ -241,7 +237,7 @@ def noise_steps(blocks, noise_var: float, rng, row: int | None = None):
     The checks and the float buffer come at the call, so a thread that
     runs the iterator allocates nothing large: a negative, infinite or
     NaN variance raises :class:`ConfigError` before anything is drawn, and
-    a variance of 0 gives the empty tuple (:class:`config.Ahead` starts no
+    a variance of 0 gives the empty tuple (:class:`NoiseDraw` starts no
     thread for it).
     """
     check_noise_var(noise_var)
@@ -277,19 +273,29 @@ def _draw_steps(blocks, rng, buf, scale, row, piece, step):
                 yield i
 
 
-class NoiseDraw(Ahead):
+class NoiseDraw:
     """The buffer of :func:`apply`'s received frame, (1, n_prt,
     samples_per_pulse), with the draw of its channel noise into it
     already started: :func:`noise_steps` over its blocks of ``rows`` PRTs
-    (``blocks`` holds their slices), ahead of the reader
-    (:class:`config.Ahead`). A variance of 0 starts no thread and draws
-    nothing. The calling thread allocates the buffer, then the draw's
-    float buffer, then ``scratch``, one block for :func:`apply` to mix
-    into, in that order, since the order moves glibc's heap layout and
-    with it the peak RSS of a run of chunks. A block's scratch (16 bytes
-    a sample), its float buffer (8) and NumPy's iteration buffer for the
-    CFO ramp's broadcast (``RAMP_BUFFER_BYTES``), all live at once, fill
-    one ``BLOCK_BYTES``.
+    (``blocks`` holds their slices). With a variance above 0 and more than
+    one :func:`config.usable_cpus`, one started thread runs the draw to
+    its end, ahead of the reader; otherwise :meth:`wait` draws on the
+    calling thread, and a variance of 0 draws nothing. :meth:`close` must
+    end every use, errors included (``contextlib.closing``).
+
+    The calling thread allocates the buffer, then the draw's float buffer,
+    then ``scratch``, one block for :func:`apply` to mix into, in that
+    order, since the order moves glibc's heap layout and with it the peak
+    RSS of a run of chunks. A block's scratch (16 bytes a sample), its
+    float buffer (8) and NumPy's iteration buffer for the CFO ramp's
+    broadcast (``RAMP_BUFFER_BYTES``), all live at once, fill one
+    ``BLOCK_BYTES``. The started thread allocates nothing large, which
+    would stay resident in a heap of its own, and runs no traced library
+    function (the benchmark's tracer keeps one span stack). The radar
+    chain's ``radarrx._each`` cannot serve here: it runs its lead within
+    the one call that starts it, while this draw outlives the call
+    (``bench.ber_point`` starts a chunk's draw, then builds the transmit
+    side, and :func:`apply` reads the draw).
     """
 
     def __init__(self, cfg: RadarConfig, n_prt: int, noise_var: float,
@@ -301,11 +307,55 @@ class NoiseDraw(Ahead):
                         // (24 * width))
         self.blocks = [slice(r, r + self.rows)
                        for r in range(0, n_prt, self.rows)]
-        steps = noise_steps([self.out[0, b] for b in self.blocks],
-                            noise_var, rng)
+        self._steps = iter(noise_steps([self.out[0, b] for b in self.blocks],
+                                       noise_var, rng))
         self.scratch = np.empty((self.rows if noise_var else 0, width),
                                 complex)
-        super().__init__(steps)
+        self._drawn = 0             # blocks whose noise is whole
+        self._ended = self._stop = False
+        self._error = None
+        self._cond = threading.Condition()
+        self._thread = None
+        if noise_var and usable_cpus() > 1:
+            self._thread = threading.Thread(target=self._run)
+            self._thread.start()
+
+    def _run(self):
+        try:
+            for _ in self._steps:
+                with self._cond:
+                    self._drawn += 1
+                    self._cond.notify_all()
+                    if self._stop:
+                        break
+        except BaseException as error:
+            self._error = error
+        with self._cond:
+            self._ended = True
+            self._cond.notify_all()
+
+    def wait(self, n: int) -> None:
+        """Return once the first ``n`` blocks' noise is whole or the draw
+        has ended; an error of the draw rises here."""
+        if self._thread is None:
+            for _ in range(self._drawn, n):
+                if next(self._steps, None) is None:
+                    break
+                self._drawn += 1
+            return
+        with self._cond:
+            self._cond.wait_for(lambda: self._drawn >= n or self._ended)
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        """Stop the draw at its next block, join its thread and drop the
+        draw's float buffer."""
+        if self._thread is not None:
+            with self._cond:
+                self._stop = True
+            self._thread.join()
+        self._steps = iter(())
 
 
 def apply(frame: IqFrame, plan: HopPlan, psk: PskGrid,

@@ -9,6 +9,7 @@ channels ordered p = n*M + m. A scene is a tuple of :class:`Target`.
 
 from __future__ import annotations
 
+import cmath
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -130,8 +131,9 @@ UNAMBIGUOUS_VELOCITY = "c/(4*radar.carrier_freq*radar.prt_duration)"
 
 
 def check_scene(targets, cfg: RadarConfig) -> None:
-    """Refuse a target outside the observable range and velocity spans,
-    naming it ``targets[i]``."""
+    """Refuse a target outside the observable range and velocity spans, or
+    with a velocity, azimuth or coeff that is not finite, naming it
+    ``targets[i]``."""
     for i, t in enumerate(targets):
         if not (cfg.blind_range <= t.range_m <= cfg.unambiguous_range):
             raise ConfigError(
@@ -142,6 +144,10 @@ def check_scene(targets, cfg: RadarConfig) -> None:
                 f"targets[{i}]: velocity {t.velocity} outside the "
                 f"unambiguous span +/-{cfg.unambiguous_velocity:.6g} m/s, "
                 f"{UNAMBIGUOUS_VELOCITY}")
+        for key in ("velocity", "azimuth_deg", "coeff"):
+            if not cmath.isfinite(getattr(t, key)):
+                raise ConfigError(f"targets[{i}]: {key} {getattr(t, key)} "
+                                  "must be finite")
 
 
 def _ula(theta_deg, spacing: float, n: int) -> np.ndarray:

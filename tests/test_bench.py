@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fhmimo import bench, commrx, config, iqfile
+from fhmimo import bench, commrx, impairments, iqfile
 from fhmimo.config import ConfigError, RadarConfig
 from fhmimo.impairments import NOISE_CHUNK, apply, complex_noise, slot_gain
 from fhmimo import radarrx as rrx
@@ -138,7 +138,7 @@ def test_a_refused_ber_point_starts_no_draw(cfg, monkeypatch):
     # the clock span is checked before a chunk starts its noise draw: a
     # span past the unambiguous CFO is a ConfigError with no draw made
     # and no thread started
-    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(impairments, "usable_cpus", lambda: 2)
     draws = []
     monkeypatch.setattr(bench, "NoiseDraw",
                         lambda *args: draws.append(args))
@@ -156,10 +156,17 @@ def test_ber_point_frames_are_the_whole_array_reference(cfg, monkeypatch,
     # each chunk's received frame, its noise drawn while the transmit side
     # is built, is the whole-array mix x ramp plus one complex_noise draw
     # of the chunk's noise stream, byte for byte, on any number of usable
-    # CPUs; 439 PRTs (a prime) leave a short last block
-    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    # CPUs; 439 PRTs (a prime) leave a short last block. Each chunk's draw
+    # starts a thread of its own with two or more CPUs, and none with one
+    monkeypatch.setattr(impairments, "usable_cpus", lambda: cpus)
     M, H, n_hop = cfg.n_tx, cfg.hops_per_pulse, cfg.samples_per_hop
-    checked = []
+    checked, started = [], []
+
+    def start(thread, real=threading.Thread.start):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
 
     def spy(frame, plan, psk, spec, cfg_, rng=None):
         gains = slot_gain(plan.prt_indices()[:, None, None],
@@ -178,6 +185,7 @@ def test_ber_point_frames_are_the_whole_array_reference(cfg, monkeypatch,
     sweep = bench.SweepSpec(chunk_prt=439, comm_mode="estimated")
     bench.ber_point(cfg, 3, 6.0, sweep, 5, min_symbols=2 * 439 * 4)
     assert checked == [True, True]
+    assert len(started) == 2 * (cpus > 1)
 
 
 def test_ber_sweep_without_psk_bits_reports_nan(cfg):

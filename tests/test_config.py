@@ -2,14 +2,12 @@ import dataclasses
 import multiprocessing
 import os
 import re
-import sys
-import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from fhmimo import bench, commrx, config, impairments, waveform
+from fhmimo import bench, commrx, impairments, waveform
 from fhmimo.config import (MAX_ORDER_BITS, SPEED_OF_LIGHT, ConfigError,
                            RadarConfig, check_order_bits, noise_var_for_snr,
                            usable_cpus)
@@ -226,71 +224,3 @@ def test_a_process_multiprocessing_started_uses_one_cpu():
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=spawn) as pool:
         assert pool.submit(usable_cpus).result() == 1
-
-
-def _read_ahead(n_items, stop_at, seen):
-    # one reader of an Ahead over steps that record each item before
-    # giving it: after wait(i + 1) item i is recorded, and a close before
-    # the end stops the steps early and ends their thread
-    recorded = []
-
-    def steps():
-        for i in range(n_items):
-            recorded.append(i)
-            yield i
-
-    ahead = config.Ahead(steps())
-    try:
-        for i in range(stop_at):
-            ahead.wait(i + 1)
-            seen.append(len(recorded) > i)
-    finally:
-        ahead.close()
-    seen.append(ahead._thread is None or not ahead._thread.is_alive())
-
-
-def test_ahead_gives_each_item_before_its_wait_returns(monkeypatch):
-    # eight readers, each with its own started thread, on a short switch
-    # interval: no wait returns before its item is taken, and every
-    # thread has ended once its reader closes, at the end or midway
-    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
-    before = set(threading.enumerate())
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        seen = []
-        readers = [threading.Thread(target=_read_ahead,
-                                    args=(300, 300 - 100 * (r % 3), seen))
-                   for r in range(8)]
-        for reader in readers:
-            reader.start()
-        for reader in readers:
-            reader.join(timeout=60)
-            assert not reader.is_alive(), "a reader hung"
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(seen) == sum(301 - 100 * (r % 3) for r in range(8))
-    assert all(seen)
-    assert set(threading.enumerate()) == before
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_ahead_raises_the_error_of_its_steps(monkeypatch, cpus):
-    # on the started thread or on the calling one, an error of the steps
-    # rises from a wait (on a thread, the first wait may already see it),
-    # and no thread is left
-    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
-
-    def steps():
-        yield 0
-        raise KeyError("steps")
-
-    before = set(threading.enumerate())
-    ahead = config.Ahead(steps())
-    try:
-        with pytest.raises(KeyError, match="steps"):
-            ahead.wait(1)
-            ahead.wait(2)
-    finally:
-        ahead.close()
-    assert set(threading.enumerate()) == before

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import threading
 import tracemalloc
 import types
@@ -6,7 +7,6 @@ import types
 import numpy as np
 import pytest
 
-from fhmimo import config
 from fhmimo.config import ConfigError, RadarConfig, noise_var_for_snr
 from fhmimo import commrx as crx
 from fhmimo import impairments as imp
@@ -137,21 +137,27 @@ def test_noise_calibration(cfg):
     ids=["one-chunk", "two-chunks", "past-three-chunks", "under-a-chunk",
          "ber-chunk", "3x7", "one", "scalar", "empty"])
 def test_noise_through_a_small_buffer_is_the_one_buffer_draw(shape):
-    # each block is drawn through a buffer of at most NOISE_CHUNK floats,
-    # which draws the same numbers, in the same order, as one draw of the
-    # whole block; the buffer is all the draw holds beyond its output
+    # noise_steps over one row of every sample draws through a buffer of
+    # at most NOISE_CHUNK floats, in pieces once the row is longer, the
+    # same numbers, in the same order, as one draw of the whole block; the
+    # buffer is all the draw holds beyond its output. complex_noise, the
+    # whole-array reference, gives the seed contract's bytes too
     g = np.random.default_rng(17)
     expect = ((g.standard_normal(shape) + 1j * g.standard_normal(shape))
               * np.sqrt(2.5 / 2))
     tracemalloc.start()
     try:
-        got = imp.complex_noise(shape, 2.5, 17)
+        got = np.empty(shape, complex)
+        for _ in imp.noise_steps([got.reshape(1, -1)], 2.5, 17):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.dtype == np.complex128 and got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()
     assert peak <= got.nbytes + 8 * imp.NOISE_CHUNK + 4096
+    whole = imp.complex_noise(shape, 2.5, 17)
+    assert whole.dtype == np.complex128 and whole.shape == expect.shape
+    assert whole.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("lead, row, width", [
@@ -165,16 +171,18 @@ def test_noise_through_a_small_buffer_is_the_one_buffer_draw(shape):
          "write-row-past-two-chunks", "write-window-mid-chunk"])
 def test_noise_window_is_the_whole_draw_without_the_blanked_columns(
         lead, row, width):
-    # draw_noise on the last `width` samples of each `row`-sample row, into
-    # a strided view, writes complex_noise's draw of the whole rows with
-    # the first row - width columns dropped, byte for byte, rows longer
-    # than a chunk too. Beyond its output it holds one NOISE_CHUNK buffer
-    # and NumPy's iteration buffers for strided operands (110 KB)
+    # noise_steps run to its end on the last `width` samples of each
+    # `row`-sample row, into a strided view, writes complex_noise's draw of
+    # the whole rows with the first row - width columns dropped, byte for
+    # byte, rows longer than a chunk too. Beyond its output it holds one
+    # NOISE_CHUNK buffer and NumPy's iteration buffers for strided operands
+    # (110 KB)
     whole = imp.complex_noise((*lead, row), 2.5, 23)
     out = np.full((*lead, 2, width), np.nan, complex)[..., 1, :]
     tracemalloc.start()
     try:
-        imp.draw_noise(out, 2.5, 23, row=row)
+        for _ in imp.noise_steps(out, 2.5, 23, row=row):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -192,7 +200,7 @@ def test_noise_window_is_the_whole_draw_without_the_blanked_columns(
          "write-row-past-two-chunks"])
 def test_noise_steps_give_each_index_once_its_noise_is_whole(lead, row,
                                                              width):
-    # the step generator that draw_noise runs to its end, over the blocks
+    # the step generator that both pipelines run, over the blocks
     # of rows of each leading index of a strided view, in C order: it gives
     # every block's position once, in order, when that block already holds
     # its final bytes (the radar front end compresses an antenna from then
@@ -369,6 +377,57 @@ def _count_started_threads(monkeypatch):
     return started
 
 
+def _recording_steps(blocks, noise_var, recorded):
+    # noise_steps' stand-in: 300 steps, each appended to the list passed
+    # as the generator before it is given
+    for i in range(300):
+        recorded.append(i)
+        yield i
+
+
+def _read_draw(stop_at, seen):
+    # one reader of a NoiseDraw over the recording steps: after wait(i + 1)
+    # step i is recorded, and a close before the end stops the steps early
+    # and ends their thread
+    recorded = []
+    draw = imp.NoiseDraw(SMALL_CFG, 1, 1.0, recorded)
+    try:
+        for i in range(stop_at):
+            draw.wait(i + 1)
+            seen.append(len(recorded) > i)
+    finally:
+        draw.close()
+    seen.append(draw._thread is None or not draw._thread.is_alive())
+
+
+def test_noise_draw_gives_each_block_before_its_wait_returns(monkeypatch):
+    # eight readers, each with its own started draw, on a short switch
+    # interval: no wait returns before its block is drawn, and every draw's
+    # thread has ended once its reader closes, at the end or midway
+    monkeypatch.setattr(imp, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(imp, "noise_steps", _recording_steps)
+    before = set(threading.enumerate())
+    started = _count_started_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = []
+        readers = [threading.Thread(target=_read_draw,
+                                    args=(300 - 100 * (r % 3), seen))
+                   for r in range(8)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+            assert not reader.is_alive(), "a reader hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == sum(301 - 100 * (r % 3) for r in range(8))
+    assert all(seen)
+    assert len(started) == 8 + 8           # the readers and their draws
+    assert set(threading.enumerate()) == before
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("prts", ["prime", "ragged"])
 @pytest.mark.parametrize("snr_db", [4.0, None], ids=["noisy", "noiseless"])
@@ -384,7 +443,7 @@ def test_apply_is_the_whole_array_reference_at_any_cpu_count(
     # components) and starts no thread, nor does one usable CPU
     rows = _block_rows(cfg)
     n_prt = _prime_above(2 * rows) if prts == "prime" else 2 * rows + 5
-    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(imp, "usable_cpus", lambda: cpus)
     rng = np.random.default_rng([n_prt, 4])
     noise_var = 0.0 if snr_db is None else noise_var_for_snr(snr_db)
     spec = imp.ImpairmentSpec.from_clock(
@@ -414,7 +473,7 @@ def test_a_refused_apply_draws_nothing_and_starts_no_thread(cfg, rng,
                                                              monkeypatch):
     # the checks run before the draw starts: a frame that does not match
     # its plan is a ConfigError with the noise generator untouched
-    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(imp, "usable_cpus", lambda: 2)
     plan, psk, frame = _mismatched(cfg, rng)
     noise = np.random.default_rng(8)
     state = noise.bit_generator.state
@@ -428,7 +487,7 @@ def test_a_refused_apply_draws_nothing_and_starts_no_thread(cfg, rng,
 
 def test_a_refused_apply_joins_the_draw_it_was_given(cfg, rng, monkeypatch):
     # a draw that the caller started is joined when apply refuses the call
-    monkeypatch.setattr(config, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(imp, "usable_cpus", lambda: 2)
     plan, psk, frame = _mismatched(cfg, rng)
     threads = threading.active_count()
     draw = imp.NoiseDraw(cfg, frame.n_prt, 1.0, 8)
@@ -464,9 +523,10 @@ def _failing_einsum(calls):
 def test_a_failing_apply_raises_and_leaves_no_thread(cfg, rng, monkeypatch,
                                                      where, cpus):
     # an error in the draw (after its first block, on the started thread
-    # with two CPUs) or in the calling thread's mixing of the third block
-    # rises from apply, and the draw's thread has ended
-    monkeypatch.setattr(config, "usable_cpus", lambda: cpus)
+    # with two CPUs, else from the calling thread's wait) or in the calling
+    # thread's mixing of the third block rises from apply, and the draw's
+    # thread has ended
+    monkeypatch.setattr(imp, "usable_cpus", lambda: cpus)
     plan, psk, frame = _frame(cfg, 3 * _block_rows(cfg), rng)
     if where == "draw":
         def noise_steps(*args, real=imp.noise_steps):
@@ -483,6 +543,7 @@ def test_a_failing_apply_raises_and_leaves_no_thread(cfg, rng, monkeypatch,
         monkeypatch.setattr(imp, "np", _failing_einsum([]))
     spec = imp.ImpairmentSpec(noise_var=1.0)
     before = set(threading.enumerate())
+    started = _count_started_threads(monkeypatch)
     raised = []
 
     def run():
@@ -496,6 +557,7 @@ def test_a_failing_apply_raises_and_leaves_no_thread(cfg, rng, monkeypatch,
     caller.join(timeout=60)
     assert not caller.is_alive(), "apply hung"
     assert len(raised) == 1
+    assert len(started) == 1 + (cpus > 1)      # the caller and the draw
     assert set(threading.enumerate()) == before
 
 

@@ -113,6 +113,23 @@ def test_scene_validation(cfg):
     assert len(scene) == 50 and type(scene) is tuple
 
 
+@pytest.mark.parametrize("target, key", [
+    (rrx.Target(1500.0, velocity=np.nan), "velocity"),
+    (rrx.Target(1500.0, 0.0, azimuth_deg=np.nan), "azimuth_deg"),
+    (rrx.Target(1500.0, 0.0, azimuth_deg=np.inf), "azimuth_deg"),
+    (rrx.Target(1500.0, coeff=complex(1.0, np.nan)), "coeff"),
+    (rrx.Target(1500.0, coeff=np.inf), "coeff")],
+    ids=["nan-velocity", "nan-azimuth", "inf-azimuth", "nan-coeff",
+         "inf-coeff"])
+def test_scene_refuses_a_non_finite_field(cfg, target, key):
+    # a NaN velocity passes the span check (abs(nan) >= v is False) and a
+    # NaN azimuth or coeff has no check of its own; each turned every
+    # profile into NaN. The refusal names the target and its field
+    scene = (rrx.Target(2000.0), target)
+    with pytest.raises(ConfigError, match=rf"targets\[1\]: {key} "):
+        rrx.check_scene(scene, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Echo synthesis
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ UNREACHED_ON_PURPOSE = {
     "radarrx.matched_filter",
 }
 
+# The library definitions that start threads: the radar chain's workers,
+# which share one call's work, and the channel noise draw, which outlives
+# the call that starts it. The config module imports no threading.
+THREADS_ON_PURPOSE = {"radarrx._each", "impairments.NoiseDraw"}
+
 # Dataclass fields that no library code reads, kept for the tests.
 UNREAD_FIELDS_ON_PURPOSE = {
     # criterion 7's paired_mse is read only by the acceptance tests; the
@@ -208,6 +213,34 @@ def _private_imports(trees: dict) -> set[str]:
     return out
 
 
+def _thread_starts(trees: dict) -> set[str]:
+    """``module.name`` of every module-level function or class in
+    ``trees`` (module name -> ``ast`` tree) that calls
+    ``threading.Thread`` or a ``Thread`` taken from it, and ``module`` for
+    such a call outside any definition."""
+    out = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = (f"{module}.{node.name}"
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     else module)
+            out |= {owner for n in ast.walk(node)
+                    if isinstance(n, ast.Call) and ast.unparse(n.func)
+                    in ("threading.Thread", "Thread")}
+    return out
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level name of every absolute import in ``tree``."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out |= {a.name.split(".")[0] for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            out.add(n.module.split(".")[0])
+    return out
+
+
 def test_every_function_parameter_is_read():
     unread = set().union(*(_unread_parameters(tree, module)
                            for module, tree in _library_trees().items()))
@@ -358,3 +391,34 @@ def test_private_import_check_sees_what_it_claims():
                             "m._x = 1\n")}
     assert _private_imports(trees) == {"n:4 _x", "n:5 _x", "n:7 m._x",
                                        "n:7 mm._x", "n:9 m._x"}
+
+
+def test_only_the_two_thread_owners_start_threads():
+    # a thread started anywhere else has no owner that joins it on every
+    # path; config, which every module imports, starts none
+    trees = _library_trees()
+    assert _thread_starts(trees) == THREADS_ON_PURPOSE
+    assert "threading" not in _imported_modules(trees["config"])
+
+
+def test_thread_start_check_sees_what_it_claims():
+    trees = {"m": ast.parse("import threading\n"
+                            "from threading import Thread\n"
+                            "def f():\n"
+                            "    def g():\n"
+                            "        return threading.Thread(target=f)\n"
+                            "    return g\n"
+                            "class C:\n"
+                            "    def run(self):\n"
+                            "        Thread(target=f).start()\n"
+                            "def h():\n"
+                            "    return threading.Condition(), Thread\n"
+                            "t = threading.Thread(target=h)\n"),
+             "n": ast.parse("import os.path\n"
+                            "from threading import Lock\n"
+                            "from . import m\n"
+                            "def f():\n"
+                            "    import json\n")}
+    assert _thread_starts(trees) == {"m.f", "m.C", "m"}
+    assert _imported_modules(trees["m"]) == {"threading"}
+    assert _imported_modules(trees["n"]) == {"os", "threading", "json"}
